@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, euclid
+from . import __version__, euclid, graph
 from .pipeline import (
     EXIT_USAGE,
     RunConfig,
@@ -55,7 +55,8 @@ def _parse_edge(text: str) -> tuple[int, int]:
         i, j = (int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad edge {text!r}, want I,J")
-    if i == j or not (0 <= i < 416 and 0 <= j < 416):
+    n = graph.VERTEX_COUNT
+    if i == j or not (0 <= i < n and 0 <= j < n):
         raise argparse.ArgumentTypeError(f"edge {text!r} out of range")
     return (i, j)
 
@@ -122,7 +123,7 @@ def build_parser() -> _Parser:
         type=int,
         default=0,
         metavar="N",
-        help="seed for randomized spot-check invariants only",
+        help="seed for the sampled anchors of the anchor-invariance stage",
     )
     parser.add_argument(
         "--timings",

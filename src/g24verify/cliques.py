@@ -1,12 +1,16 @@
 """Clique number, special 5-cliques of C, exact covers, and the verdict.
 
-The clique number is settled edge by edge: a clique of size 2 + m through
-edge (i, j) is an m-clique inside the common neighbourhood of i and j,
-which has only 36 vertices, so 20800 small branch-and-bound searches with a
-greedy colouring bound replace one monolithic search.  The special
-5-cliques of C (iso-sets sharing a 3-point core) feed a deterministic
-Algorithm-X exact-cover search for the 64-clique partition of C and, when
-asked, a full count of such covers.
+The clique number is settled through symmetry: omega(G) = 1 + max over v of
+the clique number of the neighbourhood N(v), and an automorphism s maps N(v)
+onto N(s(v)), so one branch-and-bound search with a greedy colouring bound
+per vertex orbit suffices.  The automorphisms come in as vertex
+permutations and are verified on every edge of the graph as built before
+they are trusted, so the proof rests on the graph, not on the geometry that
+suggested them.  `max_clique`, which searches from every edge, is the slow
+oracle the symmetric search is tested against.  The special 5-cliques of C
+(iso-sets sharing a 3-point core) feed a deterministic Algorithm-X
+exact-cover search for the 64-clique partition of C and, when asked, a full
+count of such covers.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ class CoverResult:
 @dataclass
 class CliqueSearchStats:
     edges_scanned: int
+    nodes: int
+
+
+@dataclass
+class OrbitSearchStats:
+    automorphisms_verified: int
+    orbit_representatives: int
     nodes: int
 
 
@@ -98,6 +109,7 @@ def _max_clique_in(
 
 def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
     """Exact clique number with witness; the search exhausts every edge.
+    Slow oracle for `max_clique_by_orbits`.
 
     For each edge (i, j), i < j, candidates are the common neighbours above
     j, so every clique is rooted at its two smallest vertices exactly once.
@@ -123,6 +135,64 @@ def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
             witness = sorted([i, j] + sub_wit)
     verify_clique(g, witness)
     return best, witness, CliqueSearchStats(edges, counter[0])
+
+
+def verify_automorphism(g: Graph, perm: list[int]) -> None:
+    """`perm` must be a bijection of the vertices mapping every edge to an
+    edge; a bijection that does so maps non-edges to non-edges as well."""
+    if sorted(perm) != list(range(g.n)):
+        raise VerificationError("vertex map is not a permutation")
+    rows = g.rows
+    for i, j in g.edges():
+        if not rows[perm[i]] >> perm[j] & 1:
+            raise VerificationError(
+                f"vertex map sends edge ({i},{j}) to the non-edge "
+                f"({perm[i]},{perm[j]})",
+                witness=(i, j),
+            )
+
+
+def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
+    """Smallest vertex of each orbit of the group generated by `perms`
+    (union-find over the links v -> perm[v])."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for perm in perms:
+        for v, w in enumerate(perm):
+            a, b = find(v), find(w)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [v for v in range(n) if find(v) == v]
+
+
+def max_clique_by_orbits(
+    g: Graph, automorphisms: list[list[int]]
+) -> tuple[int, list[int], OrbitSearchStats]:
+    """Exact clique number with witness, searched from one vertex per orbit.
+
+    Every permutation is verified as an automorphism of `g` first; the
+    largest clique through v is then 1 + omega(N(v)), the same on the whole
+    orbit of v.
+    """
+    for perm in automorphisms:
+        verify_automorphism(g, perm)
+    reps = orbit_representatives(g.n, automorphisms)
+    best = 0
+    witness: list[int] = []
+    counter = [0]
+    for v in reps:
+        sub_size, sub_wit = _max_clique_in(g.rows, g.rows[v], max(best - 1, 0), counter)
+        if 1 + sub_size > best:
+            best = 1 + sub_size
+            witness = sorted([v] + sub_wit)
+    verify_clique(g, witness)
+    return best, witness, OrbitSearchStats(len(automorphisms), len(reps), counter[0])
 
 
 def verify_clique(g: Graph, vertices: list[int]) -> None:

@@ -3,10 +3,13 @@
 Columns of y realise the graph as a two-distance point set (squared
 distances 144 on edges, 192 on non-edges).  The contrast vectors p and q
 cut the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
-certified two-sided: a modular-rank lower bound (Gaussian elimination over
-two large primes) meets an upper bound derived from the exactly verified
-srg identity plus explicit orthogonal vectors.  No floating point anywhere;
-numpy is used purely as an int64 array engine.
+certified two-sided: a modular-rank lower bound meets an upper bound derived
+from the exactly verified srg identity plus explicit orthogonal vectors.
+The three point sets are nested (C inside C+B1 inside V), so one Gaussian
+elimination per prime, over the columns of y ordered C, B1, B2, B3, yields
+all three ranks: the pivots among the first k columns number the rank of
+those k columns.  No floating point anywhere; numpy is used purely as an
+int64 array engine.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ class ReprMatrix:
 class DimensionCertificate:
     label: str
     size: int
-    base_vertex: int
     affine_dim: int
     upper_bound: int
     lower_bounds: dict[int, int]
@@ -58,16 +60,18 @@ class DimensionCertificate:
         return max(self.lower_bounds.values()) == self.upper_bound == self.affine_dim
 
 
+def _adjacency_bits(g: Graph) -> np.ndarray:
+    """The n x n 0/1 adjacency matrix (uint8), unpacked from the rows."""
+    nbytes = (g.n + 7) // 8
+    packed = b"".join(r.to_bytes(nbytes, "little") for r in g.rows)
+    raw = np.frombuffer(packed, dtype=np.uint8)
+    return np.unpackbits(raw.reshape(g.n, nbytes), axis=1, bitorder="little")[:, : g.n]
+
+
 def build_representation(g: Graph) -> ReprMatrix:
     """y = A + 4I, materialised exactly from the bit-packed rows."""
-    n = g.n
-    nbytes = (n + 7) // 8
-    bits = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        raw = np.frombuffer(g.rows[i].to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits[i] = np.unpackbits(raw, bitorder="little")[:n]
-    entries = bits + 4 * np.eye(n, dtype=np.int64)
-    return ReprMatrix(n, entries)
+    entries = _adjacency_bits(g).astype(np.int64) + 4 * np.eye(g.n, dtype=np.int64)
+    return ReprMatrix(g.n, entries)
 
 
 def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
@@ -81,21 +85,16 @@ def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
 def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
     """Exhaustive scan of all squared pair distances, checked against
     adjacency: 144 exactly on edges, 192 exactly on non-edges."""
-    gram = y.entries.T @ y.entries  # int64; entries bounded by 416*16
+    # int64 throughout; entries bounded by 416*16
+    gram = np.einsum("ti,tj->ij", y.entries, y.entries)
     diag = np.diag(gram)
     d2 = diag[:, None] + diag[None, :] - 2 * gram
     iu = np.triu_indices(y.n, k=1)
     vals = d2[iu]
-    census: dict[int, int] = {}
-    for v in np.unique(vals):
-        census[int(v)] = int((vals == int(v)).sum())
-    adj = np.zeros((y.n, y.n), dtype=bool)
-    for i in range(y.n):
-        row = g.rows[i]
-        for j in range(i + 1, y.n):
-            if row >> j & 1:
-                adj[i, j] = True
-    mism = np.nonzero((d2[iu] == 144) != adj[iu])[0]
+    values, counts = np.unique(vals, return_counts=True)
+    census = {int(v): int(c) for v, c in zip(values, counts)}
+    adj = _adjacency_bits(g)[iu].astype(bool)
+    mism = np.nonzero((vals == 144) != adj)[0]
     if mism.size:
         t = mism[0]
         raise VerificationError(
@@ -173,12 +172,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def rank_mod_prime(rows, prime: int) -> int:
+def rank_mod_prime(
+    rows, prime: int, prefixes: tuple[int, ...] | None = None
+) -> int | tuple[int, ...]:
     """Rank over GF(prime) by Gaussian elimination with modular inverses.
 
     Pivoting is deterministic: columns in order, first nonzero row below the
-    pivot row.  Entries stay in [0, prime), so int64 holds every product of
-    two residues for prime < 2**31.
+    pivot row.  A column gets a pivot exactly when it is independent of the
+    columns before it, so the pivots among the first k columns number the
+    rank of those k columns.  With `prefixes`, returns that rank for each k
+    in it, all from one elimination; otherwise the rank of the whole matrix.
+    Entries stay in [0, prime), so int64 holds every product of two residues
+    for prime < 2**31.
     """
     if prime <= 2:
         raise ValueError("prime must exceed 2")
@@ -190,6 +195,7 @@ def rank_mod_prime(rows, prime: int) -> int:
     if a.ndim != 2:
         raise ValueError("rank_mod_prime expects a 2-d matrix")
     m, n = a.shape
+    pivots: list[int] = []
     r = 0
     for c in range(n):
         nz = np.nonzero(a[r:, c])[0]
@@ -198,28 +204,21 @@ def rank_mod_prime(rows, prime: int) -> int:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+        # Columns left of c are already zero in rows r and below.
         inv = pow(int(a[r, c]), -1, prime)
-        a[r] = a[r] * inv % prime
+        a[r, c:] = a[r, c:] * inv % prime
         below = a[r + 1 :, c]
         nzb = np.nonzero(below)[0]
         if nzb.size:
-            a[r + 1 + nzb] = (a[r + 1 + nzb] - below[nzb, None] * a[r]) % prime
+            idx = r + 1 + nzb
+            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
-
-
-def _column_matrix(y: ReprMatrix, vertices: tuple[int, ...]) -> np.ndarray:
-    return y.entries[:, list(vertices)].T  # one row per chosen column of y
-
-
-def _difference_matrix(
-    y: ReprMatrix, vertices: tuple[int, ...], base: int
-) -> np.ndarray:
-    cols = [v for v in vertices if v != base]
-    mat = y.entries[:, cols].T - y.entries[:, base]
-    return mat
+    if prefixes is None:
+        return r
+    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
 def certified_dimension_chain(
@@ -233,8 +232,11 @@ def certified_dimension_chain(
     Upper bounds: rank(y) = 1 + f from the verified srg identity, minus one
     hyperplane cut per orthogonal vector (the all-ones direction, then p,
     then q), each cut shown proper by an explicit nonzero inner product.
-    Lower bounds: modular rank of the difference matrix; rank over any prime
-    never exceeds the rational rank, so lower = upper pins the dimension.
+    Lower bounds: every column lies on the hyperplane <1, y_i> = 104 off the
+    origin, so affine dimension = linear rank - 1, and the linear rank over
+    any prime never exceeds the rational rank; lower = upper pins the
+    dimension.  The linear ranks of the three nested sets are read at the
+    prefixes 320, 352 and 416 of one elimination per prime.
     """
     if len(primes) < 2:
         raise ValueError("at least two primes are required")
@@ -257,10 +259,10 @@ def certified_dimension_chain(
         "every column satisfies <1, y_i> = 104, a hyperplane off the origin",
     ]
     sets = [
-        ("V", tuple(range(y.n)), rank_y - 1, base_arg),
+        ("V", y.n, rank_y - 1, base_arg),
         (
             "C+B1",
-            tuple(sorted(part.c + part.b1)),
+            len(part.c) + len(part.b1),
             rank_y - 2,
             base_arg
             + [
@@ -270,7 +272,7 @@ def certified_dimension_chain(
         ),
         (
             "C",
-            part.c,
+            len(part.c),
             rank_y - 3,
             base_arg
             + [
@@ -281,33 +283,20 @@ def certified_dimension_chain(
         ),
     ]
 
-    certificates = []
-    for label, vertices, upper, argument in sets:
-        base = vertices[0]
-        diff = _difference_matrix(y, vertices, base)
-        cols = _column_matrix(y, vertices)
-        lower_bounds: dict[int, int] = {}
-        linear_ranks: dict[int, int] = {}
-        for prime in primes:
-            dr = rank_mod_prime(diff, prime)
-            cr = rank_mod_prime(cols, prime)
-            if dr > upper or cr > upper + 1:
-                raise VerificationError(
-                    f"{label}: modular rank {dr}/{cr} exceeds certified upper bound "
-                    f"{upper}/{upper + 1} (mod {prime})"
-                )
-            if cr != dr + 1:
-                raise VerificationError(
-                    f"{label}: linear rank {cr} != affine rank {dr} + 1 mod {prime}"
-                )
-            lower_bounds[prime] = dr
-            linear_ranks[prime] = cr
-        # Base-point independence, one prime: the affine rank cannot depend
-        # on which member anchors the differences.
-        alt = _difference_matrix(y, vertices, vertices[1])
-        if rank_mod_prime(alt, primes[0]) != lower_bounds[primes[0]]:
-            raise VerificationError(f"{label}: rank depends on the base point")
+    nested = y.entries[:, list(part.c + part.b1 + part.b2 + part.b3)]
+    prefixes = tuple(size for _, size, _, _ in sets)
+    ranks = {prime: rank_mod_prime(nested, prime, prefixes) for prime in primes}
 
+    certificates = []
+    for t, (label, size, upper, argument) in enumerate(sets):
+        linear_ranks = {prime: ranks[prime][t] for prime in primes}
+        for prime, lr in linear_ranks.items():
+            if lr > upper + 1:
+                raise VerificationError(
+                    f"{label}: modular linear rank {lr} exceeds certified upper "
+                    f"bound {upper + 1} (mod {prime})"
+                )
+        lower_bounds = {prime: lr - 1 for prime, lr in linear_ranks.items()}
         lower = max(lower_bounds.values())
         if lower < upper:
             raise InconclusiveError(
@@ -317,8 +306,7 @@ def certified_dimension_chain(
         certificates.append(
             DimensionCertificate(
                 label=label,
-                size=len(vertices),
-                base_vertex=base,
+                size=size,
                 affine_dim=upper,
                 upper_bound=upper,
                 lower_bounds=lower_bounds,

@@ -26,6 +26,16 @@ NONISOTROPIC_COUNT = 208
 BASIS_COUNT = 416
 ISOSET_SIZE = 15
 
+Matrix = tuple[Point, Point, Point]  # rows; acts on column vectors
+
+# Isometries of H: the swap of coordinates 1 and 3 and two unipotents.  The
+# bases form a single orbit under the group they generate.
+ISOMETRIES: tuple[Matrix, ...] = (
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+    ((1, 15, 5), (0, 1, 8), (0, 0, 1)),
+)
+
 
 def hermitian_form(a: Point, b: Point) -> int:
     return (
@@ -208,3 +218,44 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     if len({bs.isoset for bs in bases}) != BASIS_COUNT:
         raise ConstructionError("iso-sets are not pairwise distinct")
     return bases
+
+
+def _apply(m: Matrix, p: Point) -> Point:
+    return tuple(
+        gf16.mul(row[0], p[0]) ^ gf16.mul(row[1], p[1]) ^ gf16.mul(row[2], p[2])
+        for row in m
+    )
+
+
+def basis_permutations(
+    plane: Plane, bases: list[Basis], matrices: tuple[Matrix, ...] = ISOMETRIES
+) -> list[list[int]]:
+    """The permutation of the bases induced by each isometry of H.
+
+    Each matrix must preserve H on the nine standard basis pairs, which by
+    sesquilinearity means it preserves H everywhere; it then maps
+    nonisotropic points to nonisotropic points and orthogonal bases to
+    orthogonal bases.
+    """
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    noniso_index = {p: i for i, p in enumerate(plane.nonisotropic)}
+    basis_index = {b.noniso_indices: k for k, b in enumerate(bases)}
+    perms = []
+    for m in matrices:
+        images = [_apply(m, e) for e in unit]
+        if any(
+            hermitian_form(images[a], images[b]) != hermitian_form(unit[a], unit[b])
+            for a in range(3)
+            for b in range(3)
+        ):
+            raise ConstructionError(f"matrix {m} does not preserve H")
+        point_image = [
+            noniso_index[normalize(_apply(m, p))] for p in plane.nonisotropic
+        ]
+        perms.append(
+            [
+                basis_index[tuple(sorted(point_image[t] for t in b.noniso_indices))]
+                for b in bases
+            ]
+        )
+    return perms

@@ -22,6 +22,11 @@ def isosets(bases):
 
 
 @pytest.fixture(scope="session")
+def automorphisms(plane, bases):
+    return hermitian.basis_permutations(plane, bases)
+
+
+@pytest.fixture(scope="session")
 def g(isosets):
     return graph.build_graph(isosets)
 

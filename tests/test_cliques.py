@@ -30,16 +30,57 @@ def test_max_clique_on_small_graphs():
     assert size == 1
 
 
-def test_clique_number_is_5(g):
+def test_clique_number_is_5(g, automorphisms):
     size, witness, stats = cliques.max_clique(g)
     assert size == 5
     assert len(witness) == 5
     assert stats.edges_scanned == 20800
     cliques.verify_clique(g, witness)
+    # The orbit search agrees with the all-edges oracle at a fraction of it.
+    sym_size, sym_witness, sym_stats = cliques.max_clique_by_orbits(g, automorphisms)
+    assert sym_size == 5
+    cliques.verify_clique(g, sym_witness)
+    assert sym_stats.automorphisms_verified == 3
+    assert sym_stats.orbit_representatives == 1
+    assert sym_stats.nodes < 5000 < stats.nodes
 
 
-def test_witness_survives_pair_recheck(g):
-    _, witness, _ = cliques.max_clique(g)
+def test_orbit_search_on_small_graphs():
+    # Rotations of C5 and K6 are single orbits; no map at all leaves every
+    # vertex its own orbit, including the isolated ones.
+    rot5 = [(v + 1) % 5 for v in range(5)]
+    assert cliques.max_clique_by_orbits(cycle_graph(5), [rot5])[0] == 2
+    rot6 = [(v + 1) % 6 for v in range(6)]
+    size, wit, stats = cliques.max_clique_by_orbits(complete_graph(6), [rot6])
+    assert size == 6 and wit == list(range(6)) and stats.orbit_representatives == 1
+    size, wit, stats = cliques.max_clique_by_orbits(graph.Graph(4, [0, 0, 0, 0]), [])
+    assert size == 1 and wit == [0] and stats.orbit_representatives == 4
+
+
+def test_single_vertex_orbit(g, automorphisms):
+    assert cliques.orbit_representatives(g.n, automorphisms) == [0]
+    assert cliques.orbit_representatives(4, [[1, 0, 2, 3]]) == [0, 2, 3]
+
+
+def test_non_automorphism_is_refused_with_an_edge_witness(g, automorphisms):
+    swap = list(range(g.n))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(VerificationError) as exc:
+        cliques.max_clique_by_orbits(g, automorphisms + [swap])
+    i, j = exc.value.witness
+    assert g.adjacent(i, j)
+    assert not g.adjacent(swap[i], swap[j])
+
+
+def test_non_bijection_is_refused(g):
+    with pytest.raises(VerificationError):
+        cliques.verify_automorphism(g, [0] * g.n)
+    with pytest.raises(VerificationError):
+        cliques.verify_automorphism(g, list(range(g.n - 1)))
+
+
+def test_witness_survives_pair_recheck(g, automorphisms):
+    _, witness, _ = cliques.max_clique_by_orbits(g, automorphisms)
     for a in range(5):
         for b in range(a + 1, 5):
             assert g.adjacent(witness[a], witness[b])

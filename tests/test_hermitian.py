@@ -3,6 +3,7 @@
 import pytest
 
 from g24verify import gf16, hermitian
+from g24verify.errors import ConstructionError
 
 
 def test_point_census(plane):
@@ -167,3 +168,23 @@ def test_isoset_helpers_roundtrip():
         hermitian.isoset_from_indices([0])
     with pytest.raises(ValueError):
         hermitian.isoset_from_indices([66])
+
+
+def test_isometries_induce_basis_permutations(plane, bases, automorphisms):
+    assert len(automorphisms) == len(hermitian.ISOMETRIES)
+    for perm in automorphisms:
+        assert sorted(perm) == list(range(416))
+        assert perm != list(range(416))
+    # The swap of coordinates 1 and 3 is an involution.
+    swap = automorphisms[0]
+    assert all(swap[swap[v]] == v for v in range(416))
+
+
+def test_corrupted_isometry_is_refused(plane, bases):
+    swap, _, unipotent = hermitian.ISOMETRIES
+    bad = ((1, 15, 6), unipotent[1], unipotent[2])
+    with pytest.raises(ConstructionError):
+        hermitian.basis_permutations(plane, bases, (swap, bad))
+    scaled = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ConstructionError):
+        hermitian.basis_permutations(plane, bases, (scaled,))

@@ -45,7 +45,10 @@ def test_stage_details(full_report):
     certs = full_report.stage("dimension-chain").detail["certificates"]
     assert [c["affine_dim"] for c in certs] == [65, 64, 63]
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
-    assert full_report.stage("max-clique").detail["clique_number"] == 5
+    clique = full_report.stage("max-clique").detail
+    assert clique["clique_number"] == 5
+    assert clique["automorphisms_verified"] == 3
+    assert clique["orbit_representatives"] == 1
     assert full_report.stage("special-cover").detail["cover_cliques"] == 64
     assert full_report.stage("uniqueness").detail["cover_count"] == 1
     assert full_report.stage("clebsch").detail["isomorphic_to_model"] is True

@@ -1,0 +1,43 @@
+"""Property tests: the prefix ranks of one modular elimination against an
+exact rational oracle on small integer matrices."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from g24verify import euclid  # noqa: E402
+from test_euclid import rational_rank  # noqa: E402
+
+
+@st.composite
+def matrices_and_cuts(draw):
+    """An m x n integer matrix of rank at most r (a product of m x r and
+    r x n factors, so rank-deficient ones are common) plus prefix cuts."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    entry = st.integers(-5, 5)
+
+    def rows(count, width):
+        return st.lists(
+            st.lists(entry, min_size=width, max_size=width),
+            min_size=count,
+            max_size=count,
+        )
+
+    a = draw(rows(m, r))
+    b = draw(rows(r, n))
+    mat = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+    cuts = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=4)))
+    return mat, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_cuts())
+def test_prefix_ranks_match_rational_rank(case):
+    mat, cuts = case
+    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    for prime in euclid.DEFAULT_PRIMES:
+        assert euclid.rank_mod_prime(mat, prime, cuts) == want
+        assert euclid.rank_mod_prime(mat, prime) == rational_rank(mat)
