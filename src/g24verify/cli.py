@@ -99,33 +99,6 @@ def build_parser() -> _Parser:
         "of the halved 5-cube by explicit isomorphism",
     )
     parser.add_argument(
-        "--with-uniqueness",
-        action="store_true",
-        help="count all exact covers of C by special 5-cliques (expect 1)",
-    )
-    parser.add_argument(
-        "--uniqueness-budget",
-        type=int,
-        default=1_000_000,
-        metavar="N",
-        help="node budget for the cover count before reporting inconclusive",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker cap for verification scans (all current stages are "
-        "single-threaded; results never depend on this value)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the sampled anchors of the anchor-invariance stage",
-    )
-    parser.add_argument(
         "--timings",
         action="store_true",
         help="include stage wall-clock times in output (breaks byte-for-byte "
@@ -145,10 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
-    if args.uniqueness_budget < 1:
-        parser.error("--uniqueness-budget must be at least 1")
 
     cfg = RunConfig(
         command=args.command,
@@ -156,10 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         fmt=args.fmt,
         primes=args.primes,
         with_clebsch=args.with_clebsch_check,
-        with_uniqueness=args.with_uniqueness,
-        uniqueness_budget=args.uniqueness_budget,
-        threads=args.threads,
-        seed=args.seed,
         include_timings=args.timings,
         inject_flip_edge=args.inject_flip_edge,
     )

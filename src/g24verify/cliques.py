@@ -8,16 +8,16 @@ permutations and are verified on every edge of the graph as built before
 they are trusted, so the proof rests on the graph, not on the geometry that
 suggested them.  `max_clique`, which searches from every edge, is the slow
 oracle the symmetric search is tested against.  The special 5-cliques of C
-(iso-sets sharing a 3-point core) feed a deterministic Algorithm-X
-exact-cover search for the 64-clique partition of C and, when asked, a full
-count of such covers.
+(iso-sets sharing a 3-point core) tile C, which a count settles: 64
+pairwise disjoint 5-cliques covering the 320 vertices of C are the only
+exact cover of C by special cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconclusiveError, VerificationError
+from .errors import VerificationError
 from .graph import Graph, Partition
 
 
@@ -25,18 +25,6 @@ from .graph import Graph, Partition
 class SpecialClique:
     vertices: tuple[int, int, int, int, int]
     core: tuple[int, int, int]
-
-
-@dataclass
-class CoverResult:
-    cliques: list[SpecialClique]
-    nodes: int
-
-    def covered(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.cliques:
-            out.update(c.vertices)
-        return out
 
 
 @dataclass
@@ -285,117 +273,29 @@ def enumerate_special_cliques(
     return cliques
 
 
-def _algorithm_x(
-    columns: dict[int, set[int]],
-    rows: dict[int, tuple[int, ...]],
-    budget: int | None,
-    count_all: bool,
-) -> tuple[int, list[list[int]], int]:
-    """Exact-cover search; returns (solutions found, recorded solutions,
-    nodes).  Column choice: fewest candidate rows, ties by column index;
-    rows tried in ascending index, so the search is fully deterministic."""
-    solutions: list[list[int]] = []
-    partial: list[int] = []
-    nodes = 0
-    found = 0
+def verify_special_cover(
+    specials: list[SpecialClique], universe: tuple[int, ...]
+) -> None:
+    """The special cliques must tile `universe`: pairwise disjoint, inside
+    it, and together covering it, so there are exactly |universe|/5 of them.
 
-    def select(rid: int) -> list[tuple[int, set[int]]]:
-        removed: list[tuple[int, set[int]]] = []
-        for c in rows[rid]:
-            for other in columns[c]:
-                for c2 in rows[other]:
-                    if c2 != c:
-                        columns[c2].discard(other)
-            removed.append((c, columns.pop(c)))
-        return removed
-
-    def deselect(removed: list[tuple[int, set[int]]]) -> None:
-        for c, col_rows in reversed(removed):
-            columns[c] = col_rows
-            for other in col_rows:
-                for c2 in rows[other]:
-                    if c2 != c:
-                        columns[c2].add(other)
-
-    def search() -> bool:
-        nonlocal nodes, found
-        if not columns:
-            found += 1
-            if not count_all or len(solutions) < 2:
-                solutions.append(sorted(partial))
-            return not count_all
-        col = min(columns, key=lambda c: (len(columns[c]), c))
-        if not columns[col]:
-            return False
-        for rid in sorted(columns[col]):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise InconclusiveError(
-                    f"exact-cover search exceeded its node budget of {budget}"
+    That makes them the unique exact cover of `universe` by special cliques:
+    any exact cover of |universe| vertices by 5-sets uses |universe|/5
+    cliques, which is all of them.
+    """
+    inside = set(universe)
+    seen: set[int] = set()
+    for sc in specials:
+        for v in sc.vertices:
+            if v in seen or v not in inside:
+                where = "twice" if v in seen else "outside the cover set"
+                raise VerificationError(
+                    f"special cliques cover vertex {v} {where}", witness=v
                 )
-            removed = select(rid)
-            partial.append(rid)
-            done = search()
-            partial.pop()
-            deselect(removed)
-            if done:
-                return True
-        return False
-
-    search()
-    return found, solutions, nodes
-
-
-def _cover_problem(
-    candidates: list[SpecialClique], universe: tuple[int, ...]
-) -> tuple[dict[int, set[int]], dict[int, tuple[int, ...]]]:
-    if not candidates:
-        raise ValueError("no candidate cliques supplied")
-    uni = set(universe)
-    rows = {rid: c.vertices for rid, c in enumerate(candidates)}
-    for rid, verts in rows.items():
-        if not uni.issuperset(verts):
-            raise ValueError(f"candidate {rid} leaves the universe")
-    columns: dict[int, set[int]] = {v: set() for v in universe}
-    for rid, verts in rows.items():
-        for v in verts:
-            columns[v].add(rid)
-    return columns, rows
-
-
-def exact_cover_partition(
-    candidates: list[SpecialClique], universe: tuple[int, ...]
-) -> CoverResult:
-    """First exact cover of the universe by disjoint candidates."""
-    columns, rows = _cover_problem(candidates, universe)
-    found, solutions, nodes = _algorithm_x(columns, rows, budget=None, count_all=False)
-    if found == 0:
-        raise VerificationError(
-            f"no exact cover of {len(universe)} vertices by the "
-            f"{len(candidates)} candidate cliques exists"
-        )
-    cover = [candidates[rid] for rid in solutions[0]]
-    covered = set()
-    for c in cover:
-        if covered & set(c.vertices):
-            raise VerificationError("cover cliques overlap")
-        covered.update(c.vertices)
-    if covered != set(universe):
-        raise VerificationError("cover misses vertices")
-    return CoverResult(cover, nodes)
-
-
-def count_exact_covers(
-    candidates: list[SpecialClique],
-    universe: tuple[int, ...],
-    budget: int | None = 1_000_000,
-) -> tuple[int, int, list[SpecialClique]]:
-    """Exhaustive count of exact covers; raises InconclusiveError on budget
-    exhaustion rather than reporting a truncated count."""
-    columns, rows = _cover_problem(candidates, universe)
-    found, solutions, nodes = _algorithm_x(columns, rows, budget=budget, count_all=True)
-    first = [candidates[rid] for rid in solutions[0]] if solutions else []
-    return found, nodes, first
+            seen.add(v)
+    if seen != inside:
+        v = min(inside - seen)
+        raise VerificationError(f"vertex {v} lies in no special clique", witness=v)
 
 
 def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:
@@ -409,7 +309,7 @@ def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:
 def final_verdict(
     certificates,
     clique_number: int,
-    cover: CoverResult | None,
+    cover: list[SpecialClique] | None,
     c_size: int,
     b1_size: int,
 ) -> dict:
@@ -444,7 +344,7 @@ def final_verdict(
             "dimension": dims["C"],
             "point_count": c_size,
             "min_parts": near_parts,
-            "cover_found": cover is not None and len(cover.cliques) == near_parts,
+            "cover_found": cover is not None and len(cover) == near_parts,
             "is_counterexample": False,
         },
         "note": "a stronger lower bound of 72 parts has been reported; not verified here",

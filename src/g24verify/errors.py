@@ -14,4 +14,5 @@ class VerificationError(Exception):
 
 
 class InconclusiveError(Exception):
-    """A check ran out of budget or evidence; neither pass nor fail."""
+    """A check lacks the evidence to decide, as a modular rank below the
+    upper bound does; neither pass nor fail."""

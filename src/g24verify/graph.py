@@ -96,8 +96,12 @@ class Partition:
         return self.b1_mask, self.b2_mask, self.b3_mask
 
 
-def build_graph(isosets: list[int]) -> Graph:
-    """Edge (i, j) iff the iso-sets of i and j share exactly 3 indices."""
+def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
+    """Edge (i, j) iff the iso-sets of i and j share exactly 3 indices.
+
+    Also returns the census of |iso-set_i & iso-set_j| over all unordered
+    pairs, counted in the same pair loop.
+    """
     n = len(isosets)
     if n != VERTEX_COUNT:
         raise ConstructionError(f"expected {VERTEX_COUNT} iso-sets, got {n}")
@@ -105,91 +109,60 @@ def build_graph(isosets: list[int]) -> Graph:
         if s.bit_count() != 15:
             raise ConstructionError(f"iso-set {i} has {s.bit_count()} members")
     rows = [0] * n
-    for i in range(n):
-        si = isosets[i]
-        for j in range(i + 1, n):
-            if (si & isosets[j]).bit_count() == ADJACENCY_OVERLAP:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows)
-
-
-def intersection_size_distribution(isosets: list[int]) -> dict[int, int]:
-    """Census of |iso-set_i & iso-set_j| over all unordered pairs."""
-    dist: dict[int, int] = {}
-    n = len(isosets)
+    census = [0] * 16
     for i in range(n):
         si = isosets[i]
         for j in range(i + 1, n):
             c = (si & isosets[j]).bit_count()
-            dist[c] = dist.get(c, 0) + 1
-    return dict(sorted(dist.items()))
+            census[c] += 1
+            if c == ADJACENCY_OVERLAP:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, rows), {c: m for c, m in enumerate(census) if m}
 
 
 def verify_srg(g: Graph) -> SrgParams:
-    """Confirm constant degree, lambda and mu by exhaustive pair scan."""
-    n = g.n
-    for i in range(n):
-        if g.rows[i] >> i & 1:
-            raise VerificationError(f"loop at vertex {i}", witness=(i, i))
-        for j in range(i + 1, n):
-            if g.adjacent(i, j) != g.adjacent(j, i):
-                raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
+    """Certify the entrywise identity A^2 = k I + lambda A + mu (J - I - A).
 
-    k = g.degree(0)
-    for i in range(1, n):
-        if g.degree(i) != k:
+    No loops and constant degree k give the diagonal, in O(n), so a flipped
+    edge fails before any pair is scanned.  One scan of all pairs then checks
+    that A is symmetric, which makes (A^2)_ij = |N(i) & N(j)|, and that this
+    count is lambda on every edge and mu on every non-edge, both read off
+    vertex 0.  No floating point is involved.
+    """
+    n, rows = g.n, g.rows
+    r0 = rows[0]
+    k = r0.bit_count()
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise VerificationError(f"loop at vertex {i}", witness=(i, i))
+        if row.bit_count() != k:
             raise VerificationError(
-                f"vertex {i} has degree {g.degree(i)}, vertex 0 has {k}",
-                witness=(i, g.degree(i)),
+                f"vertex {i} has degree {row.bit_count()}, vertex 0 has {k}",
+                witness=(i, row.bit_count()),
             )
 
-    lam = mu = None
+    lam = next(((r0 & rows[j]).bit_count() for j in range(1, n) if r0 >> j & 1), 0)
+    mu = next(((r0 & rows[j]).bit_count() for j in range(1, n) if not r0 >> j & 1), 0)
+    want = (mu, lam)
     for i in range(n):
-        ri = g.rows[i]
+        ri = rows[i]
         for j in range(i + 1, n):
-            common = (ri & g.rows[j]).bit_count()
-            if ri >> j & 1:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    raise VerificationError(
-                        f"edge ({i},{j}) has {common} common neighbours, not {lam}",
-                        witness=(i, j),
-                    )
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    raise VerificationError(
-                        f"non-edge ({i},{j}) has {common} common neighbours, not {mu}",
-                        witness=(i, j),
-                    )
+            rj = rows[j]
+            adj = ri >> j & 1
+            if adj != rj >> i & 1:
+                raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
+            common = (ri & rj).bit_count()
+            if common != want[adj]:
+                raise VerificationError(
+                    f"{'edge' if adj else 'non-edge'} ({i},{j}) has {common} "
+                    f"common neighbours, not {want[adj]}",
+                    witness=(i, j),
+                )
     params = SrgParams(n, k, lam, mu)
     if not params.feasible():
         raise VerificationError(f"infeasible srg parameters {params}")
     return params
-
-
-def verify_srg_identity(g: Graph, params: SrgParams) -> None:
-    """Entrywise check of A^2 = k I + lambda A + mu (J - I - A), exactly.
-
-    (A^2)_ij is the size of N(i) & N(j), computed by row convolution on the
-    bit-packed rows; no floating point is involved.  A pass certifies the
-    three-eigenvalue structure behind the dimension bounds.
-    """
-    n = g.n
-    for i in range(n):
-        ri = g.rows[i]
-        if ri.bit_count() != params.k:
-            raise VerificationError(f"diagonal of A^2 at {i} is not k", witness=(i, i))
-        for j in range(i + 1, n):
-            entry = (ri & g.rows[j]).bit_count()
-            want = params.lam if ri >> j & 1 else params.mu
-            if entry != want:
-                raise VerificationError(
-                    f"(A^2)[{i},{j}] = {entry}, expected {want}", witness=(i, j)
-                )
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:
@@ -218,13 +191,16 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     return Spectrum(r, f, s, g_mult)
 
 
-def _components_within(g: Graph, mask: int) -> list[tuple[int, ...]]:
+def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]:
+    """Connected components of the subgraph induced on `mask`, each as its
+    ascending vertex tuple and its bit mask, ordered by smallest vertex."""
     comps = []
     remaining = mask
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         seen = 1 << start
         frontier = [start]
+        members = [start]
         while frontier:
             nxt = 0
             for u in frontier:
@@ -235,7 +211,8 @@ def _components_within(g: Graph, mask: int) -> list[tuple[int, ...]]:
                 u = (nxt & -nxt).bit_length() - 1
                 frontier.append(u)
                 nxt &= nxt - 1
-        comps.append(tuple(i for i in range(g.n) if seen >> i & 1))
+            members += frontier
+        comps.append((tuple(sorted(members)), seen))
         remaining &= ~seen
     return comps
 
@@ -250,59 +227,48 @@ def split_B_C(g: Graph, isosets: list[int], anchor: int = 1) -> Partition:
     if not 1 <= anchor <= 65:
         raise ValueError(f"anchor {anchor} out of range 1..65")
     b_mask = 0
+    c = []
     for i, s in enumerate(isosets):
         if s >> anchor & 1:
             b_mask |= 1 << i
+        else:
+            c.append(i)
     comps = _components_within(g, b_mask)
+    sizes = [len(comp) for comp, _ in comps]
     if len(comps) != 3:
         raise VerificationError(
-            f"B splits into {len(comps)} components, expected 3",
-            witness=[len(c) for c in comps],
+            f"B splits into {len(comps)} components, expected 3", witness=sizes
         )
-    comps.sort(key=lambda c: c[0])
-    sizes = [len(c) for c in comps]
     if sizes != [32, 32, 32]:
         raise VerificationError(f"component sizes {sizes}, expected [32, 32, 32]")
-    masks = []
-    for comp in comps:
-        m = 0
-        for i in comp:
-            m |= 1 << i
-        masks.append(m)
+    (b1, m1), (b2, m2), (b3, m3) = comps
     c_mask = ((1 << g.n) - 1) & ~b_mask
-    c = tuple(i for i in range(g.n) if c_mask >> i & 1)
-    return Partition(
-        anchor,
-        comps[0],
-        comps[1],
-        comps[2],
-        c,
-        masks[0],
-        masks[1],
-        masks[2],
-        c_mask,
-    )
+    return Partition(anchor, b1, b2, b3, tuple(c), m1, m2, m3, c_mask)
 
 
 def verify_claim1(g: Graph, part: Partition) -> None:
     """Adjacency counts into each B_h: 20 inside, 0 across B, 8 from C."""
-    b_masks = part.b_masks()
-    b_all = part.b1_mask | part.b2_mask | part.b3_mask
-    for i in range(g.n):
-        row = g.rows[i]
-        in_b = bool(b_all >> i & 1)
-        for h, mask in enumerate(b_masks, start=1):
-            count = (row & mask).bit_count()
-            if mask >> i & 1:
-                want = 20
-            elif in_b:
-                want = 0
-            else:
-                want = 8
-            if count != want:
+    m1, m2, m3 = part.b_masks()
+    blocks = (
+        (part.b1, (20, 0, 0)),
+        (part.b2, (0, 20, 0)),
+        (part.b3, (0, 0, 20)),
+        (part.c, (8, 8, 8)),
+    )
+    for block, want in blocks:
+        for i in block:
+            row = g.rows[i]
+            got = (
+                (row & m1).bit_count(),
+                (row & m2).bit_count(),
+                (row & m3).bit_count(),
+            )
+            if got != want:
+                h = next(h for h in range(3) if got[h] != want[h])
                 raise VerificationError(
-                    f"vertex {i} sees {count} neighbours in B{h}, expected {want}",
-                    witness=(i, h),
+                    f"vertex {i} sees {got[h]} neighbours in B{h + 1}, "
+                    f"expected {want[h]}",
+                    witness=(i, h + 1),
                 )
 
 

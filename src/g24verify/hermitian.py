@@ -198,12 +198,23 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
             k = completions[0]
             triples.add(tuple(sorted((i, j, k))))
 
+    # The side bc of basis {a, b, c} is the polar line of a, so its isotropic
+    # points are those orthogonal to a: one mask per point serves every side.
+    polar = []
+    for t in noniso:
+        mask = 0
+        for idx, p in enumerate(plane.isotropic, start=1):
+            if hermitian_form(p, t) == 0:
+                mask |= 1 << idx
+        if mask.bit_count() != 5:
+            raise ConstructionError(
+                f"polar line of {t} carries {mask.bit_count()} isotropic points"
+            )
+        polar.append(mask)
+
     bases: list[Basis] = []
     for tri in sorted(triples):
-        a, b, c = (noniso[t] for t in tri)
-        f_ab = isotropic_on_line(plane, a, b)
-        f_ac = isotropic_on_line(plane, a, c)
-        f_bc = isotropic_on_line(plane, b, c)
+        f_bc, f_ac, f_ab = (polar[t] for t in tri)
         if f_ab & f_ac or f_ab & f_bc or f_ac & f_bc:
             raise ConstructionError(f"triangle sides of {tri} share isotropic points")
         isoset = f_ab | f_ac | f_bc
@@ -211,7 +222,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
             raise ConstructionError(
                 f"iso-set of {tri} has {isoset.bit_count()} members"
             )
-        bases.append(Basis(tri, (a, b, c), isoset))
+        bases.append(Basis(tri, tuple(noniso[t] for t in tri), isoset))
 
     if len(bases) != BASIS_COUNT:
         raise ConstructionError(f"found {len(bases)} bases, expected {BASIS_COUNT}")

@@ -1,7 +1,8 @@
 """Orchestration: the staged verification pipeline, report, and exporters.
 
-Stages run in dependency order and short-circuit on the first mandatory
-failure; every stage contributes a structured detail block to the report.
+Stages run in dependency order and stop at the first failed or
+inconclusive one; every stage contributes a structured detail block to the
+report.
 All outputs are exact counts and witnesses; stage wall-clock times are
 collected but serialized only on request, so default artifacts are
 byte-for-byte reproducible.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -33,10 +33,6 @@ class RunConfig:
     fmt: str = "dimacs"
     primes: tuple[int, ...] = euclid.DEFAULT_PRIMES
     with_clebsch: bool = False
-    with_uniqueness: bool = False
-    uniqueness_budget: int = 1_000_000
-    threads: int = 1
-    seed: int = 0
     include_timings: bool = False
     inject_flip_edge: tuple[int, int] | None = None
 
@@ -50,11 +46,31 @@ class StageResult:
 
 
 @dataclass
+class Artifacts:
+    """What the stages build, kept for the exporters and never serialized.
+
+    A field stays None when the stage that builds it did not run.
+    """
+
+    plane: hermitian.Plane | None = None
+    bases: list[hermitian.Basis] | None = None
+    isosets: list[int] | None = None
+    g: graph.Graph | None = None
+    spectrum: graph.Spectrum | None = None
+    part: graph.Partition | None = None
+    y: euclid.ReprMatrix | None = None
+    certs: list[euclid.DimensionCertificate] | None = None
+    clique_number: int | None = None
+    cover: list[cliques.SpecialClique] | None = None
+
+
+@dataclass
 class Report:
     stages: list[StageResult] = field(default_factory=list)
     overall_status: str = "pass"
     exit_code: int = EXIT_PASS
     config: dict = field(default_factory=dict)
+    artifacts: Artifacts = field(default_factory=Artifacts)
 
     def stage(self, name: str) -> StageResult:
         for s in self.stages:
@@ -109,14 +125,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-class _Context(dict):
-    """Artifacts shared between stages; plain dict with attribute sugar."""
-
-    __getattr__ = dict.__getitem__
-    __setattr__ = dict.__setitem__
-
-
-def _stage_field_tables(ctx, cfg):
+def _stage_field_tables(art, cfg):
     checks = gf16.verify_axioms()
     return {
         "polynomial": gf16.polynomial_label(),
@@ -125,20 +134,20 @@ def _stage_field_tables(ctx, cfg):
     }
 
 
-def _stage_geometry(ctx, cfg):
-    ctx.plane = hermitian.build_plane()
+def _stage_geometry(art, cfg):
+    art.plane = hermitian.build_plane()
     return {
-        "points": len(ctx.plane.points),
-        "isotropic": len(ctx.plane.isotropic),
-        "nonisotropic": len(ctx.plane.nonisotropic),
+        "points": len(art.plane.points),
+        "isotropic": len(art.plane.isotropic),
+        "nonisotropic": len(art.plane.nonisotropic),
     }
 
 
-def _stage_bases(ctx, cfg):
-    ctx.bases = hermitian.enumerate_bases(ctx.plane)
-    ctx.isosets = [b.isoset for b in ctx.bases]
+def _stage_bases(art, cfg):
+    art.bases = hermitian.enumerate_bases(art.plane)
+    art.isosets = [b.isoset for b in art.bases]
     per_point: dict[int, int] = {}
-    for b in ctx.bases:
+    for b in art.bases:
         for t in b.noniso_indices:
             per_point[t] = per_point.get(t, 0) + 1
     counts = sorted(set(per_point.values()))
@@ -147,33 +156,30 @@ def _stage_bases(ctx, cfg):
             f"bases per nonisotropic point: {counts}, expected every point in 6"
         )
     return {
-        "bases": len(ctx.bases),
+        "bases": len(art.bases),
         "isoset_size": 15,
         "bases_per_nonisotropic_point": 6,
-        "distinct_isosets": len(set(ctx.isosets)),
+        "distinct_isosets": len(set(art.isosets)),
     }
 
 
-def _stage_graph(ctx, cfg):
-    ctx.g = graph.build_graph(ctx.isosets)
-    dist = graph.intersection_size_distribution(ctx.isosets)
+def _stage_graph(art, cfg):
+    art.g, dist = graph.build_graph(art.isosets)
     detail = {
-        "vertices": ctx.g.n,
-        "edges": ctx.g.edge_count(),
+        "vertices": art.g.n,
+        "edges": art.g.edge_count(),
         "isoset_intersection_sizes": {str(k): v for k, v in dist.items()},
     }
     if cfg.inject_flip_edge is not None:
         i, j = cfg.inject_flip_edge
-        ctx.g.flip_edge(i, j)
+        art.g.flip_edge(i, j)
         detail["fault_injected"] = [i, j]
     return detail
 
 
-def _stage_srg(ctx, cfg):
-    ctx.params = graph.verify_srg(ctx.g)
-    graph.verify_srg_identity(ctx.g, ctx.params)
-    ctx.spectrum = graph.srg_spectrum(ctx.params)
-    p = ctx.params
+def _stage_srg(art, cfg):
+    p = graph.verify_srg(art.g)
+    art.spectrum = graph.srg_spectrum(p)
     cross = graph.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
     if (cross.s, cross.f) != (-2, 5):
         raise VerificationError(f"cross-instance spectrum check failed: {cross}")
@@ -182,41 +188,38 @@ def _stage_srg(ctx, cfg):
         "feasibility": f"{p.k * (p.k - p.lam - 1)} = {(p.v - p.k - 1) * p.mu}",
         "identity_A2": "verified entrywise",
         "spectrum": {
-            "r": str(ctx.spectrum.r),
-            "f": ctx.spectrum.f,
-            "s": str(ctx.spectrum.s),
-            "g": ctx.spectrum.g_mult,
+            "r": str(art.spectrum.r),
+            "f": art.spectrum.f,
+            "s": str(art.spectrum.s),
+            "g": art.spectrum.g_mult,
         },
         "cross_instance": {"parameters": [10, 3, 0, 1], "s": str(cross.s), "f": cross.f},
     }
 
 
-def _stage_partition(ctx, cfg):
-    ctx.part = graph.split_B_C(ctx.g, ctx.isosets, anchor=1)
+def _stage_partition(art, cfg):
+    art.part = graph.split_B_C(art.g, art.isosets, anchor=1)
     return {
         "anchor": 1,
         "B": 96,
-        "C": len(ctx.part.c),
-        "component_sizes": [len(ctx.part.b1), len(ctx.part.b2), len(ctx.part.b3)],
+        "C": len(art.part.c),
+        "component_sizes": [len(art.part.b1), len(art.part.b2), len(art.part.b3)],
     }
 
 
-def _stage_claim1(ctx, cfg):
-    graph.verify_claim1(ctx.g, ctx.part)
-    return {"checked_pairs": ctx.g.n * 3, "pattern": [20, 0, 8]}
+def _stage_claim1(art, cfg):
+    graph.verify_claim1(art.g, art.part)
+    return {"checked_pairs": art.g.n * 3, "pattern": [20, 0, 8]}
 
 
-def _stage_anchor_invariance(ctx, cfg):
-    rng = random.Random(cfg.seed)
-    anchors = sorted(rng.sample(range(2, 66), 3))
-    for anchor in anchors:
-        alt = graph.split_B_C(ctx.g, ctx.isosets, anchor=anchor)
-        graph.verify_claim1(ctx.g, alt)
-    return {"anchors_checked": anchors}
+def _stage_anchor_invariance(art, cfg):
+    for anchor in range(2, hermitian.ISOTROPIC_COUNT + 1):
+        graph.verify_claim1(art.g, graph.split_B_C(art.g, art.isosets, anchor=anchor))
+    return {"anchors_checked": hermitian.ISOTROPIC_COUNT - 1}
 
 
-def _stage_clebsch(ctx, cfg):
-    res = graph.check_component_structure(ctx.g, ctx.part, with_isomorphism=True)
+def _stage_clebsch(art, cfg):
+    res = graph.check_component_structure(art.g, art.part, with_isomorphism=True)
     return {
         "components_20_regular": True,
         "cross_component_edges": 0,
@@ -224,16 +227,16 @@ def _stage_clebsch(ctx, cfg):
     }
 
 
-def _stage_representation(ctx, cfg):
-    ctx.y = euclid.build_representation(ctx.g)
-    ents = ctx.y.entries
+def _stage_representation(art, cfg):
+    art.y = euclid.build_representation(art.g)
+    ents = art.y.entries
     if not (ents == ents.T).all():
         raise VerificationError("representation matrix is not symmetric")
     if not (ents.diagonal() == 4).all():
         raise VerificationError("diagonal of y is not constant 4")
     if not (ents.sum(axis=0) == 104).all():
         raise VerificationError("column sums of y are not constant 104")
-    census = euclid.distance_census(ctx.y, ctx.g)
+    census = euclid.distance_census(art.y, art.g)
     return {
         "diagonal": 4,
         "column_sum": 104,
@@ -241,21 +244,21 @@ def _stage_representation(ctx, cfg):
     }
 
 
-def _stage_inner_products(ctx, cfg):
-    ctx.p, ctx.q = euclid.build_contrasts(ctx.part)
-    euclid.verify_inner_products(ctx.y, ctx.p, ctx.q, ctx.part)
+def _stage_inner_products(art, cfg):
+    p, q = euclid.build_contrasts(art.part)
+    euclid.verify_inner_products(art.y, p, q, art.part)
     return {
         "p_pattern": [euclid.P_PATTERN[b] for b in ("B1", "B2", "B3", "C")],
         "q_pattern": [euclid.Q_PATTERN[b] for b in ("B1", "B2", "B3", "C")],
         "p_dot_q": 0,
-        "p_norm_sq": sum(x * x for x in ctx.p),
-        "q_norm_sq": sum(x * x for x in ctx.q),
+        "p_norm_sq": sum(x * x for x in p),
+        "q_norm_sq": sum(x * x for x in q),
     }
 
 
-def _stage_dimension_chain(ctx, cfg):
-    ctx.certs = euclid.certified_dimension_chain(
-        ctx.y, ctx.part, ctx.spectrum, cfg.primes
+def _stage_dimension_chain(art, cfg):
+    art.certs = euclid.certified_dimension_chain(
+        art.y, art.part, art.spectrum, cfg.primes
     )
     return {
         "primes": list(cfg.primes),
@@ -269,17 +272,17 @@ def _stage_dimension_chain(ctx, cfg):
                 "linear_ranks": {str(p): r for p, r in c.linear_ranks.items()},
                 "upper_bound_argument": c.upper_argument,
             }
-            for c in ctx.certs
+            for c in art.certs
         ],
     }
 
 
-def _stage_max_clique(ctx, cfg):
-    automorphisms = hermitian.basis_permutations(ctx.plane, ctx.bases)
-    size, witness, stats = cliques.max_clique_by_orbits(ctx.g, automorphisms)
+def _stage_max_clique(art, cfg):
+    automorphisms = hermitian.basis_permutations(art.plane, art.bases)
+    size, witness, stats = cliques.max_clique_by_orbits(art.g, automorphisms)
     if size != 5:
         raise VerificationError(f"clique number {size}, expected 5", witness=witness)
-    ctx.clique_number = size
+    art.clique_number = size
     return {
         "clique_number": size,
         "witness": witness,
@@ -289,140 +292,86 @@ def _stage_max_clique(ctx, cfg):
     }
 
 
-def _stage_special_cover(ctx, cfg):
-    ctx.specials = cliques.enumerate_special_cliques(ctx.g, ctx.part, ctx.isosets)
-    if len(ctx.specials) < 64:
-        raise VerificationError(
-            f"only {len(ctx.specials)} special 5-cliques found, need at least 64"
-        )
-    ctx.cover = cliques.exact_cover_partition(ctx.specials, ctx.part.c)
-    if len(ctx.cover.cliques) != 64 or ctx.cover.covered() != set(ctx.part.c):
-        raise VerificationError("cover is not a 64-clique partition of C")
-    cores = {c.core for c in ctx.cover.cliques}
-    if len(cores) != 64:
+def _stage_special_cover(art, cfg):
+    specials = cliques.enumerate_special_cliques(art.g, art.part, art.isosets)
+    cliques.verify_special_cover(specials, art.part.c)
+    cores = {c.core for c in specials}
+    if len(cores) != len(specials):
         raise VerificationError("cover cores are not pairwise distinct")
+    art.cover = specials
     return {
-        "special_cliques": len(ctx.specials),
-        "cover_cliques": len(ctx.cover.cliques),
-        "covered_vertices": len(ctx.cover.covered()),
+        "special_cliques": len(specials),
+        "cover_cliques": len(specials),
+        "covered_vertices": len(art.part.c),
         "distinct_cores": len(cores),
-        "search_nodes": ctx.cover.nodes,
+        "cover_count": 1,
     }
 
 
-def _stage_uniqueness(ctx, cfg):
-    count, nodes, first = cliques.count_exact_covers(
-        ctx.specials, ctx.part.c, budget=cfg.uniqueness_budget
-    )
-    if count != 1:
-        raise VerificationError(
-            f"{count} exact covers by special cliques exist, expected exactly 1"
-        )
-    if first != ctx.cover.cliques:
-        raise VerificationError("unique cover differs from the found partition")
-    return {"cover_count": 1, "search_nodes": nodes, "budget": cfg.uniqueness_budget}
-
-
-def _stage_verdict(ctx, cfg):
+def _stage_verdict(art, cfg):
     return cliques.final_verdict(
-        ctx.certs,
-        ctx.clique_number,
-        ctx.cover,
-        c_size=len(ctx.part.c),
-        b1_size=len(ctx.part.b1),
+        art.certs,
+        art.clique_number,
+        art.cover,
+        c_size=len(art.part.c),
+        b1_size=len(art.part.b1),
     )
 
 
-_STAGES: list[tuple[str, bool]] = [
-    ("field-tables", True),
-    ("geometry", True),
-    ("bases", True),
-    ("graph", True),
-    ("srg", True),
-    ("partition", True),
-    ("claim1", True),
-    ("anchor-invariance", True),
-    ("clebsch", False),
-    ("representation", True),
-    ("inner-products", True),
-    ("dimension-chain", True),
-    ("max-clique", True),
-    ("special-cover", True),
-    ("uniqueness", False),
-    ("verdict", True),
-]
+def _always(cfg: RunConfig) -> bool:
+    return True
 
-_STAGE_FUNCS = {
-    "field-tables": _stage_field_tables,
-    "geometry": _stage_geometry,
-    "bases": _stage_bases,
-    "graph": _stage_graph,
-    "srg": _stage_srg,
-    "partition": _stage_partition,
-    "claim1": _stage_claim1,
-    "anchor-invariance": _stage_anchor_invariance,
-    "clebsch": _stage_clebsch,
-    "representation": _stage_representation,
-    "inner-products": _stage_inner_products,
-    "dimension-chain": _stage_dimension_chain,
-    "max-clique": _stage_max_clique,
-    "special-cover": _stage_special_cover,
-    "uniqueness": _stage_uniqueness,
-    "verdict": _stage_verdict,
+
+# (name, stage function, enabled for this configuration), in run order.
+_STAGES = (
+    ("field-tables", _stage_field_tables, _always),
+    ("geometry", _stage_geometry, _always),
+    ("bases", _stage_bases, _always),
+    ("graph", _stage_graph, _always),
+    ("srg", _stage_srg, _always),
+    ("partition", _stage_partition, _always),
+    ("claim1", _stage_claim1, _always),
+    ("anchor-invariance", _stage_anchor_invariance, _always),
+    ("clebsch", _stage_clebsch, lambda cfg: cfg.with_clebsch),
+    ("representation", _stage_representation, _always),
+    ("inner-products", _stage_inner_products, _always),
+    ("dimension-chain", _stage_dimension_chain, _always),
+    ("max-clique", _stage_max_clique, _always),
+    ("special-cover", _stage_special_cover, _always),
+    ("verdict", _stage_verdict, _always),
+)
+
+_STOPS = {
+    "fail": ("fail", EXIT_FAIL),
+    "inconclusive": ("inconclusive", EXIT_INCONCLUSIVE),
 }
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "primes": list(cfg.primes),
-        "with_clebsch": cfg.with_clebsch,
-        "with_uniqueness": cfg.with_uniqueness,
-        "uniqueness_budget": cfg.uniqueness_budget,
-        "threads": cfg.threads,
-        "seed": cfg.seed,
-    }
+    return {"primes": list(cfg.primes), "with_clebsch": cfg.with_clebsch}
 
 
 def run_check(cfg: RunConfig) -> Report:
-    """Execute the stage sequence; short-circuit on mandatory failure."""
+    """Run the enabled stages in order and stop at the first one that fails
+    or is inconclusive; what the stages built is in `report.artifacts`."""
     report = Report(config=_config_dict(cfg))
-    ctx = _Context()
-    failed = False
-    inconclusive = False
-    for name, mandatory in _STAGES:
-        if name == "clebsch" and not cfg.with_clebsch:
-            report.stages.append(StageResult(name, "skipped", {}, 0.0))
-            continue
-        if name == "uniqueness" and not cfg.with_uniqueness:
+    for name, stage, enabled in _STAGES:
+        if not enabled(cfg):
             report.stages.append(StageResult(name, "skipped", {}, 0.0))
             continue
         t0 = time.perf_counter()
         try:
-            detail = _STAGE_FUNCS[name](ctx, cfg)
-            status = "ok"
+            detail, status = stage(report.artifacts, cfg), "ok"
         except InconclusiveError as exc:
-            detail = {"error": str(exc)}
-            status = "inconclusive"
-            inconclusive = True
+            detail, status = {"error": str(exc)}, "inconclusive"
         except (VerificationError, ConstructionError) as exc:
             detail = {"error": str(exc), "witness": getattr(exc, "witness", None)}
             status = "fail"
-            failed = True
         elapsed = (time.perf_counter() - t0) * 1000
         report.stages.append(StageResult(name, status, detail, elapsed))
-        if status == "fail" or (status == "inconclusive" and mandatory):
+        if status != "ok":
+            report.overall_status, report.exit_code = _STOPS[status]
             break
-
-    if failed:
-        report.overall_status = "fail"
-        report.exit_code = EXIT_FAIL
-    elif inconclusive:
-        report.overall_status = "inconclusive"
-        report.exit_code = EXIT_INCONCLUSIVE
-    else:
-        report.overall_status = "pass"
-        report.exit_code = EXIT_PASS
-    report._ctx = ctx  # artifacts for exporters; not serialized
     return report
 
 
@@ -457,9 +406,9 @@ def write_vectors_csv(y: euclid.ReprMatrix, path: str) -> None:
             fh.write(",".join([str(v + 1)] + [str(e) for e in col]) + "\n")
 
 
-def write_cover_csv(cover: cliques.CoverResult, path: str) -> None:
+def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        for idx, c in enumerate(cover.cliques, start=1):
+        for idx, c in enumerate(cover, start=1):
             cells = [str(idx)]
             cells += [str(v + 1) for v in c.vertices]
             cells += [str(t) for t in c.core]
@@ -474,7 +423,7 @@ def write_report_json(report: Report, path: str, include_timings: bool = False) 
 def export(cfg: RunConfig) -> tuple[int, Report]:
     """Run the pipeline, then write the artifact named by cfg.command.
 
-    Exports are refused when verification fails: artifacts always describe
+    Exports are refused unless every stage passed: artifacts always describe
     verified objects.
     """
     if cfg.out is None:
@@ -483,22 +432,22 @@ def export(cfg: RunConfig) -> tuple[int, Report]:
     if not os.path.isdir(parent):
         raise OSError(f"output directory {parent!r} does not exist")
     report = run_check(cfg)
-    if report.exit_code == EXIT_FAIL:
+    if report.exit_code != EXIT_PASS:
         return report.exit_code, report
-    ctx = report._ctx
+    art = report.artifacts
     if cfg.command == "export-graph":
         if cfg.fmt == "dimacs":
-            write_dimacs(ctx.g, cfg.out)
+            write_dimacs(art.g, cfg.out)
         elif cfg.fmt == "json":
-            write_graph_json(ctx.g, cfg.out)
+            write_graph_json(art.g, cfg.out)
         else:
             raise ValueError(f"unknown graph format {cfg.fmt!r}")
     elif cfg.command == "export-isosets":
-        write_isosets_csv(ctx.isosets, cfg.out)
+        write_isosets_csv(art.isosets, cfg.out)
     elif cfg.command == "export-vectors":
-        write_vectors_csv(ctx.y, cfg.out)
+        write_vectors_csv(art.y, cfg.out)
     elif cfg.command == "export-cover":
-        write_cover_csv(ctx.cover, cfg.out)
+        write_cover_csv(art.cover, cfg.out)
     elif cfg.command == "report":
         write_report_json(report, cfg.out, cfg.include_timings)
     else:

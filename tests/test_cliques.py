@@ -1,11 +1,12 @@
 """Clique number, special cliques, exact covers, and the final bounds."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from g24verify import cliques, graph
-from g24verify.errors import InconclusiveError, VerificationError
+from g24verify.errors import VerificationError
 
 
 def complete_graph(n: int) -> graph.Graph:
@@ -127,50 +128,61 @@ def test_special_cliques_sorted_canonically(special_cliques):
 
 
 def test_exact_cover_is_a_partition(part, cover):
-    assert len(cover.cliques) == 64
+    assert len(cover) == 64
     assert 64 * 5 == 320 == len(part.c)
     seen: set[int] = set()
-    for sc in cover.cliques:
+    for sc in cover:
         assert not seen & set(sc.vertices)
         seen.update(sc.vertices)
     assert seen == set(part.c)
 
 
 def test_cover_cores_distinct(cover):
-    cores = {sc.core for sc in cover.cliques}
+    cores = {sc.core for sc in cover}
     assert len(cores) == 64
 
 
-def test_exact_cover_deterministic(special_cliques, part):
-    a = cliques.exact_cover_partition(special_cliques, part.c)
-    b = cliques.exact_cover_partition(special_cliques, part.c)
-    assert a.cliques == b.cliques
+def test_exact_cover_deterministic(g, part, isosets, special_cliques):
+    again = cliques.enumerate_special_cliques(g, part, isosets)
+    cliques.verify_special_cover(again, part.c)
+    assert again == special_cliques
 
 
 def test_cover_count_is_one(special_cliques, part, cover):
-    count, nodes, first = cliques.count_exact_covers(special_cliques, part.c)
-    assert count == 1
-    assert first == cover.cliques
+    # Each vertex of C lies in exactly one special clique, so every exact
+    # cover must take that clique for it: the cover is forced.
+    multiplicity = Counter(v for sc in special_cliques for v in sc.vertices)
+    assert set(multiplicity) == set(part.c)
+    assert set(multiplicity.values()) == {1}
+    assert cover == special_cliques
 
 
 def test_removing_a_cover_clique_kills_all_covers(special_cliques, part, cover):
-    reduced = [sc for sc in special_cliques if sc != cover.cliques[0]]
-    count, _, _ = cliques.count_exact_covers(reduced, part.c)
-    assert count == 0
-    with pytest.raises(VerificationError):
-        cliques.exact_cover_partition(reduced, part.c)
+    # 63 disjoint 5-sets reach 315 < 320 vertices: no cover is left, and the
+    # check names a vertex of the removed clique.
+    reduced = [sc for sc in special_cliques if sc != cover[0]]
+    with pytest.raises(VerificationError) as exc:
+        cliques.verify_special_cover(reduced, part.c)
+    assert exc.value.witness in cover[0].vertices
 
 
-def test_cover_budget_exhaustion_is_loud(special_cliques, part):
-    with pytest.raises(InconclusiveError):
-        cliques.count_exact_covers(special_cliques, part.c, budget=3)
+def test_duplicated_special_clique_is_refused_with_an_overlap_witness(
+    special_cliques, part
+):
+    doubled = special_cliques + [special_cliques[5]]
+    with pytest.raises(VerificationError) as exc:
+        cliques.verify_special_cover(doubled, part.c)
+    assert exc.value.witness == special_cliques[5].vertices[0]
+    assert "twice" in str(exc.value)
 
 
 def test_cover_rejects_foreign_candidates(special_cliques, part):
-    with pytest.raises(ValueError):
-        cliques.exact_cover_partition(special_cliques, part.c[:100])
-    with pytest.raises(ValueError):
-        cliques.exact_cover_partition([], part.c)
+    with pytest.raises(VerificationError) as exc:
+        cliques.verify_special_cover(special_cliques, part.c[:100])
+    assert exc.value.witness not in part.c[:100]
+    with pytest.raises(VerificationError) as exc:
+        cliques.verify_special_cover([], part.c)
+    assert exc.value.witness == part.c[0]
 
 
 def test_borsuk_lower_bound():

@@ -1,8 +1,9 @@
 """Graph construction, strong regularity, spectrum, and the B/C split."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from g24verify import graph
@@ -44,7 +45,7 @@ def test_adjacency_is_intersection_3(g, isosets):
 
 
 def test_intersection_distribution(isosets):
-    dist = graph.intersection_size_distribution(isosets)
+    _, dist = graph.build_graph(isosets)
     assert 3 in dist
     assert dist[3] == 20800
     assert sum(dist.values()) == 416 * 415 // 2
@@ -72,15 +73,38 @@ def test_srg_parameters(srg_params):
 
 
 def test_srg_identity_holds(g, srg_params):
-    graph.verify_srg_identity(g, srg_params)
+    # Oracle for what verify_srg certifies: A^2 by integer matrix product.
+    a = np.array([[g.rows[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
+    eye, ones = np.eye(g.n, dtype=a.dtype), np.ones_like(a)
+    k, lam, mu = srg_params.k, srg_params.lam, srg_params.mu
+    assert (a @ a == k * eye + lam * a + mu * (ones - eye - a)).all()
 
 
 def test_flipped_edge_breaks_verification(isosets):
-    h = graph.build_graph(isosets)
+    h, _ = graph.build_graph(isosets)
     h.flip_edge(0, 1)
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(h)
     assert err.value.witness is not None
+    assert "degree" in str(err.value)  # caught before any pair is scanned
+
+
+def test_one_direction_flip_fails_symmetry_with_a_witness(g):
+    # Flip A[1][0] but not A[0][1]; a second bit in row 1 keeps its degree at
+    # k, so the degree check passes and the pair scan must catch the flip.
+    j = next(j for j in range(2, g.n) if g.adjacent(1, j) != g.adjacent(1, 0))
+    h = graph.Graph(g.n, list(g.rows))
+    h.rows[1] ^= 1 << 0 | 1 << j
+    with pytest.raises(VerificationError) as err:
+        graph.verify_srg(h)
+    assert err.value.witness == (0, 1)
+    assert "asymmetric" in str(err.value)
+    # The lone flipped bit changes a degree and fails with that vertex.
+    h = graph.Graph(g.n, list(g.rows))
+    h.rows[1] ^= 1 << 0
+    with pytest.raises(VerificationError) as err:
+        graph.verify_srg(h)
+    assert err.value.witness[0] == 1
 
 
 def test_flip_edge_rejects_loop(g):
@@ -108,7 +132,21 @@ def test_petersen_graph_parameters_via_scan():
     p = petersen()
     params = graph.verify_srg(p)
     assert (params.v, params.k, params.lam, params.mu) == (10, 3, 0, 1)
-    graph.verify_srg_identity(p, params)
+    # A 2-switch (edges ab, cd become ac, bd) keeps every degree at 3, so
+    # only the common-neighbour counts of the pair scan can catch it.
+    a, b, c, d = next(
+        t
+        for t in permutations(range(10), 4)
+        if p.adjacent(t[0], t[1]) and p.adjacent(t[2], t[3])
+        and not p.adjacent(t[0], t[2]) and not p.adjacent(t[1], t[3])
+    )
+    switched = graph.Graph(10, list(p.rows))
+    for i, j in ((a, b), (c, d), (a, c), (b, d)):
+        switched.flip_edge(i, j)
+    with pytest.raises(VerificationError) as err:
+        graph.verify_srg(switched)
+    assert "common neighbours" in str(err.value)
+    assert err.value.witness is not None
 
 
 def test_spectrum_rejects_infeasible_and_conference():

@@ -7,7 +7,8 @@ import sys
 import jsonschema
 import pytest
 
-from g24verify import cli, pipeline
+from g24verify import cli, euclid, graph, pipeline
+from g24verify.errors import InconclusiveError, VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
 try:
@@ -19,7 +20,7 @@ try:
 except Exception:  # pragma: no cover
     SCHEMA = None
 
-STAGE_NAMES = [name for name, _ in pipeline._STAGES]
+STAGE_NAMES = [name for name, *_ in pipeline._STAGES]
 
 
 def test_default_run_passes(full_report):
@@ -38,6 +39,7 @@ def test_stage_details(full_report):
     assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
     assert full_report.stage("srg").detail["spectrum"]["f"] == 65
     assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
+    assert full_report.stage("anchor-invariance").detail["anchors_checked"] == 64
     assert full_report.stage("representation").detail["distance_census"] == {
         "144": 20800,
         "192": 65520,
@@ -49,8 +51,10 @@ def test_stage_details(full_report):
     assert clique["clique_number"] == 5
     assert clique["automorphisms_verified"] == 3
     assert clique["orbit_representatives"] == 1
-    assert full_report.stage("special-cover").detail["cover_cliques"] == 64
-    assert full_report.stage("uniqueness").detail["cover_count"] == 1
+    cover = full_report.stage("special-cover").detail
+    assert cover["cover_cliques"] == 64
+    assert cover["cover_count"] == 1
+    assert "search_nodes" not in cover
     assert full_report.stage("clebsch").detail["isomorphic_to_model"] is True
     assert full_report.stage("verdict").detail["min_parts"] == 71
 
@@ -59,7 +63,7 @@ def test_optional_stages_skipped_by_default():
     report = run_check(RunConfig())
     assert report.exit_code == 0
     assert report.stage("clebsch").status == "skipped"
-    assert report.stage("uniqueness").status == "skipped"
+    assert "uniqueness" not in [s.name for s in report.stages]
     assert report.overall_status == "pass"
 
 
@@ -75,14 +79,28 @@ def test_fault_injection_fails_srg_stage():
     assert names[-1] == "srg"
 
 
-def test_uniqueness_budget_exhaustion_reports_inconclusive():
-    report = run_check(RunConfig(with_uniqueness=True, uniqueness_budget=2))
+def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
+    def undershoot(*args, **kwargs):
+        raise InconclusiveError("modular lower bound 64 < upper bound 65")
+
+    monkeypatch.setattr(euclid, "certified_dimension_chain", undershoot)
+    report = run_check(RunConfig())
     assert report.exit_code == 2
     assert report.overall_status == "inconclusive"
-    assert report.stage("uniqueness").status == "inconclusive"
-    assert "budget" in report.stage("uniqueness").detail["error"]
-    # The verdict still runs; the bounded claims do not depend on uniqueness.
-    assert report.stage("verdict").status == "ok"
+    assert report.stages[-1].name == "dimension-chain"
+    assert report.stages[-1].status == "inconclusive"
+
+
+def test_anchor_invariance_catches_a_break_anchor_1_misses(g, isosets, part):
+    # Toggling a pair inside C leaves every count of the anchor-1 split
+    # intact, but some other anchor holds one end of the pair in B.
+    h = graph.Graph(g.n, list(g.rows))
+    h.flip_edge(part.c[0], part.c[1])
+    graph.verify_claim1(h, graph.split_B_C(h, isosets, anchor=1))
+    art = pipeline.Artifacts(g=h, isosets=isosets)
+    with pytest.raises(VerificationError) as exc:
+        pipeline._stage_anchor_invariance(art, RunConfig())
+    assert exc.value.witness is not None
 
 
 def test_report_json_schema(full_report):
@@ -109,21 +127,11 @@ def test_two_runs_are_byte_identical():
     assert a.to_text() == b.to_text()
 
 
-def test_seed_changes_samples_not_outcomes():
-    a = run_check(RunConfig(seed=1))
-    b = run_check(RunConfig(seed=2))
-    assert a.exit_code == b.exit_code == 0
-    assert (
-        a.stage("anchor-invariance").detail["anchors_checked"]
-        != b.stage("anchor-invariance").detail["anchors_checked"]
-    )
-
-
 def test_exports(tmp_path, full_report):
-    ctx = full_report._ctx
+    art = full_report.artifacts
 
     dimacs = tmp_path / "graph.dimacs"
-    pipeline.write_dimacs(ctx.g, str(dimacs))
+    pipeline.write_dimacs(art.g, str(dimacs))
     lines = dimacs.read_text().splitlines()
     assert lines[0] == "p edge 416 20800"
     assert len(lines) == 20801
@@ -132,7 +140,7 @@ def test_exports(tmp_path, full_report):
     assert int(first[1]) < int(first[2])  # 1-based, i < j
 
     iso = tmp_path / "isosets.csv"
-    pipeline.write_isosets_csv(ctx.isosets, str(iso))
+    pipeline.write_isosets_csv(art.isosets, str(iso))
     rows = [line.split(",") for line in iso.read_text().splitlines()]
     assert len(rows) == 416
     assert all(len(r) == 16 for r in rows)
@@ -141,14 +149,14 @@ def test_exports(tmp_path, full_report):
     assert members == sorted(members)
 
     vec = tmp_path / "vectors.csv"
-    pipeline.write_vectors_csv(ctx.y, str(vec))
+    pipeline.write_vectors_csv(art.y, str(vec))
     rows = [line.split(",") for line in vec.read_text().splitlines()]
     assert len(rows) == 416
     assert all(len(r) == 417 for r in rows)
     assert rows[0][1] == "4"  # y_{0,0}
 
     cov = tmp_path / "cover.csv"
-    pipeline.write_cover_csv(ctx.cover, str(cov))
+    pipeline.write_cover_csv(art.cover, str(cov))
     rows = [line.split(",") for line in cov.read_text().splitlines()]
     assert len(rows) == 64
     assert all(len(r) == 9 for r in rows)
@@ -219,10 +227,16 @@ def test_cli_usage_errors_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_cli_threads_validation():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--threads", "0"])
-    assert exc.value.code == 3
+def test_removed_flags_exit_3():
+    for flag in (
+        ["--threads", "2"],
+        ["--seed", "1"],
+        ["--with-uniqueness"],
+        ["--uniqueness-budget", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", *flag])
+        assert exc.value.code == 3
 
 
 def test_cli_prime_override(capsys):
