@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, euclid, graph
+from . import __version__, graph
 from .pipeline import (
     EXIT_USAGE,
     RunConfig,
@@ -18,6 +18,7 @@ from .pipeline import (
     run_check,
     write_report_json,
 )
+from .primes import DEFAULT_PRIMES, is_prime
 
 COMMANDS = (
     "check",
@@ -45,7 +46,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     for p in primes:
         if not 2 < p < 2**31:
             raise argparse.ArgumentTypeError(f"prime {p} outside (2, 2^31)")
-        if not euclid.is_prime(p):
+        if not is_prime(p):
             raise argparse.ArgumentTypeError(f"{p} is not prime")
     return primes
 
@@ -88,7 +89,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--primes",
         type=_parse_primes,
-        default=euclid.DEFAULT_PRIMES,
+        default=DEFAULT_PRIMES,
         metavar="P1,P2",
         help="primes for the modular rank lower bounds",
     )

@@ -5,23 +5,34 @@ distances 144 on edges, 192 on non-edges).  The contrast vectors p and q
 cut the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
 certified two-sided: a modular-rank lower bound meets an upper bound derived
 from the exactly verified srg identity plus explicit orthogonal vectors.
-The three point sets are nested (C inside C+B1 inside V), so one Gaussian
-elimination per prime, over the columns of y ordered C, B1, B2, B3, yields
-all three ranks: the pivots among the first k columns number the rank of
-those k columns.  No floating point anywhere; numpy is used purely as an
-int64 array engine.
+
+The lower bounds come from nested principal minors.  With the indices
+ordered C, B1, B2, B3, one greedy symmetric-pivoting LDL^T of y[order, order]
+over GF(p) accepts an index as a pivot when its Schur diagonal is nonzero
+mod p.  The pivots P_k among the first k indices make y[P_k, P_k] nonsingular
+mod p, so its integer determinant is nonzero and the columns P_k of y are
+independent over Q: |P_k| is a lower bound on the rank of the first k
+columns for any prime.  The bound is tight over Q because y is positive
+semidefinite (eigenvalues 104, 24 and 0 from the verified spectrum): an
+index whose rational Schur diagonal vanishes has a vanishing Schur column,
+so the greedy pivots reach rank y[S, S] = rank y[:, S] on every prefix S.
+No floating point anywhere; numpy is used purely as an integer array engine.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
-import numpy as np
+# All arithmetic here is integer (int64, int16), which never reaches BLAS, yet
+# OpenBLAS starts one thread per core when numpy loads: about 50 ms per
+# process on 2 vCPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
-from .errors import InconclusiveError, VerificationError
-from .graph import Graph, Partition, Spectrum
-
-DEFAULT_PRIMES = (2**31 - 1, 2**31 - 19)
+from .errors import InconclusiveError, VerificationError  # noqa: E402
+from .graph import Graph, Partition, Spectrum  # noqa: E402
+from .primes import DEFAULT_PRIMES, is_prime  # noqa: E402
 
 # Inner products <p, y_i> and <q, y_i> by block B1/B2/B3/C.
 P_PATTERN = {"B1": 0, "B2": 24, "B3": -24, "C": 0}
@@ -85,21 +96,28 @@ def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
 def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
     """Exhaustive scan of all squared pair distances, checked against
     adjacency: 144 exactly on edges, 192 exactly on non-edges."""
-    # int64 throughout; entries bounded by 416*16
-    gram = np.einsum("ti,tj->ij", y.entries, y.entries)
+    out_of_range = np.argwhere((y.entries < 0) | (y.entries > 4))
+    if out_of_range.size:
+        i, j = (int(v) for v in out_of_range[0])
+        raise VerificationError(
+            f"entry y[{i}, {j}] = {y.entry(i, j)} outside [0, 4]",
+            witness=(i, j, y.entry(i, j)),
+        )
+    # Entries in [0, 4] bound every partial sum of the Gram matrix by
+    # 416 * 16 = 6656 and every term of d2 by 2 * 6656 = 13312, all below
+    # 2**15, so int16 cannot overflow.
+    e = y.entries.astype(np.int16)
+    gram = np.einsum("ti,tj->ij", e, e)
     diag = np.diag(gram)
     d2 = diag[:, None] + diag[None, :] - 2 * gram
-    iu = np.triu_indices(y.n, k=1)
-    vals = d2[iu]
-    values, counts = np.unique(vals, return_counts=True)
+    upper = np.triu(np.ones((y.n, y.n), dtype=bool), k=1)
+    values, counts = np.unique(d2[upper], return_counts=True)
     census = {int(v): int(c) for v, c in zip(values, counts)}
-    adj = _adjacency_bits(g)[iu].astype(bool)
-    mism = np.nonzero((vals == 144) != adj)[0]
+    mism = np.argwhere(((d2 == 144) != _adjacency_bits(g).astype(bool)) & upper)
     if mism.size:
-        t = mism[0]
+        i, j = (int(v) for v in mism[0])
         raise VerificationError(
-            "distance/adjacency mismatch",
-            witness=(int(iu[0][t]), int(iu[1][t]), int(vals[t])),
+            "distance/adjacency mismatch", witness=(i, j, int(d2[i, j]))
         )
     if set(census) != {144, 192}:
         raise VerificationError(f"unexpected squared distances {sorted(census)}")
@@ -148,28 +166,15 @@ def verify_inner_products(
         raise VerificationError("contrast vectors must sum to zero")
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2**31 range used."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _check_prime(prime: int) -> None:
+    """Residues of such a prime are below 2**31, so int64 holds every product
+    of two of them."""
+    if prime <= 2:
+        raise ValueError("prime must exceed 2")
+    if prime >= 2**31:
+        raise ValueError("prime too large for the int64 elimination kernel")
+    if not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
 
 
 def rank_mod_prime(
@@ -177,20 +182,15 @@ def rank_mod_prime(
 ) -> int | tuple[int, ...]:
     """Rank over GF(prime) by Gaussian elimination with modular inverses.
 
-    Pivoting is deterministic: columns in order, first nonzero row below the
-    pivot row.  A column gets a pivot exactly when it is independent of the
-    columns before it, so the pivots among the first k columns number the
-    rank of those k columns.  With `prefixes`, returns that rank for each k
-    in it, all from one elimination; otherwise the rank of the whole matrix.
-    Entries stay in [0, prime), so int64 holds every product of two residues
-    for prime < 2**31.
+    The reference that `principal_prefix_ranks` is tested against; the
+    pipeline does not call it.  Pivoting is deterministic: columns in order,
+    first nonzero row below the pivot row.  A column gets a pivot exactly
+    when it is independent of the columns before it, so the pivots among the
+    first k columns number the rank of those k columns.  With `prefixes`,
+    returns that rank for each k in it, all from one elimination; otherwise
+    the rank of the whole matrix.
     """
-    if prime <= 2:
-        raise ValueError("prime must exceed 2")
-    if prime >= 2**31:
-        raise ValueError("prime too large for the int64 elimination kernel")
-    if not is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
+    _check_prime(prime)
     a = np.array(rows, dtype=np.int64) % prime
     if a.ndim != 2:
         raise ValueError("rank_mod_prime expects a 2-d matrix")
@@ -221,6 +221,59 @@ def rank_mod_prime(
     return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
+def principal_prefix_ranks(
+    matrix, prime: int, prefixes: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Lower bounds on the rank of the first k columns of a symmetric integer
+    matrix, for each k in `prefixes`, from one greedy LDL^T over GF(prime).
+
+    Indices are visited in order; one becomes a pivot when its Schur
+    diagonal (with respect to the pivots before it) is nonzero mod prime.
+    The pivots P_k among the first k indices give a principal minor
+    det M[P_k, P_k] that is nonzero mod prime, hence nonzero over Z, so the
+    columns P_k are independent over Q and |P_k| is returned for k.  For a
+    positive semidefinite matrix the bound equals the rational rank unless
+    the prime divides a pivot.
+
+    Only the L columns of accepted pivots and the Schur diagonal of the
+    later indices are computed: O(n r^2) work for rank r, where the column
+    elimination of `rank_mod_prime` updates a whole block per pivot.
+    """
+    _check_prime(prime)
+    a = np.asarray(matrix, dtype=np.int64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("principal_prefix_ranks expects a square matrix")
+    if not (a == a.T).all():
+        i, j = (int(v) for v in np.argwhere(a != a.T)[0])
+        raise ValueError(f"matrix is not symmetric: entry ({i}, {j}) != ({j}, {i})")
+    a = a % prime
+    n = a.shape[0]
+    diag = a.diagonal().copy()  # Schur diagonal of every index not yet visited
+    lower = np.zeros((n, n), dtype=np.int64)  # row t: L column of pivot t
+    pivot_values = np.zeros(n, dtype=np.int64)  # D_t
+    pivots: list[int] = []
+    i = -1
+    while True:
+        nz = np.flatnonzero(diag[i + 1 :])
+        if nz.size == 0:
+            break
+        i += 1 + int(nz[0])
+        r = len(pivots)
+        # Schur column of i below the diagonal: M[j, i] - sum_t L[j, t] D_t L[i, t].
+        # Each product is reduced before the sum, so the sum stays below r * prime.
+        col = a[i, i + 1 :]
+        if r:
+            weights = lower[:r, i] * pivot_values[:r] % prime
+            terms = lower[:r, i + 1 :] * weights[:, None] % prime
+            col = (col - terms.sum(axis=0)) % prime
+        pivot_values[r] = diag[i]
+        lcol = col * pow(int(diag[i]), -1, prime) % prime
+        lower[r, i + 1 :] = lcol
+        diag[i + 1 :] = (diag[i + 1 :] - lcol * col % prime) % prime
+        pivots.append(i)
+    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
+
+
 def certified_dimension_chain(
     y: ReprMatrix,
     part: Partition,
@@ -236,7 +289,8 @@ def certified_dimension_chain(
     origin, so affine dimension = linear rank - 1, and the linear rank over
     any prime never exceeds the rational rank; lower = upper pins the
     dimension.  The linear ranks of the three nested sets are read at the
-    prefixes 320, 352 and 416 of one elimination per prime.
+    prefixes 320, 352 and 416 of one principal-pivot LDL^T per prime over
+    y[order, order], order = C, B1, B2, B3 (see the module docstring).
     """
     if len(primes) < 2:
         raise ValueError("at least two primes are required")
@@ -283,9 +337,10 @@ def certified_dimension_chain(
         ),
     ]
 
-    nested = y.entries[:, list(part.c + part.b1 + part.b2 + part.b3)]
+    order = list(part.c + part.b1 + part.b2 + part.b3)
+    nested = y.entries[np.ix_(order, order)]
     prefixes = tuple(size for _, size, _, _ in sets)
-    ranks = {prime: rank_mod_prime(nested, prime, prefixes) for prime in primes}
+    ranks = {prime: principal_prefix_ranks(nested, prime, prefixes) for prime in primes}
 
     certificates = []
     for t, (label, size, upper, argument) in enumerate(sets):

@@ -175,14 +175,14 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     """
     noniso = plane.nonisotropic
     n = len(noniso)
-    orth = [
-        [
-            j
-            for j in range(n)
-            if j != i and hermitian_form(noniso[i], noniso[j]) == 0
-        ]
-        for i in range(n)
-    ]
+    # H(b, a) = conj(H(a, b)), so orthogonality is symmetric: test each
+    # unordered pair once.  Appending in (i, j) order keeps every list sorted.
+    orth: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if hermitian_form(noniso[i], noniso[j]) == 0:
+                orth[i].append(j)
+                orth[j].append(i)
 
     triples: set[tuple[int, int, int]] = set()
     for i in range(n):

@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import __version__, cliques, euclid, gf16, graph, hermitian
+from . import __version__, cliques, gf16, graph, hermitian
 from .errors import ConstructionError, InconclusiveError, VerificationError
+from .primes import DEFAULT_PRIMES
+
+if TYPE_CHECKING:
+    from . import euclid
 
 TOOL = "g24verify"
 
@@ -31,7 +38,7 @@ class RunConfig:
     command: str = "check"
     out: str | None = None
     fmt: str = "dimacs"
-    primes: tuple[int, ...] = euclid.DEFAULT_PRIMES
+    primes: tuple[int, ...] = DEFAULT_PRIMES
     with_clebsch: bool = False
     include_timings: bool = False
     inject_flip_edge: tuple[int, int] | None = None
@@ -228,14 +235,25 @@ def _stage_clebsch(art, cfg):
 
 
 def _stage_representation(art, cfg):
+    # The first stage that needs numpy: euclid, and numpy with it, loads here.
+    from . import euclid
+
     art.y = euclid.build_representation(art.g)
     ents = art.y.entries
-    if not (ents == ents.T).all():
-        raise VerificationError("representation matrix is not symmetric")
-    if not (ents.diagonal() == 4).all():
-        raise VerificationError("diagonal of y is not constant 4")
-    if not (ents.sum(axis=0) == 104).all():
-        raise VerificationError("column sums of y are not constant 104")
+    bad = (ents != ents.T).nonzero()
+    if bad[0].size:
+        raise VerificationError(
+            "representation matrix is not symmetric",
+            witness=(int(bad[0][0]), int(bad[1][0])),
+        )
+    bad = (ents.diagonal() != 4).nonzero()[0]
+    if bad.size:
+        raise VerificationError("diagonal of y is not constant 4", witness=int(bad[0]))
+    bad = (ents.sum(axis=0) != 104).nonzero()[0]
+    if bad.size:
+        raise VerificationError(
+            "column sums of y are not constant 104", witness=int(bad[0])
+        )
     census = euclid.distance_census(art.y, art.g)
     return {
         "diagonal": 4,
@@ -245,6 +263,8 @@ def _stage_representation(art, cfg):
 
 
 def _stage_inner_products(art, cfg):
+    from . import euclid
+
     p, q = euclid.build_contrasts(art.part)
     euclid.verify_inner_products(art.y, p, q, art.part)
     return {
@@ -257,6 +277,8 @@ def _stage_inner_products(art, cfg):
 
 
 def _stage_dimension_chain(art, cfg):
+    from . import euclid
+
     art.certs = euclid.certified_dimension_chain(
         art.y, art.part, art.spectrum, cfg.primes
     )
@@ -375,8 +397,30 @@ def run_check(cfg: RunConfig) -> Report:
     return report
 
 
+@contextmanager
+def _atomic_open(path: str):
+    """A text file for writing that appears at `path` only once it is
+    complete: it is written beside `path` under a temporary name, then moved
+    over `path` with `os.replace`; on any error it is removed instead."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.",
+        suffix=".tmp",
+        dir=os.path.dirname(path) or ".",
+    )
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") would give
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_dimacs(g: graph.Graph, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"p edge {g.n} {g.edge_count()}\n")
         for i, j in g.edges():
             fh.write(f"e {i + 1} {j + 1}\n")
@@ -387,27 +431,27 @@ def write_graph_json(g: graph.Graph, path: str) -> None:
         "vertices": g.n,
         "edges": [[i + 1, j + 1] for i, j in g.edges()],
     }
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def write_isosets_csv(isosets: list[int], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for v, mask in enumerate(isosets):
             members = hermitian.isoset_members(mask)
             fh.write(",".join([str(v + 1)] + [str(m) for m in members]) + "\n")
 
 
 def write_vectors_csv(y: euclid.ReprMatrix, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for v in range(y.n):
             col = y.column(v)
             fh.write(",".join([str(v + 1)] + [str(e) for e in col]) + "\n")
 
 
 def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         for idx, c in enumerate(cover, start=1):
             cells = [str(idx)]
             cells += [str(v + 1) for v in c.vertices]
@@ -416,7 +460,7 @@ def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
 
 
 def write_report_json(report: Report, path: str, include_timings: bool = False) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write(report.to_json(include_timings))
 
 

@@ -84,6 +84,16 @@ def test_distance_census_exhaustive(y, g):
     assert census == {144: 20800, 192: 65520}
 
 
+def test_distance_census_refuses_entries_outside_0_to_4(y, g):
+    # The int16 Gram matrix is exact only for entries in [0, 4].
+    for value in (-1, 5):
+        bad = y.entries.copy()
+        bad[3, 7] = bad[7, 3] = value
+        with pytest.raises(VerificationError) as exc:
+            euclid.distance_census(euclid.ReprMatrix(y.n, bad), g)
+        assert exc.value.witness == (3, 7, value)
+
+
 def test_contrast_vectors(part, contrasts):
     p, q = contrasts
     assert sum(p) == 0 and sum(q) == 0
@@ -161,12 +171,29 @@ def test_rank_mod_prime_never_exceeds_rational_rank():
 
 
 def test_rank_mod_prime_validates_prime():
+    # The principal-pivot kernel shares the check.
+    for bad in (2, 91, 2**31 + 11):  # 91 = 7 * 13
+        with pytest.raises(ValueError):
+            euclid.rank_mod_prime([[1]], bad)
+        with pytest.raises(ValueError):
+            euclid.principal_prefix_ranks([[1]], bad, (1,))
+
+
+def test_principal_prefix_ranks_refuses_non_symmetric():
+    prime = euclid.DEFAULT_PRIMES[0]
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        euclid.principal_prefix_ranks([[1, 2], [3, 4]], prime, (2,))
     with pytest.raises(ValueError):
-        euclid.rank_mod_prime([[1]], 2)
-    with pytest.raises(ValueError):
-        euclid.rank_mod_prime([[1]], 91)  # 7 * 13
-    with pytest.raises(ValueError):
-        euclid.rank_mod_prime([[1]], 2**31 + 11)
+        euclid.principal_prefix_ranks([[1, 2, 3], [2, 1, 0]], prime, (2,))
+
+
+def test_principal_pivots_match_elimination_on_y(y, part):
+    order = part.c + part.b1 + part.b2 + part.b3
+    nested = y.entries[np.ix_(order, order)]
+    for prime in euclid.DEFAULT_PRIMES:
+        got = euclid.principal_prefix_ranks(nested, prime, (320, 352, 416))
+        assert got == (64, 65, 66)
+        assert got == euclid.rank_mod_prime(y.entries[:, order], prime, (320, 352, 416))
 
 
 def test_is_prime():

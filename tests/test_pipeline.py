@@ -1,12 +1,14 @@
 """Pipeline orchestration, exports, determinism, exit codes, CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import g24verify
 from g24verify import cli, euclid, graph, pipeline
 from g24verify.errors import InconclusiveError, VerificationError
 from g24verify.pipeline import RunConfig, run_check
@@ -89,6 +91,28 @@ def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
     assert report.overall_status == "inconclusive"
     assert report.stages[-1].name == "dimension-chain"
     assert report.stages[-1].status == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "i, j, delta", [(5, 5, -1), (0, 1, 1), (0, 1, -1), (17, 300, 2)]
+)
+def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, delta):
+    build = euclid.build_representation
+
+    def corrupted(g):
+        y = build(g)
+        y.entries[i, j] += delta
+        if i != j:
+            y.entries[j, i] += delta
+        return y
+
+    monkeypatch.setattr(euclid, "build_representation", corrupted)
+    report = run_check(RunConfig())
+    assert report.exit_code == 1
+    assert report.overall_status == "fail"
+    failed = report.stages[-1]
+    assert failed.status == "fail"
+    assert failed.detail["witness"] in (i, j)
 
 
 def test_anchor_invariance_catches_a_break_anchor_1_misses(g, isosets, part):
@@ -259,3 +283,52 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "g24verify" in proc.stdout
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter on this package, with no BLAS thread
+    setting inherited."""
+    src = os.path.dirname(os.path.dirname(g24verify.__file__))
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ["PYTHONPATH"] = src
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=environ
+    )
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = _python("import g24verify.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rejected_run_does_not_load_numpy():
+    proc = _python(
+        "import os, sys\n"
+        "from g24verify import cli\n"
+        "rc = cli.main(['check', '--inject-flip-edge', '0,1'])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+        "from g24verify import euclid\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["1 False", "1"]
+
+
+def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    column = euclid.ReprMatrix.column
+
+    def failing_column(self, i):
+        if i == 100:
+            raise OSError(28, "No space left on device")
+        return column(self, i)
+
+    monkeypatch.setattr(euclid.ReprMatrix, "column", failing_column)
+    out = tmp_path / "vectors.csv"
+    assert cli.main(["export-vectors", "--out", str(out)]) == 3
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # An existing file at --out is left as it was.
+    out.write_text("old\n")
+    assert cli.main(["export-vectors", "--out", str(out)]) == 3
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["vectors.csv"]

@@ -1,5 +1,6 @@
-"""Property tests: the prefix ranks of one modular elimination against an
-exact rational oracle on small integer matrices."""
+"""Property tests: the prefix ranks of one modular elimination, and the
+principal-pivot lower bounds of the dimension chain, against an exact
+rational oracle on small integer matrices."""
 
 import pytest
 
@@ -41,3 +42,64 @@ def test_prefix_ranks_match_rational_rank(case):
     for prime in euclid.DEFAULT_PRIMES:
         assert euclid.rank_mod_prime(mat, prime, cuts) == want
         assert euclid.rank_mod_prime(mat, prime) == rational_rank(mat)
+
+
+@st.composite
+def gram_matrices_and_cuts(draw):
+    """Z Z^T for an n x r integer Z: symmetric positive semidefinite, of rank
+    at most r (often less than n), plus prefix cuts."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    z = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    mat = [[sum(z[i][t] * z[j][t] for t in range(r)) for j in range(n)] for i in range(n)]
+    cuts = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=4)))
+    return mat, cuts
+
+
+@st.composite
+def symmetric_matrices_and_cuts(draw):
+    """Z S Z^T for an n x r integer Z and a diagonal S of signs: symmetric,
+    indefinite when S mixes signs, of rank at most r, plus prefix cuts."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    z = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    sign = draw(st.lists(st.sampled_from((-1, 1)), min_size=r, max_size=r))
+    mat = [
+        [sum(z[i][t] * sign[t] * z[j][t] for t in range(r)) for j in range(n)]
+        for i in range(n)
+    ]
+    cuts = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=4)))
+    return mat, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_matrices_and_cuts())
+def test_principal_pivots_reach_rank_of_psd_matrices(case):
+    mat, cuts = case
+    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    for prime in euclid.DEFAULT_PRIMES:
+        assert euclid.principal_prefix_ranks(mat, prime, cuts) == want
+        assert euclid.rank_mod_prime(mat, prime, cuts) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices_and_cuts())
+def test_principal_pivots_never_exceed_rank(case):
+    mat, cuts = case
+    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    # Small primes divide pivots often; the bound must stay sound for them.
+    for prime in euclid.DEFAULT_PRIMES + (3, 5):
+        got = euclid.principal_prefix_ranks(mat, prime, cuts)
+        assert all(g <= w for g, w in zip(got, want))
