@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import __version__, graph
+from .euclid import DEFAULT_PRIMES, is_prime
 from .pipeline import (
     EXIT_USAGE,
     RunConfig,
@@ -18,7 +19,6 @@ from .pipeline import (
     run_check,
     write_report_json,
 )
-from .primes import DEFAULT_PRIMES, is_prime
 
 COMMANDS = (
     "check",

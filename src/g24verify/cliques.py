@@ -4,21 +4,22 @@ The clique number is settled through symmetry: omega(G) = 1 + max over v of
 the clique number of the neighbourhood N(v), and an automorphism s maps N(v)
 onto N(s(v)), so one branch-and-bound search with a greedy colouring bound
 per vertex orbit suffices.  The automorphisms come in as vertex
-permutations and are verified on every edge of the graph as built before
-they are trusted, so the proof rests on the graph, not on the geometry that
-suggested them.  `max_clique`, which searches from every edge, is the slow
-oracle the symmetric search is tested against.  The special 5-cliques of C
-(iso-sets sharing a 3-point core) tile C, which a count settles: 64
-pairwise disjoint 5-cliques covering the 320 vertices of C are the only
-exact cover of C by special cliques.
+permutations and are verified on every row of the adjacency of the graph
+as built before they are trusted, so the proof rests on the graph, not on
+the geometry that suggested them.  `max_clique`, which searches from every
+edge, is the slow oracle the symmetric search is tested against.  The
+special 5-cliques of C (iso-sets sharing a 3-point core) tile C, which a
+count settles: 64 pairwise disjoint 5-cliques covering the 320 vertices of
+C are the only exact cover of C by special cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import VerificationError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, bit_strings
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,24 @@ def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
     return best, witness, CliqueSearchStats(edges, counter[0])
 
 
-def verify_automorphism(g: Graph, perm: list[int]) -> None:
-    """`perm` must be a bijection of the vertices mapping every edge to an
-    edge; a bijection that does so maps non-edges to non-edges as well."""
+def verify_automorphism(
+    g: Graph, perm: list[int], bits: list[str] | None = None
+) -> None:
+    """`perm` must be a bijection of the vertices that preserves adjacency:
+    row perm[i] of A must be row i with its entries moved by perm, for every
+    i, compared as bit strings.  `bits` may pass in `bit_strings(g.rows, g.n)`
+    when several maps are checked.  A failure names the first edge sent to a
+    non-edge, which exists whenever a bijection fails on a symmetric graph."""
     if sorted(perm) != list(range(g.n)):
         raise VerificationError("vertex map is not a permutation")
+    if bits is None:
+        bits = bit_strings(g.rows, g.n)
+    inverse = [0] * g.n
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    moved = itemgetter(*inverse)
+    if all("".join(moved(bits[i])) == bits[perm[i]] for i in range(g.n)):
+        return
     rows = g.rows
     for i, j in g.edges():
         if not rows[perm[i]] >> perm[j] & 1:
@@ -138,6 +152,7 @@ def verify_automorphism(g: Graph, perm: list[int]) -> None:
                 f"({perm[i]},{perm[j]})",
                 witness=(i, j),
             )
+    raise VerificationError("vertex map does not preserve the asymmetric adjacency")
 
 
 def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -168,8 +183,9 @@ def max_clique_by_orbits(
     largest clique through v is then 1 + omega(N(v)), the same on the whole
     orbit of v.
     """
+    bits = bit_strings(g.rows, g.n)
     for perm in automorphisms:
-        verify_automorphism(g, perm)
+        verify_automorphism(g, perm, bits)
     reps = orbit_representatives(g.n, automorphisms)
     best = 0
     witness: list[int] = []

@@ -6,6 +6,12 @@ cut the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
 certified two-sided: a modular-rank lower bound meets an upper bound derived
 from the exactly verified srg identity plus explicit orthogonal vectors.
 
+y is kept as the graph's bits: one Python int per column holds the entries
+off the diagonal, which are therefore 0 or 1, and the diagonal is the
+constant 4.  Every check below is exact integer arithmetic on those ints
+(AND, popcount, string comparison of the bits); there is no floating point
+and no array library.
+
 The lower bounds come from nested principal minors.  With the indices
 ordered C, B1, B2, B3, one greedy symmetric-pivoting LDL^T of y[order, order]
 over GF(p) accepts an index as a pivot when its Schur diagonal is nonzero
@@ -16,44 +22,65 @@ columns for any prime.  The bound is tight over Q because y is positive
 semidefinite (eigenvalues 104, 24 and 0 from the verified spectrum): an
 index whose rational Schur diagonal vanishes has a vanishing Schur column,
 so the greedy pivots reach rank y[S, S] = rank y[:, S] on every prefix S.
-No floating point anywhere; numpy is used purely as an integer array engine.
+
+Two choices make the search short without touching that argument, which
+holds for any set of pivots found:
+- Order inside C.  Any order of C is sound, so C is visited by 13 v mod 419
+  rather than by label.  In label order 289 indices of C are visited before
+  64 are pivots; in this stride order the first 64 are pivots.
+- Stopping.  A prefix is settled once its pivot count reaches its upper
+  bound + 1 (its lower bound then equals its upper bound), so the rest of
+  its indices are skipped and the scan moves on to the next prefix.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from operator import mul
 
-# All arithmetic here is integer (int64, int16), which never reaches BLAS, yet
-# OpenBLAS starts one thread per core when numpy loads: about 50 ms per
-# process on 2 vCPU.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np  # noqa: E402
+from .errors import InconclusiveError, VerificationError
+from .graph import Graph, Partition, Spectrum, bit_strings
 
-from .errors import InconclusiveError, VerificationError  # noqa: E402
-from .graph import Graph, Partition, Spectrum  # noqa: E402
-from .primes import DEFAULT_PRIMES, is_prime  # noqa: E402
+DEFAULT_PRIMES = (2**31 - 1, 2**31 - 19)
 
 # Inner products <p, y_i> and <q, y_i> by block B1/B2/B3/C.
 P_PATTERN = {"B1": 0, "B2": 24, "B3": -24, "C": 0}
 Q_PATTERN = {"B1": 48, "B2": -24, "B3": -24, "C": 0}
 
+# C is visited by _C_STRIDE * v mod _STRIDE_MODULUS; the modulus is a prime
+# above the 416 labels, so no two labels share a key.
+_C_STRIDE = 13
+_STRIDE_MODULUS = 419
+
+_DIGIT_VALUES = bytes.maketrans(b"014", b"\x00\x01\x04")
+
 
 @dataclass
 class ReprMatrix:
-    """416x416 integer matrix with 4 on the diagonal and 1 on edges."""
+    """y = A + 4I, one bit-packed int per column.
+
+    y[i, i] = 4, and off the diagonal y[t, i] is bit t of columns[i].  The
+    kernels below count bits, so bit i of columns[i] must be clear;
+    `distance_census` refuses y otherwise.
+    """
 
     n: int
-    entries: np.ndarray  # int64, symmetric
+    columns: list[int]
 
     def entry(self, i: int, j: int) -> int:
-        return int(self.entries[i, j])
+        return 4 if i == j else self.columns[j] >> i & 1
 
-    def column(self, i: int) -> list[int]:
-        return [int(v) for v in self.entries[:, i]]
+    def column_digits(self, i: int) -> str:
+        """Column i as one character per coordinate: '4' at i, else the bit."""
+        bits = format(self.columns[i], f"0{self.n}b")[::-1]
+        return f"{bits[:i]}4{bits[i + 1:]}"
+
+    def column(self, i: int) -> bytes:
+        """Column i, one byte per coordinate."""
+        return self.column_digits(i).encode().translate(_DIGIT_VALUES)
 
     def column_sum(self, i: int) -> int:
-        return int(self.entries[:, i].sum())
+        return self.columns[i].bit_count() + 4
 
 
 @dataclass
@@ -71,54 +98,100 @@ class DimensionCertificate:
         return max(self.lower_bounds.values()) == self.upper_bound == self.affine_dim
 
 
-def _adjacency_bits(g: Graph) -> np.ndarray:
-    """The n x n 0/1 adjacency matrix (uint8), unpacked from the rows."""
-    nbytes = (g.n + 7) // 8
-    packed = b"".join(r.to_bytes(nbytes, "little") for r in g.rows)
-    raw = np.frombuffer(packed, dtype=np.uint8)
-    return np.unpackbits(raw.reshape(g.n, nbytes), axis=1, bitorder="little")[:, : g.n]
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid far beyond the 2**31 range used."""
+    if n < 2:
+        return False
+    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % sp == 0:
+            return n == sp
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def build_representation(g: Graph) -> ReprMatrix:
-    """y = A + 4I, materialised exactly from the bit-packed rows."""
-    entries = _adjacency_bits(g).astype(np.int64) + 4 * np.eye(g.n, dtype=np.int64)
-    return ReprMatrix(g.n, entries)
+    """y = A + 4I.  A is symmetric, so the graph's rows are y's columns off
+    the diagonal; they are copied, so y can change apart from g."""
+    return ReprMatrix(g.n, list(g.rows))
 
 
 def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
-    """||y_i - y_j||^2 by exact integer summation over the 416 coordinates."""
+    """||y_i - y_j||^2, exactly: coordinates other than i and j contribute 1
+    where exactly one of the two columns has a bit, and coordinates i and j
+    contribute (4 - y_ij)^2 and (y_ji - 4)^2."""
     if i == j:
         raise ValueError("distance requires two distinct vertices")
-    d = y.entries[:, i] - y.entries[:, j]
-    return int(d @ d)
+    ci, cj = y.columns[i], y.columns[j]
+    rest = (ci ^ cj) & ~(1 << i | 1 << j)
+    return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
 
 
 def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
     """Exhaustive scan of all squared pair distances, checked against
-    adjacency: 144 exactly on edges, 192 exactly on non-edges."""
-    out_of_range = np.argwhere((y.entries < 0) | (y.entries > 4))
-    if out_of_range.size:
-        i, j = (int(v) for v in out_of_range[0])
-        raise VerificationError(
-            f"entry y[{i}, {j}] = {y.entry(i, j)} outside [0, 4]",
-            witness=(i, j, y.entry(i, j)),
-        )
-    # Entries in [0, 4] bound every partial sum of the Gram matrix by
-    # 416 * 16 = 6656 and every term of d2 by 2 * 6656 = 13312, all below
-    # 2**15, so int16 cannot overflow.
-    e = y.entries.astype(np.int16)
-    gram = np.einsum("ti,tj->ij", e, e)
-    diag = np.diag(gram)
-    d2 = diag[:, None] + diag[None, :] - 2 * gram
-    upper = np.triu(np.ones((y.n, y.n), dtype=bool), k=1)
-    values, counts = np.unique(d2[upper], return_counts=True)
-    census = {int(v): int(c) for v, c in zip(values, counts)}
-    mism = np.argwhere(((d2 == 144) != _adjacency_bits(g).astype(bool)) & upper)
-    if mism.size:
-        i, j = (int(v) for v in mism[0])
-        raise VerificationError(
-            "distance/adjacency mismatch", witness=(i, j, int(d2[i, j]))
-        )
+    adjacency: 144 exactly on edges, 192 exactly on non-edges.
+
+    y is first refused, with a witness, if a column has a bit on its
+    diagonal or beyond the matrix, or if y is not symmetric.  Then, for
+    i < j, ||y_i - y_j||^2 = |y_i|^2 + |y_j|^2 - 2 <y_i, y_j> with
+    |y_i|^2 = popcount(columns[i]) + 16 and
+    <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ij.
+    """
+    n, cols = y.n, y.columns
+    inside = (1 << n) - 1
+    for i, c in enumerate(cols):
+        if c & ~(inside ^ 1 << i):
+            raise VerificationError(
+                f"column {i} of y has a bit on its diagonal or beyond row {n - 1}",
+                witness=i,
+            )
+    bits = bit_strings(cols, n)
+    transposed = list(map("".join, zip(*bits)))
+    if transposed != bits:
+        i = next(i for i in range(n) if transposed[i] != bits[i])
+        j = next(t for t in range(n) if transposed[i][t] != bits[i][t])
+        raise VerificationError("representation matrix is not symmetric", witness=(i, j))
+
+    norms = [c.bit_count() + 16 for c in cols]
+    adjacency = bit_strings(g.rows, n)
+    # With every norm equal to s, d2 = 2 s - 2 (common + 8 y_ij).  A row whose
+    # bits above the diagonal equal g's then has d2 = 144 on edges and 192 on
+    # non-edges exactly when its common counts there are s - 80 and s - 96:
+    # one bytes comparison per row.  Common counts are at most s - 16 <= 255,
+    # so they fit in bytes.  Any other row is scanned pair by pair.
+    s = norms[0]
+    expected = None
+    if norms.count(s) == n and 96 <= s <= 271:
+        expected = bytes.maketrans(b"01", bytes((s - 96, s - 80)))
+    census: dict[int, int] = {}
+    for i in range(n - 1):
+        ci, above = cols[i], bits[i][i + 1 :]
+        if expected is not None and above == adjacency[i][i + 1 :]:
+            common = bytes(map(int.bit_count, map(ci.__and__, cols[i + 1 :])))
+            if common == above.encode().translate(expected):
+                edges = above.count("1")
+                census[144] = census.get(144, 0) + edges
+                census[192] = census.get(192, 0) + len(above) - edges
+                continue
+        gi = g.rows[i]
+        for j in range(i + 1, n):
+            d2 = norms[i] + norms[j] - 2 * ((ci & cols[j]).bit_count() + 8 * (ci >> j & 1))
+            if (d2 == 144) != (gi >> j & 1):
+                raise VerificationError("distance/adjacency mismatch", witness=(i, j, d2))
+            census[d2] = census.get(d2, 0) + 1
+    census = {d2: m for d2, m in sorted(census.items()) if m}
     if set(census) != {144, 192}:
         raise VerificationError(f"unexpected squared distances {sorted(census)}")
     return census
@@ -140,92 +213,66 @@ def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
     return p, q
 
 
+def _inner_products(y: ReprMatrix, v: list[int]) -> list[int]:
+    """<v, y_i> for every column i, exactly, for any integer vector v: 4 v_i
+    plus, for each nonzero value x of v, x times the number of coordinates
+    where v is x and column i has a bit."""
+    masks: dict[int, int] = {}
+    for t, x in enumerate(v):
+        if x:
+            masks[x] = masks.get(x, 0) | 1 << t
+    return [
+        4 * v[i] + sum(x * (c & m).bit_count() for x, m in masks.items())
+        for i, c in enumerate(y.columns)
+    ]
+
+
 def verify_inner_products(
     y: ReprMatrix, p: list[int], q: list[int], part: Partition
 ) -> None:
     """<p, y_i> and <q, y_i> must follow the block patterns for all 416 i."""
-    pv = np.array(p, dtype=np.int64)
-    qv = np.array(q, dtype=np.int64)
-    p_dots = pv @ y.entries
-    q_dots = qv @ y.entries
+    p_dots = _inner_products(y, p)
+    q_dots = _inner_products(y, q)
     for i in range(y.n):
         block = part.block_of(i)
-        if int(p_dots[i]) != P_PATTERN[block]:
+        if p_dots[i] != P_PATTERN[block]:
             raise VerificationError(
-                f"<p, y_{i}> = {int(p_dots[i])}, expected {P_PATTERN[block]} on {block}",
+                f"<p, y_{i}> = {p_dots[i]}, expected {P_PATTERN[block]} on {block}",
                 witness=i,
             )
-        if int(q_dots[i]) != Q_PATTERN[block]:
+        if q_dots[i] != Q_PATTERN[block]:
             raise VerificationError(
-                f"<q, y_{i}> = {int(q_dots[i])}, expected {Q_PATTERN[block]} on {block}",
+                f"<q, y_{i}> = {q_dots[i]}, expected {Q_PATTERN[block]} on {block}",
                 witness=i,
             )
-    if int(pv @ qv) != 0:
-        raise VerificationError(f"<p, q> = {int(pv @ qv)}, expected 0")
-    if int(pv.sum()) != 0 or int(qv.sum()) != 0:
+    p_dot_q = sum(map(mul, p, q))
+    if p_dot_q != 0:
+        raise VerificationError(f"<p, q> = {p_dot_q}, expected 0")
+    if sum(p) != 0 or sum(q) != 0:
         raise VerificationError("contrast vectors must sum to zero")
 
 
 def _check_prime(prime: int) -> None:
-    """Residues of such a prime are below 2**31, so int64 holds every product
-    of two of them."""
+    """The primes admitted are those `--primes` admits: odd and below 2**31."""
     if prime <= 2:
         raise ValueError("prime must exceed 2")
     if prime >= 2**31:
-        raise ValueError("prime too large for the int64 elimination kernel")
+        raise ValueError("prime must be below 2**31")
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
 
 
-def rank_mod_prime(
-    rows, prime: int, prefixes: tuple[int, ...] | None = None
-) -> int | tuple[int, ...]:
-    """Rank over GF(prime) by Gaussian elimination with modular inverses.
-
-    The reference that `principal_prefix_ranks` is tested against; the
-    pipeline does not call it.  Pivoting is deterministic: columns in order,
-    first nonzero row below the pivot row.  A column gets a pivot exactly
-    when it is independent of the columns before it, so the pivots among the
-    first k columns number the rank of those k columns.  With `prefixes`,
-    returns that rank for each k in it, all from one elimination; otherwise
-    the rank of the whole matrix.
-    """
-    _check_prime(prime)
-    a = np.array(rows, dtype=np.int64) % prime
-    if a.ndim != 2:
-        raise ValueError("rank_mod_prime expects a 2-d matrix")
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # Columns left of c are already zero in rows r and below.
-        inv = pow(int(a[r, c]), -1, prime)
-        a[r, c:] = a[r, c:] * inv % prime
-        below = a[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if prefixes is None:
-        return r
-    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
-
-
 def principal_prefix_ranks(
-    matrix, prime: int, prefixes: tuple[int, ...]
+    matrix,
+    prime: int,
+    prefixes: tuple[int, ...],
+    order=None,
+    caps: tuple[int, ...] | None = None,
 ) -> tuple[int, ...]:
-    """Lower bounds on the rank of the first k columns of a symmetric integer
-    matrix, for each k in `prefixes`, from one greedy LDL^T over GF(prime).
+    """Lower bounds on the rank of the columns `order[:k]` of a square
+    integer matrix, for each k in `prefixes`, from one greedy LDL^T over
+    GF(prime).  `matrix` is a sequence of rows; `order` defaults to all
+    indices in turn.
 
     Indices are visited in order; one becomes a pivot when its Schur
     diagonal (with respect to the pivots before it) is nonzero mod prime.
@@ -233,45 +280,61 @@ def principal_prefix_ranks(
     det M[P_k, P_k] that is nonzero mod prime, hence nonzero over Z, so the
     columns P_k are independent over Q and |P_k| is returned for k.  For a
     positive semidefinite matrix the bound equals the rational rank unless
-    the prime divides a pivot.
+    the prime divides a pivot.  The argument needs M[P_k, P_k] symmetric,
+    which is checked entry by entry as pivots are accepted (ValueError
+    naming the entry); entries outside it are never read.
 
-    Only the L columns of accepted pivots and the Schur diagonal of the
-    later indices are computed: O(n r^2) work for rank r, where the column
-    elimination of `rank_mod_prime` updates a whole block per pivot.
+    With `caps`, prefix k stops being scanned once the pivots found number
+    caps[k's position]; its remaining indices are skipped.  The pivots found
+    are still independent, so the result stays a lower bound.
+
+    Left-looking: a visited index solves against the stored pivots only,
+    O(r^2) work per index for r pivots; nothing is kept for non-pivots.
     """
     _check_prime(prime)
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("principal_prefix_ranks expects a square matrix")
-    if not (a == a.T).all():
-        i, j = (int(v) for v in np.argwhere(a != a.T)[0])
-        raise ValueError(f"matrix is not symmetric: entry ({i}, {j}) != ({j}, {i})")
-    a = a % prime
-    n = a.shape[0]
-    diag = a.diagonal().copy()  # Schur diagonal of every index not yet visited
-    lower = np.zeros((n, n), dtype=np.int64)  # row t: L column of pivot t
-    pivot_values = np.zeros(n, dtype=np.int64)  # D_t
+    if order is None:
+        order = range(n)
+    if caps is None:
+        caps = (n,) * len(prefixes)
     pivots: list[int] = []
-    i = -1
-    while True:
-        nz = np.flatnonzero(diag[i + 1 :])
-        if nz.size == 0:
-            break
-        i += 1 + int(nz[0])
-        r = len(pivots)
-        # Schur column of i below the diagonal: M[j, i] - sum_t L[j, t] D_t L[i, t].
-        # Each product is reduced before the sum, so the sum stays below r * prime.
-        col = a[i, i + 1 :]
-        if r:
-            weights = lower[:r, i] * pivot_values[:r] % prime
-            terms = lower[:r, i + 1 :] * weights[:, None] % prime
-            col = (col - terms.sum(axis=0)) % prime
-        pivot_values[r] = diag[i]
-        lcol = col * pow(int(diag[i]), -1, prime) % prime
-        lower[r, i + 1 :] = lcol
-        diag[i + 1 :] = (diag[i + 1 :] - lcol * col % prime) % prime
-        pivots.append(i)
-    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
+    positions: list[int] = []  # of the pivots, in `order`
+    schur_rows: list[list[int]] = []  # pivot t: L[p_t, s] D_s for s < t
+    inverses: list[int] = []  # pivot t: 1 / D_t
+    pos = 0
+    for k, cap in sorted(zip(prefixes, caps)):
+        while pos < k and len(pivots) < cap:
+            j = order[pos]
+            row = matrix[j]
+            schur: list[int] = []  # L[j, t] D_t
+            lower: list[int] = []  # L[j, t]
+            for t, p in enumerate(pivots):
+                u = (row[p] - sum(map(mul, lower, schur_rows[t]))) % prime
+                schur.append(u)
+                lower.append(u * inverses[t] % prime)
+            d = (row[j] - sum(map(mul, lower, schur))) % prime
+            if d:
+                for p in pivots:
+                    if matrix[p][j] != row[p]:
+                        raise ValueError(
+                            f"matrix is not symmetric: entry ({p}, {j}) != ({j}, {p})"
+                        )
+                pivots.append(j)
+                positions.append(pos)
+                schur_rows.append(schur)
+                inverses.append(pow(d, -1, prime))
+            pos += 1
+        pos = max(pos, k)
+    return tuple(sum(1 for q in positions if q < k) for k in prefixes)
+
+
+def _nested_order(part: Partition) -> list[int]:
+    """C in stride order, then B1, B2, B3: the prefixes 320, 352 and 416 are
+    C, C+B1 and V."""
+    c = sorted(part.c, key=lambda v: _C_STRIDE * v % _STRIDE_MODULUS)
+    return c + list(part.b1 + part.b2 + part.b3)
 
 
 def certified_dimension_chain(
@@ -290,18 +353,18 @@ def certified_dimension_chain(
     any prime never exceeds the rational rank; lower = upper pins the
     dimension.  The linear ranks of the three nested sets are read at the
     prefixes 320, 352 and 416 of one principal-pivot LDL^T per prime over
-    y[order, order], order = C, B1, B2, B3 (see the module docstring).
+    y[order, order], order = C, B1, B2, B3, each prefix stopped once it
+    reaches its upper bound + 1 (see the module docstring).
     """
     if len(primes) < 2:
         raise ValueError("at least two primes are required")
     if spectrum.f != 65 or spectrum.s != -4:
         raise VerificationError(f"unexpected spectrum {spectrum}")
 
-    col_sums = y.entries.sum(axis=0)
-    if not (col_sums == 104).all():
-        bad = int(np.nonzero(col_sums != 104)[0][0])
+    bad = next((i for i in range(y.n) if y.column_sum(i) != 104), None)
+    if bad is not None:
         raise VerificationError(
-            f"column {bad} sums to {int(col_sums[bad])}, expected 104", witness=bad
+            f"column {bad} sums to {y.column_sum(bad)}, expected 104", witness=bad
         )
 
     p, q = build_contrasts(part)
@@ -337,20 +400,18 @@ def certified_dimension_chain(
         ),
     ]
 
-    order = list(part.c + part.b1 + part.b2 + part.b3)
-    nested = y.entries[np.ix_(order, order)]
+    columns = [y.column(i) for i in range(y.n)]
+    order = _nested_order(part)
     prefixes = tuple(size for _, size, _, _ in sets)
-    ranks = {prime: principal_prefix_ranks(nested, prime, prefixes) for prime in primes}
+    caps = tuple(upper + 1 for _, _, upper, _ in sets)
+    ranks = {
+        prime: principal_prefix_ranks(columns, prime, prefixes, order, caps)
+        for prime in primes
+    }
 
     certificates = []
     for t, (label, size, upper, argument) in enumerate(sets):
         linear_ranks = {prime: ranks[prime][t] for prime in primes}
-        for prime, lr in linear_ranks.items():
-            if lr > upper + 1:
-                raise VerificationError(
-                    f"{label}: modular linear rank {lr} exceeds certified upper "
-                    f"bound {upper + 1} (mod {prime})"
-                )
         lower_bounds = {prime: lr - 1 for prime, lr in linear_ranks.items()}
         lower = max(lower_bounds.values())
         if lower < upper:

@@ -49,6 +49,12 @@ class Graph:
         self.rows[j] ^= 1 << i
 
 
+def bit_strings(rows: list[int], n: int) -> list[str]:
+    """Each bit-packed row as n characters '0'/'1', character j being bit j,
+    so that rows can be compared, transposed and permuted as strings."""
+    return [format(r, f"0{n}b")[::-1] for r in rows]
+
+
 @dataclass(frozen=True)
 class SrgParams:
     v: int

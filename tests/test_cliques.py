@@ -80,6 +80,13 @@ def test_non_bijection_is_refused(g):
         cliques.verify_automorphism(g, list(range(g.n - 1)))
 
 
+def test_map_of_an_asymmetric_adjacency_is_refused():
+    # No edge i < j to send anywhere, but rows 0 and 1 differ.
+    with pytest.raises(VerificationError, match="asymmetric"):
+        cliques.verify_automorphism(graph.Graph(2, [0, 1]), [1, 0])
+    cliques.verify_automorphism(graph.Graph(2, [0, 1]), [0, 1])
+
+
 def test_witness_survives_pair_recheck(g, automorphisms):
     _, witness, _ = cliques.max_clique_by_orbits(g, automorphisms)
     for a in range(5):

@@ -1,4 +1,7 @@
-"""Representation matrix, distances, contrasts, and rank certificates."""
+"""Representation matrix, distances, contrasts, and rank certificates.
+
+numpy is a test dependency only: it gives the reference elimination
+`rank_mod_prime` and the Gram-matrix oracle of the distance census."""
 
 import random
 from fractions import Fraction
@@ -32,6 +35,55 @@ def rational_rank(rows) -> int:
         if rank == m:
             break
     return rank
+
+
+def rank_mod_prime(
+    rows, prime: int, prefixes: tuple[int, ...] | None = None
+) -> int | tuple[int, ...]:
+    """Reference: rank over GF(prime) by Gaussian elimination with modular
+    inverses, on int64 arrays.
+
+    Pivoting is deterministic: columns in order, first nonzero row below the
+    pivot row.  A column gets a pivot exactly when it is independent of the
+    columns before it, so the pivots among the first k columns number the
+    rank of those k columns.  With `prefixes`, returns that rank for each k
+    in it, all from one elimination; otherwise the rank of the whole matrix.
+    Primes below 2**31 keep every product of two residues within int64.
+    """
+    euclid._check_prime(prime)
+    a = np.array(rows, dtype=np.int64) % prime
+    if a.ndim != 2:
+        raise ValueError("rank_mod_prime expects a 2-d matrix")
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        # Columns left of c are already zero in rows r and below.
+        inv = pow(int(a[r, c]), -1, prime)
+        a[r, c:] = a[r, c:] * inv % prime
+        below = a[r + 1 :, c]
+        nzb = np.nonzero(below)[0]
+        if nzb.size:
+            idx = r + 1 + nzb
+            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if prefixes is None:
+        return r
+    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
+
+
+def dense(y) -> np.ndarray:
+    """y as an int64 array, entry [t, i] read from column i."""
+    return np.array([list(y.column(i)) for i in range(y.n)], dtype=np.int64).T
 
 
 def naive_distance_sq(y, i, j) -> int:
@@ -69,6 +121,11 @@ def test_pair_distance_matches_naive_oracle(y, g):
         assert euclid.pair_distance_sq(y, i, j) == naive_distance_sq(y, i, j)
     with pytest.raises(ValueError):
         euclid.pair_distance_sq(y, 5, 5)
+    # y[9, 5] alone toggled: the two coordinates i and j now differ.
+    bad = euclid.ReprMatrix(y.n, list(y.columns))
+    bad.columns[5] ^= 1 << 9
+    for i, j in [(5, 9), (9, 5), (5, 100), (9, 100)]:
+        assert euclid.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
 
 
 def test_distance_values_follow_adjacency(y, g):
@@ -84,14 +141,73 @@ def test_distance_census_exhaustive(y, g):
     assert census == {144: 20800, 192: 65520}
 
 
-def test_distance_census_refuses_entries_outside_0_to_4(y, g):
-    # The int16 Gram matrix is exact only for entries in [0, 4].
-    for value in (-1, 5):
-        bad = y.entries.copy()
-        bad[3, 7] = bad[7, 3] = value
-        with pytest.raises(VerificationError) as exc:
-            euclid.distance_census(euclid.ReprMatrix(y.n, bad), g)
-        assert exc.value.witness == (3, 7, value)
+def gram_distances(y) -> np.ndarray:
+    """Oracle: every squared distance from an int16 Gram matrix of y.
+    Entries in {0, 1, 4} bound each Gram entry by 416 * 16 and each
+    distance by twice that, below 2**15."""
+    e = dense(y).astype(np.int16)
+    gram = e.T @ e
+    diag = np.diag(gram)
+    return diag[:, None] + diag[None, :] - 2 * gram
+
+
+def adjacency_matrix(g) -> np.ndarray:
+    return np.array([[g.adjacent(a, b) for b in range(g.n)] for a in range(g.n)])
+
+
+def test_distance_census_matches_gram_oracle(y, g):
+    d2 = gram_distances(y)
+    i, j = np.triu_indices(y.n, k=1)
+    values, counts = np.unique(d2[i, j], return_counts=True)
+    assert euclid.distance_census(y, g) == dict(zip(values.tolist(), counts.tolist()))
+    assert ((d2[i, j] == 144) == adjacency_matrix(g)[i, j]).all()
+    rng = random.Random(5)
+    for a, b in (rng.sample(range(416), 2) for _ in range(40)):
+        assert euclid.pair_distance_sq(y, a, b) == d2[a, b]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1)],
+        [(17, 300)],
+        [(3, 4)],
+        # A 2-switch: edges 200-207 and 201-206 become 200-201 and 206-207.
+        # Every norm stays 116, so the rows below 200, whose bits are g's,
+        # take the bytes comparison, and the first bad pair lies there.
+        [(200, 207), (201, 206), (200, 201), (206, 207)],
+    ],
+    ids=["0-1", "17-300", "3-4", "2-switch"],
+)
+def test_distance_census_names_the_first_bad_pair(y, g, pairs):
+    # Its witness must be the oracle's first bad pair, whichever path the
+    # census took for that row.
+    bad = euclid.ReprMatrix(y.n, list(y.columns))
+    for i, j in pairs:
+        bad.columns[i] ^= 1 << j
+        bad.columns[j] ^= 1 << i
+    assert len({bad.column_sum(i) for i in range(bad.n)}) == (1 if len(pairs) == 4 else 2)
+    d2 = gram_distances(bad)
+    a, b = np.triu_indices(y.n, k=1)
+    wrong = np.flatnonzero((d2[a, b] == 144) != adjacency_matrix(g)[a, b])
+    first = (int(a[wrong[0]]), int(b[wrong[0]]))
+    with pytest.raises(VerificationError) as exc:
+        euclid.distance_census(bad, g)
+    assert exc.value.witness == first + (int(d2[first]),)
+    assert len(pairs) == 1 or first[0] < 200
+
+
+def test_distance_census_refuses_diagonal_bits_and_asymmetry(y, g):
+    bad = euclid.ReprMatrix(y.n, list(y.columns))
+    bad.columns[9] |= 1 << 9
+    with pytest.raises(VerificationError) as exc:
+        euclid.distance_census(bad, g)
+    assert exc.value.witness == 9
+    bad = euclid.ReprMatrix(y.n, list(y.columns))
+    bad.columns[300] ^= 1 << 17
+    with pytest.raises(VerificationError, match="not symmetric") as exc:
+        euclid.distance_census(bad, g)
+    assert exc.value.witness == (17, 300)
 
 
 def test_contrast_vectors(part, contrasts):
@@ -137,10 +253,10 @@ def test_inner_products_reject_corruption(y, part, contrasts):
 
 def test_rank_mod_prime_basics():
     prime = euclid.DEFAULT_PRIMES[0]
-    assert euclid.rank_mod_prime(np.eye(10, dtype=np.int64), prime) == 10
-    assert euclid.rank_mod_prime(np.zeros((5, 7), dtype=np.int64), prime) == 0
-    assert euclid.rank_mod_prime([[2, 4], [1, 2]], prime) == 1
-    assert euclid.rank_mod_prime([[1, 2], [3, 4]], prime) == 2
+    assert rank_mod_prime(np.eye(10, dtype=np.int64), prime) == 10
+    assert rank_mod_prime(np.zeros((5, 7), dtype=np.int64), prime) == 0
+    assert rank_mod_prime([[2, 4], [1, 2]], prime) == 1
+    assert rank_mod_prime([[1, 2], [3, 4]], prime) == 2
 
 
 def test_rank_mod_prime_matches_rational_oracle():
@@ -158,7 +274,7 @@ def test_rank_mod_prime_matches_rational_oracle():
         ]
         want = rational_rank(mat)
         for prime in euclid.DEFAULT_PRIMES:
-            got = euclid.rank_mod_prime(mat, prime)
+            got = rank_mod_prime(mat, prime)
             assert got == want
 
 
@@ -167,14 +283,14 @@ def test_rank_mod_prime_never_exceeds_rational_rank():
     for _ in range(8):
         mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
         want = rational_rank(mat)
-        assert euclid.rank_mod_prime(mat, euclid.DEFAULT_PRIMES[1]) <= want
+        assert rank_mod_prime(mat, euclid.DEFAULT_PRIMES[1]) <= want
 
 
 def test_rank_mod_prime_validates_prime():
     # The principal-pivot kernel shares the check.
     for bad in (2, 91, 2**31 + 11):  # 91 = 7 * 13
         with pytest.raises(ValueError):
-            euclid.rank_mod_prime([[1]], bad)
+            rank_mod_prime([[1]], bad)
         with pytest.raises(ValueError):
             euclid.principal_prefix_ranks([[1]], bad, (1,))
 
@@ -188,12 +304,42 @@ def test_principal_prefix_ranks_refuses_non_symmetric():
 
 
 def test_principal_pivots_match_elimination_on_y(y, part):
-    order = part.c + part.b1 + part.b2 + part.b3
-    nested = y.entries[np.ix_(order, order)]
+    # With no stop, in label order, the kernel reaches the rational ranks
+    # that certified_dimension_chain stops at; modular ranks never exceed
+    # rational ones, so none can exceed the upper bound + 1 either.
+    columns = [y.column(i) for i in range(y.n)]
+    natural = list(part.c + part.b1 + part.b2 + part.b3)
+    stride = euclid._nested_order(part)
+    assert sorted(stride[:320]) == sorted(part.c) and stride[320:] == natural[320:]
+    prefixes = (320, 352, 416)
     for prime in euclid.DEFAULT_PRIMES:
-        got = euclid.principal_prefix_ranks(nested, prime, (320, 352, 416))
+        got = euclid.principal_prefix_ranks(columns, prime, prefixes, natural)
         assert got == (64, 65, 66)
-        assert got == euclid.rank_mod_prime(y.entries[:, order], prime, (320, 352, 416))
+        assert got == rank_mod_prime(dense(y)[:, natural], prime, prefixes)
+        # The order inside C changes only how soon the pivots come.
+        assert euclid.principal_prefix_ranks(columns, prime, prefixes, stride) == got
+        capped = euclid.principal_prefix_ranks(
+            columns, prime, prefixes, stride, caps=(64, 65, 66)
+        )
+        assert capped == got
+
+
+def test_caps_stop_each_prefix():
+    # A prefix stops at its cap and the next prefix starts after it, even
+    # where the skipped indices hold pivots.
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    prime = euclid.DEFAULT_PRIMES[0]
+    assert euclid.principal_prefix_ranks(eye, prime, (2, 4), caps=(1, 3)) == (1, 3)
+    assert euclid.principal_prefix_ranks(eye, prime, (4, 2), caps=(9, 9)) == (4, 2)
+
+
+def test_stride_order_finds_the_c_pivots_first(y, part):
+    columns = [y.column(i) for i in range(y.n)]
+    natural = list(part.c + part.b1 + part.b2 + part.b3)
+    stride = euclid._nested_order(part)
+    for prime in euclid.DEFAULT_PRIMES:
+        assert euclid.principal_prefix_ranks(columns, prime, (64,), stride) == (64,)
+        assert euclid.principal_prefix_ranks(columns, prime, (64, 289), natural) == (39, 64)
 
 
 def test_is_prime():

@@ -94,16 +94,18 @@ def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "i, j, delta", [(5, 5, -1), (0, 1, 1), (0, 1, -1), (17, 300, 2)]
+    "i, j, sides",
+    [(0, 1, "both"), (17, 300, "both"), (0, 1, "one-way"), (5, 5, "one-way")],
 )
-def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, delta):
+def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides):
+    # Toggles bit j of column i of y, and bit i of column j for "both".
     build = euclid.build_representation
 
     def corrupted(g):
         y = build(g)
-        y.entries[i, j] += delta
-        if i != j:
-            y.entries[j, i] += delta
+        y.columns[i] ^= 1 << j
+        if sides == "both":
+            y.columns[j] ^= 1 << i
         return y
 
     monkeypatch.setattr(euclid, "build_representation", corrupted)
@@ -111,8 +113,15 @@ def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, delta):
     assert report.exit_code == 1
     assert report.overall_status == "fail"
     failed = report.stages[-1]
-    assert failed.status == "fail"
-    assert failed.detail["witness"] in (i, j)
+    assert (failed.name, failed.status) == ("representation", "fail")
+    witness = failed.detail["witness"]
+    if sides == "both":  # the census; only pairs at a toggled column moved
+        a, b, d2 = witness
+        assert {a, b} & {i, j}
+    elif i == j:  # a bit on the diagonal
+        assert witness == i
+    else:  # the symmetry check
+        assert witness == (i, j)
 
 
 def test_anchor_invariance_catches_a_break_anchor_1_misses(g, isosets, part):
@@ -286,11 +295,9 @@ def test_console_script_smoke():
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter on this package, with no BLAS thread
-    setting inherited."""
+    """Run `code` in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(g24verify.__file__))
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    environ["PYTHONPATH"] = src
+    environ = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=environ
     )
@@ -303,26 +310,46 @@ def test_cli_import_does_not_load_numpy():
 
 def test_rejected_run_does_not_load_numpy():
     proc = _python(
-        "import os, sys\n"
+        "import sys\n"
         "from g24verify import cli\n"
         "rc = cli.main(['check', '--inject-flip-edge', '0,1'])\n"
         "print(rc, 'numpy' in sys.modules)\n"
-        "from g24verify import euclid\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["1 False", "1"]
+    assert proc.stdout.splitlines()[-1] == "1 False"
+
+
+def test_check_and_export_do_not_load_numpy(tmp_path):
+    out = tmp_path / "vectors.csv"
+    proc = _python(
+        "import sys\n"
+        "from g24verify import cli\n"
+        "rc = cli.main(['check'])\n"
+        f"rc += cli.main(['export-vectors', '--out', {str(out)!r}])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert out.stat().st_size > 0
 
 
 def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
-    column = euclid.ReprMatrix.column
+    # The disk fills at column 100 while the vectors are written; the stages
+    # before the write read the same columns and must not see it.
+    column_digits = euclid.ReprMatrix.column_digits
+    write = pipeline.write_vectors_csv
 
     def failing_column(self, i):
         if i == 100:
             raise OSError(28, "No space left on device")
-        return column(self, i)
+        return column_digits(self, i)
 
-    monkeypatch.setattr(euclid.ReprMatrix, "column", failing_column)
+    def write_to_full_disk(y, path):
+        with monkeypatch.context() as m:
+            m.setattr(euclid.ReprMatrix, "column_digits", failing_column)
+            write(y, path)
+
+    monkeypatch.setattr(pipeline, "write_vectors_csv", write_to_full_disk)
     out = tmp_path / "vectors.csv"
     assert cli.main(["export-vectors", "--out", str(out)]) == 3
     assert "No space left" in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Property tests: the prefix ranks of one modular elimination, and the
-principal-pivot lower bounds of the dimension chain, against an exact
-rational oracle on small integer matrices."""
+"""Property tests: the prefix ranks of the reference modular elimination,
+and the principal-pivot lower bounds of the dimension chain, against an
+exact rational oracle on small integer matrices.  The kernel runs with no
+stop, except where a test says otherwise."""
 
 import pytest
 
@@ -8,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from g24verify import euclid  # noqa: E402
-from test_euclid import rational_rank  # noqa: E402
+from test_euclid import rank_mod_prime, rational_rank  # noqa: E402
 
 
 @st.composite
@@ -40,8 +41,8 @@ def test_prefix_ranks_match_rational_rank(case):
     mat, cuts = case
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
     for prime in euclid.DEFAULT_PRIMES:
-        assert euclid.rank_mod_prime(mat, prime, cuts) == want
-        assert euclid.rank_mod_prime(mat, prime) == rational_rank(mat)
+        assert rank_mod_prime(mat, prime, cuts) == want
+        assert rank_mod_prime(mat, prime) == rational_rank(mat)
 
 
 @st.composite
@@ -91,7 +92,7 @@ def test_principal_pivots_reach_rank_of_psd_matrices(case):
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
     for prime in euclid.DEFAULT_PRIMES:
         assert euclid.principal_prefix_ranks(mat, prime, cuts) == want
-        assert euclid.rank_mod_prime(mat, prime, cuts) == want
+        assert rank_mod_prime(mat, prime, cuts) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,3 +104,14 @@ def test_principal_pivots_never_exceed_rank(case):
     for prime in euclid.DEFAULT_PRIMES + (3, 5):
         got = euclid.principal_prefix_ranks(mat, prime, cuts)
         assert all(g <= w for g, w in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_matrices_and_cuts())
+def test_principal_pivots_stopped_at_the_rank_still_reach_it(case):
+    # certified_dimension_chain stops each prefix at its upper bound + 1,
+    # which is its rank; the pivots skipped are not needed by later prefixes.
+    mat, cuts = case
+    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    for prime in euclid.DEFAULT_PRIMES:
+        assert euclid.principal_prefix_ranks(mat, prime, cuts, caps=want) == want
