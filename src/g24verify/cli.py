@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, graph
-from .euclid import DEFAULT_PRIMES, is_prime
+from . import __version__, euclid, graph
 from .pipeline import (
     EXIT_USAGE,
     RunConfig,
@@ -44,10 +43,10 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     if len(primes) < 2:
         raise argparse.ArgumentTypeError("at least two primes are required")
     for p in primes:
-        if not 2 < p < 2**31:
-            raise argparse.ArgumentTypeError(f"prime {p} outside (2, 2^31)")
-        if not is_prime(p):
-            raise argparse.ArgumentTypeError(f"{p} is not prime")
+        try:
+            euclid._check_prime(p)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return primes
 
 
@@ -89,7 +88,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--primes",
         type=_parse_primes,
-        default=DEFAULT_PRIMES,
+        default=euclid.DEFAULT_PRIMES,
         metavar="P1,P2",
         help="primes for the modular rank lower bounds",
     )

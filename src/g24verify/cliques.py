@@ -3,42 +3,27 @@
 The clique number is settled through symmetry: omega(G) = 1 + max over v of
 the clique number of the neighbourhood N(v), and an automorphism s maps N(v)
 onto N(s(v)), so one branch-and-bound search with a greedy colouring bound
-per vertex orbit suffices.  The automorphisms come in as vertex
-permutations and are verified on every row of the adjacency of the graph
-as built before they are trusted, so the proof rests on the graph, not on
-the geometry that suggested them.  `max_clique`, which searches from every
-edge, is the slow oracle the symmetric search is tested against.  The
-special 5-cliques of C (iso-sets sharing a 3-point core) tile C, which a
-count settles: 64 pairwise disjoint 5-cliques covering the 320 vertices of
-C are the only exact cover of C by special cliques.
+per vertex orbit suffices.  The orbits are those `graph.verify_srg`
+certified, after verifying the automorphisms on every row of the graph as
+built; this module verifies no permutation itself.  The search from every
+edge is kept in the tests as the oracle.  The special 5-cliques of C
+(iso-sets sharing a 3-point core) tile C, which a count settles: 64
+pairwise disjoint 5-cliques covering the 320 vertices of C are the only
+exact cover of C by special cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import VerificationError
-from .graph import Graph, Partition, bit_strings
+from .graph import Graph, Partition
 
 
 @dataclass(frozen=True)
 class SpecialClique:
     vertices: tuple[int, int, int, int, int]
     core: tuple[int, int, int]
-
-
-@dataclass
-class CliqueSearchStats:
-    edges_scanned: int
-    nodes: int
-
-
-@dataclass
-class OrbitSearchStats:
-    automorphisms_verified: int
-    orbit_representatives: int
-    nodes: int
 
 
 def _color_bound_order(rows: list[int], cand: int) -> list[tuple[int, int]]:
@@ -96,107 +81,27 @@ def _max_clique_in(
     return best_size, best_wit
 
 
-def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
-    """Exact clique number with witness; the search exhausts every edge.
-    Slow oracle for `max_clique_by_orbits`.
-
-    For each edge (i, j), i < j, candidates are the common neighbours above
-    j, so every clique is rooted at its two smallest vertices exactly once.
-    """
-    if g.edge_count() == 0:
-        witness = [0] if g.n else []
-        return len(witness), witness, CliqueSearchStats(0, 0)
-    best = 2
-    witness = []
-    counter = [0]
-    edges = 0
-    for i, j in g.edges():
-        edges += 1
-        if not witness:
-            witness = [i, j]
-        above_j = g.rows[j] >> (j + 1) << (j + 1)
-        cand = g.rows[i] & above_j
-        if 2 + cand.bit_count() <= best:
-            continue
-        sub_size, sub_wit = _max_clique_in(g.rows, cand, best - 2, counter)
-        if 2 + sub_size > best:
-            best = 2 + sub_size
-            witness = sorted([i, j] + sub_wit)
-    verify_clique(g, witness)
-    return best, witness, CliqueSearchStats(edges, counter[0])
-
-
-def verify_automorphism(
-    g: Graph, perm: list[int], bits: list[str] | None = None
-) -> None:
-    """`perm` must be a bijection of the vertices that preserves adjacency:
-    row perm[i] of A must be row i with its entries moved by perm, for every
-    i, compared as bit strings.  `bits` may pass in `bit_strings(g.rows, g.n)`
-    when several maps are checked.  A failure names the first edge sent to a
-    non-edge, which exists whenever a bijection fails on a symmetric graph."""
-    if sorted(perm) != list(range(g.n)):
-        raise VerificationError("vertex map is not a permutation")
-    if bits is None:
-        bits = bit_strings(g.rows, g.n)
-    inverse = [0] * g.n
-    for v, w in enumerate(perm):
-        inverse[w] = v
-    moved = itemgetter(*inverse)
-    if all("".join(moved(bits[i])) == bits[perm[i]] for i in range(g.n)):
-        return
-    rows = g.rows
-    for i, j in g.edges():
-        if not rows[perm[i]] >> perm[j] & 1:
-            raise VerificationError(
-                f"vertex map sends edge ({i},{j}) to the non-edge "
-                f"({perm[i]},{perm[j]})",
-                witness=(i, j),
-            )
-    raise VerificationError("vertex map does not preserve the asymmetric adjacency")
-
-
-def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
-    """Smallest vertex of each orbit of the group generated by `perms`
-    (union-find over the links v -> perm[v])."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for perm in perms:
-        for v, w in enumerate(perm):
-            a, b = find(v), find(w)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [v for v in range(n) if find(v) == v]
-
-
 def max_clique_by_orbits(
-    g: Graph, automorphisms: list[list[int]]
-) -> tuple[int, list[int], OrbitSearchStats]:
-    """Exact clique number with witness, searched from one vertex per orbit.
+    g: Graph, representatives: list[int]
+) -> tuple[int, list[int], int]:
+    """Exact clique number, a witness, and the number of search nodes,
+    searched from one vertex per orbit.
 
-    Every permutation is verified as an automorphism of `g` first; the
-    largest clique through v is then 1 + omega(N(v)), the same on the whole
-    orbit of v.
+    `representatives` must hold a vertex of every orbit of a group of
+    verified automorphisms of `g`, as `graph.verify_srg` certifies.  The
+    largest clique through v is 1 + omega(N(v)), the same on the whole orbit
+    of v.
     """
-    bits = bit_strings(g.rows, g.n)
-    for perm in automorphisms:
-        verify_automorphism(g, perm, bits)
-    reps = orbit_representatives(g.n, automorphisms)
     best = 0
     witness: list[int] = []
     counter = [0]
-    for v in reps:
+    for v in representatives:
         sub_size, sub_wit = _max_clique_in(g.rows, g.rows[v], max(best - 1, 0), counter)
         if 1 + sub_size > best:
             best = 1 + sub_size
             witness = sorted([v] + sub_wit)
     verify_clique(g, witness)
-    return best, witness, OrbitSearchStats(len(automorphisms), len(reps), counter[0])
+    return best, witness, counter[0]
 
 
 def verify_clique(g: Graph, vertices: list[int]) -> None:
@@ -208,35 +113,6 @@ def verify_clique(g: Graph, vertices: list[int]) -> None:
                     f"witness pair ({vertices[a]},{vertices[b]}) is not an edge",
                     witness=(vertices[a], vertices[b]),
                 )
-
-
-def max_clique_through_edge(g: Graph, i: int, j: int) -> int:
-    """Exact size of the largest clique containing the edge (i, j)."""
-    if not g.adjacent(i, j):
-        raise ValueError(f"({i},{j}) is not an edge")
-    counter = [0]
-    sub, _ = _max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, counter)
-    return 2 + sub
-
-
-def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
-    """Oracle: largest clique through edge (i, j) by plain enumeration of
-    subsets of the common neighbourhood, no pruning tricks."""
-    from itertools import combinations
-
-    common = [t for t in range(g.n) if g.rows[i] >> t & 1 and g.rows[j] >> t & 1]
-    best = 2
-    for size in range(1, len(common) + 1):
-        found = False
-        for sub in combinations(common, size):
-            if all(g.adjacent(a, b) for a in sub for b in sub if a < b):
-                found = True
-                break
-        if found:
-            best = 2 + size
-        else:
-            break
-    return best
 
 
 def enumerate_special_cliques(

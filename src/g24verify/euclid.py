@@ -1,7 +1,9 @@
 """Euclidean representation y = A + 4I and the certified dimension chain.
 
 Columns of y realise the graph as a two-distance point set (squared
-distances 144 on edges, 192 on non-edges).  The contrast vectors p and q
+distances 144 on edges, 192 on non-edges).  Once y's columns are checked to
+be the graph's rows, those distances and their counts follow from the
+verified srg parameters, so no pair is scanned.  The contrast vectors p and q
 cut the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
 certified two-sided: a modular-rank lower bound meets an upper bound derived
 from the exactly verified srg identity plus explicit orthogonal vectors.
@@ -9,8 +11,8 @@ from the exactly verified srg identity plus explicit orthogonal vectors.
 y is kept as the graph's bits: one Python int per column holds the entries
 off the diagonal, which are therefore 0 or 1, and the diagonal is the
 constant 4.  Every check below is exact integer arithmetic on those ints
-(AND, popcount, string comparison of the bits); there is no floating point
-and no array library.
+(AND, popcount, comparison of the ints); there is no floating point and no
+array library.
 
 The lower bounds come from nested principal minors.  With the indices
 ordered C, B1, B2, B3, one greedy symmetric-pivoting LDL^T of y[order, order]
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import InconclusiveError, VerificationError
-from .graph import Graph, Partition, Spectrum, bit_strings
+from .graph import Graph, Partition, Spectrum, SrgParams
 
 DEFAULT_PRIMES = (2**31 - 1, 2**31 - 19)
 
@@ -61,7 +63,8 @@ class ReprMatrix:
 
     y[i, i] = 4, and off the diagonal y[t, i] is bit t of columns[i].  The
     kernels below count bits, so bit i of columns[i] must be clear;
-    `distance_census` refuses y otherwise.
+    `verify_representation` refuses y unless its columns are the rows of a
+    graph verified loop-free.
     """
 
     n: int
@@ -78,9 +81,6 @@ class ReprMatrix:
     def column(self, i: int) -> bytes:
         """Column i, one byte per coordinate."""
         return self.column_digits(i).encode().translate(_DIGIT_VALUES)
-
-    def column_sum(self, i: int) -> int:
-        return self.columns[i].bit_count() + 4
 
 
 @dataclass
@@ -128,73 +128,37 @@ def build_representation(g: Graph) -> ReprMatrix:
     return ReprMatrix(g.n, list(g.rows))
 
 
-def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
-    """||y_i - y_j||^2, exactly: coordinates other than i and j contribute 1
-    where exactly one of the two columns has a bit, and coordinates i and j
-    contribute (4 - y_ij)^2 and (y_ji - 4)^2."""
-    if i == j:
-        raise ValueError("distance requires two distinct vertices")
-    ci, cj = y.columns[i], y.columns[j]
-    rest = (ci ^ cj) & ~(1 << i | 1 << j)
-    return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
+def verify_representation(y: ReprMatrix, g: Graph, params: SrgParams) -> dict[int, int]:
+    """The census of squared distances between the columns of y, derived
+    from the verified srg parameters of g instead of scanned.
 
-
-def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
-    """Exhaustive scan of all squared pair distances, checked against
-    adjacency: 144 exactly on edges, 192 exactly on non-edges.
-
-    y is first refused, with a witness, if a column has a bit on its
-    diagonal or beyond the matrix, or if y is not symmetric.  Then, for
-    i < j, ||y_i - y_j||^2 = |y_i|^2 + |y_j|^2 - 2 <y_i, y_j> with
-    |y_i|^2 = popcount(columns[i]) + 16 and
-    <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ij.
+    y must be A + 4I: its columns must be the rows of A, compared once; a
+    failure names the first column that differs and its lowest differing
+    entry.  `graph.verify_srg` proved A symmetric and loop-free with degree
+    k, and |N(i) & N(j)| = lambda on edges and mu on non-edges.  So
+    |y_i|^2 = k + 16 and <y_i, y_j> = |N(i) & N(j)| + 8 A_ij, and
+    ||y_i - y_j||^2 = 2 (k + 16) - 2 (|N(i) & N(j)| + 8 A_ij) takes one value
+    on the v k / 2 edges and another on the remaining pairs.  The value on
+    edges must be the smaller, so that the subsets of smaller diameter are
+    exactly the cliques.
     """
-    n, cols = y.n, y.columns
-    inside = (1 << n) - 1
-    for i, c in enumerate(cols):
-        if c & ~(inside ^ 1 << i):
-            raise VerificationError(
-                f"column {i} of y has a bit on its diagonal or beyond row {n - 1}",
-                witness=i,
-            )
-    bits = bit_strings(cols, n)
-    transposed = list(map("".join, zip(*bits)))
-    if transposed != bits:
-        i = next(i for i in range(n) if transposed[i] != bits[i])
-        j = next(t for t in range(n) if transposed[i][t] != bits[i][t])
-        raise VerificationError("representation matrix is not symmetric", witness=(i, j))
-
-    norms = [c.bit_count() + 16 for c in cols]
-    adjacency = bit_strings(g.rows, n)
-    # With every norm equal to s, d2 = 2 s - 2 (common + 8 y_ij).  A row whose
-    # bits above the diagonal equal g's then has d2 = 144 on edges and 192 on
-    # non-edges exactly when its common counts there are s - 80 and s - 96:
-    # one bytes comparison per row.  Common counts are at most s - 16 <= 255,
-    # so they fit in bytes.  Any other row is scanned pair by pair.
-    s = norms[0]
-    expected = None
-    if norms.count(s) == n and 96 <= s <= 271:
-        expected = bytes.maketrans(b"01", bytes((s - 96, s - 80)))
-    census: dict[int, int] = {}
-    for i in range(n - 1):
-        ci, above = cols[i], bits[i][i + 1 :]
-        if expected is not None and above == adjacency[i][i + 1 :]:
-            common = bytes(map(int.bit_count, map(ci.__and__, cols[i + 1 :])))
-            if common == above.encode().translate(expected):
-                edges = above.count("1")
-                census[144] = census.get(144, 0) + edges
-                census[192] = census.get(192, 0) + len(above) - edges
-                continue
-        gi = g.rows[i]
-        for j in range(i + 1, n):
-            d2 = norms[i] + norms[j] - 2 * ((ci & cols[j]).bit_count() + 8 * (ci >> j & 1))
-            if (d2 == 144) != (gi >> j & 1):
-                raise VerificationError("distance/adjacency mismatch", witness=(i, j, d2))
-            census[d2] = census.get(d2, 0) + 1
-    census = {d2: m for d2, m in sorted(census.items()) if m}
-    if set(census) != {144, 192}:
-        raise VerificationError(f"unexpected squared distances {sorted(census)}")
-    return census
+    if y.columns != g.rows:
+        i = next(i for i, (c, r) in enumerate(zip(y.columns, g.rows)) if c != r)
+        diff = y.columns[i] ^ g.rows[i]
+        j = (diff & -diff).bit_length() - 1
+        raise VerificationError(
+            f"column {i} of y differs from A + 4I at entry ({j}, {i})",
+            witness=(i, j),
+        )
+    v, k = params.v, params.k
+    on_edges = 2 * (k + 16) - 2 * (params.lam + 8)
+    off_edges = 2 * (k + 16) - 2 * params.mu
+    if on_edges >= off_edges:
+        raise VerificationError(
+            f"squared distance {on_edges} on edges is not below {off_edges} off them"
+        )
+    edges = v * k // 2
+    return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
 
 
 def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
@@ -253,11 +217,9 @@ def verify_inner_products(
 
 
 def _check_prime(prime: int) -> None:
-    """The primes admitted are those `--primes` admits: odd and below 2**31."""
-    if prime <= 2:
-        raise ValueError("prime must exceed 2")
-    if prime >= 2**31:
-        raise ValueError("prime must be below 2**31")
+    """The primes admitted, here and by `--primes`: odd and below 2**31."""
+    if not 2 < prime < 2**31:
+        raise ValueError(f"prime {prime} outside (2, 2^31)")
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
 
@@ -355,20 +317,17 @@ def certified_dimension_chain(
     prefixes 320, 352 and 416 of one principal-pivot LDL^T per prime over
     y[order, order], order = C, B1, B2, B3, each prefix stopped once it
     reaches its upper bound + 1 (see the module docstring).
+
+    It relies on what earlier stages of the same run proved and does not
+    check it again: the srg stage (A is an srg, which gives the spectrum and
+    rank y = 1 + f), the representation stage (y = A + 4I, so every column
+    sums to k + 4 = 104) and the inner-products stage (<p, y_i> and
+    <q, y_i> follow their block patterns, and <p, q> = 0).
     """
     if len(primes) < 2:
         raise ValueError("at least two primes are required")
     if spectrum.f != 65 or spectrum.s != -4:
         raise VerificationError(f"unexpected spectrum {spectrum}")
-
-    bad = next((i for i in range(y.n) if y.column_sum(i) != 104), None)
-    if bad is not None:
-        raise VerificationError(
-            f"column {bad} sums to {y.column_sum(bad)}, expected 104", witness=bad
-        )
-
-    p, q = build_contrasts(part)
-    verify_inner_products(y, p, q, part)
 
     rank_y = 1 + spectrum.f  # eigenvalues 104, 24, 0 of y; 0 has multiplicity g
     base_arg = [

@@ -1,9 +1,15 @@
-"""The 416-vertex graph on iso-sets and its strongly-regular structure.
+"""The 416-vertex graph on iso-sets, its symmetry and its strongly-regular
+structure.
 
 Vertices are the orthogonal bases in canonical order; two are adjacent when
 their iso-sets share exactly 3 isotropic points.  Adjacency is bit-packed
 (one Python int per row) so neighbourhood intersections are single AND +
-popcount operations, which keeps every exhaustive pair scan exact and fast.
+popcount operations.
+
+The srg check also verifies vertex permutations, from isometries of the
+Hermitian form, as automorphisms on every row of the graph as built, and
+requires them to leave one vertex orbit; facts that automorphisms preserve
+are then checked at vertex 0 only.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ConstructionError, VerificationError
 
@@ -127,14 +134,26 @@ def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
     return Graph(n, rows), {c: m for c, m in enumerate(census) if m}
 
 
-def verify_srg(g: Graph) -> SrgParams:
-    """Certify the entrywise identity A^2 = k I + lambda A + mu (J - I - A).
+def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
+    """Certify the entrywise identity A^2 = k I + lambda A + mu (J - I - A)
+    and that the group generated by `automorphisms` is transitive.
 
-    No loops and constant degree k give the diagonal, in O(n), so a flipped
-    edge fails before any pair is scanned.  One scan of all pairs then checks
-    that A is symmetric, which makes (A^2)_ij = |N(i) & N(j)|, and that this
-    count is lambda on every edge and mu on every non-edge, both read off
-    vertex 0.  No floating point is involved.
+    In order, each step naming a witness when it fails:
+    1. no loops and constant degree k give the diagonal, in O(n), so a
+       flipped edge fails before any pair is read;
+    2. on the n - 1 pairs (0, j): A_0j = A_j0, and |N(0) & N(j)| is lambda
+       on edges and mu on non-edges, both read off vertex 0;
+    3. every map is an automorphism, checked on all n rows;
+    4. the maps leave one vertex orbit (the second orbit's smallest vertex
+       is the witness otherwise);
+    5. the parameters are feasible.
+
+    Steps 3 and 4 carry step 2 to every pair.  For a pair (i, j) some
+    element s of the group has s(i) = 0.  It satisfies A_s(a)s(b) = A_ab for
+    all a, b, so it maps N(i) onto N(0) and N(j) onto N(s(j)): A_ij = A_0s(j)
+    = A_s(j)0 = A_ji, and |N(i) & N(j)| = |N(0) & N(s(j))| is lambda or mu as
+    A_ij is 1 or 0.  With A symmetric, (A^2)_ij = |N(i) & N(j)|, which gives
+    the identity.  No floating point is involved.
     """
     n, rows = g.n, g.rows
     r0 = rows[0]
@@ -151,24 +170,81 @@ def verify_srg(g: Graph) -> SrgParams:
     lam = next(((r0 & rows[j]).bit_count() for j in range(1, n) if r0 >> j & 1), 0)
     mu = next(((r0 & rows[j]).bit_count() for j in range(1, n) if not r0 >> j & 1), 0)
     want = (mu, lam)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            rj = rows[j]
-            adj = ri >> j & 1
-            if adj != rj >> i & 1:
-                raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
-            common = (ri & rj).bit_count()
-            if common != want[adj]:
-                raise VerificationError(
-                    f"{'edge' if adj else 'non-edge'} ({i},{j}) has {common} "
-                    f"common neighbours, not {want[adj]}",
-                    witness=(i, j),
-                )
+    for j in range(1, n):
+        rj = rows[j]
+        adj = r0 >> j & 1
+        if adj != rj & 1:
+            raise VerificationError(f"asymmetric pair (0,{j})", witness=(0, j))
+        common = (r0 & rj).bit_count()
+        if common != want[adj]:
+            raise VerificationError(
+                f"{'edge' if adj else 'non-edge'} (0,{j}) has {common} "
+                f"common neighbours, not {want[adj]}",
+                witness=(0, j),
+            )
+
+    bits = bit_strings(rows, n)
+    for perm in automorphisms:
+        verify_automorphism(g, perm, bits)
+    reps = orbit_representatives(n, automorphisms)
+    if reps != [0]:
+        raise VerificationError(
+            f"the automorphisms leave {len(reps)} vertex orbits, not 1",
+            witness=reps[1],
+        )
+
     params = SrgParams(n, k, lam, mu)
     if not params.feasible():
         raise VerificationError(f"infeasible srg parameters {params}")
     return params
+
+
+def verify_automorphism(
+    g: Graph, perm: list[int], bits: list[str] | None = None
+) -> None:
+    """`perm` must be a bijection of the vertices that preserves adjacency:
+    row perm[i] of A must be row i with its entries moved by perm, for every
+    i, compared as bit strings.  `bits` may pass in `bit_strings(g.rows, g.n)`
+    when several maps are checked.  A failure names the first edge sent to a
+    non-edge, which exists whenever a bijection fails on a symmetric graph."""
+    if sorted(perm) != list(range(g.n)):
+        raise VerificationError("vertex map is not a permutation")
+    if bits is None:
+        bits = bit_strings(g.rows, g.n)
+    inverse = [0] * g.n
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    moved = itemgetter(*inverse)
+    if all("".join(moved(bits[i])) == bits[perm[i]] for i in range(g.n)):
+        return
+    rows = g.rows
+    for i, j in g.edges():
+        if not rows[perm[i]] >> perm[j] & 1:
+            raise VerificationError(
+                f"vertex map sends edge ({i},{j}) to the non-edge "
+                f"({perm[i]},{perm[j]})",
+                witness=(i, j),
+            )
+    raise VerificationError("vertex map does not preserve the asymmetric adjacency")
+
+
+def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
+    """Smallest vertex of each orbit of the group generated by `perms`
+    (union-find over the links v -> perm[v])."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for perm in perms:
+        for v, w in enumerate(perm):
+            a, b = find(v), find(w)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [v for v in range(n) if find(v) == v]
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:

@@ -68,26 +68,6 @@ def enumerate_points() -> list[Point]:
     return pts
 
 
-def line_points(a: Point, b: Point) -> list[Point]:
-    """The 17 points of the line ab: {a} and {la + b : l in GF(16)}."""
-    if a == b:
-        raise ValueError("two distinct points are needed to span a line")
-    pts = {a}
-    for lam in range(16):
-        pts.add(
-            normalize(
-                (
-                    gf16.mul(lam, a[0]) ^ b[0],
-                    gf16.mul(lam, a[1]) ^ b[1],
-                    gf16.mul(lam, a[2]) ^ b[2],
-                )
-            )
-        )
-    if len(pts) != 17:
-        raise ConstructionError(f"line through {a}, {b} has {len(pts)} points")
-    return sorted(pts)
-
-
 @dataclass(frozen=True)
 class Basis:
     """Orthogonal basis of three nonisotropic points plus its iso-set."""
@@ -133,37 +113,6 @@ def build_plane() -> Plane:
 
 def isoset_members(mask: int) -> list[int]:
     return [i for i in range(1, ISOTROPIC_COUNT + 1) if mask >> i & 1]
-
-
-def isoset_from_indices(indices) -> int:
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= ISOTROPIC_COUNT:
-            raise ValueError(f"isotropic index {i} out of range")
-        mask |= 1 << i
-    return mask
-
-
-def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
-    """Canonical indices of isotropic points on the line ab, bit-packed.
-
-    Requires a, b nonisotropic and orthogonal; such a line is a secant of
-    the unital and carries exactly 5 isotropic points.
-    """
-    if is_isotropic(a) or is_isotropic(b):
-        raise ValueError("line endpoints must be nonisotropic")
-    if hermitian_form(a, b) != 0:
-        raise ValueError("line endpoints must be orthogonal")
-    mask = 0
-    for p in line_points(a, b):
-        idx = plane.iso_number.get(p)
-        if idx is not None:
-            mask |= 1 << idx
-    if mask.bit_count() != 5:
-        raise ConstructionError(
-            f"secant line {a},{b} carries {mask.bit_count()} isotropic points"
-        )
-    return mask
 
 
 def enumerate_bases(plane: Plane) -> list[Basis]:

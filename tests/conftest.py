@@ -32,8 +32,8 @@ def g(isosets):
 
 
 @pytest.fixture(scope="session")
-def srg_params(g):
-    return graph.verify_srg(g)
+def srg_params(g, automorphisms):
+    return graph.verify_srg(g, automorphisms)
 
 
 @pytest.fixture(scope="session")

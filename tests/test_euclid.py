@@ -1,7 +1,9 @@
 """Representation matrix, distances, contrasts, and rank certificates.
 
 numpy is a test dependency only: it gives the reference elimination
-`rank_mod_prime` and the Gram-matrix oracle of the distance census."""
+`rank_mod_prime` and the Gram-matrix oracle of the distance census, which
+in turn checks the scanned census in `oracles` that the derived one is
+compared with."""
 
 import random
 from fractions import Fraction
@@ -11,6 +13,8 @@ import pytest
 
 from g24verify import euclid
 from g24verify.errors import VerificationError
+
+import oracles
 
 
 def rational_rank(rows) -> int:
@@ -99,7 +103,7 @@ def test_representation_entries(y, g):
     assert y.n == 416
     for i in range(0, 416, 41):
         assert y.entry(i, i) == 4
-        assert y.column_sum(i) == 104
+        assert sum(y.column(i)) == 104
     for i, j in [(0, 1), (5, 100), (200, 300)]:
         want = 1 if g.adjacent(i, j) else 0
         assert y.entry(i, j) == want
@@ -118,14 +122,14 @@ def test_pair_distance_matches_naive_oracle(y, g):
     rng = random.Random(1234)
     for _ in range(40):
         i, j = rng.sample(range(416), 2)
-        assert euclid.pair_distance_sq(y, i, j) == naive_distance_sq(y, i, j)
+        assert oracles.pair_distance_sq(y, i, j) == naive_distance_sq(y, i, j)
     with pytest.raises(ValueError):
-        euclid.pair_distance_sq(y, 5, 5)
+        oracles.pair_distance_sq(y, 5, 5)
     # y[9, 5] alone toggled: the two coordinates i and j now differ.
     bad = euclid.ReprMatrix(y.n, list(y.columns))
     bad.columns[5] ^= 1 << 9
     for i, j in [(5, 9), (9, 5), (5, 100), (9, 100)]:
-        assert euclid.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
+        assert oracles.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
 
 
 def test_distance_values_follow_adjacency(y, g):
@@ -133,12 +137,14 @@ def test_distance_values_follow_adjacency(y, g):
     for _ in range(60):
         i, j = rng.sample(range(416), 2)
         want = 144 if g.adjacent(i, j) else 192
-        assert euclid.pair_distance_sq(y, i, j) == want
+        assert oracles.pair_distance_sq(y, i, j) == want
 
 
-def test_distance_census_exhaustive(y, g):
-    census = euclid.distance_census(y, g)
+def test_distance_census_exhaustive(y, g, srg_params):
+    census = oracles.distance_census(y, g)
     assert census == {144: 20800, 192: 65520}
+    assert euclid.verify_representation(y, g, srg_params) == census
+
 
 
 def gram_distances(y) -> np.ndarray:
@@ -159,11 +165,11 @@ def test_distance_census_matches_gram_oracle(y, g):
     d2 = gram_distances(y)
     i, j = np.triu_indices(y.n, k=1)
     values, counts = np.unique(d2[i, j], return_counts=True)
-    assert euclid.distance_census(y, g) == dict(zip(values.tolist(), counts.tolist()))
+    assert oracles.distance_census(y, g) == dict(zip(values.tolist(), counts.tolist()))
     assert ((d2[i, j] == 144) == adjacency_matrix(g)[i, j]).all()
     rng = random.Random(5)
     for a, b in (rng.sample(range(416), 2) for _ in range(40)):
-        assert euclid.pair_distance_sq(y, a, b) == d2[a, b]
+        assert oracles.pair_distance_sq(y, a, b) == d2[a, b]
 
 
 @pytest.mark.parametrize(
@@ -173,26 +179,26 @@ def test_distance_census_matches_gram_oracle(y, g):
         [(17, 300)],
         [(3, 4)],
         # A 2-switch: edges 200-207 and 201-206 become 200-201 and 206-207.
-        # Every norm stays 116, so the rows below 200, whose bits are g's,
-        # take the bytes comparison, and the first bad pair lies there.
+        # Every norm stays 116, and the first bad pair lies in a row below
+        # 200, whose bits are g's.
         [(200, 207), (201, 206), (200, 201), (206, 207)],
     ],
     ids=["0-1", "17-300", "3-4", "2-switch"],
 )
 def test_distance_census_names_the_first_bad_pair(y, g, pairs):
-    # Its witness must be the oracle's first bad pair, whichever path the
-    # census took for that row.
+    # The scanned census's witness must be the Gram oracle's first bad pair.
     bad = euclid.ReprMatrix(y.n, list(y.columns))
     for i, j in pairs:
         bad.columns[i] ^= 1 << j
         bad.columns[j] ^= 1 << i
-    assert len({bad.column_sum(i) for i in range(bad.n)}) == (1 if len(pairs) == 4 else 2)
+    column_sums = {sum(bad.column(i)) for i in range(bad.n)}
+    assert len(column_sums) == (1 if len(pairs) == 4 else 2)
     d2 = gram_distances(bad)
     a, b = np.triu_indices(y.n, k=1)
     wrong = np.flatnonzero((d2[a, b] == 144) != adjacency_matrix(g)[a, b])
     first = (int(a[wrong[0]]), int(b[wrong[0]]))
     with pytest.raises(VerificationError) as exc:
-        euclid.distance_census(bad, g)
+        oracles.distance_census(bad, g)
     assert exc.value.witness == first + (int(d2[first]),)
     assert len(pairs) == 1 or first[0] < 200
 
@@ -201,12 +207,12 @@ def test_distance_census_refuses_diagonal_bits_and_asymmetry(y, g):
     bad = euclid.ReprMatrix(y.n, list(y.columns))
     bad.columns[9] |= 1 << 9
     with pytest.raises(VerificationError) as exc:
-        euclid.distance_census(bad, g)
+        oracles.distance_census(bad, g)
     assert exc.value.witness == 9
     bad = euclid.ReprMatrix(y.n, list(y.columns))
     bad.columns[300] ^= 1 << 17
     with pytest.raises(VerificationError, match="not symmetric") as exc:
-        euclid.distance_census(bad, g)
+        oracles.distance_census(bad, g)
     assert exc.value.witness == (17, 300)
 
 

@@ -9,10 +9,14 @@ import pytest
 from g24verify import graph
 from g24verify.errors import ConstructionError, VerificationError
 
+import oracles
+
+PETERSEN_VERTICES = list(combinations(range(5), 2))
+
 
 def petersen() -> graph.Graph:
     """Kneser graph on 2-subsets of a 5-set, disjointness adjacency."""
-    verts = list(combinations(range(5), 2))
+    verts = PETERSEN_VERTICES
     rows = [0] * 10
     for i in range(10):
         for j in range(i + 1, 10):
@@ -20,6 +24,25 @@ def petersen() -> graph.Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return graph.Graph(10, rows)
+
+
+def petersen_generators() -> list[list[int]]:
+    """The 5-cycle and the transposition (0 1), which generate S5, acting
+    on the 2-subsets."""
+    index = {v: t for t, v in enumerate(PETERSEN_VERTICES)}
+    return [
+        [index[tuple(sorted(s[x] for x in v))] for v in PETERSEN_VERTICES]
+        for s in ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))
+    ]
+
+
+def halved_5cube_generators() -> list[list[int]]:
+    """Translation by 00011 and the cyclic shift of the coordinates; with
+    the shift, the translation's conjugates reach every even-weight word."""
+    words = [w for w in range(32) if bin(w).count("1") % 2 == 0]
+    index = {w: t for t, w in enumerate(words)}
+    shift = [index[(w << 1 | w >> 4) & 31] for w in words]
+    return [[index[w ^ 0b00011] for w in words], shift]
 
 
 def test_graph_shape(g):
@@ -80,30 +103,34 @@ def test_srg_identity_holds(g, srg_params):
     assert (a @ a == k * eye + lam * a + mu * (ones - eye - a)).all()
 
 
-def test_flipped_edge_breaks_verification(isosets):
+def test_pair_scan_oracle_agrees_with_verify_srg(g, srg_params):
+    assert oracles.verify_srg_all_pairs(g) == srg_params
+
+
+def test_flipped_edge_breaks_verification(isosets, automorphisms):
     h, _ = graph.build_graph(isosets)
     h.flip_edge(0, 1)
     with pytest.raises(VerificationError) as err:
-        graph.verify_srg(h)
+        graph.verify_srg(h, automorphisms)
     assert err.value.witness is not None
     assert "degree" in str(err.value)  # caught before any pair is scanned
 
 
-def test_one_direction_flip_fails_symmetry_with_a_witness(g):
+def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
     # Flip A[1][0] but not A[0][1]; a second bit in row 1 keeps its degree at
-    # k, so the degree check passes and the pair scan must catch the flip.
+    # k, so the degree check passes and the pairs through 0 must catch it.
     j = next(j for j in range(2, g.n) if g.adjacent(1, j) != g.adjacent(1, 0))
     h = graph.Graph(g.n, list(g.rows))
     h.rows[1] ^= 1 << 0 | 1 << j
     with pytest.raises(VerificationError) as err:
-        graph.verify_srg(h)
+        graph.verify_srg(h, automorphisms)
     assert err.value.witness == (0, 1)
     assert "asymmetric" in str(err.value)
     # The lone flipped bit changes a degree and fails with that vertex.
     h = graph.Graph(g.n, list(g.rows))
     h.rows[1] ^= 1 << 0
     with pytest.raises(VerificationError) as err:
-        graph.verify_srg(h)
+        graph.verify_srg(h, automorphisms)
     assert err.value.witness[0] == 1
 
 
@@ -130,10 +157,11 @@ def test_spectrum_cross_instance_petersen():
 
 def test_petersen_graph_parameters_via_scan():
     p = petersen()
-    params = graph.verify_srg(p)
+    params = graph.verify_srg(p, petersen_generators())
     assert (params.v, params.k, params.lam, params.mu) == (10, 3, 0, 1)
-    # A 2-switch (edges ab, cd become ac, bd) keeps every degree at 3, so
-    # only the common-neighbour counts of the pair scan can catch it.
+    assert oracles.verify_srg_all_pairs(p) == params
+    # A 2-switch (edges ab, cd become ac, bd) keeps every degree at 3; this
+    # one moves vertex 0's edges, so a pair through 0 catches it.
     a, b, c, d = next(
         t
         for t in permutations(range(10), 4)
@@ -144,9 +172,11 @@ def test_petersen_graph_parameters_via_scan():
     for i, j in ((a, b), (c, d), (a, c), (b, d)):
         switched.flip_edge(i, j)
     with pytest.raises(VerificationError) as err:
-        graph.verify_srg(switched)
+        graph.verify_srg(switched, petersen_generators())
     assert "common neighbours" in str(err.value)
     assert err.value.witness is not None
+    with pytest.raises(VerificationError):
+        oracles.verify_srg_all_pairs(switched)
 
 
 def test_spectrum_rejects_infeasible_and_conference():
@@ -223,7 +253,7 @@ def test_components_isomorphic_to_coclique_extension(g, part):
 
 def test_halved_5cube_model():
     h = graph.halved_5cube()
-    params = graph.verify_srg(h)
+    params = graph.verify_srg(h, halved_5cube_generators())
     assert (params.v, params.k, params.lam, params.mu) == (16, 10, 6, 6)
     model = graph.coclique_extension(h, 2)
     assert model.n == 32

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import g24verify
-from g24verify import cli, euclid, graph, pipeline
+from g24verify import cli, euclid, graph, hermitian, pipeline
 from g24verify.errors import InconclusiveError, VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
@@ -40,6 +40,8 @@ def test_stage_details(full_report):
     assert full_report.stage("srg").detail["parameters"] == [416, 100, 36, 20]
     assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
     assert full_report.stage("srg").detail["spectrum"]["f"] == 65
+    assert full_report.stage("srg").detail["automorphisms_verified"] == 3
+    assert "cross_instance" not in full_report.stage("srg").detail
     assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
     assert full_report.stage("anchor-invariance").detail["anchors_checked"] == 64
     assert full_report.stage("representation").detail["distance_census"] == {
@@ -51,7 +53,7 @@ def test_stage_details(full_report):
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
     clique = full_report.stage("max-clique").detail
     assert clique["clique_number"] == 5
-    assert clique["automorphisms_verified"] == 3
+    assert "automorphisms_verified" not in clique
     assert clique["orbit_representatives"] == 1
     cover = full_report.stage("special-cover").detail
     assert cover["cover_cliques"] == 64
@@ -81,6 +83,68 @@ def test_fault_injection_fails_srg_stage():
     assert names[-1] == "srg"
 
 
+def _two_switch(g: graph.Graph, through_0: bool) -> graph.Graph:
+    """A copy of g with edges ab, cd replaced by ac, bd, which keeps every
+    degree.  Away from 0, the four vertices are non-neighbours of 0, so no
+    count on a pair (0, j) moves either."""
+    far = [v for v in range(1, g.n) if not g.adjacent(0, v)]
+    a = 0 if through_0 else far[0]
+    others = range(1, g.n) if through_0 else far
+    b, c, d = next(
+        (b, c, d)
+        for b in others
+        if g.adjacent(a, b)
+        for c in others
+        if c not in (a, b) and not g.adjacent(a, c)
+        for d in others
+        if d not in (a, b, c) and g.adjacent(c, d) and not g.adjacent(b, d)
+    )
+    h = graph.Graph(g.n, list(g.rows))
+    for i, j in ((a, b), (c, d), (a, c), (b, d)):
+        h.flip_edge(i, j)
+    return h
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("2-switch away from 0", "vertex map sends edge"),
+        ("2-switch through 0", "common neighbours"),
+        ("swap alone", "vertex orbits"),
+    ],
+    ids=["2-switch-away-from-0", "2-switch-through-0", "swap-alone"],
+)
+def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
+    monkeypatch, corruption, message
+):
+    # The pairs through vertex 0 and the automorphisms each catch what the
+    # other cannot see; the degrees stay constant throughout.
+    build = graph.build_graph
+    permutations = hermitian.basis_permutations
+    if corruption.startswith("2-switch"):
+        def switched(isosets):
+            g, dist = build(isosets)
+            return _two_switch(g, corruption.endswith("through 0")), dist
+
+        monkeypatch.setattr(graph, "build_graph", switched)
+    else:
+        monkeypatch.setattr(
+            hermitian, "basis_permutations", lambda *a: permutations(*a)[:1]
+        )
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("srg", "fail")
+    assert message in failed.detail["error"]
+    witness = failed.detail["witness"]
+    if corruption == "2-switch through 0":
+        assert witness[0] == 0
+    elif corruption == "swap alone":
+        assert 0 < witness < 416
+    else:
+        assert len(witness) == 2 and 0 not in witness
+
+
 def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
     def undershoot(*args, **kwargs):
         raise InconclusiveError("modular lower bound 64 < upper bound 65")
@@ -95,7 +159,13 @@ def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
 
 @pytest.mark.parametrize(
     "i, j, sides",
-    [(0, 1, "both"), (17, 300, "both"), (0, 1, "one-way"), (5, 5, "one-way")],
+    [
+        (0, 1, "both"),
+        (17, 300, "both"),
+        (0, 1, "one-way"),
+        (5, 5, "one-way"),
+        (300, 17, "one-way"),
+    ],
 )
 def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides):
     # Toggles bit j of column i of y, and bit i of column j for "both".
@@ -114,14 +184,8 @@ def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides):
     assert report.overall_status == "fail"
     failed = report.stages[-1]
     assert (failed.name, failed.status) == ("representation", "fail")
-    witness = failed.detail["witness"]
-    if sides == "both":  # the census; only pairs at a toggled column moved
-        a, b, d2 = witness
-        assert {a, b} & {i, j}
-    elif i == j:  # a bit on the diagonal
-        assert witness == i
-    else:  # the symmetry check
-        assert witness == (i, j)
+    # y must equal A + 4I: the first column off it, and its lowest bad entry.
+    assert failed.detail["witness"] == (i, j)
 
 
 def test_anchor_invariance_catches_a_break_anchor_1_misses(g, isosets, part):
