@@ -70,9 +70,6 @@ class ReprMatrix:
     n: int
     columns: list[int]
 
-    def entry(self, i: int, j: int) -> int:
-        return 4 if i == j else self.columns[j] >> i & 1
-
     def column_digits(self, i: int) -> str:
         """Column i as one character per coordinate: '4' at i, else the bit."""
         bits = format(self.columns[i], f"0{self.n}b")[::-1]

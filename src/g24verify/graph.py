@@ -4,12 +4,17 @@ structure.
 Vertices are the orthogonal bases in canonical order; two are adjacent when
 their iso-sets share exactly 3 isotropic points.  Adjacency is bit-packed
 (one Python int per row) so neighbourhood intersections are single AND +
-popcount operations.
+popcount operations.  The same data read the other way are the point
+columns: for each isotropic point, the mask of the vertices whose iso-set
+contains it.  The graph is built from them by a bit-sliced counter, one
+vertex at a time, with no loop over vertex pairs.
 
 The srg check also verifies vertex permutations, from isometries of the
 Hermitian form, as automorphisms on every row of the graph as built, and
 requires them to leave one vertex orbit; facts that automorphisms preserve
-are then checked at vertex 0 only.
+are then checked at vertex 0 only.  The same maps permute the point
+columns, and one orbit on the points carries the anchored split from
+anchor 1 to every anchor.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import ConstructionError, VerificationError
+from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT
 
 VERTEX_COUNT = 416
-ADJACENCY_OVERLAP = 3
 
 
 @dataclass
@@ -109,28 +114,70 @@ class Partition:
         return self.b1_mask, self.b2_mask, self.b3_mask
 
 
+def point_columns(isosets: list[int]) -> list[int]:
+    """columns[a], for each isotropic point a = 1..65: the mask of the
+    vertices whose iso-set contains a (columns[0] is 0).  The split on
+    anchor a has B = columns[a].
+
+    Refuses an iso-set with a member outside 1..65."""
+    width = ISOTROPIC_COUNT + 1
+    for i, s in enumerate(isosets):
+        if s & 1 or s >> width:
+            raise ConstructionError(
+                f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}"
+            )
+    # Transpose: column a is character a of every iso-set's bit string.
+    bits = bit_strings(isosets, width)
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+
+
 def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
-    """Edge (i, j) iff the iso-sets of i and j share exactly 3 indices.
+    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points.
 
     Also returns the census of |iso-set_i & iso-set_j| over all unordered
-    pairs, counted in the same pair loop.
+    pairs, every value that occurs.
+
+    Vertex i adds the point columns of its 15 members into a bit-sliced
+    counter of four planes c0..c3, so that bit j of the counter is
+    |iso-set_i & iso-set_j|: row i is where the count is 3, and the census
+    splits the bits j > i by the four planes into the 16 possible counts.
+    The check that every iso-set has 15 members is what keeps each count
+    below 16, so four planes cannot overflow.
     """
     n = len(isosets)
     if n != VERTEX_COUNT:
         raise ConstructionError(f"expected {VERTEX_COUNT} iso-sets, got {n}")
     for i, s in enumerate(isosets):
-        if s.bit_count() != 15:
+        if s.bit_count() != ISOSET_SIZE:
             raise ConstructionError(f"iso-set {i} has {s.bit_count()} members")
+    columns = point_columns(isosets)
+    full = (1 << n) - 1
     rows = [0] * n
     census = [0] * 16
-    for i in range(n):
-        si = isosets[i]
-        for j in range(i + 1, n):
-            c = (si & isosets[j]).bit_count()
-            census[c] += 1
-            if c == ADJACENCY_OVERLAP:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    for i, s in enumerate(isosets):
+        c0 = c1 = c2 = c3 = 0
+        while s:
+            column = columns[(s & -s).bit_length() - 1]
+            s &= s - 1
+            carry = c0 & column
+            c0 ^= column
+            column = c1 & carry
+            c1 ^= carry
+            carry = c2 & column
+            c2 ^= column
+            c3 ^= carry
+        rows[i] = c0 & c1 & ~(c2 | c3) & ~(1 << i)  # count 3 = 0b0011
+        # Split the later vertices by plane, highest first, so that split[v]
+        # ends as the vertices j > i with count v.
+        split = [full >> (i + 1) << (i + 1)]
+        for plane in (c3, c2, c1, c0):
+            halves = []
+            for m in split:
+                hit = m & plane
+                halves += (m ^ hit, hit)
+            split = halves
+        for v, m in enumerate(split):
+            census[v] += m.bit_count()
     return Graph(n, rows), {c: m for c, m in enumerate(census) if m}
 
 
@@ -211,10 +258,7 @@ def verify_automorphism(
         raise VerificationError("vertex map is not a permutation")
     if bits is None:
         bits = bit_strings(g.rows, g.n)
-    inverse = [0] * g.n
-    for v, w in enumerate(perm):
-        inverse[w] = v
-    moved = itemgetter(*inverse)
+    moved = _mover(perm)
     if all("".join(moved(bits[i])) == bits[perm[i]] for i in range(g.n)):
         return
     rows = g.rows
@@ -226,6 +270,15 @@ def verify_automorphism(
                 witness=(i, j),
             )
     raise VerificationError("vertex map does not preserve the asymmetric adjacency")
+
+
+def _mover(perm: list[int]) -> itemgetter:
+    """Reads a bit string (character v for vertex v) in the order that makes
+    "".join of the result the string of its image under `perm`."""
+    inverse = [0] * len(perm)
+    for v, w in enumerate(perm):
+        inverse[w] = v
+    return itemgetter(*inverse)
 
 
 def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -245,6 +298,53 @@ def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
             if a != b:
                 parent[max(a, b)] = min(a, b)
     return [v for v in range(n) if find(v) == v]
+
+
+def verify_point_action(
+    g: Graph, columns: list[int], automorphisms: list[list[int]]
+) -> list[list[int]]:
+    """Certify that claim 1 at anchor 1 holds at every anchor: each verified
+    automorphism of g must map every point column onto a point column, and the
+    induced point maps must leave one orbit on the 65 points.  Returns each
+    map's action on the points, counted from 0: sigma[a - 1] = b - 1 when
+    the map sends column a onto column b.
+
+    Each failure names a witness: (map, point) for a column whose image is
+    no column, or the second orbit's smallest point.
+
+    Why this suffices: let pi be an automorphism of g as built (the srg stage
+    verified it on all rows) and pi(B(a)) = B(b), B(a) being column a.  Then
+    pi maps the subgraph induced on B(a) onto the one on B(b), so components
+    onto components, and C(a) onto C(b); every count of claim 1 for a vertex
+    v at anchor a is the same count for pi(v) at anchor b, up to the order
+    of B1, B2, B3, which the 20/0/8 pattern does not see.  The split at a
+    therefore has three 32-vertex components with the 20/0/8 pattern iff the
+    split at b has, and pi's inverse, also an automorphism, carries it back.
+    Each link a -> sigma(a) thus carries claim 1 both ways, and with one
+    orbit, claim 1 at anchor 1 (verified directly) holds at all 65 anchors.
+    """
+    bits = bit_strings(columns, g.n)
+    point_of = {b: a for a, b in enumerate(bits) if a}
+    maps = []
+    for m, perm in enumerate(automorphisms):
+        moved = _mover(perm)
+        sigma = []
+        for a in range(1, ISOTROPIC_COUNT + 1):
+            b = point_of.get("".join(moved(bits[a])))
+            if b is None:
+                raise VerificationError(
+                    f"automorphism {m} maps the column of point {a} to no column",
+                    witness=(m, a),
+                )
+            sigma.append(b - 1)
+        maps.append(sigma)
+    reps = orbit_representatives(ISOTROPIC_COUNT, maps)
+    if reps != [0]:
+        raise VerificationError(
+            f"the point maps leave {len(reps)} orbits on the points, not 1",
+            witness=reps[1] + 1,
+        )
+    return maps
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:

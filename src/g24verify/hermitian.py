@@ -9,6 +9,12 @@ encodings.  The form is
 with conjugation x -> x**4.  Its 65 isotropic points (H(a,a) = 0) receive
 the canonical indices 1..65 in enumeration order; iso-sets are bit-packed
 with bit i standing for canonical index i.
+
+Orthogonality is computed a whole point list at a time: sorting the points
+by the value of each coordinate gives bit-planes of the products in H, and
+the points orthogonal to t form one bit mask (`orthogonal_masks`).  The
+bases and the sides of their triangles are read from these masks, with no
+loop over pairs of points.
 """
 
 from __future__ import annotations
@@ -84,9 +90,6 @@ class Plane:
     nonisotropic: list[Point]
     iso_number: dict[Point, int]
 
-    def iso_index(self, p: Point) -> int:
-        return self.iso_number[p]
-
 
 def classify_points(points: list[Point]) -> tuple[list[Point], list[Point]]:
     iso = [p for p in points if is_isotropic(p)]
@@ -115,51 +118,82 @@ def isoset_members(mask: int) -> list[int]:
     return [i for i in range(1, ISOTROPIC_COUNT + 1) if mask >> i & 1]
 
 
+def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
+    """For each t in `targets`, the mask of the indices x of `points` with
+    H(points[x], t) = 0, bit x standing for points[x].
+
+    H(x, t) = x1*conj(t3) + x2*conj(t2) + x3*conj(t1) is a sum of three
+    products x_k * c.  The points with x_k * c carrying bit b are the union,
+    over the values v with bit b in v * c, of the points with x_k = v, so one
+    pass over the points gives the 3 x 16 masks by coordinate value, and
+    these give the four bit-planes of every x_k * c.  The zeros of H(-, t)
+    are then the points where the three planes of each bit XOR to 0.
+    """
+    by_value = [[0] * gf16.SIZE for _ in range(3)]
+    for x, p in enumerate(points):
+        for k in range(3):
+            by_value[k][p[k]] |= 1 << x
+    # planes[k][c][b]: the points x with bit b set in x_k * c, a union of
+    # disjoint masks, so their sum
+    planes = [
+        [
+            [
+                sum(m for v, m in enumerate(masks) if gf16.mul(v, c) >> b & 1)
+                for b in range(4)
+            ]
+            for c in range(gf16.SIZE)
+        ]
+        for masks in by_value
+    ]
+    full = (1 << len(points)) - 1
+    result = []
+    for t in targets:
+        p0 = planes[0][gf16.conj(t[2])]
+        p1 = planes[1][gf16.conj(t[1])]
+        p2 = planes[2][gf16.conj(t[0])]
+        nonzero = (p0[0] ^ p1[0] ^ p2[0]) | (p0[1] ^ p1[1] ^ p2[1])
+        nonzero |= (p0[2] ^ p1[2] ^ p2[2]) | (p0[3] ^ p1[3] ^ p2[3])
+        result.append(full & ~nonzero)
+    return result
+
+
 def enumerate_bases(plane: Plane) -> list[Basis]:
     """All 416 orthogonal bases, sorted by their nonisotropic index triple.
 
     Every orthogonal nonisotropic pair extends to exactly one basis: the
     perpendicular lines of the pair meet in a single point, which must turn
-    out nonisotropic and orthogonal to both.
+    out nonisotropic and orthogonal to both.  Orthogonality is read from
+    `orthogonal_masks`, one mask per point, so a pair's completions are the
+    bits of orth[i] & orth[j].
     """
     noniso = plane.nonisotropic
-    n = len(noniso)
-    # H(b, a) = conj(H(a, b)), so orthogonality is symmetric: test each
-    # unordered pair once.  Appending in (i, j) order keeps every list sorted.
-    orth: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if hermitian_form(noniso[i], noniso[j]) == 0:
-                orth[i].append(j)
-                orth[j].append(i)
-
+    # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
+    # is not orthogonal to itself: orth[i] & orth[j] holds neither i nor j.
+    orth = orthogonal_masks(noniso, noniso)
     triples: set[tuple[int, int, int]] = set()
-    for i in range(n):
-        orth_i = set(orth[i])
-        for j in orth[i]:
-            if j <= i:
-                continue
-            completions = [k for k in orth[j] if k in orth_i]
-            if len(completions) != 1:
+    for i, orth_i in enumerate(orth):
+        later = orth_i >> (i + 1) << (i + 1)
+        while later:
+            j = (later & -later).bit_length() - 1
+            later &= later - 1
+            completions = orth_i & orth[j]
+            if completions.bit_count() != 1:
                 raise ConstructionError(
-                    f"orthogonal pair ({i},{j}) has {len(completions)} completions"
+                    f"orthogonal pair ({i},{j}) has "
+                    f"{completions.bit_count()} completions"
                 )
-            k = completions[0]
+            k = completions.bit_length() - 1
             triples.add(tuple(sorted((i, j, k))))
 
     # The side bc of basis {a, b, c} is the polar line of a, so its isotropic
     # points are those orthogonal to a: one mask per point serves every side.
-    polar = []
-    for t in noniso:
-        mask = 0
-        for idx, p in enumerate(plane.isotropic, start=1):
-            if hermitian_form(p, t) == 0:
-                mask |= 1 << idx
+    # Isotropic point x has canonical index x + 1.
+    polar = [m << 1 for m in orthogonal_masks(plane.isotropic, noniso)]
+    for t, mask in zip(noniso, polar):
         if mask.bit_count() != 5:
             raise ConstructionError(
                 f"polar line of {t} carries {mask.bit_count()} isotropic points"
             )
-        polar.append(mask)
 
     bases: list[Basis] = []
     for tri in sorted(triples):

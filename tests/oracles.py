@@ -1,9 +1,12 @@
 """Reference implementations the tests compare the program against.
 
 They are the direct, exhaustive forms of checks the program settles by a
-shorter argument: the srg identity on all 86,320 pairs, the distance census
-by scanning every pair, the clique number by a search from every edge, and
-the geometry of lines spelled out point by point.
+shorter argument: the graph and its intersection census from all 86,320
+pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
+the srg identity on all 86,320 pairs, claim 1 split and counted at every
+anchor, the distance census by scanning every pair, the clique number by a
+search from every edge, and the geometry of lines spelled out point by
+point.
 """
 
 from __future__ import annotations
@@ -15,15 +18,109 @@ from g24verify import gf16
 from g24verify.cliques import _max_clique_in, verify_clique
 from g24verify.errors import ConstructionError, VerificationError
 from g24verify.euclid import ReprMatrix
-from g24verify.graph import Graph, SrgParams, bit_strings
+from g24verify.graph import (
+    Graph,
+    Partition,
+    SrgParams,
+    bit_strings,
+    split_B_C,
+    verify_claim1,
+)
 from g24verify.hermitian import (
+    BASIS_COUNT,
+    ISOSET_SIZE,
     ISOTROPIC_COUNT,
+    Basis,
     Plane,
     Point,
     hermitian_form,
     is_isotropic,
     normalize,
 )
+
+
+def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
+    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points, and
+    the census of the intersection sizes, from one popcount per pair."""
+    n = len(isosets)
+    rows = [0] * n
+    census = [0] * 16
+    for i in range(n):
+        si = isosets[i]
+        for j in range(i + 1, n):
+            c = (si & isosets[j]).bit_count()
+            census[c] += 1
+            if c == 3:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, rows), {c: m for c, m in enumerate(census) if m}
+
+
+def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
+    """For each t in `targets`, the mask of the indices x with
+    H(points[x], t) = 0, one form evaluation per (x, t)."""
+    return [
+        sum(1 << x for x, p in enumerate(points) if hermitian_form(p, t) == 0)
+        for t in targets
+    ]
+
+
+def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
+    """The orthogonal bases, sorted by nonisotropic index triple, and the
+    polar mask of each nonisotropic point (bit i for isotropic point i),
+    from a scan of the form on every pair of points."""
+    noniso = plane.nonisotropic
+    n = len(noniso)
+    orth: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if hermitian_form(noniso[i], noniso[j]) == 0:
+                orth[i].append(j)
+                orth[j].append(i)
+    triples: set[tuple[int, int, int]] = set()
+    for i in range(n):
+        orth_i = set(orth[i])
+        for j in orth[i]:
+            if j <= i:
+                continue
+            completions = [k for k in orth[j] if k in orth_i]
+            if len(completions) != 1:
+                raise ConstructionError(f"orthogonal pair ({i},{j}) has "
+                                        f"{len(completions)} completions")
+            triples.add(tuple(sorted((i, j, completions[0]))))
+    polar = []
+    for t in noniso:
+        mask = 0
+        for idx, p in enumerate(plane.isotropic, start=1):
+            if hermitian_form(p, t) == 0:
+                mask |= 1 << idx
+        if mask.bit_count() != 5:
+            raise ConstructionError(f"polar line of {t} carries "
+                                    f"{mask.bit_count()} isotropic points")
+        polar.append(mask)
+    bases = []
+    for tri in sorted(triples):
+        f_bc, f_ac, f_ab = (polar[t] for t in tri)
+        if f_ab & f_ac or f_ab & f_bc or f_ac & f_bc:
+            raise ConstructionError(f"triangle sides of {tri} share isotropic points")
+        isoset = f_ab | f_ac | f_bc
+        if isoset.bit_count() != ISOSET_SIZE:
+            raise ConstructionError(f"iso-set of {tri} has {isoset.bit_count()} members")
+        bases.append(Basis(tri, tuple(noniso[t] for t in tri), isoset))
+    if len(bases) != BASIS_COUNT or len({b.isoset for b in bases}) != BASIS_COUNT:
+        raise ConstructionError(f"{len(bases)} bases, not {BASIS_COUNT} distinct")
+    return bases, polar
+
+
+def claim1_at_every_anchor(g: Graph, isosets: list[int]) -> list[Partition]:
+    """The anchored split and its 20/0/8 counts, checked directly at each of
+    the 65 anchors."""
+    parts = []
+    for anchor in range(1, ISOTROPIC_COUNT + 1):
+        part = split_B_C(g, isosets, anchor=anchor)
+        verify_claim1(g, part)
+        parts.append(part)
+    return parts
 
 
 def verify_srg_all_pairs(g: Graph) -> SrgParams:
@@ -57,6 +154,11 @@ def verify_srg_all_pairs(g: Graph) -> SrgParams:
     if not params.feasible():
         raise VerificationError(f"infeasible srg parameters {params}")
     return params
+
+
+def entry(y: ReprMatrix, i: int, j: int) -> int:
+    """y[i, j], read from column j: 4 on the diagonal, else a bit."""
+    return 4 if i == j else y.columns[j] >> i & 1
 
 
 def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from g24verify import graph
+from g24verify import graph, hermitian
 from g24verify.errors import ConstructionError, VerificationError
 
 import oracles
@@ -75,6 +75,12 @@ def test_intersection_distribution(isosets):
     assert set(dist) == {2, 3, 5}
 
 
+def test_build_graph_matches_the_pairwise_oracle(g, isosets):
+    h, dist = oracles.build_graph(isosets)
+    assert h.rows == g.rows
+    assert dist == graph.build_graph(isosets)[1] == {2: 31200, 3: 20800, 5: 34320}
+
+
 def test_build_graph_validates_input(isosets):
     with pytest.raises(ConstructionError):
         graph.build_graph(isosets[:-1])
@@ -82,6 +88,50 @@ def test_build_graph_validates_input(isosets):
     broken[0] = 0b111
     with pytest.raises(ConstructionError):
         graph.build_graph(broken)
+    # Fifteen members, but one of them is not an isotropic point.
+    for outside in (0, 66):
+        broken[0] = isosets[0] ^ (isosets[0] & -isosets[0]) | 1 << outside
+        with pytest.raises(ConstructionError, match="outside 1..65"):
+            graph.build_graph(broken)
+
+
+def test_point_columns_transpose_the_isosets(isosets):
+    columns = graph.point_columns(isosets)
+    assert len(columns) == 66 and columns[0] == 0
+    for a in range(1, 66):
+        assert columns[a] == sum(1 << i for i, s in enumerate(isosets) if s >> a & 1)
+        assert columns[a].bit_count() == 96  # 416 * 15 / 65
+
+
+def test_point_maps_are_the_isometries_on_the_isotropic_points(
+    plane, g, isosets, automorphisms
+):
+    maps = graph.verify_point_action(g, graph.point_columns(isosets), automorphisms)
+    assert len(maps) == len(hermitian.ISOMETRIES)
+    for sigma, m in zip(maps, hermitian.ISOMETRIES):
+        image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane.isotropic]
+        assert sigma == [plane.iso_number[q] - 1 for q in image]
+
+
+def test_point_action_refuses_a_second_orbit_and_a_lost_column(
+    g, isosets, automorphisms
+):
+    columns = graph.point_columns(isosets)
+    with pytest.raises(VerificationError, match="orbits on the points") as err:
+        graph.verify_point_action(g, columns, automorphisms[:1])  # the swap alone
+    assert 1 < err.value.witness <= 65
+    # Moving vertex 7 from the column of its first member to a non-member's
+    # leaves columns of 95 and 97 vertices; a map that moves either sends it
+    # to no column, and here the first map already does.
+    a = (isosets[7] & -isosets[7]).bit_length() - 1
+    b = next(b for b in range(2, 66) if not isosets[7] >> b & 1)
+    broken = list(columns)
+    broken[a] ^= 1 << 7
+    broken[b] ^= 1 << 7
+    with pytest.raises(VerificationError, match="to no column") as err:
+        graph.verify_point_action(g, broken, automorphisms)
+    m, point = err.value.witness
+    assert 0 <= m < 3 and point in (a, b)
 
 
 def test_srg_parameters(srg_params):

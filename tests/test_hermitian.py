@@ -133,6 +133,40 @@ def test_triangle_fragments_are_disjoint(plane, bases):
         assert (f1 | f2 | f3) == bs.isoset
 
 
+def test_orthogonal_masks_match_the_form_scan(plane):
+    # Every target, isotropic or not, against every point.
+    pts = plane.points
+    assert hermitian.orthogonal_masks(pts, pts) == oracles.orthogonal_masks(pts, pts)
+
+
+def test_bases_and_polar_masks_match_the_pairwise_oracle(plane, bases):
+    want, polar = oracles.enumerate_bases(plane)
+    assert bases == want
+    got = hermitian.orthogonal_masks(plane.isotropic, plane.nonisotropic)
+    assert [m << 1 for m in got] == polar
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("a nonisotropic point twice", "has 2 completions"),
+        ("a nonisotropic point missing", "has 0 completions"),
+        ("an isotropic point missing", "carries 4 isotropic points"),
+    ],
+)
+def test_enumerate_bases_refuses_a_corrupted_plane(plane, corruption, message):
+    iso, noniso = plane.isotropic, plane.nonisotropic
+    if corruption == "a nonisotropic point twice":
+        noniso = noniso + [noniso[5]]
+    elif corruption == "a nonisotropic point missing":
+        noniso = noniso[:-1]
+    else:
+        iso = iso[:-1]
+    bad = hermitian.Plane(plane.points, iso, noniso, plane.iso_number)
+    with pytest.raises(ConstructionError, match=message):
+        hermitian.enumerate_bases(bad)
+
+
 def test_basis_census(bases):
     assert len(bases) == 416
     assert all(b.isoset.bit_count() == 15 for b in bases)

@@ -13,6 +13,8 @@ from g24verify import cli, euclid, graph, hermitian, pipeline
 from g24verify.errors import InconclusiveError, VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
+import oracles
+
 try:
     from importlib.resources import files as _files
 
@@ -43,7 +45,11 @@ def test_stage_details(full_report):
     assert full_report.stage("srg").detail["automorphisms_verified"] == 3
     assert "cross_instance" not in full_report.stage("srg").detail
     assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
-    assert full_report.stage("anchor-invariance").detail["anchors_checked"] == 64
+    assert full_report.stage("anchor-invariance").detail == {
+        "anchors_covered": 64,
+        "point_maps_verified": 3,
+        "point_orbits": 1,
+    }
     assert full_report.stage("representation").detail["distance_census"] == {
         "144": 20800,
         "192": 65520,
@@ -188,16 +194,87 @@ def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides):
     assert failed.detail["witness"] == (i, j)
 
 
-def test_anchor_invariance_catches_a_break_anchor_1_misses(g, isosets, part):
+def test_anchor_invariance_catches_a_break_anchor_1_misses(
+    monkeypatch, g, isosets, part
+):
     # Toggling a pair inside C leaves every count of the anchor-1 split
     # intact, but some other anchor holds one end of the pair in B.
+    u, v = part.c[0], part.c[1]
     h = graph.Graph(g.n, list(g.rows))
-    h.flip_edge(part.c[0], part.c[1])
+    h.flip_edge(u, v)
     graph.verify_claim1(h, graph.split_B_C(h, isosets, anchor=1))
-    art = pipeline.Artifacts(g=h, isosets=isosets)
     with pytest.raises(VerificationError) as exc:
-        pipeline._stage_anchor_invariance(art, RunConfig())
+        oracles.claim1_at_every_anchor(h, isosets)
     assert exc.value.witness is not None
+    # The toggle moves two degrees, so the srg stage refuses the graph before
+    # any symmetry is used to cover the other anchors.
+    build = graph.build_graph
+
+    def toggled(isosets):
+        g, dist = build(isosets)
+        g.flip_edge(u, v)
+        return g, dist
+
+    monkeypatch.setattr(graph, "build_graph", toggled)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("srg", "fail")
+    assert failed.detail["witness"][0] in (u, v)
+
+
+def _swap_one_member(isosets: list[int], v: int) -> None:
+    """Replace the first member of iso-set v above point 1 by the first
+    non-member above 1, in place: the size stays 15, and the split at
+    anchor 1 does not move."""
+    s = isosets[v]
+    a = next(a for a in range(2, 66) if s >> a & 1)
+    b = next(b for b in range(2, 66) if not s >> b & 1)
+    isosets[v] = s ^ (1 << a | 1 << b)
+
+
+@pytest.mark.parametrize(
+    "corruption, stage, message",
+    [
+        ("iso-set bit before the graph", "srg", "degree"),
+        ("iso-set bit after the graph", "anchor-invariance", "to no column"),
+        ("swap alone as point maps", "anchor-invariance", "orbits on the points"),
+    ],
+    ids=["isoset-before-graph", "isoset-after-graph", "two-point-orbits"],
+)
+def test_point_column_corruptions_fail_with_a_witness(
+    monkeypatch, corruption, stage, message
+):
+    build = graph.build_graph
+    verify_point_action = graph.verify_point_action
+    if corruption.startswith("iso-set"):
+        def corrupted(isosets):
+            if corruption.endswith("before the graph"):
+                _swap_one_member(isosets, 5)
+                return build(isosets)
+            out = build(isosets)
+            _swap_one_member(isosets, 5)  # the point columns see it
+            return out
+
+        monkeypatch.setattr(graph, "build_graph", corrupted)
+    else:
+        monkeypatch.setattr(
+            graph,
+            "verify_point_action",
+            lambda g, columns, maps: verify_point_action(g, columns, maps[:1]),
+        )
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == (stage, "fail")
+    assert message in failed.detail["error"]
+    witness = failed.detail["witness"]
+    if corruption.endswith("before the graph"):
+        assert witness[0] == 5  # (vertex, degree)
+    elif corruption.endswith("after the graph"):
+        assert len(witness) == 2 and 1 <= witness[1] <= 65  # (map, point)
+    else:
+        assert 1 < witness <= 65  # the second orbit's smallest point
 
 
 def test_report_json_schema(full_report):
