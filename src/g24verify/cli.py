@@ -40,8 +40,8 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         primes = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
-    if len(primes) < 2:
-        raise argparse.ArgumentTypeError("at least two primes are required")
+    if not primes:
+        raise argparse.ArgumentTypeError("at least one prime is required")
     for p in primes:
         try:
             euclid._check_prime(p)
@@ -89,14 +89,9 @@ def build_parser() -> _Parser:
         "--primes",
         type=_parse_primes,
         default=euclid.DEFAULT_PRIMES,
-        metavar="P1,P2",
-        help="primes for the modular rank lower bounds",
-    )
-    parser.add_argument(
-        "--with-clebsch-check",
-        action="store_true",
-        help="also verify each B component against the 2-coclique extension "
-        "of the halved 5-cube by explicit isomorphism",
+        metavar="P1[,P2...]",
+        help="primes for the modular rank lower bounds, tried in order; the "
+        "first that settles the chain is used",
     )
     parser.add_argument(
         "--timings",
@@ -124,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         fmt=args.fmt,
         primes=args.primes,
-        with_clebsch=args.with_clebsch_check,
         include_timings=args.timings,
         inject_flip_edge=args.inject_flip_edge,
     )

@@ -23,7 +23,10 @@ independent over Q: |P_k| is a lower bound on the rank of the first k
 columns for any prime.  The bound is tight over Q because y is positive
 semidefinite (eigenvalues 104, 24 and 0 from the verified spectrum): an
 index whose rational Schur diagonal vanishes has a vanishing Schur column,
-so the greedy pivots reach rank y[S, S] = rank y[:, S] on every prefix S.
+so the greedy pivots reach rank y[S, S] = rank y[:, S] on every prefix S,
+unless p divides a pivot.  One prime whose pivots reach the upper bounds
+therefore settles the chain; another prime is tried only when one falls
+short.
 
 Two choices make the search short without touching that argument, which
 holds for any set of pivots found:
@@ -82,17 +85,14 @@ class ReprMatrix:
 
 @dataclass
 class DimensionCertificate:
+    """A settled affine dimension: the upper bound `affine_dim`, met by
+    `linear_rank` - 1, the pivot count of the prime that settled the chain."""
+
     label: str
     size: int
     affine_dim: int
-    upper_bound: int
-    lower_bounds: dict[int, int]
-    linear_ranks: dict[int, int]
+    linear_rank: int
     upper_argument: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return max(self.lower_bounds.values()) == self.upper_bound == self.affine_dim
 
 
 def is_prime(n: int) -> bool:
@@ -301,19 +301,26 @@ def certified_dimension_chain(
     part: Partition,
     spectrum: Spectrum,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
-) -> list[DimensionCertificate]:
-    """Certificates for the affine dimensions of V, C+B1, and C.
+) -> tuple[int, list[DimensionCertificate]]:
+    """Certificates for the affine dimensions of V, C+B1, and C, and the
+    prime that settled them.
 
     Upper bounds: rank(y) = 1 + f from the verified srg identity, minus one
     hyperplane cut per orthogonal vector (the all-ones direction, then p,
     then q), each cut shown proper by an explicit nonzero inner product.
     Lower bounds: every column lies on the hyperplane <1, y_i> = 104 off the
-    origin, so affine dimension = linear rank - 1, and the linear rank over
-    any prime never exceeds the rational rank; lower = upper pins the
-    dimension.  The linear ranks of the three nested sets are read at the
-    prefixes 320, 352 and 416 of one principal-pivot LDL^T per prime over
-    y[order, order], order = C, B1, B2, B3, each prefix stopped once it
-    reaches its upper bound + 1 (see the module docstring).
+    origin, so affine dimension = linear rank - 1.  The linear ranks of the
+    three nested sets are read at the prefixes 320, 352 and 416 of one
+    principal-pivot LDL^T over y[order, order], order = C, B1, B2, B3, each
+    prefix stopped once it reaches its upper bound + 1 (see the module
+    docstring).
+
+    One prime settles the chain: a principal minor that is nonzero mod p is
+    nonzero over Z, so the pivots found for any single prime are columns
+    independent over Q.  The primes are tried in the order given, and the
+    first whose pivots reach every upper bound + 1 is returned with the
+    certificates.  InconclusiveError, naming each prime and its pivot
+    counts, when every prime falls short.
 
     It relies on what earlier stages of the same run proved and does not
     check it again: the srg stage (A is an srg, which gives the spectrum and
@@ -321,8 +328,8 @@ def certified_dimension_chain(
     sums to k + 4 = 104) and the inner-products stage (<p, y_i> and
     <q, y_i> follow their block patterns, and <p, q> = 0).
     """
-    if len(primes) < 2:
-        raise ValueError("at least two primes are required")
+    if not primes:
+        raise ValueError("at least one prime is required")
     if spectrum.f != 65 or spectrum.s != -4:
         raise VerificationError(f"unexpected spectrum {spectrum}")
 
@@ -360,30 +367,17 @@ def certified_dimension_chain(
     order = _nested_order(part)
     prefixes = tuple(size for _, size, _, _ in sets)
     caps = tuple(upper + 1 for _, _, upper, _ in sets)
-    ranks = {
-        prime: principal_prefix_ranks(columns, prime, prefixes, order, caps)
-        for prime in primes
-    }
-
-    certificates = []
-    for t, (label, size, upper, argument) in enumerate(sets):
-        linear_ranks = {prime: ranks[prime][t] for prime in primes}
-        lower_bounds = {prime: lr - 1 for prime, lr in linear_ranks.items()}
-        lower = max(lower_bounds.values())
-        if lower < upper:
-            raise InconclusiveError(
-                f"{label}: modular lower bound {lower} < upper bound {upper} "
-                f"for primes {list(primes)}; try other primes"
-            )
-        certificates.append(
-            DimensionCertificate(
-                label=label,
-                size=size,
-                affine_dim=upper,
-                upper_bound=upper,
-                lower_bounds=lower_bounds,
-                linear_ranks=linear_ranks,
-                upper_argument=list(argument),
-            )
-        )
-    return certificates
+    shortfalls = []
+    for prime in primes:
+        ranks = principal_prefix_ranks(columns, prime, prefixes, order, caps)
+        if ranks == caps:
+            return prime, [
+                DimensionCertificate(label, size, upper, rank, list(argument))
+                for (label, size, upper, argument), rank in zip(sets, ranks)
+            ]
+        shortfalls.append(f"{prime} gives {list(ranks)}")
+    raise InconclusiveError(
+        f"modular pivots on {', '.join(label for label, *_ in sets)} fall short "
+        f"of the upper bounds + 1 {list(caps)} for every prime: "
+        f"{'; '.join(shortfalls)}; try other primes"
+    )

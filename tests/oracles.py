@@ -5,8 +5,8 @@ shorter argument: the graph and its intersection census from all 86,320
 pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
 the srg identity on all 86,320 pairs, claim 1 split and counted at every
 anchor, the distance census by scanning every pair, the clique number by a
-search from every edge, and the geometry of lines spelled out point by
-point.
+search from every edge, the special cliques by a search inside each core's
+group of edges, and the geometry of lines spelled out point by point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from g24verify import gf16
-from g24verify.cliques import _max_clique_in, verify_clique
+from g24verify.cliques import SpecialClique, _max_clique_in, verify_clique
 from g24verify.errors import ConstructionError, VerificationError
 from g24verify.euclid import ReprMatrix
 from g24verify.graph import (
@@ -35,6 +35,7 @@ from g24verify.hermitian import (
     Point,
     hermitian_form,
     is_isotropic,
+    isoset_members,
     normalize,
 )
 
@@ -266,6 +267,48 @@ def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
             break
         best = 2 + size
     return best
+
+
+def enumerate_special_cliques(
+    g: Graph, part: Partition, isosets: list[int]
+) -> list[SpecialClique]:
+    """All 5-cliques inside C whose five iso-sets share a 3-point core, by a
+    backtracking search inside each group of C-internal edges that share
+    the same 3-point intersection, ordered by core and vertices."""
+    groups: dict[int, set[int]] = {}
+    for i in part.c:
+        row = g.rows[i] & part.c_mask
+        row = row >> (i + 1) << (i + 1)
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            groups.setdefault(isosets[i] & isosets[j], set()).update((i, j))
+
+    found: list[SpecialClique] = []
+    for core, members in sorted(groups.items()):
+        if len(members) < 5:
+            continue
+        verts = sorted(members)
+        linked = {
+            v: {
+                u
+                for u in verts
+                if u != v and g.adjacent(u, v) and isosets[u] & isosets[v] == core
+            }
+            for v in verts
+        }
+
+        def extend(chosen: list[int], candidates: list[int]) -> None:
+            if len(chosen) == 5:
+                found.append(SpecialClique(tuple(chosen), tuple(isoset_members(core))))
+                return
+            for t, v in enumerate(candidates):
+                extend(chosen + [v], [u for u in candidates[t + 1 :] if u in linked[v]])
+
+        extend([], verts)
+
+    found.sort(key=lambda c: (c.core, c.vertices))
+    return found
 
 
 def line_points(a: Point, b: Point) -> list[Point]:

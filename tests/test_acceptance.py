@@ -74,16 +74,14 @@ def test_c07_contrast_products(y, part, contrasts):
     _ok("07 contrast patterns (0,24,-24,0) and (48,-24,-24,0), <p,q>=0")
 
 
-def test_c08_dimension_chain(certificates):
+def test_c08_dimension_chain(certificates, full_report):
     by_label = {c.label: c for c in certificates}
     assert [by_label[k].affine_dim for k in ("V", "C+B1", "C")] == [65, 64, 63]
-    for cert in certificates:
-        assert cert.passed
-        assert len(cert.lower_bounds) >= 2
-        for prime in cert.lower_bounds:
-            assert cert.lower_bounds[prime] == cert.affine_dim
-            assert cert.linear_ranks[prime] == cert.affine_dim + 1
-    _ok("08 affine dimensions 65/64/63 certified; linear ranks 66/65/64")
+    assert [by_label[k].linear_rank for k in ("V", "C+B1", "C")] == [66, 65, 64]
+    chain = full_report.stage("dimension-chain").detail
+    assert chain["settled_by"] == euclid.DEFAULT_PRIMES[0]
+    _ok("08 affine dimensions 65/64/63 certified by the first prime; "
+        "linear ranks 66/65/64")
 
 
 def test_c09_clique_number(g):

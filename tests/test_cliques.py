@@ -159,6 +159,39 @@ def test_exact_cover_deterministic(g, part, isosets, special_cliques):
     assert again == special_cliques
 
 
+def test_special_cliques_by_counting_match_the_search_oracle(
+    g, part, isosets, special_cliques
+):
+    assert len(special_cliques) == 64
+    assert oracles.enumerate_special_cliques(g, part, isosets) == special_cliques
+
+
+def test_core_groups_are_4_cliques_or_special_cliques(g, part, isosets):
+    # The groups of 4 members are 4-cliques that extend to no special
+    # clique; counting must pass them over.
+    members: dict[int, set[int]] = {}
+    edges: Counter = Counter()
+    for i, j in g.edges():
+        if part.c_mask >> i & 1 and part.c_mask >> j & 1:
+            core = isosets[i] & isosets[j]
+            members.setdefault(core, set()).update((i, j))
+            edges[core] += 1
+    shapes = Counter((len(m), edges[core]) for core, m in members.items())
+    assert shapes == {(4, 6): 1920, (5, 10): 64}
+
+
+def test_a_core_shared_by_six_vertices_is_refused():
+    # Six pairwise adjacent vertices of C whose iso-sets share the core
+    # {2, 3, 4}: one group of 15 edges, more than a special clique holds.
+    core = 0b11100
+    isosets = [core | 1 << (5 + v) for v in range(6)]
+    part = graph.Partition(1, (), (), (), tuple(range(6)), 0, 0, 0, 0b111111)
+    message = r"6 vertices of C share the core \[2, 3, 4\]"
+    with pytest.raises(VerificationError, match=message) as exc:
+        cliques.enumerate_special_cliques(complete_graph(6), part, isosets)
+    assert exc.value.witness == (0, 1, 2, 3, 4, 5)
+
+
 def test_cover_count_is_one(special_cliques, part, cover):
     # Each vertex of C lies in exactly one special clique, so every exact
     # cover must take that clique for it: the cover is forced.

@@ -6,13 +6,14 @@ in turn checks the scanned census in `oracles` that the derived one is
 compared with."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from g24verify import euclid
-from g24verify.errors import VerificationError
+from g24verify.errors import InconclusiveError, VerificationError
 
 import oracles
 
@@ -366,18 +367,31 @@ def test_dimension_chain_certificates(certificates):
     assert by_label["C+B1"].size == 352
     assert by_label["C"].size == 320
     for cert in certificates:
-        assert cert.passed
-        assert len(cert.lower_bounds) >= 2
-        for prime, rank in cert.lower_bounds.items():
-            assert rank == cert.affine_dim
-            assert cert.linear_ranks[prime] == cert.affine_dim + 1
+        assert cert.linear_rank == cert.affine_dim + 1
         assert cert.upper_argument
+    # One prime's pivot counts; no per-prime bounds.
+    assert [f.name for f in fields(euclid.DimensionCertificate)] == [
+        "label", "size", "affine_dim", "linear_rank", "upper_argument"
+    ]
 
 
-def test_dimension_chain_respects_prime_override(y, part, spectrum):
-    certs = euclid.certified_dimension_chain(
-        y, part, spectrum, primes=(1_000_003, 999_983)
-    )
-    assert [c.affine_dim for c in certs] == [65, 64, 63]
+def test_dimension_chain_respects_prime_override(y, part, spectrum, certificates):
+    # One prime is enough, and the first listed that settles the chain is
+    # the one used.
+    for primes in ((1_000_003,), (1_000_003, 999_983), (999_983, 1_000_003)):
+        prime, certs = euclid.certified_dimension_chain(y, part, spectrum, primes)
+        assert prime == primes[0]
+        assert certs == certificates
     with pytest.raises(ValueError):
-        euclid.certified_dimension_chain(y, part, spectrum, primes=(1_000_003,))
+        euclid.certified_dimension_chain(y, part, spectrum, primes=())
+
+
+def test_dimension_chain_falls_back_past_a_prime_that_falls_short(y, part, spectrum):
+    # Mod 3 the pivots on V stop at 65, one short of the upper bound + 1;
+    # 3 is the only prime below 400 that falls short on y.
+    with pytest.raises(InconclusiveError) as exc:
+        euclid.certified_dimension_chain(y, part, spectrum, primes=(3,))
+    assert "3 gives [65, 65, 64]" in str(exc.value)
+    prime, certs = euclid.certified_dimension_chain(y, part, spectrum, primes=(3, 5))
+    assert prime == 5
+    assert [c.linear_rank for c in certs] == [66, 65, 64]

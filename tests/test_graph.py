@@ -68,7 +68,7 @@ def test_adjacency_is_intersection_3(g, isosets):
 
 
 def test_intersection_distribution(isosets):
-    _, dist = graph.build_graph(isosets)
+    _, dist, _ = graph.build_graph(isosets)
     assert 3 in dist
     assert dist[3] == 20800
     assert sum(dist.values()) == 416 * 415 // 2
@@ -97,6 +97,7 @@ def test_build_graph_validates_input(isosets):
 
 def test_point_columns_transpose_the_isosets(isosets):
     columns = graph.point_columns(isosets)
+    assert graph.build_graph(isosets)[2] == columns  # the columns it built from
     assert len(columns) == 66 and columns[0] == 0
     for a in range(1, 66):
         assert columns[a] == sum(1 << i for i, s in enumerate(isosets) if s >> a & 1)
@@ -158,7 +159,7 @@ def test_pair_scan_oracle_agrees_with_verify_srg(g, srg_params):
 
 
 def test_flipped_edge_breaks_verification(isosets, automorphisms):
-    h, _ = graph.build_graph(isosets)
+    h = graph.build_graph(isosets)[0]
     h.flip_edge(0, 1)
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(h, automorphisms)
@@ -291,14 +292,27 @@ def test_split_invariant_under_anchor_relabelling(g, isosets):
         graph.split_B_C(g, isosets, anchor=66)
 
 
-def test_component_structure_regularity(g, part):
-    res = graph.check_component_structure(g, part, with_isomorphism=False)
-    assert res["regular_20"] is True
-
-
 def test_components_isomorphic_to_coclique_extension(g, part):
-    res = graph.check_component_structure(g, part, with_isomorphism=True)
-    assert res["isomorphisms_found"] == 3
+    model = graph.coclique_extension(graph.halved_5cube(), 2)
+    isos = graph.check_component_structure(g, part)
+    assert len(isos) == 3
+    for block, image in zip((part.b1, part.b2, part.b3), isos):
+        # image[u] is the position in the block of model vertex u's image.
+        assert sorted(image) == list(range(32))
+        mapped = [block[image[u]] for u in range(32)]
+        for u in range(32):
+            for w in range(32):
+                assert model.adjacent(u, w) == g.adjacent(mapped[u], mapped[w])
+
+
+def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(g, part):
+    # 32 vertices of C in place of B2: no isomorphism exists, and B2 is named.
+    fake = graph.Partition(
+        part.anchor, part.b1, part.c[:32], part.b3, part.c[32:],
+        part.b1_mask, 0, part.b3_mask, 0,
+    )
+    with pytest.raises(VerificationError, match="B2 is not isomorphic"):
+        graph.check_component_structure(g, fake)
 
 
 def test_halved_5cube_model():

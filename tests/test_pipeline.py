@@ -10,7 +10,7 @@ import pytest
 
 import g24verify
 from g24verify import cli, euclid, graph, hermitian, pipeline
-from g24verify.errors import InconclusiveError, VerificationError
+from g24verify.errors import VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
 import oracles
@@ -54,9 +54,13 @@ def test_stage_details(full_report):
         "144": 20800,
         "192": 65520,
     }
-    certs = full_report.stage("dimension-chain").detail["certificates"]
+    chain = full_report.stage("dimension-chain").detail
+    assert chain["primes"] == list(euclid.DEFAULT_PRIMES)
+    assert chain["settled_by"] == 2147483647
+    certs = chain["certificates"]
     assert [c["affine_dim"] for c in certs] == [65, 64, 63]
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
+    assert all("lower_bounds" not in c for c in certs)
     clique = full_report.stage("max-clique").detail
     assert clique["clique_number"] == 5
     assert "automorphisms_verified" not in clique
@@ -65,16 +69,35 @@ def test_stage_details(full_report):
     assert cover["cover_cliques"] == 64
     assert cover["cover_count"] == 1
     assert "search_nodes" not in cover
-    assert full_report.stage("clebsch").detail["isomorphic_to_model"] is True
+    assert full_report.stage("clebsch").detail == {"isomorphic_to_model": True}
     assert full_report.stage("verdict").detail["min_parts"] == 71
 
 
-def test_optional_stages_skipped_by_default():
+def test_default_run_checks_clebsch(full_report):
+    # No stage is optional: the default run proves the isomorphism too.
+    assert full_report.config == {"primes": list(euclid.DEFAULT_PRIMES)}
+    assert full_report.stage("clebsch").status == "ok"
+    assert "uniqueness" not in STAGE_NAMES
+    status = SCHEMA["properties"]["stages"]["items"]["properties"]["status"]
+    assert status["enum"] == ["ok", "fail", "inconclusive"]
+
+
+def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
+    # With one pair of the halved 5-cube toggled, the model's degrees no
+    # longer match B1's, so the default run stops at the clebsch stage.
+    halved_5cube = graph.halved_5cube
+
+    def toggled():
+        h = halved_5cube()
+        h.flip_edge(0, 1)
+        return h
+
+    monkeypatch.setattr(graph, "halved_5cube", toggled)
     report = run_check(RunConfig())
-    assert report.exit_code == 0
-    assert report.stage("clebsch").status == "skipped"
-    assert "uniqueness" not in [s.name for s in report.stages]
-    assert report.overall_status == "pass"
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("clebsch", "fail")
+    assert "B1 is not isomorphic" in failed.detail["error"]
 
 
 def test_fault_injection_fails_srg_stage():
@@ -129,8 +152,8 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
     permutations = hermitian.basis_permutations
     if corruption.startswith("2-switch"):
         def switched(isosets):
-            g, dist = build(isosets)
-            return _two_switch(g, corruption.endswith("through 0")), dist
+            g, dist, columns = build(isosets)
+            return _two_switch(g, corruption.endswith("through 0")), dist, columns
 
         monkeypatch.setattr(graph, "build_graph", switched)
     else:
@@ -151,16 +174,29 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
         assert len(witness) == 2 and 0 not in witness
 
 
-def test_rank_inconclusive_stops_with_exit_2(monkeypatch):
-    def undershoot(*args, **kwargs):
-        raise InconclusiveError("modular lower bound 64 < upper bound 65")
-
-    monkeypatch.setattr(euclid, "certified_dimension_chain", undershoot)
-    report = run_check(RunConfig())
+def test_rank_inconclusive_stops_with_exit_2(capsys):
+    # Mod 3 a pivot of y vanishes, so the pivots on V stop one short of the
+    # upper bound + 1: the only listed prime falls short.
+    report = run_check(RunConfig(primes=(3,)))
     assert report.exit_code == 2
     assert report.overall_status == "inconclusive"
     assert report.stages[-1].name == "dimension-chain"
     assert report.stages[-1].status == "inconclusive"
+    assert "3 gives [65, 65, 64]" in report.stages[-1].detail["error"]
+    assert cli.main(["check", "--primes", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "dimension-chain      ... INCONCLUSIVE" in out
+    assert "for every prime: 3 gives" in out
+
+
+def test_next_prime_settles_the_chain_when_one_falls_short(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--primes", "3,5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["config"]["primes"] == [3, 5]
+    chain = next(s for s in doc["stages"] if s["name"] == "dimension-chain")
+    assert chain["detail"]["settled_by"] == 5
 
 
 @pytest.mark.parametrize(
@@ -211,9 +247,9 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
     build = graph.build_graph
 
     def toggled(isosets):
-        g, dist = build(isosets)
+        g, dist, columns = build(isosets)
         g.flip_edge(u, v)
-        return g, dist
+        return g, dist, columns
 
     monkeypatch.setattr(graph, "build_graph", toggled)
     report = run_check(RunConfig())
@@ -252,9 +288,10 @@ def test_point_column_corruptions_fail_with_a_witness(
             if corruption.endswith("before the graph"):
                 _swap_one_member(isosets, 5)
                 return build(isosets)
-            out = build(isosets)
-            _swap_one_member(isosets, 5)  # the point columns see it
-            return out
+            g, dist, _ = build(isosets)
+            swapped = list(isosets)
+            _swap_one_member(swapped, 5)  # only the point columns see it
+            return g, dist, graph.point_columns(swapped)
 
         monkeypatch.setattr(graph, "build_graph", corrupted)
     else:
@@ -390,9 +427,10 @@ def test_cli_usage_errors_exit_3(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--primes", "4,6"])
-    assert exc.value.code == 3
+    for primes in ("4,6", ",", "", "1000003,4", "2", "2147483659"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--primes", primes])
+        assert exc.value.code == 3
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "--inject-flip-edge", "1"])
     assert exc.value.code == 3
@@ -407,6 +445,7 @@ def test_removed_flags_exit_3():
         ["--seed", "1"],
         ["--with-uniqueness"],
         ["--uniqueness-budget", "5"],
+        ["--with-clebsch-check"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", *flag])
@@ -414,8 +453,8 @@ def test_removed_flags_exit_3():
 
 
 def test_cli_prime_override(capsys):
-    rc = cli.main(["check", "--primes", "1000003,999983"])
-    assert rc == 0
+    assert cli.main(["check", "--primes", "1000003,999983"]) == 0
+    assert cli.main(["check", "--primes", "1000003"]) == 0
 
 
 def test_cli_fault_injection_exit_code(capsys):
