@@ -198,29 +198,21 @@ def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:
     return -(-n_points // max_part_size)
 
 
-def final_verdict(
-    certificates,
-    clique_number: int,
-    cover: list[SpecialClique] | None,
-    c_size: int,
-    b1_size: int,
-) -> dict:
-    """Assemble the counterexample verdict once every dependency holds."""
+def final_verdict(certificates, clique_number: int, c_size: int, b1_size: int) -> dict:
+    """Assemble the counterexample verdict from what earlier stages proved.
+
+    Nothing is re-checked here: the dimension chain returns certificates
+    only when f = 65, which makes the dimensions 65, 64 and 63; the
+    max-clique stage refuses any clique number but 5; and the partition
+    stage refuses any split of the 416 vertices but 32/32/32 and 320.
+    """
     dims = {c.label: c.affine_dim for c in certificates}
-    if dims != {"V": 65, "C+B1": 64, "C": 63}:
-        raise VerificationError(f"verdict withheld: unexpected dimensions {dims}")
-    if clique_number != 5:
-        raise VerificationError(
-            f"verdict withheld: clique number {clique_number}, expected 5"
-        )
-    if c_size + b1_size != 352:
-        raise VerificationError("verdict withheld: |C| + |B1| != 352")
     points = c_size + b1_size
     parts = borsuk_lower_bound(points, clique_number)
     full_parts = borsuk_lower_bound(416, clique_number)
     near_parts = borsuk_lower_bound(c_size, clique_number)
     verdict = {
-        "counterexample_dimension": 64,
+        "counterexample_dimension": dims["C+B1"],
         "point_count": points,
         "max_clique": clique_number,
         "min_parts": parts,
@@ -234,7 +226,6 @@ def final_verdict(
             "dimension": dims["C"],
             "point_count": c_size,
             "min_parts": near_parts,
-            "cover_found": cover is not None and len(cover) == near_parts,
             "is_counterexample": False,
         },
         "note": "a stronger lower bound of 72 parts has been reported; not verified here",

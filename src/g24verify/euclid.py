@@ -1,18 +1,18 @@
 """Euclidean representation y = A + 4I and the certified dimension chain.
 
-Columns of y realise the graph as a two-distance point set (squared
-distances 144 on edges, 192 on non-edges).  Once y's columns are checked to
-be the graph's rows, those distances and their counts follow from the
-verified srg parameters, so no pair is scanned.  The contrast vectors p and q
-cut the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
+y is never stored apart from the graph: its column i is row i of A (A is
+symmetric, as the srg stage verified) with 4 at coordinate i, read through
+`column_digits`.  Its columns realise the graph as a two-distance point set
+(squared distances 144 on edges, 192 on non-edges); those distances and
+their counts follow from the verified srg parameters, so no pair is
+scanned.  The contrast vectors p and q are constant on the blocks of the
+anchored split, so their inner products with the columns of y follow from
+the claim-1 counts and the block sizes, and none is counted.  p and q cut
+the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
 certified two-sided: a modular-rank lower bound meets an upper bound derived
 from the exactly verified srg identity plus explicit orthogonal vectors.
-
-y is kept as the graph's bits: one Python int per column holds the entries
-off the diagonal, which are therefore 0 or 1, and the diagonal is the
-constant 4.  Every check below is exact integer arithmetic on those ints
-(AND, popcount, comparison of the ints); there is no floating point and no
-array library.
+Every check below is exact integer arithmetic; there is no floating point
+and no array library.
 
 The lower bounds come from nested principal minors.  With the indices
 ordered C, B1, B2, B3, one greedy symmetric-pivoting LDL^T of y[order, order]
@@ -44,13 +44,14 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import InconclusiveError, VerificationError
-from .graph import Graph, Partition, Spectrum, SrgParams
+from .graph import CLAIM1, Graph, Partition, Spectrum, SrgParams
 
 DEFAULT_PRIMES = (2**31 - 1, 2**31 - 19)
 
-# Inner products <p, y_i> and <q, y_i> by block B1/B2/B3/C.
-P_PATTERN = {"B1": 0, "B2": 24, "B3": -24, "C": 0}
-Q_PATTERN = {"B1": 48, "B2": -24, "B3": -24, "C": 0}
+# The contrast vectors' values on B1, B2, B3 and C: p is +1 on B2 and -1 on
+# B3, q is +2 on B1 and -1 on B2 and B3.
+P_WEIGHTS = (0, 1, -1, 0)
+Q_WEIGHTS = (2, -1, -1, 0)
 
 # C is visited by _C_STRIDE * v mod _STRIDE_MODULUS; the modulus is a prime
 # above the 416 labels, so no two labels share a key.
@@ -60,27 +61,11 @@ _STRIDE_MODULUS = 419
 _DIGIT_VALUES = bytes.maketrans(b"014", b"\x00\x01\x04")
 
 
-@dataclass
-class ReprMatrix:
-    """y = A + 4I, one bit-packed int per column.
-
-    y[i, i] = 4, and off the diagonal y[t, i] is bit t of columns[i].  The
-    kernels below count bits, so bit i of columns[i] must be clear;
-    `verify_representation` refuses y unless its columns are the rows of a
-    graph verified loop-free.
-    """
-
-    n: int
-    columns: list[int]
-
-    def column_digits(self, i: int) -> str:
-        """Column i as one character per coordinate: '4' at i, else the bit."""
-        bits = format(self.columns[i], f"0{self.n}b")[::-1]
-        return f"{bits[:i]}4{bits[i + 1:]}"
-
-    def column(self, i: int) -> bytes:
-        """Column i, one byte per coordinate."""
-        return self.column_digits(i).encode().translate(_DIGIT_VALUES)
+def column_digits(g: Graph, i: int) -> str:
+    """Column i of y = A + 4I, one character per coordinate: '4' at i, else
+    bit t of row i of A, which is A[t, i] since A is symmetric."""
+    bits = format(g.rows[i], f"0{g.n}b")[::-1]
+    return f"{bits[:i]}4{bits[i + 1:]}"
 
 
 @dataclass
@@ -119,34 +104,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def build_representation(g: Graph) -> ReprMatrix:
-    """y = A + 4I.  A is symmetric, so the graph's rows are y's columns off
-    the diagonal; they are copied, so y can change apart from g."""
-    return ReprMatrix(g.n, list(g.rows))
-
-
-def verify_representation(y: ReprMatrix, g: Graph, params: SrgParams) -> dict[int, int]:
+def distance_census(params: SrgParams) -> dict[int, int]:
     """The census of squared distances between the columns of y, derived
-    from the verified srg parameters of g instead of scanned.
+    from the verified srg parameters instead of scanned.
 
-    y must be A + 4I: its columns must be the rows of A, compared once; a
-    failure names the first column that differs and its lowest differing
-    entry.  `graph.verify_srg` proved A symmetric and loop-free with degree
-    k, and |N(i) & N(j)| = lambda on edges and mu on non-edges.  So
+    `graph.verify_srg` proved A symmetric and loop-free with degree k, and
+    |N(i) & N(j)| = lambda on edges and mu on non-edges.  So
     |y_i|^2 = k + 16 and <y_i, y_j> = |N(i) & N(j)| + 8 A_ij, and
     ||y_i - y_j||^2 = 2 (k + 16) - 2 (|N(i) & N(j)| + 8 A_ij) takes one value
     on the v k / 2 edges and another on the remaining pairs.  The value on
     edges must be the smaller, so that the subsets of smaller diameter are
     exactly the cliques.
     """
-    if y.columns != g.rows:
-        i = next(i for i, (c, r) in enumerate(zip(y.columns, g.rows)) if c != r)
-        diff = y.columns[i] ^ g.rows[i]
-        j = (diff & -diff).bit_length() - 1
-        raise VerificationError(
-            f"column {i} of y differs from A + 4I at entry ({j}, {i})",
-            witness=(i, j),
-        )
     v, k = params.v, params.k
     on_edges = 2 * (k + 16) - 2 * (params.lam + 8)
     off_edges = 2 * (k + 16) - 2 * params.mu
@@ -158,59 +127,32 @@ def verify_representation(y: ReprMatrix, g: Graph, params: SrgParams) -> dict[in
     return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
 
 
-def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
-    """p: +1 on B2, -1 on B3; q: +2 on B1, -1 on B2 and B3; 0 elsewhere."""
-    n = max(max(part.b1), max(part.b2), max(part.b3), max(part.c)) + 1
-    p = [0] * n
-    q = [0] * n
-    for i in part.b1:
-        q[i] = 2
-    for i in part.b2:
-        p[i] = 1
-        q[i] = -1
-    for i in part.b3:
-        p[i] = -1
-        q[i] = -1
-    return p, q
+def contrast_products(part: Partition) -> dict:
+    """The inner products of the contrast vectors, derived from claim 1
+    (`graph.verify_claim1`) and the block sizes instead of counted.
 
+    For w constant on each block, with weight w_X on block X and 0 on C (so
+    neighbours in C add nothing), and i in block X,
+    <w, y_i> = 4 w_X + sum over h of w_Bh |N(i) & B_h|, and claim 1 gives
+    |N(i) & B_h| for every i of X.  Hence the patterns of
+    <p, y_i> and <q, y_i> on B1, B2, B3, C, and <p, q>, |p|^2, |q|^2 as sums
+    of block size times weight products.
+    """
+    sizes = (len(part.b1), len(part.b2), len(part.b3), len(part.c))
 
-def _inner_products(y: ReprMatrix, v: list[int]) -> list[int]:
-    """<v, y_i> for every column i, exactly, for any integer vector v: 4 v_i
-    plus, for each nonzero value x of v, x times the number of coordinates
-    where v is x and column i has a bit."""
-    masks: dict[int, int] = {}
-    for t, x in enumerate(v):
-        if x:
-            masks[x] = masks.get(x, 0) | 1 << t
-    return [
-        4 * v[i] + sum(x * (c & m).bit_count() for x, m in masks.items())
-        for i, c in enumerate(y.columns)
-    ]
+    def pattern(w):
+        return [4 * w[x] + sum(map(mul, w, CLAIM1[b])) for x, b in enumerate(CLAIM1)]
 
+    def dot(u, w):
+        return sum(n * a * b for n, a, b in zip(sizes, u, w))
 
-def verify_inner_products(
-    y: ReprMatrix, p: list[int], q: list[int], part: Partition
-) -> None:
-    """<p, y_i> and <q, y_i> must follow the block patterns for all 416 i."""
-    p_dots = _inner_products(y, p)
-    q_dots = _inner_products(y, q)
-    for i in range(y.n):
-        block = part.block_of(i)
-        if p_dots[i] != P_PATTERN[block]:
-            raise VerificationError(
-                f"<p, y_{i}> = {p_dots[i]}, expected {P_PATTERN[block]} on {block}",
-                witness=i,
-            )
-        if q_dots[i] != Q_PATTERN[block]:
-            raise VerificationError(
-                f"<q, y_{i}> = {q_dots[i]}, expected {Q_PATTERN[block]} on {block}",
-                witness=i,
-            )
-    p_dot_q = sum(map(mul, p, q))
-    if p_dot_q != 0:
-        raise VerificationError(f"<p, q> = {p_dot_q}, expected 0")
-    if sum(p) != 0 or sum(q) != 0:
-        raise VerificationError("contrast vectors must sum to zero")
+    return {
+        "p_pattern": pattern(P_WEIGHTS),
+        "q_pattern": pattern(Q_WEIGHTS),
+        "p_dot_q": dot(P_WEIGHTS, Q_WEIGHTS),
+        "p_norm_sq": dot(P_WEIGHTS, P_WEIGHTS),
+        "q_norm_sq": dot(Q_WEIGHTS, Q_WEIGHTS),
+    }
 
 
 def _check_prime(prime: int) -> None:
@@ -297,7 +239,7 @@ def _nested_order(part: Partition) -> list[int]:
 
 
 def certified_dimension_chain(
-    y: ReprMatrix,
+    g: Graph,
     part: Partition,
     spectrum: Spectrum,
     primes: tuple[int, ...] = DEFAULT_PRIMES,
@@ -323,10 +265,10 @@ def certified_dimension_chain(
     counts, when every prime falls short.
 
     It relies on what earlier stages of the same run proved and does not
-    check it again: the srg stage (A is an srg, which gives the spectrum and
-    rank y = 1 + f), the representation stage (y = A + 4I, so every column
-    sums to k + 4 = 104) and the inner-products stage (<p, y_i> and
-    <q, y_i> follow their block patterns, and <p, q> = 0).
+    check it again: the srg stage (A is a loop-free srg, which gives the
+    spectrum, rank y = 1 + f, and k + 4 = 104 as every column sum of y) and
+    the claim1 stage (the 20/0/8 counts, from which <p, y_i> and <q, y_i>
+    follow their block patterns and <p, q> = 0; see `contrast_products`).
     """
     if not primes:
         raise ValueError("at least one prime is required")
@@ -339,7 +281,7 @@ def certified_dimension_chain(
         "every column satisfies <1, y_i> = 104, a hyperplane off the origin",
     ]
     sets = [
-        ("V", y.n, rank_y - 1, base_arg),
+        ("V", g.n, rank_y - 1, base_arg),
         (
             "C+B1",
             len(part.c) + len(part.b1),
@@ -363,7 +305,9 @@ def certified_dimension_chain(
         ),
     ]
 
-    columns = [y.column(i) for i in range(y.n)]
+    columns = [
+        column_digits(g, i).encode().translate(_DIGIT_VALUES) for i in range(g.n)
+    ]
     order = _nested_order(part)
     prefixes = tuple(size for _, size, _, _ in sets)
     caps = tuple(upper + 1 for _, _, upper, _ in sets)

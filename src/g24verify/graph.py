@@ -101,17 +101,9 @@ class Partition:
     b3_mask: int
     c_mask: int
 
-    def block_of(self, i: int) -> str:
-        if self.b1_mask >> i & 1:
-            return "B1"
-        if self.b2_mask >> i & 1:
-            return "B2"
-        if self.b3_mask >> i & 1:
-            return "B3"
-        return "C"
 
-    def b_masks(self) -> tuple[int, int, int]:
-        return self.b1_mask, self.b2_mask, self.b3_mask
+# Claim 1: the neighbours of a vertex in (B1, B2, B3), by the block it lies in.
+CLAIM1 = {"B1": (20, 0, 0), "B2": (0, 20, 0), "B3": (0, 0, 20), "C": (8, 8, 8)}
 
 
 def point_columns(isosets: list[int]) -> list[int]:
@@ -400,22 +392,13 @@ def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]
     return comps
 
 
-def split_B_C(g: Graph, isosets: list[int], anchor: int = 1) -> Partition:
-    """Split on the anchor index and decompose B into connected components.
+def split_B_C(g: Graph, b_mask: int, anchor: int) -> Partition:
+    """Split on B = `b_mask`, the point column of `anchor` (the vertices
+    whose iso-set contains it), and decompose B into connected components.
 
-    B is the set of vertices whose iso-set contains `anchor`; its induced
-    subgraph must fall apart into exactly three components of 32 vertices,
-    labelled B1, B2, B3 by smallest contained vertex index.
+    The subgraph induced on B must fall apart into exactly three components
+    of 32 vertices, labelled B1, B2, B3 by smallest contained vertex index.
     """
-    if not 1 <= anchor <= 65:
-        raise ValueError(f"anchor {anchor} out of range 1..65")
-    b_mask = 0
-    c = []
-    for i, s in enumerate(isosets):
-        if s >> anchor & 1:
-            b_mask |= 1 << i
-        else:
-            c.append(i)
     comps = _components_within(g, b_mask)
     sizes = [len(comp) for comp, _ in comps]
     if len(comps) != 3:
@@ -426,20 +409,17 @@ def split_B_C(g: Graph, isosets: list[int], anchor: int = 1) -> Partition:
         raise VerificationError(f"component sizes {sizes}, expected [32, 32, 32]")
     (b1, m1), (b2, m2), (b3, m3) = comps
     c_mask = ((1 << g.n) - 1) & ~b_mask
-    return Partition(anchor, b1, b2, b3, tuple(c), m1, m2, m3, c_mask)
+    c = tuple(i for i in range(g.n) if c_mask >> i & 1)
+    return Partition(anchor, b1, b2, b3, c, m1, m2, m3, c_mask)
 
 
 def verify_claim1(g: Graph, part: Partition) -> None:
-    """Adjacency counts into each B_h: 20 inside, 0 across B, 8 from C."""
-    m1, m2, m3 = part.b_masks()
-    blocks = (
-        (part.b1, (20, 0, 0)),
-        (part.b2, (0, 20, 0)),
-        (part.b3, (0, 0, 20)),
-        (part.c, (8, 8, 8)),
-    )
-    for block, want in blocks:
-        for i in block:
+    """Adjacency counts into each B_h as CLAIM1 gives them: 20 inside, 0
+    across B, 8 from C."""
+    m1, m2, m3 = part.b1_mask, part.b2_mask, part.b3_mask
+    for block, members in zip(CLAIM1, (part.b1, part.b2, part.b3, part.c)):
+        want = CLAIM1[block]
+        for i in members:
             row = g.rows[i]
             got = (
                 (row & m1).bit_count(),

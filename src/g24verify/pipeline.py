@@ -63,7 +63,6 @@ class Artifacts:
     orbit_reps: list[int] | None = None  # one vertex per verified orbit
     spectrum: graph.Spectrum | None = None
     part: graph.Partition | None = None
-    y: euclid.ReprMatrix | None = None
     certs: list[euclid.DimensionCertificate] | None = None
     clique_number: int | None = None
     cover: list[cliques.SpecialClique] | None = None
@@ -202,10 +201,11 @@ def _stage_srg(art, cfg):
 
 
 def _stage_partition(art, cfg):
-    art.part = graph.split_B_C(art.g, art.isosets, anchor=1)
+    b_mask = art.columns[1]
+    art.part = graph.split_B_C(art.g, b_mask, anchor=1)
     return {
         "anchor": 1,
-        "B": 96,
+        "B": b_mask.bit_count(),
         "C": len(art.part.c),
         "component_sizes": [len(art.part.b1), len(art.part.b2), len(art.part.b3)],
     }
@@ -213,7 +213,9 @@ def _stage_partition(art, cfg):
 
 def _stage_claim1(art, cfg):
     graph.verify_claim1(art.g, art.part)
-    return {"checked_pairs": art.g.n * 3, "pattern": [20, 0, 8]}
+    inside, across, _ = graph.CLAIM1["B1"]
+    from_c = graph.CLAIM1["C"][0]
+    return {"checked_pairs": art.g.n * 3, "pattern": [inside, across, from_c]}
 
 
 def _stage_anchor_invariance(art, cfg):
@@ -232,8 +234,7 @@ def _stage_clebsch(art, cfg):
 
 
 def _stage_representation(art, cfg):
-    art.y = euclid.build_representation(art.g)
-    census = euclid.verify_representation(art.y, art.g, art.srg)
+    census = euclid.distance_census(art.srg)
     return {
         "diagonal": 4,
         "column_sum": art.srg.k + 4,  # y = A + 4I with A k-regular
@@ -242,20 +243,12 @@ def _stage_representation(art, cfg):
 
 
 def _stage_inner_products(art, cfg):
-    p, q = euclid.build_contrasts(art.part)
-    euclid.verify_inner_products(art.y, p, q, art.part)
-    return {
-        "p_pattern": [euclid.P_PATTERN[b] for b in ("B1", "B2", "B3", "C")],
-        "q_pattern": [euclid.Q_PATTERN[b] for b in ("B1", "B2", "B3", "C")],
-        "p_dot_q": 0,
-        "p_norm_sq": sum(x * x for x in p),
-        "q_norm_sq": sum(x * x for x in q),
-    }
+    return euclid.contrast_products(art.part)
 
 
 def _stage_dimension_chain(art, cfg):
     prime, art.certs = euclid.certified_dimension_chain(
-        art.y, art.part, art.spectrum, cfg.primes
+        art.g, art.part, art.spectrum, cfg.primes
     )
     return {
         "primes": list(cfg.primes),
@@ -292,20 +285,14 @@ def _stage_special_cover(art, cfg):
     art.cover = specials
     return {
         "special_cliques": len(specials),
-        "cover_cliques": len(specials),
         "covered_vertices": len(art.part.c),
-        "distinct_cores": len(specials),  # one clique per core, by construction
         "cover_count": 1,
     }
 
 
 def _stage_verdict(art, cfg):
     return cliques.final_verdict(
-        art.certs,
-        art.clique_number,
-        art.cover,
-        c_size=len(art.part.c),
-        b1_size=len(art.part.b1),
+        art.certs, art.clique_number, c_size=len(art.part.c), b1_size=len(art.part.b1)
     )
 
 
@@ -405,10 +392,11 @@ def write_isosets_csv(isosets: list[int], path: str) -> None:
             fh.write(",".join([str(v + 1)] + [str(m) for m in members]) + "\n")
 
 
-def write_vectors_csv(y: euclid.ReprMatrix, path: str) -> None:
+def write_vectors_csv(g: graph.Graph, path: str) -> None:
+    """The columns of y = A + 4I, one row per vertex."""
     with _atomic_open(path) as fh:
-        for v in range(y.n):
-            fh.write(f"{v + 1},{','.join(y.column_digits(v))}\n")
+        for v in range(g.n):
+            fh.write(f"{v + 1},{','.join(euclid.column_digits(g, v))}\n")
 
 
 def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
@@ -450,7 +438,7 @@ def export(cfg: RunConfig) -> tuple[int, Report]:
     elif cfg.command == "export-isosets":
         write_isosets_csv(art.isosets, cfg.out)
     elif cfg.command == "export-vectors":
-        write_vectors_csv(art.y, cfg.out)
+        write_vectors_csv(art.g, cfg.out)
     elif cfg.command == "export-cover":
         write_cover_csv(art.cover, cfg.out)
     elif cfg.command == "report":

@@ -5,6 +5,8 @@ import pytest
 from g24verify import cliques, euclid, graph, hermitian
 from g24verify.pipeline import RunConfig, run_check
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def plane():
@@ -43,22 +45,17 @@ def spectrum(srg_params):
 
 @pytest.fixture(scope="session")
 def part(g, isosets):
-    return graph.split_B_C(g, isosets, anchor=1)
-
-
-@pytest.fixture(scope="session")
-def y(g):
-    return euclid.build_representation(g)
+    return graph.split_B_C(g, graph.point_columns(isosets)[1], anchor=1)
 
 
 @pytest.fixture(scope="session")
 def contrasts(part):
-    return euclid.build_contrasts(part)
+    return oracles.build_contrasts(part)
 
 
 @pytest.fixture(scope="session")
-def certificates(y, part, spectrum):
-    return euclid.certified_dimension_chain(y, part, spectrum)[1]
+def certificates(g, part, spectrum):
+    return euclid.certified_dimension_chain(g, part, spectrum)[1]
 
 
 @pytest.fixture(scope="session")

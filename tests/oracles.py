@@ -4,25 +4,30 @@ They are the direct, exhaustive forms of checks the program settles by a
 shorter argument: the graph and its intersection census from all 86,320
 pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
 the srg identity on all 86,320 pairs, claim 1 split and counted at every
-anchor, the distance census by scanning every pair, the clique number by a
-search from every edge, the special cliques by a search inside each core's
-group of edges, and the geometry of lines spelled out point by point.
+anchor, the distance census by scanning every pair, the contrast products
+counted column by column, the clique number by a search from every edge,
+the special cliques by a search inside each core's group of edges, and the
+geometry of lines spelled out point by point.
+
+y = A + 4I is passed to them as its list of column ints: bit t of
+columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from g24verify import gf16
 from g24verify.cliques import SpecialClique, _max_clique_in, verify_clique
 from g24verify.errors import ConstructionError, VerificationError
-from g24verify.euclid import ReprMatrix
 from g24verify.graph import (
     Graph,
     Partition,
     SrgParams,
     bit_strings,
+    point_columns,
     split_B_C,
     verify_claim1,
 )
@@ -116,9 +121,10 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
 def claim1_at_every_anchor(g: Graph, isosets: list[int]) -> list[Partition]:
     """The anchored split and its 20/0/8 counts, checked directly at each of
     the 65 anchors."""
+    columns = point_columns(isosets)
     parts = []
     for anchor in range(1, ISOTROPIC_COUNT + 1):
-        part = split_B_C(g, isosets, anchor=anchor)
+        part = split_B_C(g, columns[anchor], anchor=anchor)
         verify_claim1(g, part)
         parts.append(part)
     return parts
@@ -157,23 +163,23 @@ def verify_srg_all_pairs(g: Graph) -> SrgParams:
     return params
 
 
-def entry(y: ReprMatrix, i: int, j: int) -> int:
+def entry(columns: list[int], i: int, j: int) -> int:
     """y[i, j], read from column j: 4 on the diagonal, else a bit."""
-    return 4 if i == j else y.columns[j] >> i & 1
+    return 4 if i == j else columns[j] >> i & 1
 
 
-def pair_distance_sq(y: ReprMatrix, i: int, j: int) -> int:
+def pair_distance_sq(columns: list[int], i: int, j: int) -> int:
     """||y_i - y_j||^2, exactly: coordinates other than i and j contribute 1
     where exactly one of the two columns has a bit, and coordinates i and j
     contribute (4 - y_ij)^2 and (y_ji - 4)^2."""
     if i == j:
         raise ValueError("distance requires two distinct vertices")
-    ci, cj = y.columns[i], y.columns[j]
+    ci, cj = columns[i], columns[j]
     rest = (ci ^ cj) & ~(1 << i | 1 << j)
     return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
 
 
-def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
+def distance_census(columns: list[int], g: Graph) -> dict[int, int]:
     """Every squared pair distance of y, scanned, and checked against
     adjacency: 144 exactly on edges, 192 exactly on non-edges.
 
@@ -184,24 +190,24 @@ def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
     <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ij.  The first bad
     pair in the order (0, 1), (0, 2), ..., (1, 2), ... is the witness.
     """
-    n, cols = y.n, y.columns
+    n = len(columns)
     inside = (1 << n) - 1
-    for i, c in enumerate(cols):
+    for i, c in enumerate(columns):
         if c & ~(inside ^ 1 << i):
             raise VerificationError(f"column {i} has a bit on its diagonal or "
                                     "beyond the matrix", witness=i)
-    bits = bit_strings(cols, n)
+    bits = bit_strings(columns, n)
     transposed = list(map("".join, zip(*bits)))
     if transposed != bits:
         i = next(i for i in range(n) if transposed[i] != bits[i])
         j = next(t for t in range(n) if transposed[i][t] != bits[i][t])
         raise VerificationError("representation matrix is not symmetric", witness=(i, j))
-    norms = [c.bit_count() + 16 for c in cols]
+    norms = [c.bit_count() + 16 for c in columns]
     census: dict[int, int] = {}
     for i in range(n - 1):
-        ci, gi = cols[i], g.rows[i]
+        ci, gi = columns[i], g.rows[i]
         for j in range(i + 1, n):
-            inner = (ci & cols[j]).bit_count() + 8 * (ci >> j & 1)
+            inner = (ci & columns[j]).bit_count() + 8 * (ci >> j & 1)
             d2 = norms[i] + norms[j] - 2 * inner
             if (d2 == 144) != (gi >> j & 1):
                 raise VerificationError("distance/adjacency mismatch", witness=(i, j, d2))
@@ -209,6 +215,67 @@ def distance_census(y: ReprMatrix, g: Graph) -> dict[int, int]:
     if set(census) != {144, 192}:
         raise VerificationError(f"unexpected squared distances {sorted(census)}")
     return dict(sorted(census.items()))
+
+
+def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
+    """p: +1 on B2, -1 on B3; q: +2 on B1, -1 on B2 and B3; 0 elsewhere."""
+    n = len(part.b1) + len(part.b2) + len(part.b3) + len(part.c)
+    p = [0] * n
+    q = [0] * n
+    for i in part.b1:
+        q[i] = 2
+    for i in part.b2:
+        p[i] = 1
+        q[i] = -1
+    for i in part.b3:
+        p[i] = -1
+        q[i] = -1
+    return p, q
+
+
+def block_of(part: Partition, i: int) -> int:
+    """The position of i's block in the order B1, B2, B3, C."""
+    masks = (part.b1_mask, part.b2_mask, part.b3_mask)
+    return next((h for h, m in enumerate(masks) if m >> i & 1), 3)
+
+
+def inner_products(columns: list[int], v: list[int]) -> list[int]:
+    """<v, y_i> for every column i, exactly, for any integer vector v: 4 v_i
+    plus, for each nonzero value x of v, x times the number of coordinates
+    where v is x and column i has a bit."""
+    masks: dict[int, int] = {}
+    for t, x in enumerate(v):
+        if x:
+            masks[x] = masks.get(x, 0) | 1 << t
+    return [
+        4 * v[i] + sum(x * (c & m).bit_count() for x, m in masks.items())
+        for i, c in enumerate(columns)
+    ]
+
+
+def verify_inner_products(
+    columns: list[int],
+    p: list[int],
+    q: list[int],
+    part: Partition,
+    p_pattern: list[int],
+    q_pattern: list[int],
+) -> None:
+    """<p, y_i> and <q, y_i>, counted for all 416 i, must follow the block
+    patterns (values on B1, B2, B3, C); p and q must be orthogonal and each
+    sum to zero."""
+    for name, vec, pattern in (("p", p, p_pattern), ("q", q, q_pattern)):
+        for i, got in enumerate(inner_products(columns, vec)):
+            want = pattern[block_of(part, i)]
+            if got != want:
+                raise VerificationError(
+                    f"<{name}, y_{i}> = {got}, expected {want}", witness=i
+                )
+    p_dot_q = sum(map(mul, p, q))
+    if p_dot_q != 0:
+        raise VerificationError(f"<p, q> = {p_dot_q}, expected 0")
+    if sum(p) != 0 or sum(q) != 0:
+        raise VerificationError("contrast vectors must sum to zero")
 
 
 @dataclass

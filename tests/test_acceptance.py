@@ -46,10 +46,12 @@ def test_c04_spectrum(spectrum):
     _ok("04 spectrum s=-4, f=65; cross-instance (10,3,0,1) -> s=-2, f=5")
 
 
-def test_c05_distance_dichotomy(y, g, srg_params):
-    census = euclid.verify_representation(y, g, srg_params)
+def test_c05_distance_dichotomy(g, srg_params):
+    census = euclid.distance_census(srg_params)
     assert census == {144: 20800, 192: 65520}
-    assert oracles.distance_census(y, g) == census  # raises on adjacency mismatch
+    # y's columns are A's rows off the diagonal; the scan raises on a
+    # distance that does not match adjacency.
+    assert oracles.distance_census(g.rows, g) == census
     _ok("05 distances {144,192} matching adjacency, derived and scanned")
 
 
@@ -67,10 +69,16 @@ def test_c06_partition_and_claim1(g, isosets, automorphisms, part):
         "at all 65 anchors")
 
 
-def test_c07_contrast_products(y, part, contrasts):
+def test_c07_contrast_products(g, part, contrasts):
+    # Derived from claim 1 by the program, counted on every column here.
     p, q = contrasts
-    euclid.verify_inner_products(y, p, q, part)
-    assert sum(a * b for a, b in zip(p, q)) == 0
+    derived = euclid.contrast_products(part)
+    assert derived["p_pattern"] == [0, 24, -24, 0]
+    assert derived["q_pattern"] == [48, -24, -24, 0]
+    oracles.verify_inner_products(
+        g.rows, p, q, part, derived["p_pattern"], derived["q_pattern"]
+    )
+    assert sum(a * b for a, b in zip(p, q)) == derived["p_dot_q"] == 0
     _ok("07 contrast patterns (0,24,-24,0) and (48,-24,-24,0), <p,q>=0")
 
 
@@ -92,11 +100,11 @@ def test_c09_clique_number(g):
     _ok("09 clique number 5 with verified witness, no-6-clique search complete")
 
 
-def test_c10_borsuk_bounds(certificates, cover, part):
+def test_c10_borsuk_bounds(certificates, part):
     assert cliques.borsuk_lower_bound(352, 5) == 71
     assert cliques.borsuk_lower_bound(416, 5) == 84
     verdict = cliques.final_verdict(
-        certificates, 5, cover, c_size=len(part.c), b1_size=len(part.b1)
+        certificates, 5, c_size=len(part.c), b1_size=len(part.b1)
     )
     assert verdict["counterexample_dimension"] == 64
     assert verdict["min_parts"] == 71

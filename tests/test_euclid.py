@@ -1,5 +1,7 @@
 """Representation matrix, distances, contrasts, and rank certificates.
 
+y = A + 4I lives only in the graph: the program reads its columns through
+`euclid.column_digits`, and the oracles take A's rows as y's column ints.
 numpy is a test dependency only: it gives the reference elimination
 `rank_mod_prime` and the Gram-matrix oracle of the distance census, which
 in turn checks the scanned census in `oracles` that the derived one is
@@ -12,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g24verify import euclid
+from g24verify import euclid, graph
 from g24verify.errors import InconclusiveError, VerificationError
 
 import oracles
@@ -86,40 +88,51 @@ def rank_mod_prime(
     return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
-def dense(y) -> np.ndarray:
-    """y as an int64 array, entry [t, i] read from column i."""
-    return np.array([list(y.column(i)) for i in range(y.n)], dtype=np.int64).T
+def column(g, i) -> list[int]:
+    """Column i of y = A + 4I as the program reads it."""
+    return [int(d) for d in euclid.column_digits(g, i)]
 
 
-def naive_distance_sq(y, i, j) -> int:
+def dense(columns) -> np.ndarray:
+    """y as an int64 array from its column ints, entry [t, i] read from
+    column i, with 4 on the diagonal."""
+    bits = graph.bit_strings(columns, len(columns))
+    a = np.array([[int(b) for b in s] for s in bits], dtype=np.int64).T
+    np.fill_diagonal(a, 4)
+    return a
+
+
+def naive_distance_sq(columns, i, j) -> int:
     """Oracle: plain Python coordinate summation, no numpy."""
     total = 0
-    for t in range(y.n):
-        d = oracles.entry(y, t, i) - oracles.entry(y, t, j)
+    for t in range(len(columns)):
+        d = oracles.entry(columns, t, i) - oracles.entry(columns, t, j)
         total += d * d
     return total
 
 
-def test_representation_entries(y, g):
-    assert y.n == 416
+def test_representation_entries(g):
     for i in range(0, 416, 41):
-        assert oracles.entry(y, i, i) == 4
-        assert sum(y.column(i)) == 104
+        assert oracles.entry(g.rows, i, i) == 4
+        assert sum(column(g, i)) == 104
+        assert column(g, i) == [oracles.entry(g.rows, t, i) for t in range(416)]
     for i, j in [(0, 1), (5, 100), (200, 300)]:
         want = 1 if g.adjacent(i, j) else 0
-        assert oracles.entry(y, i, j) == want
-        assert oracles.entry(y, j, i) == want
+        assert oracles.entry(g.rows, i, j) == want
+        assert oracles.entry(g.rows, j, i) == want
+    assert (dense(g.rows) == np.array([column(g, i) for i in range(416)]).T).all()
 
 
-def test_representation_column_shape(y):
-    col = y.column(7)
+def test_representation_column_shape(g):
+    col = column(g, 7)
     assert len(col) == 416
     assert col[7] == 4
     assert col.count(1) == 100
     assert col.count(0) == 315
 
 
-def test_pair_distance_matches_naive_oracle(y, g):
+def test_pair_distance_matches_naive_oracle(g):
+    y = g.rows
     rng = random.Random(1234)
     for _ in range(40):
         i, j = rng.sample(range(416), 2)
@@ -127,32 +140,31 @@ def test_pair_distance_matches_naive_oracle(y, g):
     with pytest.raises(ValueError):
         oracles.pair_distance_sq(y, 5, 5)
     # y[9, 5] alone toggled: the two coordinates i and j now differ.
-    bad = euclid.ReprMatrix(y.n, list(y.columns))
-    bad.columns[5] ^= 1 << 9
+    bad = list(y)
+    bad[5] ^= 1 << 9
     for i, j in [(5, 9), (9, 5), (5, 100), (9, 100)]:
         assert oracles.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
 
 
-def test_distance_values_follow_adjacency(y, g):
+def test_distance_values_follow_adjacency(g):
     rng = random.Random(99)
     for _ in range(60):
         i, j = rng.sample(range(416), 2)
         want = 144 if g.adjacent(i, j) else 192
-        assert oracles.pair_distance_sq(y, i, j) == want
+        assert oracles.pair_distance_sq(g.rows, i, j) == want
 
 
-def test_distance_census_exhaustive(y, g, srg_params):
-    census = oracles.distance_census(y, g)
+def test_distance_census_exhaustive(g, srg_params):
+    census = oracles.distance_census(g.rows, g)
     assert census == {144: 20800, 192: 65520}
-    assert euclid.verify_representation(y, g, srg_params) == census
+    assert euclid.distance_census(srg_params) == census
 
 
-
-def gram_distances(y) -> np.ndarray:
+def gram_distances(columns) -> np.ndarray:
     """Oracle: every squared distance from an int16 Gram matrix of y.
     Entries in {0, 1, 4} bound each Gram entry by 416 * 16 and each
     distance by twice that, below 2**15."""
-    e = dense(y).astype(np.int16)
+    e = dense(columns).astype(np.int16)
     gram = e.T @ e
     diag = np.diag(gram)
     return diag[:, None] + diag[None, :] - 2 * gram
@@ -162,9 +174,10 @@ def adjacency_matrix(g) -> np.ndarray:
     return np.array([[g.adjacent(a, b) for b in range(g.n)] for a in range(g.n)])
 
 
-def test_distance_census_matches_gram_oracle(y, g):
+def test_distance_census_matches_gram_oracle(g):
+    y = g.rows
     d2 = gram_distances(y)
-    i, j = np.triu_indices(y.n, k=1)
+    i, j = np.triu_indices(g.n, k=1)
     values, counts = np.unique(d2[i, j], return_counts=True)
     assert oracles.distance_census(y, g) == dict(zip(values.tolist(), counts.tolist()))
     assert ((d2[i, j] == 144) == adjacency_matrix(g)[i, j]).all()
@@ -186,16 +199,16 @@ def test_distance_census_matches_gram_oracle(y, g):
     ],
     ids=["0-1", "17-300", "3-4", "2-switch"],
 )
-def test_distance_census_names_the_first_bad_pair(y, g, pairs):
+def test_distance_census_names_the_first_bad_pair(g, pairs):
     # The scanned census's witness must be the Gram oracle's first bad pair.
-    bad = euclid.ReprMatrix(y.n, list(y.columns))
+    bad = list(g.rows)
     for i, j in pairs:
-        bad.columns[i] ^= 1 << j
-        bad.columns[j] ^= 1 << i
-    column_sums = {sum(bad.column(i)) for i in range(bad.n)}
+        bad[i] ^= 1 << j
+        bad[j] ^= 1 << i
+    column_sums = set(dense(bad).sum(axis=0).tolist())
     assert len(column_sums) == (1 if len(pairs) == 4 else 2)
     d2 = gram_distances(bad)
-    a, b = np.triu_indices(y.n, k=1)
+    a, b = np.triu_indices(g.n, k=1)
     wrong = np.flatnonzero((d2[a, b] == 144) != adjacency_matrix(g)[a, b])
     first = (int(a[wrong[0]]), int(b[wrong[0]]))
     with pytest.raises(VerificationError) as exc:
@@ -204,14 +217,14 @@ def test_distance_census_names_the_first_bad_pair(y, g, pairs):
     assert len(pairs) == 1 or first[0] < 200
 
 
-def test_distance_census_refuses_diagonal_bits_and_asymmetry(y, g):
-    bad = euclid.ReprMatrix(y.n, list(y.columns))
-    bad.columns[9] |= 1 << 9
+def test_distance_census_refuses_diagonal_bits_and_asymmetry(g):
+    bad = list(g.rows)
+    bad[9] |= 1 << 9
     with pytest.raises(VerificationError) as exc:
         oracles.distance_census(bad, g)
     assert exc.value.witness == 9
-    bad = euclid.ReprMatrix(y.n, list(y.columns))
-    bad.columns[300] ^= 1 << 17
+    bad = list(g.rows)
+    bad[300] ^= 1 << 17
     with pytest.raises(VerificationError, match="not symmetric") as exc:
         oracles.distance_census(bad, g)
     assert exc.value.witness == (17, 300)
@@ -233,29 +246,49 @@ def test_contrast_vectors(part, contrasts):
         assert p[i] == 0 and q[i] == 0
 
 
-def test_inner_product_patterns(y, part, contrasts):
+def test_inner_product_patterns(g, part, contrasts):
+    # The products derived from claim 1 are the ones counted on every column.
     p, q = contrasts
-    euclid.verify_inner_products(y, p, q, part)
+    derived = euclid.contrast_products(part)
+    assert derived == {
+        "p_pattern": [0, 24, -24, 0],
+        "q_pattern": [48, -24, -24, 0],
+        "p_dot_q": 0,
+        "p_norm_sq": 64,
+        "q_norm_sq": 192,
+    }
+    oracles.verify_inner_products(
+        g.rows, p, q, part, derived["p_pattern"], derived["q_pattern"]
+    )
+    assert derived["p_dot_q"] == sum(a * b for a, b in zip(p, q))
+    assert derived["p_norm_sq"] == sum(x * x for x in p)
+    assert derived["q_norm_sq"] == sum(x * x for x in q)
     # Explicit samples of the four cases, computed naively.
     def dot(vec, col):
         return sum(a * b for a, b in zip(vec, col))
 
-    assert dot(p, y.column(part.b1[0])) == 0
-    assert dot(p, y.column(part.b2[0])) == 24
-    assert dot(p, y.column(part.b3[0])) == -24
-    assert dot(p, y.column(part.c[0])) == 0
-    assert dot(q, y.column(part.b1[0])) == 48
-    assert dot(q, y.column(part.b2[0])) == -24
-    assert dot(q, y.column(part.b3[0])) == -24
-    assert dot(q, y.column(part.c[0])) == 0
+    assert dot(p, column(g, part.b1[0])) == 0
+    assert dot(p, column(g, part.b2[0])) == 24
+    assert dot(p, column(g, part.b3[0])) == -24
+    assert dot(p, column(g, part.c[0])) == 0
+    assert dot(q, column(g, part.b1[0])) == 48
+    assert dot(q, column(g, part.b2[0])) == -24
+    assert dot(q, column(g, part.b3[0])) == -24
+    assert dot(q, column(g, part.c[0])) == 0
 
 
-def test_inner_products_reject_corruption(y, part, contrasts):
+def test_inner_products_reject_corruption(g, part, contrasts):
     p, q = contrasts
+    derived = euclid.contrast_products(part)
     bad = list(p)
     bad[part.c[0]] = 1
-    with pytest.raises(VerificationError):
-        euclid.verify_inner_products(y, bad, q, part)
+    with pytest.raises(VerificationError) as exc:
+        oracles.verify_inner_products(
+            g.rows, bad, q, part, derived["p_pattern"], derived["q_pattern"]
+        )
+    # The first column that sees the changed coordinate: c[0] or a neighbour.
+    c0 = part.c[0]
+    assert exc.value.witness == min([c0] + [i for i in range(416) if g.adjacent(i, c0)])
 
 
 def test_rank_mod_prime_basics():
@@ -310,11 +343,11 @@ def test_principal_prefix_ranks_refuses_non_symmetric():
         euclid.principal_prefix_ranks([[1, 2, 3], [2, 1, 0]], prime, (2,))
 
 
-def test_principal_pivots_match_elimination_on_y(y, part):
+def test_principal_pivots_match_elimination_on_y(g, part):
     # With no stop, in label order, the kernel reaches the rational ranks
     # that certified_dimension_chain stops at; modular ranks never exceed
     # rational ones, so none can exceed the upper bound + 1 either.
-    columns = [y.column(i) for i in range(y.n)]
+    columns = [column(g, i) for i in range(g.n)]
     natural = list(part.c + part.b1 + part.b2 + part.b3)
     stride = euclid._nested_order(part)
     assert sorted(stride[:320]) == sorted(part.c) and stride[320:] == natural[320:]
@@ -322,7 +355,7 @@ def test_principal_pivots_match_elimination_on_y(y, part):
     for prime in euclid.DEFAULT_PRIMES:
         got = euclid.principal_prefix_ranks(columns, prime, prefixes, natural)
         assert got == (64, 65, 66)
-        assert got == rank_mod_prime(dense(y)[:, natural], prime, prefixes)
+        assert got == rank_mod_prime(dense(g.rows)[:, natural], prime, prefixes)
         # The order inside C changes only how soon the pivots come.
         assert euclid.principal_prefix_ranks(columns, prime, prefixes, stride) == got
         capped = euclid.principal_prefix_ranks(
@@ -340,8 +373,8 @@ def test_caps_stop_each_prefix():
     assert euclid.principal_prefix_ranks(eye, prime, (4, 2), caps=(9, 9)) == (4, 2)
 
 
-def test_stride_order_finds_the_c_pivots_first(y, part):
-    columns = [y.column(i) for i in range(y.n)]
+def test_stride_order_finds_the_c_pivots_first(g, part):
+    columns = [column(g, i) for i in range(g.n)]
     natural = list(part.c + part.b1 + part.b2 + part.b3)
     stride = euclid._nested_order(part)
     for prime in euclid.DEFAULT_PRIMES:
@@ -375,23 +408,23 @@ def test_dimension_chain_certificates(certificates):
     ]
 
 
-def test_dimension_chain_respects_prime_override(y, part, spectrum, certificates):
+def test_dimension_chain_respects_prime_override(g, part, spectrum, certificates):
     # One prime is enough, and the first listed that settles the chain is
     # the one used.
     for primes in ((1_000_003,), (1_000_003, 999_983), (999_983, 1_000_003)):
-        prime, certs = euclid.certified_dimension_chain(y, part, spectrum, primes)
+        prime, certs = euclid.certified_dimension_chain(g, part, spectrum, primes)
         assert prime == primes[0]
         assert certs == certificates
     with pytest.raises(ValueError):
-        euclid.certified_dimension_chain(y, part, spectrum, primes=())
+        euclid.certified_dimension_chain(g, part, spectrum, primes=())
 
 
-def test_dimension_chain_falls_back_past_a_prime_that_falls_short(y, part, spectrum):
+def test_dimension_chain_falls_back_past_a_prime_that_falls_short(g, part, spectrum):
     # Mod 3 the pivots on V stop at 65, one short of the upper bound + 1;
     # 3 is the only prime below 400 that falls short on y.
     with pytest.raises(InconclusiveError) as exc:
-        euclid.certified_dimension_chain(y, part, spectrum, primes=(3,))
+        euclid.certified_dimension_chain(g, part, spectrum, primes=(3,))
     assert "3 gives [65, 65, 64]" in str(exc.value)
-    prime, certs = euclid.certified_dimension_chain(y, part, spectrum, primes=(3, 5))
+    prime, certs = euclid.certified_dimension_chain(g, part, spectrum, primes=(3, 5))
     assert prime == 5
     assert [c.linear_rank for c in certs] == [66, 65, 64]

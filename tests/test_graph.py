@@ -282,14 +282,16 @@ def test_claim1_counts(g, part):
 
 
 def test_split_invariant_under_anchor_relabelling(g, isosets):
+    columns = graph.point_columns(isosets)
     for anchor in (7, 21, 58):
-        alt = graph.split_B_C(g, isosets, anchor=anchor)
+        alt = graph.split_B_C(g, columns[anchor], anchor=anchor)
         assert [len(alt.b1), len(alt.b2), len(alt.b3)] == [32, 32, 32]
+        assert len(alt.c) == 320 and alt.c_mask == ((1 << 416) - 1) & ~columns[anchor]
         graph.verify_claim1(g, alt)
-    with pytest.raises(ValueError):
-        graph.split_B_C(g, isosets, anchor=0)
-    with pytest.raises(ValueError):
-        graph.split_B_C(g, isosets, anchor=66)
+    # No point 0: its column is empty, and an empty B has no components.
+    with pytest.raises(VerificationError) as exc:
+        graph.split_B_C(g, columns[0], anchor=0)
+    assert exc.value.witness == []
 
 
 def test_components_isomorphic_to_coclique_extension(g, part):

@@ -66,11 +66,18 @@ def test_stage_details(full_report):
     assert "automorphisms_verified" not in clique
     assert clique["orbit_representatives"] == 1
     cover = full_report.stage("special-cover").detail
-    assert cover["cover_cliques"] == 64
-    assert cover["cover_count"] == 1
-    assert "search_nodes" not in cover
+    assert cover == {"special_cliques": 64, "covered_vertices": 320, "cover_count": 1}
+    assert full_report.stage("partition").detail["B"] == 96
+    assert full_report.stage("inner-products").detail == {
+        "p_pattern": [0, 24, -24, 0],
+        "q_pattern": [48, -24, -24, 0],
+        "p_dot_q": 0,
+        "p_norm_sq": 64,
+        "q_norm_sq": 192,
+    }
     assert full_report.stage("clebsch").detail == {"isomorphic_to_model": True}
     assert full_report.stage("verdict").detail["min_parts"] == 71
+    assert "cover_found" not in full_report.stage("verdict").detail["near_miss"]
 
 
 def test_default_run_checks_clebsch(full_report):
@@ -110,6 +117,23 @@ def test_fault_injection_fails_srg_stage():
     # Short-circuit: nothing after the failed stage ran.
     names = [s.name for s in report.stages]
     assert names[-1] == "srg"
+
+
+def test_failed_check_writes_its_report_and_report_writes_nothing(tmp_path, capsys):
+    # `check --out` records a failed run, naming the stage and the witness;
+    # `report --out` is an export, written only after a pass.
+    out = tmp_path / "r.json"
+    assert cli.main(["check", "--inject-flip-edge", "0,1", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["overall"] == {"status": "fail", "exit_code": 1}
+    assert "verdict" not in doc
+    last = doc["stages"][-1]
+    assert (last["name"], last["status"]) == ("srg", "fail")
+    assert last["detail"]["witness"] == [2, 100]
+    argv = ["report", "--inject-flip-edge", "0,1", "--out", str(tmp_path / "r2.json")]
+    assert cli.main(argv) == 1
+    assert os.listdir(tmp_path) == ["r.json"]
 
 
 def _two_switch(g: graph.Graph, through_0: bool) -> graph.Graph:
@@ -200,34 +224,38 @@ def test_next_prime_settles_the_chain_when_one_falls_short(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "i, j, sides",
+    "i, j, sides, witness",
     [
-        (0, 1, "both"),
-        (17, 300, "both"),
-        (0, 1, "one-way"),
-        (5, 5, "one-way"),
-        (300, 17, "one-way"),
+        (0, 1, "both", (2, 100)),
+        (17, 300, "both", (17, 101)),
+        (0, 1, "one-way", (1, 100)),
+        (5, 5, "one-way", (5, 5)),
+        (300, 17, "one-way", (300, 101)),
     ],
+    ids=["0-1-both", "17-300-both", "0-1-one-way", "5-5-one-way", "300-17-one-way"],
 )
-def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides):
-    # Toggles bit j of column i of y, and bit i of column j for "both".
-    build = euclid.build_representation
+def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides, witness):
+    # y's entries off the diagonal are A's, so a toggle of y is a toggle of
+    # A after the graph is built: bit j of row i, and bit i of row j for
+    # "both".  The srg stage refuses each one before anything reads y: the
+    # loop check for (5, 5), else the degree check, whose witness is the
+    # first vertex whose degree differs from vertex 0's, and that degree.
+    build = graph.build_graph
 
-    def corrupted(g):
-        y = build(g)
-        y.columns[i] ^= 1 << j
+    def toggled(isosets):
+        g, dist, columns = build(isosets)
+        g.rows[i] ^= 1 << j
         if sides == "both":
-            y.columns[j] ^= 1 << i
-        return y
+            g.rows[j] ^= 1 << i
+        return g, dist, columns
 
-    monkeypatch.setattr(euclid, "build_representation", corrupted)
+    monkeypatch.setattr(graph, "build_graph", toggled)
     report = run_check(RunConfig())
     assert report.exit_code == 1
     assert report.overall_status == "fail"
     failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("representation", "fail")
-    # y must equal A + 4I: the first column off it, and its lowest bad entry.
-    assert failed.detail["witness"] == (i, j)
+    assert (failed.name, failed.status) == ("srg", "fail")
+    assert failed.detail["witness"] == witness
 
 
 def test_anchor_invariance_catches_a_break_anchor_1_misses(
@@ -238,7 +266,7 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
     u, v = part.c[0], part.c[1]
     h = graph.Graph(g.n, list(g.rows))
     h.flip_edge(u, v)
-    graph.verify_claim1(h, graph.split_B_C(h, isosets, anchor=1))
+    graph.verify_claim1(h, graph.split_B_C(h, graph.point_columns(isosets)[1], 1))
     with pytest.raises(VerificationError) as exc:
         oracles.claim1_at_every_anchor(h, isosets)
     assert exc.value.witness is not None
@@ -360,7 +388,7 @@ def test_exports(tmp_path, full_report):
     assert members == sorted(members)
 
     vec = tmp_path / "vectors.csv"
-    pipeline.write_vectors_csv(art.y, str(vec))
+    pipeline.write_vectors_csv(art.g, str(vec))
     rows = [line.split(",") for line in vec.read_text().splitlines()]
     assert len(rows) == 416
     assert all(len(r) == 417 for r in rows)
@@ -464,23 +492,24 @@ def test_cli_fault_injection_exit_code(capsys):
     assert "FAIL" in out
 
 
-def test_console_script_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "g24verify.cli", "--version"],
-        capture_output=True,
-        text=True,
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with `args` in a fresh process on this package."""
+    src = os.path.dirname(os.path.dirname(g24verify.__file__))
+    environ = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=environ
     )
+
+
+def test_console_script_smoke():
+    proc = _run("-m", "g24verify.cli", "--version")
     assert proc.returncode == 0
     assert "g24verify" in proc.stdout
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter on this package."""
-    src = os.path.dirname(os.path.dirname(g24verify.__file__))
-    environ = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=environ
-    )
+    return _run("-c", code)
 
 
 def test_cli_import_does_not_load_numpy():
@@ -516,18 +545,18 @@ def test_check_and_export_do_not_load_numpy(tmp_path):
 def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     # The disk fills at column 100 while the vectors are written; the stages
     # before the write read the same columns and must not see it.
-    column_digits = euclid.ReprMatrix.column_digits
+    column_digits = euclid.column_digits
     write = pipeline.write_vectors_csv
 
-    def failing_column(self, i):
+    def failing_column(g, i):
         if i == 100:
             raise OSError(28, "No space left on device")
-        return column_digits(self, i)
+        return column_digits(g, i)
 
-    def write_to_full_disk(y, path):
+    def write_to_full_disk(g, path):
         with monkeypatch.context() as m:
-            m.setattr(euclid.ReprMatrix, "column_digits", failing_column)
-            write(y, path)
+            m.setattr(euclid, "column_digits", failing_column)
+            write(g, path)
 
     monkeypatch.setattr(pipeline, "write_vectors_csv", write_to_full_disk)
     out = tmp_path / "vectors.csv"
