@@ -15,6 +15,7 @@ from .pipeline import (
     EXIT_USAGE,
     RunConfig,
     export,
+    require_output_dir,
     run_check,
     write_report_json,
 )
@@ -125,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if cfg.command == "check":
+            if cfg.out:
+                require_output_dir(cfg.out)
             report = run_check(cfg)
             sys.stdout.write(report.to_text(cfg.include_timings))
             if cfg.out:

@@ -106,25 +106,29 @@ def verify_axioms() -> dict[str, int]:
     """Exhaustive field-axiom suite over the precomputed tables.
 
     Returns the number of tuples checked per axiom; raises VerificationError
-    on the first violation.  Covers the full 16**3 cube where relevant, so a
-    pass certifies the tables regardless of how they were built.
+    on the first violation, with the failing element or tuple as witness.
+    Covers the full 16**3 cube where relevant, so a pass certifies the
+    tables regardless of how they were built.
     """
     checks: dict[str, int] = {}
 
+    def fail(axiom: str, witness) -> VerificationError:
+        return VerificationError(f"{axiom} failed at {witness}", witness=witness)
+
     for a in range(SIZE):
         if add(a, a) != 0 or add(a, 0) != a:
-            raise VerificationError(f"additive axiom failed at {a}")
+            raise fail("additive axiom", a)
         if mul(a, 1) != a or mul(a, 0) != 0:
-            raise VerificationError(f"multiplicative identity failed at {a}")
+            raise fail("multiplicative identity", a)
     checks["identity"] = SIZE
 
     n = 0
     for a in range(SIZE):
         for b in range(SIZE):
             if mul(a, b) != mul(b, a):
-                raise VerificationError(f"commutativity failed at ({a},{b})")
+                raise fail("commutativity", (a, b))
             if mul(a, b) >= SIZE:
-                raise VerificationError(f"closure failed at ({a},{b})")
+                raise fail("closure", (a, b))
             n += 1
     checks["commutativity"] = n
 
@@ -133,38 +137,40 @@ def verify_axioms() -> dict[str, int]:
         for b in range(SIZE):
             for c in range(SIZE):
                 if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                    raise VerificationError(f"associativity failed at ({a},{b},{c})")
+                    raise fail("associativity", (a, b, c))
                 if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-                    raise VerificationError(f"distributivity failed at ({a},{b},{c})")
+                    raise fail("distributivity", (a, b, c))
                 n += 1
     checks["associativity_distributivity"] = n
 
     for a in range(1, SIZE):
         if mul(a, inv(a)) != 1:
-            raise VerificationError(f"inverse failed at {a}")
+            raise fail("inverse", a)
         if power(a, ORDER) != 1:
-            raise VerificationError(f"a**15 != 1 at {a}")
+            raise fail("a**15 == 1", a)
         # Each nonzero row is a permutation: cancellation, hence unique
         # inverses and no zero divisors.
         if sorted(mul(a, b) for b in range(SIZE)) != list(range(SIZE)):
-            raise VerificationError(f"row {a} of the product table is degenerate")
+            raise fail("row of the product table is a permutation", a)
     checks["inverses"] = ORDER
 
     fixed = 0
     for a in range(SIZE):
         if conj(conj(a)) != a:
-            raise VerificationError(f"conjugation not involutory at {a}")
+            raise fail("conjugation involutory", a)
         if conj(a) == a:
             fixed += 1
         if norm(a) not in _subfield_gf4():
-            raise VerificationError(f"norm left GF(4) at {a}")
+            raise fail("norm in GF(4)", a)
         for b in range(SIZE):
             if conj(add(a, b)) != add(conj(a), conj(b)):
-                raise VerificationError(f"conj not additive at ({a},{b})")
+                raise fail("conj additive", (a, b))
             if conj(mul(a, b)) != mul(conj(a), conj(b)):
-                raise VerificationError(f"conj not multiplicative at ({a},{b})")
+                raise fail("conj multiplicative", (a, b))
     if fixed != 4:
-        raise VerificationError(f"fixed field of conjugation has size {fixed}, want 4")
+        raise VerificationError(
+            f"fixed field of conjugation has size {fixed}, want 4", witness=fixed
+        )
     checks["conjugation"] = SIZE * SIZE
 
     return checks

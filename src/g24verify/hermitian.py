@@ -78,8 +78,7 @@ def enumerate_points() -> list[Point]:
 class Basis:
     """Orthogonal basis of three nonisotropic points plus its iso-set."""
 
-    noniso_indices: tuple[int, int, int]
-    points: tuple[Point, Point, Point]
+    noniso_indices: tuple[int, int, int]  # into Plane.nonisotropic
     isoset: int
 
 
@@ -88,7 +87,6 @@ class Plane:
     points: list[Point]
     isotropic: list[Point]
     nonisotropic: list[Point]
-    iso_number: dict[Point, int]
 
 
 def classify_points(points: list[Point]) -> tuple[list[Point], list[Point]]:
@@ -110,8 +108,7 @@ def build_plane() -> Plane:
             f"point census {len(iso)}/{len(noniso)}, "
             f"expected {ISOTROPIC_COUNT}/{NONISOTROPIC_COUNT}"
         )
-    iso_number = {p: i + 1 for i, p in enumerate(iso)}
-    return Plane(points, iso, noniso, iso_number)
+    return Plane(points, iso, noniso)
 
 
 def isoset_members(mask: int) -> list[int]:
@@ -202,7 +199,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
             raise ConstructionError(f"triangle sides of {tri} share isotropic points")
         # Three disjoint sides of 5 isotropic points each: 15 members.
         isoset = f_ab | f_ac | f_bc
-        bases.append(Basis(tri, tuple(noniso[t] for t in tri), isoset))
+        bases.append(Basis(tri, isoset))
 
     if len(bases) != BASIS_COUNT:
         raise ConstructionError(f"found {len(bases)} bases, expected {BASIS_COUNT}")

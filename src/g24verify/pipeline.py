@@ -27,6 +27,10 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# The isotropic point the split is taken on; the anchor-invariance stage
+# carries it to the other 64.
+ANCHOR = 1
+
 
 @dataclass
 class RunConfig:
@@ -60,7 +64,6 @@ class Artifacts:
     g: graph.Graph | None = None
     srg: graph.SrgParams | None = None
     automorphisms: list[list[int]] | None = None  # verified by the srg stage
-    orbit_reps: list[int] | None = None  # one vertex per verified orbit
     spectrum: graph.Spectrum | None = None
     part: graph.Partition | None = None
     certs: list[euclid.DimensionCertificate] | None = None
@@ -183,7 +186,6 @@ def _stage_srg(art, cfg):
     automorphisms = hermitian.basis_permutations(art.plane, art.bases)
     art.srg = p = graph.verify_srg(art.g, automorphisms)
     art.automorphisms = automorphisms
-    art.orbit_reps = [0]  # verify_srg refuses maps that leave a second orbit
     art.spectrum = graph.srg_spectrum(p)
     return {
         "parameters": [p.v, p.k, p.lam, p.mu],
@@ -201,10 +203,10 @@ def _stage_srg(art, cfg):
 
 
 def _stage_partition(art, cfg):
-    b_mask = art.columns[1]
-    art.part = graph.split_B_C(art.g, b_mask, anchor=1)
+    b_mask = art.columns[ANCHOR]
+    art.part = graph.split_B_C(art.g, b_mask)
     return {
-        "anchor": 1,
+        "anchor": ANCHOR,
         "B": b_mask.bit_count(),
         "C": len(art.part.c),
         "component_sizes": [len(art.part.b1), len(art.part.b2), len(art.part.b3)],
@@ -215,7 +217,7 @@ def _stage_claim1(art, cfg):
     graph.verify_claim1(art.g, art.part)
     inside, across, _ = graph.CLAIM1["B1"]
     from_c = graph.CLAIM1["C"][0]
-    return {"checked_pairs": art.g.n * 3, "pattern": [inside, across, from_c]}
+    return {"neighbour_counts": art.g.n * 3, "pattern": [inside, across, from_c]}
 
 
 def _stage_anchor_invariance(art, cfg):
@@ -267,14 +269,14 @@ def _stage_dimension_chain(art, cfg):
 
 
 def _stage_max_clique(art, cfg):
-    size, witness, nodes = cliques.max_clique_by_orbits(art.g, art.orbit_reps)
+    # One vertex orbit: verify_srg refuses maps that leave a second.
+    size, witness, nodes = cliques.max_clique_by_orbits(art.g, [0])
     if size != 5:
         raise VerificationError(f"clique number {size}, expected 5", witness=witness)
     art.clique_number = size
     return {
         "clique_number": size,
         "witness": witness,
-        "orbit_representatives": len(art.orbit_reps),
         "search_nodes": nodes,
     }
 
@@ -344,6 +346,14 @@ def run_check(cfg: RunConfig) -> Report:
             report.overall_status, report.exit_code = _STOPS[status]
             break
     return report
+
+
+def require_output_dir(path: str) -> None:
+    """Refuse, before any stage runs, an output path whose directory does
+    not exist."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OSError(f"output directory {parent!r} does not exist")
 
 
 @contextmanager
@@ -421,9 +431,7 @@ def export(cfg: RunConfig) -> tuple[int, Report]:
     """
     if cfg.out is None:
         raise ValueError("an output path is required (--out)")
-    parent = os.path.dirname(cfg.out) or "."
-    if not os.path.isdir(parent):
-        raise OSError(f"output directory {parent!r} does not exist")
+    require_output_dir(cfg.out)
     report = run_check(cfg)
     if report.exit_code != EXIT_PASS:
         return report.exit_code, report

@@ -45,7 +45,7 @@ def spectrum(srg_params):
 
 @pytest.fixture(scope="session")
 def part(g, isosets):
-    return graph.split_B_C(g, graph.point_columns(isosets)[1], anchor=1)
+    return graph.split_B_C(g, graph.point_columns(isosets)[1])
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
 the srg identity on all 86,320 pairs, claim 1 split and counted at every
 anchor, the distance census by scanning every pair, the contrast products
 counted column by column, the clique number by a search from every edge,
-the special cliques by a search inside each core's group of edges, and the
+the special cliques by a search inside each core's group of edges, the
+isomorphism of each B_h with its model by a backtracking search, and the
 geometry of lines spelled out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
@@ -112,7 +113,7 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
         isoset = f_ab | f_ac | f_bc
         if isoset.bit_count() != ISOSET_SIZE:
             raise ConstructionError(f"iso-set of {tri} has {isoset.bit_count()} members")
-        bases.append(Basis(tri, tuple(noniso[t] for t in tri), isoset))
+        bases.append(Basis(tri, isoset))
     if len(bases) != BASIS_COUNT or len({b.isoset for b in bases}) != BASIS_COUNT:
         raise ConstructionError(f"{len(bases)} bases, not {BASIS_COUNT} distinct")
     return bases, polar
@@ -120,14 +121,102 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
 
 def claim1_at_every_anchor(g: Graph, isosets: list[int]) -> list[Partition]:
     """The anchored split and its 20/0/8 counts, checked directly at each of
-    the 65 anchors."""
+    the 65 anchors; the split at anchor a is item a - 1."""
     columns = point_columns(isosets)
     parts = []
     for anchor in range(1, ISOTROPIC_COUNT + 1):
-        part = split_B_C(g, columns[anchor], anchor=anchor)
+        part = split_B_C(g, columns[anchor])
         verify_claim1(g, part)
         parts.append(part)
     return parts
+
+
+def halved_5cube() -> Graph:
+    """Even-weight 5-bit words, adjacent at Hamming distance 2 (16 vertices),
+    vertex t being the t-th such word in increasing order."""
+    words = [w for w in range(32) if w.bit_count() % 2 == 0]
+    n = len(words)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (words[i] ^ words[j]).bit_count() == 2:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, rows)
+
+
+def coclique_extension(g: Graph, size: int = 2) -> Graph:
+    """Blow each vertex up into a coclique of `size`; copies inherit edges.
+    Copy a of vertex i is vertex i * size + a."""
+    n = g.n * size
+    rows = [0] * n
+    for i in range(g.n):
+        for j in range(g.n):
+            if g.adjacent(i, j):
+                for a in range(size):
+                    for b in range(size):
+                        rows[i * size + a] |= 1 << (j * size + b)
+    return Graph(n, rows)
+
+
+def induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
+    """The subgraph on `vertices`, vertex t standing for vertices[t]."""
+    pos = {v: t for t, v in enumerate(vertices)}
+    rows = [0] * len(vertices)
+    for t, v in enumerate(vertices):
+        row = g.rows[v]
+        for u in vertices:
+            if row >> u & 1:
+                rows[t] |= 1 << pos[u]
+    return Graph(len(vertices), rows)
+
+
+def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
+    """Backtracking isomorphism search; returns image of each ga vertex."""
+    if ga.n != gb.n:
+        return None
+    n = ga.n
+    if sorted(ga.degree(i) for i in range(n)) != sorted(gb.degree(i) for i in range(n)):
+        return None
+
+    # Map ga vertices in an order that keeps each new vertex attached to the
+    # mapped prefix, so adjacency constraints bite as early as possible.
+    order: list[int] = [0]
+    placed = 1 << 0
+    while len(order) < n:
+        best, best_links = -1, -1
+        for v in range(n):
+            if placed >> v & 1:
+                continue
+            links = (ga.rows[v] & placed).bit_count()
+            if links > best_links:
+                best, best_links = v, links
+        order.append(best)
+        placed |= 1 << best
+
+    full = (1 << n) - 1
+    image = [-1] * n
+
+    def extend(depth: int, used: int) -> bool:
+        if depth == n:
+            return True
+        v = order[depth]
+        cand = full & ~used
+        for u in order[:depth]:
+            if ga.adjacent(v, u):
+                cand &= gb.rows[image[u]]
+            else:
+                cand &= ~gb.rows[image[u]]
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            image[v] = w
+            if extend(depth + 1, used | 1 << w):
+                return True
+        image[v] = -1
+        return False
+
+    return image if extend(0, 0) else None
 
 
 def verify_srg_all_pairs(g: Graph) -> SrgParams:
@@ -400,9 +489,10 @@ def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
         raise ValueError("line endpoints must be nonisotropic")
     if hermitian_form(a, b) != 0:
         raise ValueError("line endpoints must be orthogonal")
+    number = iso_number(plane)
     mask = 0
     for p in line_points(a, b):
-        idx = plane.iso_number.get(p)
+        idx = number.get(p)
         if idx is not None:
             mask |= 1 << idx
     if mask.bit_count() != 5:
@@ -410,6 +500,18 @@ def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
             f"secant line {a},{b} carries {mask.bit_count()} isotropic points"
         )
     return mask
+
+
+def iso_number(plane: Plane) -> dict[Point, int]:
+    """The canonical index of each isotropic point: 1..65 in the order of
+    `plane.isotropic`."""
+    return {p: i + 1 for i, p in enumerate(plane.isotropic)}
+
+
+def basis_points(plane: Plane, basis: Basis) -> tuple[Point, Point, Point]:
+    """The three nonisotropic points of a basis."""
+    a, b, c = (plane.nonisotropic[t] for t in basis.noniso_indices)
+    return a, b, c
 
 
 def isoset_from_indices(indices) -> int:

@@ -185,7 +185,7 @@ def test_a_core_shared_by_six_vertices_is_refused():
     # {2, 3, 4}: one group of 15 edges, more than a special clique holds.
     core = 0b11100
     isosets = [core | 1 << (5 + v) for v in range(6)]
-    part = graph.Partition(1, (), (), (), tuple(range(6)), 0, 0, 0, 0b111111)
+    part = graph.Partition((), (), (), tuple(range(6)), 0, 0, 0, 0b111111)
     message = r"6 vertices of C share the core \[2, 3, 4\]"
     with pytest.raises(VerificationError, match=message) as exc:
         cliques.enumerate_special_cliques(complete_graph(6), part, isosets)

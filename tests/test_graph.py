@@ -109,9 +109,10 @@ def test_point_maps_are_the_isometries_on_the_isotropic_points(
 ):
     maps = graph.verify_point_action(g, graph.point_columns(isosets), automorphisms)
     assert len(maps) == len(hermitian.ISOMETRIES)
+    number = oracles.iso_number(plane)
     for sigma, m in zip(maps, hermitian.ISOMETRIES):
         image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane.isotropic]
-        assert sigma == [plane.iso_number[q] - 1 for q in image]
+        assert sigma == [number[q] - 1 for q in image]
 
 
 def test_point_action_refuses_a_second_orbit_and_a_lost_column(
@@ -284,44 +285,123 @@ def test_claim1_counts(g, part):
 def test_split_invariant_under_anchor_relabelling(g, isosets):
     columns = graph.point_columns(isosets)
     for anchor in (7, 21, 58):
-        alt = graph.split_B_C(g, columns[anchor], anchor=anchor)
+        alt = graph.split_B_C(g, columns[anchor])
         assert [len(alt.b1), len(alt.b2), len(alt.b3)] == [32, 32, 32]
         assert len(alt.c) == 320 and alt.c_mask == ((1 << 416) - 1) & ~columns[anchor]
         graph.verify_claim1(g, alt)
     # No point 0: its column is empty, and an empty B has no components.
     with pytest.raises(VerificationError) as exc:
-        graph.split_B_C(g, columns[0], anchor=0)
+        graph.split_B_C(g, columns[0])
     assert exc.value.witness == []
 
 
+def _model_words() -> list[int]:
+    """The word of each vertex of the oracle model: vertex 2t + a is copy a
+    of the t-th even-weight word."""
+    words = [w for w in range(32) if w.bit_count() % 2 == 0]
+    return [w for w in words for _ in range(2)]
+
+
 def test_components_isomorphic_to_coclique_extension(g, part):
-    model = graph.coclique_extension(graph.halved_5cube(), 2)
-    isos = graph.check_component_structure(g, part)
-    assert len(isos) == 3
-    for block, image in zip((part.b1, part.b2, part.b3), isos):
-        # image[u] is the position in the block of model vertex u's image.
-        assert sorted(image) == list(range(32))
-        mapped = [block[image[u]] for u in range(32)]
+    model = oracles.coclique_extension(oracles.halved_5cube(), 2)
+    words = _model_words()
+    labellings = graph.check_component_structure(g, part)
+    assert len(labellings) == 3
+    for block, labels in zip((part.b1, part.b2, part.b3), labellings):
+        # Model vertex 2t + a is the a-th vertex of the block, in order, that
+        # carries word t; every word is carried exactly twice.
+        holders = {w: [v for v, x in zip(block, labels) if x == w] for w in words}
+        assert all(len(vs) == 2 for vs in holders.values())
+        mapped = [holders[w][u % 2] for u, w in enumerate(words)]
+        assert sorted(mapped) == sorted(block)
         for u in range(32):
             for w in range(32):
                 assert model.adjacent(u, w) == g.adjacent(mapped[u], mapped[w])
+        # The backtracking search agrees that an isomorphism exists.
+        assert oracles.find_isomorphism(model, oracles.induced(g, block)) is not None
+
+
+def _blocks_of_models() -> tuple[graph.Graph, graph.Partition]:
+    """Three disjoint copies of the oracle model on 96 vertices, and their
+    partition."""
+    model = oracles.coclique_extension(oracles.halved_5cube(), 2)
+    rows = [model.rows[v % 32] << (v // 32 * 32) for v in range(96)]
+    blocks = [tuple(range(32 * t, 32 * t + 32)) for t in range(3)]
+    masks = [(1 << 32) - 1 << 32 * t for t in range(3)]
+    return graph.Graph(96, rows), graph.Partition(*blocks, (), *masks, 0)
+
+
+def _witness_vertices(witness) -> set[int]:
+    return set(witness) if isinstance(witness, tuple) else {witness}
+
+
+def test_component_structure_labels_the_model_itself():
+    # The smallest vertex of each copy gets 00000; every even word is used
+    # twice.
+    h, part = _blocks_of_models()
+    for labels in graph.check_component_structure(h, part):
+        assert labels[:2] == [0, 0]
+        assert sorted(labels) == sorted(_model_words())
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("edges of 00000 and 00011 removed", "odd or taken twice"),
+        ("edges of 00011 and 00101 removed", "disagree with its adjacency"),
+        ("vertex 3 made a twin of vertex 0", "odd or taken twice"),
+    ],
+    ids=["class-pair-through-00000", "class-pair-of-weight-2", "third-twin"],
+)
+def test_component_structure_refuses_a_corrupted_model(corruption, message):
+    # Model vertices 2t and 2t + 1 carry the t-th even word: 00000, 00011,
+    # 00101, ...  The copy at 32..63 stands for B2.
+    h, part = _blocks_of_models()
+    base = 32
+    if corruption.startswith("edges"):
+        # The four edges between two adjacent twin classes.  Through the
+        # class of 00000 the words read off are no bijection; between two
+        # classes of weight-2 words they are, and a pair disagrees.
+        s, t = (0, 1) if "00000" in corruption else (1, 2)
+        for a in range(2):
+            for b in range(2):
+                h.flip_edge(base + 2 * s + a, base + 2 * t + b)
+    else:
+        # Three vertices share the word 00000 and only one has 00011, yet
+        # every pair agrees with the words: only the count refuses it.
+        for u in range(32):
+            if u != 3 and h.adjacent(base + 3, base + u) != h.adjacent(base, base + u):
+                h.flip_edge(base + 3, base + u)
+    with pytest.raises(VerificationError, match=f"^B2: .*{message}") as err:
+        graph.check_component_structure(h, part)
+    assert _witness_vertices(err.value.witness) <= set(part.b2)
 
 
 def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(g, part):
-    # 32 vertices of C in place of B2: no isomorphism exists, and B2 is named.
+    # 32 vertices of C in place of B2, with their own mask: B2 is named.
+    fake_b2 = part.c[:32]
     fake = graph.Partition(
-        part.anchor, part.b1, part.c[:32], part.b3, part.c[32:],
-        part.b1_mask, 0, part.b3_mask, 0,
+        part.b1, fake_b2, part.b3, part.c[32:],
+        part.b1_mask, sum(1 << v for v in fake_b2), part.b3_mask, 0,
     )
-    with pytest.raises(VerificationError, match="B2 is not isomorphic"):
+    with pytest.raises(VerificationError, match="^B2: ") as err:
         graph.check_component_structure(g, fake)
+    assert _witness_vertices(err.value.witness) <= set(fake_b2)
+    # A block of the wrong size is refused before any word is read.
+    short = graph.Partition(
+        part.b1[:31], part.b2, part.b3, part.c,
+        part.b1_mask & ~(1 << part.b1[31]), part.b2_mask, part.b3_mask, 0,
+    )
+    with pytest.raises(VerificationError, match="B1 has 31 vertices") as err:
+        graph.check_component_structure(g, short)
+    assert err.value.witness == 31
 
 
 def test_halved_5cube_model():
-    h = graph.halved_5cube()
+    h = oracles.halved_5cube()
     params = graph.verify_srg(h, halved_5cube_generators())
     assert (params.v, params.k, params.lam, params.mu) == (16, 10, 6, 6)
-    model = graph.coclique_extension(h, 2)
+    model = oracles.coclique_extension(h, 2)
     assert model.n == 32
     assert {model.degree(i) for i in range(32)} == {20}
     # Paired copies share neighbourhoods and are non-adjacent.
@@ -331,9 +411,9 @@ def test_halved_5cube_model():
 
 
 def test_find_isomorphism_positive_and_negative():
-    h = graph.halved_5cube()
-    mapping = graph.find_isomorphism(h, h)
+    h = oracles.halved_5cube()
+    mapping = oracles.find_isomorphism(h, h)
     assert mapping is not None
     p = petersen()
-    assert graph.find_isomorphism(h, graph.coclique_extension(h, 2)) is None
-    assert graph.find_isomorphism(p, p) is not None
+    assert oracles.find_isomorphism(h, oracles.coclique_extension(h, 2)) is None
+    assert oracles.find_isomorphism(p, p) is not None

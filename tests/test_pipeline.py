@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import g24verify
-from g24verify import cli, euclid, graph, hermitian, pipeline
+from g24verify import cli, euclid, gf16, graph, hermitian, pipeline
 from g24verify.errors import VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
@@ -64,10 +64,15 @@ def test_stage_details(full_report):
     clique = full_report.stage("max-clique").detail
     assert clique["clique_number"] == 5
     assert "automorphisms_verified" not in clique
-    assert clique["orbit_representatives"] == 1
+    assert "orbit_representatives" not in clique
     cover = full_report.stage("special-cover").detail
     assert cover == {"special_cliques": 64, "covered_vertices": 320, "cover_count": 1}
     assert full_report.stage("partition").detail["B"] == 96
+    assert full_report.stage("partition").detail["anchor"] == pipeline.ANCHOR == 1
+    assert full_report.stage("claim1").detail == {
+        "neighbour_counts": 1248,
+        "pattern": [20, 0, 8],
+    }
     assert full_report.stage("inner-products").detail == {
         "p_pattern": [0, 24, -24, 0],
         "q_pattern": [48, -24, -24, 0],
@@ -90,21 +95,72 @@ def test_default_run_checks_clebsch(full_report):
 
 
 def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
-    # With one pair of the halved 5-cube toggled, the model's degrees no
-    # longer match B1's, so the default run stops at the clebsch stage.
-    halved_5cube = graph.halved_5cube
+    # 32 vertices of C handed in as B2, with claim 1 not checked: the
+    # default run stops at the clebsch stage, naming B2 and a witness in it.
+    split = graph.split_B_C
 
-    def toggled():
-        h = halved_5cube()
-        h.flip_edge(0, 1)
-        return h
+    def c_as_b2(g, b_mask):
+        part = split(g, b_mask)
+        fake = part.c[:32]
+        fake_mask = sum(1 << v for v in fake)
+        rest = part.c_mask ^ fake_mask | part.b2_mask
+        return graph.Partition(
+            part.b1, fake, part.b3, tuple(v for v in range(g.n) if rest >> v & 1),
+            part.b1_mask, fake_mask, part.b3_mask, rest,
+        )
 
-    monkeypatch.setattr(graph, "halved_5cube", toggled)
+    monkeypatch.setattr(graph, "split_B_C", c_as_b2)
+    monkeypatch.setattr(graph, "verify_claim1", lambda g, part: None)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
     assert (failed.name, failed.status) == ("clebsch", "fail")
-    assert "B1 is not isomorphic" in failed.detail["error"]
+    assert failed.detail["error"].startswith("B2: ")
+    witness = failed.detail["witness"]
+    vertices = set(witness) if isinstance(witness, tuple) else {witness}
+    assert vertices <= set(report.artifacts.part.b2)
+
+
+def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
+    # One product changed in a copy of the table: 2 * 3 no longer equals
+    # 3 * 2, and the axiom suite names the pair.
+    table = [list(row) for row in gf16._MUL]
+    table[2][3] ^= 1
+    monkeypatch.setattr(gf16, "_MUL", table)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("field-tables", "fail")
+    assert "commutativity" in failed.detail["error"]
+    assert failed.detail["witness"] == (2, 3)
+
+
+@pytest.mark.parametrize("move", ["C vertex added", "B vertex removed"])
+def test_vertex_moved_between_b_and_c_fails_partition(monkeypatch, move):
+    # Column 1 is B at the anchor.  A vertex of C added to it joins B1, B2
+    # and B3 (it has 8 neighbours in each) into one component of 97; a
+    # vertex of B removed from it leaves a component of 31.
+    build = graph.build_graph
+
+    def moved(isosets):
+        g, dist, columns = build(isosets)
+        b = columns[1]
+        if move == "C vertex added":
+            v = next(v for v in range(g.n) if not b >> v & 1)
+        else:
+            v = (b & -b).bit_length() - 1
+        columns = list(columns)
+        columns[1] ^= 1 << v
+        return g, dist, columns
+
+    monkeypatch.setattr(graph, "build_graph", moved)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("partition", "fail")
+    assert "component" in failed.detail["error"]
+    want = [97] if move == "C vertex added" else [31, 32, 32]
+    assert failed.detail["witness"] == want
 
 
 def test_fault_injection_fails_srg_stage():
@@ -266,7 +322,7 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
     u, v = part.c[0], part.c[1]
     h = graph.Graph(g.n, list(g.rows))
     h.flip_edge(u, v)
-    graph.verify_claim1(h, graph.split_B_C(h, graph.point_columns(isosets)[1], 1))
+    graph.verify_claim1(h, graph.split_B_C(h, graph.point_columns(isosets)[1]))
     with pytest.raises(VerificationError) as exc:
         oracles.claim1_at_every_anchor(h, isosets)
     assert exc.value.witness is not None
@@ -465,6 +521,15 @@ def test_cli_usage_errors_exit_3(tmp_path):
     assert cli.main(["export-graph"]) == 3  # missing --out
     rc = cli.main(["export-graph", "--out", str(tmp_path / "no" / "dir" / "x")])
     assert rc == 3
+
+
+def test_check_out_into_a_missing_directory_runs_no_stage(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert cli.main(["check", "--out", str(missing / "r.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no stage line, no verdict
+    assert str(missing) in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 def test_removed_flags_exit_3():
