@@ -226,7 +226,6 @@ def final_verdict(certificates, clique_number: int, c_size: int, b1_size: int) -
             "dimension": dims["C"],
             "point_count": c_size,
             "min_parts": near_parts,
-            "is_counterexample": False,
         },
         "note": "a stronger lower bound of 72 parts has been reported; not verified here",
     }

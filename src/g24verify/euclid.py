@@ -7,8 +7,9 @@ symmetric, as the srg stage verified) with 4 at coordinate i, read through
 their counts follow from the verified srg parameters, so no pair is
 scanned.  The contrast vectors p and q are constant on the blocks of the
 anchored split, so their inner products with the columns of y follow from
-the claim-1 counts and the block sizes, and none is counted.  p and q cut
-the affine hull twice, giving the chain 65 -> 64 -> 63; each step is
+the block counts (`graph.CLAIM1`) and the block sizes, and none is
+counted.  p and q cut the affine hull twice, giving the chain
+65 -> 64 -> 63; each step is
 certified two-sided: a modular-rank lower bound meets an upper bound derived
 from the exactly verified srg identity plus explicit orthogonal vectors.
 Every check below is exact integer arithmetic; there is no floating point
@@ -128,12 +129,12 @@ def distance_census(params: SrgParams) -> dict[int, int]:
 
 
 def contrast_products(part: Partition) -> dict:
-    """The inner products of the contrast vectors, derived from claim 1
-    (`graph.verify_claim1`) and the block sizes instead of counted.
+    """The inner products of the contrast vectors, derived from the block
+    counts (`graph.verify_claim1`) and the block sizes instead of counted.
 
     For w constant on each block, with weight w_X on block X and 0 on C (so
     neighbours in C add nothing), and i in block X,
-    <w, y_i> = 4 w_X + sum over h of w_Bh |N(i) & B_h|, and claim 1 gives
+    <w, y_i> = 4 w_X + sum over h of w_Bh |N(i) & B_h|, and CLAIM1 gives
     |N(i) & B_h| for every i of X.  Hence the patterns of
     <p, y_i> and <q, y_i> on B1, B2, B3, C, and <p, q>, |p|^2, |q|^2 as sums
     of block size times weight products.
@@ -267,7 +268,7 @@ def certified_dimension_chain(
     It relies on what earlier stages of the same run proved and does not
     check it again: the srg stage (A is a loop-free srg, which gives the
     spectrum, rank y = 1 + f, and k + 4 = 104 as every column sum of y) and
-    the claim1 stage (the 20/0/8 counts, from which <p, y_i> and <q, y_i>
+    the block-counts stage (the 20/0/8 counts, from which <p, y_i> and <q, y_i>
     follow their block patterns and <p, q> = 0; see `contrast_products`).
     """
     if not primes:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import ConstructionError, VerificationError
@@ -85,9 +84,9 @@ class SrgParams:
 
 @dataclass(frozen=True)
 class Spectrum:
-    r: Fraction
+    r: int
     f: int
-    s: Fraction
+    s: int
     g_mult: int
 
 
@@ -105,7 +104,8 @@ class Partition:
     c_mask: int
 
 
-# Claim 1: the neighbours of a vertex in (B1, B2, B3), by the block it lies in.
+# The block counts (PAPER.md claim 5): the neighbours of a vertex in
+# (B1, B2, B3), by the block it lies in.
 CLAIM1 = {"B1": (20, 0, 0), "B2": (0, 20, 0), "B3": (0, 0, 20), "C": (8, 8, 8)}
 
 
@@ -188,8 +188,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
        on edges and mu on non-edges, both read off vertex 0;
     3. every map is an automorphism, checked on all n rows;
     4. the maps leave one vertex orbit (the second orbit's smallest vertex
-       is the witness otherwise);
-    5. the parameters are feasible.
+       is the witness otherwise).
 
     Steps 3 and 4 carry step 2 to every pair.  For a pair (i, j) some
     element s of the group has s(i) = 0.  It satisfies A_s(a)s(b) = A_ab for
@@ -197,6 +196,11 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     = A_s(j)0 = A_ji, and |N(i) & N(j)| = |N(0) & N(s(j))| is lambda or mu as
     A_ij is 1 or 0.  With A symmetric, (A^2)_ij = |N(i) & N(j)|, which gives
     the identity.  No floating point is involved.
+
+    The parameters need no feasibility check: steps 1-4 make every row
+    symmetric with degree k, and counting the paths 0 - u - w of length 2
+    with w a non-neighbour of 0 gives k(k - lambda - 1) through the k
+    neighbours u of 0 and (v - k - 1) mu through the non-neighbours w.
     """
     n, rows = g.n, g.rows
     r0 = rows[0]
@@ -236,10 +240,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
             witness=reps[1],
         )
 
-    params = SrgParams(n, k, lam, mu)
-    if not params.feasible():
-        raise VerificationError(f"infeasible srg parameters {params}")
-    return params
+    return SrgParams(n, k, lam, mu)
 
 
 def verify_automorphism(
@@ -299,11 +300,11 @@ def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
 def verify_point_action(
     g: Graph, columns: list[int], automorphisms: list[list[int]]
 ) -> list[list[int]]:
-    """Certify that claim 1 at anchor 1 holds at every anchor: each verified
-    automorphism of g must map every point column onto a point column, and the
-    induced point maps must leave one orbit on the 65 points.  Returns each
-    map's action on the points, counted from 0: sigma[a - 1] = b - 1 when
-    the map sends column a onto column b.
+    """Certify that the block counts at anchor 1 hold at every anchor: each
+    verified automorphism of g must map every point column onto a point
+    column, and the induced point maps must leave one orbit on the 65
+    points.  Returns each map's action on the points, counted from 0:
+    sigma[a - 1] = b - 1 when the map sends column a onto column b.
 
     Each failure names a witness: (map, point) for a column whose image is
     no column, or the second orbit's smallest point.
@@ -311,13 +312,13 @@ def verify_point_action(
     Why this suffices: let pi be an automorphism of g as built (the srg stage
     verified it on all rows) and pi(B(a)) = B(b), B(a) being column a.  Then
     pi maps the subgraph induced on B(a) onto the one on B(b), so components
-    onto components, and C(a) onto C(b); every count of claim 1 for a vertex
-    v at anchor a is the same count for pi(v) at anchor b, up to the order
+    onto components, and C(a) onto C(b); every block count for a vertex v
+    at anchor a is the same count for pi(v) at anchor b, up to the order
     of B1, B2, B3, which the 20/0/8 pattern does not see.  The split at a
     therefore has three 32-vertex components with the 20/0/8 pattern iff the
     split at b has, and pi's inverse, also an automorphism, carries it back.
-    Each link a -> sigma(a) thus carries claim 1 both ways, and with one
-    orbit, claim 1 at anchor 1 (verified directly) holds at all 65 anchors.
+    Each link a -> sigma(a) thus carries the counts both ways, and with one
+    orbit, the counts at anchor 1 (verified directly) hold at all 65 anchors.
     """
     bits = bit_strings(columns, g.n)
     point_of = {b: a for a, b in enumerate(bits) if a}
@@ -344,10 +345,12 @@ def verify_point_action(
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:
-    """Eigenvalues r > s and their multiplicities, in exact arithmetic.
+    """Eigenvalues r > s and their multiplicities, in integer arithmetic.
 
     Requires the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square;
-    the conference-graph case is rejected as out of scope.
+    the conference-graph case is rejected as out of scope.  r and s are then
+    integers: the discriminant is (lam-mu)^2 mod 4, so its root has the
+    parity of lam - mu.
     """
     if not params.feasible():
         raise ValueError(f"infeasible parameters {params}")
@@ -356,13 +359,13 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     root = math.isqrt(disc)
     if root * root != disc:
         raise ValueError(f"discriminant {disc} is not a perfect square")
-    r = Fraction(lam - mu + root, 2)
-    s = Fraction(lam - mu - root, 2)
-    f_frac = Fraction(v - 1, 1) - Fraction(2 * k + (v - 1) * (lam - mu), root)
-    f_frac /= 2
-    if f_frac.denominator != 1:
-        raise ValueError(f"non-integral multiplicity f = {f_frac}")
-    f = int(f_frac)
+    r = (lam - mu + root) // 2
+    s = (lam - mu - root) // 2
+    # f = ((v - 1) - (2k + (v - 1)(lam - mu)) / root) / 2
+    quotient, remainder = divmod(2 * k + (v - 1) * (lam - mu), root)
+    if remainder or (v - 1 - quotient) % 2:
+        raise ValueError(f"non-integral multiplicity f for {params}")
+    f = (v - 1 - quotient) // 2
     g_mult = v - 1 - f
     if k + f * r + g_mult * s != 0:
         raise VerificationError("spectrum fails the zero-trace identity")
@@ -475,8 +478,9 @@ def check_component_structure(g: Graph, part: Partition) -> list[list[int]]:
     word even and on at most two of them, hence on exactly two, and every
     pair of the block (with itself too) adjacent exactly when its words are
     at distance 2.  A failure names the block and the first vertex or pair
-    that is wrong.  Claim 1 (`verify_claim1`) already gives the regularity
-    inside each B_h and no edges between them; only the isomorphism is new.
+    that is wrong.  The block counts (`verify_claim1`) already give the
+    regularity inside each B_h and no edges between them; only the
+    isomorphism is new.
     """
     labellings = []
     blocks = (part.b1, part.b2, part.b3)

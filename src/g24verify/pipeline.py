@@ -1,8 +1,8 @@
 """Orchestration: the staged verification pipeline, report, and exporters.
 
 Stages run in dependency order and stop at the first failed or
-inconclusive one; every stage contributes a structured detail block to the
-report.
+inconclusive one; every stage names the claims of PAPER.md it certifies and
+contributes a structured detail block to the report.
 All outputs are exact counts and witnesses; stage wall-clock times are
 collected but serialized only on request, so default artifacts are
 byte-for-byte reproducible.
@@ -45,6 +45,7 @@ class RunConfig:
 @dataclass
 class StageResult:
     name: str
+    claims: tuple[int, ...]  # of PAPER.md, 1..9
     status: str  # ok | fail | inconclusive
     detail: dict
     elapsed_ms: float
@@ -62,7 +63,6 @@ class Artifacts:
     isosets: list[int] | None = None
     columns: list[int] | None = None  # graph.point_columns(isosets)
     g: graph.Graph | None = None
-    srg: graph.SrgParams | None = None
     automorphisms: list[list[int]] | None = None  # verified by the srg stage
     spectrum: graph.Spectrum | None = None
     part: graph.Partition | None = None
@@ -95,7 +95,12 @@ class Report:
             },
             "config": self.config,
             "stages": [
-                {"name": s.name, "status": s.status, "detail": s.detail}
+                {
+                    "name": s.name,
+                    "claims": list(s.claims),
+                    "status": s.status,
+                    "detail": s.detail,
+                }
                 for s in self.stages
             ],
             "overall": {"status": self.overall_status, "exit_code": self.exit_code},
@@ -117,12 +122,11 @@ class Report:
         for s in self.stages:
             suffix = f"  [{s.elapsed_ms:.0f} ms]" if include_timings else ""
             lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
-            if s.status == "fail":
-                lines.append(f"    {s.detail.get('error', '')}")
+            if s.status != "ok":
+                claims = "/".join(map(str, s.claims))
+                lines.append(f"    claim {claims}: {s.detail['error']}")
                 if s.detail.get("witness") is not None:
                     lines.append(f"    witness: {s.detail['witness']}")
-            if s.status == "inconclusive":
-                lines.append(f"    {s.detail.get('error', '')}")
         for s in self.stages:
             if s.name == "verdict" and s.status == "ok":
                 lines.append(s.detail["statement"])
@@ -132,11 +136,7 @@ class Report:
 
 def _stage_field_tables(art, cfg):
     checks = gf16.verify_axioms()
-    return {
-        "polynomial": gf16.polynomial_label(),
-        "generator": gf16.GENERATOR,
-        "axiom_checks": checks,
-    }
+    return {"polynomial": gf16.polynomial_label(), "axiom_checks": checks}
 
 
 def _stage_geometry(art, cfg):
@@ -160,12 +160,7 @@ def _stage_bases(art, cfg):
         raise VerificationError(
             f"bases per nonisotropic point: {counts}, expected every point in 6"
         )
-    return {
-        "bases": len(art.bases),
-        "isoset_size": 15,
-        "bases_per_nonisotropic_point": 6,
-        "distinct_isosets": len(set(art.isosets)),
-    }
+    return {"bases": len(art.bases)}
 
 
 def _stage_graph(art, cfg):
@@ -184,9 +179,10 @@ def _stage_graph(art, cfg):
 
 def _stage_srg(art, cfg):
     automorphisms = hermitian.basis_permutations(art.plane, art.bases)
-    art.srg = p = graph.verify_srg(art.g, automorphisms)
+    p = graph.verify_srg(art.g, automorphisms)
     art.automorphisms = automorphisms
     art.spectrum = graph.srg_spectrum(p)
+    census = euclid.distance_census(p)
     return {
         "parameters": [p.v, p.k, p.lam, p.mu],
         "feasibility": f"{p.k * (p.k - p.lam - 1)} = {(p.v - p.k - 1) * p.mu}",
@@ -199,6 +195,8 @@ def _stage_srg(art, cfg):
             "s": str(art.spectrum.s),
             "g": art.spectrum.g_mult,
         },
+        "column_sum": p.k + 4,  # of y = A + 4I, with A k-regular
+        "distance_census": {str(d2): m for d2, m in census.items()},
     }
 
 
@@ -213,7 +211,7 @@ def _stage_partition(art, cfg):
     }
 
 
-def _stage_claim1(art, cfg):
+def _stage_block_counts(art, cfg):
     graph.verify_claim1(art.g, art.part)
     inside, across, _ = graph.CLAIM1["B1"]
     from_c = graph.CLAIM1["C"][0]
@@ -221,31 +219,17 @@ def _stage_claim1(art, cfg):
 
 
 def _stage_anchor_invariance(art, cfg):
-    # Claim 1 at anchor 1 (the claim1 stage) carried to the other anchors.
+    # The block counts at anchor 1 carried to the other anchors.
     maps = graph.verify_point_action(art.g, art.columns, art.automorphisms)
     return {
         "anchors_covered": hermitian.ISOTROPIC_COUNT - 1,
         "point_maps_verified": len(maps),
-        "point_orbits": 1,  # verify_point_action refuses a second orbit
     }
 
 
 def _stage_clebsch(art, cfg):
-    graph.check_component_structure(art.g, art.part)
-    return {"isomorphic_to_model": True}  # or it raises, naming the component
-
-
-def _stage_representation(art, cfg):
-    census = euclid.distance_census(art.srg)
-    return {
-        "diagonal": 4,
-        "column_sum": art.srg.k + 4,  # y = A + 4I with A k-regular
-        "distance_census": {str(d2): m for d2, m in census.items()},
-    }
-
-
-def _stage_inner_products(art, cfg):
-    return euclid.contrast_products(art.part)
+    graph.check_component_structure(art.g, art.part)  # or it raises
+    return {}
 
 
 def _stage_dimension_chain(art, cfg):
@@ -255,6 +239,7 @@ def _stage_dimension_chain(art, cfg):
     return {
         "primes": list(cfg.primes),
         "settled_by": prime,
+        "contrast_products": euclid.contrast_products(art.part),
         "certificates": [
             {
                 "set": c.label,
@@ -298,23 +283,21 @@ def _stage_verdict(art, cfg):
     )
 
 
-# (name, stage function), in run order.
+# (name, the claims of PAPER.md it certifies, stage function), in run order.
 _STAGES = (
-    ("field-tables", _stage_field_tables),
-    ("geometry", _stage_geometry),
-    ("bases", _stage_bases),
-    ("graph", _stage_graph),
-    ("srg", _stage_srg),
-    ("partition", _stage_partition),
-    ("claim1", _stage_claim1),
-    ("anchor-invariance", _stage_anchor_invariance),
-    ("clebsch", _stage_clebsch),
-    ("representation", _stage_representation),
-    ("inner-products", _stage_inner_products),
-    ("dimension-chain", _stage_dimension_chain),
-    ("max-clique", _stage_max_clique),
-    ("special-cover", _stage_special_cover),
-    ("verdict", _stage_verdict),
+    ("field-tables", (1,), _stage_field_tables),
+    ("geometry", (2,), _stage_geometry),
+    ("bases", (2,), _stage_bases),
+    ("graph", (3,), _stage_graph),
+    ("srg", (3, 4), _stage_srg),
+    ("partition", (5,), _stage_partition),
+    ("block-counts", (5,), _stage_block_counts),
+    ("anchor-invariance", (5,), _stage_anchor_invariance),
+    ("clebsch", (5,), _stage_clebsch),
+    ("dimension-chain", (6,), _stage_dimension_chain),
+    ("max-clique", (7,), _stage_max_clique),
+    ("special-cover", (9,), _stage_special_cover),
+    ("verdict", (8,), _stage_verdict),
 )
 
 _STOPS = {
@@ -331,7 +314,7 @@ def run_check(cfg: RunConfig) -> Report:
     """Run the stages in order and stop at the first one that fails or is
     inconclusive; what the stages built is in `report.artifacts`."""
     report = Report(config=_config_dict(cfg))
-    for name, stage in _STAGES:
+    for name, claims, stage in _STAGES:
         t0 = time.perf_counter()
         try:
             detail, status = stage(report.artifacts, cfg), "ok"
@@ -341,7 +324,7 @@ def run_check(cfg: RunConfig) -> Report:
             detail = {"error": str(exc), "witness": getattr(exc, "witness", None)}
             status = "fail"
         elapsed = (time.perf_counter() - t0) * 1000
-        report.stages.append(StageResult(name, status, detail, elapsed))
+        report.stages.append(StageResult(name, claims, status, detail, elapsed))
         if status != "ok":
             report.overall_status, report.exit_code = _STOPS[status]
             break

@@ -419,6 +419,14 @@ def test_dimension_chain_respects_prime_override(g, part, spectrum, certificates
         euclid.certified_dimension_chain(g, part, spectrum, primes=())
 
 
+def test_dimension_chain_refuses_another_spectrum(g, part, spectrum):
+    # The upper bounds read rank y = 1 + f; a spectrum with f = 64 is
+    # refused before any pivot is computed.
+    wrong = graph.Spectrum(spectrum.r, 64, spectrum.s, spectrum.g_mult + 1)
+    with pytest.raises(VerificationError, match="unexpected spectrum"):
+        euclid.certified_dimension_chain(g, part, wrong)
+
+
 def test_dimension_chain_falls_back_past_a_prime_that_falls_short(g, part, spectrum):
     # Mod 3 the pivots on V stop at 65, one short of the upper bound + 1;
     # 3 is the only prime below 400 that falls short on y.

@@ -35,28 +35,36 @@ def test_default_run_passes(full_report):
 
 
 def test_stage_details(full_report):
+    assert "generator" not in full_report.stage("field-tables").detail
     assert full_report.stage("geometry").detail["points"] == 273
     assert full_report.stage("geometry").detail["isotropic"] == 65
-    assert full_report.stage("bases").detail["bases"] == 416
+    assert full_report.stage("bases").detail == {"bases": 416}
     assert full_report.stage("graph").detail["edges"] == 20800
     assert full_report.stage("srg").detail["parameters"] == [416, 100, 36, 20]
     assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
     assert full_report.stage("srg").detail["spectrum"]["f"] == 65
     assert full_report.stage("srg").detail["automorphisms_verified"] == 3
     assert "cross_instance" not in full_report.stage("srg").detail
+    assert full_report.stage("srg").detail["column_sum"] == 104
+    assert full_report.stage("srg").detail["distance_census"] == {
+        "144": 20800,
+        "192": 65520,
+    }
     assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
     assert full_report.stage("anchor-invariance").detail == {
         "anchors_covered": 64,
         "point_maps_verified": 3,
-        "point_orbits": 1,
-    }
-    assert full_report.stage("representation").detail["distance_census"] == {
-        "144": 20800,
-        "192": 65520,
     }
     chain = full_report.stage("dimension-chain").detail
     assert chain["primes"] == list(euclid.DEFAULT_PRIMES)
     assert chain["settled_by"] == 2147483647
+    assert chain["contrast_products"] == {
+        "p_pattern": [0, 24, -24, 0],
+        "q_pattern": [48, -24, -24, 0],
+        "p_dot_q": 0,
+        "p_norm_sq": 64,
+        "q_norm_sq": 192,
+    }
     certs = chain["certificates"]
     assert [c["affine_dim"] for c in certs] == [65, 64, 63]
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
@@ -69,20 +77,35 @@ def test_stage_details(full_report):
     assert cover == {"special_cliques": 64, "covered_vertices": 320, "cover_count": 1}
     assert full_report.stage("partition").detail["B"] == 96
     assert full_report.stage("partition").detail["anchor"] == pipeline.ANCHOR == 1
-    assert full_report.stage("claim1").detail == {
+    assert full_report.stage("block-counts").detail == {
         "neighbour_counts": 1248,
         "pattern": [20, 0, 8],
     }
-    assert full_report.stage("inner-products").detail == {
-        "p_pattern": [0, 24, -24, 0],
-        "q_pattern": [48, -24, -24, 0],
-        "p_dot_q": 0,
-        "p_norm_sq": 64,
-        "q_norm_sq": 192,
-    }
-    assert full_report.stage("clebsch").detail == {"isomorphic_to_model": True}
+    assert full_report.stage("clebsch").detail == {}
     assert full_report.stage("verdict").detail["min_parts"] == 71
-    assert "cover_found" not in full_report.stage("verdict").detail["near_miss"]
+    assert full_report.stage("verdict").detail["near_miss"] == {
+        "dimension": 63,
+        "point_count": 320,
+        "min_parts": 64,
+    }
+
+
+def test_stages_are_keyed_to_every_claim(full_report):
+    # Each stage names the claims of PAPER.md it certifies; together they
+    # name all nine, and the report carries them.
+    assert len(pipeline._STAGES) == 13
+    claims = [c for _, stage_claims, _ in pipeline._STAGES for c in stage_claims]
+    assert sorted(set(claims)) == list(range(1, 10))
+    doc = full_report.to_dict()
+    assert [s["claims"] for s in doc["stages"]] == [
+        list(c) for _, c, _ in pipeline._STAGES
+    ]
+    assert doc["stages"][4] == {
+        "name": "srg",
+        "claims": [3, 4],
+        "status": "ok",
+        "detail": full_report.stage("srg").detail,
+    }
 
 
 def test_default_run_checks_clebsch(full_report):
@@ -119,6 +142,27 @@ def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
     witness = failed.detail["witness"]
     vertices = set(witness) if isinstance(witness, tuple) else {witness}
     assert vertices <= set(report.artifacts.part.b2)
+
+
+def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
+    # Point 0 is given the polar line of its smallest orthogonal partner j,
+    # on the isotropic call only.  Every polar line still carries 5 isotropic
+    # points, but two sides of the first triangle, (0, j, k), now coincide:
+    # only the disjointness check can refuse it.
+    orthogonal_masks = hermitian.orthogonal_masks
+
+    def crossed(points, targets):
+        masks = orthogonal_masks(points, targets)
+        if len(points) == hermitian.ISOTROPIC_COUNT:
+            partners = orthogonal_masks(targets, targets)[0]
+            masks[0] = masks[(partners & -partners).bit_length() - 1]
+        return masks
+
+    monkeypatch.setattr(hermitian, "orthogonal_masks", crossed)
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert "bases                ... FAIL\n    claim 2: " in out
+    assert "share isotropic points" in out
 
 
 def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
@@ -185,7 +229,7 @@ def test_failed_check_writes_its_report_and_report_writes_nothing(tmp_path, caps
     assert doc["overall"] == {"status": "fail", "exit_code": 1}
     assert "verdict" not in doc
     last = doc["stages"][-1]
-    assert (last["name"], last["status"]) == ("srg", "fail")
+    assert (last["name"], last["claims"], last["status"]) == ("srg", [3, 4], "fail")
     assert last["detail"]["witness"] == [2, 100]
     argv = ["report", "--inject-flip-edge", "0,1", "--out", str(tmp_path / "r2.json")]
     assert cli.main(argv) == 1
@@ -265,7 +309,7 @@ def test_rank_inconclusive_stops_with_exit_2(capsys):
     assert "3 gives [65, 65, 64]" in report.stages[-1].detail["error"]
     assert cli.main(["check", "--primes", "3"]) == 2
     out = capsys.readouterr().out
-    assert "dimension-chain      ... INCONCLUSIVE" in out
+    assert "dimension-chain      ... INCONCLUSIVE\n    claim 6: modular pivots" in out
     assert "for every prime: 3 gives" in out
 
 
@@ -551,10 +595,15 @@ def test_cli_prime_override(capsys):
 
 
 def test_cli_fault_injection_exit_code(capsys):
-    rc = cli.main(["check", "--inject-flip-edge", "0,1"])
+    rc = cli.main(["check", "--inject-flip-edge", "3,200"])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert out.endswith(
+        "srg                  ... FAIL\n"
+        "    claim 3/4: vertex 3 has degree 101, vertex 0 has 100\n"
+        "    witness: (3, 101)\n"
+        "overall: FAIL\n"
+    )
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
