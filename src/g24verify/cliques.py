@@ -15,16 +15,13 @@ special cliques.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import VerificationError
 from .graph import Graph, Partition
 
 
-@dataclass(frozen=True)
-class SpecialClique:
-    vertices: tuple[int, int, int, int, int]
-    core: tuple[int, int, int]
+SpecialClique = namedtuple("SpecialClique", "vertices core")
 
 
 def _color_bound_order(rows: list[int], cand: int) -> list[tuple[int, int]]:

@@ -41,7 +41,7 @@ holds for any set of pivots found:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 
 from .errors import InconclusiveError, VerificationError
@@ -69,16 +69,11 @@ def column_digits(g: Graph, i: int) -> str:
     return f"{bits[:i]}4{bits[i + 1:]}"
 
 
-@dataclass
-class DimensionCertificate:
-    """A settled affine dimension: the upper bound `affine_dim`, met by
-    `linear_rank` - 1, the pivot count of the prime that settled the chain."""
-
-    label: str
-    size: int
-    affine_dim: int
-    linear_rank: int
-    upper_argument: list[str] = field(default_factory=list)
+# A settled affine dimension: the upper bound `affine_dim`, met by
+# `linear_rank` - 1, the pivot count of the prime that settled the chain.
+DimensionCertificate = namedtuple(
+    "DimensionCertificate", "label size affine_dim linear_rank upper_argument"
+)
 
 
 def is_prime(n: int) -> bool:

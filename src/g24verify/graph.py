@@ -24,7 +24,7 @@ and then checked on every pair of the block, with no search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import ConstructionError, VerificationError
@@ -33,10 +33,10 @@ from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT
 VERTEX_COUNT = 416
 
 
-@dataclass
 class Graph:
-    n: int
-    rows: list[int]
+    def __init__(self, n: int, rows: list[int]):
+        self.n = n
+        self.rows = rows
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -70,38 +70,19 @@ def bit_strings(rows: list[int], n: int) -> list[str]:
     return [format(r, f"0{n}b")[::-1] for r in rows]
 
 
-@dataclass(frozen=True)
-class SrgParams:
-    v: int
-    k: int
-    lam: int
-    mu: int
+class SrgParams(namedtuple("SrgParams", "v k lam mu")):
+    __slots__ = ()
 
     def feasible(self) -> bool:
         """k(k - lam - 1) = (v - k - 1) mu, the basic counting identity."""
         return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    r: int
-    f: int
-    s: int
-    g_mult: int
+Spectrum = namedtuple("Spectrum", "r f s g_mult")
 
-
-@dataclass
-class Partition:
-    """The anchored split: B = vertices whose iso-set contains the anchor."""
-
-    b1: tuple[int, ...]
-    b2: tuple[int, ...]
-    b3: tuple[int, ...]
-    c: tuple[int, ...]
-    b1_mask: int
-    b2_mask: int
-    b3_mask: int
-    c_mask: int
+# The anchored split: B = vertices whose iso-set contains the anchor; each
+# block as an ascending vertex tuple and as a bit mask.
+Partition = namedtuple("Partition", "b1 b2 b3 c b1_mask b2_mask b3_mask c_mask")
 
 
 # The block counts (PAPER.md claim 5): the neighbours of a vertex in
@@ -119,7 +100,7 @@ def point_columns(isosets: list[int]) -> list[int]:
     for i, s in enumerate(isosets):
         if s & 1 or s >> width:
             raise ConstructionError(
-                f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}"
+                f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}", witness=i
             )
     # Transpose: column a is character a of every iso-set's bit string.
     bits = bit_strings(isosets, width)
@@ -142,10 +123,12 @@ def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int], list[int]]:
     """
     n = len(isosets)
     if n != VERTEX_COUNT:
-        raise ConstructionError(f"expected {VERTEX_COUNT} iso-sets, got {n}")
+        raise ConstructionError(f"expected {VERTEX_COUNT} iso-sets, got {n}", witness=n)
     for i, s in enumerate(isosets):
         if s.bit_count() != ISOSET_SIZE:
-            raise ConstructionError(f"iso-set {i} has {s.bit_count()} members")
+            raise ConstructionError(
+                f"iso-set {i} has {s.bit_count()} members", witness=i
+            )
     columns = point_columns(isosets)
     full = (1 << n) - 1
     rows = [0] * n

@@ -19,7 +19,7 @@ loop over pairs of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gf16
 from .errors import ConstructionError
@@ -34,11 +34,11 @@ ISOSET_SIZE = 15
 
 Matrix = tuple[Point, Point, Point]  # rows; acts on column vectors
 
-# Isometries of H: the swap of coordinates 1 and 3 and two unipotents.  The
-# bases form a single orbit under the group they generate.
+# Isometries of H: the swap of coordinates 1 and 3 and one unipotent.  The
+# bases form a single orbit under the group the two generate, and so do the
+# isotropic points; the srg and anchor-invariance stages require both.
 ISOMETRIES: tuple[Matrix, ...] = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
     ((1, 15, 5), (0, 1, 8), (0, 0, 1)),
 )
 
@@ -74,19 +74,11 @@ def enumerate_points() -> list[Point]:
     return pts
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Orthogonal basis of three nonisotropic points plus its iso-set."""
+# Orthogonal basis: its three nonisotropic points, as ascending indices into
+# Plane.nonisotropic, plus its iso-set.
+Basis = namedtuple("Basis", "noniso_indices isoset")
 
-    noniso_indices: tuple[int, int, int]  # into Plane.nonisotropic
-    isoset: int
-
-
-@dataclass
-class Plane:
-    points: list[Point]
-    isotropic: list[Point]
-    nonisotropic: list[Point]
+Plane = namedtuple("Plane", "points isotropic nonisotropic")
 
 
 def classify_points(points: list[Point]) -> tuple[list[Point], list[Point]]:
@@ -98,15 +90,18 @@ def classify_points(points: list[Point]) -> tuple[list[Point], list[Point]]:
 def build_plane() -> Plane:
     points = enumerate_points()
     if len(points) != POINT_COUNT or len(set(points)) != POINT_COUNT:
-        raise ConstructionError(f"expected {POINT_COUNT} distinct points")
+        raise ConstructionError(
+            f"expected {POINT_COUNT} distinct points", witness=len(set(points))
+        )
     for p in points:
         if normalize(p) != p:
-            raise ConstructionError(f"non-normalized point {p} enumerated")
+            raise ConstructionError(f"non-normalized point {p} enumerated", witness=p)
     iso, noniso = classify_points(points)
     if len(iso) != ISOTROPIC_COUNT or len(noniso) != NONISOTROPIC_COUNT:
         raise ConstructionError(
             f"point census {len(iso)}/{len(noniso)}, "
-            f"expected {ISOTROPIC_COUNT}/{NONISOTROPIC_COUNT}"
+            f"expected {ISOTROPIC_COUNT}/{NONISOTROPIC_COUNT}",
+            witness=(len(iso), len(noniso)),
         )
     return Plane(points, iso, noniso)
 
@@ -177,7 +172,8 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
             if completions.bit_count() != 1:
                 raise ConstructionError(
                     f"orthogonal pair ({i},{j}) has "
-                    f"{completions.bit_count()} completions"
+                    f"{completions.bit_count()} completions",
+                    witness=(i, j),
                 )
             k = completions.bit_length() - 1
             triples.add(tuple(sorted((i, j, k))))
@@ -189,22 +185,29 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     for t, mask in zip(noniso, polar):
         if mask.bit_count() != 5:
             raise ConstructionError(
-                f"polar line of {t} carries {mask.bit_count()} isotropic points"
+                f"polar line of {t} carries {mask.bit_count()} isotropic points",
+                witness=t,
             )
 
     bases: list[Basis] = []
     for tri in sorted(triples):
         f_bc, f_ac, f_ab = (polar[t] for t in tri)
         if f_ab & f_ac or f_ab & f_bc or f_ac & f_bc:
-            raise ConstructionError(f"triangle sides of {tri} share isotropic points")
+            raise ConstructionError(
+                f"triangle sides of {tri} share isotropic points", witness=tri
+            )
         # Three disjoint sides of 5 isotropic points each: 15 members.
         isoset = f_ab | f_ac | f_bc
         bases.append(Basis(tri, isoset))
 
     if len(bases) != BASIS_COUNT:
-        raise ConstructionError(f"found {len(bases)} bases, expected {BASIS_COUNT}")
-    if len({bs.isoset for bs in bases}) != BASIS_COUNT:
-        raise ConstructionError("iso-sets are not pairwise distinct")
+        raise ConstructionError(
+            f"found {len(bases)} bases, expected {BASIS_COUNT}", witness=len(bases)
+        )
+    isosets = [bs.isoset for bs in bases]
+    if len(set(isosets)) != BASIS_COUNT:
+        i = next(i for i, s in enumerate(isosets) if s in isosets[:i])
+        raise ConstructionError(f"iso-set {i} repeats an earlier one", witness=i)
     return bases
 
 
@@ -236,7 +239,7 @@ def basis_permutations(
             for a in range(3)
             for b in range(3)
         ):
-            raise ConstructionError(f"matrix {m} does not preserve H")
+            raise ConstructionError(f"matrix {m} does not preserve H", witness=m)
         point_image = [
             noniso_index[normalize(_apply(m, p))] for p in plane.nonisotropic
         ]

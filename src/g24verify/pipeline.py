@@ -14,11 +14,11 @@ import json
 import os
 import tempfile
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import __version__, cliques, euclid, gf16, graph, hermitian
-from .errors import ConstructionError, InconclusiveError, VerificationError
+from .errors import InconclusiveError, VerificationError
 
 TOOL = "g24verify"
 
@@ -32,52 +32,43 @@ EXIT_USAGE = 3
 ANCHOR = 1
 
 
-@dataclass
-class RunConfig:
-    command: str = "check"
-    out: str | None = None
-    fmt: str = "dimacs"
-    primes: tuple[int, ...] = euclid.DEFAULT_PRIMES
-    include_timings: bool = False
-    inject_flip_edge: tuple[int, int] | None = None
+RunConfig = namedtuple(
+    "RunConfig",
+    "command out fmt primes include_timings inject_flip_edge",
+    defaults=("check", None, "dimacs", euclid.DEFAULT_PRIMES, False, None),
+)
+
+# claims: of PAPER.md, 1..9; status: ok | fail | inconclusive.
+StageResult = namedtuple("StageResult", "name claims status detail elapsed_ms")
 
 
-@dataclass
-class StageResult:
-    name: str
-    claims: tuple[int, ...]  # of PAPER.md, 1..9
-    status: str  # ok | fail | inconclusive
-    detail: dict
-    elapsed_ms: float
-
-
-@dataclass
 class Artifacts:
     """What the stages build, kept for the exporters and never serialized.
 
-    A field stays None when the stage that builds it did not run.
+    An attribute stays None when the stage that builds it did not run.
     """
 
-    plane: hermitian.Plane | None = None
-    bases: list[hermitian.Basis] | None = None
-    isosets: list[int] | None = None
-    columns: list[int] | None = None  # graph.point_columns(isosets)
-    g: graph.Graph | None = None
-    automorphisms: list[list[int]] | None = None  # verified by the srg stage
-    spectrum: graph.Spectrum | None = None
-    part: graph.Partition | None = None
-    certs: list[euclid.DimensionCertificate] | None = None
-    clique_number: int | None = None
-    cover: list[cliques.SpecialClique] | None = None
+    plane = None  # hermitian.Plane
+    bases = None  # [hermitian.Basis]
+    isosets = None
+    columns = None  # graph.point_columns(isosets)
+    g = None  # graph.Graph
+    automorphisms = None  # verified by the srg stage
+    spectrum = None  # graph.Spectrum
+    part = None  # graph.Partition
+    certs = None  # [euclid.DimensionCertificate]
+    clique_number = None
+    cover = None  # [cliques.SpecialClique]
 
 
-@dataclass
 class Report:
-    stages: list[StageResult] = field(default_factory=list)
-    overall_status: str = "pass"
-    exit_code: int = EXIT_PASS
-    config: dict = field(default_factory=dict)
-    artifacts: Artifacts = field(default_factory=Artifacts)
+    overall_status = "pass"
+    exit_code = EXIT_PASS
+
+    def __init__(self, config: dict):
+        self.config = config
+        self.stages = []
+        self.artifacts = Artifacts()
 
     def stage(self, name: str) -> StageResult:
         for s in self.stages:
@@ -135,8 +126,7 @@ class Report:
 
 
 def _stage_field_tables(art, cfg):
-    checks = gf16.verify_axioms()
-    return {"polynomial": gf16.polynomial_label(), "axiom_checks": checks}
+    return {"axiom_checks": gf16.verify_axioms()}
 
 
 def _stage_geometry(art, cfg):
@@ -184,10 +174,7 @@ def _stage_srg(art, cfg):
     art.spectrum = graph.srg_spectrum(p)
     census = euclid.distance_census(p)
     return {
-        "parameters": [p.v, p.k, p.lam, p.mu],
-        "feasibility": f"{p.k * (p.k - p.lam - 1)} = {(p.v - p.k - 1) * p.mu}",
-        "identity_A2": "verified on the pairs (0, j); a transitive group of "
-        "verified automorphisms carries it to every pair",
+        "parameters": list(p),
         "automorphisms_verified": len(automorphisms),
         "spectrum": {
             "r": str(art.spectrum.r),
@@ -320,9 +307,8 @@ def run_check(cfg: RunConfig) -> Report:
             detail, status = stage(report.artifacts, cfg), "ok"
         except InconclusiveError as exc:
             detail, status = {"error": str(exc)}, "inconclusive"
-        except (VerificationError, ConstructionError) as exc:
-            detail = {"error": str(exc), "witness": getattr(exc, "witness", None)}
-            status = "fail"
+        except VerificationError as exc:
+            detail, status = {"error": str(exc), "witness": exc.witness}, "fail"
         elapsed = (time.perf_counter() - t0) * 1000
         report.stages.append(StageResult(name, claims, status, detail, elapsed))
         if status != "ok":

@@ -62,6 +62,15 @@ def test_orbit_search_on_small_graphs():
     assert size == 1 and wit == [0] and reps == [0, 1, 2, 3]
 
 
+def test_orbit_search_refuses_a_witness_that_is_no_clique(monkeypatch):
+    # A search that returns a non-clique: the pair check names the first
+    # pair of the witness that is not an edge.
+    monkeypatch.setattr(cliques, "_max_clique_in", lambda *args: (2, [2, 3]))
+    with pytest.raises(VerificationError) as exc:
+        cliques.max_clique_by_orbits(cycle_graph(5), [0])
+    assert exc.value.witness == (0, 2)
+
+
 def test_single_vertex_orbit(g, automorphisms):
     assert graph.orbit_representatives(g.n, automorphisms) == [0]
     assert graph.orbit_representatives(4, [[1, 0, 2, 3]]) == [0, 2, 3]
@@ -251,6 +260,18 @@ def test_final_verdict(certificates, part):
     assert "cover_found" not in verdict["near_miss"]
     assert "is_counterexample" not in verdict["near_miss"]
     assert 352 == 320 + 32
+
+
+def test_final_verdict_refuses_a_bound_within_dimension_plus_one(
+    certificates, part
+):
+    # With C+B1 certified in dimension 70, 71 parts are no more than
+    # dimension + 1, and the verdict is withheld.
+    raised = [
+        c._replace(affine_dim=70) if c.label == "C+B1" else c for c in certificates
+    ]
+    with pytest.raises(VerificationError, match="verdict withheld"):
+        cliques.final_verdict(raised, 5, c_size=len(part.c), b1_size=len(part.b1))
 
 
 def test_diameter_smaller_iff_clique(g):

@@ -8,7 +8,6 @@ in turn checks the scanned census in `oracles` that the derived one is
 compared with."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -403,7 +402,7 @@ def test_dimension_chain_certificates(certificates):
         assert cert.linear_rank == cert.affine_dim + 1
         assert cert.upper_argument
     # One prime's pivot counts; no per-prime bounds.
-    assert [f.name for f in fields(euclid.DimensionCertificate)] == [
+    assert list(euclid.DimensionCertificate._fields) == [
         "label", "size", "affine_dim", "linear_rank", "upper_argument"
     ]
 

@@ -219,10 +219,11 @@ def test_isometries_induce_basis_permutations(plane, bases, automorphisms):
 
 
 def test_corrupted_isometry_is_refused(plane, bases):
-    swap, _, unipotent = hermitian.ISOMETRIES
+    swap, unipotent = hermitian.ISOMETRIES
     bad = ((1, 15, 6), unipotent[1], unipotent[2])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as err:
         hermitian.basis_permutations(plane, bases, (swap, bad))
+    assert err.value.witness == bad
     scaled = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ConstructionError):
         hermitian.basis_permutations(plane, bases, (scaled,))

@@ -35,7 +35,7 @@ def test_default_run_passes(full_report):
 
 
 def test_stage_details(full_report):
-    assert "generator" not in full_report.stage("field-tables").detail
+    assert set(full_report.stage("field-tables").detail) == {"axiom_checks"}
     assert full_report.stage("geometry").detail["points"] == 273
     assert full_report.stage("geometry").detail["isotropic"] == 65
     assert full_report.stage("bases").detail == {"bases": 416}
@@ -43,8 +43,9 @@ def test_stage_details(full_report):
     assert full_report.stage("srg").detail["parameters"] == [416, 100, 36, 20]
     assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
     assert full_report.stage("srg").detail["spectrum"]["f"] == 65
-    assert full_report.stage("srg").detail["automorphisms_verified"] == 3
-    assert "cross_instance" not in full_report.stage("srg").detail
+    assert full_report.stage("srg").detail["automorphisms_verified"] == 2
+    for implied in ("cross_instance", "feasibility", "identity_A2"):
+        assert implied not in full_report.stage("srg").detail
     assert full_report.stage("srg").detail["column_sum"] == 104
     assert full_report.stage("srg").detail["distance_census"] == {
         "144": 20800,
@@ -53,7 +54,7 @@ def test_stage_details(full_report):
     assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
     assert full_report.stage("anchor-invariance").detail == {
         "anchors_covered": 64,
-        "point_maps_verified": 3,
+        "point_maps_verified": 2,
     }
     chain = full_report.stage("dimension-chain").detail
     assert chain["primes"] == list(euclid.DEFAULT_PRIMES)
@@ -162,7 +163,7 @@ def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
     assert cli.main(["check"]) == 1
     out = capsys.readouterr().out
     assert "bases                ... FAIL\n    claim 2: " in out
-    assert "share isotropic points" in out
+    assert "share isotropic points\n    witness: (0, 16, 17)\n" in out
 
 
 def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
@@ -176,6 +177,21 @@ def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
     failed = report.stages[-1]
     assert (failed.name, failed.status) == ("field-tables", "fail")
     assert "commutativity" in failed.detail["error"]
+    assert failed.detail["witness"] == (2, 3)
+
+
+def test_product_outside_the_field_fails_field_tables(monkeypatch):
+    # 2 * 3 = 3 * 2 = 16 in a copy of the table: commutative, but not in
+    # GF(16).  The closure check names the pair before any later axiom
+    # indexes the table with 16.
+    table = [list(row) for row in gf16._MUL]
+    table[2][3] = table[3][2] = 16
+    monkeypatch.setattr(gf16, "_MUL", table)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("field-tables", "fail")
+    assert "closure" in failed.detail["error"]
     assert failed.detail["witness"] == (2, 3)
 
 
@@ -629,6 +645,18 @@ def _python(code: str) -> subprocess.CompletedProcess:
 def test_cli_import_does_not_load_numpy():
     proc = _python("import g24verify.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses alone pulls in inspect, ast, dis and tokenize; the records
+    # are namedtuples and plain classes, and the spectrum is in ints.
+    proc = _python(
+        "import g24verify.cli, sys\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'fractions'}"
+        " & set(sys.modules)))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_rejected_run_does_not_load_numpy():
