@@ -227,7 +227,10 @@ def final_verdict(certificates, clique_number: int, c_size: int, b1_size: int) -
         "note": "a stronger lower bound of 72 parts has been reported; not verified here",
     }
     if not verdict["exceeds_dimension_plus_one"]:
-        raise VerificationError("verdict withheld: bound does not exceed dim + 1")
+        raise VerificationError(
+            "verdict withheld: bound does not exceed dim + 1",
+            witness=(parts, dims["C+B1"] + 1),
+        )
     verdict["statement"] = (
         f"{points} points of affine dimension {dims['C+B1']} need at least "
         f"{parts} parts of smaller diameter; {parts} > {dims['C+B1'] + 1}"

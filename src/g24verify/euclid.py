@@ -117,7 +117,8 @@ def distance_census(params: SrgParams) -> dict[int, int]:
     off_edges = 2 * (k + 16) - 2 * params.mu
     if on_edges >= off_edges:
         raise VerificationError(
-            f"squared distance {on_edges} on edges is not below {off_edges} off them"
+            f"squared distance {on_edges} on edges is not below {off_edges} off them",
+            witness=(on_edges, off_edges),
         )
     edges = v * k // 2
     return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
@@ -269,7 +270,9 @@ def certified_dimension_chain(
     if not primes:
         raise ValueError("at least one prime is required")
     if spectrum.f != 65 or spectrum.s != -4:
-        raise VerificationError(f"unexpected spectrum {spectrum}")
+        raise VerificationError(
+            f"unexpected spectrum {spectrum}", witness=(spectrum.f, spectrum.s)
+        )
 
     rank_y = 1 + spectrum.f  # eigenvalues 104, 24, 0 of y; 0 has multiplicity g
     base_arg = [

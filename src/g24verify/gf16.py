@@ -82,26 +82,6 @@ def power(a: int, n: int) -> int:
     return acc
 
 
-def norm(a: int) -> int:
-    """a * conj(a) = a**5; always lands in the fixed field GF(4)."""
-    return _MUL[a][_CONJ[a]]
-
-
-def _find_generator() -> int:
-    for g in range(2, SIZE):
-        seen = set()
-        x = 1
-        for _ in range(ORDER):
-            seen.add(x)
-            x = _MUL[x][g]
-        if len(seen) == ORDER:
-            return g
-    raise VerificationError("no multiplicative generator found")
-
-
-GENERATOR = _find_generator()
-
-
 def verify_axioms() -> dict[str, int]:
     """Exhaustive field-axiom suite over the precomputed tables.
 
@@ -109,6 +89,22 @@ def verify_axioms() -> dict[str, int]:
     on the first violation, with the failing element or tuple as witness.
     Covers the full 16**3 cube where relevant, so a pass certifies the
     tables regardless of how they were built.
+
+    The rest of PAPER.md claim 1 follows and is not checked again:
+    - the additive group: `add` is XOR, so a + a = 0 and a + 0 = a for
+      every int;
+    - a**15 = 1 for a != 0: identity, commutativity, closure, associativity
+      and inverses make the 15 nonzero elements a group (ab = 0 would give
+      b = a^-1 (ab) = 0), and Lagrange's theorem gives it;
+    - cancellation (each nonzero row of the table a permutation): ab = ac
+      gives b = a^-1 (ab) = a^-1 (ac) = c by associativity;
+    - the conjugation's properties: it is checked to be a -> a**4 on all 16
+      elements, which PAPER.md claim 1 takes as its definition.  In
+      characteristic 2, squaring is additive, so a**4 is too, and it is
+      multiplicative in any commutative ring; a**16 = a (Lagrange again) makes
+      it involutory; its fixed points are the 4 roots of x**4 = x, the
+      subfield GF(4); and the norm a * conj(a) = a**5 is fixed by it, as
+      a**20 = a**5, so it lies in GF(4).
     """
     checks: dict[str, int] = {}
 
@@ -116,8 +112,6 @@ def verify_axioms() -> dict[str, int]:
         return VerificationError(f"{axiom} failed at {witness}", witness=witness)
 
     for a in range(SIZE):
-        if add(a, a) != 0 or add(a, 0) != a:
-            raise fail("additive axiom", a)
         if mul(a, 1) != a or mul(a, 0) != 0:
             raise fail("multiplicative identity", a)
     checks["identity"] = SIZE
@@ -146,38 +140,14 @@ def verify_axioms() -> dict[str, int]:
     for a in range(1, SIZE):
         if mul(a, inv(a)) != 1:
             raise fail("inverse", a)
-        if power(a, ORDER) != 1:
-            raise fail("a**15 == 1", a)
-        # Each nonzero row is a permutation: cancellation, hence unique
-        # inverses and no zero divisors.
-        if sorted(mul(a, b) for b in range(SIZE)) != list(range(SIZE)):
-            raise fail("row of the product table is a permutation", a)
     checks["inverses"] = ORDER
 
-    fixed = 0
     for a in range(SIZE):
-        if conj(conj(a)) != a:
-            raise fail("conjugation involutory", a)
-        if conj(a) == a:
-            fixed += 1
-        if norm(a) not in _subfield_gf4():
-            raise fail("norm in GF(4)", a)
-        for b in range(SIZE):
-            if conj(add(a, b)) != add(conj(a), conj(b)):
-                raise fail("conj additive", (a, b))
-            if conj(mul(a, b)) != mul(conj(a), conj(b)):
-                raise fail("conj multiplicative", (a, b))
-    if fixed != 4:
-        raise VerificationError(
-            f"fixed field of conjugation has size {fixed}, want 4", witness=fixed
-        )
-    checks["conjugation"] = SIZE * SIZE
+        if conj(a) != power(a, 4):
+            raise fail("conjugation a -> a**4", a)
+    checks["conjugation"] = SIZE
 
     return checks
-
-
-def _subfield_gf4() -> frozenset[int]:
-    return frozenset(a for a in range(SIZE) if power(a, 4) == a)
 
 
 def polynomial_label() -> str:

@@ -232,10 +232,18 @@ def verify_automorphism(
     """`perm` must be a bijection of the vertices that preserves adjacency:
     row perm[i] of A must be row i with its entries moved by perm, for every
     i, compared as bit strings.  `bits` may pass in `bit_strings(g.rows, g.n)`
-    when several maps are checked.  A failure names the first edge sent to a
-    non-edge, which exists whenever a bijection fails on a symmetric graph."""
+    when several maps are checked.  A failure names a witness: the first
+    vertex that the map misses or hits more than once; else the first edge
+    sent to a non-edge, which exists whenever a bijection fails on a
+    symmetric graph; else, on an asymmetric one, the first pair (i, j) whose
+    entry the map changes."""
     if sorted(perm) != list(range(g.n)):
-        raise VerificationError("vertex map is not a permutation")
+        v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
+        raise VerificationError(
+            f"vertex map is not a permutation: it hits vertex {v} "
+            f"{perm.count(v)} times",
+            witness=v,
+        )
     if bits is None:
         bits = bit_strings(g.rows, g.n)
     moved = _mover(perm)
@@ -249,7 +257,16 @@ def verify_automorphism(
                 f"({perm[i]},{perm[j]})",
                 witness=(i, j),
             )
-    raise VerificationError("vertex map does not preserve the asymmetric adjacency")
+    i, j = next(
+        (i, j)
+        for i in range(g.n)
+        for j in range(g.n)
+        if (rows[i] >> j ^ rows[perm[i]] >> perm[j]) & 1
+    )
+    raise VerificationError(
+        f"vertex map does not preserve the asymmetric adjacency at ({i},{j})",
+        witness=(i, j),
+    )
 
 
 def _mover(perm: list[int]) -> itemgetter:
@@ -333,7 +350,8 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     Requires the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square;
     the conference-graph case is rejected as out of scope.  r and s are then
     integers: the discriminant is (lam-mu)^2 mod 4, so its root has the
-    parity of lam - mu.
+    parity of lam - mu.  f solves k + f r + g s = 0 with g = v - 1 - f, so
+    the spectrum has trace 0 whenever the division is exact.
     """
     if not params.feasible():
         raise ValueError(f"infeasible parameters {params}")
@@ -349,10 +367,7 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     if remainder or (v - 1 - quotient) % 2:
         raise ValueError(f"non-integral multiplicity f for {params}")
     f = (v - 1 - quotient) // 2
-    g_mult = v - 1 - f
-    if k + f * r + g_mult * s != 0:
-        raise VerificationError("spectrum fails the zero-trace identity")
-    return Spectrum(r, f, s, g_mult)
+    return Spectrum(r, f, s, v - 1 - f)
 
 
 def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]:

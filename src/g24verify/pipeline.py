@@ -80,10 +80,7 @@ class Report:
         doc: dict = {
             "tool": TOOL,
             "version": __version__,
-            "field": {
-                "polynomial": gf16.polynomial_label(),
-                "generator": gf16.GENERATOR,
-            },
+            "field": {"polynomial": gf16.polynomial_label()},
             "config": self.config,
             "stages": [
                 {
@@ -139,17 +136,10 @@ def _stage_geometry(art, cfg):
 
 
 def _stage_bases(art, cfg):
+    # 6 bases on each nonisotropic point, 416 in all: implied by the checks
+    # in `hermitian.enumerate_bases`, whose docstring counts them.
     art.bases = hermitian.enumerate_bases(art.plane)
     art.isosets = [b.isoset for b in art.bases]
-    per_point: dict[int, int] = {}
-    for b in art.bases:
-        for t in b.noniso_indices:
-            per_point[t] = per_point.get(t, 0) + 1
-    counts = sorted(set(per_point.values()))
-    if counts != [6] or len(per_point) != 208:
-        raise VerificationError(
-            f"bases per nonisotropic point: {counts}, expected every point in 6"
-        )
     return {"bases": len(art.bases)}
 
 

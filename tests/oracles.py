@@ -33,7 +33,6 @@ from g24verify.graph import (
     verify_claim1,
 )
 from g24verify.hermitian import (
-    BASIS_COUNT,
     ISOSET_SIZE,
     ISOTROPIC_COUNT,
     Basis,
@@ -114,8 +113,8 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
         if isoset.bit_count() != ISOSET_SIZE:
             raise ConstructionError(f"iso-set of {tri} has {isoset.bit_count()} members")
         bases.append(Basis(tri, isoset))
-    if len(bases) != BASIS_COUNT or len({b.isoset for b in bases}) != BASIS_COUNT:
-        raise ConstructionError(f"{len(bases)} bases, not {BASIS_COUNT} distinct")
+    if len(bases) != 416 or len({b.isoset for b in bases}) != 416:
+        raise ConstructionError(f"{len(bases)} bases, not 416 distinct")
     return bases, polar
 
 

@@ -87,16 +87,22 @@ def test_non_automorphism_is_refused_with_an_edge_witness(g, automorphisms):
 
 
 def test_non_bijection_is_refused(g):
-    with pytest.raises(VerificationError):
+    # The witness is the first vertex hit twice or missed.
+    with pytest.raises(VerificationError, match="not a permutation") as err:
         graph.verify_automorphism(g, [0] * g.n)
-    with pytest.raises(VerificationError):
+    assert err.value.witness == 0
+    with pytest.raises(VerificationError, match="not a permutation") as err:
         graph.verify_automorphism(g, list(range(g.n - 1)))
+    assert err.value.witness == g.n - 1
 
 
 def test_map_of_an_asymmetric_adjacency_is_refused():
     # No edge i < j to send anywhere, but rows 0 and 1 differ.
-    with pytest.raises(VerificationError, match="asymmetric"):
+    # The witness is the first pair whose entry the map changes: A_01 = 0 but
+    # A_10 = 1.
+    with pytest.raises(VerificationError, match="asymmetric") as err:
         graph.verify_automorphism(graph.Graph(2, [0, 1]), [1, 0])
+    assert err.value.witness == (0, 1)
     graph.verify_automorphism(graph.Graph(2, [0, 1]), [0, 1])
 
 
@@ -270,8 +276,9 @@ def test_final_verdict_refuses_a_bound_within_dimension_plus_one(
     raised = [
         c._replace(affine_dim=70) if c.label == "C+B1" else c for c in certificates
     ]
-    with pytest.raises(VerificationError, match="verdict withheld"):
+    with pytest.raises(VerificationError, match="verdict withheld") as err:
         cliques.final_verdict(raised, 5, c_size=len(part.c), b1_size=len(part.b1))
+    assert err.value.witness == (71, 71)
 
 
 def test_diameter_smaller_iff_clique(g):

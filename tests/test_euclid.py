@@ -159,6 +159,14 @@ def test_distance_census_exhaustive(g, srg_params):
     assert euclid.distance_census(srg_params) == census
 
 
+def test_distance_census_refuses_equal_distances():
+    # K_{8,8} is an srg(16, 8, 0, 8): edges and non-edges both lie at squared
+    # distance 32, so the subsets of smaller diameter are not the cliques.
+    with pytest.raises(VerificationError, match="not below") as err:
+        euclid.distance_census(graph.SrgParams(16, 8, 0, 8))
+    assert err.value.witness == (32, 32)
+
+
 def gram_distances(columns) -> np.ndarray:
     """Oracle: every squared distance from an int16 Gram matrix of y.
     Entries in {0, 1, 4} bound each Gram entry by 416 * 16 and each
@@ -422,8 +430,9 @@ def test_dimension_chain_refuses_another_spectrum(g, part, spectrum):
     # The upper bounds read rank y = 1 + f; a spectrum with f = 64 is
     # refused before any pivot is computed.
     wrong = graph.Spectrum(spectrum.r, 64, spectrum.s, spectrum.g_mult + 1)
-    with pytest.raises(VerificationError, match="unexpected spectrum"):
+    with pytest.raises(VerificationError, match="unexpected spectrum") as err:
         euclid.certified_dimension_chain(g, part, wrong)
+    assert err.value.witness == (64, -4)
 
 
 def test_dimension_chain_falls_back_past_a_prime_that_falls_short(g, part, spectrum):

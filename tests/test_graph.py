@@ -92,6 +92,13 @@ def test_build_graph_validates_input(isosets):
         broken[0] = isosets[0] ^ (isosets[0] & -isosets[0]) | 1 << outside
         with pytest.raises(ConstructionError, match="outside 1..65"):
             graph.build_graph(broken)
+    # Sixteen isotropic points: only the member count refuses it, which is
+    # what keeps the bit-sliced counter's four planes from overflowing.
+    extra = next(a for a in range(1, 66) if not isosets[0] >> a & 1)
+    broken[0] = isosets[0] | 1 << extra
+    with pytest.raises(ConstructionError, match="iso-set 0 has 16 members") as err:
+        graph.build_graph(broken)
+    assert err.value.witness == 0
 
 
 def test_point_columns_transpose_the_isosets(isosets):
@@ -279,6 +286,25 @@ def test_claim1_counts(g, part):
     assert (g.rows[j] & part.b1_mask).bit_count() == 8
     assert (g.rows[j] & part.b2_mask).bit_count() == 8
     assert (g.rows[j] & part.b3_mask).bit_count() == 8
+
+
+def test_claim1_refuses_a_b1_vertex_traded_with_a_c_vertex(g, part):
+    # B1 and C trade their first vertices; the sizes stay 32 and 320, so
+    # only the block counts can see it.  A vertex of the new B1 adjacent to
+    # exactly one of the two traded vertices sees 19 or 21 neighbours in B1,
+    # and the traded C vertex sees 7 or 8; the first of them is named.
+    x, y = part.b1[0], part.c[0]
+    b1 = tuple(sorted(part.b1[1:] + (y,)))
+    c = tuple(sorted(part.c[1:] + (x,)))
+    swap = 1 << x | 1 << y
+    traded = part._replace(
+        b1=b1, c=c, b1_mask=part.b1_mask ^ swap, c_mask=part.c_mask ^ swap
+    )
+    with pytest.raises(VerificationError, match="neighbours in B1") as err:
+        graph.verify_claim1(g, traded)
+    wrong = [u for u in b1 if (g.rows[u] & traded.b1_mask).bit_count() != 20]
+    assert y in wrong
+    assert err.value.witness == (wrong[0], 1)
 
 
 def test_split_invariant_under_anchor_relabelling(g, isosets):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import g24verify
-from g24verify import cli, euclid, gf16, graph, hermitian, pipeline
+from g24verify import cli, cliques, euclid, gf16, graph, hermitian, pipeline
 from g24verify.errors import VerificationError
 from g24verify.pipeline import RunConfig, run_check
 
@@ -193,6 +193,85 @@ def test_product_outside_the_field_fails_field_tables(monkeypatch):
     assert (failed.name, failed.status) == ("field-tables", "fail")
     assert "closure" in failed.detail["error"]
     assert failed.detail["witness"] == (2, 3)
+
+
+def _set_identity(mul, inv, conj):
+    mul[5][1] = mul[1][5] = 6
+
+
+def _zero_square_of_3(mul, inv, conj):
+    mul[3][3] = 0
+
+
+def _zero_square_of_2(mul, inv, conj):
+    mul[2][2] = 0
+
+
+def _swap_inverses(mul, inv, conj):
+    inv[3], inv[5] = inv[5], inv[3]
+
+
+def _swap_conjugates(mul, inv, conj):
+    conj[2], conj[3] = conj[3], conj[2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, axiom, witness",
+    [
+        # Symmetric, so commutativity holds; associativity would fail later.
+        (_set_identity, "multiplicative identity", 5),
+        (_zero_square_of_3, "associativity", (2, 3, 3)),
+        (_zero_square_of_2, "distributivity", (2, 1, 2)),
+        # No other axiom reads the inverse table.
+        (_swap_inverses, "inverse", 3),
+        (_swap_conjugates, "conjugation a -> a**4", 2),
+    ],
+    ids=["identity", "associativity", "distributivity", "inverse", "conjugation"],
+)
+def test_corrupted_field_tables_fail_with_the_axiom_and_witness(
+    monkeypatch, corrupt, axiom, witness
+):
+    # Each corruption, in copies of the tables, is caught first by the axiom
+    # aimed at it.
+    mul = [list(row) for row in gf16._MUL]
+    inv, conj = list(gf16._INV), list(gf16._CONJ)
+    corrupt(mul, inv, conj)
+    for name, table in (("_MUL", mul), ("_INV", inv), ("_CONJ", conj)):
+        monkeypatch.setattr(gf16, name, table)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.claims, failed.status) == ("field-tables", (1,), "fail")
+    assert failed.detail["error"] == f"{axiom} failed at {witness}"
+    assert failed.detail["witness"] == witness
+
+
+def test_missing_point_fails_geometry_census(monkeypatch, capsys):
+    # Without the isotropic point (0, 0, 1) the census reads 64/208.
+    enumerate_points = hermitian.enumerate_points
+    monkeypatch.setattr(hermitian, "enumerate_points", lambda: enumerate_points()[1:])
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "geometry             ... FAIL\n"
+        "    claim 2: point census 64/208, expected 65/208\n"
+        "    witness: (64, 208)\n"
+        "overall: FAIL\n"
+    )
+
+
+def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
+    # A search that reports 6 is refused by the stage, which names the
+    # reported witness.
+    monkeypatch.setattr(
+        cliques, "max_clique_by_orbits", lambda g, reps: (6, [0, 1, 2, 3, 4, 5], 1)
+    )
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.status) == ("max-clique", "fail")
+    assert failed.detail["error"] == "clique number 6, expected 5"
+    assert failed.detail["witness"] == [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("move", ["C vertex added", "B vertex removed"])
@@ -471,7 +550,7 @@ def test_report_round_trips_through_json(full_report):
     doc = json.loads(full_report.to_json())
     assert doc["overall"] == {"status": "pass", "exit_code": 0}
     assert doc["verdict"]["min_parts"] == 71
-    assert doc["field"]["polynomial"] == "x^4 + x + 1"
+    assert doc["field"] == {"polynomial": "x^4 + x + 1"}
 
 
 def test_two_runs_are_byte_identical():
