@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Commands: check (default), export-graph, export-isosets, export-vectors,
-export-cover, report.  Exit codes: 0 pass, 1 verification failure,
-2 inconclusive, 3 usage or I/O error.
+Commands: check (default; with --out it also writes the JSON report),
+export-graph, export-isosets, export-vectors, export-cover.  Exit codes:
+0 pass, 1 verification failure, 2 inconclusive, 3 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ COMMANDS = (
     "export-isosets",
     "export-vectors",
     "export-cover",
-    "report",
 )
 
 
@@ -78,7 +77,9 @@ def build_parser() -> _Parser:
         choices=COMMANDS,
         help="what to run (default: check)",
     )
-    parser.add_argument("--out", metavar="PATH", help="output file for exports/report")
+    parser.add_argument(
+        "--out", metavar="PATH", help="output file of an export or of check's report"
+    )
     parser.add_argument(
         "--format",
         dest="fmt",

@@ -189,19 +189,18 @@ def verify_special_cover(
 
 def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:
     """ceil(n_points / max_part_size): parts of smaller diameter are
-    cliques, so they hold at most max_part_size points each."""
-    if max_part_size < 1:
-        raise ValueError("part size must be positive")
+    cliques, so they hold at most max_part_size points each.  The max-clique
+    stage pins max_part_size to 5."""
     return -(-n_points // max_part_size)
 
 
 def final_verdict(certificates, clique_number: int, c_size: int, b1_size: int) -> dict:
     """Assemble the counterexample verdict from what earlier stages proved.
 
-    Nothing is re-checked here: the dimension chain returns certificates
-    only when f = 65, which makes the dimensions 65, 64 and 63; the
-    max-clique stage refuses any clique number but 5; and the partition
-    stage refuses any split of the 416 vertices but 32/32/32 and 320.
+    Nothing is re-checked here: the srg stage pins srg(416, 100, 36, 20),
+    whose f = 65 makes the chain's dimensions 65, 64 and 63; the max-clique
+    stage refuses any clique number but 5; and the partition stage refuses
+    any split of the 416 vertices but 32/32/32 and 320.
     """
     dims = {c.label: c.affine_dim for c in certificates}
     points = c_size + b1_size

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from .errors import InconclusiveError, VerificationError
+from .errors import InconclusiveError
 from .graph import CLAIM1, Graph, Partition, Spectrum, SrgParams
 
 DEFAULT_PRIMES = (2**31 - 1, 2**31 - 19)
@@ -108,18 +108,13 @@ def distance_census(params: SrgParams) -> dict[int, int]:
     |N(i) & N(j)| = lambda on edges and mu on non-edges.  So
     |y_i|^2 = k + 16 and <y_i, y_j> = |N(i) & N(j)| + 8 A_ij, and
     ||y_i - y_j||^2 = 2 (k + 16) - 2 (|N(i) & N(j)| + 8 A_ij) takes one value
-    on the v k / 2 edges and another on the remaining pairs.  The value on
-    edges must be the smaller, so that the subsets of smaller diameter are
-    exactly the cliques.
+    on the v k / 2 edges and another on the remaining pairs.  For the
+    parameters the srg stage pins these are 144 < 192, so the subsets of
+    smaller diameter are exactly the cliques.
     """
     v, k = params.v, params.k
     on_edges = 2 * (k + 16) - 2 * (params.lam + 8)
     off_edges = 2 * (k + 16) - 2 * params.mu
-    if on_edges >= off_edges:
-        raise VerificationError(
-            f"squared distance {on_edges} on edges is not below {off_edges} off them",
-            witness=(on_edges, off_edges),
-        )
     edges = v * k // 2
     return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
 
@@ -178,9 +173,8 @@ def principal_prefix_ranks(
     det M[P_k, P_k] that is nonzero mod prime, hence nonzero over Z, so the
     columns P_k are independent over Q and |P_k| is returned for k.  For a
     positive semidefinite matrix the bound equals the rational rank unless
-    the prime divides a pivot.  The argument needs M[P_k, P_k] symmetric,
-    which is checked entry by entry as pivots are accepted (ValueError
-    naming the entry); entries outside it are never read.
+    the prime divides a pivot.  The argument needs `matrix` square and
+    symmetric, as y = A + 4I is once the srg stage has verified A.
 
     With `caps`, prefix k stops being scanned once the pivots found number
     caps[k's position]; its remaining indices are skipped.  The pivots found
@@ -191,8 +185,6 @@ def principal_prefix_ranks(
     """
     _check_prime(prime)
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("principal_prefix_ranks expects a square matrix")
     if order is None:
         order = range(n)
     if caps is None:
@@ -214,11 +206,6 @@ def principal_prefix_ranks(
                 lower.append(u * inverses[t] % prime)
             d = (row[j] - sum(map(mul, lower, schur))) % prime
             if d:
-                for p in pivots:
-                    if matrix[p][j] != row[p]:
-                        raise ValueError(
-                            f"matrix is not symmetric: entry ({p}, {j}) != ({j}, {p})"
-                        )
                 pivots.append(j)
                 positions.append(pos)
                 schur_rows.append(schur)
@@ -259,21 +246,16 @@ def certified_dimension_chain(
     independent over Q.  The primes are tried in the order given, and the
     first whose pivots reach every upper bound + 1 is returned with the
     certificates.  InconclusiveError, naming each prime and its pivot
-    counts, when every prime falls short.
+    counts, when every prime falls short (or none is given, which
+    `--primes` refuses).
 
     It relies on what earlier stages of the same run proved and does not
-    check it again: the srg stage (A is a loop-free srg, which gives the
-    spectrum, rank y = 1 + f, and k + 4 = 104 as every column sum of y) and
-    the block-counts stage (the 20/0/8 counts, from which <p, y_i> and <q, y_i>
-    follow their block patterns and <p, q> = 0; see `contrast_products`).
+    check it again: the srg stage (A is the loop-free srg(416, 100, 36, 20),
+    which gives f = 65, rank y = 1 + f, and k + 4 = 104 as every column sum
+    of y) and the block-counts stage (the 20/0/8 counts, from which
+    <p, y_i> and <q, y_i> follow their block patterns and <p, q> = 0; see
+    `contrast_products`).
     """
-    if not primes:
-        raise ValueError("at least one prime is required")
-    if spectrum.f != 65 or spectrum.s != -4:
-        raise VerificationError(
-            f"unexpected spectrum {spectrum}", witness=(spectrum.f, spectrum.s)
-        )
-
     rank_y = 1 + spectrum.f  # eigenvalues 104, 24, 0 of y; 0 has multiplicity g
     base_arg = [
         f"srg identity verified, so y = A + 4I has rank 1 + f = {rank_y}",

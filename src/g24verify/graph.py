@@ -57,9 +57,8 @@ class Graph:
         return sum(self.degree(i) for i in range(self.n)) // 2
 
     def flip_edge(self, i: int, j: int) -> None:
-        """Toggle one edge in place; test hook for fault injection."""
-        if i == j:
-            raise ValueError("cannot flip a loop")
+        """Toggle the pair i != j in place; test hook for fault injection.
+        `--inject-flip-edge` refuses i == j before any stage runs."""
         self.rows[i] ^= 1 << j
         self.rows[j] ^= 1 << i
 
@@ -70,13 +69,10 @@ def bit_strings(rows: list[int], n: int) -> list[str]:
     return [format(r, f"0{n}b")[::-1] for r in rows]
 
 
-class SrgParams(namedtuple("SrgParams", "v k lam mu")):
-    __slots__ = ()
+SrgParams = namedtuple("SrgParams", "v k lam mu")
 
-    def feasible(self) -> bool:
-        """k(k - lam - 1) = (v - k - 1) mu, the basic counting identity."""
-        return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
-
+# PAPER.md claim 3: the only parameters the srg stage accepts.
+SRG = SrgParams(416, 100, 36, 20)
 
 Spectrum = namedtuple("Spectrum", "r f s g_mult")
 
@@ -347,26 +343,18 @@ def verify_point_action(
 def srg_spectrum(params: SrgParams) -> Spectrum:
     """Eigenvalues r > s and their multiplicities, in integer arithmetic.
 
-    Requires the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square;
-    the conference-graph case is rejected as out of scope.  r and s are then
-    integers: the discriminant is (lam-mu)^2 mod 4, so its root has the
-    parity of lam - mu.  f solves k + f r + g s = 0 with g = v - 1 - f, so
-    the spectrum has trace 0 whenever the division is exact.
+    Needs the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square and
+    f to be integral, as for SRG (discriminant 576, f = 65), which the srg
+    stage pins.  r and s are then integers: the discriminant is
+    (lam-mu)^2 mod 4, so its root has the parity of lam - mu.  f solves
+    k + f r + g s = 0 with g = v - 1 - f, so the spectrum has trace 0.
     """
-    if not params.feasible():
-        raise ValueError(f"infeasible parameters {params}")
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    root = math.isqrt(disc)
-    if root * root != disc:
-        raise ValueError(f"discriminant {disc} is not a perfect square")
+    v, k, lam, mu = params
+    root = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
     r = (lam - mu + root) // 2
     s = (lam - mu - root) // 2
     # f = ((v - 1) - (2k + (v - 1)(lam - mu)) / root) / 2
-    quotient, remainder = divmod(2 * k + (v - 1) * (lam - mu), root)
-    if remainder or (v - 1 - quotient) % 2:
-        raise ValueError(f"non-integral multiplicity f for {params}")
-    f = (v - 1 - quotient) // 2
+    f = (v - 1 - (2 * k + (v - 1) * (lam - mu)) // root) // 2
     return Spectrum(r, f, s, v - 1 - f)
 
 

@@ -160,6 +160,10 @@ def _stage_graph(art, cfg):
 def _stage_srg(art, cfg):
     automorphisms = hermitian.basis_permutations(art.plane, art.bases)
     p = graph.verify_srg(art.g, automorphisms)
+    if p != graph.SRG:
+        raise VerificationError(
+            f"srg{tuple(p)}, expected srg{tuple(graph.SRG)}", witness=tuple(p)
+        )
     art.automorphisms = automorphisms
     art.spectrum = graph.srg_spectrum(p)
     census = euclid.distance_census(p)
@@ -408,8 +412,6 @@ def export(cfg: RunConfig) -> tuple[int, Report]:
         write_vectors_csv(art.g, cfg.out)
     elif cfg.command == "export-cover":
         write_cover_csv(art.cover, cfg.out)
-    elif cfg.command == "report":
-        write_report_json(report, cfg.out, cfg.include_timings)
     else:
         raise ValueError(f"unknown export command {cfg.command!r}")
     return report.exit_code, report

@@ -4,9 +4,13 @@ A refusal is a `raise` of VerificationError, ConstructionError or
 InconclusiveError, or of `fail(...)` in `gf16.verify_axioms`; each one is
 found with `ast`.  For each, a copy of src/, tests/ and pyproject.toml in a
 temporary directory gets that statement replaced by `pass`, and
-`python -m pytest -x -q tests` runs there.  A mutant whose suite passes is a
-survivor: a refusal that no test reaches.  The unmutated copy must pass
-first, or every mutant would look killed.
+`python -m pytest -x -q` runs there on every test file, named one by one:
+tests/test_<module>.py of the mutated module and tests/test_pipeline.py
+first, the rest after, so that -x stops at the first failure soon.  A mutant
+whose suite passes is a survivor: a refusal that no test reaches.  The
+unmutated copy must pass first, or every mutant would look killed, and the
+files named must collect the same tests as `pytest tests`, so that a
+survivor has passed the whole suite.
 
 Prints each survivor and exits 1 if there is any; exits 0 otherwise.  The
 mutants run in parallel, one per CPU.  Pytest does not collect this file.
@@ -45,6 +49,31 @@ def refusals() -> list[tuple[Path, ast.Raise]]:
     return found
 
 
+def suite_files(rel: Path | None) -> list[str]:
+    """Every test file, those that test the module `rel` first."""
+    names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
+    first = [f"test_{rel.stem}.py", "test_pipeline.py"] if rel else []
+    ordered = [n for n in first if n in names] + names
+    return [f"tests/{n}" for n in dict.fromkeys(ordered)]
+
+
+def pythonpath(src: Path) -> str:
+    """`src` ahead of the caller's PYTHONPATH."""
+    return os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+
+def collected(args: list[str]) -> set[str]:
+    """The test ids that pytest collects from `args` in the unmutated tree."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", *args],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=pythonpath(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    return {line for line in done.stdout.splitlines() if "::" in line}
+
+
 def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
     """Run the suite on a copy of the tree, with `mutant` replaced by `pass`."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,11 +93,11 @@ def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
             tail = lines[node.end_lineno - 1][node.end_col_offset :]
             lines[node.lineno - 1 : node.end_lineno] = [head + b"pass" + tail]
             target.write_bytes(b"".join(lines))
-        path = [str(Path(tmp, "src")), os.environ.get("PYTHONPATH")]
+        rel = mutant[0] if mutant else None
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", *suite_files(rel)],
             cwd=tmp,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+            env=dict(os.environ, PYTHONPATH=pythonpath(Path(tmp, "src"))),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
@@ -76,6 +105,9 @@ def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
 
 
 def main() -> int:
+    if collected(suite_files(None)) != collected(["tests"]):
+        print("the test files named do not collect the whole suite")
+        return 1
     if not suite_passes(None):
         print("the unmutated suite fails; no mutant can be judged")
         return 1

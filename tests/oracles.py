@@ -245,10 +245,9 @@ def verify_srg_all_pairs(g: Graph) -> SrgParams:
             if (ri & rj).bit_count() != want[adj]:
                 raise VerificationError(f"pair ({i},{j}) has the wrong common "
                                         "neighbour count", witness=(i, j))
-    params = SrgParams(n, k, lam, mu)
-    if not params.feasible():
-        raise VerificationError(f"infeasible srg parameters {params}")
-    return params
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        raise VerificationError(f"infeasible srg parameters {(n, k, lam, mu)}")
+    return SrgParams(n, k, lam, mu)
 
 
 def entry(columns: list[int], i: int, j: int) -> int:

@@ -249,8 +249,6 @@ def test_borsuk_lower_bound():
     assert cliques.borsuk_lower_bound(416, 5) == 84
     assert cliques.borsuk_lower_bound(320, 5) == 64
     assert cliques.borsuk_lower_bound(321, 5) == 65
-    with pytest.raises(ValueError):
-        cliques.borsuk_lower_bound(100, 0)
 
 
 def test_final_verdict(certificates, part):

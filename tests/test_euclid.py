@@ -159,14 +159,6 @@ def test_distance_census_exhaustive(g, srg_params):
     assert euclid.distance_census(srg_params) == census
 
 
-def test_distance_census_refuses_equal_distances():
-    # K_{8,8} is an srg(16, 8, 0, 8): edges and non-edges both lie at squared
-    # distance 32, so the subsets of smaller diameter are not the cliques.
-    with pytest.raises(VerificationError, match="not below") as err:
-        euclid.distance_census(graph.SrgParams(16, 8, 0, 8))
-    assert err.value.witness == (32, 32)
-
-
 def gram_distances(columns) -> np.ndarray:
     """Oracle: every squared distance from an int16 Gram matrix of y.
     Entries in {0, 1, 4} bound each Gram entry by 416 * 16 and each
@@ -342,14 +334,6 @@ def test_rank_mod_prime_validates_prime():
             euclid.principal_prefix_ranks([[1]], bad, (1,))
 
 
-def test_principal_prefix_ranks_refuses_non_symmetric():
-    prime = euclid.DEFAULT_PRIMES[0]
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        euclid.principal_prefix_ranks([[1, 2], [3, 4]], prime, (2,))
-    with pytest.raises(ValueError):
-        euclid.principal_prefix_ranks([[1, 2, 3], [2, 1, 0]], prime, (2,))
-
-
 def test_principal_pivots_match_elimination_on_y(g, part):
     # With no stop, in label order, the kernel reaches the rational ranks
     # that certified_dimension_chain stops at; modular ranks never exceed
@@ -422,17 +406,6 @@ def test_dimension_chain_respects_prime_override(g, part, spectrum, certificates
         prime, certs = euclid.certified_dimension_chain(g, part, spectrum, primes)
         assert prime == primes[0]
         assert certs == certificates
-    with pytest.raises(ValueError):
-        euclid.certified_dimension_chain(g, part, spectrum, primes=())
-
-
-def test_dimension_chain_refuses_another_spectrum(g, part, spectrum):
-    # The upper bounds read rank y = 1 + f; a spectrum with f = 64 is
-    # refused before any pivot is computed.
-    wrong = graph.Spectrum(spectrum.r, 64, spectrum.s, spectrum.g_mult + 1)
-    with pytest.raises(VerificationError, match="unexpected spectrum") as err:
-        euclid.certified_dimension_chain(g, part, wrong)
-    assert err.value.witness == (64, -4)
 
 
 def test_dimension_chain_falls_back_past_a_prime_that_falls_short(g, part, spectrum):

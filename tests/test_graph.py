@@ -143,13 +143,8 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
 
 
 def test_srg_parameters(srg_params):
-    assert (srg_params.v, srg_params.k, srg_params.lam, srg_params.mu) == (
-        416,
-        100,
-        36,
-        20,
-    )
-    assert srg_params.feasible()
+    assert srg_params == graph.SRG == (416, 100, 36, 20)
+    # k(k - lambda - 1) = (v - k - 1) mu, counting paths 0 - u - w.
     assert 100 * 63 == 315 * 20 == 6300
 
 
@@ -192,11 +187,6 @@ def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
     assert err.value.witness[0] == 1
 
 
-def test_flip_edge_rejects_loop(g):
-    with pytest.raises(ValueError):
-        g.flip_edge(3, 3)
-
-
 def test_spectrum_of_main_graph(spectrum):
     assert spectrum.s == -4
     assert spectrum.f == 65
@@ -235,14 +225,6 @@ def test_petersen_graph_parameters_via_scan():
     assert err.value.witness is not None
     with pytest.raises(VerificationError):
         oracles.verify_srg_all_pairs(switched)
-
-
-def test_spectrum_rejects_infeasible_and_conference():
-    with pytest.raises(ValueError):
-        graph.srg_spectrum(graph.SrgParams(10, 3, 1, 1))
-    # Paley-style parameters have an irrational spectrum; rejected.
-    with pytest.raises(ValueError):
-        graph.srg_spectrum(graph.SrgParams(13, 6, 2, 3))
 
 
 def test_spectrum_is_exact():

@@ -1,5 +1,6 @@
 """Pipeline orchestration, exports, determinism, exit codes, CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -314,9 +315,8 @@ def test_fault_injection_fails_srg_stage():
     assert names[-1] == "srg"
 
 
-def test_failed_check_writes_its_report_and_report_writes_nothing(tmp_path, capsys):
-    # `check --out` records a failed run, naming the stage and the witness;
-    # `report --out` is an export, written only after a pass.
+def test_failed_check_writes_its_report(tmp_path, capsys):
+    # `check --out` records a failed run, naming the stage and the witness.
     out = tmp_path / "r.json"
     assert cli.main(["check", "--inject-flip-edge", "0,1", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
@@ -326,9 +326,40 @@ def test_failed_check_writes_its_report_and_report_writes_nothing(tmp_path, caps
     last = doc["stages"][-1]
     assert (last["name"], last["claims"], last["status"]) == ("srg", [3, 4], "fail")
     assert last["detail"]["witness"] == [2, 100]
-    argv = ["report", "--inject-flip-edge", "0,1", "--out", str(tmp_path / "r2.json")]
-    assert cli.main(argv) == 1
     assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_parameters_other_than_claim_3_fail_srg(monkeypatch, capsys):
+    # verify_srg reports the parameters the graph has; the srg stage accepts
+    # only srg(416, 100, 36, 20) and names any other as the witness.
+    wrong = graph.SrgParams(416, 100, 36, 21)
+    monkeypatch.setattr(graph, "verify_srg", lambda g, maps: wrong)
+    assert cli.main(["check"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "srg                  ... FAIL\n"
+        "    claim 3/4: srg(416, 100, 36, 21), expected srg(416, 100, 36, 20)\n"
+        "    witness: (416, 100, 36, 21)\n"
+        "overall: FAIL\n"
+    )
+
+
+def test_complement_graph_fails_srg_on_its_parameters(monkeypatch):
+    # The complement is an srg(416, 315, 234, 252) with the same
+    # automorphisms, so verify_srg certifies it; the stage refuses it.
+    build = graph.build_graph
+
+    def complemented(isosets):
+        g, dist, columns = build(isosets)
+        full = (1 << g.n) - 1
+        rows = [full ^ row ^ 1 << i for i, row in enumerate(g.rows)]
+        return graph.Graph(g.n, rows), dist, columns
+
+    monkeypatch.setattr(graph, "build_graph", complemented)
+    report = run_check(RunConfig())
+    assert (report.exit_code, report.overall_status) == (1, "fail")
+    failed = report.stages[-1]
+    assert (failed.name, failed.claims, failed.status) == ("srg", (3, 4), "fail")
+    assert failed.detail["witness"] == (416, 315, 234, 252)
 
 
 def _two_switch(g: graph.Graph, through_0: bool) -> graph.Graph:
@@ -410,7 +441,7 @@ def test_rank_inconclusive_stops_with_exit_2(capsys):
 
 def test_next_prime_settles_the_chain_when_one_falls_short(tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert cli.main(["report", "--primes", "3,5", "--out", str(out)]) == 0
+    assert cli.main(["check", "--primes", "3,5", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, SCHEMA)
     assert doc["config"]["primes"] == [3, 5]
@@ -601,6 +632,37 @@ def test_exports(tmp_path, full_report):
     jsonschema.validate(doc, SCHEMA)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the file each command writes with the defaults.
+ARTIFACT_SHA256 = {
+    "check": "b629470ff3271e1fa73a0f6589faa42020a0574dbe2dbb917c7ffcd6897d8e78",
+    "export-graph --format dimacs": (
+        "93d23016f3d5f1366aaeae44356ddcfffe900fd20e20dfc52e88006875f7e0f9"
+    ),
+    "export-graph --format json": (
+        "98dcb3a1b98ade4232cf4adef2b4b06b5366bc9cab7f92a504e1f80045f94847"
+    ),
+    "export-isosets": "a798954dca103c81be1fcf06c647771b9e743da8df3fd8f91517e1fbd7bb73d8",
+    "export-vectors": "a15af45a601240472f7f55b2adeea58f4cb0f12c6425422b75e0481be8369ef1",
+    "export-cover": "57a0aae11291ecaa067acdf50b6745b6bc9eccce667d7c39d8335a6562549541",
+}
+CHECK_STDOUT_SHA256 = "c83cb4a39b6d3fb2356f0dfed6801a9eeb65583847386897fe213f2d039c433e"
+
+
+@pytest.mark.parametrize("command", ARTIFACT_SHA256)
+def test_default_artifacts_keep_their_bytes(tmp_path, capsys, command):
+    # Every file the CLI writes on a default run, and check's stdout, byte
+    # for byte; a deliberate change to one is recorded in CHANGES.md.
+    out = tmp_path / "artifact"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == ARTIFACT_SHA256[command]
+    if command == "check":
+        assert _sha256(capsys.readouterr().out.encode()) == CHECK_STDOUT_SHA256
+
+
 def test_export_determinism(tmp_path):
     cfg1 = RunConfig(command="export-graph", out=str(tmp_path / "a.dimacs"))
     cfg2 = RunConfig(command="export-graph", out=str(tmp_path / "b.dimacs"))
@@ -640,16 +702,17 @@ def test_cli_check_passes(capsys):
 
 def test_cli_report_written(tmp_path, capsys):
     out = tmp_path / "report.json"
-    rc = cli.main(["report", "--out", str(out)])
+    rc = cli.main(["check", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, SCHEMA)
 
 
 def test_cli_usage_errors_exit_3(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 3
+    for command in ("frobnicate", "report"):  # `check --out` writes the report
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 3
     for primes in ("4,6", ",", "", "1000003,4", "2", "2147483659"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--primes", primes])
