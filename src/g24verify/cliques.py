@@ -3,14 +3,15 @@
 The clique number is settled through symmetry: omega(G) = 1 + max over v of
 the clique number of the neighbourhood N(v), and an automorphism s maps N(v)
 onto N(s(v)), so one branch-and-bound search with a greedy colouring bound
-per vertex orbit suffices.  The orbits are those `graph.verify_srg`
-certified, after verifying the automorphisms on every row of the graph as
-built; this module verifies no permutation itself.  The search from every
-edge is kept in the tests as the oracle.  The special 5-cliques of C
-(iso-sets sharing a 3-point core) are found by counting the edges of C per
-core, and they tile C, which a count also settles: 64 pairwise disjoint
-5-cliques covering the 320 vertices of C are the only exact cover of C by
-special cliques.
+per vertex orbit suffices, its colour classes bit masks as in the BBMC
+algorithm of San Segundo et al. (2011).  The orbits are those
+`graph.verify_srg` certified, after verifying the automorphisms on every
+entry of the graph as built; this module verifies no permutation itself.
+The search from every edge is kept in the tests as the oracle.  The
+special 5-cliques of C (iso-sets sharing a 3-point core) are found by
+counting the edges of C per core, and they tile C, which a count also
+settles: 64 pairwise disjoint 5-cliques covering the 320 vertices of C are
+the only exact cover of C by special cliques.
 """
 
 from __future__ import annotations
@@ -24,27 +25,6 @@ from .graph import Graph, Partition
 SpecialClique = namedtuple("SpecialClique", "vertices core")
 
 
-def _color_bound_order(rows: list[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy colouring of the candidate set; returns (vertex, bound) pairs
-    in colouring order, bound = number of colour classes used so far."""
-    classes: list[int] = []
-    order: list[tuple[int, int]] = []
-    m = cand
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        for ci, cmask in enumerate(classes):
-            if cmask & rows[v] == 0:
-                classes[ci] = cmask | 1 << v
-                order.append((v, ci + 1))
-                break
-        else:
-            classes.append(1 << v)
-            order.append((v, len(classes)))
-    order.sort(key=lambda t: t[1])
-    return order
-
-
 def _max_clique_in(
     rows: list[int], cand: int, best_floor: int, counter: list[int]
 ) -> tuple[int, list[int]]:
@@ -52,6 +32,12 @@ def _max_clique_in(
 
     `best_floor` prunes branches that cannot beat the caller's incumbent;
     the returned size is exact whenever it exceeds the floor.
+
+    Each node builds colour class c as the greedy independent set of the
+    vertices left (take the lowest, drop it and its neighbours, repeat),
+    which on a symmetric graph is first-fit colouring in ascending order.
+    Its vertices get bound c; classes are visited last first, each from its
+    highest vertex, so the first bound that cannot win ends the node.
     """
     best_size = best_floor
     best_wit: list[int] = []
@@ -60,20 +46,33 @@ def _max_clique_in(
     def expand(cand_mask: int) -> None:
         nonlocal best_size, best_wit
         counter[0] += 1
-        order = _color_bound_order(rows, cand_mask)
-        for idx in range(len(order) - 1, -1, -1):
-            v, bound = order[idx]
-            if len(stack) + bound <= best_size:
-                return
-            stack.append(v)
-            nxt = cand_mask & rows[v]
-            if nxt:
-                expand(nxt)
-            elif len(stack) > best_size:
-                best_size = len(stack)
-                best_wit = list(stack)
-            stack.pop()
-            cand_mask &= ~(1 << v)
+        classes = []
+        left = cand_mask
+        while left:
+            members = 0
+            free = left
+            while free:
+                low = free & -free
+                members |= low
+                free &= ~(low | rows[low.bit_length() - 1])
+            classes.append(members)
+            left ^= members
+        for bound in range(len(classes), 0, -1):
+            members = classes[bound - 1]
+            while members:
+                if len(stack) + bound <= best_size:
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                stack.append(v)
+                nxt = cand_mask & rows[v]
+                if nxt:
+                    expand(nxt)
+                elif len(stack) > best_size:
+                    best_size = len(stack)
+                    best_wit = list(stack)
+                stack.pop()
+                cand_mask ^= 1 << v
 
     expand(cand)
     return best_size, best_wit

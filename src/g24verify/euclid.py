@@ -69,6 +69,18 @@ def column_digits(g: Graph, i: int) -> str:
     return f"{bits[:i]}4{bits[i + 1:]}"
 
 
+class _Columns(dict):
+    """The columns of y as digit bytes, each built when first read: the
+    dimension chain visits only a few."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    def __missing__(self, i: int) -> bytes:
+        column = self[i] = column_digits(self.g, i).encode().translate(_DIGIT_VALUES)
+        return column
+
+
 # A settled affine dimension: the upper bound `affine_dim`, met by
 # `linear_rank` - 1, the pivot count of the prime that settled the chain.
 DimensionCertificate = namedtuple(
@@ -164,8 +176,9 @@ def principal_prefix_ranks(
 ) -> tuple[int, ...]:
     """Lower bounds on the rank of the columns `order[:k]` of a square
     integer matrix, for each k in `prefixes`, from one greedy LDL^T over
-    GF(prime).  `matrix` is a sequence of rows; `order` defaults to all
-    indices in turn.
+    GF(prime).  `matrix` is a sequence of rows, or a mapping from an index
+    to its row, which is read only at the indices visited; `order` defaults
+    to all indices of a sequence in turn.
 
     Indices are visited in order; one becomes a pivot when its Schur
     diagonal (with respect to the pivots before it) is nonzero mod prime.
@@ -184,11 +197,10 @@ def principal_prefix_ranks(
     O(r^2) work per index for r pivots; nothing is kept for non-pivots.
     """
     _check_prime(prime)
-    n = len(matrix)
     if order is None:
-        order = range(n)
+        order = range(len(matrix))
     if caps is None:
-        caps = (n,) * len(prefixes)
+        caps = (len(order),) * len(prefixes)
     pivots: list[int] = []
     positions: list[int] = []  # of the pivots, in `order`
     schur_rows: list[list[int]] = []  # pivot t: L[p_t, s] D_s for s < t
@@ -286,9 +298,7 @@ def certified_dimension_chain(
         ),
     ]
 
-    columns = [
-        column_digits(g, i).encode().translate(_DIGIT_VALUES) for i in range(g.n)
-    ]
+    columns = _Columns(g)
     order = _nested_order(part)
     prefixes = tuple(size for _, size, _, _ in sets)
     caps = tuple(upper + 1 for _, _, upper, _ in sets)

@@ -10,11 +10,12 @@ contains it.  The graph is built from them by a bit-sliced counter, one
 vertex at a time, with no loop over vertex pairs.
 
 The srg check also verifies vertex permutations, from isometries of the
-Hermitian form, as automorphisms on every row of the graph as built, and
+Hermitian form, as automorphisms on every entry of the graph as built, and
 requires them to leave one vertex orbit; facts that automorphisms preserve
-are then checked at vertex 0 only.  The same maps permute the point
-columns, and one orbit on the points carries the anchored split from
-anchor 1 to every anchor.
+are then checked at vertex 0 only.  A map reorders the rows as a list, and
+a bit-matrix transpose turns rows into columns, so no row is permuted bit
+by bit.  The same maps permute the point columns, and one orbit on the
+points carries the anchored split from anchor 1 to every anchor.
 
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import itemgetter
 
 from .errors import ConstructionError, VerificationError
 from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT
@@ -63,10 +63,40 @@ class Graph:
         self.rows[j] ^= 1 << i
 
 
-def bit_strings(rows: list[int], n: int) -> list[str]:
-    """Each bit-packed row as n characters '0'/'1', character j being bit j,
-    so that rows can be compared, transposed and permuted as strings."""
-    return [format(r, f"0{n}b")[::-1] for r in rows]
+def bit_transposer(n: int):
+    """A function from the rows of an n x n bit matrix (bit j of rows[i] is
+    entry (i, j), each row < 2**n, missing rows 0) to its n columns, packed
+    the same way.
+
+    The rows are packed into one int, entry (i, j) at bit p = w i + j, w the
+    smallest power of two >= max(n, 8), and transposed as a w x w matrix in
+    log2 w masked delta swaps.  Swap b exchanges bit b of i with bit b of j:
+    entry (i, j) with (i + s, j - s), s = 2**b, wherever bit b of i is 0 and
+    bit b of j is 1, a shift of d = (w - 1) s.  Its mask, those entries, is
+    built here, not at import, by doubling over the other bits of p.
+    """
+    w = max(8, 1 << (n - 1).bit_length())
+    log_w = w.bit_length() - 1
+    stages = []
+    for b in range(log_w):
+        mask = 1 << (1 << b)  # entry (0, 2**b)
+        for k in range(2 * log_w):
+            if k not in (b, log_w + b):
+                mask |= mask << (1 << k)
+        stages.append(((w - 1) << b, mask))
+    size = w // 8
+
+    def transpose(rows: list[int]) -> list[int]:
+        x = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
+        for d, mask in stages:
+            t = (x ^ x >> d) & mask
+            x ^= t | t << d
+        data = x.to_bytes(w * size, "little")
+        return [
+            int.from_bytes(data[j * size : (j + 1) * size], "little") for j in range(n)
+        ]
+
+    return transpose
 
 
 SrgParams = namedtuple("SrgParams", "v k lam mu")
@@ -98,9 +128,7 @@ def point_columns(isosets: list[int]) -> list[int]:
             raise ConstructionError(
                 f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}", witness=i
             )
-    # Transpose: column a is character a of every iso-set's bit string.
-    bits = bit_strings(isosets, width)
-    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+    return bit_transposer(max(len(isosets), width))(isosets)[:width]
 
 
 def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int], list[int]]:
@@ -165,7 +193,8 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
        flipped edge fails before any pair is read;
     2. on the n - 1 pairs (0, j): A_0j = A_j0, and |N(0) & N(j)| is lambda
        on edges and mu on non-edges, both read off vertex 0;
-    3. every map is an automorphism, checked on all n rows;
+    3. every map is an automorphism, checked on every entry by comparing
+       columns, from one transpose of A and one per map;
     4. the maps leave one vertex orbit (the second orbit's smallest vertex
        is the witness otherwise).
 
@@ -180,6 +209,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     symmetric with degree k, and counting the paths 0 - u - w of length 2
     with w a non-neighbour of 0 gives k(k - lambda - 1) through the k
     neighbours u of 0 and (v - k - 1) mu through the non-neighbours w.
+    Each row must be < 2**n, as `build_graph` makes them.
     """
     n, rows = g.n, g.rows
     r0 = rows[0]
@@ -209,9 +239,10 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
                 witness=(0, j),
             )
 
-    bits = bit_strings(rows, n)
+    transpose = bit_transposer(n)
+    columns = transpose(rows)
     for perm in automorphisms:
-        verify_automorphism(g, perm, bits)
+        verify_automorphism(g, perm, transpose, columns)
     reps = orbit_representatives(n, automorphisms)
     if reps != [0]:
         raise VerificationError(
@@ -223,14 +254,16 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
 
 
 def verify_automorphism(
-    g: Graph, perm: list[int], bits: list[str] | None = None
+    g: Graph, perm: list[int], transpose=None, columns=None
 ) -> None:
     """`perm` must be a bijection of the vertices that preserves adjacency:
-    row perm[i] of A must be row i with its entries moved by perm, for every
-    i, compared as bit strings.  `bits` may pass in `bit_strings(g.rows, g.n)`
-    when several maps are checked.  A failure names a witness: the first
-    vertex that the map misses or hits more than once; else the first edge
-    sent to a non-edge, which exists whenever a bijection fails on a
+    A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
+    as B[i] = A[perm[i]], that says column perm[j] of B is column j of A, so
+    both are transposed (`bit_transposer`) and every column compared.
+    `transpose` and `columns` may pass in `bit_transposer(g.n)` and A's
+    columns when several maps are checked.  A failure names a witness: the
+    first vertex that the map misses or hits more than once; else the first
+    edge sent to a non-edge, which exists whenever a bijection fails on a
     symmetric graph; else, on an asymmetric one, the first pair (i, j) whose
     entry the map changes."""
     if sorted(perm) != list(range(g.n)):
@@ -240,10 +273,11 @@ def verify_automorphism(
             f"{perm.count(v)} times",
             witness=v,
         )
-    if bits is None:
-        bits = bit_strings(g.rows, g.n)
-    moved = _mover(perm)
-    if all("".join(moved(bits[i])) == bits[perm[i]] for i in range(g.n)):
+    if transpose is None:
+        transpose = bit_transposer(g.n)
+        columns = transpose(g.rows)
+    moved = transpose([g.rows[p] for p in perm])
+    if [moved[p] for p in perm] == columns:
         return
     rows = g.rows
     for i, j in g.edges():
@@ -263,15 +297,6 @@ def verify_automorphism(
         f"vertex map does not preserve the asymmetric adjacency at ({i},{j})",
         witness=(i, j),
     )
-
-
-def _mover(perm: list[int]) -> itemgetter:
-    """Reads a bit string (character v for vertex v) in the order that makes
-    "".join of the result the string of its image under `perm`."""
-    inverse = [0] * len(perm)
-    for v, w in enumerate(perm):
-        inverse[w] = v
-    return itemgetter(*inverse)
 
 
 def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -303,7 +328,9 @@ def verify_point_action(
     sigma[a - 1] = b - 1 when the map sends column a onto column b.
 
     Each failure names a witness: (map, point) for a column whose image is
-    no column, or the second orbit's smallest point.
+    no column, or the second orbit's smallest point.  The columns (< 2**n,
+    from `point_columns`) are transposed back into the iso-sets, which a map
+    moves as a list, and their columns are the moved columns.
 
     Why this suffices: let pi be an automorphism of g as built (the srg stage
     verified it on all rows) and pi(B(a)) = B(b), B(a) being column a.  Then
@@ -316,14 +343,18 @@ def verify_point_action(
     Each link a -> sigma(a) thus carries the counts both ways, and with one
     orbit, the counts at anchor 1 (verified directly) hold at all 65 anchors.
     """
-    bits = bit_strings(columns, g.n)
-    point_of = {b: a for a, b in enumerate(bits) if a}
+    transpose = bit_transposer(g.n)
+    isosets = transpose(columns)
+    point_of = {c: a for a, c in enumerate(columns) if a}
     maps = []
     for m, perm in enumerate(automorphisms):
-        moved = _mover(perm)
+        moved = [0] * g.n  # the iso-sets with vertex v moved to perm[v]
+        for v, w in enumerate(perm):
+            moved[w] = isosets[v]
+        images = transpose(moved)  # images[a]: column a moved by perm
         sigma = []
         for a in range(1, ISOTROPIC_COUNT + 1):
-            b = point_of.get("".join(moved(bits[a])))
+            b = point_of.get(images[a])
             if b is None:
                 raise VerificationError(
                     f"automorphism {m} maps the column of point {a} to no column",

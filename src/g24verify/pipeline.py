@@ -386,32 +386,32 @@ def write_report_json(report: Report, path: str, include_timings: bool = False) 
         fh.write(report.to_json(include_timings))
 
 
+_GRAPH_WRITERS = {"dimacs": write_dimacs, "json": write_graph_json}
+
+# Each export command: what it writes, from a passing run's artifacts.
+_EXPORTS = {
+    "export-graph": lambda art, cfg: _GRAPH_WRITERS[cfg.fmt](art.g, cfg.out),
+    "export-isosets": lambda art, cfg: write_isosets_csv(art.isosets, cfg.out),
+    "export-vectors": lambda art, cfg: write_vectors_csv(art.g, cfg.out),
+    "export-cover": lambda art, cfg: write_cover_csv(art.cover, cfg.out),
+}
+
+
 def export(cfg: RunConfig) -> tuple[int, Report]:
     """Run the pipeline, then write the artifact named by cfg.command.
 
-    Exports are refused unless every stage passed: artifacts always describe
-    verified objects.
+    An unknown command or graph format and a missing output directory are
+    refused before any stage runs.  Exports are refused unless every stage
+    passed: artifacts always describe verified objects.
     """
     if cfg.out is None:
         raise ValueError("an output path is required (--out)")
+    if cfg.command not in _EXPORTS:
+        raise ValueError(f"unknown export command {cfg.command!r}")
+    if cfg.command == "export-graph" and cfg.fmt not in _GRAPH_WRITERS:
+        raise ValueError(f"unknown graph format {cfg.fmt!r}")
     require_output_dir(cfg.out)
     report = run_check(cfg)
-    if report.exit_code != EXIT_PASS:
-        return report.exit_code, report
-    art = report.artifacts
-    if cfg.command == "export-graph":
-        if cfg.fmt == "dimacs":
-            write_dimacs(art.g, cfg.out)
-        elif cfg.fmt == "json":
-            write_graph_json(art.g, cfg.out)
-        else:
-            raise ValueError(f"unknown graph format {cfg.fmt!r}")
-    elif cfg.command == "export-isosets":
-        write_isosets_csv(art.isosets, cfg.out)
-    elif cfg.command == "export-vectors":
-        write_vectors_csv(art.g, cfg.out)
-    elif cfg.command == "export-cover":
-        write_cover_csv(art.cover, cfg.out)
-    else:
-        raise ValueError(f"unknown export command {cfg.command!r}")
+    if report.exit_code == EXIT_PASS:
+        _EXPORTS[cfg.command](report.artifacts, cfg)
     return report.exit_code, report

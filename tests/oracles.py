@@ -27,7 +27,6 @@ from g24verify.graph import (
     Graph,
     Partition,
     SrgParams,
-    bit_strings,
     point_columns,
     split_B_C,
     verify_claim1,
@@ -43,6 +42,12 @@ from g24verify.hermitian import (
     isoset_members,
     normalize,
 )
+
+
+def bit_strings(rows: list[int], n: int) -> list[str]:
+    """Each bit-packed row as n characters '0'/'1', character j being bit j,
+    so that rows can be compared and transposed as strings."""
+    return [format(r, f"0{n}b")[::-1] for r in rows]
 
 
 def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:

@@ -1,5 +1,6 @@
-"""Property tests: the bit-sliced graph build and the clique search against
-reference implementations, on random inputs from hypothesis."""
+"""Property tests: the bit-sliced graph build, the bit-matrix transpose and
+the clique search against reference implementations, on random inputs from
+hypothesis."""
 
 import random
 
@@ -44,6 +45,19 @@ def test_build_graph_matches_the_pairwise_oracle(seed, copies, swaps):
     assert census == want_census
     assert columns == graph.point_columns(isosets)
     assert sum(census.values()) == 416 * 415 // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 80), st.just(416)),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+)
+def test_bit_transposer_matches_a_naive_transpose(n, seed, density):
+    rng = random.Random(seed)
+    rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+    naive = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+    assert graph.bit_transposer(n)(rows) == naive
 
 
 @st.composite

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g24verify import euclid, graph
+from g24verify import euclid
 from g24verify.errors import InconclusiveError, VerificationError
 
 import oracles
@@ -95,7 +95,7 @@ def column(g, i) -> list[int]:
 def dense(columns) -> np.ndarray:
     """y as an int64 array from its column ints, entry [t, i] read from
     column i, with 4 on the diagonal."""
-    bits = graph.bit_strings(columns, len(columns))
+    bits = oracles.bit_strings(columns, len(columns))
     a = np.array([[int(b) for b in s] for s in bits], dtype=np.int64).T
     np.fill_diagonal(a, 4)
     return a

@@ -692,6 +692,28 @@ def test_export_refused_on_verification_failure(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, fmt, message",
+    [
+        ("export-report", "dimacs", "unknown export command 'export-report'"),
+        ("export-graph", "svg", "unknown graph format 'svg'"),
+    ],
+    ids=["command", "graph-format"],
+)
+def test_unknown_export_is_refused_before_any_stage(
+    tmp_path, monkeypatch, command, fmt, message
+):
+    # Only a direct call can ask for these: the CLI's choices refuse both.
+    ran = []
+    run = pipeline.run_check
+    monkeypatch.setattr(pipeline, "run_check", lambda cfg: ran.append(cfg) or run(cfg))
+    out = tmp_path / "never"
+    with pytest.raises(ValueError, match=message):
+        pipeline.export(RunConfig(command=command, out=str(out), fmt=fmt))
+    assert ran == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_check_passes(capsys):
     rc = cli.main(["check"])
     out = capsys.readouterr().out
