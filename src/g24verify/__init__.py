@@ -9,11 +9,10 @@ negatively in dimension 64.  Every check is exact integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .errors import ConstructionError, InconclusiveError, VerificationError
+from .errors import ConstructionError, VerificationError
 
 __all__ = [
     "__version__",
     "ConstructionError",
-    "InconclusiveError",
     "VerificationError",
 ]

@@ -2,7 +2,7 @@
 
 Commands: check (default; with --out it also writes the JSON report),
 export-graph, export-isosets, export-vectors, export-cover.  Exit codes:
-0 pass, 1 verification failure, 2 inconclusive, 3 usage or I/O error.
+0 pass, 1 verification failure, 3 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, euclid, graph
+from . import __version__, graph
 from .pipeline import (
     EXIT_USAGE,
     RunConfig,
@@ -33,21 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    try:
-        primes = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
-    if not primes:
-        raise argparse.ArgumentTypeError("at least one prime is required")
-    for p in primes:
-        try:
-            euclid._check_prime(p)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    return primes
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
@@ -88,14 +73,6 @@ def build_parser() -> _Parser:
         help="graph export format (export-graph only)",
     )
     parser.add_argument(
-        "--primes",
-        type=_parse_primes,
-        default=euclid.DEFAULT_PRIMES,
-        metavar="P1[,P2...]",
-        help="primes for the modular rank lower bounds, tried in order; the "
-        "first that settles the chain is used",
-    )
-    parser.add_argument(
         "--timings",
         action="store_true",
         help="include stage wall-clock times in output (breaks byte-for-byte "
@@ -120,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
         command=args.command,
         out=args.out,
         fmt=args.fmt,
-        primes=args.primes,
         include_timings=args.timings,
         inject_flip_edge=args.inject_flip_edge,
     )

@@ -11,8 +11,3 @@ class VerificationError(Exception):
 
 class ConstructionError(VerificationError):
     """An object could not be built from its inputs (bad shape, bad census)."""
-
-
-class InconclusiveError(Exception):
-    """A check lacks the evidence to decide, as a modular rank below the
-    upper bound does; neither pass nor fail."""

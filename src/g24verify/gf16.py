@@ -1,7 +1,8 @@
 """Arithmetic in GF(16) with the order-2 conjugation x -> x**4.
 
 Elements are 4-bit integers 0..15; bit k is the coefficient of x**k in a
-polynomial of degree < 4 over GF(2).  Multiplication reduces modulo
+polynomial of degree < 4 over GF(2), so addition (and subtraction) is XOR,
+written `^` where it is used.  Multiplication reduces modulo
 x**4 + x + 1.  All products are precomputed into a 16x16 table by schoolbook
 shift-and-xor reduction; `verify_axioms` certifies the table exhaustively so
 nothing rests on a hand-written constant.
@@ -48,11 +49,6 @@ def _build_tables() -> tuple[list[list[int]], list[int], list[int]]:
 _MUL, _CONJ, _INV = _build_tables()
 
 
-def add(a: int, b: int) -> int:
-    """Coefficient-wise sum over GF(2); doubles as subtraction."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     return _MUL[a][b]
 
@@ -91,7 +87,7 @@ def verify_axioms() -> dict[str, int]:
     tables regardless of how they were built.
 
     The rest of PAPER.md claim 1 follows and is not checked again:
-    - the additive group: `add` is XOR, so a + a = 0 and a + 0 = a for
+    - the additive group: addition is XOR, so a + a = 0 and a + 0 = a for
       every int;
     - a**15 = 1 for a != 0: identity, commutativity, closure, associativity
       and inverses make the 15 nonzero elements a group (ab = 0 would give

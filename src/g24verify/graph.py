@@ -15,7 +15,10 @@ requires them to leave one vertex orbit; facts that automorphisms preserve
 are then checked at vertex 0 only.  A map reorders the rows as a list, and
 a bit-matrix transpose turns rows into columns, so no row is permuted bit
 by bit.  The same maps permute the point columns, and one orbit on the
-points carries the anchored split from anchor 1 to every anchor.
+points carries the anchored split from anchor 1 to every anchor.  Words in
+the maps that fix a vertex set carry a fact checked at one of its vertices
+to all of them, with no check of their own: a product of automorphisms is
+one.
 
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
@@ -24,8 +27,8 @@ and then checked on every pair of the block, with no search.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
+from functools import cache
 
 from .errors import ConstructionError, VerificationError
 from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT
@@ -63,10 +66,12 @@ class Graph:
         self.rows[j] ^= 1 << i
 
 
+@cache
 def bit_transposer(n: int):
     """A function from the rows of an n x n bit matrix (bit j of rows[i] is
     entry (i, j), each row < 2**n, missing rows 0) to its n columns, packed
-    the same way.
+    the same way.  Cached: one run builds the transposer for 416 once and
+    `point_columns`, `verify_srg` and `verify_point_action` share it.
 
     The rows are packed into one int, entry (i, j) at bit p = w i + j, w the
     smallest power of two >= max(n, 8), and transposed as a w x w matrix in
@@ -106,6 +111,21 @@ SRG = SrgParams(416, 100, 36, 20)
 
 Spectrum = namedtuple("Spectrum", "r f s g_mult")
 
+# The eigenvalues r > s of SRG's adjacency besides k, and their
+# multiplicities f and g: r and s are
+# (lam - mu +- sqrt((lam - mu)^2 + 4 (k - mu))) / 2 = (16 +- 24) / 2, and f
+# solves k + f r + g s = 0 (trace 0) with 1 + f + g = v.  So y = A + 4I has
+# eigenvalues 104, 24 and 0, and rank 1 + f.
+SPECTRUM = Spectrum(20, 65, -4, 350)
+
+# Squared distances between the columns of y, with their counts.  With A
+# symmetric, loop-free and k-regular, |y_i|^2 = k + 16 and
+# <y_i, y_j> = |N(i) & N(j)| + 8 A_ij, so ||y_i - y_j||^2 is
+# 2 (k + 16) - 2 (lam + 8) = 144 on the v k / 2 edges and
+# 2 (k + 16) - 2 mu = 192 on the other pairs: the subsets of smaller
+# diameter are the cliques.
+DISTANCE_CENSUS = {144: 20800, 192: 65520}
+
 # The anchored split: B = vertices whose iso-set contains the anchor; each
 # block as an ascending vertex tuple and as a bit mask.
 Partition = namedtuple("Partition", "b1 b2 b3 c b1_mask b2_mask b3_mask c_mask")
@@ -131,19 +151,15 @@ def point_columns(isosets: list[int]) -> list[int]:
     return bit_transposer(max(len(isosets), width))(isosets)[:width]
 
 
-def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int], list[int]]:
-    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points.
-
-    Also returns the census of |iso-set_i & iso-set_j| over all unordered
-    pairs, every value that occurs, and the point columns the graph was
-    built from.
+def build_graph(isosets: list[int]) -> tuple[Graph, list[int]]:
+    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points; also
+    returns the point columns the graph was built from.
 
     Vertex i adds the point columns of its 15 members into a bit-sliced
     counter of four planes c0..c3, so that bit j of the counter is
-    |iso-set_i & iso-set_j|: row i is where the count is 3, and the census
-    splits the bits j > i by the four planes into the 16 possible counts.
-    The check that every iso-set has 15 members is what keeps each count
-    below 16, so four planes cannot overflow.
+    |iso-set_i & iso-set_j|, and row i is where the count is 3.  The check
+    that every iso-set has 15 members is what keeps each count below 16, so
+    four planes cannot overflow.
     """
     n = len(isosets)
     if n != VERTEX_COUNT:
@@ -154,9 +170,7 @@ def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int], list[int]]:
                 f"iso-set {i} has {s.bit_count()} members", witness=i
             )
     columns = point_columns(isosets)
-    full = (1 << n) - 1
     rows = [0] * n
-    census = [0] * 16
     for i, s in enumerate(isosets):
         c0 = c1 = c2 = c3 = 0
         while s:
@@ -170,18 +184,7 @@ def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int], list[int]]:
             c2 ^= column
             c3 ^= carry
         rows[i] = c0 & c1 & ~(c2 | c3) & ~(1 << i)  # count 3 = 0b0011
-        # Split the later vertices by plane, highest first, so that split[v]
-        # ends as the vertices j > i with count v.
-        split = [full >> (i + 1) << (i + 1)]
-        for plane in (c3, c2, c1, c0):
-            halves = []
-            for m in split:
-                hit = m & plane
-                halves += (m ^ hit, hit)
-            split = halves
-        for v, m in enumerate(split):
-            census[v] += m.bit_count()
-    return Graph(n, rows), {c: m for c, m in enumerate(census) if m}, columns
+    return Graph(n, rows), columns
 
 
 def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
@@ -239,10 +242,9 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
                 witness=(0, j),
             )
 
-    transpose = bit_transposer(n)
-    columns = transpose(rows)
+    columns = bit_transposer(n)(rows)
     for perm in automorphisms:
-        verify_automorphism(g, perm, transpose, columns)
+        verify_automorphism(g, perm, columns)
     reps = orbit_representatives(n, automorphisms)
     if reps != [0]:
         raise VerificationError(
@@ -253,19 +255,16 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     return SrgParams(n, k, lam, mu)
 
 
-def verify_automorphism(
-    g: Graph, perm: list[int], transpose=None, columns=None
-) -> None:
+def verify_automorphism(g: Graph, perm: list[int], columns=None) -> None:
     """`perm` must be a bijection of the vertices that preserves adjacency:
     A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
     as B[i] = A[perm[i]], that says column perm[j] of B is column j of A, so
     both are transposed (`bit_transposer`) and every column compared.
-    `transpose` and `columns` may pass in `bit_transposer(g.n)` and A's
-    columns when several maps are checked.  A failure names a witness: the
-    first vertex that the map misses or hits more than once; else the first
-    edge sent to a non-edge, which exists whenever a bijection fails on a
-    symmetric graph; else, on an asymmetric one, the first pair (i, j) whose
-    entry the map changes."""
+    `columns` may pass in A's columns when several maps are checked.  A
+    failure names a witness: the first vertex that the map misses or hits
+    more than once; else the first edge sent to a non-edge, which exists
+    whenever a bijection fails on a symmetric graph; else, on an asymmetric
+    one, the first pair (i, j) whose entry the map changes."""
     if sorted(perm) != list(range(g.n)):
         v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
         raise VerificationError(
@@ -273,8 +272,8 @@ def verify_automorphism(
             f"{perm.count(v)} times",
             witness=v,
         )
-    if transpose is None:
-        transpose = bit_transposer(g.n)
+    transpose = bit_transposer(g.n)
+    if columns is None:
         columns = transpose(g.rows)
     moved = transpose([g.rows[p] for p in perm])
     if [moved[p] for p in perm] == columns:
@@ -316,6 +315,48 @@ def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
             if a != b:
                 parent[max(a, b)] = min(a, b)
     return [v for v in range(n) if find(v) == v]
+
+
+# Two words in the srg stage's maps a and b (ISOMETRIES[0] and [1]) and
+# their inverses A and B, read left to right: `ab` sends v to b(a(v)).  They
+# fix C of the split on anchor 1 and leave one orbit on it.
+STABILIZER_WORDS = ("abA", "babaBAbAb")
+
+
+def stabilizer(
+    automorphisms: list[list[int]], words: tuple[str, ...], mask: int
+) -> list[list[int]]:
+    """The vertex maps of `words` in the two verified `automorphisms`,
+    certified to map every vertex of `mask` into `mask` and to leave one
+    orbit on it.  A failure names a witness: the vertex a word sends out of
+    `mask`, or the smallest vertex of a second orbit.
+
+    A product of automorphisms is an automorphism, so the words need no
+    check on the rows; each maps the graph induced on `mask` onto itself.
+    """
+    a, b = automorphisms
+    letters = {"a": a, "b": b, "A": [0] * len(a), "B": [0] * len(b)}
+    for perm, inverse in ((a, letters["A"]), (b, letters["B"])):
+        for v, w in enumerate(perm):
+            inverse[w] = v
+    maps = []
+    for word in words:
+        perm = list(range(len(a)))
+        for letter in word:
+            step = letters[letter]
+            perm = [step[v] for v in perm]
+        for v, w in enumerate(perm):
+            if mask >> v & 1 and not mask >> w & 1:
+                raise VerificationError(
+                    f"the word {word} sends vertex {v} out of the set", witness=v
+                )
+        maps.append(perm)
+    reps = [v for v in orbit_representatives(len(a), maps) if mask >> v & 1]
+    if len(reps) != 1:
+        raise VerificationError(
+            f"the words leave {len(reps)} orbits on the set, not 1", witness=reps[1]
+        )
+    return maps
 
 
 def verify_point_action(
@@ -369,24 +410,6 @@ def verify_point_action(
             witness=reps[1] + 1,
         )
     return maps
-
-
-def srg_spectrum(params: SrgParams) -> Spectrum:
-    """Eigenvalues r > s and their multiplicities, in integer arithmetic.
-
-    Needs the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square and
-    f to be integral, as for SRG (discriminant 576, f = 65), which the srg
-    stage pins.  r and s are then integers: the discriminant is
-    (lam-mu)^2 mod 4, so its root has the parity of lam - mu.  f solves
-    k + f r + g s = 0 with g = v - 1 - f, so the spectrum has trace 0.
-    """
-    v, k, lam, mu = params
-    root = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
-    r = (lam - mu + root) // 2
-    s = (lam - mu - root) // 2
-    # f = ((v - 1) - (2k + (v - 1)(lam - mu)) / root) / 2
-    f = (v - 1 - (2 * k + (v - 1) * (lam - mu)) // root) // 2
-    return Spectrum(r, f, s, v - 1 - f)
 
 
 def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]:

@@ -81,17 +81,12 @@ Basis = namedtuple("Basis", "noniso_indices isoset")
 Plane = namedtuple("Plane", "points isotropic nonisotropic")
 
 
-def classify_points(points: list[Point]) -> tuple[list[Point], list[Point]]:
-    iso = [p for p in points if is_isotropic(p)]
-    noniso = [p for p in points if not is_isotropic(p)]
-    return iso, noniso
-
-
 def build_plane() -> Plane:
     """The points split into isotropic and nonisotropic; refuses any census
     but 65/208 (PAPER.md claim 2), witness the two counts."""
     points = enumerate_points()
-    iso, noniso = classify_points(points)
+    iso = [p for p in points if is_isotropic(p)]
+    noniso = [p for p in points if not is_isotropic(p)]
     if len(iso) != ISOTROPIC_COUNT or len(noniso) != NONISOTROPIC_COUNT:
         raise ConstructionError(
             f"point census {len(iso)}/{len(noniso)}, "

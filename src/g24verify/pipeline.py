@@ -1,8 +1,8 @@
 """Orchestration: the staged verification pipeline, report, and exporters.
 
-Stages run in dependency order and stop at the first failed or
-inconclusive one; every stage names the claims of PAPER.md it certifies and
-contributes a structured detail block to the report.
+Stages run in dependency order and stop at the first failed one; every
+stage names the claims of PAPER.md it certifies and contributes a
+structured detail block to the report.
 All outputs are exact counts and witnesses; stage wall-clock times are
 collected but serialized only on request, so default artifacts are
 byte-for-byte reproducible.
@@ -18,13 +18,12 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 from . import __version__, cliques, euclid, gf16, graph, hermitian
-from .errors import InconclusiveError, VerificationError
+from .errors import VerificationError
 
 TOOL = "g24verify"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 # The isotropic point the split is taken on; the anchor-invariance stage
@@ -34,11 +33,11 @@ ANCHOR = 1
 
 RunConfig = namedtuple(
     "RunConfig",
-    "command out fmt primes include_timings inject_flip_edge",
-    defaults=("check", None, "dimacs", euclid.DEFAULT_PRIMES, False, None),
+    "command out fmt include_timings inject_flip_edge",
+    defaults=("check", None, "dimacs", False, None),
 )
 
-# claims: of PAPER.md, 1..9; status: ok | fail | inconclusive.
+# claims: of PAPER.md, 1..9; status: ok | fail.
 StageResult = namedtuple("StageResult", "name claims status detail elapsed_ms")
 
 
@@ -54,7 +53,6 @@ class Artifacts:
     columns = None  # graph.point_columns(isosets)
     g = None  # graph.Graph
     automorphisms = None  # verified by the srg stage
-    spectrum = None  # graph.Spectrum
     part = None  # graph.Partition
     certs = None  # [euclid.DimensionCertificate]
     clique_number = None
@@ -65,8 +63,7 @@ class Report:
     overall_status = "pass"
     exit_code = EXIT_PASS
 
-    def __init__(self, config: dict):
-        self.config = config
+    def __init__(self):
         self.stages = []
         self.artifacts = Artifacts()
 
@@ -81,7 +78,6 @@ class Report:
             "tool": TOOL,
             "version": __version__,
             "field": {"polynomial": gf16.polynomial_label()},
-            "config": self.config,
             "stages": [
                 {
                     "name": s.name,
@@ -144,12 +140,8 @@ def _stage_bases(art, cfg):
 
 
 def _stage_graph(art, cfg):
-    art.g, dist, art.columns = graph.build_graph(art.isosets)
-    detail = {
-        "vertices": art.g.n,
-        "edges": art.g.edge_count(),
-        "isoset_intersection_sizes": {str(k): v for k, v in dist.items()},
-    }
+    art.g, art.columns = graph.build_graph(art.isosets)
+    detail = {"vertices": art.g.n, "edges": art.g.edge_count()}
     if cfg.inject_flip_edge is not None:
         i, j = cfg.inject_flip_edge
         art.g.flip_edge(i, j)
@@ -165,19 +157,13 @@ def _stage_srg(art, cfg):
             f"srg{tuple(p)}, expected srg{tuple(graph.SRG)}", witness=tuple(p)
         )
     art.automorphisms = automorphisms
-    art.spectrum = graph.srg_spectrum(p)
-    census = euclid.distance_census(p)
+    r, f, s, g_mult = graph.SPECTRUM
     return {
         "parameters": list(p),
         "automorphisms_verified": len(automorphisms),
-        "spectrum": {
-            "r": str(art.spectrum.r),
-            "f": art.spectrum.f,
-            "s": str(art.spectrum.s),
-            "g": art.spectrum.g_mult,
-        },
+        "spectrum": {"r": str(r), "f": f, "s": str(s), "g": g_mult},
         "column_sum": p.k + 4,  # of y = A + 4I, with A k-regular
-        "distance_census": {str(d2): m for d2, m in census.items()},
+        "distance_census": {str(d2): m for d2, m in graph.DISTANCE_CENSUS.items()},
     }
 
 
@@ -214,12 +200,8 @@ def _stage_clebsch(art, cfg):
 
 
 def _stage_dimension_chain(art, cfg):
-    prime, art.certs = euclid.certified_dimension_chain(
-        art.g, art.part, art.spectrum, cfg.primes
-    )
+    art.certs = euclid.certified_dimension_chain(art.g, art.part, art.automorphisms)
     return {
-        "primes": list(cfg.primes),
-        "settled_by": prime,
         "contrast_products": euclid.contrast_products(art.part),
         "certificates": [
             {
@@ -227,7 +209,7 @@ def _stage_dimension_chain(art, cfg):
                 "size": c.size,
                 "affine_dim": c.affine_dim,
                 "linear_rank": c.linear_rank,
-                "upper_bound_argument": c.upper_argument,
+                "argument": c.argument,
             }
             for c in art.certs
         ],
@@ -281,32 +263,21 @@ _STAGES = (
     ("verdict", (8,), _stage_verdict),
 )
 
-_STOPS = {
-    "fail": ("fail", EXIT_FAIL),
-    "inconclusive": ("inconclusive", EXIT_INCONCLUSIVE),
-}
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    return {"primes": list(cfg.primes)}
-
 
 def run_check(cfg: RunConfig) -> Report:
-    """Run the stages in order and stop at the first one that fails or is
-    inconclusive; what the stages built is in `report.artifacts`."""
-    report = Report(config=_config_dict(cfg))
+    """Run the stages in order and stop at the first one that fails; what
+    the stages built is in `report.artifacts`."""
+    report = Report()
     for name, claims, stage in _STAGES:
         t0 = time.perf_counter()
         try:
             detail, status = stage(report.artifacts, cfg), "ok"
-        except InconclusiveError as exc:
-            detail, status = {"error": str(exc)}, "inconclusive"
         except VerificationError as exc:
             detail, status = {"error": str(exc), "witness": exc.witness}, "fail"
         elapsed = (time.perf_counter() - t0) * 1000
         report.stages.append(StageResult(name, claims, status, detail, elapsed))
         if status != "ok":
-            report.overall_status, report.exit_code = _STOPS[status]
+            report.overall_status, report.exit_code = "fail", EXIT_FAIL
             break
     return report
 

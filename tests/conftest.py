@@ -40,7 +40,7 @@ def srg_params(g, automorphisms):
 
 @pytest.fixture(scope="session")
 def spectrum(srg_params):
-    return graph.srg_spectrum(srg_params)
+    return oracles.srg_spectrum(srg_params)
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +54,8 @@ def contrasts(part):
 
 
 @pytest.fixture(scope="session")
-def certificates(g, part, spectrum):
-    return euclid.certified_dimension_chain(g, part, spectrum)[1]
+def certificates(g, part, automorphisms):
+    return euclid.certified_dimension_chain(g, part, automorphisms)
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,14 @@
 They are the direct, exhaustive forms of checks the program settles by a
 shorter argument: the graph and its intersection census from all 86,320
 pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
-the srg identity on all 86,320 pairs, claim 1 split and counted at every
-anchor, the distance census by scanning every pair, the contrast products
-counted column by column, the clique number by a search from every edge,
-the special cliques by a search inside each core's group of edges, the
-isomorphism of each B_h with its model by a backtracking search, and the
-geometry of lines spelled out point by point.
+the srg identity on all 86,320 pairs, the srg spectrum and distance census
+recomputed from any parameters, claim 1 split and counted at every anchor,
+the distance census by scanning every pair, the contrast products counted
+column by column, the dimension chain by PAPER.md's own route of modular
+ranks, the clique number by a search from every edge, the special cliques
+by a search inside each core's group of edges, the isomorphism of each B_h
+with its model by a backtracking search, and the geometry of lines spelled
+out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
@@ -16,16 +18,18 @@ columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from g24verify import gf16
+from g24verify import euclid, gf16
 from g24verify.cliques import SpecialClique, _max_clique_in, verify_clique
 from g24verify.errors import ConstructionError, VerificationError
 from g24verify.graph import (
     Graph,
     Partition,
+    Spectrum,
     SrgParams,
     point_columns,
     split_B_C,
@@ -48,6 +52,10 @@ def bit_strings(rows: list[int], n: int) -> list[str]:
     """Each bit-packed row as n characters '0'/'1', character j being bit j,
     so that rows can be compared and transposed as strings."""
     return [format(r, f"0{n}b")[::-1] for r in rows]
+
+
+# The census of |iso-set_i & iso-set_j| over the 86,320 pairs of bases.
+INTERSECTION_SIZES = {2: 31200, 3: 20800, 5: 34320}
 
 
 def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
@@ -255,6 +263,36 @@ def verify_srg_all_pairs(g: Graph) -> SrgParams:
     return SrgParams(n, k, lam, mu)
 
 
+def srg_spectrum(params: SrgParams) -> Spectrum:
+    """Eigenvalues r > s and their multiplicities, in integer arithmetic.
+
+    Needs the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square and
+    f to be integral, as for SRG (discriminant 576, f = 65).  r and s are
+    then integers: the discriminant is (lam-mu)^2 mod 4, so its root has the
+    parity of lam - mu.  f solves k + f r + g s = 0 with g = v - 1 - f, so
+    the spectrum has trace 0.
+    """
+    v, k, lam, mu = params
+    root = math.isqrt((lam - mu) ** 2 + 4 * (k - mu))
+    r = (lam - mu + root) // 2
+    s = (lam - mu - root) // 2
+    # f = ((v - 1) - (2k + (v - 1)(lam - mu)) / root) / 2
+    f = (v - 1 - (2 * k + (v - 1) * (lam - mu)) // root) // 2
+    return Spectrum(r, f, s, v - 1 - f)
+
+
+def srg_distance_census(params: SrgParams) -> dict[int, int]:
+    """The squared distances between the columns of y = A + 4I and their
+    counts, for any srg parameters: ||y_i - y_j||^2 is
+    2 (k + 16) - 2 (lam + 8) on the v k / 2 edges and 2 (k + 16) - 2 mu on
+    the other pairs."""
+    v, k = params.v, params.k
+    on_edges = 2 * (k + 16) - 2 * (params.lam + 8)
+    off_edges = 2 * (k + 16) - 2 * params.mu
+    edges = v * k // 2
+    return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
+
+
 def entry(columns: list[int], i: int, j: int) -> int:
     """y[i, j], read from column j: 4 on the diagonal, else a bit."""
     return 4 if i == j else columns[j] >> i & 1
@@ -368,6 +406,120 @@ def verify_inner_products(
         raise VerificationError(f"<p, q> = {p_dot_q}, expected 0")
     if sum(p) != 0 or sum(q) != 0:
         raise VerificationError("contrast vectors must sum to zero")
+
+
+# Two primes below 2**31 for the modular ranks.
+PRIMES = (2**31 - 1, 2**31 - 19)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid far beyond the 2**31 range used."""
+    if n < 2:
+        return False
+    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % sp == 0:
+            return n == sp
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(prime: int) -> None:
+    """The primes the modular oracles admit: odd and below 2**31."""
+    if not 2 < prime < 2**31:
+        raise ValueError(f"prime {prime} outside (2, 2^31)")
+    if not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+
+
+def principal_prefix_ranks(
+    matrix,
+    prime: int,
+    prefixes: tuple[int, ...],
+    order=None,
+    caps: tuple[int, ...] | None = None,
+) -> tuple[int, ...]:
+    """Lower bounds on the rank of the columns `order[:k]` of a square
+    integer matrix, for each k in `prefixes`, from one greedy LDL^T over
+    GF(prime).  `matrix` is a sequence of rows; `order` defaults to all its
+    indices in turn.
+
+    Indices are visited in order; one becomes a pivot when its Schur
+    diagonal (with respect to the pivots before it) is nonzero mod prime.
+    The pivots P_k among the first k indices give a principal minor
+    det M[P_k, P_k] that is nonzero mod prime, hence nonzero over Z, so the
+    columns P_k are independent over Q and |P_k| is returned for k.  For a
+    positive semidefinite matrix the bound equals the rational rank unless
+    the prime divides a pivot.
+
+    With `caps`, prefix k stops being scanned once the pivots found number
+    caps[k's position]; its remaining indices are skipped.  The pivots found
+    are still independent, so the result stays a lower bound.
+    """
+    check_prime(prime)
+    if order is None:
+        order = range(len(matrix))
+    if caps is None:
+        caps = (len(order),) * len(prefixes)
+    pivots: list[int] = []
+    positions: list[int] = []  # of the pivots, in `order`
+    schur_rows: list[list[int]] = []  # pivot t: L[p_t, s] D_s for s < t
+    inverses: list[int] = []  # pivot t: 1 / D_t
+    pos = 0
+    for k, cap in sorted(zip(prefixes, caps)):
+        while pos < k and len(pivots) < cap:
+            j = order[pos]
+            row = matrix[j]
+            schur: list[int] = []  # L[j, t] D_t
+            lower: list[int] = []  # L[j, t]
+            for t, p in enumerate(pivots):
+                u = (row[p] - sum(map(mul, lower, schur_rows[t]))) % prime
+                schur.append(u)
+                lower.append(u * inverses[t] % prime)
+            d = (row[j] - sum(map(mul, lower, schur))) % prime
+            if d:
+                pivots.append(j)
+                positions.append(pos)
+                schur_rows.append(schur)
+                inverses.append(pow(d, -1, prime))
+            pos += 1
+        pos = max(pos, k)
+    return tuple(sum(1 for q in positions if q < k) for k in prefixes)
+
+
+def nested_order(part: Partition) -> list[int]:
+    """C, then B1, B2, B3, so that the prefixes 320, 352 and 416 are C, C+B1
+    and V.  C is visited by 13 v mod 419, a prime above the labels: in label
+    order 289 indices of C come before its 64th pivot, in this order the
+    first 64 are pivots."""
+    c = sorted(part.c, key=lambda v: 13 * v % 419)
+    return c + list(part.b1 + part.b2 + part.b3)
+
+
+# Column digits '0', '1', '4' of y as the byte values 0, 1, 4.
+_DIGITS = bytes.maketrans(b"014", b"\x00\x01\x04")
+
+
+def modular_dimension_chain(g: Graph, part: Partition, prime: int) -> tuple[int, ...]:
+    """Lower bounds on the linear ranks of the columns C, C+B1 and V of
+    y = A + 4I, by PAPER.md's own route: one LDL^T of y over GF(prime) in
+    `nested_order`, each prefix stopped at its rank 64, 65 or 66.  y is
+    positive semidefinite, so a prime that divides no pivot reaches them."""
+    y = [euclid.column_digits(g, i).encode().translate(_DIGITS) for i in range(g.n)]
+    order = nested_order(part)
+    return principal_prefix_ranks(y, prime, (320, 352, 416), order, (64, 65, 66))
 
 
 @dataclass

@@ -40,15 +40,16 @@ def test_c03_srg_verification(g, automorphisms):
 
 
 def test_c04_spectrum(spectrum):
+    assert spectrum == graph.SPECTRUM
     assert spectrum.s == -4 and spectrum.f == 65
-    cross = graph.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
+    cross = oracles.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
     assert cross.s == -2 and cross.f == 5
     _ok("04 spectrum s=-4, f=65; cross-instance (10,3,0,1) -> s=-2, f=5")
 
 
 def test_c05_distance_dichotomy(g, srg_params):
-    census = euclid.distance_census(srg_params)
-    assert census == {144: 20800, 192: 65520}
+    census = oracles.srg_distance_census(srg_params)
+    assert census == graph.DISTANCE_CENSUS == {144: 20800, 192: 65520}
     # y's columns are A's rows off the diagonal; the scan raises on a
     # distance that does not match adjacency.
     assert oracles.distance_census(g.rows, g) == census
@@ -82,14 +83,16 @@ def test_c07_contrast_products(g, part, contrasts):
     _ok("07 contrast patterns (0,24,-24,0) and (48,-24,-24,0), <p,q>=0")
 
 
-def test_c08_dimension_chain(certificates, full_report):
+def test_c08_dimension_chain(g, part, certificates, full_report):
     by_label = {c.label: c for c in certificates}
     assert [by_label[k].affine_dim for k in ("V", "C+B1", "C")] == [65, 64, 63]
     assert [by_label[k].linear_rank for k in ("V", "C+B1", "C")] == [66, 65, 64]
     chain = full_report.stage("dimension-chain").detail
-    assert chain["settled_by"] == euclid.DEFAULT_PRIMES[0]
-    _ok("08 affine dimensions 65/64/63 certified by the first prime; "
-        "linear ranks 66/65/64")
+    assert [c["affine_dim"] for c in chain["certificates"]] == [65, 64, 63]
+    # PAPER.md's route, modular ranks, agrees for one prime.
+    assert oracles.modular_dimension_chain(g, part, oracles.PRIMES[0]) == (64, 65, 66)
+    _ok("08 affine dimensions 65/64/63 certified exactly; linear ranks "
+        "66/65/64, matched by modular ranks")
 
 
 def test_c09_clique_number(g):

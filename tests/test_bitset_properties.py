@@ -39,12 +39,9 @@ def test_build_graph_matches_the_pairwise_oracle(seed, copies, swaps):
         out = rng.choice([a for a in range(1, 66) if s >> a & 1])
         into = rng.choice([a for a in range(1, 66) if not s >> a & 1])
         isosets[rng.randrange(416)] = s ^ (1 << out | 1 << into)
-    got, census, columns = graph.build_graph(isosets)
-    want, want_census = oracles.build_graph(isosets)
-    assert got.rows == want.rows
-    assert census == want_census
+    got, columns = graph.build_graph(isosets)
+    assert got.rows == oracles.build_graph(isosets)[0].rows
     assert columns == graph.point_columns(isosets)
-    assert sum(census.values()) == 416 * 415 // 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,11 @@
 y = A + 4I lives only in the graph: the program reads its columns through
 `euclid.column_digits`, and the oracles take A's rows as y's column ints.
 numpy is a test dependency only: it gives the reference elimination
-`rank_mod_prime` and the Gram-matrix oracle of the distance census, which
-in turn checks the scanned census in `oracles` that the derived one is
-compared with."""
+`rank_mod_prime`, the Gram-matrix oracle of the distance census, which in
+turn checks the scanned census in `oracles` that the pinned one is compared
+with, and the cubic identity of the graph on C on every row.  The modular
+LDL^T in `oracles` keeps PAPER.md's own route to the dimension chain
+checked against the program's exact one."""
 
 import random
 from fractions import Fraction
@@ -13,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g24verify import euclid
-from g24verify.errors import InconclusiveError, VerificationError
+from g24verify import euclid, graph
+from g24verify.errors import VerificationError
 
 import oracles
 
@@ -56,7 +58,7 @@ def rank_mod_prime(
     in it, all from one elimination; otherwise the rank of the whole matrix.
     Primes below 2**31 keep every product of two residues within int64.
     """
-    euclid._check_prime(prime)
+    oracles.check_prime(prime)
     a = np.array(rows, dtype=np.int64) % prime
     if a.ndim != 2:
         raise ValueError("rank_mod_prime expects a 2-d matrix")
@@ -155,8 +157,8 @@ def test_distance_values_follow_adjacency(g):
 
 def test_distance_census_exhaustive(g, srg_params):
     census = oracles.distance_census(g.rows, g)
-    assert census == {144: 20800, 192: 65520}
-    assert euclid.distance_census(srg_params) == census
+    assert census == graph.DISTANCE_CENSUS == {144: 20800, 192: 65520}
+    assert oracles.srg_distance_census(srg_params) == census
 
 
 def gram_distances(columns) -> np.ndarray:
@@ -291,7 +293,7 @@ def test_inner_products_reject_corruption(g, part, contrasts):
 
 
 def test_rank_mod_prime_basics():
-    prime = euclid.DEFAULT_PRIMES[0]
+    prime = oracles.PRIMES[0]
     assert rank_mod_prime(np.eye(10, dtype=np.int64), prime) == 10
     assert rank_mod_prime(np.zeros((5, 7), dtype=np.int64), prime) == 0
     assert rank_mod_prime([[2, 4], [1, 2]], prime) == 1
@@ -312,7 +314,7 @@ def test_rank_mod_prime_matches_rational_oracle():
             for i in range(m)
         ]
         want = rational_rank(mat)
-        for prime in euclid.DEFAULT_PRIMES:
+        for prime in oracles.PRIMES:
             got = rank_mod_prime(mat, prime)
             assert got == want
 
@@ -322,7 +324,7 @@ def test_rank_mod_prime_never_exceeds_rational_rank():
     for _ in range(8):
         mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
         want = rational_rank(mat)
-        assert rank_mod_prime(mat, euclid.DEFAULT_PRIMES[1]) <= want
+        assert rank_mod_prime(mat, oracles.PRIMES[1]) <= want
 
 
 def test_rank_mod_prime_validates_prime():
@@ -331,54 +333,52 @@ def test_rank_mod_prime_validates_prime():
         with pytest.raises(ValueError):
             rank_mod_prime([[1]], bad)
         with pytest.raises(ValueError):
-            euclid.principal_prefix_ranks([[1]], bad, (1,))
+            oracles.principal_prefix_ranks([[1]], bad, (1,))
 
 
 def test_principal_pivots_match_elimination_on_y(g, part):
-    # With no stop, in label order, the kernel reaches the rational ranks
-    # that certified_dimension_chain stops at; modular ranks never exceed
-    # rational ones, so none can exceed the upper bound + 1 either.
+    # With no stop, in label order, the kernel reaches the ranks that the
+    # program certifies exactly; modular ranks never exceed rational ones,
+    # so the stopped oracle loses nothing.
     columns = [column(g, i) for i in range(g.n)]
     natural = list(part.c + part.b1 + part.b2 + part.b3)
-    stride = euclid._nested_order(part)
+    stride = oracles.nested_order(part)
     assert sorted(stride[:320]) == sorted(part.c) and stride[320:] == natural[320:]
     prefixes = (320, 352, 416)
-    for prime in euclid.DEFAULT_PRIMES:
-        got = euclid.principal_prefix_ranks(columns, prime, prefixes, natural)
+    for prime in oracles.PRIMES:
+        got = oracles.principal_prefix_ranks(columns, prime, prefixes, natural)
         assert got == (64, 65, 66)
         assert got == rank_mod_prime(dense(g.rows)[:, natural], prime, prefixes)
         # The order inside C changes only how soon the pivots come.
-        assert euclid.principal_prefix_ranks(columns, prime, prefixes, stride) == got
-        capped = euclid.principal_prefix_ranks(
-            columns, prime, prefixes, stride, caps=(64, 65, 66)
-        )
-        assert capped == got
+        assert oracles.principal_prefix_ranks(columns, prime, prefixes, stride) == got
+        assert oracles.modular_dimension_chain(g, part, prime) == got
 
 
 def test_caps_stop_each_prefix():
     # A prefix stops at its cap and the next prefix starts after it, even
     # where the skipped indices hold pivots.
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
-    prime = euclid.DEFAULT_PRIMES[0]
-    assert euclid.principal_prefix_ranks(eye, prime, (2, 4), caps=(1, 3)) == (1, 3)
-    assert euclid.principal_prefix_ranks(eye, prime, (4, 2), caps=(9, 9)) == (4, 2)
+    prime = oracles.PRIMES[0]
+    assert oracles.principal_prefix_ranks(eye, prime, (2, 4), caps=(1, 3)) == (1, 3)
+    assert oracles.principal_prefix_ranks(eye, prime, (4, 2), caps=(9, 9)) == (4, 2)
 
 
 def test_stride_order_finds_the_c_pivots_first(g, part):
     columns = [column(g, i) for i in range(g.n)]
     natural = list(part.c + part.b1 + part.b2 + part.b3)
-    stride = euclid._nested_order(part)
-    for prime in euclid.DEFAULT_PRIMES:
-        assert euclid.principal_prefix_ranks(columns, prime, (64,), stride) == (64,)
-        assert euclid.principal_prefix_ranks(columns, prime, (64, 289), natural) == (39, 64)
+    stride = oracles.nested_order(part)
+    for prime in oracles.PRIMES:
+        assert oracles.principal_prefix_ranks(columns, prime, (64,), stride) == (64,)
+        got = oracles.principal_prefix_ranks(columns, prime, (64, 289), natural)
+        assert got == (39, 64)
 
 
 def test_is_prime():
-    assert euclid.is_prime(2) and euclid.is_prime(3)
-    assert euclid.is_prime(2**31 - 1)
-    assert euclid.is_prime(2**31 - 19)
-    assert not euclid.is_prime(1)
-    assert not euclid.is_prime(2**31 - 3)
+    assert oracles.is_prime(2) and oracles.is_prime(3)
+    assert oracles.is_prime(2**31 - 1)
+    assert oracles.is_prime(2**31 - 19)
+    assert not oracles.is_prime(1)
+    assert not oracles.is_prime(2**31 - 3)
 
 
 def test_dimension_chain_certificates(certificates):
@@ -392,28 +392,71 @@ def test_dimension_chain_certificates(certificates):
     assert by_label["C"].size == 320
     for cert in certificates:
         assert cert.linear_rank == cert.affine_dim + 1
-        assert cert.upper_argument
-    # One prime's pivot counts; no per-prime bounds.
+        assert cert.argument
+    # Exact ranks with their argument; no prime and no pivot counts.
     assert list(euclid.DimensionCertificate._fields) == [
-        "label", "size", "affine_dim", "linear_rank", "upper_argument"
+        "label", "size", "affine_dim", "linear_rank", "argument"
     ]
 
 
-def test_dimension_chain_respects_prime_override(g, part, spectrum, certificates):
-    # One prime is enough, and the first listed that settles the chain is
-    # the one used.
-    for primes in ((1_000_003,), (1_000_003, 999_983), (999_983, 1_000_003)):
-        prime, certs = euclid.certified_dimension_chain(g, part, spectrum, primes)
-        assert prime == primes[0]
-        assert certs == certificates
+def test_ldlt_oracle_certifies_the_chain_for_one_prime(g, part, certificates):
+    # PAPER.md's route: the pivots of one prime reach every exact rank.
+    ranks = tuple(c.linear_rank for c in reversed(certificates))
+    for prime in (1_000_003, 999_983, 5):
+        assert oracles.modular_dimension_chain(g, part, prime) == ranks == (64, 65, 66)
 
 
-def test_dimension_chain_falls_back_past_a_prime_that_falls_short(g, part, spectrum):
-    # Mod 3 the pivots on V stop at 65, one short of the upper bound + 1;
-    # 3 is the only prime below 400 that falls short on y.
-    with pytest.raises(InconclusiveError) as exc:
-        euclid.certified_dimension_chain(g, part, spectrum, primes=(3,))
-    assert "3 gives [65, 65, 64]" in str(exc.value)
-    prime, certs = euclid.certified_dimension_chain(g, part, spectrum, primes=(3, 5))
-    assert prime == 5
-    assert [c.linear_rank for c in certs] == [66, 65, 64]
+def test_ldlt_oracle_falls_short_mod_3(g, part):
+    # Mod 3 a pivot of y vanishes and the pivots on V stop one short; 3 is
+    # the only prime below 400 that falls short on y.  The exact chain has
+    # no such case.
+    assert oracles.modular_dimension_chain(g, part, 3) == (64, 65, 65)
+
+
+def test_c_spectrum_solves_the_trace_equations():
+    # 76 and the roots of (x - 16)(x - 12)(x + 4), with multiplicities that
+    # count 320 vertices, give tr A_C = 0 and tr A_C^2 = 320 * 76.
+    spectrum = euclid.C_SPECTRUM
+    assert sum(spectrum.values()) == 320
+    assert sum(t * m for t, m in spectrum.items()) == 0
+    assert sum(t * t * m for t, m in spectrum.items()) == 320 * 76
+    assert {t for t in spectrum if (t - 16) * (t - 12) * (t + 4)} == {76}
+    assert (76 - 16) * (76 - 12) * (76 + 4) == 960 * 320
+    # The three equations in the multiplicities of 16, 12 and -4, once 76
+    # is simple, have one solution: their determinant is not 0.
+    (a, b, c), (d, e, f), (g, h, i) = [1, 1, 1], [16, 12, -4], [256, 144, 16]
+    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == -1280
+
+
+def a_c(g, part) -> np.ndarray:
+    """The adjacency of the graph induced on C, as an int64 array."""
+    c = list(part.c)
+    return dense(g.rows)[np.ix_(c, c)] - 4 * np.eye(len(c), dtype=np.int64)
+
+
+def test_c_identity_holds_on_every_row(g, part):
+    # The program checks row c0 and carries it by the words; here every
+    # entry of (A_C - 16)(A_C - 12)(A_C + 4) is computed.
+    a = a_c(g, part)
+    eye = np.eye(len(part.c), dtype=np.int64)
+    product = (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
+    assert (product == 960).all()
+    assert (a.sum(axis=0) == 76).all()
+    euclid.verify_c_identity(g, part)
+
+
+@pytest.mark.parametrize("u_offset", [1, 200], ids=["c1", "c200"])
+def test_c_identity_refuses_a_tampered_row(g, part, u_offset):
+    # The pair (c0, u) of C flipped: the direct call names the first entry
+    # of row c0 of the cubic that is no longer 960, as the array finds it.
+    c0, u = part.c[0], part.c[u_offset]
+    rows = list(g.rows)
+    rows[c0] ^= 1 << u
+    rows[u] ^= 1 << c0
+    with pytest.raises(VerificationError, match=r"\(A_C - 16\)") as err:
+        euclid.verify_c_identity(type(g)(g.n, rows), part)
+    a = a_c(type(g)(g.n, rows), part)
+    eye = np.eye(320, dtype=np.int64)
+    row = eye[0] @ (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
+    assert err.value.witness == part.c[int(np.flatnonzero(row != 960)[0])]
+

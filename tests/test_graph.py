@@ -67,17 +67,17 @@ def test_adjacency_is_intersection_3(g, isosets):
 
 
 def test_intersection_distribution(isosets):
-    _, dist, _ = graph.build_graph(isosets)
-    assert 3 in dist
+    # No claim uses the census; the pairwise oracle pins it.
+    dist = oracles.build_graph(isosets)[1]
+    assert dist == oracles.INTERSECTION_SIZES
     assert dist[3] == 20800
     assert sum(dist.values()) == 416 * 415 // 2
-    assert set(dist) == {2, 3, 5}
 
 
 def test_build_graph_matches_the_pairwise_oracle(g, isosets):
     h, dist = oracles.build_graph(isosets)
     assert h.rows == g.rows
-    assert dist == graph.build_graph(isosets)[1] == {2: 31200, 3: 20800, 5: 34320}
+    assert dist == oracles.INTERSECTION_SIZES
 
 
 def test_build_graph_validates_input(isosets):
@@ -103,7 +103,7 @@ def test_build_graph_validates_input(isosets):
 
 def test_point_columns_transpose_the_isosets(isosets):
     columns = graph.point_columns(isosets)
-    assert graph.build_graph(isosets)[2] == columns  # the columns it built from
+    assert graph.build_graph(isosets)[1] == columns  # the columns it built from
     assert len(columns) == 66 and columns[0] == 0
     for a in range(1, 66):
         assert columns[a] == sum(1 << i for i, s in enumerate(isosets) if s >> a & 1)
@@ -140,6 +140,49 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
         graph.verify_point_action(g, broken, automorphisms)
     m, point = err.value.witness
     assert 0 <= m < 3 and point in (a, b)
+
+
+def _orbit(maps: list[list[int]], v: int) -> set[int]:
+    """The orbit of v under the group the permutations `maps` generate: the
+    closure of {v} under their images."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        u = frontier.pop()
+        for perm in maps:
+            if perm[u] not in seen:
+                seen.add(perm[u])
+                frontier.append(perm[u])
+    return seen
+
+
+def test_stabilizer_words_fix_c_with_one_orbit(g, automorphisms, part):
+    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
+    a, b = automorphisms
+    for word, perm in zip(graph.STABILIZER_WORDS, maps):
+        # Letters apply left to right, capitals being inverses.
+        want = list(range(g.n))
+        for letter in word:
+            step = {"a": a, "b": b}[letter.lower()]
+            want = [step[v] if letter.islower() else step.index(v) for v in want]
+        assert perm == want
+        assert sorted(perm[v] for v in part.c) == list(part.c)
+        graph.verify_automorphism(g, perm)  # a product of verified maps
+    assert _orbit(maps, part.c[0]) == set(part.c)
+
+
+def test_stabilizer_refuses_a_word_that_leaves_the_set(automorphisms, part):
+    a = automorphisms[0]
+    with pytest.raises(VerificationError, match="the word a sends vertex") as err:
+        graph.stabilizer(automorphisms, ("abA", "a"), part.c_mask)
+    assert err.value.witness == min(v for v in part.c if not part.c_mask >> a[v] & 1)
+
+
+def test_stabilizer_refuses_a_second_orbit(automorphisms, part):
+    # One of the two words alone fixes C but leaves many orbits on it.
+    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
+    with pytest.raises(VerificationError, match="orbits on the set, not 1") as err:
+        graph.stabilizer(automorphisms, graph.STABILIZER_WORDS[:1], part.c_mask)
+    assert err.value.witness == min(set(part.c) - _orbit(maps[:1], part.c[0]))
 
 
 def test_srg_parameters(srg_params):
@@ -188,6 +231,8 @@ def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
 
 
 def test_spectrum_of_main_graph(spectrum):
+    # Recomputed from the verified parameters: the pinned constant.
+    assert spectrum == graph.SPECTRUM
     assert spectrum.s == -4
     assert spectrum.f == 65
     assert spectrum.r == 20
@@ -196,7 +241,7 @@ def test_spectrum_of_main_graph(spectrum):
 
 
 def test_spectrum_cross_instance_petersen():
-    cross = graph.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
+    cross = oracles.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
     assert cross.s == -2
     assert cross.f == 5
     assert cross.r == 1
@@ -228,8 +273,9 @@ def test_petersen_graph_parameters_via_scan():
 
 
 def test_spectrum_is_exact():
-    got = graph.srg_spectrum(graph.SrgParams(416, 100, 36, 20))
-    assert type(got.r) is int and type(got.s) is int
+    got = oracles.srg_spectrum(graph.SRG)
+    assert got == graph.SPECTRUM
+    assert all(type(x) is int for x in graph.SPECTRUM)
     assert (got.r, got.s) == (20, -4)
 
 

@@ -40,7 +40,7 @@ def test_stage_details(full_report):
     assert full_report.stage("geometry").detail["points"] == 273
     assert full_report.stage("geometry").detail["isotropic"] == 65
     assert full_report.stage("bases").detail == {"bases": 416}
-    assert full_report.stage("graph").detail["edges"] == 20800
+    assert full_report.stage("graph").detail == {"vertices": 416, "edges": 20800}
     assert full_report.stage("srg").detail["parameters"] == [416, 100, 36, 20]
     assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
     assert full_report.stage("srg").detail["spectrum"]["f"] == 65
@@ -58,8 +58,7 @@ def test_stage_details(full_report):
         "point_maps_verified": 2,
     }
     chain = full_report.stage("dimension-chain").detail
-    assert chain["primes"] == list(euclid.DEFAULT_PRIMES)
-    assert chain["settled_by"] == 2147483647
+    assert set(chain) == {"contrast_products", "certificates"}
     assert chain["contrast_products"] == {
         "p_pattern": [0, 24, -24, 0],
         "q_pattern": [48, -24, -24, 0],
@@ -70,7 +69,8 @@ def test_stage_details(full_report):
     certs = chain["certificates"]
     assert [c["affine_dim"] for c in certs] == [65, 64, 63]
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
-    assert all("lower_bounds" not in c for c in certs)
+    assert all(set(c) == {"set", "size", "affine_dim", "linear_rank", "argument"}
+               for c in certs)
     clique = full_report.stage("max-clique").detail
     assert clique["clique_number"] == 5
     assert "automorphisms_verified" not in clique
@@ -112,11 +112,13 @@ def test_stages_are_keyed_to_every_claim(full_report):
 
 def test_default_run_checks_clebsch(full_report):
     # No stage is optional: the default run proves the isomorphism too.
-    assert full_report.config == {"primes": list(euclid.DEFAULT_PRIMES)}
+    assert "config" not in full_report.to_dict()
     assert full_report.stage("clebsch").status == "ok"
     assert "uniqueness" not in STAGE_NAMES
     status = SCHEMA["properties"]["stages"]["items"]["properties"]["status"]
-    assert status["enum"] == ["ok", "fail", "inconclusive"]
+    assert status["enum"] == ["ok", "fail"]
+    overall = SCHEMA["properties"]["overall"]["properties"]
+    assert overall["exit_code"]["enum"] == [0, 1]
 
 
 def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
@@ -283,7 +285,7 @@ def test_vertex_moved_between_b_and_c_fails_partition(monkeypatch, move):
     build = graph.build_graph
 
     def moved(isosets):
-        g, dist, columns = build(isosets)
+        g, columns = build(isosets)
         b = columns[1]
         if move == "C vertex added":
             v = next(v for v in range(g.n) if not b >> v & 1)
@@ -291,7 +293,7 @@ def test_vertex_moved_between_b_and_c_fails_partition(monkeypatch, move):
             v = (b & -b).bit_length() - 1
         columns = list(columns)
         columns[1] ^= 1 << v
-        return g, dist, columns
+        return g, columns
 
     monkeypatch.setattr(graph, "build_graph", moved)
     report = run_check(RunConfig())
@@ -349,10 +351,10 @@ def test_complement_graph_fails_srg_on_its_parameters(monkeypatch):
     build = graph.build_graph
 
     def complemented(isosets):
-        g, dist, columns = build(isosets)
+        g, columns = build(isosets)
         full = (1 << g.n) - 1
         rows = [full ^ row ^ 1 << i for i, row in enumerate(g.rows)]
-        return graph.Graph(g.n, rows), dist, columns
+        return graph.Graph(g.n, rows), columns
 
     monkeypatch.setattr(graph, "build_graph", complemented)
     report = run_check(RunConfig())
@@ -402,8 +404,8 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
     permutations = hermitian.basis_permutations
     if corruption.startswith("2-switch"):
         def switched(isosets):
-            g, dist, columns = build(isosets)
-            return _two_switch(g, corruption.endswith("through 0")), dist, columns
+            g, columns = build(isosets)
+            return _two_switch(g, corruption.endswith("through 0")), columns
 
         monkeypatch.setattr(graph, "build_graph", switched)
     else:
@@ -424,29 +426,16 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
         assert len(witness) == 2 and 0 not in witness
 
 
-def test_rank_inconclusive_stops_with_exit_2(capsys):
-    # Mod 3 a pivot of y vanishes, so the pivots on V stop one short of the
-    # upper bound + 1: the only listed prime falls short.
-    report = run_check(RunConfig(primes=(3,)))
-    assert report.exit_code == 2
-    assert report.overall_status == "inconclusive"
-    assert report.stages[-1].name == "dimension-chain"
-    assert report.stages[-1].status == "inconclusive"
-    assert "3 gives [65, 65, 64]" in report.stages[-1].detail["error"]
-    assert cli.main(["check", "--primes", "3"]) == 2
+def test_words_that_leave_two_orbits_fail_the_dimension_chain(monkeypatch, capsys):
+    # One stabilizer word alone: the chain is refused at claim 6, naming the
+    # smallest vertex of C outside the orbit of c0 = 96.
+    monkeypatch.setattr(euclid, "STABILIZER_WORDS", ("abA",))
+    assert cli.main(["check"]) == 1
     out = capsys.readouterr().out
-    assert "dimension-chain      ... INCONCLUSIVE\n    claim 6: modular pivots" in out
-    assert "for every prime: 3 gives" in out
-
-
-def test_next_prime_settles_the_chain_when_one_falls_short(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert cli.main(["check", "--primes", "3,5", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    jsonschema.validate(doc, SCHEMA)
-    assert doc["config"]["primes"] == [3, 5]
-    chain = next(s for s in doc["stages"] if s["name"] == "dimension-chain")
-    assert chain["detail"]["settled_by"] == 5
+    assert "dimension-chain      ... FAIL\n    claim 6: the words leave " in out
+    assert "orbits on the set, not 1\n    witness: " in out
+    witness = int(out.split("witness: ")[1].split()[0])
+    assert 96 < witness < 416
 
 
 @pytest.mark.parametrize(
@@ -469,11 +458,11 @@ def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides, witness):
     build = graph.build_graph
 
     def toggled(isosets):
-        g, dist, columns = build(isosets)
+        g, columns = build(isosets)
         g.rows[i] ^= 1 << j
         if sides == "both":
             g.rows[j] ^= 1 << i
-        return g, dist, columns
+        return g, columns
 
     monkeypatch.setattr(graph, "build_graph", toggled)
     report = run_check(RunConfig())
@@ -501,9 +490,9 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
     build = graph.build_graph
 
     def toggled(isosets):
-        g, dist, columns = build(isosets)
+        g, columns = build(isosets)
         g.flip_edge(u, v)
-        return g, dist, columns
+        return g, columns
 
     monkeypatch.setattr(graph, "build_graph", toggled)
     report = run_check(RunConfig())
@@ -542,10 +531,10 @@ def test_point_column_corruptions_fail_with_a_witness(
             if corruption.endswith("before the graph"):
                 _swap_one_member(isosets, 5)
                 return build(isosets)
-            g, dist, _ = build(isosets)
+            g, _ = build(isosets)
             swapped = list(isosets)
             _swap_one_member(swapped, 5)  # only the point columns see it
-            return g, dist, graph.point_columns(swapped)
+            return g, graph.point_columns(swapped)
 
         monkeypatch.setattr(graph, "build_graph", corrupted)
     else:
@@ -638,7 +627,7 @@ def _sha256(data: bytes) -> str:
 
 # sha256 of the file each command writes with the defaults.
 ARTIFACT_SHA256 = {
-    "check": "b629470ff3271e1fa73a0f6589faa42020a0574dbe2dbb917c7ffcd6897d8e78",
+    "check": "d6f17e57661db0d303b10fd95b4d983362dfe4aedf1df440843252e8f2b1bc59",
     "export-graph --format dimacs": (
         "93d23016f3d5f1366aaeae44356ddcfffe900fd20e20dfc52e88006875f7e0f9"
     ),
@@ -735,10 +724,6 @@ def test_cli_usage_errors_exit_3(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 3
-    for primes in ("4,6", ",", "", "1000003,4", "2", "2147483659"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["check", "--primes", primes])
-        assert exc.value.code == 3
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "--inject-flip-edge", "1"])
     assert exc.value.code == 3
@@ -763,15 +748,12 @@ def test_removed_flags_exit_3():
         ["--with-uniqueness"],
         ["--uniqueness-budget", "5"],
         ["--with-clebsch-check"],
+        ["--primes", "3"],
+        ["--primes", "2147483647,2147483629"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", *flag])
         assert exc.value.code == 3
-
-
-def test_cli_prime_override(capsys):
-    assert cli.main(["check", "--primes", "1000003,999983"]) == 0
-    assert cli.main(["check", "--primes", "1000003"]) == 0
 
 
 def test_cli_fault_injection_exit_code(capsys):

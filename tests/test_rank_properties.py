@@ -1,14 +1,14 @@
 """Property tests: the prefix ranks of the reference modular elimination,
-and the principal-pivot lower bounds of the dimension chain, against an
-exact rational oracle on small integer matrices.  The kernel runs with no
-stop, except where a test says otherwise."""
+and the principal-pivot lower bounds of the modular dimension-chain oracle,
+against an exact rational oracle on small integer matrices.  The kernel
+runs with no stop, except where a test says otherwise."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from g24verify import euclid  # noqa: E402
+import oracles  # noqa: E402
 from test_euclid import rank_mod_prime, rational_rank  # noqa: E402
 
 
@@ -40,7 +40,7 @@ def matrices_and_cuts(draw):
 def test_prefix_ranks_match_rational_rank(case):
     mat, cuts = case
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
-    for prime in euclid.DEFAULT_PRIMES:
+    for prime in oracles.PRIMES:
         assert rank_mod_prime(mat, prime, cuts) == want
         assert rank_mod_prime(mat, prime) == rational_rank(mat)
 
@@ -90,8 +90,8 @@ def symmetric_matrices_and_cuts(draw):
 def test_principal_pivots_reach_rank_of_psd_matrices(case):
     mat, cuts = case
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
-    for prime in euclid.DEFAULT_PRIMES:
-        assert euclid.principal_prefix_ranks(mat, prime, cuts) == want
+    for prime in oracles.PRIMES:
+        assert oracles.principal_prefix_ranks(mat, prime, cuts) == want
         assert rank_mod_prime(mat, prime, cuts) == want
 
 
@@ -101,17 +101,17 @@ def test_principal_pivots_never_exceed_rank(case):
     mat, cuts = case
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
     # Small primes divide pivots often; the bound must stay sound for them.
-    for prime in euclid.DEFAULT_PRIMES + (3, 5):
-        got = euclid.principal_prefix_ranks(mat, prime, cuts)
+    for prime in oracles.PRIMES + (3, 5):
+        got = oracles.principal_prefix_ranks(mat, prime, cuts)
         assert all(g <= w for g, w in zip(got, want))
 
 
 @settings(max_examples=150, deadline=None)
 @given(gram_matrices_and_cuts())
 def test_principal_pivots_stopped_at_the_rank_still_reach_it(case):
-    # certified_dimension_chain stops each prefix at its upper bound + 1,
-    # which is its rank; the pivots skipped are not needed by later prefixes.
+    # modular_dimension_chain stops each prefix at its rank; the pivots
+    # skipped are not needed by later prefixes.
     mat, cuts = case
     want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
-    for prime in euclid.DEFAULT_PRIMES:
-        assert euclid.principal_prefix_ranks(mat, prime, cuts, caps=want) == want
+    for prime in oracles.PRIMES:
+        assert oracles.principal_prefix_ranks(mat, prime, cuts, caps=want) == want
