@@ -748,11 +748,17 @@ def test_removed_flags_exit_3():
         ["--with-uniqueness"],
         ["--uniqueness-budget", "5"],
         ["--with-clebsch-check"],
-        ["--primes", "3"],
-        ["--primes", "2147483647,2147483629"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", *flag])
+        assert exc.value.code == 3
+
+
+def test_cli_prime_override():
+    # The dimension chain is exact over Q, so a choice of primes is refused.
+    for primes in ("1000003,999983", "1000003", "3", "2147483647,2147483629"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--primes", primes])
         assert exc.value.code == 3
 
 
