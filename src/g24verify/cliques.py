@@ -1,17 +1,11 @@
-"""Clique number, special 5-cliques of C, exact covers, and the verdict.
+"""Clique number, the special 5-cliques of C, and the verdict.
 
-The clique number is settled through symmetry: omega(G) = 1 + max over v of
-the clique number of the neighbourhood N(v), and an automorphism s maps N(v)
-onto N(s(v)), so one branch-and-bound search with a greedy colouring bound
-per vertex orbit suffices, its colour classes bit masks as in the BBMC
-algorithm of San Segundo et al. (2011).  The orbits are those
-`graph.verify_srg` certified, after verifying the automorphisms on every
-entry of the graph as built; this module verifies no permutation itself.
-The search from every edge is kept in the tests as the oracle.  The
-special 5-cliques of C (iso-sets sharing a 3-point core) are found by
-counting the edges of C per core, and they tile C, which a count also
-settles: 64 pairwise disjoint 5-cliques covering the 320 vertices of C are
-the only exact cover of C by special cliques.
+Claims 7 and 9 are checked at one vertex each and carried to the others by
+words in the automorphisms that the srg stage verified (`graph.stabilizer`),
+with no search: the clique number at vertex 0, over the orbits on N(0) of
+words that fix 0, and the special cliques at min C, over words that fix C.
+The search from every edge and the grouping of every edge of C by core are
+kept in the tests as the oracles.
 """
 
 from __future__ import annotations
@@ -19,171 +13,118 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import VerificationError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, orbit_representatives
+from .hermitian import isoset_members
 
 
 SpecialClique = namedtuple("SpecialClique", "vertices core")
 
 
-def _max_clique_in(
-    rows: list[int], cand: int, best_floor: int, counter: list[int]
-) -> tuple[int, list[int]]:
-    """Exact maximum clique inside the induced subgraph on `cand`.
+def _members(mask: int):
+    """The vertices of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    `best_floor` prunes branches that cannot beat the caller's incumbent;
-    the returned size is exact whenever it exceeds the floor.
 
-    Each node builds colour class c as the greedy independent set of the
-    vertices left (take the lowest, drop it and its neighbours, repeat),
-    which on a symmetric graph is first-fit colouring in ascending order.
-    Its vertices get bound c; classes are visited last first, each from its
-    highest vertex, so the first bound that cannot win ends the node.
+def verify_clique_number(
+    g: Graph, vertex_maps: list[list[int]]
+) -> tuple[list[int], int]:
+    """Certify that the clique number of `g` is 5; return a 5-clique as the
+    witness and the number of local checks made.
+
+    `vertex_maps` must be automorphisms that fix vertex 0 (`graph.stabilizer`)
+    in a group with one vertex orbit (`graph.verify_srg`).  A clique of two
+    or more vertices then has an image through 0 and a representative u of
+    the maps' orbits on N(0).  So for each u and each w in T = N(0) & N(u),
+    a triangle in T & N(w) is refused, witness the 6-clique it makes.  The
+    first edge met in some T & N(w) gives the 5-clique witness; with none,
+    the graph is refused, witness vertex 0.
     """
-    best_size = best_floor
-    best_wit: list[int] = []
-    stack: list[int] = []
-
-    def expand(cand_mask: int) -> None:
-        nonlocal best_size, best_wit
-        counter[0] += 1
-        classes = []
-        left = cand_mask
-        while left:
-            members = 0
-            free = left
-            while free:
-                low = free & -free
-                members |= low
-                free &= ~(low | rows[low.bit_length() - 1])
-            classes.append(members)
-            left ^= members
-        for bound in range(len(classes), 0, -1):
-            members = classes[bound - 1]
-            while members:
-                if len(stack) + bound <= best_size:
-                    return
-                v = members.bit_length() - 1
-                members ^= 1 << v
-                stack.append(v)
-                nxt = cand_mask & rows[v]
-                if nxt:
-                    expand(nxt)
-                elif len(stack) > best_size:
-                    best_size = len(stack)
-                    best_wit = list(stack)
-                stack.pop()
-                cand_mask ^= 1 << v
-
-    expand(cand)
-    return best_size, best_wit
-
-
-def max_clique_by_orbits(
-    g: Graph, representatives: list[int]
-) -> tuple[int, list[int], int]:
-    """Exact clique number, a witness, and the number of search nodes,
-    searched from one vertex per orbit.
-
-    `representatives` must hold a vertex of every orbit of a group of
-    verified automorphisms of `g`, as `graph.verify_srg` certifies.  The
-    largest clique through v is 1 + omega(N(v)), the same on the whole orbit
-    of v.
-    """
-    best = 0
-    witness: list[int] = []
-    counter = [0]
-    for v in representatives:
-        sub_size, sub_wit = _max_clique_in(g.rows, g.rows[v], max(best - 1, 0), counter)
-        if 1 + sub_size > best:
-            best = 1 + sub_size
-            witness = sorted([v] + sub_wit)
-    verify_clique(g, witness)
-    return best, witness, counter[0]
-
-
-def verify_clique(g: Graph, vertices: list[int]) -> None:
-    """Independent pass re-testing every pair of the witness."""
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            if not g.adjacent(vertices[a], vertices[b]):
-                raise VerificationError(
-                    f"witness pair ({vertices[a]},{vertices[b]}) is not an edge",
-                    witness=(vertices[a], vertices[b]),
-                )
-
-
-def enumerate_special_cliques(
-    g: Graph, part: Partition, isosets: list[int]
-) -> list[SpecialClique]:
-    """All 5-cliques inside C whose five iso-sets share a 3-point core,
-    ordered by core, found by counting instead of by search.
-
-    The edges inside C are grouped by their core, the 3 points their two
-    iso-sets share, into a member mask and an edge count per core.  Within
-    a special clique every pairwise intersection is its core, so its 10
-    edges all fall in that core's group.  A group of exactly 5 members and
-    10 edges is therefore a special clique, and a special clique is one
-    such group, as long as no group has more than 5 members; a larger group
-    is refused, witness its members.
-    """
-    from .hermitian import isoset_members
-
-    groups: dict[int, list[int]] = {}  # core: [member mask, edge count]
-    for i in part.c:
-        row = g.rows[i] & part.c_mask
-        row = row >> (i + 1) << (i + 1)
-        while row:
-            j = (row & -row).bit_length() - 1
-            row &= row - 1
-            group = groups.setdefault(isosets[i] & isosets[j], [0, 0])
-            group[0] |= 1 << i | 1 << j
-            group[1] += 1
-
-    cliques: list[SpecialClique] = []
-    for core, (members, edges) in groups.items():
-        if members.bit_count() < 5:
+    rows = g.rows
+    r0 = rows[0]
+    witness = None
+    checks = 0
+    for u in orbit_representatives(g.n, vertex_maps):
+        if not r0 >> u & 1:
             continue
-        vertices = []
-        while members:
-            vertices.append((members & -members).bit_length() - 1)
-            members &= members - 1
-        if len(vertices) > 5:
-            raise VerificationError(
-                f"{len(vertices)} vertices of C share the core "
-                f"{isoset_members(core)}",
-                witness=tuple(vertices),
-            )
-        if edges == 10:
-            cliques.append(
-                SpecialClique(tuple(vertices), tuple(isoset_members(core)))
-            )
-    cliques.sort(key=lambda c: c.core)
-    return cliques
+        common = r0 & rows[u]
+        for w in _members(common):
+            checks += 1
+            inner = common & rows[w]
+            for x in _members(inner):
+                inner ^= 1 << x  # a triangle through x has its others above x
+                links = inner & rows[x]
+                if links and witness is None:
+                    witness = sorted([0, u, w, x, (links & -links).bit_length() - 1])
+                for y in _members(links):
+                    triangle = links & rows[y]
+                    if triangle:
+                        raise VerificationError(
+                            f"6-clique through vertex 0 and {u}",
+                            witness=sorted([0, u, w, x, y, triangle.bit_length() - 1]),
+                        )
+    if witness is None:
+        raise VerificationError("no 5-clique through vertex 0", witness=0)
+    return witness, checks
 
 
-def verify_special_cover(
-    specials: list[SpecialClique], universe: tuple[int, ...]
-) -> None:
-    """The special cliques must tile `universe`: pairwise disjoint, inside
-    it, and together covering it, so there are exactly |universe|/5 of them.
+def special_cliques(
+    g: Graph, part: Partition, isosets: list[int], c_maps: list[list[int]]
+) -> list[SpecialClique]:
+    """The special 5-cliques of C, their iso-sets sharing a 3-point core,
+    ordered by core.  They tile C, so they are its only exact cover by
+    special cliques: an exact cover of C by 5-sets uses |C| / 5 of them.
 
-    That makes them the unique exact cover of `universe` by special cliques:
-    any exact cover of |universe| vertices by 5-sets uses |universe|/5
-    cliques, which is all of them.
+    The neighbours in C of c0 = min C are grouped by the core they share
+    with c0.  Exactly one group may have 4 or more members, and it must have
+    4, pairwise adjacent; a failure names c0, or the member that misses
+    another.  A special clique through c0 is c0 and such a group, and two
+    members of a group contain its core and are adjacent, so they share
+    exactly the core: c0 lies in exactly one special clique.
+
+    `c_maps` must map C into C with one orbit (`graph.stabilizer` on
+    `graph.STABILIZER_WORDS`).  As products of the maps that the
+    anchor-invariance stage verified, they move iso-sets by a map of the
+    points, so they send special cliques to special cliques.  Every vertex
+    of C thus lies in exactly one, and the orbit of c0's clique lists them
+    all.  A core is two members' iso-sets ANDed.
     """
-    inside = set(universe)
-    seen: set[int] = set()
-    for sc in specials:
-        for v in sc.vertices:
-            if v in seen or v not in inside:
-                where = "twice" if v in seen else "outside the cover set"
-                raise VerificationError(
-                    f"special cliques cover vertex {v} {where}", witness=v
-                )
-            seen.add(v)
-    if seen != inside:
-        v = min(inside - seen)
-        raise VerificationError(f"vertex {v} lies in no special clique", witness=v)
+    c0 = part.c[0]
+    groups: dict[int, int] = {}  # core: the mask of c0's neighbours in C on it
+    for j in _members(g.rows[c0] & part.c_mask):
+        core = isosets[c0] & isosets[j]
+        groups[core] = groups.get(core, 0) | 1 << j
+    big = [m for m in groups.values() if m.bit_count() >= 4]
+    sizes = sorted(m.bit_count() for m in big)
+    if sizes != [4]:
+        raise VerificationError(
+            f"vertex {c0} has groups of {sizes} neighbours in C on one core, "
+            "not one group of 4",
+            witness=c0,
+        )
+    members = big[0]
+    for v in _members(members):
+        if g.rows[v] & members != members ^ 1 << v:
+            raise VerificationError(
+                f"vertex {v} of the core group of {c0} misses another", witness=v
+            )
+    first = tuple(sorted([c0, *_members(members)]))
+    orbit = {first}
+    stack = [first]
+    while stack:
+        clique = stack.pop()
+        for perm in c_maps:
+            image = tuple(sorted(perm[v] for v in clique))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    cover = []
+    for vs in orbit:
+        core = isosets[vs[0]] & isosets[vs[1]]
+        cover.append(SpecialClique(vs, tuple(isoset_members(core))))
+    return sorted(cover, key=lambda c: c.core)
 
 
 def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:

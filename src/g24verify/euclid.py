@@ -24,7 +24,7 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import VerificationError
-from .graph import CLAIM1, SPECTRUM, STABILIZER_WORDS, Graph, Partition, stabilizer
+from .graph import CLAIM1, SPECTRUM, STABILIZER_WORDS, Graph, Partition
 
 # The contrast vectors' values on B1, B2, B3 and C: p is +1 on B2 and -1 on
 # B3, q is +2 on B1 and -1 on B2 and B3.
@@ -106,9 +106,7 @@ def verify_c_identity(g: Graph, part: Partition) -> None:
             )
 
 
-def certified_dimension_chain(
-    g: Graph, part: Partition, automorphisms: list[list[int]]
-) -> list[DimensionCertificate]:
+def certified_dimension_chain(g: Graph, part: Partition) -> list[DimensionCertificate]:
     """Certificates for the affine dimensions of V, C+B1 and C, each the
     linear rank of its columns of y minus one: every column lies on the
     hyperplane <1, y_i> = 104 off the origin.
@@ -116,8 +114,8 @@ def certified_dimension_chain(
     - V: y has eigenvalues 104, 24, 0 with multiplicities 1, f, g
       (`graph.SPECTRUM`), so rank y = 1 + f = 66.
     - C: the words `graph.STABILIZER_WORDS` are automorphisms that map C
-      onto C with one orbit (`graph.stabilizer`), so they carry the identity
-      of `verify_c_identity` from row c0 to every row: p(A_C) = 960 J with
+      onto C with one orbit, so they carry the identity of
+      `verify_c_identity` from row c0 to every row: p(A_C) = 960 J with
       p(x) = (x - 16)(x - 12)(x + 4).  A_C is symmetric and 76-regular
       (100 neighbours, 24 of them in B by the block counts).  An eigenvector
       orthogonal to the all-ones vector has p(theta) = 0, so theta is 16, 12
@@ -134,11 +132,12 @@ def certified_dimension_chain(
 
     It relies on what earlier stages of the same run proved and does not
     check it again: the srg stage (A is the symmetric, loop-free
-    srg(416, 100, 36, 20) and `automorphisms` are verified on every entry)
-    and the block-counts stage (the 20/0/8 counts, from which the patterns
-    of <p, y_i> and <q, y_i> follow; see `contrast_products`).
+    srg(416, 100, 36, 20) and its automorphisms are verified on every
+    entry), the block-counts stage (the 20/0/8 counts, from which the
+    patterns of <p, y_i> and <q, y_i> follow; see `contrast_products`), and
+    `graph.stabilizer` on the words, which the dimension-chain stage runs
+    first and whose maps the special-cover stage reuses.
     """
-    stabilizer(automorphisms, STABILIZER_WORDS, part.c_mask)
     verify_c_identity(g, part)
     rank_y = 1 + SPECTRUM.f
     rank_c = len(part.c) - C_SPECTRUM[-4]

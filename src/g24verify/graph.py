@@ -18,7 +18,8 @@ by bit.  The same maps permute the point columns, and one orbit on the
 points carries the anchored split from anchor 1 to every anchor.  Words in
 the maps that fix a vertex set carry a fact checked at one of its vertices
 to all of them, with no check of their own: a product of automorphisms is
-one.
+one.  Words that fix C carry facts about min C over C; words that fix
+vertex 0 reduce N(0) to four orbits for the clique number.
 
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
@@ -317,10 +318,13 @@ def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
     return [v for v in range(n) if find(v) == v]
 
 
-# Two words in the srg stage's maps a and b (ISOMETRIES[0] and [1]) and
-# their inverses A and B, read left to right: `ab` sends v to b(a(v)).  They
-# fix C of the split on anchor 1 and leave one orbit on it.
+# Words in the srg stage's maps a and b (ISOMETRIES[0] and [1]) and their
+# inverses A and B, read left to right: `ab` sends v to b(a(v)).
+# STABILIZER_WORDS fix C of the split on anchor 1 and leave one orbit on it;
+# VERTEX_WORDS fix vertex 0 and leave four orbits on N(0), whose smallest
+# vertices are 16, 17, 28 and 29.
 STABILIZER_WORDS = ("abA", "babaBAbAb")
+VERTEX_WORDS = ("aBBA", "abaBababAbABABA")
 
 
 def stabilizer(

@@ -54,6 +54,7 @@ class Artifacts:
     g = None  # graph.Graph
     automorphisms = None  # verified by the srg stage
     part = None  # graph.Partition
+    c_maps = None  # graph.stabilizer of C, from graph.STABILIZER_WORDS
     certs = None  # [euclid.DimensionCertificate]
     clique_number = None
     cover = None  # [cliques.SpecialClique]
@@ -200,7 +201,10 @@ def _stage_clebsch(art, cfg):
 
 
 def _stage_dimension_chain(art, cfg):
-    art.certs = euclid.certified_dimension_chain(art.g, art.part, art.automorphisms)
+    art.c_maps = graph.stabilizer(
+        art.automorphisms, graph.STABILIZER_WORDS, art.part.c_mask
+    )
+    art.certs = euclid.certified_dimension_chain(art.g, art.part)
     return {
         "contrast_products": euclid.contrast_products(art.part),
         "certificates": [
@@ -217,27 +221,16 @@ def _stage_dimension_chain(art, cfg):
 
 
 def _stage_max_clique(art, cfg):
-    # One vertex orbit: verify_srg refuses maps that leave a second.
-    size, witness, nodes = cliques.max_clique_by_orbits(art.g, [0])
-    if size != 5:
-        raise VerificationError(f"clique number {size}, expected 5", witness=witness)
-    art.clique_number = size
-    return {
-        "clique_number": size,
-        "witness": witness,
-        "search_nodes": nodes,
-    }
+    # One vertex orbit (verify_srg) and the words that fix vertex 0.
+    vertex_maps = graph.stabilizer(art.automorphisms, graph.VERTEX_WORDS, 1)
+    witness, checks = cliques.verify_clique_number(art.g, vertex_maps)
+    art.clique_number = len(witness)
+    return {"clique_number": len(witness), "witness": witness, "local_checks": checks}
 
 
 def _stage_special_cover(art, cfg):
-    specials = cliques.enumerate_special_cliques(art.g, art.part, art.isosets)
-    cliques.verify_special_cover(specials, art.part.c)
-    art.cover = specials
-    return {
-        "special_cliques": len(specials),
-        "covered_vertices": len(art.part.c),
-        "cover_count": 1,
-    }
+    art.cover = cliques.special_cliques(art.g, art.part, art.isosets, art.c_maps)
+    return {"special_cliques": len(art.cover)}
 
 
 def _stage_verdict(art, cfg):

@@ -54,20 +54,23 @@ def contrasts(part):
 
 
 @pytest.fixture(scope="session")
-def certificates(g, part, automorphisms):
-    return euclid.certified_dimension_chain(g, part, automorphisms)
+def c_maps(automorphisms, part):
+    return graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
 
 
 @pytest.fixture(scope="session")
-def special_cliques(g, part, isosets):
-    return cliques.enumerate_special_cliques(g, part, isosets)
+def vertex_maps(automorphisms):
+    return graph.stabilizer(automorphisms, graph.VERTEX_WORDS, 1)
 
 
 @pytest.fixture(scope="session")
-def cover(special_cliques, part):
-    """The special cliques, once they are verified to tile C."""
-    cliques.verify_special_cover(special_cliques, part.c)
-    return special_cliques
+def certificates(g, part):
+    return euclid.certified_dimension_chain(g, part)
+
+
+@pytest.fixture(scope="session")
+def special_cliques(g, part, isosets, c_maps):
+    return cliques.special_cliques(g, part, isosets, c_maps)
 
 
 @pytest.fixture(scope="session")

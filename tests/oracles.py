@@ -19,12 +19,12 @@ columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from operator import mul
 
 from g24verify import euclid, gf16
-from g24verify.cliques import SpecialClique, _max_clique_in, verify_clique
+from g24verify.cliques import SpecialClique
 from g24verify.errors import ConstructionError, VerificationError
 from g24verify.graph import (
     Graph,
@@ -522,10 +522,72 @@ def modular_dimension_chain(g: Graph, part: Partition, prime: int) -> tuple[int,
     return principal_prefix_ranks(y, prime, (320, 352, 416), order, (64, 65, 66))
 
 
-@dataclass
-class CliqueSearchStats:
-    edges_scanned: int
-    nodes: int
+def max_clique_in(
+    rows: list[int], cand: int, best_floor: int, counter: list[int]
+) -> tuple[int, list[int]]:
+    """Exact maximum clique inside the induced subgraph on `cand`.
+
+    `best_floor` prunes branches that cannot beat the caller's incumbent;
+    the returned size is exact whenever it exceeds the floor.
+
+    Each node builds colour class c, a bit mask as in the BBMC algorithm of
+    San Segundo et al. (2011), as the greedy independent set of the vertices
+    left (take the lowest, drop it and its neighbours, repeat), which on a
+    symmetric graph is first-fit colouring in ascending order.
+    Its vertices get bound c; classes are visited last first, each from its
+    highest vertex, so the first bound that cannot win ends the node.
+    """
+    best_size = best_floor
+    best_wit: list[int] = []
+    stack: list[int] = []
+
+    def expand(cand_mask: int) -> None:
+        nonlocal best_size, best_wit
+        counter[0] += 1
+        classes = []
+        left = cand_mask
+        while left:
+            members = 0
+            free = left
+            while free:
+                low = free & -free
+                members |= low
+                free &= ~(low | rows[low.bit_length() - 1])
+            classes.append(members)
+            left ^= members
+        for bound in range(len(classes), 0, -1):
+            members = classes[bound - 1]
+            while members:
+                if len(stack) + bound <= best_size:
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                stack.append(v)
+                nxt = cand_mask & rows[v]
+                if nxt:
+                    expand(nxt)
+                elif len(stack) > best_size:
+                    best_size = len(stack)
+                    best_wit = list(stack)
+                stack.pop()
+                cand_mask ^= 1 << v
+
+    expand(cand)
+    return best_size, best_wit
+
+
+def verify_clique(g: Graph, vertices: list[int]) -> None:
+    """Independent pass re-testing every pair of the witness."""
+    for a in range(len(vertices)):
+        for b in range(a + 1, len(vertices)):
+            if not g.adjacent(vertices[a], vertices[b]):
+                raise VerificationError(
+                    f"witness pair ({vertices[a]},{vertices[b]}) is not an edge",
+                    witness=(vertices[a], vertices[b]),
+                )
+
+
+CliqueSearchStats = namedtuple("CliqueSearchStats", "edges_scanned nodes")
 
 
 def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
@@ -549,7 +611,7 @@ def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
         cand = g.rows[i] & above_j
         if 2 + cand.bit_count() <= best:
             continue
-        sub_size, sub_wit = _max_clique_in(g.rows, cand, best - 2, counter)
+        sub_size, sub_wit = max_clique_in(g.rows, cand, best - 2, counter)
         if 2 + sub_size > best:
             best = 2 + sub_size
             witness = sorted([i, j] + sub_wit)
@@ -561,7 +623,7 @@ def max_clique_through_edge(g: Graph, i: int, j: int) -> int:
     """Exact size of the largest clique containing the edge (i, j)."""
     if not g.adjacent(i, j):
         raise ValueError(f"({i},{j}) is not an edge")
-    sub, _ = _max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, [0])
+    sub, _ = max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, [0])
     return 2 + sub
 
 

@@ -95,12 +95,16 @@ def test_c08_dimension_chain(g, part, certificates, full_report):
         "66/65/64, matched by modular ranks")
 
 
-def test_c09_clique_number(g):
+def test_c09_clique_number(g, vertex_maps):
     size, witness, stats = oracles.max_clique(g)
     assert size == 5
     assert stats.edges_scanned == 20800
-    cliques.verify_clique(g, witness)
-    _ok("09 clique number 5 with verified witness, no-6-clique search complete")
+    oracles.verify_clique(g, witness)
+    witness, checks = cliques.verify_clique_number(g, vertex_maps)
+    oracles.verify_clique(g, witness)
+    assert (len(witness), checks) == (5, 144)
+    _ok("09 clique number 5 with verified witness: no 6-clique in 144 local "
+        "checks at vertex 0, matched by a search from every edge")
 
 
 def test_c10_borsuk_bounds(certificates, part):
@@ -115,12 +119,13 @@ def test_c10_borsuk_bounds(certificates, part):
     _ok("10 bounds ceil(352/5)=71, ceil(416/5)=84, dimension-64 verdict")
 
 
-def test_c11_cover_and_uniqueness(special_cliques, part, cover, full_report):
-    cliques.verify_special_cover(special_cliques, part.c)
+def test_c11_cover_and_uniqueness(g, isosets, special_cliques, part, full_report):
     assert len(special_cliques) * 5 == len(part.c) == 320
-    assert {v for sc in cover for v in sc.vertices} == set(part.c)
-    assert full_report.stage("special-cover").detail["cover_count"] == 1
-    _ok("11 C tiled by its 64 special 5-cliques; exact-cover count 1 by counting")
+    assert sorted(v for sc in special_cliques for v in sc.vertices) == list(part.c)
+    assert oracles.enumerate_special_cliques(g, part, isosets) == special_cliques
+    assert full_report.stage("special-cover").detail == {"special_cliques": 64}
+    _ok("11 C tiled by its 64 special 5-cliques, so they are its only exact "
+        "cover; matched by grouping every edge of C")
 
 
 def test_c12a_gf16_axioms_exhaustive():

@@ -33,42 +33,60 @@ def test_max_clique_on_small_graphs():
     assert size == 1
 
 
-def test_clique_number_is_5(g, srg_params):
+def test_clique_number_is_5(g, srg_params, vertex_maps):
     size, witness, stats = oracles.max_clique(g)
     assert size == 5
     assert len(witness) == 5
     assert stats.edges_scanned == 20800
-    cliques.verify_clique(g, witness)
-    # The orbit search from the one orbit verify_srg certified agrees with
-    # the all-edges oracle at a fraction of its cost.  Its witness and node
-    # count are pinned: the colouring is built class by class, and must
-    # give the order of first-fit colouring, which the report shows.
-    assert cliques.max_clique_by_orbits(g, [0]) == (5, [0, 403, 409, 411, 415], 1412)
-    assert 1412 < 5000 < stats.nodes
+    oracles.verify_clique(g, witness)
+    # The count at vertex 0 agrees with the all-edges oracle: one check per
+    # representative u in N(0) (four) and vertex of N(0) & N(u) (36 each).
+    # Its witness is the first 5-clique it meets, in ascending order.
+    assert cliques.verify_clique_number(g, vertex_maps) == ([0, 16, 28, 40, 384], 144)
+    # The oracle's search in N(0) alone, with its witness and node count
+    # pinned: the colouring is built class by class, and must give the
+    # order of first-fit colouring.
+    counter = [0]
+    sub_size, sub_witness = oracles.max_clique_in(g.rows, g.rows[0], 0, counter)
+    assert (1 + sub_size, sorted([0] + sub_witness)) == (5, [0, 403, 409, 411, 415])
+    assert counter[0] == 1412 < 5000 < stats.nodes
 
 
-def test_orbit_search_on_small_graphs():
-    # Rotations of C5 and K6 leave single orbits; no map at all leaves every
-    # vertex its own orbit, including the isolated ones.
-    rot5 = [(v + 1) % 5 for v in range(5)]
-    reps = graph.orbit_representatives(5, [rot5])
-    assert cliques.max_clique_by_orbits(cycle_graph(5), reps)[0] == 2
-    rot6 = [(v + 1) % 6 for v in range(6)]
-    reps = graph.orbit_representatives(6, [rot6])
-    size, wit, _ = cliques.max_clique_by_orbits(complete_graph(6), reps)
-    assert size == 6 and wit == list(range(6)) and reps == [0]
-    reps = graph.orbit_representatives(4, [])
-    size, wit, _ = cliques.max_clique_by_orbits(graph.Graph(4, [0, 0, 0, 0]), reps)
-    assert size == 1 and wit == [0] and reps == [0, 1, 2, 3]
+def test_clique_count_on_small_graphs():
+    # K5 with no map: each of the 4 neighbours of 0 is its own orbit, with 3
+    # common neighbours to check.  The rotation of 1..4 fixes 0 and leaves
+    # one orbit on N(0), so 3 checks settle it.
+    assert cliques.verify_clique_number(complete_graph(5), []) == ([0, 1, 2, 3, 4], 12)
+    turn = [0, 2, 3, 4, 1]
+    assert cliques.verify_clique_number(complete_graph(5), [turn]) == (
+        [0, 1, 2, 3, 4],
+        3,
+    )
 
 
-def test_orbit_search_refuses_a_witness_that_is_no_clique(monkeypatch):
-    # A search that returns a non-clique: the pair check names the first
-    # pair of the witness that is not an edge.
-    monkeypatch.setattr(cliques, "_max_clique_in", lambda *args: (2, [2, 3]))
-    with pytest.raises(VerificationError) as exc:
-        cliques.max_clique_by_orbits(cycle_graph(5), [0])
-    assert exc.value.witness == (0, 2)
+def test_a_6_clique_is_refused_with_its_vertices(g, vertex_maps):
+    # K6: the triangle {3, 4, 5} in N(0) & N(1) & N(2).
+    with pytest.raises(VerificationError, match="6-clique") as exc:
+        cliques.verify_clique_number(complete_graph(6), [])
+    assert exc.value.witness == [0, 1, 2, 3, 4, 5]
+    # The real graph with 29, a common neighbour of 0 and 16, joined to the
+    # rest of the 5-clique witness: the count names that 6-clique.
+    rows = list(g.rows)
+    for v in (28, 40, 384):
+        rows[v] |= 1 << 29
+        rows[29] |= 1 << v
+    with pytest.raises(VerificationError, match="6-clique through vertex 0 and 16") as exc:
+        cliques.verify_clique_number(graph.Graph(g.n, rows), vertex_maps)
+    assert exc.value.witness == [0, 16, 28, 29, 40, 384]
+
+
+def test_a_graph_of_clique_number_4_is_refused():
+    # The cocktail party graph K(2,2,2,2): vertex v misses only v ^ 1.
+    rows = [0xFF ^ (1 << v | 1 << (v ^ 1)) for v in range(8)]
+    assert oracles.max_clique(graph.Graph(8, rows))[0] == 4
+    with pytest.raises(VerificationError, match="no 5-clique through vertex 0") as exc:
+        cliques.verify_clique_number(graph.Graph(8, rows), [])
+    assert exc.value.witness == 0
 
 
 def test_single_vertex_orbit(g, automorphisms):
@@ -119,14 +137,14 @@ def test_map_of_an_asymmetric_adjacency_is_refused():
     graph.verify_automorphism(graph.Graph(2, [0, 1]), [0, 1])
 
 
-def test_witness_survives_pair_recheck(g):
-    _, witness, _ = cliques.max_clique_by_orbits(g, [0])
+def test_witness_survives_pair_recheck(g, vertex_maps):
+    witness, _ = cliques.verify_clique_number(g, vertex_maps)
     for a in range(5):
         for b in range(a + 1, 5):
             assert g.adjacent(witness[a], witness[b])
     non_neighbour = next(t for t in range(g.n) if t != 0 and not g.adjacent(0, t))
     with pytest.raises(VerificationError):
-        cliques.verify_clique(g, [0, non_neighbour])
+        oracles.verify_clique(g, [0, non_neighbour])
 
 
 def test_branch_and_bound_matches_brute_force_on_sample_edges(g):
@@ -166,30 +184,31 @@ def test_special_cliques_sorted_canonically(special_cliques):
     assert len(set(keys)) == len(keys)
 
 
-def test_exact_cover_is_a_partition(part, cover):
-    assert len(cover) == 64
+def test_exact_cover_is_a_partition(part, special_cliques):
+    assert len(special_cliques) == 64
     assert 64 * 5 == 320 == len(part.c)
     seen: set[int] = set()
-    for sc in cover:
+    for sc in special_cliques:
         assert not seen & set(sc.vertices)
         seen.update(sc.vertices)
     assert seen == set(part.c)
 
 
-def test_cover_cores_distinct(cover):
-    cores = {sc.core for sc in cover}
+def test_cover_cores_distinct(special_cliques):
+    cores = {sc.core for sc in special_cliques}
     assert len(cores) == 64
 
 
-def test_exact_cover_deterministic(g, part, isosets, special_cliques):
-    again = cliques.enumerate_special_cliques(g, part, isosets)
-    cliques.verify_special_cover(again, part.c)
+def test_exact_cover_deterministic(g, part, isosets, c_maps, special_cliques):
+    again = cliques.special_cliques(g, part, isosets, c_maps)
     assert again == special_cliques
 
 
 def test_special_cliques_by_counting_match_the_search_oracle(
     g, part, isosets, special_cliques
 ):
+    # The orbit of the one special clique through c0 = 96 is every special
+    # clique that the per-edge grouping and search over C finds.
     assert len(special_cliques) == 64
     assert oracles.enumerate_special_cliques(g, part, isosets) == special_cliques
 
@@ -210,51 +229,66 @@ def test_core_groups_are_4_cliques_or_special_cliques(g, part, isosets):
 
 def test_a_core_shared_by_six_vertices_is_refused():
     # Six pairwise adjacent vertices of C whose iso-sets share the core
-    # {2, 3, 4}: one group of 15 edges, more than a special clique holds.
+    # {2, 3, 4}: c0 = 0 has one group of 5 neighbours, more than a special
+    # clique holds.
     core = 0b11100
     isosets = [core | 1 << (5 + v) for v in range(6)]
     part = graph.Partition((), (), (), tuple(range(6)), 0, 0, 0, 0b111111)
-    message = r"6 vertices of C share the core \[2, 3, 4\]"
+    message = r"vertex 0 has groups of \[5\] neighbours in C on one core"
     with pytest.raises(VerificationError, match=message) as exc:
-        cliques.enumerate_special_cliques(complete_graph(6), part, isosets)
-    assert exc.value.witness == (0, 1, 2, 3, 4, 5)
+        cliques.special_cliques(complete_graph(6), part, isosets, [])
+    assert exc.value.witness == 0
 
 
-def test_cover_count_is_one(special_cliques, part, cover):
+def _core_groups(g, part, isosets):
+    """The neighbours of c0 = min C in C, as a mask per core they share
+    with c0."""
+    c0 = part.c[0]
+    groups: dict[int, int] = {}
+    for j in part.c:
+        if g.adjacent(c0, j):
+            core = isosets[c0] & isosets[j]
+            groups[core] = groups.get(core, 0) | 1 << j
+    return groups
+
+
+def test_c0_in_two_core_groups_of_4_is_refused(g, part, isosets, c_maps):
+    # One neighbour of c0 = 96 moved from its group of 3 onto the core of
+    # another group of 3: its iso-set keeps the points off the old core,
+    # which miss the iso-set of c0.
+    groups = _core_groups(g, part, isosets)
+    assert sorted(m.bit_count() for m in groups.values()) == [3] * 24 + [4]
+    (old, members), (new, _) = [
+        (core, m) for core, m in groups.items() if m.bit_count() == 3
+    ][:2]
+    j = (members & -members).bit_length() - 1
+    moved = list(isosets)
+    moved[j] = isosets[j] & ~old | new
+    with pytest.raises(VerificationError, match=r"groups of \[4, 4\]") as exc:
+        cliques.special_cliques(g, part, moved, c_maps)
+    assert exc.value.witness == part.c[0] == 96
+
+
+def test_a_core_group_of_4_that_is_no_clique_is_refused(g, part, isosets, c_maps):
+    # The edge between the second and fourth member of c0's group of 4
+    # removed: the second is the first member that misses another.
+    members = next(
+        m for m in _core_groups(g, part, isosets).values() if m.bit_count() == 4
+    )
+    _, a, _, b = (v for v in part.c if members >> v & 1)
+    cut = graph.Graph(g.n, list(g.rows))
+    cut.flip_edge(a, b)
+    with pytest.raises(VerificationError, match="misses another") as exc:
+        cliques.special_cliques(cut, part, isosets, c_maps)
+    assert exc.value.witness == a
+
+
+def test_cover_count_is_one(special_cliques, part):
     # Each vertex of C lies in exactly one special clique, so every exact
     # cover must take that clique for it: the cover is forced.
     multiplicity = Counter(v for sc in special_cliques for v in sc.vertices)
     assert set(multiplicity) == set(part.c)
     assert set(multiplicity.values()) == {1}
-    assert cover == special_cliques
-
-
-def test_removing_a_cover_clique_kills_all_covers(special_cliques, part, cover):
-    # 63 disjoint 5-sets reach 315 < 320 vertices: no cover is left, and the
-    # check names a vertex of the removed clique.
-    reduced = [sc for sc in special_cliques if sc != cover[0]]
-    with pytest.raises(VerificationError) as exc:
-        cliques.verify_special_cover(reduced, part.c)
-    assert exc.value.witness in cover[0].vertices
-
-
-def test_duplicated_special_clique_is_refused_with_an_overlap_witness(
-    special_cliques, part
-):
-    doubled = special_cliques + [special_cliques[5]]
-    with pytest.raises(VerificationError) as exc:
-        cliques.verify_special_cover(doubled, part.c)
-    assert exc.value.witness == special_cliques[5].vertices[0]
-    assert "twice" in str(exc.value)
-
-
-def test_cover_rejects_foreign_candidates(special_cliques, part):
-    with pytest.raises(VerificationError) as exc:
-        cliques.verify_special_cover(special_cliques, part.c[:100])
-    assert exc.value.witness not in part.c[:100]
-    with pytest.raises(VerificationError) as exc:
-        cliques.verify_special_cover([], part.c)
-    assert exc.value.witness == part.c[0]
 
 
 def test_borsuk_lower_bound():

@@ -170,6 +170,17 @@ def test_stabilizer_words_fix_c_with_one_orbit(g, automorphisms, part):
     assert _orbit(maps, part.c[0]) == set(part.c)
 
 
+def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(g, automorphisms):
+    maps = graph.stabilizer(automorphisms, graph.VERTEX_WORDS, 1)
+    assert all(perm[0] == 0 for perm in maps)
+    n0 = [v for v in range(g.n) if g.adjacent(0, v)]
+    reps = [v for v in graph.orbit_representatives(g.n, maps) if v in n0]
+    assert reps == [16, 17, 28, 29]
+    orbits = [_orbit(maps, u) for u in reps]
+    assert [len(o) for o in orbits] == [25] * 4
+    assert set().union(*orbits) == set(n0)
+
+
 def test_stabilizer_refuses_a_word_that_leaves_the_set(automorphisms, part):
     a = automorphisms[0]
     with pytest.raises(VerificationError, match="the word a sends vertex") as err:

@@ -71,12 +71,12 @@ def test_stage_details(full_report):
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
     assert all(set(c) == {"set", "size", "affine_dim", "linear_rank", "argument"}
                for c in certs)
-    clique = full_report.stage("max-clique").detail
-    assert clique["clique_number"] == 5
-    assert "automorphisms_verified" not in clique
-    assert "orbit_representatives" not in clique
-    cover = full_report.stage("special-cover").detail
-    assert cover == {"special_cliques": 64, "covered_vertices": 320, "cover_count": 1}
+    assert full_report.stage("max-clique").detail == {
+        "clique_number": 5,
+        "witness": [0, 16, 28, 40, 384],
+        "local_checks": 144,
+    }
+    assert full_report.stage("special-cover").detail == {"special_cliques": 64}
     assert full_report.stage("partition").detail["B"] == 96
     assert full_report.stage("partition").detail["anchor"] == pipeline.ANCHOR == 1
     assert full_report.stage("block-counts").detail == {
@@ -264,17 +264,25 @@ def test_missing_point_fails_geometry_census(monkeypatch, capsys):
 
 
 def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
-    # A search that reports 6 is refused by the stage, which names the
-    # reported witness.
-    monkeypatch.setattr(
-        cliques, "max_clique_by_orbits", lambda g, reps: (6, [0, 1, 2, 3, 4, 5], 1)
-    )
+    # The count run on the graph with 29, a common neighbour of 0 and 16,
+    # joined to 28, 40 and 384 is refused by the stage at claim 7, which
+    # names the 6-clique that makes.
+    count = cliques.verify_clique_number
+
+    def planted(g, vertex_maps):
+        rows = list(g.rows)
+        for v in (28, 40, 384):
+            rows[v] |= 1 << 29
+            rows[29] |= 1 << v
+        return count(graph.Graph(g.n, rows), vertex_maps)
+
+    monkeypatch.setattr(cliques, "verify_clique_number", planted)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("max-clique", "fail")
-    assert failed.detail["error"] == "clique number 6, expected 5"
-    assert failed.detail["witness"] == [0, 1, 2, 3, 4, 5]
+    assert (failed.name, failed.claims, failed.status) == ("max-clique", (7,), "fail")
+    assert failed.detail["error"] == "6-clique through vertex 0 and 16"
+    assert failed.detail["witness"] == [0, 16, 28, 29, 40, 384]
 
 
 @pytest.mark.parametrize("move", ["C vertex added", "B vertex removed"])
@@ -429,7 +437,7 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
 def test_words_that_leave_two_orbits_fail_the_dimension_chain(monkeypatch, capsys):
     # One stabilizer word alone: the chain is refused at claim 6, naming the
     # smallest vertex of C outside the orbit of c0 = 96.
-    monkeypatch.setattr(euclid, "STABILIZER_WORDS", ("abA",))
+    monkeypatch.setattr(graph, "STABILIZER_WORDS", ("abA",))
     assert cli.main(["check"]) == 1
     out = capsys.readouterr().out
     assert "dimension-chain      ... FAIL\n    claim 6: the words leave " in out
@@ -627,7 +635,7 @@ def _sha256(data: bytes) -> str:
 
 # sha256 of the file each command writes with the defaults.
 ARTIFACT_SHA256 = {
-    "check": "d6f17e57661db0d303b10fd95b4d983362dfe4aedf1df440843252e8f2b1bc59",
+    "check": "33e809cd0d7068dbe60776f0cb4fff24dd04ee220b99ca3185ee4f0e4c4a5b85",
     "export-graph --format dimacs": (
         "93d23016f3d5f1366aaeae44356ddcfffe900fd20e20dfc52e88006875f7e0f9"
     ),
