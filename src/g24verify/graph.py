@@ -9,17 +9,19 @@ columns: for each isotropic point, the mask of the vertices whose iso-set
 contains it.  The graph is built from them by a bit-sliced counter, one
 vertex at a time, with no loop over vertex pairs.
 
-The srg check also verifies vertex permutations, from isometries of the
-Hermitian form, as automorphisms on every entry of the graph as built, and
-requires them to leave one vertex orbit; facts that automorphisms preserve
-are then checked at vertex 0 only.  A map reorders the rows as a list, and
-a bit-matrix transpose turns rows into columns, so no row is permuted bit
-by bit.  The same maps permute the point columns, and one orbit on the
-points carries the anchored split from anchor 1 to every anchor.  Words in
-the maps that fix a vertex set carry a fact checked at one of its vertices
-to all of them, with no check of their own: a product of automorphisms is
-one.  Words that fix C carry facts about min C over C; words that fix
-vertex 0 reduce N(0) to four orbits for the clique number.
+Each vertex map is lifted from an isometry's map sigma of the isotropic
+points: v goes to the vertex whose iso-set is sigma(iso-set v), so it sends
+point column a onto point column sigma(a) by construction, and one orbit of
+the point maps carries the anchored split from anchor 1 to every anchor.
+The srg check verifies the lifted maps as automorphisms on every entry of
+the graph as built, and requires them to leave one vertex orbit; facts that
+automorphisms preserve are then checked at vertex 0 only.  A map reorders
+the rows as a list, and a bit-matrix transpose turns rows into columns, so
+no row is permuted bit by bit.  Words in the maps that fix a vertex set
+carry a fact checked at one of its vertices to all of them, with no check
+of their own: a product of automorphisms is one.  Words that fix C carry
+facts about min C over C; words that fix vertex 0 reduce N(0) to four
+orbits for the clique number.
 
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
@@ -72,7 +74,7 @@ def bit_transposer(n: int):
     """A function from the rows of an n x n bit matrix (bit j of rows[i] is
     entry (i, j), each row < 2**n, missing rows 0) to its n columns, packed
     the same way.  Cached: one run builds the transposer for 416 once and
-    `point_columns`, `verify_srg` and `verify_point_action` share it.
+    `point_columns`, `vertex_permutations` and `verify_srg` share it.
 
     The rows are packed into one int, entry (i, j) at bit p = w i + j, w the
     smallest power of two >= max(n, 8), and transposed as a w x w matrix in
@@ -195,21 +197,23 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     In order, each step naming a witness when it fails:
     1. no loops and constant degree k give the diagonal, in O(n), so a
        flipped edge fails before any pair is read;
-    2. on the n - 1 pairs (0, j): A_0j = A_j0, and |N(0) & N(j)| is lambda
-       on edges and mu on non-edges, both read off vertex 0;
-    3. every map is an automorphism, checked on every entry by comparing
-       columns, from one transpose of A and one per map;
-    4. the maps leave one vertex orbit (the second orbit's smallest vertex
+    2. A is symmetric: one transpose of A equals its rows (the first
+       (i, j) with A_ij != A_ji is the witness otherwise);
+    3. on the n - 1 pairs (0, j), |N(0) & N(j)| is lambda on edges and mu
+       on non-edges, both read off vertex 0;
+    4. every map is an automorphism, checked on every entry by comparing
+       columns with rows, from one transpose per map;
+    5. the maps leave one vertex orbit (the second orbit's smallest vertex
        is the witness otherwise).
 
-    Steps 3 and 4 carry step 2 to every pair.  For a pair (i, j) some
+    Steps 4 and 5 carry step 3 to every pair.  For a pair (i, j) some
     element s of the group has s(i) = 0.  It satisfies A_s(a)s(b) = A_ab for
-    all a, b, so it maps N(i) onto N(0) and N(j) onto N(s(j)): A_ij = A_0s(j)
-    = A_s(j)0 = A_ji, and |N(i) & N(j)| = |N(0) & N(s(j))| is lambda or mu as
-    A_ij is 1 or 0.  With A symmetric, (A^2)_ij = |N(i) & N(j)|, which gives
-    the identity.  No floating point is involved.
+    all a, b, so it maps N(i) onto N(0) and N(j) onto N(s(j)), and
+    |N(i) & N(j)| = |N(0) & N(s(j))| is lambda or mu as A_0s(j) = A_ij is 1
+    or 0.  With A symmetric, (A^2)_ij = |N(i) & N(j)|, which gives the
+    identity.  No floating point is involved.
 
-    The parameters need no feasibility check: steps 1-4 make every row
+    The parameters need no feasibility check: steps 1-5 make every row
     symmetric with degree k, and counting the paths 0 - u - w of length 2
     with w a non-neighbour of 0 gives k(k - lambda - 1) through the k
     neighbours u of 0 and (v - k - 1) mu through the non-neighbours w.
@@ -227,15 +231,18 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
                 witness=(i, row.bit_count()),
             )
 
+    columns = bit_transposer(n)(rows)
+    if columns != rows:
+        i = next(i for i in range(n) if columns[i] != rows[i])
+        j = next(j for j in range(n) if (columns[i] ^ rows[i]) >> j & 1)
+        raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
+
     lam = next(((r0 & rows[j]).bit_count() for j in range(1, n) if r0 >> j & 1), 0)
     mu = next(((r0 & rows[j]).bit_count() for j in range(1, n) if not r0 >> j & 1), 0)
     want = (mu, lam)
     for j in range(1, n):
-        rj = rows[j]
         adj = r0 >> j & 1
-        if adj != rj & 1:
-            raise VerificationError(f"asymmetric pair (0,{j})", witness=(0, j))
-        common = (r0 & rj).bit_count()
+        common = (r0 & rows[j]).bit_count()
         if common != want[adj]:
             raise VerificationError(
                 f"{'edge' if adj else 'non-edge'} (0,{j}) has {common} "
@@ -243,9 +250,8 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
                 witness=(0, j),
             )
 
-    columns = bit_transposer(n)(rows)
     for perm in automorphisms:
-        verify_automorphism(g, perm, columns)
+        verify_automorphism(g, perm)
     reps = orbit_representatives(n, automorphisms)
     if reps != [0]:
         raise VerificationError(
@@ -256,16 +262,15 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     return SrgParams(n, k, lam, mu)
 
 
-def verify_automorphism(g: Graph, perm: list[int], columns=None) -> None:
+def verify_automorphism(g: Graph, perm: list[int]) -> None:
     """`perm` must be a bijection of the vertices that preserves adjacency:
     A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
-    as B[i] = A[perm[i]], that says column perm[j] of B is column j of A, so
-    both are transposed (`bit_transposer`) and every column compared.
-    `columns` may pass in A's columns when several maps are checked.  A
-    failure names a witness: the first vertex that the map misses or hits
+    as B[i] = A[perm[i]], that says column perm[j] of B is column j of A,
+    which is row j for a symmetric A (`verify_srg` checks symmetry first), so
+    B is transposed (`bit_transposer`) and every column compared with a row.
+    A failure names a witness: the first vertex that the map misses or hits
     more than once; else the first edge sent to a non-edge, which exists
-    whenever a bijection fails on a symmetric graph; else, on an asymmetric
-    one, the first pair (i, j) whose entry the map changes."""
+    whenever a bijection fails on a symmetric graph."""
     if sorted(perm) != list(range(g.n)):
         v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
         raise VerificationError(
@@ -273,28 +278,13 @@ def verify_automorphism(g: Graph, perm: list[int], columns=None) -> None:
             f"{perm.count(v)} times",
             witness=v,
         )
-    transpose = bit_transposer(g.n)
-    if columns is None:
-        columns = transpose(g.rows)
-    moved = transpose([g.rows[p] for p in perm])
-    if [moved[p] for p in perm] == columns:
-        return
     rows = g.rows
-    for i, j in g.edges():
-        if not rows[perm[i]] >> perm[j] & 1:
-            raise VerificationError(
-                f"vertex map sends edge ({i},{j}) to the non-edge "
-                f"({perm[i]},{perm[j]})",
-                witness=(i, j),
-            )
-    i, j = next(
-        (i, j)
-        for i in range(g.n)
-        for j in range(g.n)
-        if (rows[i] >> j ^ rows[perm[i]] >> perm[j]) & 1
-    )
+    moved = bit_transposer(g.n)([rows[p] for p in perm])
+    if [moved[p] for p in perm] == rows:
+        return
+    i, j = next((i, j) for i, j in g.edges() if not rows[perm[i]] >> perm[j] & 1)
     raise VerificationError(
-        f"vertex map does not preserve the asymmetric adjacency at ({i},{j})",
+        f"vertex map sends edge ({i},{j}) to the non-edge ({perm[i]},{perm[j]})",
         witness=(i, j),
     )
 
@@ -363,57 +353,49 @@ def stabilizer(
     return maps
 
 
-def verify_point_action(
-    g: Graph, columns: list[int], automorphisms: list[list[int]]
+def vertex_permutations(
+    columns: list[int], point_maps: list[list[int]]
 ) -> list[list[int]]:
-    """Certify that the block counts at anchor 1 hold at every anchor: each
-    verified automorphism of g must map every point column onto a point
-    column, and the induced point maps must leave one orbit on the 65
-    points.  Returns each map's action on the points, counted from 0:
-    sigma[a - 1] = b - 1 when the map sends column a onto column b.
+    """Lift each point map sigma (counted from 0, as
+    `hermitian.point_permutations` gives it) to the vertices: v goes to the
+    vertex whose iso-set is sigma(iso-set v).  The iso-sets come from one
+    transpose of the point `columns` the graph was built from, and their
+    images from one transpose of the columns moved by sigma.  A vertex
+    whose image is no iso-set is refused, with witness (map, vertex); a
+    sigma that is no permutation always is, since it sends two points to
+    one and every two isotropic points share an iso-set, whose image then
+    has 14 members.
 
-    Each failure names a witness: (map, point) for a column whose image is
-    no column, or the second orbit's smallest point.  The columns (< 2**n,
-    from `point_columns`) are transposed back into the iso-sets, which a map
-    moves as a list, and their columns are the moved columns.
-
-    Why this suffices: let pi be an automorphism of g as built (the srg stage
-    verified it on all rows) and pi(B(a)) = B(b), B(a) being column a.  Then
-    pi maps the subgraph induced on B(a) onto the one on B(b), so components
-    onto components, and C(a) onto C(b); every block count for a vertex v
-    at anchor a is the same count for pi(v) at anchor b, up to the order
-    of B1, B2, B3, which the 20/0/8 pattern does not see.  The split at a
-    therefore has three 32-vertex components with the 20/0/8 pattern iff the
-    split at b has, and pi's inverse, also an automorphism, carries it back.
-    Each link a -> sigma(a) thus carries the counts both ways, and with one
-    orbit, the counts at anchor 1 (verified directly) hold at all 65 anchors.
+    Why one orbit of the point maps carries the block counts from anchor 1
+    to every anchor: v is in column a iff pi(v) is in column sigma(a), so
+    pi, once the srg stage has verified it as an automorphism of g as built,
+    maps B(a) = column a onto B(sigma(a)), the components of the subgraph
+    induced on B(a) onto those on B(sigma(a)), and C(a) onto C(sigma(a)).
+    The split at a thus has three 32-vertex components with the 20/0/8
+    pattern, which does not see the order of B1, B2, B3, iff the split at
+    sigma(a) has; pi's inverse, also an automorphism, carries it back.  With
+    one orbit on the points, the counts verified at anchor 1 hold at all 65
+    anchors.
     """
-    transpose = bit_transposer(g.n)
+    transpose = bit_transposer(VERTEX_COUNT)
     isosets = transpose(columns)
-    point_of = {c: a for a, c in enumerate(columns) if a}
-    maps = []
-    for m, perm in enumerate(automorphisms):
-        moved = [0] * g.n  # the iso-sets with vertex v moved to perm[v]
-        for v, w in enumerate(perm):
-            moved[w] = isosets[v]
-        images = transpose(moved)  # images[a]: column a moved by perm
-        sigma = []
-        for a in range(1, ISOTROPIC_COUNT + 1):
-            b = point_of.get(images[a])
-            if b is None:
+    vertex_of = {s: v for v, s in enumerate(isosets)}
+    perms = []
+    for m, sigma in enumerate(point_maps):
+        moved = [0] * len(columns)  # moved[sigma(a)] holds column a
+        for a, b in enumerate(sigma):
+            moved[b + 1] |= columns[a + 1]
+        perm = []
+        for v, image in enumerate(transpose(moved)):
+            w = vertex_of.get(image)
+            if w is None:
                 raise VerificationError(
-                    f"automorphism {m} maps the column of point {a} to no column",
-                    witness=(m, a),
+                    f"point map {m} sends the iso-set of vertex {v} to no iso-set",
+                    witness=(m, v),
                 )
-            sigma.append(b - 1)
-        maps.append(sigma)
-    reps = orbit_representatives(ISOTROPIC_COUNT, maps)
-    if reps != [0]:
-        raise VerificationError(
-            f"the point maps leave {len(reps)} orbits on the points, not 1",
-            witness=reps[1] + 1,
-        )
-    return maps
+            perm.append(w)
+        perms.append(perm)
+    return perms
 
 
 def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]:
@@ -518,22 +500,19 @@ def check_component_structure(g: Graph, part: Partition) -> list[list[int]]:
     block's order.
 
     The words come from `_cube_words` and are then checked exhaustively, so
-    they prove the isomorphism however they were found: 32 vertices, each
-    word even and on at most two of them, hence on exactly two, and every
-    pair of the block (with itself too) adjacent exactly when its words are
-    at distance 2.  A failure names the block and the first vertex or pair
-    that is wrong.  The block counts (`verify_claim1`) already give the
-    regularity inside each B_h and no edges between them; only the
-    isomorphism is new.
+    they prove the isomorphism however they were found: 32 vertices (no
+    check of its own: `split_B_C` refuses any other component sizes before
+    this stage runs), each word even and on at most two of them, hence on
+    exactly two, and every pair of the block (with itself too) adjacent
+    exactly when its words are at distance 2.  A failure names the block
+    and the first vertex or pair that is wrong.  The block counts
+    (`verify_claim1`) already give the regularity inside each B_h and no
+    edges between them; only the isomorphism is new.
     """
     labellings = []
     blocks = (part.b1, part.b2, part.b3)
     masks = (part.b1_mask, part.b2_mask, part.b3_mask)
     for h, block, mask in zip((1, 2, 3), blocks, masks):
-        if len(block) != 32:
-            raise VerificationError(
-                f"B{h} has {len(block)} vertices", witness=len(block)
-            )
         words = _cube_words(g, block, mask)
         holders = [0] * 32  # the vertices with each word, as a mask
         for v, w in zip(block, words):

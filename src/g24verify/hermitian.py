@@ -32,9 +32,10 @@ ISOSET_SIZE = 15
 
 Matrix = tuple[Point, Point, Point]  # rows; acts on column vectors
 
-# Isometries of H: the swap of coordinates 1 and 3 and one unipotent.  The
-# bases form a single orbit under the group the two generate, and so do the
-# isotropic points; the srg and anchor-invariance stages require both.
+# Isometries of H: the swap of coordinates 1 and 3 and one unipotent.  Their
+# point maps (`point_permutations`) leave one orbit on the isotropic points,
+# and lifted to the bases (`graph.vertex_permutations`) one on the bases;
+# the anchor-invariance and srg stages require both.
 ISOMETRIES: tuple[Matrix, ...] = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
     ((1, 15, 5), (0, 1, 8), (0, 0, 1)),
@@ -207,19 +208,19 @@ def _apply(m: Matrix, p: Point) -> Point:
     )
 
 
-def basis_permutations(
-    plane: Plane, bases: list[Basis], matrices: tuple[Matrix, ...] = ISOMETRIES
+def point_permutations(
+    plane: Plane, matrices: tuple[Matrix, ...] = ISOMETRIES
 ) -> list[list[int]]:
-    """The permutation of the bases induced by each isometry of H.
+    """The permutation of the isotropic points induced by each isometry of
+    H, counted from 0: sigma[a - 1] = b - 1 when the matrix sends the point
+    of canonical index a to that of index b.
 
     Each matrix must preserve H on the nine standard basis pairs, which by
-    sesquilinearity means it preserves H everywhere; it then maps
-    nonisotropic points to nonisotropic points and orthogonal bases to
-    orthogonal bases.
+    sesquilinearity means it preserves H everywhere; it is then invertible
+    (H is nondegenerate) and maps isotropic points onto isotropic points.
     """
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    noniso_index = {p: i for i, p in enumerate(plane.nonisotropic)}
-    basis_index = {b.noniso_indices: k for k, b in enumerate(bases)}
+    index = {p: a for a, p in enumerate(plane.isotropic)}
     perms = []
     for m in matrices:
         images = [_apply(m, e) for e in unit]
@@ -229,13 +230,5 @@ def basis_permutations(
             for b in range(3)
         ):
             raise ConstructionError(f"matrix {m} does not preserve H", witness=m)
-        point_image = [
-            noniso_index[normalize(_apply(m, p))] for p in plane.nonisotropic
-        ]
-        perms.append(
-            [
-                basis_index[tuple(sorted(point_image[t] for t in b.noniso_indices))]
-                for b in bases
-            ]
-        )
+        perms.append([index[normalize(_apply(m, p))] for p in plane.isotropic])
     return perms

@@ -48,11 +48,11 @@ class Artifacts:
     """
 
     plane = None  # hermitian.Plane
-    bases = None  # [hermitian.Basis]
     isosets = None
     columns = None  # graph.point_columns(isosets)
     g = None  # graph.Graph
-    automorphisms = None  # verified by the srg stage
+    point_maps = None  # hermitian.point_permutations, lifted by the srg stage
+    automorphisms = None  # the lifts, verified by the srg stage
     part = None  # graph.Partition
     c_maps = None  # graph.stabilizer of C, from graph.STABILIZER_WORDS
     certs = None  # [euclid.DimensionCertificate]
@@ -135,9 +135,8 @@ def _stage_geometry(art, cfg):
 def _stage_bases(art, cfg):
     # 6 bases on each nonisotropic point, 416 in all: implied by the checks
     # in `hermitian.enumerate_bases`, whose docstring counts them.
-    art.bases = hermitian.enumerate_bases(art.plane)
-    art.isosets = [b.isoset for b in art.bases]
-    return {"bases": len(art.bases)}
+    art.isosets = [b.isoset for b in hermitian.enumerate_bases(art.plane)]
+    return {"bases": len(art.isosets)}
 
 
 def _stage_graph(art, cfg):
@@ -151,13 +150,14 @@ def _stage_graph(art, cfg):
 
 
 def _stage_srg(art, cfg):
-    automorphisms = hermitian.basis_permutations(art.plane, art.bases)
+    point_maps = hermitian.point_permutations(art.plane)
+    automorphisms = graph.vertex_permutations(art.columns, point_maps)
     p = graph.verify_srg(art.g, automorphisms)
     if p != graph.SRG:
         raise VerificationError(
             f"srg{tuple(p)}, expected srg{tuple(graph.SRG)}", witness=tuple(p)
         )
-    art.automorphisms = automorphisms
+    art.point_maps, art.automorphisms = point_maps, automorphisms
     r, f, s, g_mult = graph.SPECTRUM
     return {
         "parameters": list(p),
@@ -187,11 +187,16 @@ def _stage_block_counts(art, cfg):
 
 
 def _stage_anchor_invariance(art, cfg):
-    # The block counts at anchor 1 carried to the other anchors.
-    maps = graph.verify_point_action(art.g, art.columns, art.automorphisms)
+    # Why one point orbit carries the block counts: `graph.vertex_permutations`.
+    reps = graph.orbit_representatives(hermitian.ISOTROPIC_COUNT, art.point_maps)
+    if reps != [0]:
+        raise VerificationError(
+            f"the point maps leave {len(reps)} orbits on the points, not 1",
+            witness=reps[1] + 1,
+        )
     return {
         "anchors_covered": hermitian.ISOTROPIC_COUNT - 1,
-        "point_maps_verified": len(maps),
+        "point_maps_verified": len(art.point_maps),
     }
 
 

@@ -24,8 +24,13 @@ def isosets(bases):
 
 
 @pytest.fixture(scope="session")
-def automorphisms(plane, bases):
-    return hermitian.basis_permutations(plane, bases)
+def point_maps(plane):
+    return hermitian.point_permutations(plane)
+
+
+@pytest.fixture(scope="session")
+def automorphisms(isosets, point_maps):
+    return graph.vertex_permutations(graph.point_columns(isosets), point_maps)
 
 
 @pytest.fixture(scope="session")

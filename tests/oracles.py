@@ -3,7 +3,8 @@
 They are the direct, exhaustive forms of checks the program settles by a
 shorter argument: the graph and its intersection census from all 86,320
 pairs of iso-sets, the bases from a pairwise scan of the Hermitian form,
-the srg identity on all 86,320 pairs, the srg spectrum and distance census
+the isometries' maps of the bases from their nonisotropic points, the srg
+identity on all 86,320 pairs, the srg spectrum and distance census
 recomputed from any parameters, claim 1 split and counted at every anchor,
 the distance census by scanning every pair, the contrast products counted
 column by column, the dimension chain by PAPER.md's own route of modular
@@ -36,11 +37,13 @@ from g24verify.graph import (
     verify_claim1,
 )
 from g24verify.hermitian import (
+    ISOMETRIES,
     ISOSET_SIZE,
     ISOTROPIC_COUNT,
     Basis,
     Plane,
     Point,
+    _apply,
     hermitian_form,
     is_isotropic,
     isoset_members,
@@ -129,6 +132,20 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
     if len(bases) != 416 or len({b.isoset for b in bases}) != 416:
         raise ConstructionError(f"{len(bases)} bases, not 416 distinct")
     return bases, polar
+
+
+def basis_permutations(plane: Plane, bases: list[Basis]) -> list[list[int]]:
+    """The permutation of the bases induced by each of ISOMETRIES: each
+    nonisotropic point is moved, and a basis goes to the basis whose index
+    triple holds the images of its three points."""
+    noniso_index = {p: i for i, p in enumerate(plane.nonisotropic)}
+    basis_index = {b.noniso_indices: k for k, b in enumerate(bases)}
+    perms = []
+    for m in ISOMETRIES:
+        image = [noniso_index[normalize(_apply(m, p))] for p in plane.nonisotropic]
+        triples = [tuple(sorted(image[t] for t in b.noniso_indices)) for b in bases]
+        perms.append([basis_index[t] for t in triples])
+    return perms
 
 
 def claim1_at_every_anchor(g: Graph, isosets: list[int]) -> list[Partition]:

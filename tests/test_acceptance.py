@@ -56,14 +56,15 @@ def test_c05_distance_dichotomy(g, srg_params):
     _ok("05 distances {144,192} matching adjacency, derived and scanned")
 
 
-def test_c06_partition_and_claim1(g, isosets, automorphisms, part):
+def test_c06_partition_and_claim1(g, isosets, point_maps, part):
     assert len(part.b1) + len(part.b2) + len(part.b3) == 96
     assert len(part.c) == 320
     assert [len(part.b1), len(part.b2), len(part.b3)] == [32, 32, 32]
     graph.verify_claim1(g, part)  # all 416 x 3 counts
-    # The verified automorphisms carry anchor 1 to every anchor; the direct
-    # check at all 65 anchors agrees.
-    graph.verify_point_action(g, graph.point_columns(isosets), automorphisms)
+    # The verified automorphisms, lifted from point maps with one orbit on
+    # the points, carry anchor 1 to every anchor; the direct check at all 65
+    # anchors agrees.
+    assert graph.orbit_representatives(65, point_maps) == [0]
     parts = oracles.claim1_at_every_anchor(g, isosets)
     assert len(parts) == 65
     _ok("06 partition 96/320, components 32/32/32, claim counts 20/0/8 "

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from g24verify import graph, hermitian
+from g24verify import graph, hermitian, pipeline
 from g24verify.errors import ConstructionError, VerificationError
 
 import oracles
@@ -110,36 +110,66 @@ def test_point_columns_transpose_the_isosets(isosets):
         assert columns[a].bit_count() == 96  # 416 * 15 / 65
 
 
+def test_every_two_isotropic_points_share_an_isoset(isosets):
+    # The lift refuses every point map that is no permutation because of it.
+    columns = graph.point_columns(isosets)
+    assert all(columns[a] & columns[b] for a, b in combinations(range(1, 66), 2))
+
+
 def test_point_maps_are_the_isometries_on_the_isotropic_points(
-    plane, g, isosets, automorphisms
+    plane, isosets, point_maps, automorphisms
 ):
-    maps = graph.verify_point_action(g, graph.point_columns(isosets), automorphisms)
-    assert len(maps) == len(hermitian.ISOMETRIES)
+    assert len(point_maps) == len(hermitian.ISOMETRIES)
     number = oracles.iso_number(plane)
-    for sigma, m in zip(maps, hermitian.ISOMETRIES):
+    for sigma, m in zip(point_maps, hermitian.ISOMETRIES):
         image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane.isotropic]
         assert sigma == [number[q] - 1 for q in image]
+    # Each lift sends point column a onto point column sigma(a).
+    columns = graph.point_columns(isosets)
+    for sigma, perm in zip(point_maps, automorphisms):
+        for a, b in enumerate(sigma):
+            moved = sum(1 << perm[v] for v in range(416) if columns[a + 1] >> v & 1)
+            assert moved == columns[b + 1]
 
 
 def test_point_action_refuses_a_second_orbit_and_a_lost_column(
-    g, isosets, automorphisms
+    isosets, point_maps, automorphisms
 ):
-    columns = graph.point_columns(isosets)
+    # The swap's point map alone leaves more than one orbit on the points.
+    # An srg stage given only this map would refuse its lift first (vertex
+    # orbits), so the stage is called with it directly.
+    art = pipeline.Artifacts()
+    art.point_maps = point_maps[:1]
     with pytest.raises(VerificationError, match="orbits on the points") as err:
-        graph.verify_point_action(g, columns, automorphisms[:1])  # the swap alone
-    assert 1 < err.value.witness <= 65
+        pipeline._stage_anchor_invariance(art, pipeline.RunConfig())
+    assert err.value.witness == min(set(range(65)) - _orbit(point_maps[:1], 0)) + 1
     # Moving vertex 7 from the column of its first member to a non-member's
-    # leaves columns of 95 and 97 vertices; a map that moves either sends it
-    # to no column, and here the first map already does.
+    # makes its iso-set S' one that no basis has (it meets the old one in 14
+    # points), and leaves the old one S with no vertex.  Each map sends S'
+    # and the iso-set it moves onto S to no iso-set, so the first map
+    # refuses the first of vertex 7 and the vertex it sends to 7.
+    columns = graph.point_columns(isosets)
     a = (isosets[7] & -isosets[7]).bit_length() - 1
     b = next(b for b in range(2, 66) if not isosets[7] >> b & 1)
     broken = list(columns)
     broken[a] ^= 1 << 7
     broken[b] ^= 1 << 7
-    with pytest.raises(VerificationError, match="to no column") as err:
-        graph.verify_point_action(g, broken, automorphisms)
-    m, point = err.value.witness
-    assert 0 <= m < 3 and point in (a, b)
+    with pytest.raises(VerificationError, match="to no iso-set") as err:
+        graph.vertex_permutations(broken, point_maps)
+    assert err.value.witness == (0, min(7, automorphisms[0].index(7)))
+
+
+def test_lift_refuses_a_point_map_that_is_no_permutation(isosets, point_maps):
+    # The second map with points 1 and 2 sent to one point: the first
+    # vertex whose iso-set holds both gets an image of 14 members, unless a
+    # vertex before it already has an image that is no iso-set.
+    merged = list(point_maps[1])
+    merged[1] = merged[0]
+    with pytest.raises(VerificationError, match="to no iso-set") as err:
+        graph.vertex_permutations(graph.point_columns(isosets), [point_maps[0], merged])
+    m, v = err.value.witness
+    assert m == 1
+    assert v <= min(u for u, s in enumerate(isosets) if s & 0b110 == 0b110)
 
 
 def _orbit(maps: list[list[int]], v: int) -> set[int]:
@@ -224,15 +254,20 @@ def test_flipped_edge_breaks_verification(isosets, automorphisms):
 
 
 def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
-    # Flip A[1][0] but not A[0][1]; a second bit in row 1 keeps its degree at
-    # k, so the degree check passes and the pairs through 0 must catch it.
-    j = next(j for j in range(2, g.n) if g.adjacent(1, j) != g.adjacent(1, 0))
-    h = graph.Graph(g.n, list(g.rows))
-    h.rows[1] ^= 1 << 0 | 1 << j
-    with pytest.raises(VerificationError) as err:
-        graph.verify_srg(h, automorphisms)
-    assert err.value.witness == (0, 1)
-    assert "asymmetric" in str(err.value)
+    # Flip A[i][j] but not A[j][i]; a second bit t > j in row i keeps its
+    # degree at k, so the degree check passes and the transpose must catch
+    # it, on a pair through 0 and on one away from it.  The witness is the
+    # first (row, column) where A and its transpose differ: (j, i).
+    for i, j in ((1, 0), (300, 17)):
+        t = next(
+            t for t in range(j + 1, g.n)
+            if t != i and g.adjacent(i, t) != g.adjacent(i, j)
+        )
+        h = graph.Graph(g.n, list(g.rows))
+        h.rows[i] ^= 1 << j | 1 << t
+        with pytest.raises(VerificationError, match="asymmetric") as err:
+            graph.verify_srg(h, automorphisms)
+        assert err.value.witness == (j, i)
     # The lone flipped bit changes a degree and fails with that vertex.
     h = graph.Graph(g.n, list(g.rows))
     h.rows[1] ^= 1 << 0
@@ -451,14 +486,6 @@ def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(g, part
     with pytest.raises(VerificationError, match="^B2: ") as err:
         graph.check_component_structure(g, fake)
     assert _witness_vertices(err.value.witness) <= set(fake_b2)
-    # A block of the wrong size is refused before any word is read.
-    short = graph.Partition(
-        part.b1[:31], part.b2, part.b3, part.c,
-        part.b1_mask & ~(1 << part.b1[31]), part.b2_mask, part.b3_mask, 0,
-    )
-    with pytest.raises(VerificationError, match="B1 has 31 vertices") as err:
-        graph.check_component_structure(g, short)
-    assert err.value.witness == 31
 
 
 def test_halved_5cube_model():

@@ -208,6 +208,9 @@ def test_isoset_helpers_roundtrip():
 
 
 def test_isometries_induce_basis_permutations(plane, bases, automorphisms):
+    # The point maps lifted to the vertices are the isometries' action on
+    # the bases, read from their nonisotropic points.
+    assert automorphisms == oracles.basis_permutations(plane, bases)
     assert len(automorphisms) == len(hermitian.ISOMETRIES)
     for perm in automorphisms:
         assert sorted(perm) == list(range(416))
@@ -217,12 +220,13 @@ def test_isometries_induce_basis_permutations(plane, bases, automorphisms):
     assert all(swap[swap[v]] == v for v in range(416))
 
 
-def test_corrupted_isometry_is_refused(plane, bases):
+def test_corrupted_isometry_is_refused(plane):
     swap, unipotent = hermitian.ISOMETRIES
     bad = ((1, 15, 6), unipotent[1], unipotent[2])
-    with pytest.raises(ConstructionError) as err:
-        hermitian.basis_permutations(plane, bases, (swap, bad))
+    with pytest.raises(ConstructionError, match="does not preserve H") as err:
+        hermitian.point_permutations(plane, (swap, bad))
     assert err.value.witness == bad
     scaled = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(ConstructionError):
-        hermitian.basis_permutations(plane, bases, (scaled,))
+    with pytest.raises(ConstructionError) as err:
+        hermitian.point_permutations(plane, (scaled,))
+    assert err.value.witness == scaled

@@ -287,23 +287,21 @@ def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
 
 @pytest.mark.parametrize("move", ["C vertex added", "B vertex removed"])
 def test_vertex_moved_between_b_and_c_fails_partition(monkeypatch, move):
-    # Column 1 is B at the anchor.  A vertex of C added to it joins B1, B2
-    # and B3 (it has 8 neighbours in each) into one component of 97; a
-    # vertex of B removed from it leaves a component of 31.
-    build = graph.build_graph
+    # B at the anchor is the mask the split is given.  A vertex of C added
+    # to it joins B1, B2 and B3 (it has 8 neighbours in each) into one
+    # component of 97; a vertex of B removed from it leaves a component of
+    # 31.  (A point column changed instead no longer lifts the point maps,
+    # and the srg stage refuses it.)
+    split = graph.split_B_C
 
-    def moved(isosets):
-        g, columns = build(isosets)
-        b = columns[1]
+    def moved(g, b_mask):
         if move == "C vertex added":
-            v = next(v for v in range(g.n) if not b >> v & 1)
+            v = next(v for v in range(g.n) if not b_mask >> v & 1)
         else:
-            v = (b & -b).bit_length() - 1
-        columns = list(columns)
-        columns[1] ^= 1 << v
-        return g, columns
+            v = (b_mask & -b_mask).bit_length() - 1
+        return split(g, b_mask ^ 1 << v)
 
-    monkeypatch.setattr(graph, "build_graph", moved)
+    monkeypatch.setattr(graph, "split_B_C", moved)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
@@ -409,7 +407,7 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
     # The pairs through vertex 0 and the automorphisms each catch what the
     # other cannot see; the degrees stay constant throughout.
     build = graph.build_graph
-    permutations = hermitian.basis_permutations
+    permutations = hermitian.point_permutations
     if corruption.startswith("2-switch"):
         def switched(isosets):
             g, columns = build(isosets)
@@ -418,7 +416,7 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
         monkeypatch.setattr(graph, "build_graph", switched)
     else:
         monkeypatch.setattr(
-            hermitian, "basis_permutations", lambda *a: permutations(*a)[:1]
+            hermitian, "point_permutations", lambda *a: permutations(*a)[:1]
         )
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
@@ -521,20 +519,24 @@ def _swap_one_member(isosets: list[int], v: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "corruption, stage, message",
+    "corruption",
     [
-        ("iso-set bit before the graph", "srg", "degree"),
-        ("iso-set bit after the graph", "anchor-invariance", "to no column"),
-        ("swap alone as point maps", "anchor-invariance", "orbits on the points"),
+        "iso-set bit before the graph",
+        "iso-set bit after the graph",
+        "swap alone as point maps",
     ],
     ids=["isoset-before-graph", "isoset-after-graph", "two-point-orbits"],
 )
 def test_point_column_corruptions_fail_with_a_witness(
-    monkeypatch, corruption, stage, message
+    monkeypatch, automorphisms, corruption
 ):
-    build = graph.build_graph
-    verify_point_action = graph.verify_point_action
     if corruption.startswith("iso-set"):
+        # Vertex 5's iso-set, corrupted before the graph is built or only
+        # in the point columns after it, is one that no basis has.  Both
+        # fail at srg while the point maps are lifted, before any row is
+        # read.
+        build = graph.build_graph
+
         def corrupted(isosets):
             if corruption.endswith("before the graph"):
                 _swap_one_member(isosets, 5)
@@ -546,22 +548,32 @@ def test_point_column_corruptions_fail_with_a_witness(
 
         monkeypatch.setattr(graph, "build_graph", corrupted)
     else:
-        monkeypatch.setattr(
-            graph,
-            "verify_point_action",
-            lambda g, columns, maps: verify_point_action(g, columns, maps[:1]),
-        )
+        # The srg stage lifts and verifies every point map; the
+        # anchor-invariance stage is then handed the swap's map alone,
+        # which leaves more than one orbit on the points.
+        def swap_alone(art, cfg):
+            art.point_maps = art.point_maps[:1]
+            return anchor_invariance(art, cfg)
+
+        stages = list(pipeline._STAGES)
+        i = STAGE_NAMES.index("anchor-invariance")
+        name, claims, anchor_invariance = stages[i]
+        stages[i] = (name, claims, swap_alone)
+        monkeypatch.setattr(pipeline, "_STAGES", tuple(stages))
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
-    assert (failed.name, failed.status) == (stage, "fail")
-    assert message in failed.detail["error"]
     witness = failed.detail["witness"]
-    if corruption.endswith("before the graph"):
-        assert witness[0] == 5  # (vertex, degree)
-    elif corruption.endswith("after the graph"):
-        assert len(witness) == 2 and 1 <= witness[1] <= 65  # (map, point)
+    if corruption.startswith("iso-set"):
+        assert (failed.name, failed.status) == ("srg", "fail")
+        assert "to no iso-set" in failed.detail["error"]
+        # (map, vertex): the first map refuses vertex 5, or first the
+        # vertex whose iso-set it moves onto vertex 5's old one, which no
+        # vertex has.
+        assert witness == (0, min(5, automorphisms[0].index(5)))
     else:
+        assert (failed.name, failed.status) == ("anchor-invariance", "fail")
+        assert "orbits on the points" in failed.detail["error"]
         assert 1 < witness <= 65  # the second orbit's smallest point
 
 
