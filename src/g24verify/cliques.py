@@ -1,11 +1,13 @@
-"""Clique number, the special 5-cliques of C, and the verdict.
+"""Clique number and the special 5-cliques of C.
 
 Claims 7 and 9 are checked at one vertex each and carried to the others by
 words in the automorphisms that the srg stage verified (`graph.stabilizer`),
 with no search: the clique number at vertex 0, over the orbits on N(0) of
 words that fix 0, and the special cliques at min C, over words that fix C.
 The search from every edge and the grouping of every edge of C by core are
-kept in the tests as the oracles.
+kept in the tests as the oracles.  The verdict (claim 8) needs no code: the
+clique number it divides by is pinned here, so it is a constant of the
+pipeline's verdict stage.
 """
 
 from __future__ import annotations
@@ -126,52 +128,3 @@ def special_cliques(
         cover.append(SpecialClique(vs, tuple(isoset_members(core))))
     return sorted(cover, key=lambda c: c.core)
 
-
-def borsuk_lower_bound(n_points: int, max_part_size: int) -> int:
-    """ceil(n_points / max_part_size): parts of smaller diameter are
-    cliques, so they hold at most max_part_size points each.  The max-clique
-    stage pins max_part_size to 5."""
-    return -(-n_points // max_part_size)
-
-
-def final_verdict(certificates, clique_number: int, c_size: int, b1_size: int) -> dict:
-    """Assemble the counterexample verdict from what earlier stages proved.
-
-    Nothing is re-checked here: the dimension-chain stage certifies the
-    dimensions 65, 64 and 63 or refuses; the max-clique stage refuses any
-    clique number but 5; and the partition stage refuses any split of the
-    416 vertices but 32/32/32 and 320.
-    """
-    dims = {c.label: c.affine_dim for c in certificates}
-    points = c_size + b1_size
-    parts = borsuk_lower_bound(points, clique_number)
-    full_parts = borsuk_lower_bound(416, clique_number)
-    near_parts = borsuk_lower_bound(c_size, clique_number)
-    verdict = {
-        "counterexample_dimension": dims["C+B1"],
-        "point_count": points,
-        "max_clique": clique_number,
-        "min_parts": parts,
-        "exceeds_dimension_plus_one": parts > dims["C+B1"] + 1,
-        "full_set": {
-            "dimension": dims["V"],
-            "point_count": 416,
-            "min_parts": full_parts,
-        },
-        "near_miss": {
-            "dimension": dims["C"],
-            "point_count": c_size,
-            "min_parts": near_parts,
-        },
-        "note": "a stronger lower bound of 72 parts has been reported; not verified here",
-    }
-    if not verdict["exceeds_dimension_plus_one"]:
-        raise VerificationError(
-            "verdict withheld: bound does not exceed dim + 1",
-            witness=(parts, dims["C+B1"] + 1),
-        )
-    verdict["statement"] = (
-        f"{points} points of affine dimension {dims['C+B1']} need at least "
-        f"{parts} parts of smaller diameter; {parts} > {dims['C+B1'] + 1}"
-    )
-    return verdict

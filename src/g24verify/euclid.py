@@ -7,8 +7,8 @@ symmetric, as the srg stage verified) with 4 at coordinate i, read through
 those distances follow from the verified srg parameters, so no pair is
 scanned.  The contrast vectors p and q are constant on the blocks of the
 anchored split, so their inner products with the columns of y follow from
-the block counts (`graph.CLAIM1`) and the block sizes, and none is
-counted.
+the block counts (`graph.CLAIM1`) and the block sizes: the dimension-chain
+stage reports them as constants, and none is counted.
 
 The chain of affine dimensions 65 -> 64 -> 63 of V, C+B1 and C is exact,
 each step two-sided, with no elimination: the rank of y from its verified
@@ -20,16 +20,8 @@ exact integer arithmetic; there is no floating point and no array library.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from operator import mul
-
 from .errors import VerificationError
-from .graph import CLAIM1, SPECTRUM, STABILIZER_WORDS, Graph, Partition
-
-# The contrast vectors' values on B1, B2, B3 and C: p is +1 on B2 and -1 on
-# B3, q is +2 on B1 and -1 on B2 and B3.
-P_WEIGHTS = (0, 1, -1, 0)
-Q_WEIGHTS = (2, -1, -1, 0)
+from .graph import SPECTRUM, STABILIZER_WORDS, Graph, Partition
 
 # The eigenvalues of A_C, the adjacency of the graph induced on C, with
 # their multiplicities; `certified_dimension_chain` derives them.
@@ -41,41 +33,6 @@ def column_digits(g: Graph, i: int) -> str:
     bit t of row i of A, which is A[t, i] since A is symmetric."""
     bits = format(g.rows[i], f"0{g.n}b")[::-1]
     return f"{bits[:i]}4{bits[i + 1:]}"
-
-
-# An affine dimension and the linear rank it is one less than, with the
-# argument that settles both.
-DimensionCertificate = namedtuple(
-    "DimensionCertificate", "label size affine_dim linear_rank argument"
-)
-
-
-def contrast_products(part: Partition) -> dict:
-    """The inner products of the contrast vectors, derived from the block
-    counts (`graph.verify_claim1`) and the block sizes instead of counted.
-
-    For w constant on each block, with weight w_X on block X and 0 on C (so
-    neighbours in C add nothing), and i in block X,
-    <w, y_i> = 4 w_X + sum over h of w_Bh |N(i) & B_h|, and CLAIM1 gives
-    |N(i) & B_h| for every i of X.  Hence the patterns of
-    <p, y_i> and <q, y_i> on B1, B2, B3, C, and <p, q>, |p|^2, |q|^2 as sums
-    of block size times weight products.
-    """
-    sizes = (len(part.b1), len(part.b2), len(part.b3), len(part.c))
-
-    def pattern(w):
-        return [4 * w[x] + sum(map(mul, w, CLAIM1[b])) for x, b in enumerate(CLAIM1)]
-
-    def dot(u, w):
-        return sum(n * a * b for n, a, b in zip(sizes, u, w))
-
-    return {
-        "p_pattern": pattern(P_WEIGHTS),
-        "q_pattern": pattern(Q_WEIGHTS),
-        "p_dot_q": dot(P_WEIGHTS, Q_WEIGHTS),
-        "p_norm_sq": dot(P_WEIGHTS, P_WEIGHTS),
-        "q_norm_sq": dot(Q_WEIGHTS, Q_WEIGHTS),
-    }
 
 
 def verify_c_identity(g: Graph, part: Partition) -> None:
@@ -106,10 +63,11 @@ def verify_c_identity(g: Graph, part: Partition) -> None:
             )
 
 
-def certified_dimension_chain(g: Graph, part: Partition) -> list[DimensionCertificate]:
+def certified_dimension_chain(g: Graph, part: Partition) -> list[dict]:
     """Certificates for the affine dimensions of V, C+B1 and C, each the
     linear rank of its columns of y minus one: every column lies on the
-    hyperplane <1, y_i> = 104 off the origin.
+    hyperplane <1, y_i> = 104 off the origin.  Each is the report's dict,
+    with the keys set, size, affine_dim, linear_rank and argument.
 
     - V: y has eigenvalues 104, 24, 0 with multiplicities 1, f, g
       (`graph.SPECTRUM`), so rank y = 1 + f = 66.
@@ -134,9 +92,9 @@ def certified_dimension_chain(g: Graph, part: Partition) -> list[DimensionCertif
     check it again: the srg stage (A is the symmetric, loop-free
     srg(416, 100, 36, 20) and its automorphisms are verified on every
     entry), the block-counts stage (the 20/0/8 counts, from which the
-    patterns of <p, y_i> and <q, y_i> follow; see `contrast_products`), and
-    `graph.stabilizer` on the words, which the dimension-chain stage runs
-    first and whose maps the special-cover stage reuses.
+    patterns of <p, y_i> and <q, y_i> follow, as the dimension-chain stage
+    reports them), and `graph.stabilizer` on the words, which that stage
+    runs first and whose maps the special-cover stage reuses.
     """
     verify_c_identity(g, part)
     rank_y = 1 + SPECTRUM.f
@@ -175,6 +133,12 @@ def certified_dimension_chain(g: Graph, part: Partition) -> list[DimensionCertif
         ),
     ]
     return [
-        DimensionCertificate(label, size, rank - 1, rank, argument + [hyperplane])
+        {
+            "set": label,
+            "size": size,
+            "affine_dim": rank - 1,
+            "linear_rank": rank,
+            "argument": argument + [hyperplane],
+        }
         for label, size, rank, argument in sets
     ]

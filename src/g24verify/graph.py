@@ -251,7 +251,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
             )
 
     for perm in automorphisms:
-        verify_automorphism(g, perm)
+        _verify_automorphism(g, perm)
     reps = orbit_representatives(n, automorphisms)
     if reps != [0]:
         raise VerificationError(
@@ -262,15 +262,18 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     return SrgParams(n, k, lam, mu)
 
 
-def verify_automorphism(g: Graph, perm: list[int]) -> None:
+def _verify_automorphism(g: Graph, perm: list[int]) -> None:
     """`perm` must be a bijection of the vertices that preserves adjacency:
     A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
     as B[i] = A[perm[i]], that says column perm[j] of B is column j of A,
-    which is row j for a symmetric A (`verify_srg` checks symmetry first), so
-    B is transposed (`bit_transposer`) and every column compared with a row.
-    A failure names a witness: the first vertex that the map misses or hits
-    more than once; else the first edge sent to a non-edge, which exists
-    whenever a bijection fails on a symmetric graph."""
+    which is row j for a symmetric A, so B is transposed (`bit_transposer`)
+    and every column compared with a row.  A failure names a witness: the
+    first vertex that the map misses or hits more than once; else the first
+    edge sent to a non-edge, which exists whenever a bijection fails on a
+    symmetric graph.
+
+    A must be symmetric: on an asymmetric A a map that is no automorphism
+    can pass.  `verify_srg`, the only caller, checks symmetry first."""
     if sorted(perm) != list(range(g.n)):
         v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
         raise VerificationError(

@@ -155,7 +155,10 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     (checked), it lies in 12 / 2 = 6 bases, and there are 208 * 6 / 3 = 416
     of them, which `graph.build_graph` requires anyway.  Two bases with equal
     iso-sets would give equal rows of the graph, hence a non-edge with 100
-    common neighbours, which the srg stage refuses (mu = 20).
+    common neighbours, which the srg stage refuses (mu = 20).  Nor do the
+    three sides of a basis need a disjointness check: its iso-set is their
+    union, each side carries 5 isotropic points, and `graph.build_graph`
+    requires 15 members, which three sides of 5 reach only when disjoint.
     """
     noniso = plane.nonisotropic
     # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
@@ -188,17 +191,10 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
                 witness=t,
             )
 
-    bases: list[Basis] = []
-    for tri in sorted(triples):
-        f_bc, f_ac, f_ab = (polar[t] for t in tri)
-        if f_ab & f_ac or f_ab & f_bc or f_ac & f_bc:
-            raise ConstructionError(
-                f"triangle sides of {tri} share isotropic points", witness=tri
-            )
-        # Three disjoint sides of 5 isotropic points each: 15 members.
-        isoset = f_ab | f_ac | f_bc
-        bases.append(Basis(tri, isoset))
-    return bases
+    return [
+        Basis(tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]])
+        for tri in sorted(triples)
+    ]
 
 
 def _apply(m: Matrix, p: Point) -> Point:

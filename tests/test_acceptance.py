@@ -7,7 +7,7 @@ criterion 12 re-runs the pipeline where independence demands it.
 
 import random
 
-from g24verify import cliques, euclid, gf16, graph, hermitian
+from g24verify import cliques, gf16, graph, hermitian
 from g24verify.pipeline import RunConfig, run_check
 
 import oracles
@@ -71,23 +71,24 @@ def test_c06_partition_and_claim1(g, isosets, point_maps, part):
         "at all 65 anchors")
 
 
-def test_c07_contrast_products(g, part, contrasts):
-    # Derived from claim 1 by the program, counted on every column here.
+def test_c07_contrast_products(g, part, contrasts, full_report):
+    # Constants of the program, derived from claim 1; counted on every
+    # column here.
     p, q = contrasts
-    derived = euclid.contrast_products(part)
-    assert derived["p_pattern"] == [0, 24, -24, 0]
-    assert derived["q_pattern"] == [48, -24, -24, 0]
+    products = full_report.stage("dimension-chain").detail["contrast_products"]
+    assert products["p_pattern"] == [0, 24, -24, 0]
+    assert products["q_pattern"] == [48, -24, -24, 0]
     oracles.verify_inner_products(
-        g.rows, p, q, part, derived["p_pattern"], derived["q_pattern"]
+        g.rows, p, q, part, products["p_pattern"], products["q_pattern"]
     )
-    assert sum(a * b for a, b in zip(p, q)) == derived["p_dot_q"] == 0
+    assert sum(a * b for a, b in zip(p, q)) == products["p_dot_q"] == 0
     _ok("07 contrast patterns (0,24,-24,0) and (48,-24,-24,0), <p,q>=0")
 
 
 def test_c08_dimension_chain(g, part, certificates, full_report):
-    by_label = {c.label: c for c in certificates}
-    assert [by_label[k].affine_dim for k in ("V", "C+B1", "C")] == [65, 64, 63]
-    assert [by_label[k].linear_rank for k in ("V", "C+B1", "C")] == [66, 65, 64]
+    by_set = {c["set"]: c for c in certificates}
+    assert [by_set[k]["affine_dim"] for k in ("V", "C+B1", "C")] == [65, 64, 63]
+    assert [by_set[k]["linear_rank"] for k in ("V", "C+B1", "C")] == [66, 65, 64]
     chain = full_report.stage("dimension-chain").detail
     assert [c["affine_dim"] for c in chain["certificates"]] == [65, 64, 63]
     # PAPER.md's route, modular ranks, agrees for one prime.
@@ -108,15 +109,45 @@ def test_c09_clique_number(g, vertex_maps):
         "checks at vertex 0, matched by a search from every edge")
 
 
-def test_c10_borsuk_bounds(certificates, part):
-    assert cliques.borsuk_lower_bound(352, 5) == 71
-    assert cliques.borsuk_lower_bound(416, 5) == 84
-    verdict = cliques.final_verdict(
-        certificates, 5, c_size=len(part.c), b1_size=len(part.b1)
-    )
-    assert verdict["counterexample_dimension"] == 64
-    assert verdict["min_parts"] == 71
-    assert verdict["full_set"]["min_parts"] == 84
+def test_c10_borsuk_bounds(full_report):
+    # Every field of the verdict, recomputed from the numbers that earlier
+    # stages pin: the dimensions, the clique number and the block sizes.
+    detail = {s.name: s.detail for s in full_report.stages}
+    chain = detail["dimension-chain"]["certificates"]
+    dims = {c["set"]: c["affine_dim"] for c in chain}
+    omega = detail["max-clique"]["clique_number"]
+    n_all = detail["graph"]["vertices"]
+    n_c = detail["partition"]["C"]
+    n = n_c + detail["partition"]["component_sizes"][0]
+
+    def parts(points):
+        # A part of smaller diameter is a clique: ceil(points / omega).
+        return -(-points // omega)
+
+    dim = dims["C+B1"]
+    verdict = {
+        "counterexample_dimension": dim,
+        "point_count": n,
+        "max_clique": omega,
+        "min_parts": parts(n),
+        "exceeds_dimension_plus_one": parts(n) > dim + 1,
+        "full_set": {
+            "dimension": dims["V"],
+            "point_count": n_all,
+            "min_parts": parts(n_all),
+        },
+        "near_miss": {
+            "dimension": dims["C"],
+            "point_count": n_c,
+            "min_parts": parts(n_c),
+        },
+        "note": "a stronger lower bound of 72 parts has been reported; not verified here",
+        "statement": f"{n} points of affine dimension {dim} need at least "
+        f"{parts(n)} parts of smaller diameter; {parts(n)} > {dim + 1}",
+    }
+    assert detail["verdict"] == full_report.to_dict()["verdict"] == verdict
+    assert (n, dim, parts(n), parts(n_all), parts(n_c)) == (352, 64, 71, 84, 64)
+    assert verdict["exceeds_dimension_plus_one"] is True
     _ok("10 bounds ceil(352/5)=71, ceil(416/5)=84, dimension-64 verdict")
 
 

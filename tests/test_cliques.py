@@ -1,4 +1,4 @@
-"""Clique number, special cliques, exact covers, and the final bounds."""
+"""Clique number, special cliques and exact covers."""
 
 import random
 from collections import Counter
@@ -111,19 +111,19 @@ def test_two_vertex_swap_is_refused_with_an_edge_witness():
     # check must compare each column with the one in its place.
     g = graph.Graph(5, [0b00100, 0b01000, 0b00001, 0b00010, 0])
     with pytest.raises(VerificationError, match="non-edge") as err:
-        graph.verify_automorphism(g, [1, 0, 2, 3, 4])
+        graph._verify_automorphism(g, [1, 0, 2, 3, 4])
     assert err.value.witness == (0, 2)
-    graph.verify_automorphism(g, [1, 0, 3, 2, 4])  # both edges swapped
-    graph.verify_automorphism(cycle_graph(7), [-v % 7 for v in range(7)])
+    graph._verify_automorphism(g, [1, 0, 3, 2, 4])  # both edges swapped
+    graph._verify_automorphism(cycle_graph(7), [-v % 7 for v in range(7)])
 
 
 def test_non_bijection_is_refused(g):
     # The witness is the first vertex hit twice or missed.
     with pytest.raises(VerificationError, match="not a permutation") as err:
-        graph.verify_automorphism(g, [0] * g.n)
+        graph._verify_automorphism(g, [0] * g.n)
     assert err.value.witness == 0
     with pytest.raises(VerificationError, match="not a permutation") as err:
-        graph.verify_automorphism(g, list(range(g.n - 1)))
+        graph._verify_automorphism(g, list(range(g.n - 1)))
     assert err.value.witness == g.n - 1
 
 
@@ -279,41 +279,6 @@ def test_cover_count_is_one(special_cliques, part):
     multiplicity = Counter(v for sc in special_cliques for v in sc.vertices)
     assert set(multiplicity) == set(part.c)
     assert set(multiplicity.values()) == {1}
-
-
-def test_borsuk_lower_bound():
-    assert cliques.borsuk_lower_bound(352, 5) == 71
-    assert cliques.borsuk_lower_bound(416, 5) == 84
-    assert cliques.borsuk_lower_bound(320, 5) == 64
-    assert cliques.borsuk_lower_bound(321, 5) == 65
-
-
-def test_final_verdict(certificates, part):
-    verdict = cliques.final_verdict(
-        certificates, 5, c_size=len(part.c), b1_size=len(part.b1)
-    )
-    assert verdict["counterexample_dimension"] == 64
-    assert verdict["point_count"] == 352
-    assert verdict["min_parts"] == 71
-    assert verdict["exceeds_dimension_plus_one"] is True
-    assert verdict["full_set"]["min_parts"] == 84
-    assert verdict["near_miss"]["min_parts"] == 64
-    assert "cover_found" not in verdict["near_miss"]
-    assert "is_counterexample" not in verdict["near_miss"]
-    assert 352 == 320 + 32
-
-
-def test_final_verdict_refuses_a_bound_within_dimension_plus_one(
-    certificates, part
-):
-    # With C+B1 certified in dimension 70, 71 parts are no more than
-    # dimension + 1, and the verdict is withheld.
-    raised = [
-        c._replace(affine_dim=70) if c.label == "C+B1" else c for c in certificates
-    ]
-    with pytest.raises(VerificationError, match="verdict withheld") as err:
-        cliques.final_verdict(raised, 5, c_size=len(part.c), b1_size=len(part.b1))
-    assert err.value.witness == (71, 71)
 
 
 def test_diameter_smaller_iff_clique(g):

@@ -247,23 +247,16 @@ def test_contrast_vectors(part, contrasts):
         assert p[i] == 0 and q[i] == 0
 
 
-def test_inner_product_patterns(g, part, contrasts):
-    # The products derived from claim 1 are the ones counted on every column.
+def test_inner_product_patterns(g, part, contrasts, full_report):
+    # The stage's constants are the products counted on every column.
     p, q = contrasts
-    derived = euclid.contrast_products(part)
-    assert derived == {
-        "p_pattern": [0, 24, -24, 0],
-        "q_pattern": [48, -24, -24, 0],
-        "p_dot_q": 0,
-        "p_norm_sq": 64,
-        "q_norm_sq": 192,
-    }
+    products = full_report.stage("dimension-chain").detail["contrast_products"]
     oracles.verify_inner_products(
-        g.rows, p, q, part, derived["p_pattern"], derived["q_pattern"]
+        g.rows, p, q, part, products["p_pattern"], products["q_pattern"]
     )
-    assert derived["p_dot_q"] == sum(a * b for a, b in zip(p, q))
-    assert derived["p_norm_sq"] == sum(x * x for x in p)
-    assert derived["q_norm_sq"] == sum(x * x for x in q)
+    assert products["p_dot_q"] == sum(a * b for a, b in zip(p, q))
+    assert products["p_norm_sq"] == sum(x * x for x in p)
+    assert products["q_norm_sq"] == sum(x * x for x in q)
     # Explicit samples of the four cases, computed naively.
     def dot(vec, col):
         return sum(a * b for a, b in zip(vec, col))
@@ -278,14 +271,14 @@ def test_inner_product_patterns(g, part, contrasts):
     assert dot(q, column(g, part.c[0])) == 0
 
 
-def test_inner_products_reject_corruption(g, part, contrasts):
+def test_inner_products_reject_corruption(g, part, contrasts, full_report):
     p, q = contrasts
-    derived = euclid.contrast_products(part)
+    products = full_report.stage("dimension-chain").detail["contrast_products"]
     bad = list(p)
     bad[part.c[0]] = 1
     with pytest.raises(VerificationError) as exc:
         oracles.verify_inner_products(
-            g.rows, bad, q, part, derived["p_pattern"], derived["q_pattern"]
+            g.rows, bad, q, part, products["p_pattern"], products["q_pattern"]
         )
     # The first column that sees the changed coordinate: c[0] or a neighbour.
     c0 = part.c[0]
@@ -382,26 +375,24 @@ def test_is_prime():
 
 
 def test_dimension_chain_certificates(certificates):
-    by_label = {c.label: c for c in certificates}
-    assert set(by_label) == {"V", "C+B1", "C"}
-    assert by_label["V"].affine_dim == 65
-    assert by_label["C+B1"].affine_dim == 64
-    assert by_label["C"].affine_dim == 63
-    assert by_label["V"].size == 416
-    assert by_label["C+B1"].size == 352
-    assert by_label["C"].size == 320
+    by_set = {c["set"]: c for c in certificates}
+    assert set(by_set) == {"V", "C+B1", "C"}
+    assert by_set["V"]["affine_dim"] == 65
+    assert by_set["C+B1"]["affine_dim"] == 64
+    assert by_set["C"]["affine_dim"] == 63
+    assert by_set["V"]["size"] == 416
+    assert by_set["C+B1"]["size"] == 352
+    assert by_set["C"]["size"] == 320
     for cert in certificates:
-        assert cert.linear_rank == cert.affine_dim + 1
-        assert cert.argument
-    # Exact ranks with their argument; no prime and no pivot counts.
-    assert list(euclid.DimensionCertificate._fields) == [
-        "label", "size", "affine_dim", "linear_rank", "argument"
-    ]
+        # Exact ranks with their argument; no prime and no pivot counts.
+        assert list(cert) == ["set", "size", "affine_dim", "linear_rank", "argument"]
+        assert cert["linear_rank"] == cert["affine_dim"] + 1
+        assert cert["argument"]
 
 
 def test_ldlt_oracle_certifies_the_chain_for_one_prime(g, part, certificates):
     # PAPER.md's route: the pivots of one prime reach every exact rank.
-    ranks = tuple(c.linear_rank for c in reversed(certificates))
+    ranks = tuple(c["linear_rank"] for c in reversed(certificates))
     for prime in (1_000_003, 999_983, 5):
         assert oracles.modular_dimension_chain(g, part, prime) == ranks == (64, 65, 66)
 

@@ -196,7 +196,7 @@ def test_stabilizer_words_fix_c_with_one_orbit(g, automorphisms, part):
             want = [step[v] if letter.islower() else step.index(v) for v in want]
         assert perm == want
         assert sorted(perm[v] for v in part.c) == list(part.c)
-        graph.verify_automorphism(g, perm)  # a product of verified maps
+        graph._verify_automorphism(g, perm)  # a product of verified maps
     assert _orbit(maps, part.c[0]) == set(part.c)
 
 
@@ -275,6 +275,22 @@ def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
         graph.verify_srg(h, automorphisms)
     assert err.value.witness[0] == 1
 
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0, 1, 2], [1, 2, 0], [1, 0, 2], [0, 0, 0]],
+    ids=["identity", "rotation", "transposition", "no-bijection"],
+)
+def test_directed_3_cycle_fails_symmetry_before_any_map(perm):
+    # 0 -> 1 -> 2 -> 0 has no loops and constant degree 1, so the symmetry
+    # step is the first to refuse it, and it does so before any map is read:
+    # the rotation is an automorphism of the directed cycle, the
+    # transposition is none, and the last map is no bijection, yet all three
+    # give the same refusal.  A map is checked only on a symmetric A.
+    h = graph.Graph(3, [0b010, 0b100, 0b001])
+    with pytest.raises(VerificationError, match=r"asymmetric pair \(0,1\)") as err:
+        graph.verify_srg(h, [perm])
+    assert err.value.witness == (0, 1)
 
 def test_spectrum_of_main_graph(spectrum):
     # Recomputed from the verified parameters: the pinned constant.

@@ -92,6 +92,18 @@ def test_stage_details(full_report):
     }
 
 
+def test_constant_details_are_built_per_run():
+    # The verdict and the contrast products are literals: a run that edits
+    # its report leaves the next run's report as it was.
+    report = run_check(RunConfig())
+    before = report.to_json()
+    report.stage("verdict").detail["full_set"]["min_parts"] = 0
+    chain = report.stage("dimension-chain").detail
+    chain["contrast_products"]["p_pattern"][1] = 0
+    chain["certificates"][0]["argument"].append("edited")
+    assert run_check(RunConfig()).to_json() == before
+
+
 def test_stages_are_keyed_to_every_claim(full_report):
     # Each stage names the claims of PAPER.md it certifies; together they
     # name all nine, and the report carries them.
@@ -151,8 +163,9 @@ def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
 def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
     # Point 0 is given the polar line of its smallest orthogonal partner j,
     # on the isotropic call only.  Every polar line still carries 5 isotropic
-    # points, but two sides of the first triangle, (0, j, k), now coincide:
-    # only the disjointness check can refuse it.
+    # points, but two sides of the first basis, (0, j, k), now coincide: the
+    # bases stage builds its iso-set of 10, and the graph stage, which
+    # requires 15 members, refuses it.
     orthogonal_masks = hermitian.orthogonal_masks
 
     def crossed(points, targets):
@@ -165,8 +178,8 @@ def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
     monkeypatch.setattr(hermitian, "orthogonal_masks", crossed)
     assert cli.main(["check"]) == 1
     out = capsys.readouterr().out
-    assert "bases                ... FAIL\n    claim 2: " in out
-    assert "share isotropic points\n    witness: (0, 16, 17)\n" in out
+    assert "bases                ... OK\ngraph                ... FAIL\n" in out
+    assert "    claim 3: iso-set 0 has 10 members\n    witness: 0\n" in out
 
 
 def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
