@@ -1,4 +1,4 @@
-"""Clique number, special cliques and exact covers."""
+"""Clique number, special cliques, exact covers, and the final bounds."""
 
 import random
 from collections import Counter
@@ -279,6 +279,37 @@ def test_cover_count_is_one(special_cliques, part):
     multiplicity = Counter(v for sc in special_cliques for v in sc.vertices)
     assert set(multiplicity) == set(part.c)
     assert set(multiplicity.values()) == {1}
+
+
+def test_borsuk_lower_bound(g, part, full_report):
+    # A part of smaller diameter is a clique, so n points need the least m
+    # with m * omega >= n; the point counts are those of the built sets.
+    verdict = full_report.to_dict()["verdict"]
+    omega = verdict["max_clique"]
+    counts = [
+        (verdict, len(part.c) + len(part.b1), 71),
+        (verdict["full_set"], g.n, 84),
+        (verdict["near_miss"], len(part.c), 64),
+    ]
+    for entry, n, m in counts:
+        assert (entry["point_count"], entry["min_parts"]) == (n, m)
+        assert (m - 1) * omega < n <= m * omega
+    assert omega == 5 and -(-321 // omega) == 65
+
+
+def test_final_verdict(certificates, part, full_report):
+    verdict = full_report.to_dict()["verdict"]
+    dims = {c["set"]: c["affine_dim"] for c in certificates}
+    assert verdict["counterexample_dimension"] == dims["C+B1"] == 64
+    assert verdict["full_set"]["dimension"] == dims["V"]
+    assert verdict["near_miss"]["dimension"] == dims["C"]
+    assert verdict["point_count"] == 352 == len(part.c) + len(part.b1)
+    assert verdict["min_parts"] == 71
+    assert verdict["exceeds_dimension_plus_one"] is True
+    assert verdict["full_set"]["min_parts"] == 84
+    assert verdict["near_miss"]["min_parts"] == 64
+    assert "cover_found" not in verdict["near_miss"]
+    assert "is_counterexample" not in verdict["near_miss"]
 
 
 def test_diameter_smaller_iff_clique(g):
