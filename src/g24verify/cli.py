@@ -7,7 +7,6 @@ export-graph, export-isosets, export-vectors, export-cover.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import __version__, graph
@@ -27,79 +26,89 @@ COMMANDS = (
     "export-vectors",
     "export-cover",
 )
+FORMATS = ("dimacs", "json")
+
+USAGE = """\
+usage: g24verify [-h] [--version] [--out PATH] [--format {dimacs,json}]
+                 [--timings] [--inject-flip-edge I,J] [COMMAND]
+"""
+
+HELP = USAGE + """
+Construct the G2(4) graph from the Hermitian unital in PG(2,16) and certify
+the 64-dimensional two-distance Borsuk counterexample.
+
+COMMAND is check (the default), export-graph, export-isosets,
+export-vectors or export-cover.
+
+options:
+  -h, --help              show this help message and exit
+  --version               show the version and exit
+  --out PATH              output file of an export or of check's report
+  --format {dimacs,json}  graph export format (export-graph only)
+  --timings               include stage wall-clock times in output (breaks
+                          byte-for-byte reproducibility of the report)
+  --inject-flip-edge I,J  test hook: flip one adjacency after the graph is built
+"""
+
+# Each option that takes a value, and the RunConfig field that it sets.
+_VALUED = {"--out": "out", "--format": "fmt", "--inject-flip-edge": "inject_flip_edge"}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _usage_error(message: str) -> SystemExit:
+    """Write the usage and `message` to stderr; the exit 3 to raise."""
+    sys.stderr.write(f"{USAGE}g24verify: error: {message}\n")
+    return SystemExit(EXIT_USAGE)
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
     try:
         i, j = (int(t) for t in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad edge {text!r}, want I,J")
+        raise _usage_error(f"bad edge {text!r}, want I,J")
     n = graph.VERTEX_COUNT
     if i == j or not (0 <= i < n and 0 <= j < n):
-        raise argparse.ArgumentTypeError(f"edge {text!r} out of range")
+        raise _usage_error(f"edge {text!r} out of range")
     return (i, j)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="g24verify",
-        description=(
-            "Construct the G2(4) graph from the Hermitian unital in PG(2,16) "
-            "and certify the 64-dimensional two-distance Borsuk counterexample."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "command",
-        nargs="?",
-        default="check",
-        choices=COMMANDS,
-        help="what to run (default: check)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="output file of an export or of check's report"
-    )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        default="dimacs",
-        choices=("dimacs", "json"),
-        help="graph export format (export-graph only)",
-    )
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="include stage wall-clock times in output (breaks byte-for-byte "
-        "reproducibility of the report)",
-    )
-    parser.add_argument(
-        "--inject-flip-edge",
-        type=_parse_edge,
-        default=None,
-        metavar="I,J",
-        help="test hook: flip one adjacency after the graph is built",
-    )
-    return parser
+def parse_args(argv: list[str]) -> RunConfig:
+    """The run that `argv` asks for.  An option's value follows it or an
+    `=`; options are spelled in full.  -h and --version print and exit 0,
+    and a usage error exits 3."""
+    fields = {}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        if arg == "--version":
+            sys.stdout.write(f"g24verify {__version__}\n")
+            raise SystemExit(0)
+        if arg == "--timings":
+            fields["include_timings"] = True
+        elif name in _VALUED:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-"):
+                    raise _usage_error(f"argument {name}: expected one argument")
+            if name == "--inject-flip-edge":
+                value = _parse_edge(value)
+            fields[_VALUED[name]] = value
+        elif arg.startswith("-") or "command" in fields:
+            raise _usage_error(f"unrecognized arguments: {arg}")
+        else:
+            fields["command"] = arg
+    cfg = RunConfig(**fields)
+    for value, choices in ((cfg.command, COMMANDS), (cfg.fmt, FORMATS)):
+        if value not in choices:
+            listed = ", ".join(choices)
+            raise _usage_error(f"invalid choice {value!r}, choose from {listed}")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    cfg = RunConfig(
-        command=args.command,
-        out=args.out,
-        fmt=args.fmt,
-        include_timings=args.timings,
-        inject_flip_edge=args.inject_flip_edge,
-    )
+    cfg = parse_args(sys.argv[1:] if argv is None else argv)
 
     try:
         if cfg.command == "check":

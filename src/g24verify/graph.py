@@ -268,12 +268,13 @@ def _verify_automorphism(g: Graph, perm: list[int]) -> None:
     as B[i] = A[perm[i]], that says column perm[j] of B is column j of A,
     which is row j for a symmetric A, so B is transposed (`bit_transposer`)
     and every column compared with a row.  A failure names a witness: the
-    first vertex that the map misses or hits more than once; else the first
-    edge sent to a non-edge, which exists whenever a bijection fails on a
-    symmetric graph.
+    first vertex that the map misses or hits more than once; else an edge
+    (j, i) sent to a non-edge, from the first column perm[j] that lacks a
+    one of row j.  One does whenever a bijection fails: the moved columns
+    hold as many ones as the rows.
 
-    A must be symmetric: on an asymmetric A a map that is no automorphism
-    can pass.  `verify_srg`, the only caller, checks symmetry first."""
+    A must be symmetric: on an asymmetric A the answer can be wrong either
+    way.  `verify_srg`, the only caller, checks symmetry first."""
     if sorted(perm) != list(range(g.n)):
         v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
         raise VerificationError(
@@ -285,10 +286,12 @@ def _verify_automorphism(g: Graph, perm: list[int]) -> None:
     moved = bit_transposer(g.n)([rows[p] for p in perm])
     if [moved[p] for p in perm] == rows:
         return
-    i, j = next((i, j) for i, j in g.edges() if not rows[perm[i]] >> perm[j] & 1)
+    j = next(j for j, p in enumerate(perm) if rows[j] & ~moved[p])
+    lost = rows[j] & ~moved[perm[j]]  # bit i: A[j, i] = 1, A[perm[i], perm[j]] = 0
+    i = (lost & -lost).bit_length() - 1
     raise VerificationError(
-        f"vertex map sends edge ({i},{j}) to the non-edge ({perm[i]},{perm[j]})",
-        witness=(i, j),
+        f"vertex map sends edge ({j},{i}) to the non-edge ({perm[i]},{perm[j]})",
+        witness=(j, i),
     )
 
 

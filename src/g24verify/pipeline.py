@@ -10,9 +10,7 @@ byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -98,6 +96,8 @@ class Report:
         return doc
 
     def to_json(self, include_timings: bool = False) -> str:
+        import json  # only here and in write_graph_json: check writes no JSON
+
         return json.dumps(self.to_dict(include_timings), indent=2) + "\n"
 
     def to_text(self, include_timings: bool = False) -> str:
@@ -311,19 +311,16 @@ def require_output_dir(path: str) -> None:
 @contextmanager
 def _atomic_open(path: str):
     """A text file for writing that appears at `path` only once it is
-    complete: it is written beside `path` under a temporary name, then moved
-    over `path` with `os.replace`; on any error it is removed instead."""
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)}.",
-        suffix=".tmp",
-        dir=os.path.dirname(path) or ".",
-    )
+    complete: it is written beside `path` as `.<basename>.<pid>.tmp`, then
+    moved over `path` with `os.replace`; on any error it is removed instead.
+    The kernel applies the umask to 0o666, the mode open(path, "w") gives.
+    O_EXCL refuses a name that exists, so nothing there is overwritten."""
+    head, base = os.path.split(path)
+    tmp = os.path.join(head, f".{base}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") would give
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -338,6 +335,8 @@ def write_dimacs(g: graph.Graph, path: str) -> None:
 
 
 def write_graph_json(g: graph.Graph, path: str) -> None:
+    import json
+
     doc = {
         "vertices": g.n,
         "edges": [[i + 1, j + 1] for i, j in g.edges()],

@@ -117,6 +117,37 @@ def test_two_vertex_swap_is_refused_with_an_edge_witness():
     graph._verify_automorphism(cycle_graph(7), [-v % 7 for v in range(7)])
 
 
+def test_a_map_that_loses_an_edge_only_in_a_column_is_refused_with_a_witness():
+    # The directed 3-cycle 0->1->2->0 (an asymmetric A, outside the
+    # precondition) under the identity: the moved columns are the rows
+    # transposed, so they differ, yet no edge (i,j) has A[perm[i],perm[j]] = 0.
+    with pytest.raises(VerificationError, match="non-edge") as err:
+        graph._verify_automorphism(graph.Graph(3, [2, 4, 1]), [0, 1, 2])
+    assert err.value.witness == (0, 1)
+
+
+def test_every_failing_bijection_names_an_edge_it_loses():
+    # A[j, i] = 1 and A[perm[i], perm[j]] = 0, on random graphs of either
+    # symmetry.  A map passes iff A[perm[i], perm[j]] = A[j, i] throughout,
+    # which on a symmetric A says that it is an automorphism.
+    rng = random.Random(5)
+    for trial in range(300):
+        n = rng.randrange(1, 9)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        arcs = {a for a in pairs if rng.random() < 0.4}
+        if trial % 2:
+            arcs |= {(j, i) for i, j in arcs}
+        rows = [sum(1 << j for j in range(n) if (i, j) in arcs) for i in range(n)]
+        perm = rng.sample(range(n), n)
+        try:
+            graph._verify_automorphism(graph.Graph(n, rows), perm)
+        except VerificationError as exc:
+            j, i = exc.witness
+            assert (j, i) in arcs and (perm[i], perm[j]) not in arcs
+        else:
+            assert {(perm[i], perm[j]) for j, i in arcs} == arcs
+
+
 def test_non_bijection_is_refused(g):
     # The witness is the first vertex hit twice or missed.
     with pytest.raises(VerificationError, match="not a permutation") as err:

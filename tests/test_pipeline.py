@@ -774,6 +774,58 @@ def test_check_out_into_a_missing_directory_runs_no_stage(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["check", "--frobnicate"],
+        ["check", "--out"],
+        ["check", "--out", "--timings"],
+        ["export-graph", "--format", "svg", "--out", "g.svg"],
+        ["check", "--inject-flip-edge", "1"],
+        ["check", "--inject-flip-edge", "0,416"],
+        ["check", "--inject-flip-edge", "5,5"],
+        ["check", "export-graph"],
+        ["check", "--tim"],  # no prefix abbreviations
+        ["check", "--inject", "3,200"],
+        ["check", "--timings=yes"],
+    ],
+)
+def test_usage_errors_write_the_usage_and_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(cli.USAGE)
+    assert "\ng24verify: error: " in captured.err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", flag])
+    assert exc.value.code == 0
+    version = f"g24verify {g24verify.__version__}\n"
+    assert capsys.readouterr().out == (version if flag == "--version" else cli.HELP)
+
+
+def test_option_values_follow_a_space_or_an_equals_sign():
+    spaced = cli.parse_args(
+        ["export-graph", "--out", "g.json", "--format", "json", "--timings",
+         "--inject-flip-edge", "3,200"]
+    )
+    assert spaced == RunConfig("export-graph", "g.json", "json", True, (3, 200))
+    joined = cli.parse_args(
+        ["export-graph", "--out=g.json", "--format=json", "--timings",
+         "--inject-flip-edge=3,200"]
+    )
+    assert joined == spaced
+    assert cli.parse_args(["--out=r.json"]) == cli.parse_args(["--out", "r.json"])
+    assert cli.parse_args(["--out=r.json"]) == RunConfig(out="r.json")
+    assert cli.parse_args([]) == RunConfig()
+
+
 def test_removed_flags_exit_3():
     for flag in (
         ["--threads", "2"],
@@ -867,6 +919,58 @@ def test_check_and_export_do_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert out.stat().st_size > 0
+
+
+def test_check_imports_only_what_it_runs(tmp_path):
+    # -S keeps site hooks from importing modules before the package does.
+    package = os.path.dirname(g24verify.__file__)
+    modules = sorted(
+        f"g24verify.{name[:-3]}" for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    )
+    out = tmp_path / "r.json"
+    proc = _run(
+        "-S",
+        "-c",
+        "import sys\n"
+        "from g24verify import cli\n"
+        f"seen = [[m for m in {modules!r} if m not in sys.modules]]\n"
+        "def run(argv):\n"
+        "    rc = cli.main(argv)\n"
+        "    seen.append([rc, sorted({'argparse', 'json', 'tempfile'} & set(sys.modules))])\n"
+        "run(['check'])\n"
+        f"run(['check', '--out', {str(out)!r}])\n"
+        "print(seen)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(modules) >= 8  # the package's own modules, cli included
+    assert proc.stdout.splitlines()[-1] == "[[], [0, []], [0, ['json']]]"
+    assert out.stat().st_size > 0
+
+
+def test_export_file_mode_follows_the_umask(tmp_path, capsys):
+    plain, out = tmp_path / "plain", tmp_path / "isosets.csv"
+    umask = os.umask(0o027)
+    try:
+        plain.write_text("")
+        assert cli.main(["export-isosets", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o640
+
+
+def test_export_refuses_a_temporary_name_that_exists(tmp_path, capsys):
+    # The temporary file is opened with O_EXCL: a file already at its name,
+    # and the file at --out, keep their bytes.
+    out = tmp_path / "vectors.csv"
+    taken = tmp_path / f".vectors.csv.{os.getpid()}.tmp"
+    out.write_text("old\n")
+    taken.write_text("taken\n")
+    assert cli.main(["export-vectors", "--out", str(out)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert taken.read_text() == "taken\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, out.name]
 
 
 def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
