@@ -9,10 +9,9 @@ negatively in dimension 64.  Every check is exact integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .errors import ConstructionError, VerificationError
+from .errors import VerificationError
 
 __all__ = [
     "__version__",
-    "ConstructionError",
     "VerificationError",
 ]

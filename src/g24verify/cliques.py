@@ -16,18 +16,10 @@ from collections import namedtuple
 
 from .errors import VerificationError
 from .graph import Graph, Partition, orbit_representatives
-from .hermitian import isoset_members
+from .hermitian import members
 
 
 SpecialClique = namedtuple("SpecialClique", "vertices core")
-
-
-def _members(mask: int):
-    """The vertices of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def verify_clique_number(
@@ -52,15 +44,15 @@ def verify_clique_number(
         if not r0 >> u & 1:
             continue
         common = r0 & rows[u]
-        for w in _members(common):
+        for w in members(common):
             checks += 1
             inner = common & rows[w]
-            for x in _members(inner):
+            for x in members(inner):
                 inner ^= 1 << x  # a triangle through x has its others above x
                 links = inner & rows[x]
                 if links and witness is None:
                     witness = sorted([0, u, w, x, (links & -links).bit_length() - 1])
-                for y in _members(links):
+                for y in members(links):
                     triangle = links & rows[y]
                     if triangle:
                         raise VerificationError(
@@ -95,7 +87,7 @@ def special_cliques(
     """
     c0 = part.c[0]
     groups: dict[int, int] = {}  # core: the mask of c0's neighbours in C on it
-    for j in _members(g.rows[c0] & part.c_mask):
+    for j in members(g.rows[c0] & part.c_mask):
         core = isosets[c0] & isosets[j]
         groups[core] = groups.get(core, 0) | 1 << j
     big = [m for m in groups.values() if m.bit_count() >= 4]
@@ -106,13 +98,13 @@ def special_cliques(
             "not one group of 4",
             witness=c0,
         )
-    members = big[0]
-    for v in _members(members):
-        if g.rows[v] & members != members ^ 1 << v:
+    group = big[0]
+    for v in members(group):
+        if g.rows[v] & group != group ^ 1 << v:
             raise VerificationError(
                 f"vertex {v} of the core group of {c0} misses another", witness=v
             )
-    first = tuple(sorted([c0, *_members(members)]))
+    first = tuple(sorted([c0, *members(group)]))
     orbit = {first}
     stack = [first]
     while stack:
@@ -125,6 +117,6 @@ def special_cliques(
     cover = []
     for vs in orbit:
         core = isosets[vs[0]] & isosets[vs[1]]
-        cover.append(SpecialClique(vs, tuple(isoset_members(core))))
+        cover.append(SpecialClique(vs, tuple(members(core))))
     return sorted(cover, key=lambda c: c.core)
 

@@ -14,8 +14,9 @@ from .errors import VerificationError
 
 SIZE = 16
 ORDER = 15
-# x**4 + x + 1, encoded with the leading bit: 0b10011
+# x**4 + x + 1, encoded with the leading bit: 0b10011, and its name in reports
 POLY = 0x13
+POLYNOMIAL = "x^4 + x + 1"
 
 
 def _mul_schoolbook(a: int, b: int) -> int:
@@ -54,28 +55,15 @@ def mul(a: int, b: int) -> int:
 
 
 def inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(16)")
+    """The inverse of a != 0.  inv(0) is 0, with no error: the callers pass
+    only nonzero elements (`hermitian.normalize` its first nonzero
+    coordinate, `verify_axioms` 1..15)."""
     return _INV[a]
 
 
 def conj(a: int) -> int:
     """The involutory field automorphism a -> a**4; fixes exactly GF(4)."""
     return _CONJ[a]
-
-
-def power(a: int, n: int) -> int:
-    """a**n for n >= 0."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    acc = 1
-    base = a
-    while n:
-        if n & 1:
-            acc = _MUL[acc][base]
-        base = _MUL[base][base]
-        n >>= 1
-    return acc
 
 
 def verify_axioms() -> dict[str, int]:
@@ -143,13 +131,9 @@ def verify_axioms() -> dict[str, int]:
     checks["inverses"] = ORDER
 
     for a in range(SIZE):
-        if conj(a) != power(a, 4):
+        sq = table[a][a]  # a**4 from the products, not from _CONJ
+        if conj(a) != table[sq][sq]:
             raise fail("conjugation a -> a**4", a)
     checks["conjugation"] = SIZE
 
     return checks
-
-
-def polynomial_label() -> str:
-    """Human-readable name of the reduction polynomial, for reports."""
-    return "x^4 + x + 1"

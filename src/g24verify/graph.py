@@ -33,8 +33,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .errors import ConstructionError, VerificationError
-from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT
+from .errors import VerificationError
+from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT, members
 
 VERTEX_COUNT = 416
 
@@ -44,20 +44,14 @@ class Graph:
         self.n = n
         self.rows = rows
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
     def edges(self):
         """Ordered pairs (i, j) with i < j, ascending."""
         for i in range(self.n):
-            row = self.rows[i] >> (i + 1) << (i + 1)
-            while row:
-                j = (row & -row).bit_length() - 1
+            for j in members(self.rows[i] >> (i + 1) << (i + 1)):
                 yield i, j
-                row &= row - 1
 
     def edge_count(self) -> int:
         return sum(self.degree(i) for i in range(self.n)) // 2
@@ -148,7 +142,7 @@ def point_columns(isosets: list[int]) -> list[int]:
     width = ISOTROPIC_COUNT + 1
     for i, s in enumerate(isosets):
         if s & 1 or s >> width:
-            raise ConstructionError(
+            raise VerificationError(
                 f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}", witness=i
             )
     return bit_transposer(max(len(isosets), width))(isosets)[:width]
@@ -166,19 +160,18 @@ def build_graph(isosets: list[int]) -> tuple[Graph, list[int]]:
     """
     n = len(isosets)
     if n != VERTEX_COUNT:
-        raise ConstructionError(f"expected {VERTEX_COUNT} iso-sets, got {n}", witness=n)
+        raise VerificationError(f"expected {VERTEX_COUNT} iso-sets, got {n}", witness=n)
     for i, s in enumerate(isosets):
         if s.bit_count() != ISOSET_SIZE:
-            raise ConstructionError(
+            raise VerificationError(
                 f"iso-set {i} has {s.bit_count()} members", witness=i
             )
     columns = point_columns(isosets)
     rows = [0] * n
     for i, s in enumerate(isosets):
         c0 = c1 = c2 = c3 = 0
-        while s:
-            column = columns[(s & -s).bit_length() - 1]
-            s &= s - 1
+        for a in members(s):
+            column = columns[a]
             carry = c0 & column
             c0 ^= column
             column = c1 & carry
@@ -410,22 +403,14 @@ def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]
     comps = []
     remaining = mask
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = [start]
-        members = [start]
+        seen = frontier = remaining & -remaining
         while frontier:
             nxt = 0
-            for u in frontier:
-                nxt |= g.rows[u] & mask & ~seen
-            seen |= nxt
-            frontier = []
-            while nxt:
-                u = (nxt & -nxt).bit_length() - 1
-                frontier.append(u)
-                nxt &= nxt - 1
-            members += frontier
-        comps.append((tuple(sorted(members)), seen))
+            for u in members(frontier):
+                nxt |= g.rows[u]
+            frontier = nxt & mask & ~seen
+            seen |= frontier
+        comps.append((tuple(members(seen)), seen))
         remaining &= ~seen
     return comps
 
@@ -447,7 +432,7 @@ def split_B_C(g: Graph, b_mask: int) -> Partition:
         )
     (b1, m1), (b2, m2), (b3, m3) = comps
     c_mask = ((1 << g.n) - 1) & ~b_mask
-    c = tuple(i for i in range(g.n) if c_mask >> i & 1)
+    c = tuple(members(c_mask))
     return Partition(b1, b2, b3, c, m1, m2, m3, c_mask)
 
 
@@ -499,11 +484,10 @@ def _cube_words(g: Graph, block: tuple[int, ...], mask: int) -> list[int]:
     return [word[twins[rows[v] & mask]] for v in block]
 
 
-def check_component_structure(g: Graph, part: Partition) -> list[list[int]]:
+def check_component_structure(g: Graph, part: Partition) -> None:
     """Certify that each of B1, B2, B3 is isomorphic to the 2-coclique
     extension of the halved 5-cube (two vertices per even-weight 5-bit word,
-    adjacent at Hamming distance 2), and return each block's words, in the
-    block's order.
+    adjacent at Hamming distance 2).
 
     The words come from `_cube_words` and are then checked exhaustively, so
     they prove the isomorphism however they were found: 32 vertices (no
@@ -515,7 +499,6 @@ def check_component_structure(g: Graph, part: Partition) -> list[list[int]]:
     (`verify_claim1`) already give the regularity inside each B_h and no
     edges between them; only the isomorphism is new.
     """
-    labellings = []
     blocks = (part.b1, part.b2, part.b3)
     masks = (part.b1_mask, part.b2_mask, part.b3_mask)
     for h, block, mask in zip((1, 2, 3), blocks, masks):
@@ -539,5 +522,3 @@ def check_component_structure(g: Graph, part: Partition) -> list[list[int]]:
                     f"B{h}: the words of ({v},{u}) disagree with its adjacency",
                     witness=(v, u),
                 )
-        labellings.append(words)
-    return labellings

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import gf16
-from .errors import ConstructionError
+from .errors import VerificationError
 
 Point = tuple[int, int, int]
 
@@ -55,14 +55,16 @@ def is_isotropic(a: Point) -> bool:
 
 
 def normalize(v: Point) -> Point:
-    """Scale so the first nonzero coordinate is 1; unique per point."""
+    """Scale so the first nonzero coordinate is 1; unique per point.  The
+    zero vector, which has no point, gives None, with no error: the only
+    caller, `point_permutations`, normalizes images under a matrix that it
+    has shown preserves H, hence invertible, so no image is zero."""
     for c in v:
         if c:
             if c == 1:
                 return v
             s = gf16.inv(c)
             return (gf16.mul(s, v[0]), gf16.mul(s, v[1]), gf16.mul(s, v[2]))
-    raise ValueError("zero vector has no projective class")
 
 
 def enumerate_points() -> list[Point]:
@@ -89,7 +91,7 @@ def build_plane() -> Plane:
     iso = [p for p in points if is_isotropic(p)]
     noniso = [p for p in points if not is_isotropic(p)]
     if len(iso) != ISOTROPIC_COUNT or len(noniso) != NONISOTROPIC_COUNT:
-        raise ConstructionError(
+        raise VerificationError(
             f"point census {len(iso)}/{len(noniso)}, "
             f"expected {ISOTROPIC_COUNT}/{NONISOTROPIC_COUNT}",
             witness=(len(iso), len(noniso)),
@@ -97,8 +99,13 @@ def build_plane() -> Plane:
     return Plane(points, iso, noniso)
 
 
-def isoset_members(mask: int) -> list[int]:
-    return [i for i in range(1, ISOTROPIC_COUNT + 1) if mask >> i & 1]
+def members(mask: int):
+    """The set bits of `mask`, ascending: the points of an iso-set, the
+    vertices of a vertex mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
@@ -166,13 +173,10 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     orth = orthogonal_masks(noniso, noniso)
     triples: set[tuple[int, int, int]] = set()
     for i, orth_i in enumerate(orth):
-        later = orth_i >> (i + 1) << (i + 1)
-        while later:
-            j = (later & -later).bit_length() - 1
-            later &= later - 1
+        for j in members(orth_i >> (i + 1) << (i + 1)):
             completions = orth_i & orth[j]
             if completions.bit_count() != 1:
-                raise ConstructionError(
+                raise VerificationError(
                     f"orthogonal pair ({i},{j}) has "
                     f"{completions.bit_count()} completions",
                     witness=(i, j),
@@ -186,7 +190,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     polar = [m << 1 for m in orthogonal_masks(plane.isotropic, noniso)]
     for t, mask in zip(noniso, polar):
         if mask.bit_count() != 5:
-            raise ConstructionError(
+            raise VerificationError(
                 f"polar line of {t} carries {mask.bit_count()} isotropic points",
                 witness=t,
             )
@@ -225,6 +229,6 @@ def point_permutations(
             for a in range(3)
             for b in range(3)
         ):
-            raise ConstructionError(f"matrix {m} does not preserve H", witness=m)
+            raise VerificationError(f"matrix {m} does not preserve H", witness=m)
         perms.append([index[normalize(_apply(m, p))] for p in plane.isotropic])
     return perms

@@ -64,17 +64,11 @@ class Report:
         self.stages = []
         self.artifacts = Artifacts()
 
-    def stage(self, name: str) -> StageResult:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def to_dict(self, include_timings: bool = False) -> dict:
         doc: dict = {
             "tool": TOOL,
             "version": __version__,
-            "field": {"polynomial": gf16.polynomial_label()},
+            "field": {"polynomial": gf16.POLYNOMIAL},
             "stages": [
                 {
                     "name": s.name,
@@ -101,7 +95,7 @@ class Report:
         return json.dumps(self.to_dict(include_timings), indent=2) + "\n"
 
     def to_text(self, include_timings: bool = False) -> str:
-        lines = [f"{TOOL} {__version__} (GF(16): {gf16.polynomial_label()})"]
+        lines = [f"{TOOL} {__version__} (GF(16): {gf16.POLYNOMIAL})"]
         for s in self.stages:
             suffix = f"  [{s.elapsed_ms:.0f} ms]" if include_timings else ""
             lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
@@ -349,7 +343,7 @@ def write_graph_json(g: graph.Graph, path: str) -> None:
 def write_isosets_csv(isosets: list[int], path: str) -> None:
     with _atomic_open(path) as fh:
         for v, mask in enumerate(isosets):
-            members = hermitian.isoset_members(mask)
+            members = hermitian.members(mask)
             fh.write(",".join([str(v + 1)] + [str(m) for m in members]) + "\n")
 
 

@@ -1,8 +1,9 @@
 """Mutation gate: deleting any refusal in src/ must make the test suite fail.
 
-A refusal is a `raise` of VerificationError or ConstructionError, or of
-`fail(...)` in `gf16.verify_axioms`; each one is found with `ast`.  For each, a copy of src/, tests/ and pyproject.toml in a
-temporary directory gets that statement replaced by `pass`, and
+A refusal is a `raise` of VerificationError, or of `fail(...)` in
+`gf16.verify_axioms`; each one is found with `ast`.  For each, a copy of
+src/, tests/ and pyproject.toml in a temporary directory gets that statement
+replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:
 tests/test_<module>.py of the mutated module and tests/test_pipeline.py
 first, the rest after, so that -x stops at the first failure soon.  A mutant
@@ -29,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REFUSALS = {"VerificationError", "ConstructionError", "fail"}
+REFUSALS = {"VerificationError", "fail"}
 
 
 def refusals() -> list[tuple[Path, ast.Raise]]:

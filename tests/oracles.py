@@ -26,7 +26,7 @@ from operator import mul
 
 from g24verify import euclid, gf16
 from g24verify.cliques import SpecialClique
-from g24verify.errors import ConstructionError, VerificationError
+from g24verify.errors import VerificationError
 from g24verify.graph import (
     Graph,
     Partition,
@@ -46,9 +46,14 @@ from g24verify.hermitian import (
     _apply,
     hermitian_form,
     is_isotropic,
-    isoset_members,
+    members,
     normalize,
 )
+
+
+def stage(report, name: str):
+    """The stage of a run's report named `name` (a KeyError if none ran)."""
+    return {s.name: s for s in report.stages}[name]
 
 
 def bit_strings(rows: list[int], n: int) -> list[str]:
@@ -107,7 +112,7 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
                 continue
             completions = [k for k in orth[j] if k in orth_i]
             if len(completions) != 1:
-                raise ConstructionError(f"orthogonal pair ({i},{j}) has "
+                raise VerificationError(f"orthogonal pair ({i},{j}) has "
                                         f"{len(completions)} completions")
             triples.add(tuple(sorted((i, j, completions[0]))))
     polar = []
@@ -117,20 +122,20 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
             if hermitian_form(p, t) == 0:
                 mask |= 1 << idx
         if mask.bit_count() != 5:
-            raise ConstructionError(f"polar line of {t} carries "
+            raise VerificationError(f"polar line of {t} carries "
                                     f"{mask.bit_count()} isotropic points")
         polar.append(mask)
     bases = []
     for tri in sorted(triples):
         f_bc, f_ac, f_ab = (polar[t] for t in tri)
         if f_ab & f_ac or f_ab & f_bc or f_ac & f_bc:
-            raise ConstructionError(f"triangle sides of {tri} share isotropic points")
+            raise VerificationError(f"triangle sides of {tri} share isotropic points")
         isoset = f_ab | f_ac | f_bc
         if isoset.bit_count() != ISOSET_SIZE:
-            raise ConstructionError(f"iso-set of {tri} has {isoset.bit_count()} members")
+            raise VerificationError(f"iso-set of {tri} has {isoset.bit_count()} members")
         bases.append(Basis(tri, isoset))
     if len(bases) != 416 or len({b.isoset for b in bases}) != 416:
-        raise ConstructionError(f"{len(bases)} bases, not 416 distinct")
+        raise VerificationError(f"{len(bases)} bases, not 416 distinct")
     return bases, polar
 
 
@@ -181,7 +186,7 @@ def coclique_extension(g: Graph, size: int = 2) -> Graph:
     rows = [0] * n
     for i in range(g.n):
         for j in range(g.n):
-            if g.adjacent(i, j):
+            if g.rows[i] >> j & 1:
                 for a in range(size):
                     for b in range(size):
                         rows[i * size + a] |= 1 << (j * size + b)
@@ -232,7 +237,7 @@ def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
         v = order[depth]
         cand = full & ~used
         for u in order[:depth]:
-            if ga.adjacent(v, u):
+            if ga.rows[v] >> u & 1:
                 cand &= gb.rows[image[u]]
             else:
                 cand &= ~gb.rows[image[u]]
@@ -597,7 +602,7 @@ def verify_clique(g: Graph, vertices: list[int]) -> None:
     """Independent pass re-testing every pair of the witness."""
     for a in range(len(vertices)):
         for b in range(a + 1, len(vertices)):
-            if not g.adjacent(vertices[a], vertices[b]):
+            if not g.rows[vertices[a]] >> vertices[b] & 1:
                 raise VerificationError(
                     f"witness pair ({vertices[a]},{vertices[b]}) is not an edge",
                     witness=(vertices[a], vertices[b]),
@@ -638,7 +643,7 @@ def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
 
 def max_clique_through_edge(g: Graph, i: int, j: int) -> int:
     """Exact size of the largest clique containing the edge (i, j)."""
-    if not g.adjacent(i, j):
+    if not g.rows[i] >> j & 1:
         raise ValueError(f"({i},{j}) is not an edge")
     sub, _ = max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, [0])
     return 2 + sub
@@ -651,7 +656,7 @@ def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
     best = 2
     for size in range(1, len(common) + 1):
         if not any(
-            all(g.adjacent(a, b) for a in sub for b in sub if a < b)
+            all(g.rows[a] >> b & 1 for a in sub for b in sub if a < b)
             for sub in combinations(common, size)
         ):
             break
@@ -675,22 +680,22 @@ def enumerate_special_cliques(
             groups.setdefault(isosets[i] & isosets[j], set()).update((i, j))
 
     found: list[SpecialClique] = []
-    for core, members in sorted(groups.items()):
-        if len(members) < 5:
+    for core, group in sorted(groups.items()):
+        if len(group) < 5:
             continue
-        verts = sorted(members)
+        verts = sorted(group)
         linked = {
             v: {
                 u
                 for u in verts
-                if u != v and g.adjacent(u, v) and isosets[u] & isosets[v] == core
+                if u != v and g.rows[u] >> v & 1 and isosets[u] & isosets[v] == core
             }
             for v in verts
         }
 
         def extend(chosen: list[int], candidates: list[int]) -> None:
             if len(chosen) == 5:
-                found.append(SpecialClique(tuple(chosen), tuple(isoset_members(core))))
+                found.append(SpecialClique(tuple(chosen), tuple(members(core))))
                 return
             for t, v in enumerate(candidates):
                 extend(chosen + [v], [u for u in candidates[t + 1 :] if u in linked[v]])
@@ -709,7 +714,7 @@ def line_points(a: Point, b: Point) -> list[Point]:
     for lam in range(16):
         pts.add(normalize(tuple(gf16.mul(lam, a[t]) ^ b[t] for t in range(3))))
     if len(pts) != 17:
-        raise ConstructionError(f"line through {a}, {b} has {len(pts)} points")
+        raise VerificationError(f"line through {a}, {b} has {len(pts)} points")
     return sorted(pts)
 
 
@@ -730,7 +735,7 @@ def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
         if idx is not None:
             mask |= 1 << idx
     if mask.bit_count() != 5:
-        raise ConstructionError(
+        raise VerificationError(
             f"secant line {a},{b} carries {mask.bit_count()} isotropic points"
         )
     return mask

@@ -75,7 +75,7 @@ def test_c07_contrast_products(g, part, contrasts, full_report):
     # Constants of the program, derived from claim 1; counted on every
     # column here.
     p, q = contrasts
-    products = full_report.stage("dimension-chain").detail["contrast_products"]
+    products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
     assert products["p_pattern"] == [0, 24, -24, 0]
     assert products["q_pattern"] == [48, -24, -24, 0]
     oracles.verify_inner_products(
@@ -89,7 +89,7 @@ def test_c08_dimension_chain(g, part, certificates, full_report):
     by_set = {c["set"]: c for c in certificates}
     assert [by_set[k]["affine_dim"] for k in ("V", "C+B1", "C")] == [65, 64, 63]
     assert [by_set[k]["linear_rank"] for k in ("V", "C+B1", "C")] == [66, 65, 64]
-    chain = full_report.stage("dimension-chain").detail
+    chain = oracles.stage(full_report, "dimension-chain").detail
     assert [c["affine_dim"] for c in chain["certificates"]] == [65, 64, 63]
     # PAPER.md's route, modular ranks, agrees for one prime.
     assert oracles.modular_dimension_chain(g, part, oracles.PRIMES[0]) == (64, 65, 66)
@@ -155,7 +155,7 @@ def test_c11_cover_and_uniqueness(g, isosets, special_cliques, part, full_report
     assert len(special_cliques) * 5 == len(part.c) == 320
     assert sorted(v for sc in special_cliques for v in sc.vertices) == list(part.c)
     assert oracles.enumerate_special_cliques(g, part, isosets) == special_cliques
-    assert full_report.stage("special-cover").detail == {"special_cliques": 64}
+    assert oracles.stage(full_report, "special-cover").detail == {"special_cliques": 64}
     _ok("11 C tiled by its 64 special 5-cliques, so they are its only exact "
         "cover; matched by grouping every edge of C")
 
@@ -202,7 +202,7 @@ def test_c12e_fault_injection():
     i, j = rng.sample(range(416), 2)
     report = run_check(RunConfig(inject_flip_edge=(i, j)))
     assert report.exit_code == 1
-    srg_stage = report.stage("srg")
+    srg_stage = oracles.stage(report, "srg")
     assert srg_stage.status == "fail"
     assert srg_stage.detail["witness"] is not None
     _ok("12e flipped edge fails the srg stage with a witness")

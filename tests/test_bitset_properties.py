@@ -78,4 +78,4 @@ def test_max_clique_in_matches_networkx(g):
     want = max((len(c) for c in nx.find_cliques(h)), default=0)
     size, witness = oracles.max_clique_in(g.rows, (1 << g.n) - 1, 0, [0])
     assert size == want == len(witness)
-    assert all(g.adjacent(u, v) for u in witness for v in witness if u != v)
+    assert all(g.rows[u] >> v & 1 for u in witness for v in witness if u != v)

@@ -100,8 +100,8 @@ def test_non_automorphism_is_refused_with_an_edge_witness(g, automorphisms):
     with pytest.raises(VerificationError) as exc:
         graph.verify_srg(g, automorphisms + [swap])
     i, j = exc.value.witness
-    assert g.adjacent(i, j)
-    assert not g.adjacent(swap[i], swap[j])
+    assert g.rows[i] >> j & 1
+    assert not g.rows[swap[i]] >> swap[j] & 1
 
 
 def test_two_vertex_swap_is_refused_with_an_edge_witness():
@@ -162,8 +162,8 @@ def test_witness_survives_pair_recheck(g, vertex_maps):
     witness, _ = cliques.verify_clique_number(g, vertex_maps)
     for a in range(5):
         for b in range(a + 1, 5):
-            assert g.adjacent(witness[a], witness[b])
-    non_neighbour = next(t for t in range(g.n) if t != 0 and not g.adjacent(0, t))
+            assert g.rows[witness[a]] >> witness[b] & 1
+    non_neighbour = next(t for t in range(g.n) if t != 0 and not g.rows[0] >> t & 1)
     with pytest.raises(VerificationError):
         oracles.verify_clique(g, [0, non_neighbour])
 
@@ -173,7 +173,7 @@ def test_branch_and_bound_matches_brute_force_on_sample_edges(g):
     edges = list(g.edges())
     sample = rng.sample(edges, 20)
     for i, j in sample:
-        common = [t for t in range(g.n) if g.adjacent(i, t) and g.adjacent(j, t)]
+        common = [t for t in range(g.n) if g.rows[i] >> t & 1 and g.rows[j] >> t & 1]
         assert len(common) == 36
         fast = oracles.max_clique_through_edge(g, i, j)
         slow = oracles.brute_force_omega_through_edge(g, i, j)
@@ -189,7 +189,7 @@ def test_special_clique_enumeration(g, part, isosets, special_cliques):
         assert len(sc.core) == 3
         for a in range(5):
             for b in range(a + 1, 5):
-                assert g.adjacent(sc.vertices[a], sc.vertices[b])
+                assert g.rows[sc.vertices[a]] >> sc.vertices[b] & 1
         core_mask = 0
         for idx in sc.core:
             core_mask |= 1 << idx
@@ -267,7 +267,7 @@ def _core_groups(g, part, isosets):
     c0 = part.c[0]
     groups: dict[int, int] = {}
     for j in part.c:
-        if g.adjacent(c0, j):
+        if g.rows[c0] >> j & 1:
             core = isosets[c0] & isosets[j]
             groups[core] = groups.get(core, 0) | 1 << j
     return groups
@@ -356,6 +356,6 @@ def test_diameter_smaller_iff_clique(g):
             for b in sub[t + 1 :]
         )
         is_clique = all(
-            g.adjacent(a, b) for t, a in enumerate(sub) for b in sub[t + 1 :]
+            g.rows[a] >> b & 1 for t, a in enumerate(sub) for b in sub[t + 1 :]
         )
         assert (diam < 192) == is_clique

@@ -10,6 +10,7 @@ LDL^T in `oracles` keeps PAPER.md's own route to the dimension chain
 checked against the program's exact one."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_representation_entries(g):
         assert sum(column(g, i)) == 104
         assert column(g, i) == [oracles.entry(g.rows, t, i) for t in range(416)]
     for i, j in [(0, 1), (5, 100), (200, 300)]:
-        want = 1 if g.adjacent(i, j) else 0
+        want = 1 if g.rows[i] >> j & 1 else 0
         assert oracles.entry(g.rows, i, j) == want
         assert oracles.entry(g.rows, j, i) == want
     assert (dense(g.rows) == np.array([column(g, i) for i in range(416)]).T).all()
@@ -151,7 +152,7 @@ def test_distance_values_follow_adjacency(g):
     rng = random.Random(99)
     for _ in range(60):
         i, j = rng.sample(range(416), 2)
-        want = 144 if g.adjacent(i, j) else 192
+        want = 144 if g.rows[i] >> j & 1 else 192
         assert oracles.pair_distance_sq(g.rows, i, j) == want
 
 
@@ -172,7 +173,7 @@ def gram_distances(columns) -> np.ndarray:
 
 
 def adjacency_matrix(g) -> np.ndarray:
-    return np.array([[g.adjacent(a, b) for b in range(g.n)] for a in range(g.n)])
+    return np.array([[g.rows[a] >> b & 1 for b in range(g.n)] for a in range(g.n)])
 
 
 def test_distance_census_matches_gram_oracle(g):
@@ -250,7 +251,7 @@ def test_contrast_vectors(part, contrasts):
 def test_inner_product_patterns(g, part, contrasts, full_report):
     # The stage's constants are the products counted on every column.
     p, q = contrasts
-    products = full_report.stage("dimension-chain").detail["contrast_products"]
+    products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
     oracles.verify_inner_products(
         g.rows, p, q, part, products["p_pattern"], products["q_pattern"]
     )
@@ -271,9 +272,29 @@ def test_inner_product_patterns(g, part, contrasts, full_report):
     assert dot(q, column(g, part.c[0])) == 0
 
 
+def test_dimension_chain_argument_states_the_checked_numbers(full_report):
+    # The argument's prose states three numbers that no stage computes: the
+    # hyperplane's constant must be the srg stage's column sum, and the two
+    # contrast values the entries of the patterns that
+    # test_inner_product_patterns counts on every column.
+    column_sum = oracles.stage(full_report, "srg").detail["column_sum"]
+    chain = oracles.stage(full_report, "dimension-chain").detail
+    products = chain["contrast_products"]
+    for cert in chain["certificates"]:
+        (constant,) = re.findall(r"<1, y_i> = (-?\d+)", " ".join(cert["argument"]))
+        assert int(constant) == column_sum
+    c_b1 = next(c for c in chain["certificates"] if c["set"] == "C+B1")
+    q_claim, p_claim = c_b1["argument"][:2]
+    q_value, q_block = re.search(r"<q, y_j> = (-?\d+) on (\w+)", q_claim).groups()
+    p_value, p_block = re.search(r"<p, y_j> = (-?\d+) on (\w+)", p_claim).groups()
+    blocks = ["B1", "B2", "B3", "C"]
+    assert int(q_value) == products["q_pattern"][blocks.index(q_block)]
+    assert int(p_value) == products["p_pattern"][blocks.index(p_block)]
+
+
 def test_inner_products_reject_corruption(g, part, contrasts, full_report):
     p, q = contrasts
-    products = full_report.stage("dimension-chain").detail["contrast_products"]
+    products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
     bad = list(p)
     bad[part.c[0]] = 1
     with pytest.raises(VerificationError) as exc:
@@ -282,7 +303,8 @@ def test_inner_products_reject_corruption(g, part, contrasts, full_report):
         )
     # The first column that sees the changed coordinate: c[0] or a neighbour.
     c0 = part.c[0]
-    assert exc.value.witness == min([c0] + [i for i in range(416) if g.adjacent(i, c0)])
+    neighbours = [i for i in range(416) if g.rows[i] >> c0 & 1]
+    assert exc.value.witness == min([c0] + neighbours)
 
 
 def test_rank_mod_prime_basics():

@@ -45,30 +45,36 @@ def test_axiom_suite_passes_and_is_exhaustive():
     assert checks["conjugation"] == 16
 
 
+def power(a: int, n: int) -> int:
+    """Oracle: a**n as n products by a, from `gf16.mul` alone."""
+    acc = 1
+    for _ in range(n):
+        acc = gf16.mul(acc, a)
+    return acc
+
+
 def smallest_generator() -> int:
     """The smallest element whose powers reach all 15 nonzero elements."""
     return next(
-        g for g in range(2, 16) if len({gf16.power(g, k) for k in range(15)}) == 15
+        g for g in range(2, 16) if len({power(g, k) for k in range(15)}) == 15
     )
 
 
 def test_generator_is_smallest_and_has_order_15():
     g = smallest_generator()
     assert g == 2
-    powers = {gf16.power(g, k) for k in range(15)}
+    powers = {power(g, k) for k in range(15)}
     assert powers == set(range(1, 16))
-    assert gf16.power(g, 15) == 1
+    assert power(g, 15) == 1
 
 
 def test_inverse_table():
-    with pytest.raises(ZeroDivisionError):
-        gf16.inv(0)
     assert gf16.inv(1) == 1
     for a in range(1, 16):
         assert gf16.mul(a, gf16.inv(a)) == 1
     # Lagrange: the inverse is the 14th power.
     for a in range(1, 16):
-        assert gf16.inv(a) == gf16.power(a, 14)
+        assert gf16.inv(a) == power(a, 14)
 
 
 def test_power_table_from_repeated_multiplication():
@@ -85,7 +91,7 @@ def test_power_table_from_repeated_multiplication():
 
 def test_conjugation_is_frobenius_squared():
     for a in range(16):
-        assert gf16.conj(a) == gf16.power(a, 4)
+        assert gf16.conj(a) == power(a, 4)
         assert gf16.conj(gf16.conj(a)) == a
     assert gf16.conj(0) == 0 and gf16.conj(1) == 1
     fixed = [a for a in range(16) if gf16.conj(a) == a]
@@ -103,18 +109,13 @@ def test_norm_lands_in_fixed_field():
     fixed = {a for a in range(16) if gf16.conj(a) == a}
     for a in range(16):
         norm = gf16.mul(a, gf16.conj(a))
-        assert norm == gf16.power(a, 5)
+        assert norm == power(a, 5)
         assert norm in fixed
 
 
 def test_nonzero_elements_have_order_dividing_15():
     for a in range(1, 16):
-        assert gf16.power(a, 15) == 1
-
-
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        gf16.power(3, -1)
+        assert power(a, 15) == 1
 
 
 def test_verify_axioms_detects_corruption():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g24verify import graph, hermitian, pipeline
-from g24verify.errors import ConstructionError, VerificationError
+from g24verify.errors import VerificationError
 
 import oracles
 
@@ -53,17 +53,17 @@ def test_graph_shape(g):
 
 def test_no_loops_and_symmetric(g):
     for i in range(g.n):
-        assert not g.adjacent(i, i)
+        assert not g.rows[i] >> i & 1
     for i in range(0, g.n, 13):
         for j in range(g.n):
-            assert g.adjacent(i, j) == g.adjacent(j, i)
+            assert g.rows[i] >> j & 1 == g.rows[j] >> i & 1
 
 
 def test_adjacency_is_intersection_3(g, isosets):
     for i in range(0, g.n, 29):
         for j in range(i + 1, g.n):
             size = (isosets[i] & isosets[j]).bit_count()
-            assert g.adjacent(i, j) == (size == 3)
+            assert g.rows[i] >> j & 1 == (size == 3)
 
 
 def test_intersection_distribution(isosets):
@@ -81,22 +81,22 @@ def test_build_graph_matches_the_pairwise_oracle(g, isosets):
 
 
 def test_build_graph_validates_input(isosets):
-    with pytest.raises(ConstructionError):
+    with pytest.raises(VerificationError):
         graph.build_graph(isosets[:-1])
     broken = list(isosets)
     broken[0] = 0b111
-    with pytest.raises(ConstructionError):
+    with pytest.raises(VerificationError):
         graph.build_graph(broken)
     # Fifteen members, but one of them is not an isotropic point.
     for outside in (0, 66):
         broken[0] = isosets[0] ^ (isosets[0] & -isosets[0]) | 1 << outside
-        with pytest.raises(ConstructionError, match="outside 1..65"):
+        with pytest.raises(VerificationError, match="outside 1..65"):
             graph.build_graph(broken)
     # Sixteen isotropic points: only the member count refuses it, which is
     # what keeps the bit-sliced counter's four planes from overflowing.
     extra = next(a for a in range(1, 66) if not isosets[0] >> a & 1)
     broken[0] = isosets[0] | 1 << extra
-    with pytest.raises(ConstructionError, match="iso-set 0 has 16 members") as err:
+    with pytest.raises(VerificationError, match="iso-set 0 has 16 members") as err:
         graph.build_graph(broken)
     assert err.value.witness == 0
 
@@ -203,7 +203,7 @@ def test_stabilizer_words_fix_c_with_one_orbit(g, automorphisms, part):
 def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(g, automorphisms):
     maps = graph.stabilizer(automorphisms, graph.VERTEX_WORDS, 1)
     assert all(perm[0] == 0 for perm in maps)
-    n0 = [v for v in range(g.n) if g.adjacent(0, v)]
+    n0 = [v for v in range(g.n) if g.rows[0] >> v & 1]
     reps = [v for v in graph.orbit_representatives(g.n, maps) if v in n0]
     assert reps == [16, 17, 28, 29]
     orbits = [_orbit(maps, u) for u in reps]
@@ -261,7 +261,7 @@ def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
     for i, j in ((1, 0), (300, 17)):
         t = next(
             t for t in range(j + 1, g.n)
-            if t != i and g.adjacent(i, t) != g.adjacent(i, j)
+            if t != i and g.rows[i] >> t & 1 != g.rows[i] >> j & 1
         )
         h = graph.Graph(g.n, list(g.rows))
         h.rows[i] ^= 1 << j | 1 << t
@@ -320,8 +320,8 @@ def test_petersen_graph_parameters_via_scan():
     a, b, c, d = next(
         t
         for t in permutations(range(10), 4)
-        if p.adjacent(t[0], t[1]) and p.adjacent(t[2], t[3])
-        and not p.adjacent(t[0], t[2]) and not p.adjacent(t[1], t[3])
+        if p.rows[t[0]] >> t[1] & 1 and p.rows[t[2]] >> t[3] & 1
+        and not p.rows[t[0]] >> t[2] & 1 and not p.rows[t[1]] >> t[3] & 1
     )
     switched = graph.Graph(10, list(p.rows))
     for i, j in ((a, b), (c, d), (a, c), (b, d)):
@@ -420,9 +420,10 @@ def _model_words() -> list[int]:
 def test_components_isomorphic_to_coclique_extension(g, part):
     model = oracles.coclique_extension(oracles.halved_5cube(), 2)
     words = _model_words()
-    labellings = graph.check_component_structure(g, part)
-    assert len(labellings) == 3
-    for block, labels in zip((part.b1, part.b2, part.b3), labellings):
+    graph.check_component_structure(g, part)  # or it raises
+    blocks = (part.b1, part.b2, part.b3)
+    for block, mask in zip(blocks, (part.b1_mask, part.b2_mask, part.b3_mask)):
+        labels = graph._cube_words(g, block, mask)
         # Model vertex 2t + a is the a-th vertex of the block, in order, that
         # carries word t; every word is carried exactly twice.
         holders = {w: [v for v, x in zip(block, labels) if x == w] for w in words}
@@ -431,7 +432,7 @@ def test_components_isomorphic_to_coclique_extension(g, part):
         assert sorted(mapped) == sorted(block)
         for u in range(32):
             for w in range(32):
-                assert model.adjacent(u, w) == g.adjacent(mapped[u], mapped[w])
+                assert model.rows[u] >> w & 1 == g.rows[mapped[u]] >> mapped[w] & 1
         # The backtracking search agrees that an isomorphism exists.
         assert oracles.find_isomorphism(model, oracles.induced(g, block)) is not None
 
@@ -454,7 +455,10 @@ def test_component_structure_labels_the_model_itself():
     # The smallest vertex of each copy gets 00000; every even word is used
     # twice.
     h, part = _blocks_of_models()
-    for labels in graph.check_component_structure(h, part):
+    graph.check_component_structure(h, part)  # or it raises
+    blocks = (part.b1, part.b2, part.b3)
+    for block, mask in zip(blocks, (part.b1_mask, part.b2_mask, part.b3_mask)):
+        labels = graph._cube_words(h, block, mask)
         assert labels[:2] == [0, 0]
         assert sorted(labels) == sorted(_model_words())
 
@@ -485,7 +489,7 @@ def test_component_structure_refuses_a_corrupted_model(corruption, message):
         # Three vertices share the word 00000 and only one has 00011, yet
         # every pair agrees with the words: only the count refuses it.
         for u in range(32):
-            if u != 3 and h.adjacent(base + 3, base + u) != h.adjacent(base, base + u):
+            if u != 3 and (h.rows[base + 3] ^ h.rows[base]) >> base + u & 1:
                 h.flip_edge(base + 3, base + u)
     with pytest.raises(VerificationError, match=f"^B2: .*{message}") as err:
         graph.check_component_structure(h, part)
@@ -513,7 +517,7 @@ def test_halved_5cube_model():
     assert {model.degree(i) for i in range(32)} == {20}
     # Paired copies share neighbourhoods and are non-adjacent.
     for v in range(16):
-        assert not model.adjacent(2 * v, 2 * v + 1)
+        assert not model.rows[2 * v] >> 2 * v + 1 & 1
         assert model.rows[2 * v] == model.rows[2 * v + 1]
 
 

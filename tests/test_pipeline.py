@@ -36,28 +36,32 @@ def test_default_run_passes(full_report):
 
 
 def test_stage_details(full_report):
-    assert set(full_report.stage("field-tables").detail) == {"axiom_checks"}
-    assert full_report.stage("geometry").detail["points"] == 273
-    assert full_report.stage("geometry").detail["isotropic"] == 65
-    assert full_report.stage("bases").detail == {"bases": 416}
-    assert full_report.stage("graph").detail == {"vertices": 416, "edges": 20800}
-    assert full_report.stage("srg").detail["parameters"] == [416, 100, 36, 20]
-    assert full_report.stage("srg").detail["spectrum"]["s"] == "-4"
-    assert full_report.stage("srg").detail["spectrum"]["f"] == 65
-    assert full_report.stage("srg").detail["automorphisms_verified"] == 2
+    assert set(oracles.stage(full_report, "field-tables").detail) == {"axiom_checks"}
+    assert oracles.stage(full_report, "geometry").detail["points"] == 273
+    assert oracles.stage(full_report, "geometry").detail["isotropic"] == 65
+    assert oracles.stage(full_report, "bases").detail == {"bases": 416}
+    assert oracles.stage(full_report, "graph").detail == {
+        "vertices": 416,
+        "edges": 20800,
+    }
+    assert oracles.stage(full_report, "srg").detail["parameters"] == [416, 100, 36, 20]
+    assert oracles.stage(full_report, "srg").detail["spectrum"]["s"] == "-4"
+    assert oracles.stage(full_report, "srg").detail["spectrum"]["f"] == 65
+    assert oracles.stage(full_report, "srg").detail["automorphisms_verified"] == 2
     for implied in ("cross_instance", "feasibility", "identity_A2"):
-        assert implied not in full_report.stage("srg").detail
-    assert full_report.stage("srg").detail["column_sum"] == 104
-    assert full_report.stage("srg").detail["distance_census"] == {
+        assert implied not in oracles.stage(full_report, "srg").detail
+    assert oracles.stage(full_report, "srg").detail["column_sum"] == 104
+    assert oracles.stage(full_report, "srg").detail["distance_census"] == {
         "144": 20800,
         "192": 65520,
     }
-    assert full_report.stage("partition").detail["component_sizes"] == [32, 32, 32]
-    assert full_report.stage("anchor-invariance").detail == {
+    partition = oracles.stage(full_report, "partition").detail
+    assert partition["component_sizes"] == [32, 32, 32]
+    assert oracles.stage(full_report, "anchor-invariance").detail == {
         "anchors_covered": 64,
         "point_maps_verified": 2,
     }
-    chain = full_report.stage("dimension-chain").detail
+    chain = oracles.stage(full_report, "dimension-chain").detail
     assert set(chain) == {"contrast_products", "certificates"}
     assert chain["contrast_products"] == {
         "p_pattern": [0, 24, -24, 0],
@@ -71,21 +75,21 @@ def test_stage_details(full_report):
     assert [c["linear_rank"] for c in certs] == [66, 65, 64]
     assert all(set(c) == {"set", "size", "affine_dim", "linear_rank", "argument"}
                for c in certs)
-    assert full_report.stage("max-clique").detail == {
+    assert oracles.stage(full_report, "max-clique").detail == {
         "clique_number": 5,
         "witness": [0, 16, 28, 40, 384],
         "local_checks": 144,
     }
-    assert full_report.stage("special-cover").detail == {"special_cliques": 64}
-    assert full_report.stage("partition").detail["B"] == 96
-    assert full_report.stage("partition").detail["anchor"] == pipeline.ANCHOR == 1
-    assert full_report.stage("block-counts").detail == {
+    assert oracles.stage(full_report, "special-cover").detail == {"special_cliques": 64}
+    assert partition["B"] == 96
+    assert partition["anchor"] == pipeline.ANCHOR == 1
+    assert oracles.stage(full_report, "block-counts").detail == {
         "neighbour_counts": 1248,
         "pattern": [20, 0, 8],
     }
-    assert full_report.stage("clebsch").detail == {}
-    assert full_report.stage("verdict").detail["min_parts"] == 71
-    assert full_report.stage("verdict").detail["near_miss"] == {
+    assert oracles.stage(full_report, "clebsch").detail == {}
+    assert oracles.stage(full_report, "verdict").detail["min_parts"] == 71
+    assert oracles.stage(full_report, "verdict").detail["near_miss"] == {
         "dimension": 63,
         "point_count": 320,
         "min_parts": 64,
@@ -97,8 +101,8 @@ def test_constant_details_are_built_per_run():
     # its report leaves the next run's report as it was.
     report = run_check(RunConfig())
     before = report.to_json()
-    report.stage("verdict").detail["full_set"]["min_parts"] = 0
-    chain = report.stage("dimension-chain").detail
+    oracles.stage(report, "verdict").detail["full_set"]["min_parts"] = 0
+    chain = oracles.stage(report, "dimension-chain").detail
     chain["contrast_products"]["p_pattern"][1] = 0
     chain["certificates"][0]["argument"].append("edited")
     assert run_check(RunConfig()).to_json() == before
@@ -118,14 +122,14 @@ def test_stages_are_keyed_to_every_claim(full_report):
         "name": "srg",
         "claims": [3, 4],
         "status": "ok",
-        "detail": full_report.stage("srg").detail,
+        "detail": oracles.stage(full_report, "srg").detail,
     }
 
 
 def test_default_run_checks_clebsch(full_report):
     # No stage is optional: the default run proves the isomorphism too.
     assert "config" not in full_report.to_dict()
-    assert full_report.stage("clebsch").status == "ok"
+    assert oracles.stage(full_report, "clebsch").status == "ok"
     assert "uniqueness" not in STAGE_NAMES
     status = SCHEMA["properties"]["stages"]["items"]["properties"]["status"]
     assert status["enum"] == ["ok", "fail"]
@@ -328,7 +332,7 @@ def test_fault_injection_fails_srg_stage():
     report = run_check(RunConfig(inject_flip_edge=(0, 1)))
     assert report.exit_code == 1
     assert report.overall_status == "fail"
-    srg = report.stage("srg")
+    srg = oracles.stage(report, "srg")
     assert srg.status == "fail"
     assert srg.detail["witness"] is not None
     # Short-circuit: nothing after the failed stage ran.
@@ -387,17 +391,17 @@ def _two_switch(g: graph.Graph, through_0: bool) -> graph.Graph:
     """A copy of g with edges ab, cd replaced by ac, bd, which keeps every
     degree.  Away from 0, the four vertices are non-neighbours of 0, so no
     count on a pair (0, j) moves either."""
-    far = [v for v in range(1, g.n) if not g.adjacent(0, v)]
+    far = [v for v in range(1, g.n) if not g.rows[0] >> v & 1]
     a = 0 if through_0 else far[0]
     others = range(1, g.n) if through_0 else far
     b, c, d = next(
         (b, c, d)
         for b in others
-        if g.adjacent(a, b)
+        if g.rows[a] >> b & 1
         for c in others
-        if c not in (a, b) and not g.adjacent(a, c)
+        if c not in (a, b) and not g.rows[a] >> c & 1
         for d in others
-        if d not in (a, b, c) and g.adjacent(c, d) and not g.adjacent(b, d)
+        if d not in (a, b, c) and g.rows[c] >> d & 1 and not g.rows[b] >> d & 1
     )
     h = graph.Graph(g.n, list(g.rows))
     for i, j in ((a, b), (c, d), (a, c), (b, d)):
