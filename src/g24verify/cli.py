@@ -10,23 +10,7 @@ from __future__ import annotations
 import sys
 
 from . import __version__, graph
-from .pipeline import (
-    EXIT_USAGE,
-    RunConfig,
-    export,
-    require_output_dir,
-    run_check,
-    write_report_json,
-)
-
-COMMANDS = (
-    "check",
-    "export-graph",
-    "export-isosets",
-    "export-vectors",
-    "export-cover",
-)
-FORMATS = ("dimacs", "json")
+from .pipeline import EXIT_USAGE, GRAPH_WRITERS, WRITERS, RunConfig, run
 
 USAGE = """\
 usage: g24verify [-h] [--version] [--out PATH] [--format {dimacs,json}]
@@ -74,7 +58,8 @@ def _parse_edge(text: str) -> tuple[int, int]:
 def parse_args(argv: list[str]) -> RunConfig:
     """The run that `argv` asks for.  An option's value follows it or an
     `=`; options are spelled in full.  -h and --version print and exit 0,
-    and a usage error exits 3."""
+    and a usage error exits 3: among them an unknown command or format and
+    an export with no --out."""
     fields = {}
     args = iter(argv)
     for arg in args:
@@ -100,36 +85,25 @@ def parse_args(argv: list[str]) -> RunConfig:
         else:
             fields["command"] = arg
     cfg = RunConfig(**fields)
-    for value, choices in ((cfg.command, COMMANDS), (cfg.fmt, FORMATS)):
+    for value, choices in ((cfg.command, WRITERS), (cfg.fmt, GRAPH_WRITERS)):
         if value not in choices:
             listed = ", ".join(choices)
             raise _usage_error(f"invalid choice {value!r}, choose from {listed}")
+    if cfg.command != "check" and cfg.out is None:
+        raise _usage_error(f"{cfg.command} needs --out")
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
-
     try:
-        if cfg.command == "check":
-            if cfg.out:
-                require_output_dir(cfg.out)
-            report = run_check(cfg)
-            sys.stdout.write(report.to_text(cfg.include_timings))
-            if cfg.out:
-                write_report_json(report, cfg.out, cfg.include_timings)
-            return report.exit_code
-        code, report = export(cfg)
-        sys.stdout.write(report.to_text(cfg.include_timings))
-        if code == 0:
-            sys.stdout.write(f"wrote {cfg.out}\n")
-        return code
-    except ValueError as exc:
-        sys.stderr.write(f"g24verify: error: {exc}\n")
-        return EXIT_USAGE
+        report = run(cfg, lambda r: sys.stdout.write(r.to_text(cfg.include_timings)))
     except OSError as exc:
         sys.stderr.write(f"g24verify: i/o error: {exc}\n")
         return EXIT_USAGE
+    if cfg.command != "check" and report.exit_code == 0:
+        sys.stdout.write(f"wrote {cfg.out}\n")
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import VerificationError
-from .graph import Graph, Partition, orbit_representatives
+from .graph import Partition, orbit_representatives
 from .hermitian import members
 
 
@@ -23,10 +23,10 @@ SpecialClique = namedtuple("SpecialClique", "vertices core")
 
 
 def verify_clique_number(
-    g: Graph, vertex_maps: list[list[int]]
+    rows: list[int], vertex_maps: list[list[int]]
 ) -> tuple[list[int], int]:
-    """Certify that the clique number of `g` is 5; return a 5-clique as the
-    witness and the number of local checks made.
+    """Certify that the clique number of the graph `rows` is 5; return a
+    5-clique as the witness and the number of local checks made.
 
     `vertex_maps` must be automorphisms that fix vertex 0 (`graph.stabilizer`)
     in a group with one vertex orbit (`graph.verify_srg`).  A clique of two
@@ -36,11 +36,10 @@ def verify_clique_number(
     first edge met in some T & N(w) gives the 5-clique witness; with none,
     the graph is refused, witness vertex 0.
     """
-    rows = g.rows
     r0 = rows[0]
     witness = None
     checks = 0
-    for u in orbit_representatives(g.n, vertex_maps):
+    for u in orbit_representatives(len(rows), vertex_maps):
         if not r0 >> u & 1:
             continue
         common = r0 & rows[u]
@@ -65,7 +64,7 @@ def verify_clique_number(
 
 
 def special_cliques(
-    g: Graph, part: Partition, isosets: list[int], c_maps: list[list[int]]
+    rows: list[int], part: Partition, isosets: list[int], c_maps: list[list[int]]
 ) -> list[SpecialClique]:
     """The special 5-cliques of C, their iso-sets sharing a 3-point core,
     ordered by core.  They tile C, so they are its only exact cover by
@@ -85,9 +84,9 @@ def special_cliques(
     of C thus lies in exactly one, and the orbit of c0's clique lists them
     all.  A core is two members' iso-sets ANDed.
     """
-    c0 = part.c[0]
+    c0 = next(members(part.c))
     groups: dict[int, int] = {}  # core: the mask of c0's neighbours in C on it
-    for j in members(g.rows[c0] & part.c_mask):
+    for j in members(rows[c0] & part.c):
         core = isosets[c0] & isosets[j]
         groups[core] = groups.get(core, 0) | 1 << j
     big = [m for m in groups.values() if m.bit_count() >= 4]
@@ -100,7 +99,7 @@ def special_cliques(
         )
     group = big[0]
     for v in members(group):
-        if g.rows[v] & group != group ^ 1 << v:
+        if rows[v] & group != group ^ 1 << v:
             raise VerificationError(
                 f"vertex {v} of the core group of {c0} misses another", witness=v
             )

@@ -21,21 +21,22 @@ exact integer arithmetic; there is no floating point and no array library.
 from __future__ import annotations
 
 from .errors import VerificationError
-from .graph import SPECTRUM, STABILIZER_WORDS, Graph, Partition
+from .graph import SPECTRUM, STABILIZER_WORDS, Partition
+from .hermitian import members
 
 # The eigenvalues of A_C, the adjacency of the graph induced on C, with
 # their multiplicities; `certified_dimension_chain` derives them.
 C_SPECTRUM = {76: 1, 16: 48, 12: 15, -4: 256}
 
 
-def column_digits(g: Graph, i: int) -> str:
+def column_digits(rows: list[int], i: int) -> str:
     """Column i of y = A + 4I, one character per coordinate: '4' at i, else
     bit t of row i of A, which is A[t, i] since A is symmetric."""
-    bits = format(g.rows[i], f"0{g.n}b")[::-1]
+    bits = format(rows[i], f"0{len(rows)}b")[::-1]
     return f"{bits[:i]}4{bits[i + 1:]}"
 
 
-def verify_c_identity(g: Graph, part: Partition) -> None:
+def verify_c_identity(rows: list[int], part: Partition) -> None:
     """Certify (A_C - 16)(A_C - 12)(A_C + 4) = 960 J on row c0 = min C, that
     is A_C^3 - 24 A_C^2 + 80 A_C + 768 I = 960 J there, A_C being the
     adjacency of the graph induced on C; a failure names the vertex u of C
@@ -46,14 +47,14 @@ def verify_c_identity(g: Graph, part: Partition) -> None:
     that value, and each group takes one popcount with row u.  Rows are read
     as columns, which the srg stage's symmetry allows.
     """
-    c0, mask = part.c[0], part.c_mask
-    rows = {u: g.rows[u] & mask for u in part.c}
-    r0 = rows[c0]
-    square = {u: (r0 & row).bit_count() for u, row in rows.items()}
+    c0 = next(members(part.c))
+    inside = {u: rows[u] & part.c for u in members(part.c)}  # A_C, row by row
+    r0 = inside[c0]
+    square = {u: (r0 & row).bit_count() for u, row in inside.items()}
     levels: dict[int, int] = {}  # (A_C^2)[c0, w]: the mask of those w
     for w, t in square.items():
         levels[t] = levels.get(t, 0) | 1 << w
-    for u, row in rows.items():
+    for u, row in inside.items():
         cube = sum(t * (m & row).bit_count() for t, m in levels.items())
         got = cube - 24 * square[u] + 80 * (r0 >> u & 1) + 768 * (u == c0)
         if got != 960:
@@ -63,7 +64,7 @@ def verify_c_identity(g: Graph, part: Partition) -> None:
             )
 
 
-def certified_dimension_chain(g: Graph, part: Partition) -> list[dict]:
+def certified_dimension_chain(rows: list[int], part: Partition) -> list[dict]:
     """Certificates for the affine dimensions of V, C+B1 and C, each the
     linear rank of its columns of y minus one: every column lies on the
     hyperplane <1, y_i> = 104 off the origin.  Each is the report's dict,
@@ -96,20 +97,21 @@ def certified_dimension_chain(g: Graph, part: Partition) -> list[dict]:
     reports them), and `graph.stabilizer` on the words, which that stage
     runs first and whose maps the special-cover stage reuses.
     """
-    verify_c_identity(g, part)
+    verify_c_identity(rows, part)
+    size_c = part.c.bit_count()
     rank_y = 1 + SPECTRUM.f
-    rank_c = len(part.c) - C_SPECTRUM[-4]
+    rank_c = size_c - C_SPECTRUM[-4]
     hyperplane = "every column satisfies <1, y_i> = 104, a hyperplane off the origin"
     sets = [
         (
             "V",
-            g.n,
+            len(rows),
             rank_y,
             [f"srg identity verified, so y = A + 4I has rank 1 + f = {rank_y}"],
         ),
         (
             "C+B1",
-            len(part.c) + len(part.b1),
+            size_c + part.b1.bit_count(),
             rank_c + 1,
             [
                 "q is orthogonal to every column of C and <q, y_j> = 48 on B1, "
@@ -120,12 +122,12 @@ def certified_dimension_chain(g: Graph, part: Partition) -> list[dict]:
         ),
         (
             "C",
-            len(part.c),
+            size_c,
             rank_c,
             [
                 "(A_C - 16)(A_C - 12)(A_C + 4) = 960 J, verified on row "
-                f"{part.c[0]} and carried to every row of C by the words "
-                f"{', '.join(STABILIZER_WORDS)}",
+                f"{next(members(part.c))} and carried to every row of C by "
+                f"the words {', '.join(STABILIZER_WORDS)}",
                 "A_C is 76-regular with trace 0, so its spectrum is "
                 + " ".join(f"({t})^{m}" for t, m in C_SPECTRUM.items()),
                 f"y is positive semidefinite, so the rank is rank(A_C + 4I) = {rank_c}",

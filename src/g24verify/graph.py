@@ -39,28 +39,22 @@ from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT, members
 VERTEX_COUNT = 416
 
 
-class Graph:
-    def __init__(self, n: int, rows: list[int]):
-        self.n = n
-        self.rows = rows
+def edges(rows: list[int]):
+    """Ordered pairs (i, j) with i < j, ascending."""
+    for i, row in enumerate(rows):
+        for j in members(row >> (i + 1) << (i + 1)):
+            yield i, j
 
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
 
-    def edges(self):
-        """Ordered pairs (i, j) with i < j, ascending."""
-        for i in range(self.n):
-            for j in members(self.rows[i] >> (i + 1) << (i + 1)):
-                yield i, j
+def edge_count(rows: list[int]) -> int:
+    return sum(row.bit_count() for row in rows) // 2
 
-    def edge_count(self) -> int:
-        return sum(self.degree(i) for i in range(self.n)) // 2
 
-    def flip_edge(self, i: int, j: int) -> None:
-        """Toggle the pair i != j in place; test hook for fault injection.
-        `--inject-flip-edge` refuses i == j before any stage runs."""
-        self.rows[i] ^= 1 << j
-        self.rows[j] ^= 1 << i
+def flip_edge(rows: list[int], i: int, j: int) -> None:
+    """Toggle the pair i != j in place; test hook for fault injection.
+    `--inject-flip-edge` refuses i == j before any stage runs."""
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
 
 
 @cache
@@ -124,8 +118,8 @@ SPECTRUM = Spectrum(20, 65, -4, 350)
 DISTANCE_CENSUS = {144: 20800, 192: 65520}
 
 # The anchored split: B = vertices whose iso-set contains the anchor; each
-# block as an ascending vertex tuple and as a bit mask.
-Partition = namedtuple("Partition", "b1 b2 b3 c b1_mask b2_mask b3_mask c_mask")
+# block as a bit mask.
+Partition = namedtuple("Partition", "b1 b2 b3 c")
 
 
 # The block counts (PAPER.md claim 5): the neighbours of a vertex in
@@ -148,9 +142,9 @@ def point_columns(isosets: list[int]) -> list[int]:
     return bit_transposer(max(len(isosets), width))(isosets)[:width]
 
 
-def build_graph(isosets: list[int]) -> tuple[Graph, list[int]]:
-    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points; also
-    returns the point columns the graph was built from.
+def build_graph(isosets: list[int]) -> tuple[list[int], list[int]]:
+    """The rows of the graph, edge (i, j) iff the iso-sets of i and j share
+    exactly 3 points, and the point columns they were built from.
 
     Vertex i adds the point columns of its 15 members into a bit-sliced
     counter of four planes c0..c3, so that bit j of the counter is
@@ -180,10 +174,10 @@ def build_graph(isosets: list[int]) -> tuple[Graph, list[int]]:
             c2 ^= column
             c3 ^= carry
         rows[i] = c0 & c1 & ~(c2 | c3) & ~(1 << i)  # count 3 = 0b0011
-    return Graph(n, rows), columns
+    return rows, columns
 
 
-def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
+def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> SrgParams:
     """Certify the entrywise identity A^2 = k I + lambda A + mu (J - I - A)
     and that the group generated by `automorphisms` is transitive.
 
@@ -212,7 +206,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     neighbours u of 0 and (v - k - 1) mu through the non-neighbours w.
     Each row must be < 2**n, as `build_graph` makes them.
     """
-    n, rows = g.n, g.rows
+    n = len(rows)
     r0 = rows[0]
     k = r0.bit_count()
     for i, row in enumerate(rows):
@@ -244,7 +238,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
             )
 
     for perm in automorphisms:
-        _verify_automorphism(g, perm)
+        _verify_automorphism(rows, perm)
     reps = orbit_representatives(n, automorphisms)
     if reps != [0]:
         raise VerificationError(
@@ -255,7 +249,7 @@ def verify_srg(g: Graph, automorphisms: list[list[int]]) -> SrgParams:
     return SrgParams(n, k, lam, mu)
 
 
-def _verify_automorphism(g: Graph, perm: list[int]) -> None:
+def _verify_automorphism(rows: list[int], perm: list[int]) -> None:
     """`perm` must be a bijection of the vertices that preserves adjacency:
     A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
     as B[i] = A[perm[i]], that says column perm[j] of B is column j of A,
@@ -268,15 +262,15 @@ def _verify_automorphism(g: Graph, perm: list[int]) -> None:
 
     A must be symmetric: on an asymmetric A the answer can be wrong either
     way.  `verify_srg`, the only caller, checks symmetry first."""
-    if sorted(perm) != list(range(g.n)):
-        v = next((v for v in range(g.n) if perm.count(v) != 1), g.n)
+    n = len(rows)
+    if sorted(perm) != list(range(n)):
+        v = next((v for v in range(n) if perm.count(v) != 1), n)
         raise VerificationError(
             f"vertex map is not a permutation: it hits vertex {v} "
             f"{perm.count(v)} times",
             witness=v,
         )
-    rows = g.rows
-    moved = bit_transposer(g.n)([rows[p] for p in perm])
+    moved = bit_transposer(n)([rows[p] for p in perm])
     if [moved[p] for p in perm] == rows:
         return
     j = next(j for j, p in enumerate(perm) if rows[j] & ~moved[p])
@@ -367,14 +361,14 @@ def vertex_permutations(
 
     Why one orbit of the point maps carries the block counts from anchor 1
     to every anchor: v is in column a iff pi(v) is in column sigma(a), so
-    pi, once the srg stage has verified it as an automorphism of g as built,
-    maps B(a) = column a onto B(sigma(a)), the components of the subgraph
-    induced on B(a) onto those on B(sigma(a)), and C(a) onto C(sigma(a)).
-    The split at a thus has three 32-vertex components with the 20/0/8
-    pattern, which does not see the order of B1, B2, B3, iff the split at
-    sigma(a) has; pi's inverse, also an automorphism, carries it back.  With
-    one orbit on the points, the counts verified at anchor 1 hold at all 65
-    anchors.
+    pi, once the srg stage has verified it as an automorphism of the graph
+    as built, maps B(a) = column a onto B(sigma(a)), the components of the
+    subgraph induced on B(a) onto those on B(sigma(a)), and C(a) onto
+    C(sigma(a)).  The split at a thus has three 32-vertex components with
+    the 20/0/8 pattern, which does not see the order of B1, B2, B3, iff the
+    split at sigma(a) has; pi's inverse, also an automorphism, carries it
+    back.  With one orbit on the points, the counts verified at anchor 1
+    hold at all 65 anchors.
     """
     transpose = bit_transposer(VERTEX_COUNT)
     isosets = transpose(columns)
@@ -397,9 +391,9 @@ def vertex_permutations(
     return perms
 
 
-def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]:
+def _components_within(rows: list[int], mask: int) -> list[int]:
     """Connected components of the subgraph induced on `mask`, each as its
-    ascending vertex tuple and its bit mask, ordered by smallest vertex."""
+    mask, ordered by smallest vertex."""
     comps = []
     remaining = mask
     while remaining:
@@ -407,15 +401,15 @@ def _components_within(g: Graph, mask: int) -> list[tuple[tuple[int, ...], int]]
         while frontier:
             nxt = 0
             for u in members(frontier):
-                nxt |= g.rows[u]
+                nxt |= rows[u]
             frontier = nxt & mask & ~seen
             seen |= frontier
-        comps.append((tuple(members(seen)), seen))
+        comps.append(seen)
         remaining &= ~seen
     return comps
 
 
-def split_B_C(g: Graph, b_mask: int) -> Partition:
+def split_B_C(rows: list[int], b_mask: int) -> Partition:
     """Split on B = `b_mask`, the point column of the anchor (the vertices
     whose iso-set contains it), and decompose B into connected components.
 
@@ -423,27 +417,23 @@ def split_B_C(g: Graph, b_mask: int) -> Partition:
     of 32 vertices, labelled B1, B2, B3 by smallest contained vertex index;
     the component sizes are the witness otherwise.
     """
-    comps = _components_within(g, b_mask)
-    sizes = [len(comp) for comp, _ in comps]
+    comps = _components_within(rows, b_mask)
+    sizes = [comp.bit_count() for comp in comps]
     if sizes != [32, 32, 32]:
         raise VerificationError(
             f"B splits into components of sizes {sizes}, expected three of 32",
             witness=sizes,
         )
-    (b1, m1), (b2, m2), (b3, m3) = comps
-    c_mask = ((1 << g.n) - 1) & ~b_mask
-    c = tuple(members(c_mask))
-    return Partition(b1, b2, b3, c, m1, m2, m3, c_mask)
+    return Partition(*comps, ((1 << len(rows)) - 1) & ~b_mask)
 
 
-def verify_claim1(g: Graph, part: Partition) -> None:
+def verify_claim1(rows: list[int], part: Partition) -> None:
     """Adjacency counts into each B_h as CLAIM1 gives them: 20 inside, 0
     across B, 8 from C."""
-    m1, m2, m3 = part.b1_mask, part.b2_mask, part.b3_mask
-    for block, members in zip(CLAIM1, (part.b1, part.b2, part.b3, part.c)):
-        want = CLAIM1[block]
-        for i in members:
-            row = g.rows[i]
+    m1, m2, m3 = part.b1, part.b2, part.b3
+    for want, mask in zip(CLAIM1.values(), part):
+        for i in members(mask):
+            row = rows[i]
             got = (
                 (row & m1).bit_count(),
                 (row & m2).bit_count(),
@@ -463,17 +453,16 @@ def verify_claim1(g: Graph, part: Partition) -> None:
 _CUBE_STEPS = tuple(d for d in range(32) if d.bit_count() == 2)
 
 
-def _cube_words(g: Graph, block: tuple[int, ...], mask: int) -> list[int]:
-    """A 5-bit word for each vertex of a block, in the block's order, read
-    off its adjacency inside the block (`mask`).  Twins (equal rows inside
+def _cube_words(rows: list[int], mask: int) -> list[int]:
+    """A 5-bit word for each vertex of the block `mask`, in ascending order,
+    read off its adjacency inside the block.  Twins (equal rows inside
     the block) share a word: the smallest vertex's class gets 00000, the
     first five classes not adjacent to it get 11111 with bit k cleared for
     k = 0..4, and every other class the bits k of those five it is not
     adjacent to.  In the model, e_i + e_j is not adjacent to 11111 ^ e_k
     exactly when k is i or j."""
-    rows = g.rows
     twins: dict[int, int] = {}  # row inside the block -> smallest twin
-    for v in block:
+    for v in members(mask):
         twins.setdefault(rows[v] & mask, v)
     first, *others = twins.values()
     far = [u for u in others if not rows[first] >> u & 1][:5]
@@ -481,10 +470,10 @@ def _cube_words(g: Graph, block: tuple[int, ...], mask: int) -> list[int]:
     for u in others:
         if u not in word:
             word[u] = sum(1 << k for k, f in enumerate(far) if not rows[u] >> f & 1)
-    return [word[twins[rows[v] & mask]] for v in block]
+    return [word[twins[rows[v] & mask]] for v in members(mask)]
 
 
-def check_component_structure(g: Graph, part: Partition) -> None:
+def check_component_structure(rows: list[int], part: Partition) -> None:
     """Certify that each of B1, B2, B3 is isomorphic to the 2-coclique
     extension of the halved 5-cube (two vertices per even-weight 5-bit word,
     adjacent at Hamming distance 2).
@@ -499,23 +488,21 @@ def check_component_structure(g: Graph, part: Partition) -> None:
     (`verify_claim1`) already give the regularity inside each B_h and no
     edges between them; only the isomorphism is new.
     """
-    blocks = (part.b1, part.b2, part.b3)
-    masks = (part.b1_mask, part.b2_mask, part.b3_mask)
-    for h, block, mask in zip((1, 2, 3), blocks, masks):
-        words = _cube_words(g, block, mask)
+    for h, mask in zip((1, 2, 3), part[:3]):
+        words = _cube_words(rows, mask)
         holders = [0] * 32  # the vertices with each word, as a mask
-        for v, w in zip(block, words):
+        for v, w in zip(members(mask), words):
             if w.bit_count() % 2 or holders[w].bit_count() == 2:
                 raise VerificationError(
                     f"B{h}: the word {w:05b} of vertex {v} is odd or taken twice",
                     witness=v,
                 )
             holders[w] |= 1 << v
-        for v, w in zip(block, words):
+        for v, w in zip(members(mask), words):
             model_row = 0
             for d in _CUBE_STEPS:
                 model_row |= holders[w ^ d]
-            diff = (g.rows[v] & mask) ^ model_row
+            diff = (rows[v] & mask) ^ model_row
             if diff:
                 u = (diff & -diff).bit_length() - 1
                 raise VerificationError(

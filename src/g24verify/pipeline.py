@@ -2,7 +2,9 @@
 
 Stages run in dependency order and stop at the first failed one; every
 stage names the claims of PAPER.md it certifies and contributes a
-structured detail block to the report.
+structured detail block to the report.  `run` is the one path of every
+command: it refuses a bad output path, runs the stages, and writes the
+report or the export.
 All outputs are exact counts and witnesses; stage wall-clock times are
 collected but serialized only on request, so default artifacts are
 byte-for-byte reproducible.
@@ -48,7 +50,7 @@ class Artifacts:
     plane = None  # hermitian.Plane
     isosets = None
     columns = None  # graph.point_columns(isosets)
-    g = None  # graph.Graph
+    rows = None  # the graph's adjacency rows, from graph.build_graph
     point_maps = None  # hermitian.point_permutations, lifted by the srg stage
     automorphisms = None  # the lifts, verified by the srg stage
     part = None  # graph.Partition
@@ -132,11 +134,11 @@ def _stage_bases(art, cfg):
 
 
 def _stage_graph(art, cfg):
-    art.g, art.columns = graph.build_graph(art.isosets)
-    detail = {"vertices": art.g.n, "edges": art.g.edge_count()}
+    art.rows, art.columns = graph.build_graph(art.isosets)
+    detail = {"vertices": len(art.rows), "edges": graph.edge_count(art.rows)}
     if cfg.inject_flip_edge is not None:
         i, j = cfg.inject_flip_edge
-        art.g.flip_edge(i, j)
+        graph.flip_edge(art.rows, i, j)
         detail["fault_injected"] = [i, j]
     return detail
 
@@ -144,7 +146,7 @@ def _stage_graph(art, cfg):
 def _stage_srg(art, cfg):
     point_maps = hermitian.point_permutations(art.plane)
     automorphisms = graph.vertex_permutations(art.columns, point_maps)
-    p = graph.verify_srg(art.g, automorphisms)
+    p = graph.verify_srg(art.rows, automorphisms)
     if p != graph.SRG:
         raise VerificationError(
             f"srg{tuple(p)}, expected srg{tuple(graph.SRG)}", witness=tuple(p)
@@ -162,20 +164,20 @@ def _stage_srg(art, cfg):
 
 def _stage_partition(art, cfg):
     b_mask = art.columns[ANCHOR]
-    art.part = graph.split_B_C(art.g, b_mask)
+    art.part = graph.split_B_C(art.rows, b_mask)
     return {
         "anchor": ANCHOR,
         "B": b_mask.bit_count(),
-        "C": len(art.part.c),
-        "component_sizes": [len(art.part.b1), len(art.part.b2), len(art.part.b3)],
+        "C": art.part.c.bit_count(),
+        "component_sizes": [block.bit_count() for block in art.part[:3]],
     }
 
 
 def _stage_block_counts(art, cfg):
-    graph.verify_claim1(art.g, art.part)
+    graph.verify_claim1(art.rows, art.part)
     inside, across, _ = graph.CLAIM1["B1"]
     from_c = graph.CLAIM1["C"][0]
-    return {"neighbour_counts": art.g.n * 3, "pattern": [inside, across, from_c]}
+    return {"neighbour_counts": len(art.rows) * 3, "pattern": [inside, across, from_c]}
 
 
 def _stage_anchor_invariance(art, cfg):
@@ -193,14 +195,12 @@ def _stage_anchor_invariance(art, cfg):
 
 
 def _stage_clebsch(art, cfg):
-    graph.check_component_structure(art.g, art.part)  # or it raises
+    graph.check_component_structure(art.rows, art.part)  # or it raises
     return {}
 
 
 def _stage_dimension_chain(art, cfg):
-    art.c_maps = graph.stabilizer(
-        art.automorphisms, graph.STABILIZER_WORDS, art.part.c_mask
-    )
+    art.c_maps = graph.stabilizer(art.automorphisms, graph.STABILIZER_WORDS, art.part.c)
     # p is 1 on B2 and -1 on B3; q is 2 on B1 and -1 on B2 and B3; both are
     # 0 on C.  For i in block X, <w, y_i> = 4 w_X + sum over h of
     # w_Bh |N(i) & B_h|, and graph.CLAIM1 gives |N(i) & B_h|: 20 in i's own
@@ -216,19 +216,19 @@ def _stage_dimension_chain(art, cfg):
             "p_norm_sq": 64,
             "q_norm_sq": 192,
         },
-        "certificates": euclid.certified_dimension_chain(art.g, art.part),
+        "certificates": euclid.certified_dimension_chain(art.rows, art.part),
     }
 
 
 def _stage_max_clique(art, cfg):
     # One vertex orbit (verify_srg) and the words that fix vertex 0.
     vertex_maps = graph.stabilizer(art.automorphisms, graph.VERTEX_WORDS, 1)
-    witness, checks = cliques.verify_clique_number(art.g, vertex_maps)
+    witness, checks = cliques.verify_clique_number(art.rows, vertex_maps)
     return {"clique_number": len(witness), "witness": witness, "local_checks": checks}
 
 
 def _stage_special_cover(art, cfg):
-    art.cover = cliques.special_cliques(art.g, art.part, art.isosets, art.c_maps)
+    art.cover = cliques.special_cliques(art.rows, art.part, art.isosets, art.c_maps)
     return {"special_cliques": len(art.cover)}
 
 
@@ -294,14 +294,6 @@ def run_check(cfg: RunConfig) -> Report:
     return report
 
 
-def require_output_dir(path: str) -> None:
-    """Refuse, before any stage runs, an output path whose directory does
-    not exist."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise OSError(f"output directory {parent!r} does not exist")
-
-
 @contextmanager
 def _atomic_open(path: str):
     """A text file for writing that appears at `path` only once it is
@@ -321,19 +313,19 @@ def _atomic_open(path: str):
         raise
 
 
-def write_dimacs(g: graph.Graph, path: str) -> None:
+def write_dimacs(rows: list[int], path: str) -> None:
     with _atomic_open(path) as fh:
-        fh.write(f"p edge {g.n} {g.edge_count()}\n")
-        for i, j in g.edges():
+        fh.write(f"p edge {len(rows)} {graph.edge_count(rows)}\n")
+        for i, j in graph.edges(rows):
             fh.write(f"e {i + 1} {j + 1}\n")
 
 
-def write_graph_json(g: graph.Graph, path: str) -> None:
+def write_graph_json(rows: list[int], path: str) -> None:
     import json
 
     doc = {
-        "vertices": g.n,
-        "edges": [[i + 1, j + 1] for i, j in g.edges()],
+        "vertices": len(rows),
+        "edges": [[i + 1, j + 1] for i, j in graph.edges(rows)],
     }
     with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
@@ -347,11 +339,11 @@ def write_isosets_csv(isosets: list[int], path: str) -> None:
             fh.write(",".join([str(v + 1)] + [str(m) for m in members]) + "\n")
 
 
-def write_vectors_csv(g: graph.Graph, path: str) -> None:
+def write_vectors_csv(rows: list[int], path: str) -> None:
     """The columns of y = A + 4I, one row per vertex."""
     with _atomic_open(path) as fh:
-        for v in range(g.n):
-            fh.write(f"{v + 1},{','.join(euclid.column_digits(g, v))}\n")
+        for v in range(len(rows)):
+            fh.write(f"{v + 1},{','.join(euclid.column_digits(rows, v))}\n")
 
 
 def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
@@ -368,32 +360,41 @@ def write_report_json(report: Report, path: str, include_timings: bool = False) 
         fh.write(report.to_json(include_timings))
 
 
-_GRAPH_WRITERS = {"dimacs": write_dimacs, "json": write_graph_json}
+GRAPH_WRITERS = {"dimacs": write_dimacs, "json": write_graph_json}
 
-# Each export command: what it writes, from a passing run's artifacts.
-_EXPORTS = {
-    "export-graph": lambda art, cfg: _GRAPH_WRITERS[cfg.fmt](art.g, cfg.out),
-    "export-isosets": lambda art, cfg: write_isosets_csv(art.isosets, cfg.out),
-    "export-vectors": lambda art, cfg: write_vectors_csv(art.g, cfg.out),
-    "export-cover": lambda art, cfg: write_cover_csv(art.cover, cfg.out),
+# What each command writes to --out, from the run's report; the CLI offers
+# these commands and graph formats.
+WRITERS = {
+    "check": lambda r, cfg: write_report_json(r, cfg.out, cfg.include_timings),
+    "export-graph": lambda r, cfg: GRAPH_WRITERS[cfg.fmt](r.artifacts.rows, cfg.out),
+    "export-isosets": lambda r, cfg: write_isosets_csv(r.artifacts.isosets, cfg.out),
+    "export-vectors": lambda r, cfg: write_vectors_csv(r.artifacts.rows, cfg.out),
+    "export-cover": lambda r, cfg: write_cover_csv(r.artifacts.cover, cfg.out),
 }
 
 
-def export(cfg: RunConfig) -> tuple[int, Report]:
-    """Run the pipeline, then write the artifact named by cfg.command.
+def run(cfg: RunConfig, show=None) -> Report:
+    """Run the stages, then write what cfg.command writes to cfg.out, if it
+    is set: check's report whatever the verdict, an export only when every
+    stage passed, so that artifacts always describe verified objects.
 
-    An unknown command or graph format and a missing output directory are
-    refused before any stage runs.  Exports are refused unless every stage
-    passed: artifacts always describe verified objects.
+    Before any stage runs, the command's writer is looked up and an OSError
+    refuses a cfg.out that names no file in an existing directory.
+    `show(report)`, if given, is called before anything is written.
+    parse_args has checked the command, the format, and that an export has
+    an output path.
     """
-    if cfg.out is None:
-        raise ValueError("an output path is required (--out)")
-    if cfg.command not in _EXPORTS:
-        raise ValueError(f"unknown export command {cfg.command!r}")
-    if cfg.command == "export-graph" and cfg.fmt not in _GRAPH_WRITERS:
-        raise ValueError(f"unknown graph format {cfg.fmt!r}")
-    require_output_dir(cfg.out)
+    write = WRITERS[cfg.command]
+    if cfg.out is not None:
+        head, base = os.path.split(cfg.out)
+        if not base or os.path.isdir(cfg.out):
+            raise OSError(f"output path {cfg.out!r} names no file")
+        if not os.path.isdir(head or "."):
+            raise OSError(f"output directory {head!r} of {cfg.out!r} does not exist")
     report = run_check(cfg)
-    if report.exit_code == EXIT_PASS:
-        _EXPORTS[cfg.command](report.artifacts, cfg)
-    return report.exit_code, report
+    if show:
+        show(report)
+    passed = report.exit_code == EXIT_PASS
+    if cfg.out is not None and (passed or cfg.command == "check"):
+        write(report, cfg)
+    return report

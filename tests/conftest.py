@@ -34,13 +34,14 @@ def automorphisms(isosets, point_maps):
 
 
 @pytest.fixture(scope="session")
-def g(isosets):
+def rows(isosets):
+    """The graph's adjacency rows; a test that changes them works on a copy."""
     return graph.build_graph(isosets)[0]
 
 
 @pytest.fixture(scope="session")
-def srg_params(g, automorphisms):
-    return graph.verify_srg(g, automorphisms)
+def srg_params(rows, automorphisms):
+    return graph.verify_srg(rows, automorphisms)
 
 
 @pytest.fixture(scope="session")
@@ -49,8 +50,8 @@ def spectrum(srg_params):
 
 
 @pytest.fixture(scope="session")
-def part(g, isosets):
-    return graph.split_B_C(g, graph.point_columns(isosets)[1])
+def part(rows, isosets):
+    return graph.split_B_C(rows, graph.point_columns(isosets)[1])
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +61,7 @@ def contrasts(part):
 
 @pytest.fixture(scope="session")
 def c_maps(automorphisms, part):
-    return graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
+    return graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c)
 
 
 @pytest.fixture(scope="session")
@@ -69,13 +70,13 @@ def vertex_maps(automorphisms):
 
 
 @pytest.fixture(scope="session")
-def certificates(g, part):
-    return euclid.certified_dimension_chain(g, part)
+def certificates(rows, part):
+    return euclid.certified_dimension_chain(rows, part)
 
 
 @pytest.fixture(scope="session")
-def special_cliques(g, part, isosets, c_maps):
-    return cliques.special_cliques(g, part, isosets, c_maps)
+def special_cliques(rows, part, isosets, c_maps):
+    return cliques.special_cliques(rows, part, isosets, c_maps)
 
 
 @pytest.fixture(scope="session")

@@ -28,10 +28,11 @@ from g24verify import euclid, gf16
 from g24verify.cliques import SpecialClique
 from g24verify.errors import VerificationError
 from g24verify.graph import (
-    Graph,
     Partition,
     Spectrum,
     SrgParams,
+    edge_count,
+    edges,
     point_columns,
     split_B_C,
     verify_claim1,
@@ -51,6 +52,11 @@ from g24verify.hermitian import (
 )
 
 
+def vertices(mask: int) -> list[int]:
+    """The vertices of a vertex mask, ascending."""
+    return list(members(mask))
+
+
 def stage(report, name: str):
     """The stage of a run's report named `name` (a KeyError if none ran)."""
     return {s.name: s for s in report.stages}[name]
@@ -66,9 +72,10 @@ def bit_strings(rows: list[int], n: int) -> list[str]:
 INTERSECTION_SIZES = {2: 31200, 3: 20800, 5: 34320}
 
 
-def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
-    """Edge (i, j) iff the iso-sets of i and j share exactly 3 points, and
-    the census of the intersection sizes, from one popcount per pair."""
+def build_graph(isosets: list[int]) -> tuple[list[int], dict[int, int]]:
+    """The rows of the graph, edge (i, j) iff the iso-sets of i and j share
+    exactly 3 points, and the census of the intersection sizes, from one
+    popcount per pair."""
     n = len(isosets)
     rows = [0] * n
     census = [0] * 16
@@ -80,7 +87,7 @@ def build_graph(isosets: list[int]) -> tuple[Graph, dict[int, int]]:
             if c == 3:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, rows), {c: m for c, m in enumerate(census) if m}
+    return rows, {c: m for c, m in enumerate(census) if m}
 
 
 def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
@@ -153,19 +160,19 @@ def basis_permutations(plane: Plane, bases: list[Basis]) -> list[list[int]]:
     return perms
 
 
-def claim1_at_every_anchor(g: Graph, isosets: list[int]) -> list[Partition]:
+def claim1_at_every_anchor(rows: list[int], isosets: list[int]) -> list[Partition]:
     """The anchored split and its 20/0/8 counts, checked directly at each of
     the 65 anchors; the split at anchor a is item a - 1."""
     columns = point_columns(isosets)
     parts = []
     for anchor in range(1, ISOTROPIC_COUNT + 1):
-        part = split_B_C(g, columns[anchor])
-        verify_claim1(g, part)
+        part = split_B_C(rows, columns[anchor])
+        verify_claim1(rows, part)
         parts.append(part)
     return parts
 
 
-def halved_5cube() -> Graph:
+def halved_5cube() -> list[int]:
     """Even-weight 5-bit words, adjacent at Hamming distance 2 (16 vertices),
     vertex t being the t-th such word in increasing order."""
     words = [w for w in range(32) if w.bit_count() % 2 == 0]
@@ -176,41 +183,42 @@ def halved_5cube() -> Graph:
             if (words[i] ^ words[j]).bit_count() == 2:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, rows)
+    return rows
 
 
-def coclique_extension(g: Graph, size: int = 2) -> Graph:
+def coclique_extension(rows: list[int], size: int = 2) -> list[int]:
     """Blow each vertex up into a coclique of `size`; copies inherit edges.
     Copy a of vertex i is vertex i * size + a."""
-    n = g.n * size
-    rows = [0] * n
-    for i in range(g.n):
-        for j in range(g.n):
-            if g.rows[i] >> j & 1:
+    n = len(rows)
+    out = [0] * (n * size)
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
                 for a in range(size):
                     for b in range(size):
-                        rows[i * size + a] |= 1 << (j * size + b)
-    return Graph(n, rows)
+                        out[i * size + a] |= 1 << (j * size + b)
+    return out
 
 
-def induced(g: Graph, vertices: tuple[int, ...]) -> Graph:
-    """The subgraph on `vertices`, vertex t standing for vertices[t]."""
-    pos = {v: t for t, v in enumerate(vertices)}
-    rows = [0] * len(vertices)
-    for t, v in enumerate(vertices):
-        row = g.rows[v]
-        for u in vertices:
-            if row >> u & 1:
-                rows[t] |= 1 << pos[u]
-    return Graph(len(vertices), rows)
+def induced(rows: list[int], mask: int) -> list[int]:
+    """The subgraph on the vertices of `mask`, vertex t standing for its
+    t-th vertex."""
+    verts = vertices(mask)
+    pos = {v: t for t, v in enumerate(verts)}
+    out = [0] * len(verts)
+    for t, v in enumerate(verts):
+        for u in members(rows[v] & mask):
+            out[t] |= 1 << pos[u]
+    return out
 
 
-def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
-    """Backtracking isomorphism search; returns image of each ga vertex."""
-    if ga.n != gb.n:
+def find_isomorphism(ga: list[int], gb: list[int]) -> list[int] | None:
+    """Backtracking isomorphism search between two graphs given by their
+    rows; returns image of each ga vertex."""
+    if len(ga) != len(gb):
         return None
-    n = ga.n
-    if sorted(ga.degree(i) for i in range(n)) != sorted(gb.degree(i) for i in range(n)):
+    n = len(ga)
+    if sorted(r.bit_count() for r in ga) != sorted(r.bit_count() for r in gb):
         return None
 
     # Map ga vertices in an order that keeps each new vertex attached to the
@@ -222,7 +230,7 @@ def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
         for v in range(n):
             if placed >> v & 1:
                 continue
-            links = (ga.rows[v] & placed).bit_count()
+            links = (ga[v] & placed).bit_count()
             if links > best_links:
                 best, best_links = v, links
         order.append(best)
@@ -237,10 +245,10 @@ def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
         v = order[depth]
         cand = full & ~used
         for u in order[:depth]:
-            if ga.rows[v] >> u & 1:
-                cand &= gb.rows[image[u]]
+            if ga[v] >> u & 1:
+                cand &= gb[image[u]]
             else:
-                cand &= ~gb.rows[image[u]]
+                cand &= ~gb[image[u]]
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -253,12 +261,12 @@ def find_isomorphism(ga: Graph, gb: Graph) -> list[int] | None:
     return image if extend(0, 0) else None
 
 
-def verify_srg_all_pairs(g: Graph) -> SrgParams:
+def verify_srg_all_pairs(rows: list[int]) -> SrgParams:
     """The srg identity A^2 = k I + lambda A + mu (J - I - A) with no
     symmetry assumed: no loops and constant degree, then every pair i < j
     for symmetry and its common-neighbour count, lambda and mu read off
     vertex 0."""
-    n, rows = g.n, g.rows
+    n = len(rows)
     r0 = rows[0]
     k = r0.bit_count()
     for i, row in enumerate(rows):
@@ -331,9 +339,9 @@ def pair_distance_sq(columns: list[int], i: int, j: int) -> int:
     return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
 
 
-def distance_census(columns: list[int], g: Graph) -> dict[int, int]:
-    """Every squared pair distance of y, scanned, and checked against
-    adjacency: 144 exactly on edges, 192 exactly on non-edges.
+def distance_census(columns: list[int], rows: list[int]) -> dict[int, int]:
+    """Every squared pair distance of y, scanned, and checked against the
+    adjacency `rows`: 144 exactly on edges, 192 exactly on non-edges.
 
     y is first refused, with a witness, if a column has a bit on its
     diagonal or beyond the matrix, or if y is not symmetric.  Then, for
@@ -357,7 +365,7 @@ def distance_census(columns: list[int], g: Graph) -> dict[int, int]:
     norms = [c.bit_count() + 16 for c in columns]
     census: dict[int, int] = {}
     for i in range(n - 1):
-        ci, gi = columns[i], g.rows[i]
+        ci, gi = columns[i], rows[i]
         for j in range(i + 1, n):
             inner = (ci & columns[j]).bit_count() + 8 * (ci >> j & 1)
             d2 = norms[i] + norms[j] - 2 * inner
@@ -371,15 +379,15 @@ def distance_census(columns: list[int], g: Graph) -> dict[int, int]:
 
 def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
     """p: +1 on B2, -1 on B3; q: +2 on B1, -1 on B2 and B3; 0 elsewhere."""
-    n = len(part.b1) + len(part.b2) + len(part.b3) + len(part.c)
+    n = sum(mask.bit_count() for mask in part)
     p = [0] * n
     q = [0] * n
-    for i in part.b1:
+    for i in members(part.b1):
         q[i] = 2
-    for i in part.b2:
+    for i in members(part.b2):
         p[i] = 1
         q[i] = -1
-    for i in part.b3:
+    for i in members(part.b3):
         p[i] = -1
         q[i] = -1
     return p, q
@@ -387,8 +395,7 @@ def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
 
 def block_of(part: Partition, i: int) -> int:
     """The position of i's block in the order B1, B2, B3, C."""
-    masks = (part.b1_mask, part.b2_mask, part.b3_mask)
-    return next((h for h, m in enumerate(masks) if m >> i & 1), 3)
+    return next((h for h, m in enumerate(part[:3]) if m >> i & 1), 3)
 
 
 def inner_products(columns: list[int], v: list[int]) -> list[int]:
@@ -526,20 +533,25 @@ def nested_order(part: Partition) -> list[int]:
     and V.  C is visited by 13 v mod 419, a prime above the labels: in label
     order 289 indices of C come before its 64th pivot, in this order the
     first 64 are pivots."""
-    c = sorted(part.c, key=lambda v: 13 * v % 419)
-    return c + list(part.b1 + part.b2 + part.b3)
+    c = sorted(members(part.c), key=lambda v: 13 * v % 419)
+    return c + [v for mask in part[:3] for v in members(mask)]
 
 
 # Column digits '0', '1', '4' of y as the byte values 0, 1, 4.
 _DIGITS = bytes.maketrans(b"014", b"\x00\x01\x04")
 
 
-def modular_dimension_chain(g: Graph, part: Partition, prime: int) -> tuple[int, ...]:
+def modular_dimension_chain(
+    rows: list[int], part: Partition, prime: int
+) -> tuple[int, ...]:
     """Lower bounds on the linear ranks of the columns C, C+B1 and V of
     y = A + 4I, by PAPER.md's own route: one LDL^T of y over GF(prime) in
     `nested_order`, each prefix stopped at its rank 64, 65 or 66.  y is
     positive semidefinite, so a prime that divides no pivot reaches them."""
-    y = [euclid.column_digits(g, i).encode().translate(_DIGITS) for i in range(g.n)]
+    y = [
+        euclid.column_digits(rows, i).encode().translate(_DIGITS)
+        for i in range(len(rows))
+    ]
     order = nested_order(part)
     return principal_prefix_ranks(y, prime, (320, 352, 416), order, (64, 65, 66))
 
@@ -598,65 +610,64 @@ def max_clique_in(
     return best_size, best_wit
 
 
-def verify_clique(g: Graph, vertices: list[int]) -> None:
+def verify_clique(rows: list[int], clique: list[int]) -> None:
     """Independent pass re-testing every pair of the witness."""
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            if not g.rows[vertices[a]] >> vertices[b] & 1:
+    for a, u in enumerate(clique):
+        for v in clique[a + 1 :]:
+            if not rows[u] >> v & 1:
                 raise VerificationError(
-                    f"witness pair ({vertices[a]},{vertices[b]}) is not an edge",
-                    witness=(vertices[a], vertices[b]),
+                    f"witness pair ({u},{v}) is not an edge", witness=(u, v)
                 )
 
 
 CliqueSearchStats = namedtuple("CliqueSearchStats", "edges_scanned nodes")
 
 
-def max_clique(g: Graph) -> tuple[int, list[int], CliqueSearchStats]:
+def max_clique(rows: list[int]) -> tuple[int, list[int], CliqueSearchStats]:
     """Exact clique number with witness, searched from every edge.
 
     For each edge (i, j), i < j, candidates are the common neighbours above
     j, so every clique is rooted at its two smallest vertices exactly once.
     """
-    if g.edge_count() == 0:
-        witness = [0] if g.n else []
+    if edge_count(rows) == 0:
+        witness = [0] if rows else []
         return len(witness), witness, CliqueSearchStats(0, 0)
     best = 2
     witness = []
     counter = [0]
-    edges = 0
-    for i, j in g.edges():
-        edges += 1
+    scanned = 0
+    for i, j in edges(rows):
+        scanned += 1
         if not witness:
             witness = [i, j]
-        above_j = g.rows[j] >> (j + 1) << (j + 1)
-        cand = g.rows[i] & above_j
+        above_j = rows[j] >> (j + 1) << (j + 1)
+        cand = rows[i] & above_j
         if 2 + cand.bit_count() <= best:
             continue
-        sub_size, sub_wit = max_clique_in(g.rows, cand, best - 2, counter)
+        sub_size, sub_wit = max_clique_in(rows, cand, best - 2, counter)
         if 2 + sub_size > best:
             best = 2 + sub_size
             witness = sorted([i, j] + sub_wit)
-    verify_clique(g, witness)
-    return best, witness, CliqueSearchStats(edges, counter[0])
+    verify_clique(rows, witness)
+    return best, witness, CliqueSearchStats(scanned, counter[0])
 
 
-def max_clique_through_edge(g: Graph, i: int, j: int) -> int:
+def max_clique_through_edge(rows: list[int], i: int, j: int) -> int:
     """Exact size of the largest clique containing the edge (i, j)."""
-    if not g.rows[i] >> j & 1:
+    if not rows[i] >> j & 1:
         raise ValueError(f"({i},{j}) is not an edge")
-    sub, _ = max_clique_in(g.rows, g.rows[i] & g.rows[j], 0, [0])
+    sub, _ = max_clique_in(rows, rows[i] & rows[j], 0, [0])
     return 2 + sub
 
 
-def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
+def brute_force_omega_through_edge(rows: list[int], i: int, j: int) -> int:
     """Largest clique through edge (i, j) by plain enumeration of subsets of
     the common neighbourhood, no pruning tricks."""
-    common = [t for t in range(g.n) if g.rows[i] >> t & 1 and g.rows[j] >> t & 1]
+    common = [t for t in range(len(rows)) if rows[i] >> t & 1 and rows[j] >> t & 1]
     best = 2
     for size in range(1, len(common) + 1):
         if not any(
-            all(g.rows[a] >> b & 1 for a in sub for b in sub if a < b)
+            all(rows[a] >> b & 1 for a in sub for b in sub if a < b)
             for sub in combinations(common, size)
         ):
             break
@@ -665,14 +676,14 @@ def brute_force_omega_through_edge(g: Graph, i: int, j: int) -> int:
 
 
 def enumerate_special_cliques(
-    g: Graph, part: Partition, isosets: list[int]
+    rows: list[int], part: Partition, isosets: list[int]
 ) -> list[SpecialClique]:
     """All 5-cliques inside C whose five iso-sets share a 3-point core, by a
     backtracking search inside each group of C-internal edges that share
     the same 3-point intersection, ordered by core and vertices."""
     groups: dict[int, set[int]] = {}
-    for i in part.c:
-        row = g.rows[i] & part.c_mask
+    for i in members(part.c):
+        row = rows[i] & part.c
         row = row >> (i + 1) << (i + 1)
         while row:
             j = (row & -row).bit_length() - 1
@@ -688,7 +699,7 @@ def enumerate_special_cliques(
             v: {
                 u
                 for u in verts
-                if u != v and g.rows[u] >> v & 1 and isosets[u] & isosets[v] == core
+                if u != v and rows[u] >> v & 1 and isosets[u] & isosets[v] == core
             }
             for v in verts
         }

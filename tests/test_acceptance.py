@@ -30,12 +30,12 @@ def test_c02_basis_census(bases):
     _ok("02 basis census 416, iso-sets of 15")
 
 
-def test_c03_srg_verification(g, automorphisms):
+def test_c03_srg_verification(rows, automorphisms):
     # A^2 identity on the pairs through 0, carried to all pairs by the
     # verified vertex-transitive automorphisms; the scan of every pair agrees.
-    params = graph.verify_srg(g, automorphisms)
+    params = graph.verify_srg(rows, automorphisms)
     assert (params.v, params.k, params.lam, params.mu) == (416, 100, 36, 20)
-    assert oracles.verify_srg_all_pairs(g) == params
+    assert oracles.verify_srg_all_pairs(rows) == params
     _ok("03 srg(416,100,36,20) with exact A^2 identity")
 
 
@@ -47,31 +47,30 @@ def test_c04_spectrum(spectrum):
     _ok("04 spectrum s=-4, f=65; cross-instance (10,3,0,1) -> s=-2, f=5")
 
 
-def test_c05_distance_dichotomy(g, srg_params):
+def test_c05_distance_dichotomy(rows, srg_params):
     census = oracles.srg_distance_census(srg_params)
     assert census == graph.DISTANCE_CENSUS == {144: 20800, 192: 65520}
     # y's columns are A's rows off the diagonal; the scan raises on a
     # distance that does not match adjacency.
-    assert oracles.distance_census(g.rows, g) == census
+    assert oracles.distance_census(rows, rows) == census
     _ok("05 distances {144,192} matching adjacency, derived and scanned")
 
 
-def test_c06_partition_and_claim1(g, isosets, point_maps, part):
-    assert len(part.b1) + len(part.b2) + len(part.b3) == 96
-    assert len(part.c) == 320
-    assert [len(part.b1), len(part.b2), len(part.b3)] == [32, 32, 32]
-    graph.verify_claim1(g, part)  # all 416 x 3 counts
+def test_c06_partition_and_claim1(rows, isosets, point_maps, part):
+    assert (part.b1 | part.b2 | part.b3).bit_count() == 96
+    assert [m.bit_count() for m in part] == [32, 32, 32, 320]
+    graph.verify_claim1(rows, part)  # all 416 x 3 counts
     # The verified automorphisms, lifted from point maps with one orbit on
     # the points, carry anchor 1 to every anchor; the direct check at all 65
     # anchors agrees.
     assert graph.orbit_representatives(65, point_maps) == [0]
-    parts = oracles.claim1_at_every_anchor(g, isosets)
+    parts = oracles.claim1_at_every_anchor(rows, isosets)
     assert len(parts) == 65
     _ok("06 partition 96/320, components 32/32/32, claim counts 20/0/8 "
         "at all 65 anchors")
 
 
-def test_c07_contrast_products(g, part, contrasts, full_report):
+def test_c07_contrast_products(rows, part, contrasts, full_report):
     # Constants of the program, derived from claim 1; counted on every
     # column here.
     p, q = contrasts
@@ -79,31 +78,31 @@ def test_c07_contrast_products(g, part, contrasts, full_report):
     assert products["p_pattern"] == [0, 24, -24, 0]
     assert products["q_pattern"] == [48, -24, -24, 0]
     oracles.verify_inner_products(
-        g.rows, p, q, part, products["p_pattern"], products["q_pattern"]
+        rows, p, q, part, products["p_pattern"], products["q_pattern"]
     )
     assert sum(a * b for a, b in zip(p, q)) == products["p_dot_q"] == 0
     _ok("07 contrast patterns (0,24,-24,0) and (48,-24,-24,0), <p,q>=0")
 
 
-def test_c08_dimension_chain(g, part, certificates, full_report):
+def test_c08_dimension_chain(rows, part, certificates, full_report):
     by_set = {c["set"]: c for c in certificates}
     assert [by_set[k]["affine_dim"] for k in ("V", "C+B1", "C")] == [65, 64, 63]
     assert [by_set[k]["linear_rank"] for k in ("V", "C+B1", "C")] == [66, 65, 64]
     chain = oracles.stage(full_report, "dimension-chain").detail
     assert [c["affine_dim"] for c in chain["certificates"]] == [65, 64, 63]
     # PAPER.md's route, modular ranks, agrees for one prime.
-    assert oracles.modular_dimension_chain(g, part, oracles.PRIMES[0]) == (64, 65, 66)
+    assert oracles.modular_dimension_chain(rows, part, oracles.PRIMES[0]) == (64, 65, 66)
     _ok("08 affine dimensions 65/64/63 certified exactly; linear ranks "
         "66/65/64, matched by modular ranks")
 
 
-def test_c09_clique_number(g, vertex_maps):
-    size, witness, stats = oracles.max_clique(g)
+def test_c09_clique_number(rows, vertex_maps):
+    size, witness, stats = oracles.max_clique(rows)
     assert size == 5
     assert stats.edges_scanned == 20800
-    oracles.verify_clique(g, witness)
-    witness, checks = cliques.verify_clique_number(g, vertex_maps)
-    oracles.verify_clique(g, witness)
+    oracles.verify_clique(rows, witness)
+    witness, checks = cliques.verify_clique_number(rows, vertex_maps)
+    oracles.verify_clique(rows, witness)
     assert (len(witness), checks) == (5, 144)
     _ok("09 clique number 5 with verified witness: no 6-clique in 144 local "
         "checks at vertex 0, matched by a search from every edge")
@@ -151,10 +150,11 @@ def test_c10_borsuk_bounds(full_report):
     _ok("10 bounds ceil(352/5)=71, ceil(416/5)=84, dimension-64 verdict")
 
 
-def test_c11_cover_and_uniqueness(g, isosets, special_cliques, part, full_report):
-    assert len(special_cliques) * 5 == len(part.c) == 320
-    assert sorted(v for sc in special_cliques for v in sc.vertices) == list(part.c)
-    assert oracles.enumerate_special_cliques(g, part, isosets) == special_cliques
+def test_c11_cover_and_uniqueness(rows, isosets, special_cliques, part, full_report):
+    assert len(special_cliques) * 5 == part.c.bit_count() == 320
+    covered = sorted(v for sc in special_cliques for v in sc.vertices)
+    assert covered == oracles.vertices(part.c)
+    assert oracles.enumerate_special_cliques(rows, part, isosets) == special_cliques
     assert oracles.stage(full_report, "special-cover").detail == {"special_cliques": 64}
     _ok("11 C tiled by its 64 special 5-cliques, so they are its only exact "
         "cover; matched by grouping every edge of C")

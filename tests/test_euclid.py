@@ -90,9 +90,9 @@ def rank_mod_prime(
     return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
-def column(g, i) -> list[int]:
+def column(rows, i) -> list[int]:
     """Column i of y = A + 4I as the program reads it."""
-    return [int(d) for d in euclid.column_digits(g, i)]
+    return [int(d) for d in euclid.column_digits(rows, i)]
 
 
 def dense(columns) -> np.ndarray:
@@ -113,28 +113,28 @@ def naive_distance_sq(columns, i, j) -> int:
     return total
 
 
-def test_representation_entries(g):
+def test_representation_entries(rows):
     for i in range(0, 416, 41):
-        assert oracles.entry(g.rows, i, i) == 4
-        assert sum(column(g, i)) == 104
-        assert column(g, i) == [oracles.entry(g.rows, t, i) for t in range(416)]
+        assert oracles.entry(rows, i, i) == 4
+        assert sum(column(rows, i)) == 104
+        assert column(rows, i) == [oracles.entry(rows, t, i) for t in range(416)]
     for i, j in [(0, 1), (5, 100), (200, 300)]:
-        want = 1 if g.rows[i] >> j & 1 else 0
-        assert oracles.entry(g.rows, i, j) == want
-        assert oracles.entry(g.rows, j, i) == want
-    assert (dense(g.rows) == np.array([column(g, i) for i in range(416)]).T).all()
+        want = 1 if rows[i] >> j & 1 else 0
+        assert oracles.entry(rows, i, j) == want
+        assert oracles.entry(rows, j, i) == want
+    assert (dense(rows) == np.array([column(rows, i) for i in range(416)]).T).all()
 
 
-def test_representation_column_shape(g):
-    col = column(g, 7)
+def test_representation_column_shape(rows):
+    col = column(rows, 7)
     assert len(col) == 416
     assert col[7] == 4
     assert col.count(1) == 100
     assert col.count(0) == 315
 
 
-def test_pair_distance_matches_naive_oracle(g):
-    y = g.rows
+def test_pair_distance_matches_naive_oracle(rows):
+    y = rows
     rng = random.Random(1234)
     for _ in range(40):
         i, j = rng.sample(range(416), 2)
@@ -148,16 +148,16 @@ def test_pair_distance_matches_naive_oracle(g):
         assert oracles.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
 
 
-def test_distance_values_follow_adjacency(g):
+def test_distance_values_follow_adjacency(rows):
     rng = random.Random(99)
     for _ in range(60):
         i, j = rng.sample(range(416), 2)
-        want = 144 if g.rows[i] >> j & 1 else 192
-        assert oracles.pair_distance_sq(g.rows, i, j) == want
+        want = 144 if rows[i] >> j & 1 else 192
+        assert oracles.pair_distance_sq(rows, i, j) == want
 
 
-def test_distance_census_exhaustive(g, srg_params):
-    census = oracles.distance_census(g.rows, g)
+def test_distance_census_exhaustive(rows, srg_params):
+    census = oracles.distance_census(rows, rows)
     assert census == graph.DISTANCE_CENSUS == {144: 20800, 192: 65520}
     assert oracles.srg_distance_census(srg_params) == census
 
@@ -172,17 +172,18 @@ def gram_distances(columns) -> np.ndarray:
     return diag[:, None] + diag[None, :] - 2 * gram
 
 
-def adjacency_matrix(g) -> np.ndarray:
-    return np.array([[g.rows[a] >> b & 1 for b in range(g.n)] for a in range(g.n)])
+def adjacency_matrix(rows) -> np.ndarray:
+    n = len(rows)
+    return np.array([[rows[a] >> b & 1 for b in range(n)] for a in range(n)])
 
 
-def test_distance_census_matches_gram_oracle(g):
-    y = g.rows
+def test_distance_census_matches_gram_oracle(rows):
+    y = rows
     d2 = gram_distances(y)
-    i, j = np.triu_indices(g.n, k=1)
+    i, j = np.triu_indices(len(rows), k=1)
     values, counts = np.unique(d2[i, j], return_counts=True)
-    assert oracles.distance_census(y, g) == dict(zip(values.tolist(), counts.tolist()))
-    assert ((d2[i, j] == 144) == adjacency_matrix(g)[i, j]).all()
+    assert oracles.distance_census(y, rows) == dict(zip(values.tolist(), counts.tolist()))
+    assert ((d2[i, j] == 144) == adjacency_matrix(rows)[i, j]).all()
     rng = random.Random(5)
     for a, b in (rng.sample(range(416), 2) for _ in range(40)):
         assert oracles.pair_distance_sq(y, a, b) == d2[a, b]
@@ -196,39 +197,39 @@ def test_distance_census_matches_gram_oracle(g):
         [(3, 4)],
         # A 2-switch: edges 200-207 and 201-206 become 200-201 and 206-207.
         # Every norm stays 116, and the first bad pair lies in a row below
-        # 200, whose bits are g's.
+        # 200, whose bits are the graph's.
         [(200, 207), (201, 206), (200, 201), (206, 207)],
     ],
     ids=["0-1", "17-300", "3-4", "2-switch"],
 )
-def test_distance_census_names_the_first_bad_pair(g, pairs):
+def test_distance_census_names_the_first_bad_pair(rows, pairs):
     # The scanned census's witness must be the Gram oracle's first bad pair.
-    bad = list(g.rows)
+    bad = list(rows)
     for i, j in pairs:
         bad[i] ^= 1 << j
         bad[j] ^= 1 << i
     column_sums = set(dense(bad).sum(axis=0).tolist())
     assert len(column_sums) == (1 if len(pairs) == 4 else 2)
     d2 = gram_distances(bad)
-    a, b = np.triu_indices(g.n, k=1)
-    wrong = np.flatnonzero((d2[a, b] == 144) != adjacency_matrix(g)[a, b])
+    a, b = np.triu_indices(len(rows), k=1)
+    wrong = np.flatnonzero((d2[a, b] == 144) != adjacency_matrix(rows)[a, b])
     first = (int(a[wrong[0]]), int(b[wrong[0]]))
     with pytest.raises(VerificationError) as exc:
-        oracles.distance_census(bad, g)
+        oracles.distance_census(bad, rows)
     assert exc.value.witness == first + (int(d2[first]),)
     assert len(pairs) == 1 or first[0] < 200
 
 
-def test_distance_census_refuses_diagonal_bits_and_asymmetry(g):
-    bad = list(g.rows)
+def test_distance_census_refuses_diagonal_bits_and_asymmetry(rows):
+    bad = list(rows)
     bad[9] |= 1 << 9
     with pytest.raises(VerificationError) as exc:
-        oracles.distance_census(bad, g)
+        oracles.distance_census(bad, rows)
     assert exc.value.witness == 9
-    bad = list(g.rows)
+    bad = list(rows)
     bad[300] ^= 1 << 17
     with pytest.raises(VerificationError, match="not symmetric") as exc:
-        oracles.distance_census(bad, g)
+        oracles.distance_census(bad, rows)
     assert exc.value.witness == (17, 300)
 
 
@@ -238,22 +239,18 @@ def test_contrast_vectors(part, contrasts):
     assert sum(x * x for x in p) == 64
     assert sum(x * x for x in q) == 192
     assert sum(a * b for a, b in zip(p, q)) == 0
-    for i in part.b1:
-        assert p[i] == 0 and q[i] == 2
-    for i in part.b2:
-        assert p[i] == 1 and q[i] == -1
-    for i in part.b3:
-        assert p[i] == -1 and q[i] == -1
-    for i in part.c:
-        assert p[i] == 0 and q[i] == 0
+    want = [(0, 2), (1, -1), (-1, -1), (0, 0)]  # on B1, B2, B3, C
+    for mask, (p_value, q_value) in zip(part, want):
+        for i in oracles.vertices(mask):
+            assert p[i] == p_value and q[i] == q_value
 
 
-def test_inner_product_patterns(g, part, contrasts, full_report):
+def test_inner_product_patterns(rows, part, contrasts, full_report):
     # The stage's constants are the products counted on every column.
     p, q = contrasts
     products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
     oracles.verify_inner_products(
-        g.rows, p, q, part, products["p_pattern"], products["q_pattern"]
+        rows, p, q, part, products["p_pattern"], products["q_pattern"]
     )
     assert products["p_dot_q"] == sum(a * b for a, b in zip(p, q))
     assert products["p_norm_sq"] == sum(x * x for x in p)
@@ -262,14 +259,15 @@ def test_inner_product_patterns(g, part, contrasts, full_report):
     def dot(vec, col):
         return sum(a * b for a, b in zip(vec, col))
 
-    assert dot(p, column(g, part.b1[0])) == 0
-    assert dot(p, column(g, part.b2[0])) == 24
-    assert dot(p, column(g, part.b3[0])) == -24
-    assert dot(p, column(g, part.c[0])) == 0
-    assert dot(q, column(g, part.b1[0])) == 48
-    assert dot(q, column(g, part.b2[0])) == -24
-    assert dot(q, column(g, part.b3[0])) == -24
-    assert dot(q, column(g, part.c[0])) == 0
+    b1, b2, b3, c = (oracles.vertices(mask)[0] for mask in part)
+    assert dot(p, column(rows, b1)) == 0
+    assert dot(p, column(rows, b2)) == 24
+    assert dot(p, column(rows, b3)) == -24
+    assert dot(p, column(rows, c)) == 0
+    assert dot(q, column(rows, b1)) == 48
+    assert dot(q, column(rows, b2)) == -24
+    assert dot(q, column(rows, b3)) == -24
+    assert dot(q, column(rows, c)) == 0
 
 
 def test_dimension_chain_argument_states_the_checked_numbers(full_report):
@@ -292,18 +290,18 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report):
     assert int(p_value) == products["p_pattern"][blocks.index(p_block)]
 
 
-def test_inner_products_reject_corruption(g, part, contrasts, full_report):
+def test_inner_products_reject_corruption(rows, part, contrasts, full_report):
     p, q = contrasts
     products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
+    c0 = oracles.vertices(part.c)[0]
     bad = list(p)
-    bad[part.c[0]] = 1
+    bad[c0] = 1
     with pytest.raises(VerificationError) as exc:
         oracles.verify_inner_products(
-            g.rows, bad, q, part, products["p_pattern"], products["q_pattern"]
+            rows, bad, q, part, products["p_pattern"], products["q_pattern"]
         )
-    # The first column that sees the changed coordinate: c[0] or a neighbour.
-    c0 = part.c[0]
-    neighbours = [i for i in range(416) if g.rows[i] >> c0 & 1]
+    # The first column that sees the changed coordinate: c0 or a neighbour.
+    neighbours = [i for i in range(416) if rows[i] >> c0 & 1]
     assert exc.value.witness == min([c0] + neighbours)
 
 
@@ -351,22 +349,22 @@ def test_rank_mod_prime_validates_prime():
             oracles.principal_prefix_ranks([[1]], bad, (1,))
 
 
-def test_principal_pivots_match_elimination_on_y(g, part):
+def test_principal_pivots_match_elimination_on_y(rows, part):
     # With no stop, in label order, the kernel reaches the ranks that the
     # program certifies exactly; modular ranks never exceed rational ones,
     # so the stopped oracle loses nothing.
-    columns = [column(g, i) for i in range(g.n)]
-    natural = list(part.c + part.b1 + part.b2 + part.b3)
+    columns = [column(rows, i) for i in range(len(rows))]
+    natural = [v for mask in (part.c, *part[:3]) for v in oracles.vertices(mask)]
     stride = oracles.nested_order(part)
-    assert sorted(stride[:320]) == sorted(part.c) and stride[320:] == natural[320:]
+    assert sorted(stride[:320]) == natural[:320] and stride[320:] == natural[320:]
     prefixes = (320, 352, 416)
     for prime in oracles.PRIMES:
         got = oracles.principal_prefix_ranks(columns, prime, prefixes, natural)
         assert got == (64, 65, 66)
-        assert got == rank_mod_prime(dense(g.rows)[:, natural], prime, prefixes)
+        assert got == rank_mod_prime(dense(rows)[:, natural], prime, prefixes)
         # The order inside C changes only how soon the pivots come.
         assert oracles.principal_prefix_ranks(columns, prime, prefixes, stride) == got
-        assert oracles.modular_dimension_chain(g, part, prime) == got
+        assert oracles.modular_dimension_chain(rows, part, prime) == got
 
 
 def test_caps_stop_each_prefix():
@@ -378,9 +376,9 @@ def test_caps_stop_each_prefix():
     assert oracles.principal_prefix_ranks(eye, prime, (4, 2), caps=(9, 9)) == (4, 2)
 
 
-def test_stride_order_finds_the_c_pivots_first(g, part):
-    columns = [column(g, i) for i in range(g.n)]
-    natural = list(part.c + part.b1 + part.b2 + part.b3)
+def test_stride_order_finds_the_c_pivots_first(rows, part):
+    columns = [column(rows, i) for i in range(len(rows))]
+    natural = [v for mask in (part.c, *part[:3]) for v in oracles.vertices(mask)]
     stride = oracles.nested_order(part)
     for prime in oracles.PRIMES:
         assert oracles.principal_prefix_ranks(columns, prime, (64,), stride) == (64,)
@@ -412,18 +410,18 @@ def test_dimension_chain_certificates(certificates):
         assert cert["argument"]
 
 
-def test_ldlt_oracle_certifies_the_chain_for_one_prime(g, part, certificates):
+def test_ldlt_oracle_certifies_the_chain_for_one_prime(rows, part, certificates):
     # PAPER.md's route: the pivots of one prime reach every exact rank.
     ranks = tuple(c["linear_rank"] for c in reversed(certificates))
     for prime in (1_000_003, 999_983, 5):
-        assert oracles.modular_dimension_chain(g, part, prime) == ranks == (64, 65, 66)
+        assert oracles.modular_dimension_chain(rows, part, prime) == ranks == (64, 65, 66)
 
 
-def test_ldlt_oracle_falls_short_mod_3(g, part):
+def test_ldlt_oracle_falls_short_mod_3(rows, part):
     # Mod 3 a pivot of y vanishes and the pivots on V stop one short; 3 is
     # the only prime below 400 that falls short on y.  The exact chain has
     # no such case.
-    assert oracles.modular_dimension_chain(g, part, 3) == (64, 65, 65)
+    assert oracles.modular_dimension_chain(rows, part, 3) == (64, 65, 65)
 
 
 def test_c_spectrum_solves_the_trace_equations():
@@ -441,35 +439,35 @@ def test_c_spectrum_solves_the_trace_equations():
     assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == -1280
 
 
-def a_c(g, part) -> np.ndarray:
+def a_c(rows, part) -> np.ndarray:
     """The adjacency of the graph induced on C, as an int64 array."""
-    c = list(part.c)
-    return dense(g.rows)[np.ix_(c, c)] - 4 * np.eye(len(c), dtype=np.int64)
+    c = oracles.vertices(part.c)
+    return dense(rows)[np.ix_(c, c)] - 4 * np.eye(len(c), dtype=np.int64)
 
 
-def test_c_identity_holds_on_every_row(g, part):
+def test_c_identity_holds_on_every_row(rows, part):
     # The program checks row c0 and carries it by the words; here every
     # entry of (A_C - 16)(A_C - 12)(A_C + 4) is computed.
-    a = a_c(g, part)
-    eye = np.eye(len(part.c), dtype=np.int64)
+    a = a_c(rows, part)
+    eye = np.eye(part.c.bit_count(), dtype=np.int64)
     product = (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
     assert (product == 960).all()
     assert (a.sum(axis=0) == 76).all()
-    euclid.verify_c_identity(g, part)
+    euclid.verify_c_identity(rows, part)
 
 
 @pytest.mark.parametrize("u_offset", [1, 200], ids=["c1", "c200"])
-def test_c_identity_refuses_a_tampered_row(g, part, u_offset):
+def test_c_identity_refuses_a_tampered_row(rows, part, u_offset):
     # The pair (c0, u) of C flipped: the direct call names the first entry
     # of row c0 of the cubic that is no longer 960, as the array finds it.
-    c0, u = part.c[0], part.c[u_offset]
-    rows = list(g.rows)
-    rows[c0] ^= 1 << u
-    rows[u] ^= 1 << c0
+    c = oracles.vertices(part.c)
+    c0, u = c[0], c[u_offset]
+    tampered = list(rows)
+    graph.flip_edge(tampered, c0, u)
     with pytest.raises(VerificationError, match=r"\(A_C - 16\)") as err:
-        euclid.verify_c_identity(type(g)(g.n, rows), part)
-    a = a_c(type(g)(g.n, rows), part)
+        euclid.verify_c_identity(tampered, part)
+    a = a_c(tampered, part)
     eye = np.eye(320, dtype=np.int64)
     row = eye[0] @ (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
-    assert err.value.witness == part.c[int(np.flatnonzero(row != 960)[0])]
+    assert err.value.witness == c[int(np.flatnonzero(row != 960)[0])]
 

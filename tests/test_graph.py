@@ -13,7 +13,7 @@ import oracles
 PETERSEN_VERTICES = list(combinations(range(5), 2))
 
 
-def petersen() -> graph.Graph:
+def petersen() -> list[int]:
     """Kneser graph on 2-subsets of a 5-set, disjointness adjacency."""
     verts = PETERSEN_VERTICES
     rows = [0] * 10
@@ -22,7 +22,7 @@ def petersen() -> graph.Graph:
             if not set(verts[i]) & set(verts[j]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return graph.Graph(10, rows)
+    return rows
 
 
 def petersen_generators() -> list[list[int]]:
@@ -44,26 +44,25 @@ def halved_5cube_generators() -> list[list[int]]:
     return [[index[w ^ 0b00011] for w in words], shift]
 
 
-def test_graph_shape(g):
-    assert g.n == 416
-    assert g.edge_count() == 20800
-    degrees = {g.degree(i) for i in range(g.n)}
-    assert degrees == {100}
+def test_graph_shape(rows):
+    assert len(rows) == 416
+    assert graph.edge_count(rows) == 20800
+    assert {row.bit_count() for row in rows} == {100}
 
 
-def test_no_loops_and_symmetric(g):
-    for i in range(g.n):
-        assert not g.rows[i] >> i & 1
-    for i in range(0, g.n, 13):
-        for j in range(g.n):
-            assert g.rows[i] >> j & 1 == g.rows[j] >> i & 1
+def test_no_loops_and_symmetric(rows):
+    for i in range(len(rows)):
+        assert not rows[i] >> i & 1
+    for i in range(0, len(rows), 13):
+        for j in range(len(rows)):
+            assert rows[i] >> j & 1 == rows[j] >> i & 1
 
 
-def test_adjacency_is_intersection_3(g, isosets):
-    for i in range(0, g.n, 29):
-        for j in range(i + 1, g.n):
+def test_adjacency_is_intersection_3(rows, isosets):
+    for i in range(0, len(rows), 29):
+        for j in range(i + 1, len(rows)):
             size = (isosets[i] & isosets[j]).bit_count()
-            assert g.rows[i] >> j & 1 == (size == 3)
+            assert rows[i] >> j & 1 == (size == 3)
 
 
 def test_intersection_distribution(isosets):
@@ -74,9 +73,9 @@ def test_intersection_distribution(isosets):
     assert sum(dist.values()) == 416 * 415 // 2
 
 
-def test_build_graph_matches_the_pairwise_oracle(g, isosets):
+def test_build_graph_matches_the_pairwise_oracle(rows, isosets):
     h, dist = oracles.build_graph(isosets)
-    assert h.rows == g.rows
+    assert h == rows
     assert dist == oracles.INTERSECTION_SIZES
 
 
@@ -185,26 +184,27 @@ def _orbit(maps: list[list[int]], v: int) -> set[int]:
     return seen
 
 
-def test_stabilizer_words_fix_c_with_one_orbit(g, automorphisms, part):
-    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
+def test_stabilizer_words_fix_c_with_one_orbit(rows, automorphisms, part):
+    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c)
+    c = oracles.vertices(part.c)
     a, b = automorphisms
     for word, perm in zip(graph.STABILIZER_WORDS, maps):
         # Letters apply left to right, capitals being inverses.
-        want = list(range(g.n))
+        want = list(range(len(rows)))
         for letter in word:
             step = {"a": a, "b": b}[letter.lower()]
             want = [step[v] if letter.islower() else step.index(v) for v in want]
         assert perm == want
-        assert sorted(perm[v] for v in part.c) == list(part.c)
-        graph._verify_automorphism(g, perm)  # a product of verified maps
-    assert _orbit(maps, part.c[0]) == set(part.c)
+        assert sorted(perm[v] for v in c) == c
+        graph._verify_automorphism(rows, perm)  # a product of verified maps
+    assert _orbit(maps, c[0]) == set(c)
 
 
-def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(g, automorphisms):
+def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(rows, automorphisms):
     maps = graph.stabilizer(automorphisms, graph.VERTEX_WORDS, 1)
     assert all(perm[0] == 0 for perm in maps)
-    n0 = [v for v in range(g.n) if g.rows[0] >> v & 1]
-    reps = [v for v in graph.orbit_representatives(g.n, maps) if v in n0]
+    n0 = [v for v in range(len(rows)) if rows[0] >> v & 1]
+    reps = [v for v in graph.orbit_representatives(len(rows), maps) if v in n0]
     assert reps == [16, 17, 28, 29]
     orbits = [_orbit(maps, u) for u in reps]
     assert [len(o) for o in orbits] == [25] * 4
@@ -214,16 +214,18 @@ def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(g, automorphisms)
 def test_stabilizer_refuses_a_word_that_leaves_the_set(automorphisms, part):
     a = automorphisms[0]
     with pytest.raises(VerificationError, match="the word a sends vertex") as err:
-        graph.stabilizer(automorphisms, ("abA", "a"), part.c_mask)
-    assert err.value.witness == min(v for v in part.c if not part.c_mask >> a[v] & 1)
+        graph.stabilizer(automorphisms, ("abA", "a"), part.c)
+    c = oracles.vertices(part.c)
+    assert err.value.witness == min(v for v in c if not part.c >> a[v] & 1)
 
 
 def test_stabilizer_refuses_a_second_orbit(automorphisms, part):
     # One of the two words alone fixes C but leaves many orbits on it.
-    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c_mask)
+    maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c)
     with pytest.raises(VerificationError, match="orbits on the set, not 1") as err:
-        graph.stabilizer(automorphisms, graph.STABILIZER_WORDS[:1], part.c_mask)
-    assert err.value.witness == min(set(part.c) - _orbit(maps[:1], part.c[0]))
+        graph.stabilizer(automorphisms, graph.STABILIZER_WORDS[:1], part.c)
+    c = oracles.vertices(part.c)
+    assert err.value.witness == min(set(c) - _orbit(maps[:1], c[0]))
 
 
 def test_srg_parameters(srg_params):
@@ -232,45 +234,46 @@ def test_srg_parameters(srg_params):
     assert 100 * 63 == 315 * 20 == 6300
 
 
-def test_srg_identity_holds(g, srg_params):
+def test_srg_identity_holds(rows, srg_params):
     # Oracle for what verify_srg certifies: A^2 by integer matrix product.
-    a = np.array([[g.rows[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
-    eye, ones = np.eye(g.n, dtype=a.dtype), np.ones_like(a)
+    n = len(rows)
+    a = np.array([[rows[i] >> j & 1 for j in range(n)] for i in range(n)])
+    eye, ones = np.eye(n, dtype=a.dtype), np.ones_like(a)
     k, lam, mu = srg_params.k, srg_params.lam, srg_params.mu
     assert (a @ a == k * eye + lam * a + mu * (ones - eye - a)).all()
 
 
-def test_pair_scan_oracle_agrees_with_verify_srg(g, srg_params):
-    assert oracles.verify_srg_all_pairs(g) == srg_params
+def test_pair_scan_oracle_agrees_with_verify_srg(rows, srg_params):
+    assert oracles.verify_srg_all_pairs(rows) == srg_params
 
 
 def test_flipped_edge_breaks_verification(isosets, automorphisms):
     h = graph.build_graph(isosets)[0]
-    h.flip_edge(0, 1)
+    graph.flip_edge(h, 0, 1)
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(h, automorphisms)
     assert err.value.witness is not None
     assert "degree" in str(err.value)  # caught before any pair is scanned
 
 
-def test_one_direction_flip_fails_symmetry_with_a_witness(g, automorphisms):
+def test_one_direction_flip_fails_symmetry_with_a_witness(rows, automorphisms):
     # Flip A[i][j] but not A[j][i]; a second bit t > j in row i keeps its
     # degree at k, so the degree check passes and the transpose must catch
     # it, on a pair through 0 and on one away from it.  The witness is the
     # first (row, column) where A and its transpose differ: (j, i).
     for i, j in ((1, 0), (300, 17)):
         t = next(
-            t for t in range(j + 1, g.n)
-            if t != i and g.rows[i] >> t & 1 != g.rows[i] >> j & 1
+            t for t in range(j + 1, len(rows))
+            if t != i and rows[i] >> t & 1 != rows[i] >> j & 1
         )
-        h = graph.Graph(g.n, list(g.rows))
-        h.rows[i] ^= 1 << j | 1 << t
+        h = list(rows)
+        h[i] ^= 1 << j | 1 << t
         with pytest.raises(VerificationError, match="asymmetric") as err:
             graph.verify_srg(h, automorphisms)
         assert err.value.witness == (j, i)
     # The lone flipped bit changes a degree and fails with that vertex.
-    h = graph.Graph(g.n, list(g.rows))
-    h.rows[1] ^= 1 << 0
+    h = list(rows)
+    h[1] ^= 1 << 0
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(h, automorphisms)
     assert err.value.witness[0] == 1
@@ -287,7 +290,7 @@ def test_directed_3_cycle_fails_symmetry_before_any_map(perm):
     # the rotation is an automorphism of the directed cycle, the
     # transposition is none, and the last map is no bijection, yet all three
     # give the same refusal.  A map is checked only on a symmetric A.
-    h = graph.Graph(3, [0b010, 0b100, 0b001])
+    h = [0b010, 0b100, 0b001]
     with pytest.raises(VerificationError, match=r"asymmetric pair \(0,1\)") as err:
         graph.verify_srg(h, [perm])
     assert err.value.witness == (0, 1)
@@ -320,12 +323,12 @@ def test_petersen_graph_parameters_via_scan():
     a, b, c, d = next(
         t
         for t in permutations(range(10), 4)
-        if p.rows[t[0]] >> t[1] & 1 and p.rows[t[2]] >> t[3] & 1
-        and not p.rows[t[0]] >> t[2] & 1 and not p.rows[t[1]] >> t[3] & 1
+        if p[t[0]] >> t[1] & 1 and p[t[2]] >> t[3] & 1
+        and not p[t[0]] >> t[2] & 1 and not p[t[1]] >> t[3] & 1
     )
-    switched = graph.Graph(10, list(p.rows))
+    switched = list(p)
     for i, j in ((a, b), (c, d), (a, c), (b, d)):
-        switched.flip_edge(i, j)
+        graph.flip_edge(switched, i, j)
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(switched, petersen_generators())
     assert "common neighbours" in str(err.value)
@@ -342,71 +345,67 @@ def test_spectrum_is_exact():
 
 
 def test_partition_sizes(part):
-    assert len(part.b1) == len(part.b2) == len(part.b3) == 32
-    assert len(part.c) == 320
+    assert [m.bit_count() for m in part] == [32, 32, 32, 320]
     assert 96 + 320 == 416
 
 
 def test_partition_blocks_are_disjoint_and_labelled(part):
-    blocks = [set(part.b1), set(part.b2), set(part.b3), set(part.c)]
+    blocks = [set(oracles.vertices(m)) for m in part]
     union = set()
     for b in blocks:
         assert not union & b
         union |= b
     assert union == set(range(416))
     # Components labelled by smallest contained vertex.
-    assert part.b1[0] < part.b2[0] < part.b3[0]
+    assert min(blocks[0]) < min(blocks[1]) < min(blocks[2])
 
 
 def test_partition_membership_is_anchor_predicate(part, isosets):
-    b_all = set(part.b1) | set(part.b2) | set(part.b3)
+    b_all = set(oracles.vertices(part.b1 | part.b2 | part.b3))
     for i in range(416):
         has_anchor = bool(isosets[i] >> 1 & 1)
         assert (i in b_all) == has_anchor
 
 
-def test_claim1_counts(g, part):
-    graph.verify_claim1(g, part)
+def test_claim1_counts(rows, part):
+    graph.verify_claim1(rows, part)
     # Spot the three cases explicitly.
-    i = part.b2[0]
-    assert (g.rows[i] & part.b1_mask).bit_count() == 0
-    assert (g.rows[i] & part.b2_mask).bit_count() == 20
-    assert (g.rows[i] & part.b3_mask).bit_count() == 0
-    j = part.c[0]
-    assert (g.rows[j] & part.b1_mask).bit_count() == 8
-    assert (g.rows[j] & part.b2_mask).bit_count() == 8
-    assert (g.rows[j] & part.b3_mask).bit_count() == 8
+    i = oracles.vertices(part.b2)[0]
+    assert (rows[i] & part.b1).bit_count() == 0
+    assert (rows[i] & part.b2).bit_count() == 20
+    assert (rows[i] & part.b3).bit_count() == 0
+    j = oracles.vertices(part.c)[0]
+    assert (rows[j] & part.b1).bit_count() == 8
+    assert (rows[j] & part.b2).bit_count() == 8
+    assert (rows[j] & part.b3).bit_count() == 8
 
 
-def test_claim1_refuses_a_b1_vertex_traded_with_a_c_vertex(g, part):
+def test_claim1_refuses_a_b1_vertex_traded_with_a_c_vertex(rows, part):
     # B1 and C trade their first vertices; the sizes stay 32 and 320, so
     # only the block counts can see it.  A vertex of the new B1 adjacent to
     # exactly one of the two traded vertices sees 19 or 21 neighbours in B1,
     # and the traded C vertex sees 7 or 8; the first of them is named.
-    x, y = part.b1[0], part.c[0]
-    b1 = tuple(sorted(part.b1[1:] + (y,)))
-    c = tuple(sorted(part.c[1:] + (x,)))
+    x, y = oracles.vertices(part.b1)[0], oracles.vertices(part.c)[0]
     swap = 1 << x | 1 << y
-    traded = part._replace(
-        b1=b1, c=c, b1_mask=part.b1_mask ^ swap, c_mask=part.c_mask ^ swap
-    )
+    traded = part._replace(b1=part.b1 ^ swap, c=part.c ^ swap)
     with pytest.raises(VerificationError, match="neighbours in B1") as err:
-        graph.verify_claim1(g, traded)
-    wrong = [u for u in b1 if (g.rows[u] & traded.b1_mask).bit_count() != 20]
+        graph.verify_claim1(rows, traded)
+    b1 = oracles.vertices(traded.b1)
+    wrong = [u for u in b1 if (rows[u] & traded.b1).bit_count() != 20]
     assert y in wrong
     assert err.value.witness == (wrong[0], 1)
 
 
-def test_split_invariant_under_anchor_relabelling(g, isosets):
+def test_split_invariant_under_anchor_relabelling(rows, isosets):
     columns = graph.point_columns(isosets)
     for anchor in (7, 21, 58):
-        alt = graph.split_B_C(g, columns[anchor])
-        assert [len(alt.b1), len(alt.b2), len(alt.b3)] == [32, 32, 32]
-        assert len(alt.c) == 320 and alt.c_mask == ((1 << 416) - 1) & ~columns[anchor]
-        graph.verify_claim1(g, alt)
+        alt = graph.split_B_C(rows, columns[anchor])
+        assert [m.bit_count() for m in alt] == [32, 32, 32, 320]
+        assert alt.c == ((1 << 416) - 1) & ~columns[anchor]
+        graph.verify_claim1(rows, alt)
     # No point 0: its column is empty, and an empty B has no components.
     with pytest.raises(VerificationError) as exc:
-        graph.split_B_C(g, columns[0])
+        graph.split_B_C(rows, columns[0])
     assert exc.value.witness == []
 
 
@@ -417,13 +416,13 @@ def _model_words() -> list[int]:
     return [w for w in words for _ in range(2)]
 
 
-def test_components_isomorphic_to_coclique_extension(g, part):
+def test_components_isomorphic_to_coclique_extension(rows, part):
     model = oracles.coclique_extension(oracles.halved_5cube(), 2)
     words = _model_words()
-    graph.check_component_structure(g, part)  # or it raises
-    blocks = (part.b1, part.b2, part.b3)
-    for block, mask in zip(blocks, (part.b1_mask, part.b2_mask, part.b3_mask)):
-        labels = graph._cube_words(g, block, mask)
+    graph.check_component_structure(rows, part)  # or it raises
+    for mask in part[:3]:
+        block = oracles.vertices(mask)
+        labels = graph._cube_words(rows, mask)
         # Model vertex 2t + a is the a-th vertex of the block, in order, that
         # carries word t; every word is carried exactly twice.
         holders = {w: [v for v, x in zip(block, labels) if x == w] for w in words}
@@ -432,19 +431,18 @@ def test_components_isomorphic_to_coclique_extension(g, part):
         assert sorted(mapped) == sorted(block)
         for u in range(32):
             for w in range(32):
-                assert model.rows[u] >> w & 1 == g.rows[mapped[u]] >> mapped[w] & 1
+                assert model[u] >> w & 1 == rows[mapped[u]] >> mapped[w] & 1
         # The backtracking search agrees that an isomorphism exists.
-        assert oracles.find_isomorphism(model, oracles.induced(g, block)) is not None
+        assert oracles.find_isomorphism(model, oracles.induced(rows, mask)) is not None
 
 
-def _blocks_of_models() -> tuple[graph.Graph, graph.Partition]:
+def _blocks_of_models() -> tuple[list[int], graph.Partition]:
     """Three disjoint copies of the oracle model on 96 vertices, and their
     partition."""
     model = oracles.coclique_extension(oracles.halved_5cube(), 2)
-    rows = [model.rows[v % 32] << (v // 32 * 32) for v in range(96)]
-    blocks = [tuple(range(32 * t, 32 * t + 32)) for t in range(3)]
+    rows = [model[v % 32] << (v // 32 * 32) for v in range(96)]
     masks = [(1 << 32) - 1 << 32 * t for t in range(3)]
-    return graph.Graph(96, rows), graph.Partition(*blocks, (), *masks, 0)
+    return rows, graph.Partition(*masks, 0)
 
 
 def _witness_vertices(witness) -> set[int]:
@@ -456,9 +454,8 @@ def test_component_structure_labels_the_model_itself():
     # twice.
     h, part = _blocks_of_models()
     graph.check_component_structure(h, part)  # or it raises
-    blocks = (part.b1, part.b2, part.b3)
-    for block, mask in zip(blocks, (part.b1_mask, part.b2_mask, part.b3_mask)):
-        labels = graph._cube_words(h, block, mask)
+    for mask in part[:3]:
+        labels = graph._cube_words(h, mask)
         assert labels[:2] == [0, 0]
         assert sorted(labels) == sorted(_model_words())
 
@@ -484,27 +481,24 @@ def test_component_structure_refuses_a_corrupted_model(corruption, message):
         s, t = (0, 1) if "00000" in corruption else (1, 2)
         for a in range(2):
             for b in range(2):
-                h.flip_edge(base + 2 * s + a, base + 2 * t + b)
+                graph.flip_edge(h, base + 2 * s + a, base + 2 * t + b)
     else:
         # Three vertices share the word 00000 and only one has 00011, yet
         # every pair agrees with the words: only the count refuses it.
         for u in range(32):
-            if u != 3 and (h.rows[base + 3] ^ h.rows[base]) >> base + u & 1:
-                h.flip_edge(base + 3, base + u)
+            if u != 3 and (h[base + 3] ^ h[base]) >> base + u & 1:
+                graph.flip_edge(h, base + 3, base + u)
     with pytest.raises(VerificationError, match=f"^B2: .*{message}") as err:
         graph.check_component_structure(h, part)
-    assert _witness_vertices(err.value.witness) <= set(part.b2)
+    assert _witness_vertices(err.value.witness) <= set(oracles.vertices(part.b2))
 
 
-def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(g, part):
+def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(rows, part):
     # 32 vertices of C in place of B2, with their own mask: B2 is named.
-    fake_b2 = part.c[:32]
-    fake = graph.Partition(
-        part.b1, fake_b2, part.b3, part.c[32:],
-        part.b1_mask, sum(1 << v for v in fake_b2), part.b3_mask, 0,
-    )
+    fake_b2 = oracles.vertices(part.c)[:32]
+    fake = part._replace(b2=sum(1 << v for v in fake_b2), c=0)
     with pytest.raises(VerificationError, match="^B2: ") as err:
-        graph.check_component_structure(g, fake)
+        graph.check_component_structure(rows, fake)
     assert _witness_vertices(err.value.witness) <= set(fake_b2)
 
 
@@ -513,12 +507,12 @@ def test_halved_5cube_model():
     params = graph.verify_srg(h, halved_5cube_generators())
     assert (params.v, params.k, params.lam, params.mu) == (16, 10, 6, 6)
     model = oracles.coclique_extension(h, 2)
-    assert model.n == 32
-    assert {model.degree(i) for i in range(32)} == {20}
+    assert len(model) == 32
+    assert {row.bit_count() for row in model} == {20}
     # Paired copies share neighbourhoods and are non-adjacent.
     for v in range(16):
-        assert not model.rows[2 * v] >> 2 * v + 1 & 1
-        assert model.rows[2 * v] == model.rows[2 * v + 1]
+        assert not model[2 * v] >> 2 * v + 1 & 1
+        assert model[2 * v] == model[2 * v + 1]
 
 
 def test_find_isomorphism_positive_and_negative():
