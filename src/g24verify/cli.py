@@ -5,8 +5,6 @@ export-graph, export-isosets, export-vectors, export-cover.  Exit codes:
 0 pass, 1 verification failure, 3 usage or I/O error.
 """
 
-from __future__ import annotations
-
 import sys
 
 from . import __version__, graph

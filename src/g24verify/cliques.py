@@ -10,16 +10,12 @@ clique number it divides by is pinned here, so it is a constant of the
 pipeline's verdict stage.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from .errors import VerificationError
 from .graph import Partition, orbit_representatives
 from .hermitian import members
 
-
-SpecialClique = namedtuple("SpecialClique", "vertices core")
+# A special clique: its five vertices and its core's three points, ascending.
+SpecialClique = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def verify_clique_number(
@@ -116,6 +112,6 @@ def special_cliques(
     cover = []
     for vs in orbit:
         core = isosets[vs[0]] & isosets[vs[1]]
-        cover.append(SpecialClique(vs, tuple(members(core))))
-    return sorted(cover, key=lambda c: c.core)
+        cover.append((vs, tuple(members(core))))
+    return sorted(cover, key=lambda c: c[1])  # by core
 

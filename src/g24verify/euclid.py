@@ -18,15 +18,16 @@ automorphisms, and the step between them from p and q.  Every check is
 exact integer arithmetic; there is no floating point and no array library.
 """
 
-from __future__ import annotations
-
 from .errors import VerificationError
-from .graph import SPECTRUM, STABILIZER_WORDS, Partition
+from .graph import CLAIM1, SPECTRUM, SRG, STABILIZER_WORDS, Partition
 from .hermitian import members
 
 # The eigenvalues of A_C, the adjacency of the graph induced on C, with
 # their multiplicities; `certified_dimension_chain` derives them.
 C_SPECTRUM = {76: 1, 16: 48, 12: 15, -4: 256}
+
+# (A_C - 16)(A_C - 12)(A_C + 4) = C_IDENTITY J, as `verify_c_identity` checks.
+C_IDENTITY = 960
 
 
 def column_digits(rows: list[int], i: int) -> str:
@@ -57,9 +58,10 @@ def verify_c_identity(rows: list[int], part: Partition) -> None:
     for u, row in inside.items():
         cube = sum(t * (m & row).bit_count() for t, m in levels.items())
         got = cube - 24 * square[u] + 80 * (r0 >> u & 1) + 768 * (u == c0)
-        if got != 960:
+        if got != C_IDENTITY:
             raise VerificationError(
-                f"(A_C - 16)(A_C - 12)(A_C + 4) is {got} at ({c0},{u}), not 960",
+                f"(A_C - 16)(A_C - 12)(A_C + 4) is {got} at ({c0},{u}), "
+                f"not {C_IDENTITY}",
                 witness=u,
             )
 
@@ -99,7 +101,8 @@ def certified_dimension_chain(rows: list[int], part: Partition) -> list[dict]:
     """
     verify_c_identity(rows, part)
     size_c = part.c.bit_count()
-    rank_y = 1 + SPECTRUM.f
+    rank_y = 1 + SPECTRUM[1]
+    degree_c = SRG[1] - sum(CLAIM1["C"])  # k less the neighbours in B
     rank_c = size_c - C_SPECTRUM[-4]
     hyperplane = "every column satisfies <1, y_i> = 104, a hyperplane off the origin"
     sets = [
@@ -125,10 +128,10 @@ def certified_dimension_chain(rows: list[int], part: Partition) -> list[dict]:
             size_c,
             rank_c,
             [
-                "(A_C - 16)(A_C - 12)(A_C + 4) = 960 J, verified on row "
+                f"(A_C - 16)(A_C - 12)(A_C + 4) = {C_IDENTITY} J, verified on row "
                 f"{next(members(part.c))} and carried to every row of C by "
                 f"the words {', '.join(STABILIZER_WORDS)}",
-                "A_C is 76-regular with trace 0, so its spectrum is "
+                f"A_C is {degree_c}-regular with trace 0, so its spectrum is "
                 + " ".join(f"({t})^{m}" for t, m in C_SPECTRUM.items()),
                 f"y is positive semidefinite, so the rank is rank(A_C + 4I) = {rank_c}",
             ],

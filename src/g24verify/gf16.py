@@ -3,12 +3,11 @@
 Elements are 4-bit integers 0..15; bit k is the coefficient of x**k in a
 polynomial of degree < 4 over GF(2), so addition (and subtraction) is XOR,
 written `^` where it is used.  Multiplication reduces modulo
-x**4 + x + 1.  All products are precomputed into a 16x16 table by schoolbook
-shift-and-xor reduction; `verify_axioms` certifies the table exhaustively so
-nothing rests on a hand-written constant.
+x**4 + x + 1.  The import builds the product, conjugation and inverse
+tables from one walk of the powers of x (a log/antilog table) and loads no
+other module; `verify_axioms` certifies the tables exhaustively so nothing
+rests on a hand-written constant or on how they were built.
 """
-
-from __future__ import annotations
 
 from .errors import VerificationError
 
@@ -19,31 +18,24 @@ POLY = 0x13
 POLYNOMIAL = "x^4 + x + 1"
 
 
-def _mul_schoolbook(a: int, b: int) -> int:
-    """Carry-less product of a and b reduced modulo POLY."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x10:
-            a ^= POLY
-    return acc
-
-
 def _build_tables() -> tuple[list[list[int]], list[int], list[int]]:
-    mul = [[_mul_schoolbook(a, b) for b in range(SIZE)] for a in range(SIZE)]
-    conj = [0] * SIZE
-    for a in range(SIZE):
-        a2 = mul[a][a]
-        conj[a] = mul[a2][a2]
-    inv = [0] * SIZE
-    for a in range(1, SIZE):
-        for b in range(1, SIZE):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
+    """The product, conjugation and inverse tables from one walk of the
+    powers of x: exp[i] = x**i, doubled to 30 entries so that no sum of two
+    logarithms needs reducing mod 15.  x is primitive, so the walk meets
+    every nonzero element once and log inverts it; were it not,
+    `verify_axioms` would refuse the tables."""
+    exp = [1]
+    for _ in range(ORDER - 1):
+        a = exp[-1] << 1
+        exp.append(a ^ POLY if a & 0x10 else a)
+    exp += exp
+    log = [0] * SIZE
+    for i in range(ORDER):
+        log[exp[i]] = i
+    logs = log[1:]  # the logarithms of 1..15
+    mul = [[0] * SIZE] + [[0] + [exp[i + j] for j in logs] for i in logs]
+    conj = [0] + [exp[4 * i % ORDER] for i in logs]
+    inv = [0] + [exp[ORDER - i] for i in logs]
     return mul, conj, inv
 
 
@@ -74,7 +66,7 @@ def verify_axioms() -> dict[str, int]:
     Covers the full 16**3 cube where relevant, so a pass certifies the
     tables regardless of how they were built.
 
-    The rest of PAPER.md claim 1 follows and is not checked again:
+    The rest of README claim 1 follows and is not checked again:
     - the additive group: addition is XOR, so a + a = 0 and a + 0 = a for
       every int;
     - a**15 = 1 for a != 0: identity, commutativity, closure, associativity
@@ -83,7 +75,7 @@ def verify_axioms() -> dict[str, int]:
     - cancellation (each nonzero row of the table a permutation): ab = ac
       gives b = a^-1 (ab) = a^-1 (ac) = c by associativity;
     - the conjugation's properties: it is checked to be a -> a**4 on all 16
-      elements, which PAPER.md claim 1 takes as its definition.  In
+      elements, which README claim 1 takes as its definition.  In
       characteristic 2, squaring is additive, so a**4 is too, and it is
       multiplicative in any commutative ring; a**16 = a (Lagrange again) makes
       it involutory; its fixed points are the 4 roots of x**4 = x, the

@@ -28,11 +28,6 @@ extension of the halved 5-cube by words read off the block's own adjacency
 and then checked on every pair of the block, with no search.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-from functools import cache
-
 from .errors import VerificationError
 from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT, members
 
@@ -57,12 +52,14 @@ def flip_edge(rows: list[int], i: int, j: int) -> None:
     rows[j] ^= 1 << i
 
 
-@cache
+_TRANSPOSERS = {}  # n: bit_transposer(n)
+
+
 def bit_transposer(n: int):
     """A function from the rows of an n x n bit matrix (bit j of rows[i] is
     entry (i, j), each row < 2**n, missing rows 0) to its n columns, packed
-    the same way.  Cached: one run builds the transposer for 416 once and
-    `point_columns`, `vertex_permutations` and `verify_srg` share it.
+    the same way.  Built once per n (`_TRANSPOSERS`): `point_columns`,
+    `vertex_permutations` and `verify_srg` share the one for 416.
 
     The rows are packed into one int, entry (i, j) at bit p = w i + j, w the
     smallest power of two >= max(n, 8), and transposed as a w x w matrix in
@@ -71,6 +68,8 @@ def bit_transposer(n: int):
     bit b of j is 1, a shift of d = (w - 1) s.  Its mask, those entries, is
     built here, not at import, by doubling over the other bits of p.
     """
+    if n in _TRANSPOSERS:
+        return _TRANSPOSERS[n]
     w = max(8, 1 << (n - 1).bit_length())
     log_w = w.bit_length() - 1
     stages = []
@@ -92,22 +91,19 @@ def bit_transposer(n: int):
             int.from_bytes(data[j * size : (j + 1) * size], "little") for j in range(n)
         ]
 
+    _TRANSPOSERS[n] = transpose
     return transpose
 
 
-SrgParams = namedtuple("SrgParams", "v k lam mu")
+# README claim 3: the only parameters (v, k, lam, mu) the srg stage accepts.
+SRG = (416, 100, 36, 20)
 
-# PAPER.md claim 3: the only parameters the srg stage accepts.
-SRG = SrgParams(416, 100, 36, 20)
-
-Spectrum = namedtuple("Spectrum", "r f s g_mult")
-
-# The eigenvalues r > s of SRG's adjacency besides k, and their
+# (r, f, s, g): the eigenvalues r > s of SRG's adjacency besides k, and their
 # multiplicities f and g: r and s are
 # (lam - mu +- sqrt((lam - mu)^2 + 4 (k - mu))) / 2 = (16 +- 24) / 2, and f
 # solves k + f r + g s = 0 (trace 0) with 1 + f + g = v.  So y = A + 4I has
 # eigenvalues 104, 24 and 0, and rank 1 + f.
-SPECTRUM = Spectrum(20, 65, -4, 350)
+SPECTRUM = (20, 65, -4, 350)
 
 # Squared distances between the columns of y, with their counts.  With A
 # symmetric, loop-free and k-regular, |y_i|^2 = k + 16 and
@@ -117,12 +113,23 @@ SPECTRUM = Spectrum(20, 65, -4, 350)
 # diameter are the cliques.
 DISTANCE_CENSUS = {144: 20800, 192: 65520}
 
-# The anchored split: B = vertices whose iso-set contains the anchor; each
-# block as a bit mask.
-Partition = namedtuple("Partition", "b1 b2 b3 c")
+
+class Partition:
+    """The anchored split: B = the vertices whose iso-set contains the
+    anchor, its components B1, B2, B3, and C = the rest, each a bit mask.
+    Iterating gives the four masks in that order."""
+
+    def __init__(self, b1: int, b2: int, b3: int, c: int):
+        self.b1, self.b2, self.b3, self.c = b1, b2, b3, c
+
+    def __iter__(self):
+        return iter((self.b1, self.b2, self.b3, self.c))
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and list(self) == list(other)
 
 
-# The block counts (PAPER.md claim 5): the neighbours of a vertex in
+# The block counts (README claim 5): the neighbours of a vertex in
 # (B1, B2, B3), by the block it lies in.
 CLAIM1 = {"B1": (20, 0, 0), "B2": (0, 20, 0), "B3": (0, 0, 20), "C": (8, 8, 8)}
 
@@ -177,7 +184,7 @@ def build_graph(isosets: list[int]) -> tuple[list[int], list[int]]:
     return rows, columns
 
 
-def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> SrgParams:
+def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> tuple:
     """Certify the entrywise identity A^2 = k I + lambda A + mu (J - I - A)
     and that the group generated by `automorphisms` is transitive.
 
@@ -204,7 +211,8 @@ def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> SrgParams:
     symmetric with degree k, and counting the paths 0 - u - w of length 2
     with w a non-neighbour of 0 gives k(k - lambda - 1) through the k
     neighbours u of 0 and (v - k - 1) mu through the non-neighbours w.
-    Each row must be < 2**n, as `build_graph` makes them.
+    Each row must be < 2**n, as `build_graph` makes them.  Returns
+    (v, k, lam, mu).
     """
     n = len(rows)
     r0 = rows[0]
@@ -246,7 +254,7 @@ def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> SrgParams:
             witness=reps[1],
         )
 
-    return SrgParams(n, k, lam, mu)
+    return n, k, lam, mu
 
 
 def _verify_automorphism(rows: list[int], perm: list[int]) -> None:
@@ -488,7 +496,7 @@ def check_component_structure(rows: list[int], part: Partition) -> None:
     (`verify_claim1`) already give the regularity inside each B_h and no
     edges between them; only the isomorphism is new.
     """
-    for h, mask in zip((1, 2, 3), part[:3]):
+    for h, mask in zip((1, 2, 3), part):  # B1, B2, B3; zip stops before C
         words = _cube_words(rows, mask)
         holders = [0] * 32  # the vertices with each word, as a mask
         for v, w in zip(members(mask), words):

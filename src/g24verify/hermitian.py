@@ -17,10 +17,6 @@ bases and the sides of their triangles are read from these masks, with no
 loop over pairs of points.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from . import gf16
 from .errors import VerificationError
 
@@ -77,16 +73,17 @@ def enumerate_points() -> list[Point]:
     return pts
 
 
-# Orthogonal basis: its three nonisotropic points, as ascending indices into
-# Plane.nonisotropic, plus its iso-set.
-Basis = namedtuple("Basis", "noniso_indices isoset")
+# The points, the isotropic ones and the nonisotropic ones.
+Plane = tuple[list[Point], list[Point], list[Point]]
 
-Plane = namedtuple("Plane", "points isotropic nonisotropic")
+# Orthogonal basis: its three nonisotropic points, as ascending indices into
+# the plane's nonisotropic points, and its iso-set.
+Basis = tuple[tuple[int, int, int], int]
 
 
 def build_plane() -> Plane:
     """The points split into isotropic and nonisotropic; refuses any census
-    but 65/208 (PAPER.md claim 2), witness the two counts."""
+    but 65/208 (README claim 2), witness the two counts."""
     points = enumerate_points()
     iso = [p for p in points if is_isotropic(p)]
     noniso = [p for p in points if not is_isotropic(p)]
@@ -96,7 +93,7 @@ def build_plane() -> Plane:
             f"expected {ISOTROPIC_COUNT}/{NONISOTROPIC_COUNT}",
             witness=(len(iso), len(noniso)),
         )
-    return Plane(points, iso, noniso)
+    return points, iso, noniso
 
 
 def members(mask: int):
@@ -161,13 +158,16 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     orthogonal to 12 nonisotropic points; with one completion per pair
     (checked), it lies in 12 / 2 = 6 bases, and there are 208 * 6 / 3 = 416
     of them, which `graph.build_graph` requires anyway.  Two bases with equal
-    iso-sets would give equal rows of the graph, hence a non-edge with 100
-    common neighbours, which the srg stage refuses (mu = 20).  Nor do the
-    three sides of a basis need a disjointness check: its iso-set is their
+    iso-sets need no check either: the srg stage lifts each point map sigma
+    to the vertices (`graph.vertex_permutations`) and refuses a vertex whose
+    image under sigma is no iso-set, witness (map, vertex), before any pair
+    is read; a lift that passes sends both bases to one vertex, and
+    `verify_srg` refuses a map that is no permutation.  Nor do the three
+    sides of a basis need a disjointness check: its iso-set is their
     union, each side carries 5 isotropic points, and `graph.build_graph`
     requires 15 members, which three sides of 5 reach only when disjoint.
     """
-    noniso = plane.nonisotropic
+    _, iso, noniso = plane
     # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
     # is not orthogonal to itself: orth[i] & orth[j] holds neither i nor j.
     orth = orthogonal_masks(noniso, noniso)
@@ -187,7 +187,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     # The side bc of basis {a, b, c} is the polar line of a, so its isotropic
     # points are those orthogonal to a: one mask per point serves every side.
     # Isotropic point x has canonical index x + 1.
-    polar = [m << 1 for m in orthogonal_masks(plane.isotropic, noniso)]
+    polar = [m << 1 for m in orthogonal_masks(iso, noniso)]
     for t, mask in zip(noniso, polar):
         if mask.bit_count() != 5:
             raise VerificationError(
@@ -196,8 +196,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
             )
 
     return [
-        Basis(tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]])
-        for tri in sorted(triples)
+        (tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]]) for tri in sorted(triples)
     ]
 
 
@@ -220,7 +219,8 @@ def point_permutations(
     (H is nondegenerate) and maps isotropic points onto isotropic points.
     """
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    index = {p: a for a, p in enumerate(plane.isotropic)}
+    _, iso, _ = plane
+    index = {p: a for a, p in enumerate(iso)}
     perms = []
     for m in matrices:
         images = [_apply(m, e) for e in unit]
@@ -230,5 +230,5 @@ def point_permutations(
             for b in range(3)
         ):
             raise VerificationError(f"matrix {m} does not preserve H", witness=m)
-        perms.append([index[normalize(_apply(m, p))] for p in plane.isotropic])
+        perms.append([index[normalize(_apply(m, p))] for p in iso])
     return perms

@@ -1,21 +1,17 @@
 """Orchestration: the staged verification pipeline, report, and exporters.
 
 Stages run in dependency order and stop at the first failed one; every
-stage names the claims of PAPER.md it certifies and contributes a
-structured detail block to the report.  `run` is the one path of every
-command: it refuses a bad output path, runs the stages, and writes the
-report or the export.
+stage names the claims it certifies (README.md's "What it verifies") and
+contributes a structured detail block to the report.  `run` is the one path
+of every command: it refuses a bad output path, runs the stages, and writes
+the report or the export.
 All outputs are exact counts and witnesses; stage wall-clock times are
 collected but serialized only on request, so default artifacts are
 byte-for-byte reproducible.
 """
 
-from __future__ import annotations
-
 import os
 import time
-from collections import namedtuple
-from contextlib import contextmanager
 
 from . import __version__, cliques, euclid, gf16, graph, hermitian
 from .errors import VerificationError
@@ -31,14 +27,29 @@ EXIT_USAGE = 3
 ANCHOR = 1
 
 
-RunConfig = namedtuple(
-    "RunConfig",
-    "command out fmt include_timings inject_flip_edge",
-    defaults=("check", None, "dimacs", False, None),
-)
+class RunConfig:
+    """What one run does; `cli.parse_args` builds it from the command line."""
 
-# claims: of PAPER.md, 1..9; status: ok | fail.
-StageResult = namedtuple("StageResult", "name claims status detail elapsed_ms")
+    def __init__(
+        self, command="check", out=None, fmt="dimacs", include_timings=False,
+        inject_flip_edge=None,
+    ):
+        self.command, self.out, self.fmt = command, out, fmt
+        self.include_timings, self.inject_flip_edge = include_timings, inject_flip_edge
+
+    def __eq__(self, other):
+        return isinstance(other, RunConfig) and vars(self) == vars(other)
+
+
+class StageResult:
+    """One stage's outcome.  claims: README's, 1..9; status: ok | fail."""
+
+    def __init__(self, name, claims, status, detail, elapsed_ms):
+        self.name, self.claims, self.status = name, claims, status
+        self.detail, self.elapsed_ms = detail, elapsed_ms
+
+    def __eq__(self, other):
+        return isinstance(other, StageResult) and vars(self) == vars(other)
 
 
 class Artifacts:
@@ -119,17 +130,14 @@ def _stage_field_tables(art, cfg):
 
 def _stage_geometry(art, cfg):
     art.plane = hermitian.build_plane()
-    return {
-        "points": len(art.plane.points),
-        "isotropic": len(art.plane.isotropic),
-        "nonisotropic": len(art.plane.nonisotropic),
-    }
+    points, iso, noniso = art.plane
+    return {"points": len(points), "isotropic": len(iso), "nonisotropic": len(noniso)}
 
 
 def _stage_bases(art, cfg):
     # 6 bases on each nonisotropic point, 416 in all: implied by the checks
     # in `hermitian.enumerate_bases`, whose docstring counts them.
-    art.isosets = [b.isoset for b in hermitian.enumerate_bases(art.plane)]
+    art.isosets = [isoset for _, isoset in hermitian.enumerate_bases(art.plane)]
     return {"bases": len(art.isosets)}
 
 
@@ -148,16 +156,14 @@ def _stage_srg(art, cfg):
     automorphisms = graph.vertex_permutations(art.columns, point_maps)
     p = graph.verify_srg(art.rows, automorphisms)
     if p != graph.SRG:
-        raise VerificationError(
-            f"srg{tuple(p)}, expected srg{tuple(graph.SRG)}", witness=tuple(p)
-        )
+        raise VerificationError(f"srg{p}, expected srg{graph.SRG}", witness=p)
     art.point_maps, art.automorphisms = point_maps, automorphisms
     r, f, s, g_mult = graph.SPECTRUM
     return {
         "parameters": list(p),
         "automorphisms_verified": len(automorphisms),
         "spectrum": {"r": str(r), "f": f, "s": str(s), "g": g_mult},
-        "column_sum": p.k + 4,  # of y = A + 4I, with A k-regular
+        "column_sum": p[1] + 4,  # of y = A + 4I, with A k-regular
         "distance_census": {str(d2): m for d2, m in graph.DISTANCE_CENSUS.items()},
     }
 
@@ -169,7 +175,7 @@ def _stage_partition(art, cfg):
         "anchor": ANCHOR,
         "B": b_mask.bit_count(),
         "C": art.part.c.bit_count(),
-        "component_sizes": [block.bit_count() for block in art.part[:3]],
+        "component_sizes": [block.bit_count() for block in list(art.part)[:3]],
     }
 
 
@@ -258,7 +264,7 @@ def _stage_verdict(art, cfg):
     }
 
 
-# (name, the claims of PAPER.md it certifies, stage function), in run order.
+# (name, the claims of README it certifies, stage function), in run order.
 _STAGES = (
     ("field-tables", (1,), _stage_field_tables),
     ("geometry", (2,), _stage_geometry),
@@ -294,19 +300,20 @@ def run_check(cfg: RunConfig) -> Report:
     return report
 
 
-@contextmanager
-def _atomic_open(path: str):
-    """A text file for writing that appears at `path` only once it is
-    complete: it is written beside `path` as `.<basename>.<pid>.tmp`, then
-    moved over `path` with `os.replace`; on any error it is removed instead.
-    The kernel applies the umask to 0o666, the mode open(path, "w") gives.
-    O_EXCL refuses a name that exists, so nothing there is overwritten."""
+def _atomic_write(path: str, *parts) -> None:
+    """Write the strings of each iterable in `parts`, one at a time, to a
+    file that appears at `path` only once it is complete: it is written
+    beside `path` as `.<basename>.<pid>.tmp`, then moved over `path` with
+    `os.replace`; on any error it is removed instead.  The kernel applies
+    the umask to 0o666, the mode open(path, "w") gives.  O_EXCL refuses a
+    name that exists, so nothing there is overwritten."""
     head, base = os.path.split(path)
     tmp = os.path.join(head, f".{base}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            yield fh
+            for part in parts:
+                fh.writelines(part)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -314,50 +321,46 @@ def _atomic_open(path: str):
 
 
 def write_dimacs(rows: list[int], path: str) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(f"p edge {len(rows)} {graph.edge_count(rows)}\n")
-        for i, j in graph.edges(rows):
-            fh.write(f"e {i + 1} {j + 1}\n")
+    header = f"p edge {len(rows)} {graph.edge_count(rows)}\n"
+    edges = (f"e {i + 1} {j + 1}\n" for i, j in graph.edges(rows))
+    _atomic_write(path, [header], edges)
 
 
 def write_graph_json(rows: list[int], path: str) -> None:
     import json
 
-    doc = {
-        "vertices": len(rows),
-        "edges": [[i + 1, j + 1] for i, j in graph.edges(rows)],
-    }
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    edges = [[i + 1, j + 1] for i, j in graph.edges(rows)]
+    doc = {"vertices": len(rows), "edges": edges}
+    _atomic_write(path, json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
 
 
 def write_isosets_csv(isosets: list[int], path: str) -> None:
-    with _atomic_open(path) as fh:
-        for v, mask in enumerate(isosets):
-            members = hermitian.members(mask)
-            fh.write(",".join([str(v + 1)] + [str(m) for m in members]) + "\n")
+    lines = (
+        ",".join([str(v + 1)] + [str(m) for m in hermitian.members(mask)]) + "\n"
+        for v, mask in enumerate(isosets)
+    )
+    _atomic_write(path, lines)
 
 
 def write_vectors_csv(rows: list[int], path: str) -> None:
     """The columns of y = A + 4I, one row per vertex."""
-    with _atomic_open(path) as fh:
-        for v in range(len(rows)):
-            fh.write(f"{v + 1},{','.join(euclid.column_digits(rows, v))}\n")
+    lines = (
+        f"{v + 1},{','.join(euclid.column_digits(rows, v))}\n" for v in range(len(rows))
+    )
+    _atomic_write(path, lines)
 
 
 def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
-    with _atomic_open(path) as fh:
-        for idx, c in enumerate(cover, start=1):
-            cells = [str(idx)]
-            cells += [str(v + 1) for v in c.vertices]
-            cells += [str(t) for t in c.core]
-            fh.write(",".join(cells) + "\n")
+    lines = (
+        ",".join([str(idx)] + [str(v + 1) for v in vertices] + [str(t) for t in core])
+        + "\n"
+        for idx, (vertices, core) in enumerate(cover, start=1)
+    )
+    _atomic_write(path, lines)
 
 
 def write_report_json(report: Report, path: str, include_timings: bool = False) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(report.to_json(include_timings))
+    _atomic_write(path, [report.to_json(include_timings)])
 
 
 GRAPH_WRITERS = {"dimacs": write_dimacs, "json": write_graph_json}

@@ -20,7 +20,7 @@ def bases(plane):
 
 @pytest.fixture(scope="session")
 def isosets(bases):
-    return [b.isoset for b in bases]
+    return [isoset for _, isoset in bases]
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,6 @@ from g24verify.cliques import SpecialClique
 from g24verify.errors import VerificationError
 from g24verify.graph import (
     Partition,
-    Spectrum,
-    SrgParams,
     edge_count,
     edges,
     point_columns,
@@ -103,7 +101,7 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
     """The orthogonal bases, sorted by nonisotropic index triple, and the
     polar mask of each nonisotropic point (bit i for isotropic point i),
     from a scan of the form on every pair of points."""
-    noniso = plane.nonisotropic
+    _, iso, noniso = plane
     n = len(noniso)
     orth: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
@@ -125,7 +123,7 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
     polar = []
     for t in noniso:
         mask = 0
-        for idx, p in enumerate(plane.isotropic, start=1):
+        for idx, p in enumerate(iso, start=1):
             if hermitian_form(p, t) == 0:
                 mask |= 1 << idx
         if mask.bit_count() != 5:
@@ -140,8 +138,8 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
         isoset = f_ab | f_ac | f_bc
         if isoset.bit_count() != ISOSET_SIZE:
             raise VerificationError(f"iso-set of {tri} has {isoset.bit_count()} members")
-        bases.append(Basis(tri, isoset))
-    if len(bases) != 416 or len({b.isoset for b in bases}) != 416:
+        bases.append((tri, isoset))
+    if len(bases) != 416 or len({isoset for _, isoset in bases}) != 416:
         raise VerificationError(f"{len(bases)} bases, not 416 distinct")
     return bases, polar
 
@@ -150,12 +148,13 @@ def basis_permutations(plane: Plane, bases: list[Basis]) -> list[list[int]]:
     """The permutation of the bases induced by each of ISOMETRIES: each
     nonisotropic point is moved, and a basis goes to the basis whose index
     triple holds the images of its three points."""
-    noniso_index = {p: i for i, p in enumerate(plane.nonisotropic)}
-    basis_index = {b.noniso_indices: k for k, b in enumerate(bases)}
+    noniso = plane[2]
+    noniso_index = {p: i for i, p in enumerate(noniso)}
+    basis_index = {tri: k for k, (tri, _) in enumerate(bases)}
     perms = []
     for m in ISOMETRIES:
-        image = [noniso_index[normalize(_apply(m, p))] for p in plane.nonisotropic]
-        triples = [tuple(sorted(image[t] for t in b.noniso_indices)) for b in bases]
+        image = [noniso_index[normalize(_apply(m, p))] for p in noniso]
+        triples = [tuple(sorted(image[t] for t in tri)) for tri, _ in bases]
         perms.append([basis_index[t] for t in triples])
     return perms
 
@@ -261,11 +260,11 @@ def find_isomorphism(ga: list[int], gb: list[int]) -> list[int] | None:
     return image if extend(0, 0) else None
 
 
-def verify_srg_all_pairs(rows: list[int]) -> SrgParams:
+def verify_srg_all_pairs(rows: list[int]) -> tuple[int, int, int, int]:
     """The srg identity A^2 = k I + lambda A + mu (J - I - A) with no
     symmetry assumed: no loops and constant degree, then every pair i < j
     for symmetry and its common-neighbour count, lambda and mu read off
-    vertex 0."""
+    vertex 0.  Returns (v, k, lam, mu)."""
     n = len(rows)
     r0 = rows[0]
     k = r0.bit_count()
@@ -290,11 +289,12 @@ def verify_srg_all_pairs(rows: list[int]) -> SrgParams:
                                         "neighbour count", witness=(i, j))
     if k * (k - lam - 1) != (n - k - 1) * mu:
         raise VerificationError(f"infeasible srg parameters {(n, k, lam, mu)}")
-    return SrgParams(n, k, lam, mu)
+    return n, k, lam, mu
 
 
-def srg_spectrum(params: SrgParams) -> Spectrum:
-    """Eigenvalues r > s and their multiplicities, in integer arithmetic.
+def srg_spectrum(params: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Eigenvalues r > s and their multiplicities f and g, as (r, f, s, g),
+    in integer arithmetic.
 
     Needs the discriminant (lam-mu)^2 + 4(k-mu) to be a perfect square and
     f to be integral, as for SRG (discriminant 576, f = 65).  r and s are
@@ -308,17 +308,17 @@ def srg_spectrum(params: SrgParams) -> Spectrum:
     s = (lam - mu - root) // 2
     # f = ((v - 1) - (2k + (v - 1)(lam - mu)) / root) / 2
     f = (v - 1 - (2 * k + (v - 1) * (lam - mu)) // root) // 2
-    return Spectrum(r, f, s, v - 1 - f)
+    return r, f, s, v - 1 - f
 
 
-def srg_distance_census(params: SrgParams) -> dict[int, int]:
+def srg_distance_census(params: tuple[int, int, int, int]) -> dict[int, int]:
     """The squared distances between the columns of y = A + 4I and their
     counts, for any srg parameters: ||y_i - y_j||^2 is
     2 (k + 16) - 2 (lam + 8) on the v k / 2 edges and 2 (k + 16) - 2 mu on
     the other pairs."""
-    v, k = params.v, params.k
-    on_edges = 2 * (k + 16) - 2 * (params.lam + 8)
-    off_edges = 2 * (k + 16) - 2 * params.mu
+    v, k, lam, mu = params
+    on_edges = 2 * (k + 16) - 2 * (lam + 8)
+    off_edges = 2 * (k + 16) - 2 * mu
     edges = v * k // 2
     return {on_edges: edges, off_edges: v * (v - 1) // 2 - edges}
 
@@ -395,7 +395,7 @@ def build_contrasts(part: Partition) -> tuple[list[int], list[int]]:
 
 def block_of(part: Partition, i: int) -> int:
     """The position of i's block in the order B1, B2, B3, C."""
-    return next((h for h, m in enumerate(part[:3]) if m >> i & 1), 3)
+    return next((h for h, m in enumerate(part) if m >> i & 1), 3)
 
 
 def inner_products(columns: list[int], v: list[int]) -> list[int]:
@@ -534,7 +534,7 @@ def nested_order(part: Partition) -> list[int]:
     order 289 indices of C come before its 64th pivot, in this order the
     first 64 are pivots."""
     c = sorted(members(part.c), key=lambda v: 13 * v % 419)
-    return c + [v for mask in part[:3] for v in members(mask)]
+    return c + [v for mask in (part.b1, part.b2, part.b3) for v in members(mask)]
 
 
 # Column digits '0', '1', '4' of y as the byte values 0, 1, 4.
@@ -706,14 +706,14 @@ def enumerate_special_cliques(
 
         def extend(chosen: list[int], candidates: list[int]) -> None:
             if len(chosen) == 5:
-                found.append(SpecialClique(tuple(chosen), tuple(members(core))))
+                found.append((tuple(chosen), tuple(members(core))))
                 return
             for t, v in enumerate(candidates):
                 extend(chosen + [v], [u for u in candidates[t + 1 :] if u in linked[v]])
 
         extend([], verts)
 
-    found.sort(key=lambda c: (c.core, c.vertices))
+    found.sort(key=lambda c: (c[1], c[0]))  # by core, then vertices
     return found
 
 
@@ -754,13 +754,13 @@ def isotropic_on_line(plane: Plane, a: Point, b: Point) -> int:
 
 def iso_number(plane: Plane) -> dict[Point, int]:
     """The canonical index of each isotropic point: 1..65 in the order of
-    `plane.isotropic`."""
-    return {p: i + 1 for i, p in enumerate(plane.isotropic)}
+    the plane's isotropic points."""
+    return {p: i + 1 for i, p in enumerate(plane[1])}
 
 
 def basis_points(plane: Plane, basis: Basis) -> tuple[Point, Point, Point]:
     """The three nonisotropic points of a basis."""
-    a, b, c = (plane.nonisotropic[t] for t in basis.noniso_indices)
+    a, b, c = (plane[2][t] for t in basis[0])
     return a, b, c
 
 

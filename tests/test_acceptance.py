@@ -18,15 +18,16 @@ def _ok(label: str) -> None:
 
 
 def test_c01_point_census(plane):
-    assert len(plane.points) == 273
-    assert len(plane.isotropic) == 65
-    assert len(plane.nonisotropic) == 208
+    points, iso, noniso = plane
+    assert len(points) == 273
+    assert len(iso) == 65
+    assert len(noniso) == 208
     _ok("01 point census 273/65/208")
 
 
 def test_c02_basis_census(bases):
     assert len(bases) == 416
-    assert all(b.isoset.bit_count() == 15 for b in bases)
+    assert all(isoset.bit_count() == 15 for _, isoset in bases)
     _ok("02 basis census 416, iso-sets of 15")
 
 
@@ -34,16 +35,17 @@ def test_c03_srg_verification(rows, automorphisms):
     # A^2 identity on the pairs through 0, carried to all pairs by the
     # verified vertex-transitive automorphisms; the scan of every pair agrees.
     params = graph.verify_srg(rows, automorphisms)
-    assert (params.v, params.k, params.lam, params.mu) == (416, 100, 36, 20)
+    assert params == (416, 100, 36, 20)
     assert oracles.verify_srg_all_pairs(rows) == params
     _ok("03 srg(416,100,36,20) with exact A^2 identity")
 
 
 def test_c04_spectrum(spectrum):
     assert spectrum == graph.SPECTRUM
-    assert spectrum.s == -4 and spectrum.f == 65
-    cross = oracles.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
-    assert cross.s == -2 and cross.f == 5
+    _, f, s, _ = spectrum
+    assert s == -4 and f == 65
+    _, f, s, _ = oracles.srg_spectrum((10, 3, 0, 1))
+    assert s == -2 and f == 5
     _ok("04 spectrum s=-4, f=65; cross-instance (10,3,0,1) -> s=-2, f=5")
 
 
@@ -152,7 +154,7 @@ def test_c10_borsuk_bounds(full_report):
 
 def test_c11_cover_and_uniqueness(rows, isosets, special_cliques, part, full_report):
     assert len(special_cliques) * 5 == part.c.bit_count() == 320
-    covered = sorted(v for sc in special_cliques for v in sc.vertices)
+    covered = sorted(v for vertices, _ in special_cliques for v in vertices)
     assert covered == oracles.vertices(part.c)
     assert oracles.enumerate_special_cliques(rows, part, isosets) == special_cliques
     assert oracles.stage(full_report, "special-cover").detail == {"special_cliques": 64}
@@ -167,8 +169,9 @@ def test_c12a_gf16_axioms_exhaustive():
 
 
 def test_c12b_hermitian_symmetry_exhaustive(plane):
-    for a in plane.points:
-        for b in plane.points:
+    points = plane[0]
+    for a in points:
+        for b in points:
             assert hermitian.hermitian_form(a, b) == gf16.conj(
                 hermitian.hermitian_form(b, a)
             )
@@ -176,9 +179,9 @@ def test_c12b_hermitian_symmetry_exhaustive(plane):
 
 
 def test_c12c_line_dichotomy_exhaustive(plane):
-    iso = set(plane.isotropic)
+    iso = set(plane[1])
     lines = set()
-    pts = plane.points
+    pts = plane[0]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             lines.add(tuple(oracles.line_points(pts[i], pts[j])))

@@ -183,23 +183,23 @@ def test_branch_and_bound_matches_brute_force_on_sample_edges(rows):
 def test_special_clique_enumeration(rows, part, isosets, special_cliques):
     assert len(special_cliques) >= 64
     in_c = set(oracles.vertices(part.c))
-    for sc in special_cliques:
-        assert set(sc.vertices) <= in_c
-        assert len(sc.core) == 3
+    for vertices, core in special_cliques:
+        assert set(vertices) <= in_c
+        assert len(core) == 3
         for a in range(5):
             for b in range(a + 1, 5):
-                assert rows[sc.vertices[a]] >> sc.vertices[b] & 1
+                assert rows[vertices[a]] >> vertices[b] & 1
         core_mask = 0
-        for idx in sc.core:
+        for idx in core:
             core_mask |= 1 << idx
-        inter = isosets[sc.vertices[0]]
-        for v in sc.vertices[1:]:
+        inter = isosets[vertices[0]]
+        for v in vertices[1:]:
             inter &= isosets[v]
         assert inter == core_mask
 
 
 def test_special_cliques_sorted_canonically(special_cliques):
-    keys = [(sc.core, sc.vertices) for sc in special_cliques]
+    keys = [(core, vertices) for vertices, core in special_cliques]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -208,14 +208,14 @@ def test_exact_cover_is_a_partition(part, special_cliques):
     assert len(special_cliques) == 64
     assert 64 * 5 == 320 == part.c.bit_count()
     seen: set[int] = set()
-    for sc in special_cliques:
-        assert not seen & set(sc.vertices)
-        seen.update(sc.vertices)
+    for vertices, _ in special_cliques:
+        assert not seen & set(vertices)
+        seen.update(vertices)
     assert seen == set(oracles.vertices(part.c))
 
 
 def test_cover_cores_distinct(special_cliques):
-    cores = {sc.core for sc in special_cliques}
+    cores = {core for _, core in special_cliques}
     assert len(cores) == 64
 
 
@@ -306,7 +306,7 @@ def test_a_core_group_of_4_that_is_no_clique_is_refused(rows, part, isosets, c_m
 def test_cover_count_is_one(special_cliques, part):
     # Each vertex of C lies in exactly one special clique, so every exact
     # cover must take that clique for it: the cover is forced.
-    multiplicity = Counter(v for sc in special_cliques for v in sc.vertices)
+    multiplicity = Counter(v for vertices, _ in special_cliques for v in vertices)
     assert set(multiplicity) == set(oracles.vertices(part.c))
     assert set(multiplicity.values()) == {1}
 

@@ -270,11 +270,14 @@ def test_inner_product_patterns(rows, part, contrasts, full_report):
     assert dot(q, column(rows, c)) == 0
 
 
-def test_dimension_chain_argument_states_the_checked_numbers(full_report):
-    # The argument's prose states three numbers that no stage computes: the
+def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, part):
+    # The argument's prose states numbers that no stage reports: the
     # hyperplane's constant must be the srg stage's column sum, and the two
     # contrast values the entries of the patterns that
-    # test_inner_product_patterns counts on every column.
+    # test_inner_product_patterns counts on every column.  C's argument
+    # states the degree of A_C, counted here on every row of C, the
+    # constant of its cubic identity, which that degree and |C| fix, and
+    # the shift of rank(A_C + 4I), which is y's diagonal.
     column_sum = oracles.stage(full_report, "srg").detail["column_sum"]
     chain = oracles.stage(full_report, "dimension-chain").detail
     products = chain["contrast_products"]
@@ -288,6 +291,17 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report):
     blocks = ["B1", "B2", "B3", "C"]
     assert int(q_value) == products["q_pattern"][blocks.index(q_block)]
     assert int(p_value) == products["p_pattern"][blocks.index(p_block)]
+    c_cert = next(c for c in chain["certificates"] if c["set"] == "C")
+    c_text = " ".join(c_cert["argument"])
+    c = oracles.vertices(part.c)
+    (degree,) = {(rows[v] & part.c).bit_count() for v in c}
+    assert re.search(r"A_C is (\d+)-regular", c_text).group(1) == str(degree)
+    assert euclid.C_SPECTRUM[degree] == 1
+    constant = re.search(r"\(A_C - 16\)\(A_C - 12\)\(A_C \+ 4\) = (\d+) J", c_text)
+    assert int(constant.group(1)) * len(c) == (degree - 16) * (degree - 12) * (degree + 4)
+    shift, rank = re.search(r"rank\(A_C \+ (\d+)I\) = (\d+)", c_text).groups()
+    assert euclid.column_digits(rows, c[0])[c[0]] == shift
+    assert int(rank) == c_cert["linear_rank"] == len(c) - euclid.C_SPECTRUM[-int(shift)]
 
 
 def test_inner_products_reject_corruption(rows, part, contrasts, full_report):
@@ -354,7 +368,8 @@ def test_principal_pivots_match_elimination_on_y(rows, part):
     # program certifies exactly; modular ranks never exceed rational ones,
     # so the stopped oracle loses nothing.
     columns = [column(rows, i) for i in range(len(rows))]
-    natural = [v for mask in (part.c, *part[:3]) for v in oracles.vertices(mask)]
+    blocks = (part.c, part.b1, part.b2, part.b3)
+    natural = [v for mask in blocks for v in oracles.vertices(mask)]
     stride = oracles.nested_order(part)
     assert sorted(stride[:320]) == natural[:320] and stride[320:] == natural[320:]
     prefixes = (320, 352, 416)
@@ -378,7 +393,8 @@ def test_caps_stop_each_prefix():
 
 def test_stride_order_finds_the_c_pivots_first(rows, part):
     columns = [column(rows, i) for i in range(len(rows))]
-    natural = [v for mask in (part.c, *part[:3]) for v in oracles.vertices(mask)]
+    blocks = (part.c, part.b1, part.b2, part.b3)
+    natural = [v for mask in blocks for v in oracles.vertices(mask)]
     stride = oracles.nested_order(part)
     for prime in oracles.PRIMES:
         assert oracles.principal_prefix_ranks(columns, prime, (64,), stride) == (64,)

@@ -121,7 +121,7 @@ def test_point_maps_are_the_isometries_on_the_isotropic_points(
     assert len(point_maps) == len(hermitian.ISOMETRIES)
     number = oracles.iso_number(plane)
     for sigma, m in zip(point_maps, hermitian.ISOMETRIES):
-        image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane.isotropic]
+        image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane[1]]
         assert sigma == [number[q] - 1 for q in image]
     # Each lift sends point column a onto point column sigma(a).
     columns = graph.point_columns(isosets)
@@ -239,7 +239,7 @@ def test_srg_identity_holds(rows, srg_params):
     n = len(rows)
     a = np.array([[rows[i] >> j & 1 for j in range(n)] for i in range(n)])
     eye, ones = np.eye(n, dtype=a.dtype), np.ones_like(a)
-    k, lam, mu = srg_params.k, srg_params.lam, srg_params.mu
+    _, k, lam, mu = srg_params
     assert (a @ a == k * eye + lam * a + mu * (ones - eye - a)).all()
 
 
@@ -298,25 +298,26 @@ def test_directed_3_cycle_fails_symmetry_before_any_map(perm):
 def test_spectrum_of_main_graph(spectrum):
     # Recomputed from the verified parameters: the pinned constant.
     assert spectrum == graph.SPECTRUM
-    assert spectrum.s == -4
-    assert spectrum.f == 65
-    assert spectrum.r == 20
-    assert spectrum.g_mult == 350
-    assert 1 + spectrum.f + spectrum.g_mult == 416
+    r, f, s, g = spectrum
+    assert s == -4
+    assert f == 65
+    assert r == 20
+    assert g == 350
+    assert 1 + f + g == 416
 
 
 def test_spectrum_cross_instance_petersen():
-    cross = oracles.srg_spectrum(graph.SrgParams(10, 3, 0, 1))
-    assert cross.s == -2
-    assert cross.f == 5
-    assert cross.r == 1
-    assert cross.g_mult == 4
+    r, f, s, g = oracles.srg_spectrum((10, 3, 0, 1))
+    assert s == -2
+    assert f == 5
+    assert r == 1
+    assert g == 4
 
 
 def test_petersen_graph_parameters_via_scan():
     p = petersen()
     params = graph.verify_srg(p, petersen_generators())
-    assert (params.v, params.k, params.lam, params.mu) == (10, 3, 0, 1)
+    assert params == (10, 3, 0, 1)
     assert oracles.verify_srg_all_pairs(p) == params
     # A 2-switch (edges ab, cd become ac, bd) keeps every degree at 3; this
     # one moves vertex 0's edges, so a pair through 0 catches it.
@@ -341,7 +342,7 @@ def test_spectrum_is_exact():
     got = oracles.srg_spectrum(graph.SRG)
     assert got == graph.SPECTRUM
     assert all(type(x) is int for x in graph.SPECTRUM)
-    assert (got.r, got.s) == (20, -4)
+    assert (got[0], got[2]) == (20, -4)
 
 
 def test_partition_sizes(part):
@@ -387,7 +388,7 @@ def test_claim1_refuses_a_b1_vertex_traded_with_a_c_vertex(rows, part):
     # and the traded C vertex sees 7 or 8; the first of them is named.
     x, y = oracles.vertices(part.b1)[0], oracles.vertices(part.c)[0]
     swap = 1 << x | 1 << y
-    traded = part._replace(b1=part.b1 ^ swap, c=part.c ^ swap)
+    traded = graph.Partition(part.b1 ^ swap, part.b2, part.b3, part.c ^ swap)
     with pytest.raises(VerificationError, match="neighbours in B1") as err:
         graph.verify_claim1(rows, traded)
     b1 = oracles.vertices(traded.b1)
@@ -420,7 +421,7 @@ def test_components_isomorphic_to_coclique_extension(rows, part):
     model = oracles.coclique_extension(oracles.halved_5cube(), 2)
     words = _model_words()
     graph.check_component_structure(rows, part)  # or it raises
-    for mask in part[:3]:
+    for mask in (part.b1, part.b2, part.b3):
         block = oracles.vertices(mask)
         labels = graph._cube_words(rows, mask)
         # Model vertex 2t + a is the a-th vertex of the block, in order, that
@@ -454,7 +455,7 @@ def test_component_structure_labels_the_model_itself():
     # twice.
     h, part = _blocks_of_models()
     graph.check_component_structure(h, part)  # or it raises
-    for mask in part[:3]:
+    for mask in (part.b1, part.b2, part.b3):
         labels = graph._cube_words(h, mask)
         assert labels[:2] == [0, 0]
         assert sorted(labels) == sorted(_model_words())
@@ -496,7 +497,7 @@ def test_component_structure_refuses_a_corrupted_model(corruption, message):
 def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(rows, part):
     # 32 vertices of C in place of B2, with their own mask: B2 is named.
     fake_b2 = oracles.vertices(part.c)[:32]
-    fake = part._replace(b2=sum(1 << v for v in fake_b2), c=0)
+    fake = graph.Partition(part.b1, sum(1 << v for v in fake_b2), part.b3, 0)
     with pytest.raises(VerificationError, match="^B2: ") as err:
         graph.check_component_structure(rows, fake)
     assert _witness_vertices(err.value.witness) <= set(fake_b2)
@@ -505,7 +506,7 @@ def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(rows, p
 def test_halved_5cube_model():
     h = oracles.halved_5cube()
     params = graph.verify_srg(h, halved_5cube_generators())
-    assert (params.v, params.k, params.lam, params.mu) == (16, 10, 6, 6)
+    assert params == (16, 10, 6, 6)
     model = oracles.coclique_extension(h, 2)
     assert len(model) == 32
     assert {row.bit_count() for row in model} == {20}

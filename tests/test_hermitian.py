@@ -9,16 +9,18 @@ import oracles
 
 
 def test_point_census(plane):
-    assert len(plane.points) == 273
-    assert len(plane.isotropic) == 65
-    assert len(plane.nonisotropic) == 208
+    points, iso, noniso = plane
+    assert len(points) == 273
+    assert len(iso) == 65
+    assert len(noniso) == 208
     assert 273 == 16**2 + 16 + 1
 
 
 def test_points_are_normalized_and_unique(plane):
-    assert len(set(plane.points)) == 273
-    assert (1, 0, 0) in plane.points
-    assert (2, 0, 0) not in plane.points
+    points = plane[0]
+    assert len(set(points)) == 273
+    assert (1, 0, 0) in points
+    assert (2, 0, 0) not in points
     # Normalizing every nonzero triple recovers exactly the 273 points.
     seen = set()
     for a in range(16):
@@ -26,7 +28,7 @@ def test_points_are_normalized_and_unique(plane):
             for c in range(16):
                 if a or b or c:
                     seen.add(hermitian.normalize((a, b, c)))
-    assert seen == set(plane.points)
+    assert seen == set(points)
 
 
 def test_known_isotropy_values():
@@ -37,15 +39,16 @@ def test_known_isotropy_values():
 
 
 def test_hermitian_symmetry_exhaustive(plane):
-    for a in plane.points:
-        for b in plane.points:
+    points = plane[0]
+    for a in points:
+        for b in points:
             assert hermitian.hermitian_form(a, b) == gf16.conj(
                 hermitian.hermitian_form(b, a)
             )
 
 
 def test_isotropy_is_representative_independent(plane):
-    for p in plane.points:
+    for p in plane[0]:
         flag = hermitian.is_isotropic(p)
         for s in range(2, 16):
             scaled = (gf16.mul(s, p[0]), gf16.mul(s, p[1]), gf16.mul(s, p[2]))
@@ -55,14 +58,15 @@ def test_isotropy_is_representative_independent(plane):
 def test_canonical_isotropic_numbering(plane):
     # Indices 1..65 follow enumeration (lexicographic) order.
     number = oracles.iso_number(plane)
-    assert number[plane.isotropic[0]] == 1
-    assert number[plane.isotropic[64]] == 65
-    assert plane.isotropic == sorted(plane.isotropic)
-    assert plane.isotropic[0] == (0, 0, 1)
+    iso = plane[1]
+    assert number[iso[0]] == 1
+    assert number[iso[64]] == 65
+    assert iso == sorted(iso)
+    assert iso[0] == (0, 0, 1)
 
 
 def test_line_has_17_points_and_contains_both(plane):
-    a, b = plane.points[0], plane.points[5]
+    a, b = plane[0][0], plane[0][5]
     line = oracles.line_points(a, b)
     assert len(line) == 17
     assert a in line and b in line
@@ -73,12 +77,12 @@ def test_line_has_17_points_and_contains_both(plane):
 def test_all_lines_and_tangent_secant_dichotomy(plane):
     """Exhaustive: 273 distinct lines; each meets the unital in 1 or 5 points."""
     lines = set()
-    pts = plane.points
+    pts, iso, _ = plane
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             lines.add(tuple(oracles.line_points(pts[i], pts[j])))
     assert len(lines) == 273
-    iso = set(plane.isotropic)
+    iso = set(iso)
     meets = sorted({sum(1 for p in line if p in iso) for line in lines})
     assert meets == [1, 5]
     tangents = sum(1 for line in lines if sum(1 for p in line if p in iso) == 1)
@@ -92,7 +96,7 @@ def test_lines_match_perpendicular_sets(plane):
     bs = bases[0]
     a, b, c = oracles.basis_points(plane, bs)
     line_ab = set(oracles.line_points(a, b))
-    perp_c = {p for p in plane.points if hermitian.hermitian_form(p, c) == 0}
+    perp_c = {p for p in plane[0] if hermitian.hermitian_form(p, c) == 0}
     assert line_ab == perp_c
 
 
@@ -105,12 +109,13 @@ def test_isotropic_on_line_returns_5(plane, bases):
 
 
 def test_isotropic_on_line_preconditions(plane):
-    iso_pt = plane.isotropic[0]
-    non_a = plane.nonisotropic[0]
+    _, iso, noniso = plane
+    iso_pt = iso[0]
+    non_a = noniso[0]
     with pytest.raises(ValueError):
         oracles.isotropic_on_line(plane, iso_pt, non_a)
     # Non-orthogonal nonisotropic pair must be rejected.
-    for q in plane.nonisotropic[1:]:
+    for q in noniso[1:]:
         if hermitian.hermitian_form(non_a, q) != 0:
             with pytest.raises(ValueError):
                 oracles.isotropic_on_line(plane, non_a, q)
@@ -125,19 +130,19 @@ def test_triangle_fragments_are_disjoint(plane, bases):
         f2 = oracles.isotropic_on_line(plane, a, c)
         f3 = oracles.isotropic_on_line(plane, b, c)
         assert f1 & f2 == 0 and f1 & f3 == 0 and f2 & f3 == 0
-        assert (f1 | f2 | f3) == bs.isoset
+        assert (f1 | f2 | f3) == bs[1]
 
 
 def test_orthogonal_masks_match_the_form_scan(plane):
     # Every target, isotropic or not, against every point.
-    pts = plane.points
+    pts = plane[0]
     assert hermitian.orthogonal_masks(pts, pts) == oracles.orthogonal_masks(pts, pts)
 
 
 def test_bases_and_polar_masks_match_the_pairwise_oracle(plane, bases):
     want, polar = oracles.enumerate_bases(plane)
     assert bases == want
-    got = hermitian.orthogonal_masks(plane.isotropic, plane.nonisotropic)
+    got = hermitian.orthogonal_masks(plane[1], plane[2])
     assert [m << 1 for m in got] == polar
 
 
@@ -150,22 +155,22 @@ def test_bases_and_polar_masks_match_the_pairwise_oracle(plane, bases):
     ],
 )
 def test_enumerate_bases_refuses_a_corrupted_plane(plane, corruption, message):
-    iso, noniso = plane.isotropic, plane.nonisotropic
+    points, iso, noniso = plane
     if corruption == "a nonisotropic point twice":
         noniso = noniso + [noniso[5]]
     elif corruption == "a nonisotropic point missing":
         noniso = noniso[:-1]
     else:
         iso = iso[:-1]
-    bad = hermitian.Plane(plane.points, iso, noniso)
+    bad = (points, iso, noniso)
     with pytest.raises(VerificationError, match=message):
         hermitian.enumerate_bases(bad)
 
 
 def test_basis_census(bases):
     assert len(bases) == 416
-    assert all(b.isoset.bit_count() == 15 for b in bases)
-    assert len({b.isoset for b in bases}) == 416
+    assert all(isoset.bit_count() == 15 for _, isoset in bases)
+    assert len({isoset for _, isoset in bases}) == 416
 
 
 def test_bases_are_orthogonal_triples(plane, bases):
@@ -180,15 +185,15 @@ def test_bases_are_orthogonal_triples(plane, bases):
 
 def test_each_nonisotropic_point_in_6_bases(bases):
     counts: dict[int, int] = {}
-    for bs in bases:
-        for t in bs.noniso_indices:
+    for tri, _ in bases:
+        for t in tri:
             counts[t] = counts.get(t, 0) + 1
     assert len(counts) == 208
     assert set(counts.values()) == {6}
 
 
 def test_bases_sorted_canonically(bases):
-    triples = [b.noniso_indices for b in bases]
+    triples = [tri for tri, _ in bases]
     assert triples == sorted(triples)
     assert all(t[0] < t[1] < t[2] for t in triples)
 

@@ -145,7 +145,7 @@ def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
     def c_as_b2(rows, b_mask):
         part = split(rows, b_mask)
         fake = sum(1 << v for v in oracles.vertices(part.c)[:32])
-        return part._replace(b2=fake, c=part.c ^ fake | part.b2)
+        return graph.Partition(part.b1, fake, part.b3, part.c ^ fake | part.b2)
 
     monkeypatch.setattr(graph, "split_B_C", c_as_b2)
     monkeypatch.setattr(graph, "verify_claim1", lambda rows, part: None)
@@ -179,6 +179,32 @@ def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "bases                ... OK\ngraph                ... FAIL\n" in out
     assert "    claim 3: iso-set 0 has 10 members\n    witness: 0\n" in out
+
+
+def test_a_duplicated_iso_set_fails_srg_at_the_lift(monkeypatch, isosets, point_maps):
+    # Basis 5 replaced by basis 4: the bases stage has no check of its own
+    # (`hermitian.enumerate_bases`).  The iso-set of vertex 5 is now missing,
+    # and point map 0 sends vertex 1's iso-set onto it, so the lift in the
+    # srg stage refuses vertex 1 before `verify_srg` reads any pair.
+    enumerate_bases = hermitian.enumerate_bases
+
+    def duplicated(plane):
+        bases = enumerate_bases(plane)
+        bases[5] = bases[4]
+        return bases
+
+    monkeypatch.setattr(hermitian, "enumerate_bases", duplicated)
+    report = run_check(RunConfig())
+    failed = report.stages[-1]
+    assert [s.status for s in report.stages[:4]] == ["ok"] * 4
+    assert (failed.name, failed.status) == ("srg", "fail")
+    assert failed.detail["error"] == (
+        "point map 0 sends the iso-set of vertex 1 to no iso-set"
+    )
+    assert failed.detail["witness"] == (0, 1)
+    sigma = point_maps[0]
+    image = sum(1 << sigma[a - 1] + 1 for a in hermitian.members(isosets[1]))
+    assert image == isosets[5] != isosets[4]
 
 
 def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
@@ -352,7 +378,7 @@ def test_failed_check_writes_its_report(tmp_path, capsys):
 def test_parameters_other_than_claim_3_fail_srg(monkeypatch, capsys):
     # verify_srg reports the parameters the graph has; the srg stage accepts
     # only srg(416, 100, 36, 20) and names any other as the witness.
-    wrong = graph.SrgParams(416, 100, 36, 21)
+    wrong = (416, 100, 36, 21)
     monkeypatch.setattr(graph, "verify_srg", lambda rows, maps: wrong)
     assert cli.main(["check"]) == 1
     assert capsys.readouterr().out.endswith(
@@ -892,6 +918,13 @@ def test_check_and_export_do_not_load_numpy(tmp_path):
     assert out.stat().st_size > 0
 
 
+# What `import g24verify.cli` and a `check` without --out may load besides
+# the package itself, with no site hook: `os` and what it imports.
+CHECK_STDLIB = {
+    "os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_collections_abc"
+}
+
+
 def test_check_imports_only_what_it_runs(tmp_path):
     # -S keeps site hooks from importing modules before the package does.
     package = os.path.dirname(g24verify.__file__)
@@ -904,18 +937,29 @@ def test_check_imports_only_what_it_runs(tmp_path):
         "-S",
         "-c",
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from g24verify import cli\n"
         f"seen = [[m for m in {modules!r} if m not in sys.modules]]\n"
+        "def added():\n"
+        "    new = set(sys.modules) - before\n"
+        "    return sorted(m for m in new if not m.startswith('g24verify'))\n"
+        "seen.append(added())\n"
         "def run(argv):\n"
         "    rc = cli.main(argv)\n"
         "    seen.append([rc, sorted({'argparse', 'json', 'tempfile'} & set(sys.modules))])\n"
         "run(['check'])\n"
+        "seen.append(added())\n"
         f"run(['check', '--out', {str(out)!r}])\n"
-        "print(seen)\n",
+        "import json\n"
+        "print(json.dumps(seen))\n",
     )
     assert proc.returncode == 0, proc.stderr
     assert len(modules) >= 8  # the package's own modules, cli included
-    assert proc.stdout.splitlines()[-1] == "[[], [0, []], [0, ['json']]]"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    missing, on_import, check, on_check, check_out = seen
+    assert (missing, check, check_out) == ([], [0, []], [0, ["json"]])
+    assert set(on_import) <= CHECK_STDLIB, on_import
+    assert on_check == on_import
     assert out.stat().st_size > 0
 
 
