@@ -1,5 +1,6 @@
-"""The 416-vertex graph on iso-sets, its symmetry and its strongly-regular
-structure.
+"""The 416-vertex graph on iso-sets: its symmetry and its strongly-regular
+structure, its Euclidean representation with the certified dimension chain,
+and its cliques.  Claims 3 to 7 and 9 are all checks on the graph's rows.
 
 Vertices are the orthogonal bases in canonical order; two are adjacent when
 their iso-sets share exactly 3 isotropic points.  Adjacency is bit-packed
@@ -26,9 +27,37 @@ orbits for the clique number.
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
 and then checked on every pair of the block, with no search.
+
+The Euclidean representation is y = A + 4I, never stored apart from the
+graph: its column i is row i of A (A is symmetric, as the srg stage
+verified) with 4 at coordinate i, read through `column_digits`.  Its
+columns realise the graph as a two-distance point set (squared distances
+144 on edges, 192 on non-edges, `DISTANCE_CENSUS`); those distances follow
+from the verified srg parameters, so no pair is scanned.  The contrast
+vectors p and q are constant on the blocks of the anchored split, so their
+inner products with the columns of y follow from the block counts
+(`CLAIM1`) and the block sizes: the dimension-chain stage reports them as
+constants, and none is counted.
+
+The chain of affine dimensions 65 -> 64 -> 63 of V, C+B1 and C is exact,
+each step two-sided, with no elimination: the rank of y from its verified
+spectrum, the rank on C from a cubic identity of the graph induced on C,
+checked on one row and carried to every row by two words in the verified
+automorphisms, and the step between them from p and q.  Every check is
+exact integer arithmetic; there is no floating point and no array library.
+
+The clique number and the special 5-cliques of C (claims 7 and 9) are
+checked at one vertex each and carried to the others by words in the
+automorphisms that the srg stage verified (`stabilizer`), with no search:
+the clique number at vertex 0, over the orbits on N(0) of words that fix
+0, and the special cliques at min C, over words that fix C.
+The search from every edge and the grouping of every edge of C by core are
+kept in the tests as the oracles.  The verdict (claim 8) needs no code: the
+clique number it divides by is pinned here, so it is a constant of the
+pipeline's verdict stage.
 """
 
-from .errors import VerificationError
+from . import VerificationError
 from .hermitian import ISOSET_SIZE, ISOTROPIC_COUNT, members
 
 VERTEX_COUNT = 416
@@ -517,3 +546,233 @@ def check_component_structure(rows: list[int], part: Partition) -> None:
                     f"B{h}: the words of ({v},{u}) disagree with its adjacency",
                     witness=(v, u),
                 )
+
+
+# The eigenvalues of A_C, the adjacency of the graph induced on C, with
+# their multiplicities; `certified_dimension_chain` derives them.
+C_SPECTRUM = {76: 1, 16: 48, 12: 15, -4: 256}
+
+# (A_C - 16)(A_C - 12)(A_C + 4) = C_IDENTITY J, as `verify_c_identity` checks.
+C_IDENTITY = 960
+
+
+def column_digits(rows: list[int], i: int) -> str:
+    """Column i of y = A + 4I, one character per coordinate: '4' at i, else
+    bit t of row i of A, which is A[t, i] since A is symmetric."""
+    bits = format(rows[i], f"0{len(rows)}b")[::-1]
+    return f"{bits[:i]}4{bits[i + 1:]}"
+
+
+def verify_c_identity(rows: list[int], part: Partition) -> None:
+    """Certify (A_C - 16)(A_C - 12)(A_C + 4) = 960 J on row c0 = min C, that
+    is A_C^3 - 24 A_C^2 + 80 A_C + 768 I = 960 J there, A_C being the
+    adjacency of the graph induced on C; a failure names the vertex u of C
+    whose entry (c0, u) is wrong.
+
+    (A_C^2)[c0, u] is one popcount of rows c0 and u inside C.  (A_C^3)[c0, u]
+    is the sum over w in C of (A_C^2)[c0, w] A_C[w, u]: the w are grouped by
+    that value, and each group takes one popcount with row u.  Rows are read
+    as columns, which the srg stage's symmetry allows.
+    """
+    c0 = next(members(part.c))
+    inside = {u: rows[u] & part.c for u in members(part.c)}  # A_C, row by row
+    r0 = inside[c0]
+    square = {u: (r0 & row).bit_count() for u, row in inside.items()}
+    levels: dict[int, int] = {}  # (A_C^2)[c0, w]: the mask of those w
+    for w, t in square.items():
+        levels[t] = levels.get(t, 0) | 1 << w
+    for u, row in inside.items():
+        cube = sum(t * (m & row).bit_count() for t, m in levels.items())
+        got = cube - 24 * square[u] + 80 * (r0 >> u & 1) + 768 * (u == c0)
+        if got != C_IDENTITY:
+            raise VerificationError(
+                f"(A_C - 16)(A_C - 12)(A_C + 4) is {got} at ({c0},{u}), "
+                f"not {C_IDENTITY}",
+                witness=u,
+            )
+
+
+def certified_dimension_chain(rows: list[int], part: Partition) -> list[dict]:
+    """Certificates for the affine dimensions of V, C+B1 and C, each the
+    linear rank of its columns of y minus one: every column lies on the
+    hyperplane <1, y_i> = 104 off the origin.  Each is the report's dict,
+    with the keys set, size, affine_dim, linear_rank and argument.
+
+    - V: y has eigenvalues 104, 24, 0 with multiplicities 1, f, g
+      (`SPECTRUM`), so rank y = 1 + f = 66.
+    - C: the words `STABILIZER_WORDS` are automorphisms that map C
+      onto C with one orbit, so they carry the identity of
+      `verify_c_identity` from row c0 to every row: p(A_C) = 960 J with
+      p(x) = (x - 16)(x - 12)(x + 4).  A_C is symmetric and 76-regular
+      (100 neighbours, 24 of them in B by the block counts).  An eigenvector
+      orthogonal to the all-ones vector has p(theta) = 0, so theta is 16, 12
+      or -4, and 76 is simple.  With 319 of them, tr A_C = 0 (no loops) and
+      tr A_C^2 = 320 * 76, the multiplicities a, b, c of 16, 12, -4 solve
+      a + b + c = 319, 16a + 12b - 4c = -76 and 256a + 144b + 16c = 18544:
+      48, 15, 256 (`C_SPECTRUM`).  So rank y[C, C] = rank(A_C + 4I) =
+      320 - 256 = 64, and since y is positive semidefinite,
+      rank y[:, C] = rank y[C, C].
+    - C+B1: q is orthogonal to every column of C and <q, y_j> = 48 on B1, so
+      a column of B1 lies outside the span of C: rank >= 65.  p is
+      orthogonal to every column of C+B1 and <p, y_j> = 24 on B2, so these
+      columns lie in a proper subspace of the column space: rank <= 65.
+
+    It relies on what earlier stages of the same run proved and does not
+    check it again: the srg stage (A is the symmetric, loop-free
+    srg(416, 100, 36, 20) and its automorphisms are verified on every
+    entry), the block-counts stage (the 20/0/8 counts, from which the
+    patterns of <p, y_i> and <q, y_i> follow, as the dimension-chain stage
+    reports them), and `stabilizer` on the words, which that stage
+    runs first and whose maps the special-cover stage reuses.
+    """
+    verify_c_identity(rows, part)
+    size_c = part.c.bit_count()
+    rank_y = 1 + SPECTRUM[1]
+    degree_c = SRG[1] - sum(CLAIM1["C"])  # k less the neighbours in B
+    rank_c = size_c - C_SPECTRUM[-4]
+    hyperplane = "every column satisfies <1, y_i> = 104, a hyperplane off the origin"
+    sets = [
+        (
+            "V",
+            len(rows),
+            rank_y,
+            [f"srg identity verified, so y = A + 4I has rank 1 + f = {rank_y}"],
+        ),
+        (
+            "C+B1",
+            size_c + part.b1.bit_count(),
+            rank_c + 1,
+            [
+                "q is orthogonal to every column of C and <q, y_j> = 48 on B1, "
+                f"so the rank exceeds {rank_c}",
+                "p is orthogonal to every column of the set and <p, y_j> = 24 "
+                f"on B2, so the rank is below {rank_y}",
+            ],
+        ),
+        (
+            "C",
+            size_c,
+            rank_c,
+            [
+                f"(A_C - 16)(A_C - 12)(A_C + 4) = {C_IDENTITY} J, verified on row "
+                f"{next(members(part.c))} and carried to every row of C by "
+                f"the words {', '.join(STABILIZER_WORDS)}",
+                f"A_C is {degree_c}-regular with trace 0, so its spectrum is "
+                + " ".join(f"({t})^{m}" for t, m in C_SPECTRUM.items()),
+                f"y is positive semidefinite, so the rank is rank(A_C + 4I) = {rank_c}",
+            ],
+        ),
+    ]
+    return [
+        {
+            "set": label,
+            "size": size,
+            "affine_dim": rank - 1,
+            "linear_rank": rank,
+            "argument": argument + [hyperplane],
+        }
+        for label, size, rank, argument in sets
+    ]
+
+
+# A special clique: its five vertices and its core's three points, ascending.
+SpecialClique = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def verify_clique_number(
+    rows: list[int], vertex_maps: list[list[int]]
+) -> tuple[list[int], int]:
+    """Certify that the clique number of the graph `rows` is 5; return a
+    5-clique as the witness and the number of local checks made.
+
+    `vertex_maps` must be automorphisms that fix vertex 0 (`stabilizer`)
+    in a group with one vertex orbit (`verify_srg`).  A clique of two
+    or more vertices then has an image through 0 and a representative u of
+    the maps' orbits on N(0).  So for each u and each w in T = N(0) & N(u),
+    a triangle in T & N(w) is refused, witness the 6-clique it makes.  The
+    first edge met in some T & N(w) gives the 5-clique witness; with none,
+    the graph is refused, witness vertex 0.
+    """
+    r0 = rows[0]
+    witness = None
+    checks = 0
+    for u in orbit_representatives(len(rows), vertex_maps):
+        if not r0 >> u & 1:
+            continue
+        common = r0 & rows[u]
+        for w in members(common):
+            checks += 1
+            inner = common & rows[w]
+            for x in members(inner):
+                inner ^= 1 << x  # a triangle through x has its others above x
+                links = inner & rows[x]
+                if links and witness is None:
+                    witness = sorted([0, u, w, x, (links & -links).bit_length() - 1])
+                for y in members(links):
+                    triangle = links & rows[y]
+                    if triangle:
+                        raise VerificationError(
+                            f"6-clique through vertex 0 and {u}",
+                            witness=sorted([0, u, w, x, y, triangle.bit_length() - 1]),
+                        )
+    if witness is None:
+        raise VerificationError("no 5-clique through vertex 0", witness=0)
+    return witness, checks
+
+
+def special_cliques(
+    rows: list[int], part: Partition, isosets: list[int], c_maps: list[list[int]]
+) -> list[SpecialClique]:
+    """The special 5-cliques of C, their iso-sets sharing a 3-point core,
+    ordered by core.  They tile C, so they are its only exact cover by
+    special cliques: an exact cover of C by 5-sets uses |C| / 5 of them.
+
+    The neighbours in C of c0 = min C are grouped by the core they share
+    with c0.  Exactly one group may have 4 or more members, and it must have
+    4, pairwise adjacent; a failure names c0, or the member that misses
+    another.  A special clique through c0 is c0 and such a group, and two
+    members of a group contain its core and are adjacent, so they share
+    exactly the core: c0 lies in exactly one special clique.
+
+    `c_maps` must map C into C with one orbit (`stabilizer` on
+    `STABILIZER_WORDS`).  As products of the maps that the
+    anchor-invariance stage verified, they move iso-sets by a map of the
+    points, so they send special cliques to special cliques.  Every vertex
+    of C thus lies in exactly one, and the orbit of c0's clique lists them
+    all.  A core is two members' iso-sets ANDed.
+    """
+    c0 = next(members(part.c))
+    groups: dict[int, int] = {}  # core: the mask of c0's neighbours in C on it
+    for j in members(rows[c0] & part.c):
+        core = isosets[c0] & isosets[j]
+        groups[core] = groups.get(core, 0) | 1 << j
+    big = [m for m in groups.values() if m.bit_count() >= 4]
+    sizes = sorted(m.bit_count() for m in big)
+    if sizes != [4]:
+        raise VerificationError(
+            f"vertex {c0} has groups of {sizes} neighbours in C on one core, "
+            "not one group of 4",
+            witness=c0,
+        )
+    group = big[0]
+    for v in members(group):
+        if rows[v] & group != group ^ 1 << v:
+            raise VerificationError(
+                f"vertex {v} of the core group of {c0} misses another", witness=v
+            )
+    first = tuple(sorted([c0, *members(group)]))
+    orbit = {first}
+    stack = [first]
+    while stack:
+        clique = stack.pop()
+        for perm in c_maps:
+            image = tuple(sorted(perm[v] for v in clique))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    cover = []
+    for vs in orbit:
+        core = isosets[vs[0]] & isosets[vs[1]]
+        cover.append((vs, tuple(members(core))))
+    return sorted(cover, key=lambda c: c[1])  # by core
+

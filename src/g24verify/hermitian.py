@@ -1,4 +1,15 @@
-"""PG(2,16) with a nondegenerate Hermitian form.
+"""GF(16) with its conjugation, and PG(2,16) with a nondegenerate Hermitian
+form.
+
+Field elements are 4-bit integers 0..15; bit k is the coefficient of x**k
+in a polynomial of degree < 4 over GF(2), so addition (and subtraction) is
+XOR, written `^` where it is used.  Multiplication reduces modulo
+x**4 + x + 1, and the conjugation is the order-2 automorphism x -> x**4.
+The import builds the product, conjugation and inverse tables from one walk
+of the powers of x (a log/antilog table) and loads no other module; the
+arithmetic below reads them directly, one list index per product, and
+`verify_axioms` certifies them exhaustively so nothing rests on a
+hand-written constant or on how they were built.
 
 Points are normalized homogeneous triples over GF(16) (first nonzero
 coordinate equal to 1), enumerated in lexicographic order of their
@@ -6,9 +17,9 @@ encodings.  The form is
 
     H(a, b) = a1*conj(b3) + a2*conj(b2) + a3*conj(b1)
 
-with conjugation x -> x**4.  Its 65 isotropic points (H(a,a) = 0) receive
-the canonical indices 1..65 in enumeration order; iso-sets are bit-packed
-with bit i standing for canonical index i.
+Its 65 isotropic points (H(a,a) = 0) receive the canonical indices 1..65 in
+enumeration order; iso-sets are bit-packed with bit i standing for
+canonical index i.
 
 Orthogonality is computed a whole point list at a time: sorting the points
 by the value of each coordinate gives bit-planes of the products in H, and
@@ -17,8 +28,115 @@ bases and the sides of their triangles are read from these masks, with no
 loop over pairs of points.
 """
 
-from . import gf16
-from .errors import VerificationError
+from . import VerificationError
+
+SIZE = 16
+ORDER = 15
+# x**4 + x + 1, encoded with the leading bit: 0b10011, and its name in reports
+POLY = 0x13
+POLYNOMIAL = "x^4 + x + 1"
+
+
+def _build_tables() -> tuple[list[list[int]], list[int], list[int]]:
+    """The product, conjugation and inverse tables from one walk of the
+    powers of x: exp[i] = x**i, doubled to 30 entries so that no sum of two
+    logarithms needs reducing mod 15.  x is primitive, so the walk meets
+    every nonzero element once and log inverts it; were it not,
+    `verify_axioms` would refuse the tables."""
+    exp = [1]
+    for _ in range(ORDER - 1):
+        a = exp[-1] << 1
+        exp.append(a ^ POLY if a & 0x10 else a)
+    exp += exp
+    log = [0] * SIZE
+    for i in range(ORDER):
+        log[exp[i]] = i
+    logs = log[1:]  # the logarithms of 1..15
+    mul = [[0] * SIZE] + [[0] + [exp[i + j] for j in logs] for i in logs]
+    conj = [0] + [exp[4 * i % ORDER] for i in logs]
+    inv = [0] + [exp[ORDER - i] for i in logs]
+    return mul, conj, inv
+
+
+# _MUL[a][b] = a * b; _CONJ[a] = a**4, the involutory automorphism, which
+# fixes exactly GF(4); _INV[a] the inverse of a != 0.  _INV[0] is 0, with no
+# error: only nonzero elements are looked up (`normalize` its first nonzero
+# coordinate, `verify_axioms` 1..15).
+_MUL, _CONJ, _INV = _build_tables()
+
+
+def verify_axioms() -> dict[str, int]:
+    """Exhaustive field-axiom suite over the precomputed tables.
+
+    Returns the number of tuples checked per axiom; raises VerificationError
+    on the first violation, with the failing element or tuple as witness.
+    Covers the full 16**3 cube where relevant, so a pass certifies the
+    tables regardless of how they were built.
+
+    The rest of README claim 1 follows and is not checked again:
+    - the additive group: addition is XOR, so a + a = 0 and a + 0 = a for
+      every int;
+    - a**15 = 1 for a != 0: identity, commutativity, closure, associativity
+      and inverses make the 15 nonzero elements a group (ab = 0 would give
+      b = a^-1 (ab) = 0), and Lagrange's theorem gives it;
+    - cancellation (each nonzero row of the table a permutation): ab = ac
+      gives b = a^-1 (ab) = a^-1 (ac) = c by associativity;
+    - the conjugation's properties: it is checked to be a -> a**4 on all 16
+      elements, which README claim 1 takes as its definition.  In
+      characteristic 2, squaring is additive, so a**4 is too, and it is
+      multiplicative in any commutative ring; a**16 = a (Lagrange again) makes
+      it involutory; its fixed points are the 4 roots of x**4 = x, the
+      subfield GF(4); and the norm a * conj(a) = a**5 is fixed by it, as
+      a**20 = a**5, so it lies in GF(4).
+    """
+    checks: dict[str, int] = {}
+
+    def fail(axiom: str, witness) -> VerificationError:
+        return VerificationError(f"{axiom} failed at {witness}", witness=witness)
+
+    table = _MUL  # read directly: each product below is one list index
+    for a in range(SIZE):
+        if table[a][1] != a or table[a][0] != 0:
+            raise fail("multiplicative identity", a)
+    checks["identity"] = SIZE
+
+    n = 0
+    for a in range(SIZE):
+        row = table[a]
+        for b in range(SIZE):
+            if row[b] != table[b][a]:
+                raise fail("commutativity", (a, b))
+            if row[b] >= SIZE:
+                raise fail("closure", (a, b))
+            n += 1
+    checks["commutativity"] = n
+
+    n = 0
+    for a in range(SIZE):
+        row = table[a]
+        for b in range(SIZE):
+            ab_row, b_row = table[row[b]], table[b]
+            for c in range(SIZE):
+                if ab_row[c] != row[b_row[c]]:
+                    raise fail("associativity", (a, b, c))
+                if row[b ^ c] != row[b] ^ row[c]:
+                    raise fail("distributivity", (a, b, c))
+                n += 1
+    checks["associativity_distributivity"] = n
+
+    for a in range(1, SIZE):
+        if table[a][_INV[a]] != 1:
+            raise fail("inverse", a)
+    checks["inverses"] = ORDER
+
+    for a in range(SIZE):
+        sq = table[a][a]  # a**4 from the products, not from _CONJ
+        if _CONJ[a] != table[sq][sq]:
+            raise fail("conjugation a -> a**4", a)
+    checks["conjugation"] = SIZE
+
+    return checks
+
 
 Point = tuple[int, int, int]
 
@@ -39,11 +157,7 @@ ISOMETRIES: tuple[Matrix, ...] = (
 
 
 def hermitian_form(a: Point, b: Point) -> int:
-    return (
-        gf16.mul(a[0], gf16.conj(b[2]))
-        ^ gf16.mul(a[1], gf16.conj(b[1]))
-        ^ gf16.mul(a[2], gf16.conj(b[0]))
-    )
+    return _MUL[a[0]][_CONJ[b[2]]] ^ _MUL[a[1]][_CONJ[b[1]]] ^ _MUL[a[2]][_CONJ[b[0]]]
 
 
 def is_isotropic(a: Point) -> bool:
@@ -59,8 +173,8 @@ def normalize(v: Point) -> Point:
         if c:
             if c == 1:
                 return v
-            s = gf16.inv(c)
-            return (gf16.mul(s, v[0]), gf16.mul(s, v[1]), gf16.mul(s, v[2]))
+            row = _MUL[_INV[c]]
+            return (row[v[0]], row[v[1]], row[v[2]])
 
 
 def enumerate_points() -> list[Point]:
@@ -116,7 +230,7 @@ def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
     these give the four bit-planes of every x_k * c.  The zeros of H(-, t)
     are then the points where the three planes of each bit XOR to 0.
     """
-    by_value = [[0] * gf16.SIZE for _ in range(3)]
+    by_value = [[0] * SIZE for _ in range(3)]
     for x, p in enumerate(points):
         for k in range(3):
             by_value[k][p[k]] |= 1 << x
@@ -125,19 +239,19 @@ def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
     planes = [
         [
             [
-                sum(m for v, m in enumerate(masks) if gf16.mul(v, c) >> b & 1)
+                sum(m for v, m in enumerate(masks) if _MUL[v][c] >> b & 1)
                 for b in range(4)
             ]
-            for c in range(gf16.SIZE)
+            for c in range(SIZE)
         ]
         for masks in by_value
     ]
     full = (1 << len(points)) - 1
     result = []
     for t in targets:
-        p0 = planes[0][gf16.conj(t[2])]
-        p1 = planes[1][gf16.conj(t[1])]
-        p2 = planes[2][gf16.conj(t[0])]
+        p0 = planes[0][_CONJ[t[2]]]
+        p1 = planes[1][_CONJ[t[1]]]
+        p2 = planes[2][_CONJ[t[0]]]
         nonzero = (p0[0] ^ p1[0] ^ p2[0]) | (p0[1] ^ p1[1] ^ p2[1])
         nonzero |= (p0[2] ^ p1[2] ^ p2[2]) | (p0[3] ^ p1[3] ^ p2[3])
         result.append(full & ~nonzero)
@@ -201,10 +315,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
 
 
 def _apply(m: Matrix, p: Point) -> Point:
-    return tuple(
-        gf16.mul(row[0], p[0]) ^ gf16.mul(row[1], p[1]) ^ gf16.mul(row[2], p[2])
-        for row in m
-    )
+    return tuple(_MUL[r[0]][p[0]] ^ _MUL[r[1]][p[1]] ^ _MUL[r[2]][p[2]] for r in m)
 
 
 def point_permutations(

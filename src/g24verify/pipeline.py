@@ -13,8 +13,7 @@ byte-for-byte reproducible.
 import os
 import time
 
-from . import __version__, cliques, euclid, gf16, graph, hermitian
-from .errors import VerificationError
+from . import VerificationError, __version__, graph, hermitian
 
 TOOL = "g24verify"
 
@@ -66,7 +65,7 @@ class Artifacts:
     automorphisms = None  # the lifts, verified by the srg stage
     part = None  # graph.Partition
     c_maps = None  # graph.stabilizer of C, from graph.STABILIZER_WORDS
-    cover = None  # [cliques.SpecialClique]
+    cover = None  # [graph.SpecialClique]
 
 
 class Report:
@@ -81,7 +80,7 @@ class Report:
         doc: dict = {
             "tool": TOOL,
             "version": __version__,
-            "field": {"polynomial": gf16.POLYNOMIAL},
+            "field": {"polynomial": hermitian.POLYNOMIAL},
             "stages": [
                 {
                     "name": s.name,
@@ -108,7 +107,7 @@ class Report:
         return json.dumps(self.to_dict(include_timings), indent=2) + "\n"
 
     def to_text(self, include_timings: bool = False) -> str:
-        lines = [f"{TOOL} {__version__} (GF(16): {gf16.POLYNOMIAL})"]
+        lines = [f"{TOOL} {__version__} (GF(16): {hermitian.POLYNOMIAL})"]
         for s in self.stages:
             suffix = f"  [{s.elapsed_ms:.0f} ms]" if include_timings else ""
             lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
@@ -125,7 +124,7 @@ class Report:
 
 
 def _stage_field_tables(art, cfg):
-    return {"axiom_checks": gf16.verify_axioms()}
+    return {"axiom_checks": hermitian.verify_axioms()}
 
 
 def _stage_geometry(art, cfg):
@@ -222,19 +221,19 @@ def _stage_dimension_chain(art, cfg):
             "p_norm_sq": 64,
             "q_norm_sq": 192,
         },
-        "certificates": euclid.certified_dimension_chain(art.rows, art.part),
+        "certificates": graph.certified_dimension_chain(art.rows, art.part),
     }
 
 
 def _stage_max_clique(art, cfg):
     # One vertex orbit (verify_srg) and the words that fix vertex 0.
     vertex_maps = graph.stabilizer(art.automorphisms, graph.VERTEX_WORDS, 1)
-    witness, checks = cliques.verify_clique_number(art.rows, vertex_maps)
+    witness, checks = graph.verify_clique_number(art.rows, vertex_maps)
     return {"clique_number": len(witness), "witness": witness, "local_checks": checks}
 
 
 def _stage_special_cover(art, cfg):
-    art.cover = cliques.special_cliques(art.rows, art.part, art.isosets, art.c_maps)
+    art.cover = graph.special_cliques(art.rows, art.part, art.isosets, art.c_maps)
     return {"special_cliques": len(art.cover)}
 
 
@@ -345,12 +344,12 @@ def write_isosets_csv(isosets: list[int], path: str) -> None:
 def write_vectors_csv(rows: list[int], path: str) -> None:
     """The columns of y = A + 4I, one row per vertex."""
     lines = (
-        f"{v + 1},{','.join(euclid.column_digits(rows, v))}\n" for v in range(len(rows))
+        f"{v + 1},{','.join(graph.column_digits(rows, v))}\n" for v in range(len(rows))
     )
     _atomic_write(path, lines)
 
 
-def write_cover_csv(cover: list[cliques.SpecialClique], path: str) -> None:
+def write_cover_csv(cover: list[graph.SpecialClique], path: str) -> None:
     lines = (
         ",".join([str(idx)] + [str(v + 1) for v in vertices] + [str(t) for t in core])
         + "\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from g24verify import cliques, euclid, graph, hermitian
+from g24verify import graph, hermitian
 from g24verify.pipeline import RunConfig, run_check
 
 import oracles
@@ -71,12 +71,12 @@ def vertex_maps(automorphisms):
 
 @pytest.fixture(scope="session")
 def certificates(rows, part):
-    return euclid.certified_dimension_chain(rows, part)
+    return graph.certified_dimension_chain(rows, part)
 
 
 @pytest.fixture(scope="session")
 def special_cliques(rows, part, isosets, c_maps):
-    return cliques.special_cliques(rows, part, isosets, c_maps)
+    return graph.special_cliques(rows, part, isosets, c_maps)
 
 
 @pytest.fixture(scope="session")

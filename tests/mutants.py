@@ -1,7 +1,7 @@
 """Mutation gate: deleting any refusal in src/ must make the test suite fail.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
-`gf16.verify_axioms`; each one is found with `ast`.  For each, a copy of
+`hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
 src/, tests/ and pyproject.toml in a temporary directory gets that statement
 replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:

@@ -24,11 +24,11 @@ from collections import namedtuple
 from itertools import combinations
 from operator import mul
 
-from g24verify import euclid, gf16
-from g24verify.cliques import SpecialClique
-from g24verify.errors import VerificationError
+from g24verify import VerificationError
 from g24verify.graph import (
     Partition,
+    SpecialClique,
+    column_digits,
     edge_count,
     edges,
     point_columns,
@@ -39,6 +39,7 @@ from g24verify.hermitian import (
     ISOMETRIES,
     ISOSET_SIZE,
     ISOTROPIC_COUNT,
+    _MUL,
     Basis,
     Plane,
     Point,
@@ -549,7 +550,7 @@ def modular_dimension_chain(
     `nested_order`, each prefix stopped at its rank 64, 65 or 66.  y is
     positive semidefinite, so a prime that divides no pivot reaches them."""
     y = [
-        euclid.column_digits(rows, i).encode().translate(_DIGITS)
+        column_digits(rows, i).encode().translate(_DIGITS)
         for i in range(len(rows))
     ]
     order = nested_order(part)
@@ -723,7 +724,7 @@ def line_points(a: Point, b: Point) -> list[Point]:
         raise ValueError("two distinct points are needed to span a line")
     pts = {a}
     for lam in range(16):
-        pts.add(normalize(tuple(gf16.mul(lam, a[t]) ^ b[t] for t in range(3))))
+        pts.add(normalize(tuple(_MUL[lam][a[t]] ^ b[t] for t in range(3))))
     if len(pts) != 17:
         raise VerificationError(f"line through {a}, {b} has {len(pts)} points")
     return sorted(pts)

@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from g24verify import cliques, graph
-from g24verify.errors import VerificationError
+from g24verify import VerificationError, graph
 
 import oracles
 
@@ -41,7 +40,7 @@ def test_clique_number_is_5(rows, srg_params, vertex_maps):
     # The count at vertex 0 agrees with the all-edges oracle: one check per
     # representative u in N(0) (four) and vertex of N(0) & N(u) (36 each).
     # Its witness is the first 5-clique it meets, in ascending order.
-    assert cliques.verify_clique_number(rows, vertex_maps) == ([0, 16, 28, 40, 384], 144)
+    assert graph.verify_clique_number(rows, vertex_maps) == ([0, 16, 28, 40, 384], 144)
     # The oracle's search in N(0) alone, with its witness and node count
     # pinned: the colouring is built class by class, and must give the
     # order of first-fit colouring.
@@ -55,9 +54,9 @@ def test_clique_count_on_small_graphs():
     # K5 with no map: each of the 4 neighbours of 0 is its own orbit, with 3
     # common neighbours to check.  The rotation of 1..4 fixes 0 and leaves
     # one orbit on N(0), so 3 checks settle it.
-    assert cliques.verify_clique_number(complete_graph(5), []) == ([0, 1, 2, 3, 4], 12)
+    assert graph.verify_clique_number(complete_graph(5), []) == ([0, 1, 2, 3, 4], 12)
     turn = [0, 2, 3, 4, 1]
-    assert cliques.verify_clique_number(complete_graph(5), [turn]) == (
+    assert graph.verify_clique_number(complete_graph(5), [turn]) == (
         [0, 1, 2, 3, 4],
         3,
     )
@@ -66,7 +65,7 @@ def test_clique_count_on_small_graphs():
 def test_a_6_clique_is_refused_with_its_vertices(rows, vertex_maps):
     # K6: the triangle {3, 4, 5} in N(0) & N(1) & N(2).
     with pytest.raises(VerificationError, match="6-clique") as exc:
-        cliques.verify_clique_number(complete_graph(6), [])
+        graph.verify_clique_number(complete_graph(6), [])
     assert exc.value.witness == [0, 1, 2, 3, 4, 5]
     # The real graph with 29, a common neighbour of 0 and 16, joined to the
     # rest of the 5-clique witness: the count names that 6-clique.
@@ -75,7 +74,7 @@ def test_a_6_clique_is_refused_with_its_vertices(rows, vertex_maps):
         planted[v] |= 1 << 29
         planted[29] |= 1 << v
     with pytest.raises(VerificationError, match="6-clique through vertex 0 and 16") as exc:
-        cliques.verify_clique_number(planted, vertex_maps)
+        graph.verify_clique_number(planted, vertex_maps)
     assert exc.value.witness == [0, 16, 28, 29, 40, 384]
 
 
@@ -84,7 +83,7 @@ def test_a_graph_of_clique_number_4_is_refused():
     rows = [0xFF ^ (1 << v | 1 << (v ^ 1)) for v in range(8)]
     assert oracles.max_clique(rows)[0] == 4
     with pytest.raises(VerificationError, match="no 5-clique through vertex 0") as exc:
-        cliques.verify_clique_number(rows, [])
+        graph.verify_clique_number(rows, [])
     assert exc.value.witness == 0
 
 
@@ -158,7 +157,7 @@ def test_non_bijection_is_refused(rows):
 
 
 def test_witness_survives_pair_recheck(rows, vertex_maps):
-    witness, _ = cliques.verify_clique_number(rows, vertex_maps)
+    witness, _ = graph.verify_clique_number(rows, vertex_maps)
     for a in range(5):
         for b in range(a + 1, 5):
             assert rows[witness[a]] >> witness[b] & 1
@@ -220,7 +219,7 @@ def test_cover_cores_distinct(special_cliques):
 
 
 def test_exact_cover_deterministic(rows, part, isosets, c_maps, special_cliques):
-    again = cliques.special_cliques(rows, part, isosets, c_maps)
+    again = graph.special_cliques(rows, part, isosets, c_maps)
     assert again == special_cliques
 
 
@@ -256,7 +255,7 @@ def test_a_core_shared_by_six_vertices_is_refused():
     part = graph.Partition(0, 0, 0, 0b111111)
     message = r"vertex 0 has groups of \[5\] neighbours in C on one core"
     with pytest.raises(VerificationError, match=message) as exc:
-        cliques.special_cliques(complete_graph(6), part, isosets, [])
+        graph.special_cliques(complete_graph(6), part, isosets, [])
     assert exc.value.witness == 0
 
 
@@ -285,7 +284,7 @@ def test_c0_in_two_core_groups_of_4_is_refused(rows, part, isosets, c_maps):
     moved = list(isosets)
     moved[j] = isosets[j] & ~old | new
     with pytest.raises(VerificationError, match=r"groups of \[4, 4\]") as exc:
-        cliques.special_cliques(rows, part, moved, c_maps)
+        graph.special_cliques(rows, part, moved, c_maps)
     assert exc.value.witness == oracles.vertices(part.c)[0] == 96
 
 
@@ -299,7 +298,7 @@ def test_a_core_group_of_4_that_is_no_clique_is_refused(rows, part, isosets, c_m
     cut = list(rows)
     graph.flip_edge(cut, a, b)
     with pytest.raises(VerificationError, match="misses another") as exc:
-        cliques.special_cliques(cut, part, isosets, c_maps)
+        graph.special_cliques(cut, part, isosets, c_maps)
     assert exc.value.witness == a
 
 

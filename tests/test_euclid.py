@@ -1,7 +1,7 @@
 """Representation matrix, distances, contrasts, and rank certificates.
 
 y = A + 4I lives only in the graph: the program reads its columns through
-`euclid.column_digits`, and the oracles take A's rows as y's column ints.
+`graph.column_digits`, and the oracles take A's rows as y's column ints.
 numpy is a test dependency only: it gives the reference elimination
 `rank_mod_prime`, the Gram-matrix oracle of the distance census, which in
 turn checks the scanned census in `oracles` that the pinned one is compared
@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g24verify import euclid, graph
-from g24verify.errors import VerificationError
+from g24verify import VerificationError, graph
 
 import oracles
 
@@ -92,7 +91,7 @@ def rank_mod_prime(
 
 def column(rows, i) -> list[int]:
     """Column i of y = A + 4I as the program reads it."""
-    return [int(d) for d in euclid.column_digits(rows, i)]
+    return [int(d) for d in graph.column_digits(rows, i)]
 
 
 def dense(columns) -> np.ndarray:
@@ -296,12 +295,12 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, 
     c = oracles.vertices(part.c)
     (degree,) = {(rows[v] & part.c).bit_count() for v in c}
     assert re.search(r"A_C is (\d+)-regular", c_text).group(1) == str(degree)
-    assert euclid.C_SPECTRUM[degree] == 1
+    assert graph.C_SPECTRUM[degree] == 1
     constant = re.search(r"\(A_C - 16\)\(A_C - 12\)\(A_C \+ 4\) = (\d+) J", c_text)
     assert int(constant.group(1)) * len(c) == (degree - 16) * (degree - 12) * (degree + 4)
     shift, rank = re.search(r"rank\(A_C \+ (\d+)I\) = (\d+)", c_text).groups()
-    assert euclid.column_digits(rows, c[0])[c[0]] == shift
-    assert int(rank) == c_cert["linear_rank"] == len(c) - euclid.C_SPECTRUM[-int(shift)]
+    assert graph.column_digits(rows, c[0])[c[0]] == shift
+    assert int(rank) == c_cert["linear_rank"] == len(c) - graph.C_SPECTRUM[-int(shift)]
 
 
 def test_inner_products_reject_corruption(rows, part, contrasts, full_report):
@@ -443,7 +442,7 @@ def test_ldlt_oracle_falls_short_mod_3(rows, part):
 def test_c_spectrum_solves_the_trace_equations():
     # 76 and the roots of (x - 16)(x - 12)(x + 4), with multiplicities that
     # count 320 vertices, give tr A_C = 0 and tr A_C^2 = 320 * 76.
-    spectrum = euclid.C_SPECTRUM
+    spectrum = graph.C_SPECTRUM
     assert sum(spectrum.values()) == 320
     assert sum(t * m for t, m in spectrum.items()) == 0
     assert sum(t * t * m for t, m in spectrum.items()) == 320 * 76
@@ -469,7 +468,7 @@ def test_c_identity_holds_on_every_row(rows, part):
     product = (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
     assert (product == 960).all()
     assert (a.sum(axis=0) == 76).all()
-    euclid.verify_c_identity(rows, part)
+    graph.verify_c_identity(rows, part)
 
 
 @pytest.mark.parametrize("u_offset", [1, 200], ids=["c1", "c200"])
@@ -481,7 +480,7 @@ def test_c_identity_refuses_a_tampered_row(rows, part, u_offset):
     tampered = list(rows)
     graph.flip_edge(tampered, c0, u)
     with pytest.raises(VerificationError, match=r"\(A_C - 16\)") as err:
-        euclid.verify_c_identity(tampered, part)
+        graph.verify_c_identity(tampered, part)
     a = a_c(tampered, part)
     eye = np.eye(320, dtype=np.int64)
     row = eye[0] @ (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from g24verify import gf16
-from g24verify.errors import VerificationError
+from g24verify import VerificationError, hermitian
+
+MUL, INV, CONJ = hermitian._MUL, hermitian._INV, hermitian._CONJ
 
 
 def poly_mul_mod(a: int, b: int) -> int:
@@ -25,7 +26,7 @@ def poly_mul_mod(a: int, b: int) -> int:
 def test_mul_matches_schoolbook_oracle():
     for a in range(16):
         for b in range(16):
-            assert gf16.mul(a, b) == poly_mul_mod(a, b)
+            assert MUL[a][b] == poly_mul_mod(a, b)
 
 
 def test_addition_is_char_2():
@@ -34,22 +35,22 @@ def test_addition_is_char_2():
     for a in range(16):
         assert a ^ a == 0 and a ^ 0 == a
         for b in range(16):
-            assert gf16.mul(a, b ^ 1) == gf16.mul(a, b) ^ a
+            assert MUL[a][b ^ 1] == MUL[a][b] ^ a
     assert 0b0011 ^ 0b0101 == 0b0110
 
 
 def test_axiom_suite_passes_and_is_exhaustive():
-    checks = gf16.verify_axioms()
+    checks = hermitian.verify_axioms()
     assert checks["associativity_distributivity"] == 16**3
     assert checks["commutativity"] == 16**2
     assert checks["conjugation"] == 16
 
 
 def power(a: int, n: int) -> int:
-    """Oracle: a**n as n products by a, from `gf16.mul` alone."""
+    """Oracle: a**n as n products by a, from `hermitian.mul` alone."""
     acc = 1
     for _ in range(n):
-        acc = gf16.mul(acc, a)
+        acc = MUL[acc][a]
     return acc
 
 
@@ -69,12 +70,12 @@ def test_generator_is_smallest_and_has_order_15():
 
 
 def test_inverse_table():
-    assert gf16.inv(1) == 1
+    assert INV[1] == 1
     for a in range(1, 16):
-        assert gf16.mul(a, gf16.inv(a)) == 1
+        assert MUL[a][INV[a]] == 1
     # Lagrange: the inverse is the 14th power.
     for a in range(1, 16):
-        assert gf16.inv(a) == power(a, 14)
+        assert INV[a] == power(a, 14)
 
 
 def test_power_table_from_repeated_multiplication():
@@ -82,33 +83,33 @@ def test_power_table_from_repeated_multiplication():
     g = smallest_generator()
     exp = [1]
     for _ in range(14):
-        exp.append(gf16.mul(exp[-1], g))
+        exp.append(MUL[exp[-1]][g])
     assert sorted(exp) == list(range(1, 16))
-    assert gf16.mul(g, exp[14]) == 1  # g * g^14 = g^15 = 1
+    assert MUL[g][exp[14]] == 1  # g * g^14 = g^15 = 1
     for k, v in enumerate(exp):
-        assert gf16.inv(v) == exp[(15 - k) % 15]
+        assert INV[v] == exp[(15 - k) % 15]
 
 
 def test_conjugation_is_frobenius_squared():
     for a in range(16):
-        assert gf16.conj(a) == power(a, 4)
-        assert gf16.conj(gf16.conj(a)) == a
-    assert gf16.conj(0) == 0 and gf16.conj(1) == 1
-    fixed = [a for a in range(16) if gf16.conj(a) == a]
+        assert CONJ[a] == power(a, 4)
+        assert CONJ[CONJ[a]] == a
+    assert CONJ[0] == 0 and CONJ[1] == 1
+    fixed = [a for a in range(16) if CONJ[a] == a]
     assert len(fixed) == 4
 
 
 def test_conjugation_respects_field_structure():
     for a in range(16):
         for b in range(16):
-            assert gf16.conj(a ^ b) == gf16.conj(a) ^ gf16.conj(b)
-            assert gf16.conj(gf16.mul(a, b)) == gf16.mul(gf16.conj(a), gf16.conj(b))
+            assert CONJ[a ^ b] == CONJ[a] ^ CONJ[b]
+            assert CONJ[MUL[a][b]] == MUL[CONJ[a]][CONJ[b]]
 
 
 def test_norm_lands_in_fixed_field():
-    fixed = {a for a in range(16) if gf16.conj(a) == a}
+    fixed = {a for a in range(16) if CONJ[a] == a}
     for a in range(16):
-        norm = gf16.mul(a, gf16.conj(a))
+        norm = MUL[a][CONJ[a]]
         assert norm == power(a, 5)
         assert norm in fixed
 
@@ -119,10 +120,10 @@ def test_nonzero_elements_have_order_dividing_15():
 
 
 def test_verify_axioms_detects_corruption():
-    original = gf16._MUL[3][5]
-    gf16._MUL[3][5] = original ^ 1
+    original = hermitian._MUL[3][5]
+    hermitian._MUL[3][5] = original ^ 1
     try:
         with pytest.raises(VerificationError):
-            gf16.verify_axioms()
+            hermitian.verify_axioms()
     finally:
-        gf16._MUL[3][5] = original
+        hermitian._MUL[3][5] = original

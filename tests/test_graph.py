@@ -5,8 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from g24verify import graph, hermitian, pipeline
-from g24verify.errors import VerificationError
+from g24verify import VerificationError, graph, hermitian, pipeline
 
 import oracles
 

@@ -10,8 +10,7 @@ import jsonschema
 import pytest
 
 import g24verify
-from g24verify import cli, cliques, euclid, gf16, graph, hermitian, pipeline
-from g24verify.errors import VerificationError
+from g24verify import VerificationError, cli, graph, hermitian, pipeline
 from g24verify.pipeline import RunConfig, run_check
 
 import oracles
@@ -210,9 +209,9 @@ def test_a_duplicated_iso_set_fails_srg_at_the_lift(monkeypatch, isosets, point_
 def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
     # One product changed in a copy of the table: 2 * 3 no longer equals
     # 3 * 2, and the axiom suite names the pair.
-    table = [list(row) for row in gf16._MUL]
+    table = [list(row) for row in hermitian._MUL]
     table[2][3] ^= 1
-    monkeypatch.setattr(gf16, "_MUL", table)
+    monkeypatch.setattr(hermitian, "_MUL", table)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
@@ -225,9 +224,9 @@ def test_product_outside_the_field_fails_field_tables(monkeypatch):
     # 2 * 3 = 3 * 2 = 16 in a copy of the table: commutative, but not in
     # GF(16).  The closure check names the pair before any later axiom
     # indexes the table with 16.
-    table = [list(row) for row in gf16._MUL]
+    table = [list(row) for row in hermitian._MUL]
     table[2][3] = table[3][2] = 16
-    monkeypatch.setattr(gf16, "_MUL", table)
+    monkeypatch.setattr(hermitian, "_MUL", table)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
@@ -274,11 +273,11 @@ def test_corrupted_field_tables_fail_with_the_axiom_and_witness(
 ):
     # Each corruption, in copies of the tables, is caught first by the axiom
     # aimed at it.
-    mul = [list(row) for row in gf16._MUL]
-    inv, conj = list(gf16._INV), list(gf16._CONJ)
+    mul = [list(row) for row in hermitian._MUL]
+    inv, conj = list(hermitian._INV), list(hermitian._CONJ)
     corrupt(mul, inv, conj)
     for name, table in (("_MUL", mul), ("_INV", inv), ("_CONJ", conj)):
-        monkeypatch.setattr(gf16, name, table)
+        monkeypatch.setattr(hermitian, name, table)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
@@ -305,7 +304,7 @@ def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
     # The count run on the graph with 29, a common neighbour of 0 and 16,
     # joined to 28, 40 and 384 is refused by the stage at claim 7, which
     # names the 6-clique that makes.
-    count = cliques.verify_clique_number
+    count = graph.verify_clique_number
 
     def planted(rows, vertex_maps):
         rows = list(rows)
@@ -314,7 +313,7 @@ def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
             rows[29] |= 1 << v
         return count(rows, vertex_maps)
 
-    monkeypatch.setattr(cliques, "verify_clique_number", planted)
+    monkeypatch.setattr(graph, "verify_clique_number", planted)
     report = run_check(RunConfig())
     assert (report.exit_code, report.overall_status) == (1, "fail")
     failed = report.stages[-1]
@@ -954,7 +953,10 @@ def test_check_imports_only_what_it_runs(tmp_path):
         "print(json.dumps(seen))\n",
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(modules) >= 8  # the package's own modules, cli included
+    # The package's own modules, pinned so that a split or a merge is seen.
+    assert modules == [
+        "g24verify.cli", "g24verify.graph", "g24verify.hermitian", "g24verify.pipeline"
+    ]
     seen = json.loads(proc.stdout.splitlines()[-1])
     missing, on_import, check, on_check, check_out = seen
     assert (missing, check, check_out) == ([], [0, []], [0, ["json"]])
@@ -991,7 +993,7 @@ def test_export_refuses_a_temporary_name_that_exists(tmp_path, capsys):
 def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     # The disk fills at column 100 while the vectors are written; the stages
     # before the write read the same columns and must not see it.
-    column_digits = euclid.column_digits
+    column_digits = graph.column_digits
     write = pipeline.write_vectors_csv
 
     def failing_column(rows, i):
@@ -1001,7 +1003,7 @@ def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 
     def write_to_full_disk(rows, path):
         with monkeypatch.context() as m:
-            m.setattr(euclid, "column_digits", failing_column)
+            m.setattr(graph, "column_digits", failing_column)
             write(rows, path)
 
     monkeypatch.setattr(pipeline, "write_vectors_csv", write_to_full_disk)
