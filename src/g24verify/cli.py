@@ -8,11 +8,11 @@ export-graph, export-isosets, export-vectors, export-cover.  Exit codes:
 import sys
 
 from . import __version__, graph
-from .pipeline import EXIT_USAGE, GRAPH_WRITERS, WRITERS, RunConfig, run
+from .pipeline import EXIT_USAGE, WRITERS, RunConfig, run
 
 USAGE = """\
-usage: g24verify [-h] [--version] [--out PATH] [--format {dimacs,json}]
-                 [--timings] [--inject-flip-edge I,J] [COMMAND]
+usage: g24verify [-h] [--version] [--out PATH] [--timings]
+                 [--inject-flip-edge I,J] [COMMAND]
 """
 
 HELP = USAGE + """
@@ -26,14 +26,13 @@ options:
   -h, --help              show this help message and exit
   --version               show the version and exit
   --out PATH              output file of an export or of check's report
-  --format {dimacs,json}  graph export format (export-graph only)
   --timings               include stage wall-clock times in output (breaks
                           byte-for-byte reproducibility of the report)
   --inject-flip-edge I,J  test hook: flip one adjacency after the graph is built
 """
 
 # Each option that takes a value, and the RunConfig field that it sets.
-_VALUED = {"--out": "out", "--format": "fmt", "--inject-flip-edge": "inject_flip_edge"}
+_VALUED = {"--out": "out", "--inject-flip-edge": "inject_flip_edge"}
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -56,8 +55,8 @@ def _parse_edge(text: str) -> tuple[int, int]:
 def parse_args(argv: list[str]) -> RunConfig:
     """The run that `argv` asks for.  An option's value follows it or an
     `=`; options are spelled in full.  -h and --version print and exit 0,
-    and a usage error exits 3: among them an unknown command or format and
-    an export with no --out."""
+    and a usage error exits 3: among them an unknown command and an export
+    with no --out."""
     fields = {}
     args = iter(argv)
     for arg in args:
@@ -83,10 +82,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         else:
             fields["command"] = arg
     cfg = RunConfig(**fields)
-    for value, choices in ((cfg.command, WRITERS), (cfg.fmt, GRAPH_WRITERS)):
-        if value not in choices:
-            listed = ", ".join(choices)
-            raise _usage_error(f"invalid choice {value!r}, choose from {listed}")
+    if cfg.command not in WRITERS:
+        listed = ", ".join(WRITERS)
+        raise _usage_error(f"invalid choice {cfg.command!r}, choose from {listed}")
     if cfg.command != "check" and cfg.out is None:
         raise _usage_error(f"{cfg.command} needs --out")
     return cfg

@@ -320,22 +320,26 @@ def _verify_automorphism(rows: list[int], perm: list[int]) -> None:
 
 
 def orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
-    """Smallest vertex of each orbit of the group generated by `perms`
-    (union-find over the links v -> perm[v])."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for perm in perms:
-        for v, w in enumerate(perm):
-            a, b = find(v), find(w)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [v for v in range(n) if find(v) == v]
+    """Smallest vertex of each orbit of the group generated by `perms`,
+    ascending.  Each orbit is walked once, from its smallest vertex, along
+    the links v -> perm[v]; these reach the whole orbit, as a permutation's
+    inverse is one of its powers."""
+    seen = [False] * n
+    reps = []
+    for r in range(n):
+        if seen[r]:
+            continue
+        reps.append(r)
+        seen[r] = True
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for perm in perms:
+                w = perm[v]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return reps
 
 
 # Words in the srg stage's maps a and b (ISOMETRIES[0] and [1]) and their
@@ -368,7 +372,7 @@ def stabilizer(
         perm = list(range(len(a)))
         for letter in word:
             step = letters[letter]
-            perm = [step[v] for v in perm]
+            perm = list(map(step.__getitem__, perm))
         for v, w in enumerate(perm):
             if mask >> v & 1 and not mask >> w & 1:
                 raise VerificationError(
@@ -689,9 +693,12 @@ def verify_clique_number(
     in a group with one vertex orbit (`verify_srg`).  A clique of two
     or more vertices then has an image through 0 and a representative u of
     the maps' orbits on N(0).  So for each u and each w in T = N(0) & N(u),
-    a triangle in T & N(w) is refused, witness the 6-clique it makes.  The
-    first edge met in some T & N(w) gives the 5-clique witness; with none,
-    the graph is refused, witness vertex 0.
+    a triangle in T & N(w) above w is refused, witness the 6-clique it
+    makes.  The search stays exhaustive: a 6-clique through 0 and u is met
+    at w its smallest other vertex, with the other three above w.  The
+    first edge met in some T & N(w) above w gives the 5-clique witness (the
+    edge of a 5-clique through 0 and u lies above its smallest other vertex
+    too); with none, the graph is refused, witness vertex 0.
     """
     r0 = rows[0]
     witness = None
@@ -702,7 +709,7 @@ def verify_clique_number(
         common = r0 & rows[u]
         for w in members(common):
             checks += 1
-            inner = common & rows[w]
+            inner = common & rows[w] >> w + 1 << w + 1
             for x in members(inner):
                 inner ^= 1 << x  # a triangle through x has its others above x
                 links = inner & rows[x]

@@ -285,7 +285,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
     # is not orthogonal to itself: orth[i] & orth[j] holds neither i nor j.
     orth = orthogonal_masks(noniso, noniso)
-    triples: set[tuple[int, int, int]] = set()
+    triples = []  # each basis i < j < k once, at its pair (i, j): in index order
     for i, orth_i in enumerate(orth):
         for j in members(orth_i >> (i + 1) << (i + 1)):
             completions = orth_i & orth[j]
@@ -296,7 +296,8 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
                     witness=(i, j),
                 )
             k = completions.bit_length() - 1
-            triples.add(tuple(sorted((i, j, k))))
+            if k > j:
+                triples.append((i, j, k))
 
     # The side bc of basis {a, b, c} is the polar line of a, so its isotropic
     # points are those orthogonal to a: one mask per point serves every side.
@@ -309,9 +310,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
                 witness=t,
             )
 
-    return [
-        (tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]]) for tri in sorted(triples)
-    ]
+    return [(tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]]) for tri in triples]
 
 
 def _apply(m: Matrix, p: Point) -> Point:

@@ -30,10 +30,9 @@ class RunConfig:
     """What one run does; `cli.parse_args` builds it from the command line."""
 
     def __init__(
-        self, command="check", out=None, fmt="dimacs", include_timings=False,
-        inject_flip_edge=None,
+        self, command="check", out=None, include_timings=False, inject_flip_edge=None
     ):
-        self.command, self.out, self.fmt = command, out, fmt
+        self.command, self.out = command, out
         self.include_timings, self.inject_flip_edge = include_timings, inject_flip_edge
 
     def __eq__(self, other):
@@ -102,7 +101,7 @@ class Report:
         return doc
 
     def to_json(self, include_timings: bool = False) -> str:
-        import json  # only here and in write_graph_json: check writes no JSON
+        import json  # only here: check without --out writes no JSON
 
         return json.dumps(self.to_dict(include_timings), indent=2) + "\n"
 
@@ -325,14 +324,6 @@ def write_dimacs(rows: list[int], path: str) -> None:
     _atomic_write(path, [header], edges)
 
 
-def write_graph_json(rows: list[int], path: str) -> None:
-    import json
-
-    edges = [[i + 1, j + 1] for i, j in graph.edges(rows)]
-    doc = {"vertices": len(rows), "edges": edges}
-    _atomic_write(path, json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
-
-
 def write_isosets_csv(isosets: list[int], path: str) -> None:
     lines = (
         ",".join([str(v + 1)] + [str(m) for m in hermitian.members(mask)]) + "\n"
@@ -343,8 +334,11 @@ def write_isosets_csv(isosets: list[int], path: str) -> None:
 
 def write_vectors_csv(rows: list[int], path: str) -> None:
     """The columns of y = A + 4I, one row per vertex."""
+    # .replace("", ",") puts a comma before and after every digit, and [:-1]
+    # drops the last: one str call per row is cheaper than joining 416 digits.
     lines = (
-        f"{v + 1},{','.join(graph.column_digits(rows, v))}\n" for v in range(len(rows))
+        f"{v + 1}{graph.column_digits(rows, v).replace('', ',')[:-1]}\n"
+        for v in range(len(rows))
     )
     _atomic_write(path, lines)
 
@@ -362,13 +356,11 @@ def write_report_json(report: Report, path: str, include_timings: bool = False) 
     _atomic_write(path, [report.to_json(include_timings)])
 
 
-GRAPH_WRITERS = {"dimacs": write_dimacs, "json": write_graph_json}
-
 # What each command writes to --out, from the run's report; the CLI offers
-# these commands and graph formats.
+# these commands.
 WRITERS = {
     "check": lambda r, cfg: write_report_json(r, cfg.out, cfg.include_timings),
-    "export-graph": lambda r, cfg: GRAPH_WRITERS[cfg.fmt](r.artifacts.rows, cfg.out),
+    "export-graph": lambda r, cfg: write_dimacs(r.artifacts.rows, cfg.out),
     "export-isosets": lambda r, cfg: write_isosets_csv(r.artifacts.isosets, cfg.out),
     "export-vectors": lambda r, cfg: write_vectors_csv(r.artifacts.rows, cfg.out),
     "export-cover": lambda r, cfg: write_cover_csv(r.artifacts.cover, cfg.out),
@@ -383,8 +375,8 @@ def run(cfg: RunConfig, show=None) -> Report:
     Before any stage runs, the command's writer is looked up and an OSError
     refuses a cfg.out that names no file in an existing directory.
     `show(report)`, if given, is called before anything is written.
-    parse_args has checked the command, the format, and that an export has
-    an output path.
+    parse_args has checked the command and that an export has an output
+    path.
     """
     write = WRITERS[cfg.command]
     if cfg.out is not None:

@@ -5,8 +5,9 @@ A refusal is a `raise` of VerificationError, or of `fail(...)` in
 src/, tests/ and pyproject.toml in a temporary directory gets that statement
 replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:
-tests/test_<module>.py of the mutated module and tests/test_pipeline.py
-first, the rest after, so that -x stops at the first failure soon.  A mutant
+tests/test_<module>.py of the mutated module, the test files of the
+modules folded into it (`FOLDED_TESTS`) and tests/test_pipeline.py first,
+the rest after, so that -x stops at the first failure soon.  A mutant
 whose suite passes is a survivor: a refusal that no test reaches.  The
 unmutated copy must pass first, or every mutant would look killed, and the
 files named must collect the same tests as `pytest tests`, so that a
@@ -49,10 +50,21 @@ def refusals() -> list[tuple[Path, ast.Raise]]:
     return found
 
 
+# The test files of each module besides tests/test_<module>.py: those of
+# the modules folded into it.
+FOLDED_TESTS = {
+    "graph": ["test_euclid.py", "test_cliques.py"],
+    "hermitian": ["test_gf16.py"],
+}
+
+
 def suite_files(rel: Path | None) -> list[str]:
     """Every test file, those that test the module `rel` first."""
     names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
-    first = [f"test_{rel.stem}.py", "test_pipeline.py"] if rel else []
+    first = []
+    if rel:
+        folded = FOLDED_TESTS.get(rel.stem, [])
+        first = [f"test_{rel.stem}.py", *folded, "test_pipeline.py"]
     ordered = [n for n in first if n in names] + names
     return [f"tests/{n}" for n in dict.fromkeys(ordered)]
 

@@ -90,6 +90,10 @@ def test_a_graph_of_clique_number_4_is_refused():
 def test_single_vertex_orbit(rows, automorphisms):
     assert graph.orbit_representatives(len(rows), automorphisms) == [0]
     assert graph.orbit_representatives(4, [[1, 0, 2, 3]]) == [0, 2, 3]
+    # Two maps, orbits {0, 3, 5}, {1, 6}, {2} and {4}: each walked from its
+    # smallest vertex, whatever map first reaches it.
+    maps = [[3, 6, 2, 5, 4, 0, 1], [5, 1, 2, 0, 4, 3, 6]]
+    assert graph.orbit_representatives(7, maps) == [0, 1, 2, 4]
 
 
 def test_non_automorphism_is_refused_with_an_edge_witness(rows, automorphisms):
