@@ -154,9 +154,6 @@ class Partition:
     def __iter__(self):
         return iter((self.b1, self.b2, self.b3, self.c))
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and list(self) == list(other)
-
 
 # The block counts (README claim 5): the neighbours of a vertex in
 # (B1, B2, B3), by the block it lies in.

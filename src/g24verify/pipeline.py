@@ -46,9 +46,6 @@ class StageResult:
         self.name, self.claims, self.status = name, claims, status
         self.detail, self.elapsed_ms = detail, elapsed_ms
 
-    def __eq__(self, other):
-        return isinstance(other, StageResult) and vars(self) == vars(other)
-
 
 class Artifacts:
     """What the stages build, kept for the exporters and never serialized.

@@ -29,14 +29,25 @@ def point_maps(plane):
 
 
 @pytest.fixture(scope="session")
-def automorphisms(isosets, point_maps):
-    return graph.vertex_permutations(graph.point_columns(isosets), point_maps)
+def built(isosets):
+    """The graph's adjacency rows and point columns, from one build; a test
+    that changes them works on a copy."""
+    return graph.build_graph(isosets)
 
 
 @pytest.fixture(scope="session")
-def rows(isosets):
-    """The graph's adjacency rows; a test that changes them works on a copy."""
-    return graph.build_graph(isosets)[0]
+def rows(built):
+    return built[0]
+
+
+@pytest.fixture(scope="session")
+def columns(built):
+    return built[1]
+
+
+@pytest.fixture(scope="session")
+def automorphisms(columns, point_maps):
+    return graph.vertex_permutations(columns, point_maps)
 
 
 @pytest.fixture(scope="session")
@@ -50,8 +61,8 @@ def spectrum(srg_params):
 
 
 @pytest.fixture(scope="session")
-def part(rows, isosets):
-    return graph.split_B_C(rows, graph.point_columns(isosets)[1])
+def part(rows, columns):
+    return graph.split_B_C(rows, columns[1])
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,11 @@ the isometries' maps of the bases from their nonisotropic points, the srg
 identity on all 86,320 pairs, the srg spectrum and distance census
 recomputed from any parameters, claim 1 split and counted at every anchor,
 the distance census by scanning every pair, the contrast products counted
-column by column, the dimension chain by PAPER.md's own route of modular
-ranks, the clique number by a search from every edge, the special cliques
-by a search inside each core's group of edges, the isomorphism of each B_h
-with its model by a backtracking search, and the geometry of lines spelled
-out point by point.
+column by column, the dimension chain by the paper's own route (arXiv
+1308.0206) of modular ranks, the clique number by a search from every
+edge, the special cliques by a search inside each core's group of edges,
+the isomorphism of each B_h with its model by a backtracking search, and
+the geometry of lines spelled out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
@@ -546,7 +546,7 @@ def modular_dimension_chain(
     rows: list[int], part: Partition, prime: int
 ) -> tuple[int, ...]:
     """Lower bounds on the linear ranks of the columns C, C+B1 and V of
-    y = A + 4I, by PAPER.md's own route: one LDL^T of y over GF(prime) in
+    y = A + 4I, by the route of arXiv 1308.0206: one LDL^T of y over GF(prime) in
     `nested_order`, each prefix stopped at its rank 64, 65 or 66.  y is
     positive semidefinite, so a prime that divides no pivot reaches them."""
     y = [

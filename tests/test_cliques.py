@@ -31,23 +31,15 @@ def test_max_clique_on_small_graphs():
     assert size == 1
 
 
-def test_clique_number_is_5(rows, srg_params, vertex_maps):
-    size, witness, stats = oracles.max_clique(rows)
-    assert size == 5
-    assert len(witness) == 5
-    assert stats.edges_scanned == 20800
-    oracles.verify_clique(rows, witness)
-    # The count at vertex 0 agrees with the all-edges oracle: one check per
-    # representative u in N(0) (four) and vertex of N(0) & N(u) (36 each).
-    # Its witness is the first 5-clique it meets, in ascending order.
-    assert graph.verify_clique_number(rows, vertex_maps) == ([0, 16, 28, 40, 384], 144)
+def test_clique_number_is_5(rows):
     # The oracle's search in N(0) alone, with its witness and node count
     # pinned: the colouring is built class by class, and must give the
-    # order of first-fit colouring.
+    # order of first-fit colouring.  The search from every edge takes more
+    # than 5000 nodes (test_c09_clique_number).
     counter = [0]
     sub_size, sub_witness = oracles.max_clique_in(rows, rows[0], 0, counter)
     assert (1 + sub_size, sorted([0] + sub_witness)) == (5, [0, 403, 409, 411, 415])
-    assert counter[0] == 1412 < 5000 < stats.nodes
+    assert counter[0] == 1412
 
 
 def test_clique_count_on_small_graphs():
@@ -160,11 +152,7 @@ def test_non_bijection_is_refused(rows):
     assert err.value.witness == len(rows) - 1
 
 
-def test_witness_survives_pair_recheck(rows, vertex_maps):
-    witness, _ = graph.verify_clique_number(rows, vertex_maps)
-    for a in range(5):
-        for b in range(a + 1, 5):
-            assert rows[witness[a]] >> witness[b] & 1
+def test_pair_recheck_refuses_a_non_clique(rows):
     non_neighbour = next(t for t in range(len(rows)) if t != 0 and not rows[0] >> t & 1)
     with pytest.raises(VerificationError):
         oracles.verify_clique(rows, [0, non_neighbour])
@@ -183,11 +171,8 @@ def test_branch_and_bound_matches_brute_force_on_sample_edges(rows):
         assert 2 <= fast <= 5
 
 
-def test_special_clique_enumeration(rows, part, isosets, special_cliques):
-    assert len(special_cliques) >= 64
-    in_c = set(oracles.vertices(part.c))
+def test_special_clique_enumeration(rows, isosets, special_cliques):
     for vertices, core in special_cliques:
-        assert set(vertices) <= in_c
         assert len(core) == 3
         for a in range(5):
             for b in range(a + 1, 5):
@@ -207,16 +192,6 @@ def test_special_cliques_sorted_canonically(special_cliques):
     assert len(set(keys)) == len(keys)
 
 
-def test_exact_cover_is_a_partition(part, special_cliques):
-    assert len(special_cliques) == 64
-    assert 64 * 5 == 320 == part.c.bit_count()
-    seen: set[int] = set()
-    for vertices, _ in special_cliques:
-        assert not seen & set(vertices)
-        seen.update(vertices)
-    assert seen == set(oracles.vertices(part.c))
-
-
 def test_cover_cores_distinct(special_cliques):
     cores = {core for _, core in special_cliques}
     assert len(cores) == 64
@@ -225,15 +200,6 @@ def test_cover_cores_distinct(special_cliques):
 def test_exact_cover_deterministic(rows, part, isosets, c_maps, special_cliques):
     again = graph.special_cliques(rows, part, isosets, c_maps)
     assert again == special_cliques
-
-
-def test_special_cliques_by_counting_match_the_search_oracle(
-    rows, part, isosets, special_cliques
-):
-    # The orbit of the one special clique through c0 = 96 is every special
-    # clique that the per-edge grouping and search over C finds.
-    assert len(special_cliques) == 64
-    assert oracles.enumerate_special_cliques(rows, part, isosets) == special_cliques
 
 
 def test_core_groups_are_4_cliques_or_special_cliques(rows, part, isosets):
@@ -304,45 +270,6 @@ def test_a_core_group_of_4_that_is_no_clique_is_refused(rows, part, isosets, c_m
     with pytest.raises(VerificationError, match="misses another") as exc:
         graph.special_cliques(cut, part, isosets, c_maps)
     assert exc.value.witness == a
-
-
-def test_cover_count_is_one(special_cliques, part):
-    # Each vertex of C lies in exactly one special clique, so every exact
-    # cover must take that clique for it: the cover is forced.
-    multiplicity = Counter(v for vertices, _ in special_cliques for v in vertices)
-    assert set(multiplicity) == set(oracles.vertices(part.c))
-    assert set(multiplicity.values()) == {1}
-
-
-def test_borsuk_lower_bound(rows, part, full_report):
-    # A part of smaller diameter is a clique, so n points need the least m
-    # with m * omega >= n; the point counts are those of the built sets.
-    verdict = full_report.to_dict()["verdict"]
-    omega = verdict["max_clique"]
-    counts = [
-        (verdict, (part.c | part.b1).bit_count(), 71),
-        (verdict["full_set"], len(rows), 84),
-        (verdict["near_miss"], part.c.bit_count(), 64),
-    ]
-    for entry, n, m in counts:
-        assert (entry["point_count"], entry["min_parts"]) == (n, m)
-        assert (m - 1) * omega < n <= m * omega
-    assert omega == 5 and -(-321 // omega) == 65
-
-
-def test_final_verdict(certificates, part, full_report):
-    verdict = full_report.to_dict()["verdict"]
-    dims = {c["set"]: c["affine_dim"] for c in certificates}
-    assert verdict["counterexample_dimension"] == dims["C+B1"] == 64
-    assert verdict["full_set"]["dimension"] == dims["V"]
-    assert verdict["near_miss"]["dimension"] == dims["C"]
-    assert verdict["point_count"] == 352 == (part.c | part.b1).bit_count()
-    assert verdict["min_parts"] == 71
-    assert verdict["exceeds_dimension_plus_one"] is True
-    assert verdict["full_set"]["min_parts"] == 84
-    assert verdict["near_miss"]["min_parts"] == 64
-    assert "cover_found" not in verdict["near_miss"]
-    assert "is_counterexample" not in verdict["near_miss"]
 
 
 def test_diameter_smaller_iff_clique(rows):

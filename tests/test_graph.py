@@ -64,14 +64,6 @@ def test_adjacency_is_intersection_3(rows, isosets):
             assert rows[i] >> j & 1 == (size == 3)
 
 
-def test_intersection_distribution(isosets):
-    # No claim uses the census; the pairwise oracle pins it.
-    dist = oracles.build_graph(isosets)[1]
-    assert dist == oracles.INTERSECTION_SIZES
-    assert dist[3] == 20800
-    assert sum(dist.values()) == 416 * 415 // 2
-
-
 def test_build_graph_matches_the_pairwise_oracle(rows, isosets):
     h, dist = oracles.build_graph(isosets)
     assert h == rows
@@ -99,23 +91,21 @@ def test_build_graph_validates_input(isosets):
     assert err.value.witness == 0
 
 
-def test_point_columns_transpose_the_isosets(isosets):
-    columns = graph.point_columns(isosets)
-    assert graph.build_graph(isosets)[1] == columns  # the columns it built from
+def test_point_columns_transpose_the_isosets(isosets, columns):
+    assert graph.point_columns(isosets) == columns  # build_graph's columns
     assert len(columns) == 66 and columns[0] == 0
     for a in range(1, 66):
         assert columns[a] == sum(1 << i for i, s in enumerate(isosets) if s >> a & 1)
         assert columns[a].bit_count() == 96  # 416 * 15 / 65
 
 
-def test_every_two_isotropic_points_share_an_isoset(isosets):
+def test_every_two_isotropic_points_share_an_isoset(columns):
     # The lift refuses every point map that is no permutation because of it.
-    columns = graph.point_columns(isosets)
     assert all(columns[a] & columns[b] for a, b in combinations(range(1, 66), 2))
 
 
 def test_point_maps_are_the_isometries_on_the_isotropic_points(
-    plane, isosets, point_maps, automorphisms
+    plane, columns, point_maps, automorphisms
 ):
     assert len(point_maps) == len(hermitian.ISOMETRIES)
     number = oracles.iso_number(plane)
@@ -123,7 +113,6 @@ def test_point_maps_are_the_isometries_on_the_isotropic_points(
         image = [hermitian.normalize(hermitian._apply(m, p)) for p in plane[1]]
         assert sigma == [number[q] - 1 for q in image]
     # Each lift sends point column a onto point column sigma(a).
-    columns = graph.point_columns(isosets)
     for sigma, perm in zip(point_maps, automorphisms):
         for a, b in enumerate(sigma):
             moved = sum(1 << perm[v] for v in range(416) if columns[a + 1] >> v & 1)
@@ -131,7 +120,7 @@ def test_point_maps_are_the_isometries_on_the_isotropic_points(
 
 
 def test_point_action_refuses_a_second_orbit_and_a_lost_column(
-    isosets, point_maps, automorphisms
+    isosets, columns, point_maps, automorphisms
 ):
     # The swap's point map alone leaves more than one orbit on the points.
     # An srg stage given only this map would refuse its lift first (vertex
@@ -146,7 +135,6 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
     # points), and leaves the old one S with no vertex.  Each map sends S'
     # and the iso-set it moves onto S to no iso-set, so the first map
     # refuses the first of vertex 7 and the vertex it sends to 7.
-    columns = graph.point_columns(isosets)
     a = (isosets[7] & -isosets[7]).bit_length() - 1
     b = next(b for b in range(2, 66) if not isosets[7] >> b & 1)
     broken = list(columns)
@@ -157,14 +145,14 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
     assert err.value.witness == (0, min(7, automorphisms[0].index(7)))
 
 
-def test_lift_refuses_a_point_map_that_is_no_permutation(isosets, point_maps):
+def test_lift_refuses_a_point_map_that_is_no_permutation(isosets, columns, point_maps):
     # The second map with points 1 and 2 sent to one point: the first
     # vertex whose iso-set holds both gets an image of 14 members, unless a
     # vertex before it already has an image that is no iso-set.
     merged = list(point_maps[1])
     merged[1] = merged[0]
     with pytest.raises(VerificationError, match="to no iso-set") as err:
-        graph.vertex_permutations(graph.point_columns(isosets), [point_maps[0], merged])
+        graph.vertex_permutations(columns, [point_maps[0], merged])
     m, v = err.value.witness
     assert m == 1
     assert v <= min(u for u, s in enumerate(isosets) if s & 0b110 == 0b110)
@@ -227,12 +215,6 @@ def test_stabilizer_refuses_a_second_orbit(automorphisms, part):
     assert err.value.witness == min(set(c) - _orbit(maps[:1], c[0]))
 
 
-def test_srg_parameters(srg_params):
-    assert srg_params == graph.SRG == (416, 100, 36, 20)
-    # k(k - lambda - 1) = (v - k - 1) mu, counting paths 0 - u - w.
-    assert 100 * 63 == 315 * 20 == 6300
-
-
 def test_srg_identity_holds(rows, srg_params):
     # Oracle for what verify_srg certifies: A^2 by integer matrix product.
     n = len(rows)
@@ -242,12 +224,8 @@ def test_srg_identity_holds(rows, srg_params):
     assert (a @ a == k * eye + lam * a + mu * (ones - eye - a)).all()
 
 
-def test_pair_scan_oracle_agrees_with_verify_srg(rows, srg_params):
-    assert oracles.verify_srg_all_pairs(rows) == srg_params
-
-
-def test_flipped_edge_breaks_verification(isosets, automorphisms):
-    h = graph.build_graph(isosets)[0]
+def test_flipped_edge_breaks_verification(rows, automorphisms):
+    h = list(rows)
     graph.flip_edge(h, 0, 1)
     with pytest.raises(VerificationError) as err:
         graph.verify_srg(h, automorphisms)
@@ -294,25 +272,6 @@ def test_directed_3_cycle_fails_symmetry_before_any_map(perm):
         graph.verify_srg(h, [perm])
     assert err.value.witness == (0, 1)
 
-def test_spectrum_of_main_graph(spectrum):
-    # Recomputed from the verified parameters: the pinned constant.
-    assert spectrum == graph.SPECTRUM
-    r, f, s, g = spectrum
-    assert s == -4
-    assert f == 65
-    assert r == 20
-    assert g == 350
-    assert 1 + f + g == 416
-
-
-def test_spectrum_cross_instance_petersen():
-    r, f, s, g = oracles.srg_spectrum((10, 3, 0, 1))
-    assert s == -2
-    assert f == 5
-    assert r == 1
-    assert g == 4
-
-
 def test_petersen_graph_parameters_via_scan():
     p = petersen()
     params = graph.verify_srg(p, petersen_generators())
@@ -337,18 +296,6 @@ def test_petersen_graph_parameters_via_scan():
         oracles.verify_srg_all_pairs(switched)
 
 
-def test_spectrum_is_exact():
-    got = oracles.srg_spectrum(graph.SRG)
-    assert got == graph.SPECTRUM
-    assert all(type(x) is int for x in graph.SPECTRUM)
-    assert (got[0], got[2]) == (20, -4)
-
-
-def test_partition_sizes(part):
-    assert [m.bit_count() for m in part] == [32, 32, 32, 320]
-    assert 96 + 320 == 416
-
-
 def test_partition_blocks_are_disjoint_and_labelled(part):
     blocks = [set(oracles.vertices(m)) for m in part]
     union = set()
@@ -368,8 +315,8 @@ def test_partition_membership_is_anchor_predicate(part, isosets):
 
 
 def test_claim1_counts(rows, part):
-    graph.verify_claim1(rows, part)
-    # Spot the three cases explicitly.
+    # The three cases, counted directly; verify_claim1 counts every vertex
+    # (test_c06_partition_and_claim1).
     i = oracles.vertices(part.b2)[0]
     assert (rows[i] & part.b1).bit_count() == 0
     assert (rows[i] & part.b2).bit_count() == 20
@@ -396,13 +343,12 @@ def test_claim1_refuses_a_b1_vertex_traded_with_a_c_vertex(rows, part):
     assert err.value.witness == (wrong[0], 1)
 
 
-def test_split_invariant_under_anchor_relabelling(rows, isosets):
-    columns = graph.point_columns(isosets)
+def test_split_invariant_under_anchor_relabelling(rows, columns):
+    # The blocks and their counts at every anchor are
+    # test_c06_partition_and_claim1's; C is the rest of the vertices.
     for anchor in (7, 21, 58):
         alt = graph.split_B_C(rows, columns[anchor])
-        assert [m.bit_count() for m in alt] == [32, 32, 32, 320]
         assert alt.c == ((1 << 416) - 1) & ~columns[anchor]
-        graph.verify_claim1(rows, alt)
     # No point 0: its column is empty, and an empty B has no components.
     with pytest.raises(VerificationError) as exc:
         graph.split_B_C(rows, columns[0])
