@@ -385,13 +385,13 @@ def stabilizer(
 
 
 def vertex_permutations(
-    columns: list[int], point_maps: list[list[int]]
+    isosets: list[int], columns: list[int], point_maps: list[list[int]]
 ) -> list[list[int]]:
     """Lift each point map sigma (counted from 0, as
     `hermitian.point_permutations` gives it) to the vertices: v goes to the
-    vertex whose iso-set is sigma(iso-set v).  The iso-sets come from one
-    transpose of the point `columns` the graph was built from, and their
-    images from one transpose of the columns moved by sigma.  A vertex
+    vertex whose iso-set is sigma(iso-set v).  `isosets` are those the graph
+    was built from and `columns` their point columns (`point_columns`); the
+    images come from one transpose of the columns moved by sigma.  A vertex
     whose image is no iso-set is refused, with witness (map, vertex); a
     sigma that is no permutation always is, since it sends two points to
     one and every two isotropic points share an iso-set, whose image then
@@ -409,7 +409,6 @@ def vertex_permutations(
     hold at all 65 anchors.
     """
     transpose = bit_transposer(VERTEX_COUNT)
-    isosets = transpose(columns)
     vertex_of = {s: v for v, s in enumerate(isosets)}
     perms = []
     for m, sigma in enumerate(point_maps):

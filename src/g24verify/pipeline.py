@@ -35,9 +35,6 @@ class RunConfig:
         self.command, self.out = command, out
         self.include_timings, self.inject_flip_edge = include_timings, inject_flip_edge
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and vars(self) == vars(other)
-
 
 class StageResult:
     """One stage's outcome.  claims: README's, 1..9; status: ok | fail."""
@@ -148,7 +145,7 @@ def _stage_graph(art, cfg):
 
 def _stage_srg(art, cfg):
     point_maps = hermitian.point_permutations(art.plane)
-    automorphisms = graph.vertex_permutations(art.columns, point_maps)
+    automorphisms = graph.vertex_permutations(art.isosets, art.columns, point_maps)
     p = graph.verify_srg(art.rows, automorphisms)
     if p != graph.SRG:
         raise VerificationError(f"srg{p}, expected srg{graph.SRG}", witness=p)

@@ -46,8 +46,8 @@ def columns(built):
 
 
 @pytest.fixture(scope="session")
-def automorphisms(columns, point_maps):
-    return graph.vertex_permutations(columns, point_maps)
+def automorphisms(isosets, columns, point_maps):
+    return graph.vertex_permutations(isosets, columns, point_maps)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
-src/, tests/ and pyproject.toml in a temporary directory gets that statement
-replaced by `pass`, and
+src/, tests/, pyproject.toml and README.md in a temporary directory gets
+that statement replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:
 tests/test_<module>.py of the mutated module, the test files of the
 modules folded into it (`FOLDED_TESTS`) and tests/test_pipeline.py first,
@@ -95,7 +95,8 @@ def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
                 Path(tmp, name),
                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"),
             )
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tmp)
         if mutant is not None:
             rel, node = mutant
             target = Path(tmp, rel)

@@ -265,9 +265,9 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, 
     # hyperplane's constant must be the srg stage's column sum, and the two
     # contrast values the entries of the patterns that
     # test_c07_contrast_products counts on every column.  C's argument
-    # states the degree of A_C, counted here on every row of C, the
-    # constant of its cubic identity, which that degree and |C| fix, and
-    # the shift of rank(A_C + 4I), which is y's diagonal.
+    # states the degree of A_C and its trace, both counted here on every row
+    # of C, the constant of its cubic identity, which that degree and |C|
+    # fix, and the shift of rank(A_C + 4I), which is y's diagonal.
     column_sum = oracles.stage(full_report, "srg").detail["column_sum"]
     chain = oracles.stage(full_report, "dimension-chain").detail
     products = chain["contrast_products"]
@@ -286,6 +286,8 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, 
     c = oracles.vertices(part.c)
     (degree,) = {(rows[v] & part.c).bit_count() for v in c}
     assert re.search(r"A_C is (\d+)-regular", c_text).group(1) == str(degree)
+    loops = sum(rows[v] >> v & 1 for v in c)
+    assert re.search(r"with trace (\d+)", c_text).group(1) == str(loops)
     assert graph.C_SPECTRUM[degree] == 1
     constant = re.search(r"\(A_C - 16\)\(A_C - 12\)\(A_C \+ 4\) = (\d+) J", c_text)
     assert int(constant.group(1)) * len(c) == (degree - 16) * (degree - 12) * (degree + 4)

@@ -57,13 +57,6 @@ def test_no_loops_and_symmetric(rows):
             assert rows[i] >> j & 1 == rows[j] >> i & 1
 
 
-def test_adjacency_is_intersection_3(rows, isosets):
-    for i in range(0, len(rows), 29):
-        for j in range(i + 1, len(rows)):
-            size = (isosets[i] & isosets[j]).bit_count()
-            assert rows[i] >> j & 1 == (size == 3)
-
-
 def test_build_graph_matches_the_pairwise_oracle(rows, isosets):
     h, dist = oracles.build_graph(isosets)
     assert h == rows
@@ -71,8 +64,9 @@ def test_build_graph_matches_the_pairwise_oracle(rows, isosets):
 
 
 def test_build_graph_validates_input(isosets):
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="expected 416 iso-sets") as err:
         graph.build_graph(isosets[:-1])
+    assert err.value.witness == 415
     broken = list(isosets)
     broken[0] = 0b111
     with pytest.raises(VerificationError):
@@ -80,8 +74,9 @@ def test_build_graph_validates_input(isosets):
     # Fifteen members, but one of them is not an isotropic point.
     for outside in (0, 66):
         broken[0] = isosets[0] ^ (isosets[0] & -isosets[0]) | 1 << outside
-        with pytest.raises(VerificationError, match="outside 1..65"):
+        with pytest.raises(VerificationError, match="outside 1..65") as err:
             graph.build_graph(broken)
+        assert err.value.witness == 0
     # Sixteen isotropic points: only the member count refuses it, which is
     # what keeps the bit-sliced counter's four planes from overflowing.
     extra = next(a for a in range(1, 66) if not isosets[0] >> a & 1)
@@ -137,11 +132,12 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
     # refuses the first of vertex 7 and the vertex it sends to 7.
     a = (isosets[7] & -isosets[7]).bit_length() - 1
     b = next(b for b in range(2, 66) if not isosets[7] >> b & 1)
-    broken = list(columns)
+    broken, broken_isosets = list(columns), list(isosets)
     broken[a] ^= 1 << 7
     broken[b] ^= 1 << 7
+    broken_isosets[7] ^= 1 << a | 1 << b
     with pytest.raises(VerificationError, match="to no iso-set") as err:
-        graph.vertex_permutations(broken, point_maps)
+        graph.vertex_permutations(broken_isosets, broken, point_maps)
     assert err.value.witness == (0, min(7, automorphisms[0].index(7)))
 
 
@@ -152,7 +148,7 @@ def test_lift_refuses_a_point_map_that_is_no_permutation(isosets, columns, point
     merged = list(point_maps[1])
     merged[1] = merged[0]
     with pytest.raises(VerificationError, match="to no iso-set") as err:
-        graph.vertex_permutations(columns, [point_maps[0], merged])
+        graph.vertex_permutations(isosets, columns, [point_maps[0], merged])
     m, v = err.value.witness
     assert m == 1
     assert v <= min(u for u, s in enumerate(isosets) if s & 0b110 == 0b110)

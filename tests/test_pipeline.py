@@ -587,10 +587,11 @@ def test_point_column_corruptions_fail_with_a_witness(
     if corruption.startswith("iso-set"):
         assert (failed.name, failed.status) == ("srg", "fail")
         assert "to no iso-set" in failed.detail["error"]
-        # (map, vertex): the first map refuses vertex 5, or first the
-        # vertex whose iso-set it moves onto vertex 5's old one, which no
-        # vertex has.
-        assert witness == (0, min(5, automorphisms[0].index(5)))
+        # (map, vertex): the first map refuses vertex 5.  Built from the
+        # corrupted iso-set, the graph has no vertex with 5's old one, so
+        # the vertex that the map moves onto it may be refused first.
+        first = min(5, automorphisms[0].index(5))
+        assert witness == (0, first if corruption.endswith("before the graph") else 5)
     else:
         assert (failed.name, failed.status) == ("anchor-invariance", "fail")
         assert "orbits on the points" in failed.detail["error"]
@@ -677,13 +678,6 @@ def test_default_artifacts_keep_their_bytes(tmp_path, capsys, command):
     assert _sha256(out.read_bytes()) == ARTIFACT_SHA256[command]
     if command == "check":
         assert _sha256(capsys.readouterr().out.encode()) == CHECK_STDOUT_SHA256
-
-
-def test_export_determinism(tmp_path):
-    cfg1 = RunConfig(command="export-graph", out=str(tmp_path / "a.dimacs"))
-    cfg2 = RunConfig(command="export-graph", out=str(tmp_path / "b.dimacs"))
-    assert pipeline.run(cfg1).exit_code == pipeline.run(cfg2).exit_code == 0
-    assert (tmp_path / "a.dimacs").read_bytes() == (tmp_path / "b.dimacs").read_bytes()
 
 
 def test_export_refused_on_verification_failure(tmp_path):
@@ -786,14 +780,14 @@ def test_option_values_follow_a_space_or_an_equals_sign():
     spaced = cli.parse_args(
         ["export-graph", "--out", "g.dimacs", "--timings", "--inject-flip-edge", "3,200"]
     )
-    assert spaced == RunConfig("export-graph", "g.dimacs", True, (3, 200))
+    assert vars(spaced) == vars(RunConfig("export-graph", "g.dimacs", True, (3, 200)))
     joined = cli.parse_args(
         ["export-graph", "--out=g.dimacs", "--timings", "--inject-flip-edge=3,200"]
     )
-    assert joined == spaced
-    assert cli.parse_args(["--out=r.json"]) == cli.parse_args(["--out", "r.json"])
-    assert cli.parse_args(["--out=r.json"]) == RunConfig(out="r.json")
-    assert cli.parse_args([]) == RunConfig()
+    assert vars(joined) == vars(spaced)
+    assert vars(cli.parse_args(["--out=r.json"])) == vars(RunConfig(out="r.json"))
+    assert vars(cli.parse_args(["--out", "r.json"])) == vars(RunConfig(out="r.json"))
+    assert vars(cli.parse_args([])) == vars(RunConfig())
 
 
 def test_cli_fault_injection_exit_code(capsys):
