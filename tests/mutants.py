@@ -1,16 +1,23 @@
 """Mutation gate: deleting any refusal in src/ must make the test suite fail.
 
+The test files follow the package: tests/test_<module>.py for each module
+of src/g24verify/ with refusals, plus test_acceptance.py (one test per
+criterion), the two *_properties.py files and test_readme.py.  Two
+exceptions remain: the tests of `graph` also fill test_euclid.py and
+test_cliques.py, named in `FOLDED_TESTS`, and the tests of `cli` are in
+test_pipeline.py.
+
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
 src/, tests/, pyproject.toml and README.md in a temporary directory gets
 that statement replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:
-tests/test_<module>.py of the mutated module, the test files of the
-modules folded into it (`FOLDED_TESTS`) and tests/test_pipeline.py first,
-the rest after, so that -x stops at the first failure soon.  A mutant
-whose suite passes is a survivor: a refusal that no test reaches.  The
-unmutated copy must pass first, or every mutant would look killed, and the
-files named must collect the same tests as `pytest tests`, so that a
+the test files of the mutated module and tests/test_pipeline.py first, the
+rest after, so that -x stops at the first failure soon.  A mutant whose
+suite passes is a survivor: a refusal that no test reaches.  A module with
+a refusal whose test files are missing is refused before any mutant runs.
+The unmutated copy must pass first, or every mutant would look killed, and
+the files named must collect the same tests as `pytest tests`, so that a
 survivor has passed the whole suite.
 
 Prints each survivor and exits 1 if there is any; exits 0 otherwise.  The
@@ -50,23 +57,20 @@ def refusals() -> list[tuple[Path, ast.Raise]]:
     return found
 
 
-# The test files of each module besides tests/test_<module>.py: those of
-# the modules folded into it.
-FOLDED_TESTS = {
-    "graph": ["test_euclid.py", "test_cliques.py"],
-    "hermitian": ["test_gf16.py"],
-}
+# The test files of each module besides tests/test_<module>.py.
+FOLDED_TESTS = {"graph": ["test_euclid.py", "test_cliques.py"]}
+
+
+def module_tests(rel: Path) -> list[str]:
+    """The test files of the module `rel`."""
+    return [f"test_{rel.stem}.py", *FOLDED_TESTS.get(rel.stem, [])]
 
 
 def suite_files(rel: Path | None) -> list[str]:
     """Every test file, those that test the module `rel` first."""
     names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
-    first = []
-    if rel:
-        folded = FOLDED_TESTS.get(rel.stem, [])
-        first = [f"test_{rel.stem}.py", *folded, "test_pipeline.py"]
-    ordered = [n for n in first if n in names] + names
-    return [f"tests/{n}" for n in dict.fromkeys(ordered)]
+    first = [*module_tests(rel), "test_pipeline.py"] if rel else []
+    return [f"tests/{n}" for n in dict.fromkeys(first + names)]
 
 
 def pythonpath(src: Path) -> str:
@@ -118,13 +122,25 @@ def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
 
 
 def main() -> int:
+    mutants = refusals()
+    missing = sorted(
+        {
+            (str(rel), name)
+            for rel, _ in mutants
+            for name in module_tests(rel)
+            if not (ROOT / "tests" / name).exists()
+        }
+    )
+    for rel, name in missing:
+        print(f"{rel} has refusals but no tests/{name}")
+    if missing:
+        return 1
     if collected(suite_files(None)) != collected(["tests"]):
         print("the test files named do not collect the whole suite")
         return 1
     if not suite_passes(None):
         print("the unmutated suite fails; no mutant can be judged")
         return 1
-    mutants = refusals()
     with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
         survived = list(pool.map(suite_passes, mutants))
     survivors = [m for m, s in zip(mutants, survived) if s]

@@ -7,11 +7,12 @@ the isometries' maps of the bases from their nonisotropic points, the srg
 identity on all 86,320 pairs, the srg spectrum and distance census
 recomputed from any parameters, claim 1 split and counted at every anchor,
 the distance census by scanning every pair, the contrast products counted
-column by column, the dimension chain by the paper's own route (arXiv
-1308.0206) of modular ranks, the clique number by a search from every
-edge, the special cliques by a search inside each core's group of edges,
-the isomorphism of each B_h with its model by a backtracking search, and
-the geometry of lines spelled out point by point.
+column by column, ranks by exact rational and by modular elimination,
+the dimension chain by the paper's own route (arXiv 1308.0206) of modular
+ranks, the clique number by a search from every edge, the special cliques
+by a search inside each core's group of edges, the isomorphism of each B_h
+with its model by a backtracking search, the orbits of a group from its
+generators, and the geometry of lines spelled out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
@@ -65,6 +67,19 @@ def bit_strings(rows: list[int], n: int) -> list[str]:
     """Each bit-packed row as n characters '0'/'1', character j being bit j,
     so that rows can be compared and transposed as strings."""
     return [format(r, f"0{n}b")[::-1] for r in rows]
+
+
+def orbit(maps: list[list[int]], v: int) -> set[int]:
+    """The orbit of v under the group the permutations `maps` generate: the
+    closure of {v} under their images."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        u = frontier.pop()
+        for perm in maps:
+            if perm[u] not in seen:
+                seen.add(perm[u])
+                frontier.append(perm[u])
+    return seen
 
 
 # The census of |iso-set_i & iso-set_j| over the 86,320 pairs of bases.
@@ -472,6 +487,77 @@ def check_prime(prime: int) -> None:
         raise ValueError(f"prime {prime} outside (2, 2^31)")
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
+
+
+def rational_rank(rows) -> int:
+    """Oracle: Gaussian elimination over exact rationals."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return 0
+    m, n = len(mat), len(mat[0])
+    rank = 0
+    for c in range(n):
+        piv = next((r for r in range(rank, m) if mat[r][c] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][c]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(m):
+            if r != rank and mat[r][c] != 0:
+                f = mat[r][c]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def rank_mod_prime(
+    rows, prime: int, prefixes: tuple[int, ...] | None = None
+) -> int | tuple[int, ...]:
+    """Reference: rank over GF(prime) by Gaussian elimination with modular
+    inverses, on int64 arrays.
+
+    Pivoting is deterministic: columns in order, first nonzero row below the
+    pivot row.  A column gets a pivot exactly when it is independent of the
+    columns before it, so the pivots among the first k columns number the
+    rank of those k columns.  With `prefixes`, returns that rank for each k
+    in it, all from one elimination; otherwise the rank of the whole matrix.
+    Primes below 2**31 keep every product of two residues within int64.
+    numpy, a test dependency only, is imported here alone.
+    """
+    import numpy as np
+
+    check_prime(prime)
+    a = np.array(rows, dtype=np.int64) % prime
+    if a.ndim != 2:
+        raise ValueError("rank_mod_prime expects a 2-d matrix")
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        # Columns left of c are already zero in rows r and below.
+        inv = pow(int(a[r, c]), -1, prime)
+        a[r, c:] = a[r, c:] * inv % prime
+        below = a[r + 1 :, c]
+        nzb = np.nonzero(below)[0]
+        if nzb.size:
+            idx = r + 1 + nzb
+            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if prefixes is None:
+        return r
+    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
 def principal_prefix_ranks(

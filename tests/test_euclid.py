@@ -3,15 +3,14 @@
 y = A + 4I lives only in the graph: the program reads its columns through
 `graph.column_digits`, and the oracles take A's rows as y's column ints.
 numpy is a test dependency only: it gives the reference elimination
-`rank_mod_prime`, the Gram-matrix oracle of the distance census, which
-must give the pinned census that the scan in `oracles` gives, and the
+`oracles.rank_mod_prime`, the Gram-matrix oracle of the distance census,
+which must give the pinned census that the scan in `oracles` gives, and the
 cubic identity of the graph on C on every row.  The modular LDL^T in
 `oracles` keeps the paper's own route to the dimension chain (arXiv
 1308.0206) checked against the program's exact one."""
 
 import random
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,74 +18,6 @@ import pytest
 from g24verify import VerificationError, graph
 
 import oracles
-
-
-def rational_rank(rows) -> int:
-    """Oracle: Gaussian elimination over exact rationals."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, m) if mat[r][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(m):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rank_mod_prime(
-    rows, prime: int, prefixes: tuple[int, ...] | None = None
-) -> int | tuple[int, ...]:
-    """Reference: rank over GF(prime) by Gaussian elimination with modular
-    inverses, on int64 arrays.
-
-    Pivoting is deterministic: columns in order, first nonzero row below the
-    pivot row.  A column gets a pivot exactly when it is independent of the
-    columns before it, so the pivots among the first k columns number the
-    rank of those k columns.  With `prefixes`, returns that rank for each k
-    in it, all from one elimination; otherwise the rank of the whole matrix.
-    Primes below 2**31 keep every product of two residues within int64.
-    """
-    oracles.check_prime(prime)
-    a = np.array(rows, dtype=np.int64) % prime
-    if a.ndim != 2:
-        raise ValueError("rank_mod_prime expects a 2-d matrix")
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # Columns left of c are already zero in rows r and below.
-        inv = pow(int(a[r, c]), -1, prime)
-        a[r, c:] = a[r, c:] * inv % prime
-        below = a[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if prefixes is None:
-        return r
-    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
 
 
 def column(rows, i) -> list[int]:
@@ -313,10 +244,10 @@ def test_inner_products_reject_corruption(rows, part, contrasts, full_report):
 
 def test_rank_mod_prime_basics():
     prime = oracles.PRIMES[0]
-    assert rank_mod_prime(np.eye(10, dtype=np.int64), prime) == 10
-    assert rank_mod_prime(np.zeros((5, 7), dtype=np.int64), prime) == 0
-    assert rank_mod_prime([[2, 4], [1, 2]], prime) == 1
-    assert rank_mod_prime([[1, 2], [3, 4]], prime) == 2
+    assert oracles.rank_mod_prime(np.eye(10, dtype=np.int64), prime) == 10
+    assert oracles.rank_mod_prime(np.zeros((5, 7), dtype=np.int64), prime) == 0
+    assert oracles.rank_mod_prime([[2, 4], [1, 2]], prime) == 1
+    assert oracles.rank_mod_prime([[1, 2], [3, 4]], prime) == 2
 
 
 def test_rank_mod_prime_matches_rational_oracle():
@@ -332,9 +263,9 @@ def test_rank_mod_prime_matches_rational_oracle():
             [sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)]
             for i in range(m)
         ]
-        want = rational_rank(mat)
+        want = oracles.rational_rank(mat)
         for prime in oracles.PRIMES:
-            got = rank_mod_prime(mat, prime)
+            got = oracles.rank_mod_prime(mat, prime)
             assert got == want
 
 
@@ -342,15 +273,15 @@ def test_rank_mod_prime_never_exceeds_rational_rank():
     rng = random.Random(21)
     for _ in range(8):
         mat = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
-        want = rational_rank(mat)
-        assert rank_mod_prime(mat, oracles.PRIMES[1]) <= want
+        want = oracles.rational_rank(mat)
+        assert oracles.rank_mod_prime(mat, oracles.PRIMES[1]) <= want
 
 
 def test_rank_mod_prime_validates_prime():
     # The principal-pivot kernel shares the check.
     for bad in (2, 91, 2**31 + 11):  # 91 = 7 * 13
         with pytest.raises(ValueError):
-            rank_mod_prime([[1]], bad)
+            oracles.rank_mod_prime([[1]], bad)
         with pytest.raises(ValueError):
             oracles.principal_prefix_ranks([[1]], bad, (1,))
 
@@ -369,7 +300,7 @@ def test_principal_pivots_match_elimination_on_y(rows, part):
     for prime in oracles.PRIMES:
         got = oracles.principal_prefix_ranks(columns, prime, prefixes, natural)
         assert got == (64, 65, 66)
-        assert got == rank_mod_prime(dense(rows)[:, natural], prime, prefixes)
+        assert got == oracles.rank_mod_prime(dense(rows)[:, natural], prime, prefixes)
         # The order inside C changes only how soon the pivots come.
         assert oracles.principal_prefix_ranks(columns, prime, prefixes, stride) == got
 

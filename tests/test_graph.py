@@ -124,7 +124,7 @@ def test_point_action_refuses_a_second_orbit_and_a_lost_column(
     art.point_maps = point_maps[:1]
     with pytest.raises(VerificationError, match="orbits on the points") as err:
         pipeline._stage_anchor_invariance(art, pipeline.RunConfig())
-    assert err.value.witness == min(set(range(65)) - _orbit(point_maps[:1], 0)) + 1
+    assert err.value.witness == min(set(range(65)) - oracles.orbit(point_maps[:1], 0)) + 1
     # Moving vertex 7 from the column of its first member to a non-member's
     # makes its iso-set S' one that no basis has (it meets the old one in 14
     # points), and leaves the old one S with no vertex.  Each map sends S'
@@ -154,19 +154,6 @@ def test_lift_refuses_a_point_map_that_is_no_permutation(isosets, columns, point
     assert v <= min(u for u, s in enumerate(isosets) if s & 0b110 == 0b110)
 
 
-def _orbit(maps: list[list[int]], v: int) -> set[int]:
-    """The orbit of v under the group the permutations `maps` generate: the
-    closure of {v} under their images."""
-    seen, frontier = {v}, [v]
-    while frontier:
-        u = frontier.pop()
-        for perm in maps:
-            if perm[u] not in seen:
-                seen.add(perm[u])
-                frontier.append(perm[u])
-    return seen
-
-
 def test_stabilizer_words_fix_c_with_one_orbit(rows, automorphisms, part):
     maps = graph.stabilizer(automorphisms, graph.STABILIZER_WORDS, part.c)
     c = oracles.vertices(part.c)
@@ -180,7 +167,7 @@ def test_stabilizer_words_fix_c_with_one_orbit(rows, automorphisms, part):
         assert perm == want
         assert sorted(perm[v] for v in c) == c
         graph._verify_automorphism(rows, perm)  # a product of verified maps
-    assert _orbit(maps, c[0]) == set(c)
+    assert oracles.orbit(maps, c[0]) == set(c)
 
 
 def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(rows, automorphisms):
@@ -189,7 +176,7 @@ def test_vertex_words_fix_0_with_four_orbits_on_its_neighbours(rows, automorphis
     n0 = [v for v in range(len(rows)) if rows[0] >> v & 1]
     reps = [v for v in graph.orbit_representatives(len(rows), maps) if v in n0]
     assert reps == [16, 17, 28, 29]
-    orbits = [_orbit(maps, u) for u in reps]
+    orbits = [oracles.orbit(maps, u) for u in reps]
     assert [len(o) for o in orbits] == [25] * 4
     assert set().union(*orbits) == set(n0)
 
@@ -208,7 +195,7 @@ def test_stabilizer_refuses_a_second_orbit(automorphisms, part):
     with pytest.raises(VerificationError, match="orbits on the set, not 1") as err:
         graph.stabilizer(automorphisms, graph.STABILIZER_WORDS[:1], part.c)
     c = oracles.vertices(part.c)
-    assert err.value.witness == min(set(c) - _orbit(maps[:1], c[0]))
+    assert err.value.witness == min(set(c) - oracles.orbit(maps[:1], c[0]))
 
 
 def test_srg_identity_holds(rows, srg_params):
@@ -424,15 +411,26 @@ def test_component_structure_refuses_a_corrupted_model(corruption, message):
         for a in range(2):
             for b in range(2):
                 graph.flip_edge(h, base + 2 * s + a, base + 2 * t + b)
+        if s == 0:
+            # 34 no longer meets 32, so it is the first of the five vertices
+            # that the words are read against, in place of one of weight 4;
+            # 36, the first vertex read against them, gets 01000.
+            witness = base + 4
+        else:
+            # The first edge removed: every vertex before it keeps its row,
+            # and its words are still at distance 2.
+            witness = (base + 2 * s, base + 2 * t)
     else:
         # Three vertices share the word 00000 and only one has 00011, yet
-        # every pair agrees with the words: only the count refuses it.
+        # every pair agrees with the words: only the count refuses it, at
+        # the third of them.
         for u in range(32):
             if u != 3 and (h[base + 3] ^ h[base]) >> base + u & 1:
                 graph.flip_edge(h, base + 3, base + u)
+        witness = base + 3
     with pytest.raises(VerificationError, match=f"^B2: .*{message}") as err:
         graph.check_component_structure(h, part)
-    assert _witness_vertices(err.value.witness) <= set(oracles.vertices(part.b2))
+    assert err.value.witness == witness
 
 
 def test_component_structure_refuses_a_block_not_isomorphic_to_the_model(rows, part):

@@ -422,7 +422,7 @@ def _two_switch(rows: list[int], through_0: bool) -> list[int]:
     ids=["2-switch-away-from-0", "2-switch-through-0", "swap-alone"],
 )
 def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
-    monkeypatch, corruption, message
+    monkeypatch, automorphisms, corruption, message
 ):
     # The pairs through vertex 0 and the automorphisms each catch what the
     # other cannot see; the degrees stay constant throughout.
@@ -445,9 +445,20 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
     assert message in failed.detail["error"]
     witness = failed.detail["witness"]
     if corruption == "2-switch through 0":
-        assert witness[0] == 0
+        # The first pair (0, j) whose count of common neighbours differs
+        # from that of the first vertex with j's adjacency to 0, as lambda
+        # and mu are read off vertex 0 of the switched graph.
+        h = report.artifacts.rows
+        common = {j: (h[0] & h[j]).bit_count() for j in range(1, len(h))}
+        want = {
+            adj: next(common[j] for j in common if h[0] >> j & 1 == adj)
+            for adj in (0, 1)
+        }
+        j = next(j for j in common if common[j] != want[h[0] >> j & 1])
+        assert witness == (0, j)
     elif corruption == "swap alone":
-        assert 0 < witness < 416
+        # The smallest vertex of the second orbit: outside the orbit of 0.
+        assert witness == min(set(range(416)) - oracles.orbit(automorphisms[:1], 0))
     else:
         assert len(witness) == 2 and 0 not in witness
 

@@ -1,7 +1,8 @@
-"""Property tests: the prefix ranks of the reference modular elimination,
-and the principal-pivot lower bounds of the modular dimension-chain oracle,
-against an exact rational oracle on small integer matrices.  The kernel
-runs with no stop, except where a test says otherwise."""
+"""Property tests: the prefix ranks of the reference modular elimination
+`oracles.rank_mod_prime`, and the principal-pivot lower bounds of the
+modular dimension-chain oracle, against the exact rational oracle
+`oracles.rational_rank` on small integer matrices.  The kernel runs with no
+stop, except where a test says otherwise."""
 
 import pytest
 
@@ -9,7 +10,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from test_euclid import rank_mod_prime, rational_rank  # noqa: E402
 
 
 @st.composite
@@ -39,10 +39,10 @@ def matrices_and_cuts(draw):
 @given(matrices_and_cuts())
 def test_prefix_ranks_match_rational_rank(case):
     mat, cuts = case
-    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    want = tuple(oracles.rational_rank([row[:k] for row in mat]) for k in cuts)
     for prime in oracles.PRIMES:
-        assert rank_mod_prime(mat, prime, cuts) == want
-        assert rank_mod_prime(mat, prime) == rational_rank(mat)
+        assert oracles.rank_mod_prime(mat, prime, cuts) == want
+        assert oracles.rank_mod_prime(mat, prime) == oracles.rational_rank(mat)
 
 
 @st.composite
@@ -89,17 +89,17 @@ def symmetric_matrices_and_cuts(draw):
 @given(gram_matrices_and_cuts())
 def test_principal_pivots_reach_rank_of_psd_matrices(case):
     mat, cuts = case
-    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    want = tuple(oracles.rational_rank([row[:k] for row in mat]) for k in cuts)
     for prime in oracles.PRIMES:
         assert oracles.principal_prefix_ranks(mat, prime, cuts) == want
-        assert rank_mod_prime(mat, prime, cuts) == want
+        assert oracles.rank_mod_prime(mat, prime, cuts) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(symmetric_matrices_and_cuts())
 def test_principal_pivots_never_exceed_rank(case):
     mat, cuts = case
-    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    want = tuple(oracles.rational_rank([row[:k] for row in mat]) for k in cuts)
     # Small primes divide pivots often; the bound must stay sound for them.
     for prime in oracles.PRIMES + (3, 5):
         got = oracles.principal_prefix_ranks(mat, prime, cuts)
@@ -112,6 +112,6 @@ def test_principal_pivots_stopped_at_the_rank_still_reach_it(case):
     # modular_dimension_chain stops each prefix at its rank; the pivots
     # skipped are not needed by later prefixes.
     mat, cuts = case
-    want = tuple(rational_rank([row[:k] for row in mat]) for k in cuts)
+    want = tuple(oracles.rational_rank([row[:k] for row in mat]) for k in cuts)
     for prime in oracles.PRIMES:
         assert oracles.principal_prefix_ranks(mat, prime, cuts, caps=want) == want
