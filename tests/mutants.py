@@ -3,9 +3,8 @@
 The test files follow the package: tests/test_<module>.py for each module
 of src/g24verify/ with refusals, plus test_acceptance.py (one test per
 criterion), the two *_properties.py files and test_readme.py.  Two
-exceptions remain: the tests of `graph` also fill test_euclid.py and
-test_cliques.py, named in `FOLDED_TESTS`, and the tests of `cli` are in
-test_pipeline.py.
+exceptions remain: the tests of `graph` also fill test_euclid.py, named in
+`FOLDED_TESTS`, and the tests of `cli` are in test_pipeline.py.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
@@ -20,8 +19,9 @@ The unmutated copy must pass first, or every mutant would look killed, and
 the files named must collect the same tests as `pytest tests`, so that a
 survivor has passed the whole suite.
 
-Prints each survivor and exits 1 if there is any; exits 0 otherwise.  The
-mutants run in parallel, one per CPU.  Pytest does not collect this file.
+Prints each survivor, then the total wall time and the slowest mutant, and
+exits 1 if there is any survivor; exits 0 otherwise.  The mutants run in
+parallel, one per CPU.  Pytest does not collect this file.
 
     python tests/mutants.py
 """
@@ -34,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def refusals() -> list[tuple[Path, ast.Raise]]:
 
 
 # The test files of each module besides tests/test_<module>.py.
-FOLDED_TESTS = {"graph": ["test_euclid.py", "test_cliques.py"]}
+FOLDED_TESTS = {"graph": ["test_euclid.py"]}
 
 
 def module_tests(rel: Path) -> list[str]:
@@ -121,7 +122,14 @@ def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
         return done.returncode == 0
 
 
+def timed_suite_passes(mutant: tuple[Path, ast.Raise]) -> tuple[bool, float]:
+    """`suite_passes(mutant)` and its wall time in seconds."""
+    start = time.perf_counter()
+    return suite_passes(mutant), time.perf_counter() - start
+
+
 def main() -> int:
+    start = time.perf_counter()
     mutants = refusals()
     missing = sorted(
         {
@@ -142,10 +150,15 @@ def main() -> int:
         print("the unmutated suite fails; no mutant can be judged")
         return 1
     with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        survived = list(pool.map(suite_passes, mutants))
-    survivors = [m for m, s in zip(mutants, survived) if s]
+        results = list(pool.map(timed_suite_passes, mutants))
+    survivors = [m for m, (s, _) in zip(mutants, results) if s]
     for rel, node in survivors:
         print(f"survivor: {rel}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    seconds, (rel, node) = max(zip((t for _, t in results), mutants), key=lambda x: x[0])
+    print(
+        f"{time.perf_counter() - start:.1f} s wall; "
+        f"slowest mutant {rel}:{node.lineno}, {seconds:.1f} s"
+    )
     print(f"{len(mutants)} refusals, {len(survivors)} survivors")
     return 1 if survivors else 0
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 
 from g24verify import VerificationError
@@ -737,29 +736,6 @@ def max_clique(rows: list[int]) -> tuple[int, list[int], CliqueSearchStats]:
             witness = sorted([i, j] + sub_wit)
     verify_clique(rows, witness)
     return best, witness, CliqueSearchStats(scanned, counter[0])
-
-
-def max_clique_through_edge(rows: list[int], i: int, j: int) -> int:
-    """Exact size of the largest clique containing the edge (i, j)."""
-    if not rows[i] >> j & 1:
-        raise ValueError(f"({i},{j}) is not an edge")
-    sub, _ = max_clique_in(rows, rows[i] & rows[j], 0, [0])
-    return 2 + sub
-
-
-def brute_force_omega_through_edge(rows: list[int], i: int, j: int) -> int:
-    """Largest clique through edge (i, j) by plain enumeration of subsets of
-    the common neighbourhood, no pruning tricks."""
-    common = [t for t in range(len(rows)) if rows[i] >> t & 1 and rows[j] >> t & 1]
-    best = 2
-    for size in range(1, len(common) + 1):
-        if not any(
-            all(rows[a] >> b & 1 for a in sub for b in sub if a < b)
-            for sub in combinations(common, size)
-        ):
-            break
-        best = 2 + size
-    return best
 
 
 def enumerate_special_cliques(

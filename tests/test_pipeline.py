@@ -239,6 +239,10 @@ def _zero_square_of_3(mul, inv, conj):
     mul[3][3] = 0
 
 
+def _zero_product_of_3_and_4(mul, inv, conj):
+    mul[3][4] = mul[4][3] = 0
+
+
 def _zero_square_of_2(mul, inv, conj):
     mul[2][2] = 0
 
@@ -257,12 +261,21 @@ def _swap_conjugates(mul, inv, conj):
         # Symmetric, so commutativity holds; associativity would fail later.
         (_set_identity, "multiplicative identity", 5),
         (_zero_square_of_3, "associativity", (2, 3, 3)),
+        # b != c, so the witness shows the order of the triple.
+        (_zero_product_of_3_and_4, "associativity", (2, 2, 3)),
         (_zero_square_of_2, "distributivity", (2, 1, 2)),
         # No other axiom reads the inverse table.
         (_swap_inverses, "inverse", 3),
         (_swap_conjugates, "conjugation a -> a**4", 2),
     ],
-    ids=["identity", "associativity", "distributivity", "inverse", "conjugation"],
+    ids=[
+        "identity",
+        "associativity",
+        "associativity-b-c-distinct",
+        "distributivity",
+        "inverse",
+        "conjugation",
+    ],
 )
 def test_corrupted_field_tables_fail_with_the_axiom_and_witness(
     monkeypatch, corrupt, axiom, witness
