@@ -263,9 +263,9 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
 
     Every orthogonal nonisotropic pair extends to exactly one basis: the
     perpendicular lines of the pair meet in a single point, which must turn
-    out nonisotropic and orthogonal to both.  Orthogonality is read from
-    `orthogonal_masks`, one mask per point, so a pair's completions are the
-    bits of orth[i] & orth[j].
+    out nonisotropic and orthogonal to both.  One `orthogonal_masks` pass
+    gives each nonisotropic point a mask over all points; its nonisotropic
+    bits, orth, give a pair's completions as orth[i] & orth[j].
 
     The counts need no check of their own.  The polar line of a point has
     17 points, 5 of them isotropic (checked), so each nonisotropic point is
@@ -284,7 +284,9 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     _, iso, noniso = plane
     # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
     # is not orthogonal to itself: orth[i] & orth[j] holds neither i nor j.
-    orth = orthogonal_masks(noniso, noniso)
+    masks = orthogonal_masks(noniso + iso, noniso)
+    low = (1 << len(noniso)) - 1
+    orth = [m & low for m in masks]
     triples = []  # each basis i < j < k once, at its pair (i, j): in index order
     for i, orth_i in enumerate(orth):
         for j in members(orth_i >> (i + 1) << (i + 1)):
@@ -300,9 +302,9 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
                 triples.append((i, j, k))
 
     # The side bc of basis {a, b, c} is the polar line of a, so its isotropic
-    # points are those orthogonal to a: one mask per point serves every side.
-    # Isotropic point x has canonical index x + 1.
-    polar = [m << 1 for m in orthogonal_masks(iso, noniso)]
+    # points are those orthogonal to a: the isotropic bits of a's mask serve
+    # every side.  Isotropic point x has canonical index x + 1.
+    polar = [m >> len(noniso) << 1 for m in masks]
     for t, mask in zip(noniso, polar):
         if mask.bit_count() != 5:
             raise VerificationError(

@@ -2,19 +2,19 @@
 
 The test files follow the package: tests/test_<module>.py for each module
 of src/g24verify/ with refusals, plus test_acceptance.py (one test per
-criterion), the two *_properties.py files and test_readme.py.  Two
-exceptions remain: the tests of `graph` also fill test_euclid.py, named in
-`FOLDED_TESTS`, and the tests of `cli` are in test_pipeline.py.
+criterion), the two *_properties.py files, test_readme.py and
+test_euclid.py, which tests only the rank oracles.  One exception remains:
+the tests of `cli` are in test_pipeline.py.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
 src/, tests/, pyproject.toml and README.md in a temporary directory gets
 that statement replaced by `pass`, and
 `python -m pytest -x -q` runs there on every test file, named one by one:
-the test files of the mutated module and tests/test_pipeline.py first, the
+the test file of the mutated module and tests/test_pipeline.py first, the
 rest after, so that -x stops at the first failure soon.  A mutant whose
 suite passes is a survivor: a refusal that no test reaches.  A module with
-a refusal whose test files are missing is refused before any mutant runs.
+a refusal whose test file is missing is refused before any mutant runs.
 The unmutated copy must pass first, or every mutant would look killed, and
 the files named must collect the same tests as `pytest tests`, so that a
 survivor has passed the whole suite.
@@ -58,19 +58,15 @@ def refusals() -> list[tuple[Path, ast.Raise]]:
     return found
 
 
-# The test files of each module besides tests/test_<module>.py.
-FOLDED_TESTS = {"graph": ["test_euclid.py"]}
-
-
-def module_tests(rel: Path) -> list[str]:
-    """The test files of the module `rel`."""
-    return [f"test_{rel.stem}.py", *FOLDED_TESTS.get(rel.stem, [])]
+def module_test_file(rel: Path) -> str:
+    """The test file of the module `rel`."""
+    return f"test_{rel.stem}.py"
 
 
 def suite_files(rel: Path | None) -> list[str]:
-    """Every test file, those that test the module `rel` first."""
+    """Every test file, that of the module `rel` first."""
     names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
-    first = [*module_tests(rel), "test_pipeline.py"] if rel else []
+    first = [module_test_file(rel), "test_pipeline.py"] if rel else []
     return [f"tests/{n}" for n in dict.fromkeys(first + names)]
 
 
@@ -131,16 +127,10 @@ def timed_suite_passes(mutant: tuple[Path, ast.Raise]) -> tuple[bool, float]:
 def main() -> int:
     start = time.perf_counter()
     mutants = refusals()
-    missing = sorted(
-        {
-            (str(rel), name)
-            for rel, _ in mutants
-            for name in module_tests(rel)
-            if not (ROOT / "tests" / name).exists()
-        }
-    )
-    for rel, name in missing:
-        print(f"{rel} has refusals but no tests/{name}")
+    modules = sorted({rel for rel, _ in mutants})
+    missing = [m for m in modules if not (ROOT / "tests" / module_test_file(m)).exists()]
+    for rel in missing:
+        print(f"{rel} has refusals but no tests/{module_test_file(rel)}")
     if missing:
         return 1
     if collected(suite_files(None)) != collected(["tests"]):

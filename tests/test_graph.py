@@ -1,8 +1,11 @@
 """Graph construction, strong regularity, spectrum, and the B/C split;
-then the cliques: the clique number, special cliques, exact covers, and the
-final bounds."""
+then the euclid section: the representation y = A + 4I, its distances, the
+contrast vectors, the dimension chain's argument and the cubic identity on
+C; then the cliques: the clique number, special cliques, exact covers, and
+the final bounds."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -452,6 +455,207 @@ def test_find_isomorphism_positive_and_negative():
     p = petersen()
     assert oracles.find_isomorphism(h, oracles.coclique_extension(h, 2)) is None
     assert oracles.find_isomorphism(p, p) is not None
+
+
+# Euclid: y = A + 4I lives only in the graph.  The program reads its
+# columns through `graph.column_digits`, and the oracles take A's rows as
+# y's column ints.  numpy, a test dependency only, gives the Gram-matrix
+# oracle of the distance census and the cubic identity on C on every row.
+
+
+def naive_distance_sq(columns, i, j) -> int:
+    """Oracle: plain Python coordinate summation, no numpy."""
+    total = 0
+    for t in range(len(columns)):
+        d = oracles.entry(columns, t, i) - oracles.entry(columns, t, j)
+        total += d * d
+    return total
+
+
+def test_representation_entries(rows):
+    for i in range(0, 416, 41):
+        assert oracles.entry(rows, i, i) == 4
+        assert sum(oracles.column(rows, i)) == 104
+        assert oracles.column(rows, i) == [oracles.entry(rows, t, i) for t in range(416)]
+    for i, j in [(0, 1), (5, 100), (200, 300)]:
+        want = 1 if rows[i] >> j & 1 else 0
+        assert oracles.entry(rows, i, j) == want
+        assert oracles.entry(rows, j, i) == want
+    by_column = np.array([oracles.column(rows, i) for i in range(416)]).T
+    assert (oracles.dense(rows) == by_column).all()
+
+
+def test_pair_distance_matches_naive_oracle(rows):
+    y = rows
+    rng = random.Random(1234)
+    for _ in range(40):
+        i, j = rng.sample(range(416), 2)
+        assert oracles.pair_distance_sq(y, i, j) == naive_distance_sq(y, i, j)
+    with pytest.raises(ValueError):
+        oracles.pair_distance_sq(y, 5, 5)
+    # y[9, 5] alone toggled: the two coordinates i and j now differ.
+    bad = list(y)
+    bad[5] ^= 1 << 9
+    for i, j in [(5, 9), (9, 5), (5, 100), (9, 100)]:
+        assert oracles.pair_distance_sq(bad, i, j) == naive_distance_sq(bad, i, j)
+
+
+def gram_distances(columns) -> np.ndarray:
+    """Oracle: every squared distance from an int16 Gram matrix of y.
+    Entries in {0, 1, 4} bound each Gram entry by 416 * 16 and each
+    distance by twice that, below 2**15."""
+    e = oracles.dense(columns).astype(np.int16)
+    gram = e.T @ e
+    diag = np.diag(gram)
+    return diag[:, None] + diag[None, :] - 2 * gram
+
+
+def adjacency_matrix(rows) -> np.ndarray:
+    n = len(rows)
+    return np.array([[rows[a] >> b & 1 for b in range(n)] for a in range(n)])
+
+
+def test_distance_census_matches_gram_oracle(rows):
+    # The scanned census equals the pinned one (test_c05_distance_dichotomy).
+    y = rows
+    d2 = gram_distances(y)
+    i, j = np.triu_indices(len(rows), k=1)
+    values, counts = np.unique(d2[i, j], return_counts=True)
+    assert dict(zip(values.tolist(), counts.tolist())) == graph.DISTANCE_CENSUS
+    assert ((d2[i, j] == 144) == adjacency_matrix(rows)[i, j]).all()
+    rng = random.Random(5)
+    for a, b in (rng.sample(range(416), 2) for _ in range(40)):
+        assert oracles.pair_distance_sq(y, a, b) == d2[a, b]
+
+
+def test_contrast_vectors(part, contrasts):
+    p, q = contrasts
+    assert sum(p) == 0 and sum(q) == 0
+    assert sum(x * x for x in p) == 64
+    assert sum(x * x for x in q) == 192
+    assert sum(a * b for a, b in zip(p, q)) == 0
+    want = [(0, 2), (1, -1), (-1, -1), (0, 0)]  # on B1, B2, B3, C
+    for mask, (p_value, q_value) in zip(part, want):
+        for i in oracles.vertices(mask):
+            assert p[i] == p_value and q[i] == q_value
+
+
+def test_inner_product_patterns(rows, part, contrasts, full_report):
+    # test_c07_contrast_products counts the patterns on every column.
+    p, q = contrasts
+    products = oracles.stage(full_report, "dimension-chain").detail["contrast_products"]
+    assert products["p_norm_sq"] == sum(x * x for x in p)
+    assert products["q_norm_sq"] == sum(x * x for x in q)
+    # Explicit samples of the four cases, computed naively.
+    def dot(vec, col):
+        return sum(a * b for a, b in zip(vec, col))
+
+    b1, b2, b3, c = (oracles.vertices(mask)[0] for mask in part)
+    assert dot(p, oracles.column(rows, b1)) == 0
+    assert dot(p, oracles.column(rows, b2)) == 24
+    assert dot(p, oracles.column(rows, b3)) == -24
+    assert dot(p, oracles.column(rows, c)) == 0
+    assert dot(q, oracles.column(rows, b1)) == 48
+    assert dot(q, oracles.column(rows, b2)) == -24
+    assert dot(q, oracles.column(rows, b3)) == -24
+    assert dot(q, oracles.column(rows, c)) == 0
+
+
+def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, part):
+    # The argument's prose states numbers that no stage reports: the
+    # hyperplane's constant must be the srg stage's column sum, and the two
+    # contrast values the entries of the patterns that
+    # test_c07_contrast_products counts on every column.  C's argument
+    # states the degree of A_C and its trace, both counted here on every row
+    # of C, the constant of its cubic identity, which that degree and |C|
+    # fix, and the shift of rank(A_C + 4I), which is y's diagonal.
+    column_sum = oracles.stage(full_report, "srg").detail["column_sum"]
+    chain = oracles.stage(full_report, "dimension-chain").detail
+    products = chain["contrast_products"]
+    for cert in chain["certificates"]:
+        (constant,) = re.findall(r"<1, y_i> = (-?\d+)", " ".join(cert["argument"]))
+        assert int(constant) == column_sum
+    c_b1 = next(c for c in chain["certificates"] if c["set"] == "C+B1")
+    q_claim, p_claim = c_b1["argument"][:2]
+    q_value, q_block = re.search(r"<q, y_j> = (-?\d+) on (\w+)", q_claim).groups()
+    p_value, p_block = re.search(r"<p, y_j> = (-?\d+) on (\w+)", p_claim).groups()
+    blocks = ["B1", "B2", "B3", "C"]
+    assert int(q_value) == products["q_pattern"][blocks.index(q_block)]
+    assert int(p_value) == products["p_pattern"][blocks.index(p_block)]
+    c_cert = next(c for c in chain["certificates"] if c["set"] == "C")
+    c_text = " ".join(c_cert["argument"])
+    c = oracles.vertices(part.c)
+    (degree,) = {(rows[v] & part.c).bit_count() for v in c}
+    assert re.search(r"A_C is (\d+)-regular", c_text).group(1) == str(degree)
+    loops = sum(rows[v] >> v & 1 for v in c)
+    assert re.search(r"with trace (\d+)", c_text).group(1) == str(loops)
+    assert graph.C_SPECTRUM[degree] == 1
+    constant = re.search(r"\(A_C - 16\)\(A_C - 12\)\(A_C \+ 4\) = (\d+) J", c_text)
+    assert int(constant.group(1)) * len(c) == (degree - 16) * (degree - 12) * (degree + 4)
+    shift, rank = re.search(r"rank\(A_C \+ (\d+)I\) = (\d+)", c_text).groups()
+    assert graph.column_digits(rows, c[0])[c[0]] == shift
+    assert int(rank) == c_cert["linear_rank"] == len(c) - graph.C_SPECTRUM[-int(shift)]
+
+
+def test_dimension_chain_certificates(certificates):
+    # The ranks are test_c08_dimension_chain's.
+    by_set = {c["set"]: c for c in certificates}
+    assert set(by_set) == {"V", "C+B1", "C"}
+    assert by_set["V"]["size"] == 416
+    assert by_set["C+B1"]["size"] == 352
+    assert by_set["C"]["size"] == 320
+    for cert in certificates:
+        # Exact ranks with their argument; no prime and no pivot counts.
+        assert list(cert) == ["set", "size", "affine_dim", "linear_rank", "argument"]
+        assert cert["argument"]
+
+
+def test_c_spectrum_solves_the_trace_equations():
+    # 76 and the roots of (x - 16)(x - 12)(x + 4), with multiplicities that
+    # count 320 vertices, give tr A_C = 0 and tr A_C^2 = 320 * 76.
+    spectrum = graph.C_SPECTRUM
+    assert sum(spectrum.values()) == 320
+    assert sum(t * m for t, m in spectrum.items()) == 0
+    assert sum(t * t * m for t, m in spectrum.items()) == 320 * 76
+    assert {t for t in spectrum if (t - 16) * (t - 12) * (t + 4)} == {76}
+    assert (76 - 16) * (76 - 12) * (76 + 4) == 960 * 320
+    # The three equations in the multiplicities of 16, 12 and -4, once 76
+    # is simple, have one solution: their determinant is not 0.
+    (a, b, c), (d, e, f), (g, h, i) = [1, 1, 1], [16, 12, -4], [256, 144, 16]
+    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == -1280
+
+
+def a_c(rows, part) -> np.ndarray:
+    """The adjacency of the graph induced on C, as an int64 array."""
+    c = oracles.vertices(part.c)
+    return oracles.dense(rows)[np.ix_(c, c)] - 4 * np.eye(len(c), dtype=np.int64)
+
+
+def test_c_identity_holds_on_every_row(rows, part):
+    # The program checks row c0 and carries it by the words; here every
+    # entry of (A_C - 16)(A_C - 12)(A_C + 4) is computed.
+    a = a_c(rows, part)
+    eye = np.eye(part.c.bit_count(), dtype=np.int64)
+    product = (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
+    assert (product == 960).all()
+    assert (a.sum(axis=0) == 76).all()
+    graph.verify_c_identity(rows, part)
+
+
+@pytest.mark.parametrize("u_offset", [1, 200], ids=["c1", "c200"])
+def test_c_identity_refuses_a_tampered_row(rows, part, u_offset):
+    # The pair (c0, u) of C flipped: the direct call names the first entry
+    # of row c0 of the cubic that is no longer 960, as the array finds it.
+    c = oracles.vertices(part.c)
+    c0, u = c[0], c[u_offset]
+    tampered = list(rows)
+    graph.flip_edge(tampered, c0, u)
+    with pytest.raises(VerificationError, match=r"\(A_C - 16\)") as err:
+        graph.verify_c_identity(tampered, part)
+    a = a_c(tampered, part)
+    eye = np.eye(320, dtype=np.int64)
+    row = eye[0] @ (a - 16 * eye) @ (a - 12 * eye) @ (a + 4 * eye)
+    assert err.value.witness == c[int(np.flatnonzero(row != 960)[0])]
 
 
 # Cliques: the clique number, special cliques, exact covers, and the final

@@ -156,17 +156,17 @@ def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
 
 def test_crossed_polar_lines_fail_bases(monkeypatch, capsys):
     # Point 0 is given the polar line of its smallest orthogonal partner j,
-    # on the isotropic call only.  Every polar line still carries 5 isotropic
-    # points, but two sides of the first basis, (0, j, k), now coincide: the
-    # bases stage builds its iso-set of 10, and the graph stage, which
-    # requires 15 members, refuses it.
+    # in the isotropic part of its mask only.  Every polar line still carries
+    # 5 isotropic points, but two sides of the first basis, (0, j, k), now
+    # coincide: the bases stage builds its iso-set of 10, and the graph
+    # stage, which requires 15 members, refuses it.
     orthogonal_masks = hermitian.orthogonal_masks
 
     def crossed(points, targets):
         masks = orthogonal_masks(points, targets)
-        if len(points) == hermitian.ISOTROPIC_COUNT:
-            partners = orthogonal_masks(targets, targets)[0]
-            masks[0] = masks[(partners & -partners).bit_length() - 1]
+        low = (1 << len(targets)) - 1
+        partners = masks[0] & low
+        masks[0] = partners | masks[(partners & -partners).bit_length() - 1] & ~low
         return masks
 
     monkeypatch.setattr(hermitian, "orthogonal_masks", crossed)
