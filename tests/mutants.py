@@ -2,9 +2,8 @@
 
 The test files follow the package: tests/test_<module>.py for each module
 of src/g24verify/ with refusals, plus test_acceptance.py (one test per
-criterion), the two *_properties.py files, test_readme.py and
-test_euclid.py, which tests only the rank oracles.  One exception remains:
-the tests of `cli` are in test_pipeline.py.
+criterion), the two *_properties.py files and test_readme.py.  One
+exception remains: the tests of `cli` are in test_pipeline.py.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of

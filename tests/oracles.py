@@ -7,12 +7,13 @@ the isometries' maps of the bases from their nonisotropic points, the srg
 identity on all 86,320 pairs, the srg spectrum and distance census
 recomputed from any parameters, claim 1 split and counted at every anchor,
 the distance census by scanning every pair, the contrast products counted
-column by column, ranks by exact rational and by modular elimination,
-the dimension chain by the paper's own route (arXiv 1308.0206) of modular
-ranks, the clique number by a search from every edge, the special cliques
-by a search inside each core's group of edges, the isomorphism of each B_h
-with its model by a backtracking search, the orbits of a group from its
-generators, and the geometry of lines spelled out point by point.
+column by column, ranks by exact rational elimination and, for the
+dimension chain, by a certificate checked in exact integers (a nonzero
+minor and a span identity on every row), the clique number by a search
+from every edge, the special cliques by a search inside each core's group
+of edges, the isomorphism of each B_h with its model by a backtracking
+search, the orbits of a group from its generators, and the geometry of
+lines spelled out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
 from g24verify import VerificationError
 from g24verify.graph import (
@@ -60,12 +60,6 @@ def vertices(mask: int) -> list[int]:
 def stage(report, name: str):
     """The stage of a run's report named `name` (a KeyError if none ran)."""
     return {s.name: s for s in report.stages}[name]
-
-
-def bit_strings(rows: list[int], n: int) -> list[str]:
-    """Each bit-packed row as n characters '0'/'1', character j being bit j,
-    so that rows can be compared and transposed as strings."""
-    return [format(r, f"0{n}b")[::-1] for r in rows]
 
 
 def orbit(maps: list[list[int]], v: int) -> set[int]:
@@ -353,8 +347,9 @@ def dense(columns: list[int]):
     column i, with 4 on the diagonal."""
     import numpy as np
 
-    bits = bit_strings(columns, len(columns))
-    a = np.array([[int(b) for b in s] for s in bits], dtype=np.int64).T
+    n = len(columns)
+    bits = "".join(format(c, f"0{n}b")[::-1] for c in columns).encode()
+    a = (np.frombuffer(bits, dtype=np.uint8).reshape(n, n).T - ord("0")).astype(np.int64)
     np.fill_diagonal(a, 4)
     return a
 
@@ -370,23 +365,25 @@ def pair_distance_sq(columns: list[int], i: int, j: int) -> int:
     return rest.bit_count() + (4 - (cj >> i & 1)) ** 2 + (4 - (ci >> j & 1)) ** 2
 
 
-def distance_census(columns: list[int], rows: list[int]) -> dict[tuple[int, int], int]:
-    """The number of pairs i < j of each (||y_i - y_j||^2, adjacency of i
-    and j in `rows`), scanned.
+def distance_census(columns: list[int]) -> dict[tuple[int, int], int]:
+    """The number of pairs i < j of each (||y_i - y_j||^2, y_ji), scanned,
+    y_ji being bit j of columns[i]: the adjacency of i and j where y is
+    A + 4I.
 
     ||y_i - y_j||^2 = |y_i|^2 + |y_j|^2 - 2 <y_i, y_j>, with
     |y_i|^2 = popcount(columns[i]) + 16 and
-    <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ij, as for a
+    <y_i, y_j> = popcount(columns[i] & columns[j]) + 8 y_ji, as for a
     symmetric y with no bit on its diagonal.  A bit on a diagonal or an
     asymmetric entry changes a norm, and so the counts.
     """
     norms = [c.bit_count() + 16 for c in columns]
     census: dict[tuple[int, int], int] = {}
     for i in range(len(columns) - 1):
-        ci, gi = columns[i], rows[i]
+        ci = columns[i]
         for j in range(i + 1, len(columns)):
-            inner = (ci & columns[j]).bit_count() + 8 * (ci >> j & 1)
-            key = (norms[i] + norms[j] - 2 * inner, gi >> j & 1)
+            adj = ci >> j & 1
+            inner = (ci & columns[j]).bit_count() + 8 * adj
+            key = (norms[i] + norms[j] - 2 * inner, adj)
             census[key] = census.get(key, 0) + 1
     return census
 
@@ -426,42 +423,6 @@ def inner_products(columns: list[int], v: list[int]) -> list[int]:
     ]
 
 
-# Two primes below 2**31 for the modular ranks.
-PRIMES = (2**31 - 1, 2**31 - 19)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2**31 range used."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(prime: int) -> None:
-    """The primes the modular oracles admit: odd and below 2**31."""
-    if not 2 < prime < 2**31:
-        raise ValueError(f"prime {prime} outside (2, 2^31)")
-    if not is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-
-
 def rational_rank(rows) -> int:
     """Oracle: Gaussian elimination over exact rationals."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -486,134 +447,81 @@ def rational_rank(rows) -> int:
     return rank
 
 
-def rank_mod_prime(
-    rows, prime: int, prefixes: tuple[int, ...] | None = None
-) -> int | tuple[int, ...]:
-    """Reference: rank over GF(prime) by Gaussian elimination with modular
-    inverses, on int64 arrays.
+def exact_column_rank(y, indices, prime: int = 2**31 - 1) -> int:
+    """The rank over Q of the columns y[:, S] of an int64 matrix y, S being
+    `indices`, returned only once its certificate is checked.
 
-    Pivoting is deterministic: columns in order, first nonzero row below the
-    pivot row.  A column gets a pivot exactly when it is independent of the
-    columns before it, so the pivots among the first k columns number the
-    rank of those k columns.  With `prefixes`, returns that rank for each k
-    in it, all from one elimination; otherwise the rank of the whole matrix.
-    Primes below 2**31 keep every product of two residues within int64.
-    numpy, a test dependency only, is imported here and in `dense` alone.
+    Elimination of y[:, S] mod `prime` (below 2**31) picks pivot rows R and
+    columns P; the prime only chooses them, and the proof does not rest on
+    it.  A column's own row is taken where it can be, so that on a
+    symmetric y, M = y[R, P] is a principal submatrix: with C first, that
+    keeps det M of y = A + 4I to 11 digits.  Bareiss gives d = det M and
+    B = adj M, d != 0, and the two bounds are checked:
+    - M B = d I: M is invertible, so the columns P are independent and
+      the rank is at least |P|;
+    - d y[:, N] = y[:, P] B y[R, N] on every row, N = S \\ P: each column
+      of N is y[:, P] times a column of B y[R, N] / d, so the rank is at
+      most |P|.
+    The products run in int64 when max|B| times the largest row sum of
+    |y[:, P]| times the largest column sum of |y[R, N]|, and |d| max|y|,
+    are below 2**63, which bounds every entry; in Python ints otherwise.
+    Where the prime divides a minor that the rank needs, the pivots fall
+    short and VerificationError names an entry (row, column) of y where
+    the identity fails.
     """
     import numpy as np
 
-    check_prime(prime)
-    a = np.array(rows, dtype=np.int64) % prime
-    if a.ndim != 2:
-        raise ValueError("rank_mod_prime expects a 2-d matrix")
-    m, n = a.shape
+    s = list(indices)
+    a = y[:, s] % prime
+    order = list(range(len(a)))  # the row of y at each position of a
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    for c, col in enumerate(s):
+        r = len(pivots)
+        left = r + np.flatnonzero(a[r:, c])
+        if not left.size:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # Columns left of c are already zero in rows r and below.
+        t = next((int(p) for p in left if order[p] == col), int(left[0]))
+        a[[r, t]] = a[[t, r]]
+        order[r], order[t] = order[t], order[r]
         inv = pow(int(a[r, c]), -1, prime)
-        a[r, c:] = a[r, c:] * inv % prime
-        below = a[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % prime
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if prefixes is None:
-        return r
-    return tuple(sum(1 for c in pivots if c < k) for k in prefixes)
-
-
-def principal_prefix_ranks(
-    matrix,
-    prime: int,
-    prefixes: tuple[int, ...],
-    order=None,
-    caps: tuple[int, ...] | None = None,
-) -> tuple[int, ...]:
-    """Lower bounds on the rank of the columns `order[:k]` of a square
-    integer matrix, for each k in `prefixes`, from one greedy LDL^T over
-    GF(prime).  `matrix` is a sequence of rows; `order` defaults to all its
-    indices in turn.
-
-    Indices are visited in order; one becomes a pivot when its Schur
-    diagonal (with respect to the pivots before it) is nonzero mod prime.
-    The pivots P_k among the first k indices give a principal minor
-    det M[P_k, P_k] that is nonzero mod prime, hence nonzero over Z, so the
-    columns P_k are independent over Q and |P_k| is returned for k.  For a
-    positive semidefinite matrix the bound equals the rational rank unless
-    the prime divides a pivot.
-
-    With `caps`, prefix k stops being scanned once the pivots found number
-    caps[k's position]; its remaining indices are skipped.  The pivots found
-    are still independent, so the result stays a lower bound.
-    """
-    check_prime(prime)
-    if order is None:
-        order = range(len(matrix))
-    if caps is None:
-        caps = (len(order),) * len(prefixes)
-    pivots: list[int] = []
-    positions: list[int] = []  # of the pivots, in `order`
-    schur_rows: list[list[int]] = []  # pivot t: L[p_t, s] D_s for s < t
-    inverses: list[int] = []  # pivot t: 1 / D_t
-    pos = 0
-    for k, cap in sorted(zip(prefixes, caps)):
-        while pos < k and len(pivots) < cap:
-            j = order[pos]
-            row = matrix[j]
-            schur: list[int] = []  # L[j, t] D_t
-            lower: list[int] = []  # L[j, t]
-            for t, p in enumerate(pivots):
-                u = (row[p] - sum(map(mul, lower, schur_rows[t]))) % prime
-                schur.append(u)
-                lower.append(u * inverses[t] % prime)
-            d = (row[j] - sum(map(mul, lower, schur))) % prime
-            if d:
-                pivots.append(j)
-                positions.append(pos)
-                schur_rows.append(schur)
-                inverses.append(pow(d, -1, prime))
-            pos += 1
-        pos = max(pos, k)
-    return tuple(sum(1 for q in positions if q < k) for k in prefixes)
-
-
-def nested_order(part: Partition) -> list[int]:
-    """C, then B1, B2, B3, so that the prefixes 320, 352 and 416 are C, C+B1
-    and V.  C is visited by 13 v mod 419, a prime above the labels: in label
-    order 289 indices of C come before its 64th pivot, in this order the
-    first 64 are pivots."""
-    c = sorted(members(part.c), key=lambda v: 13 * v % 419)
-    return c + [v for mask in (part.b1, part.b2, part.b3) for v in members(mask)]
-
-
-# Column digits '0', '1', '4' of y as the byte values 0, 1, 4.
-_DIGITS = bytes.maketrans(b"014", b"\x00\x01\x04")
-
-
-def modular_dimension_chain(
-    rows: list[int], part: Partition, prime: int
-) -> tuple[int, ...]:
-    """Lower bounds on the linear ranks of the columns C, C+B1 and V of
-    y = A + 4I, by the route of arXiv 1308.0206: one LDL^T of y over GF(prime) in
-    `nested_order`, each prefix stopped at its rank 64, 65 or 66.  y is
-    positive semidefinite, so a prime that divides no pivot reaches them."""
-    y = [
-        column_digits(rows, i).encode().translate(_DIGITS)
-        for i in range(len(rows))
-    ]
-    order = nested_order(part)
-    return principal_prefix_ranks(y, prime, (320, 352, 416), order, (64, 65, 66))
+        a[r + 1 :, c:] -= a[r + 1 :, c, None] * inv % prime * a[r, c:]
+        a[r + 1 :, c:] %= prime
+        pivot_rows.append(order[r])
+        pivots.append(col)
+    chosen = set(pivots)
+    rest = [i for i in s if i not in chosen]
+    # Bareiss on [M | I] in Python ints, pivoting on the diagonal: pivot k
+    # is the leading minor of order k + 1, and each division is exact.
+    n = len(pivots)
+    m = y[np.ix_(pivot_rows, pivots)]
+    g = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1).astype(object)
+    det = 1
+    for k in range(n):
+        if g[k, k] == 0:
+            raise VerificationError(f"leading minor {k + 1} of y[R, P] is 0")
+        other = np.arange(n) != k
+        g[other] = (g[k, k] * g[other] - g[other, k, None] * g[k]) // det
+        det = g[k, k]
+    adj = g[:, n:]
+    yp, yr, yn = y[:, pivots], y[np.ix_(pivot_rows, rest)], y[:, rest]
+    row_sum = int(abs(yp).sum(axis=1).max(initial=1))
+    col_sum = int(abs(yr).sum(axis=0).max(initial=1))
+    bound = max(max(map(abs, adj.flat), default=0) * row_sum * col_sum,
+                abs(det) * int(abs(y).max(initial=1)))
+    kind = np.int64 if bound < 2**63 else object
+    m, adj, yp, yr, yn = (x.astype(kind) for x in (m, adj, yp, yr, yn))
+    if (m @ adj != det * np.eye(n, dtype=kind)).any():
+        raise VerificationError("y[R, P] times its adjugate is not det I")
+    bad = np.argwhere(det * yn != yp @ (adj @ yr))
+    if bad.size:
+        i, j = int(bad[0][0]), rest[bad[0][1]]
+        raise VerificationError(
+            f"column {j} is not in the span of the {n} pivot columns: "
+            f"the identity fails at ({i}, {j})",
+            witness=(i, j),
+        )
+    return n
 
 
 def max_clique_in(

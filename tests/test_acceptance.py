@@ -56,7 +56,7 @@ def test_c05_distance_dichotomy(rows, srg_params):
     # y's columns are A's rows off the diagonal.  The scan counts each
     # distance with its pair's adjacency, so a distance off its adjacency, a
     # diagonal bit or an asymmetric entry breaks this equality.
-    assert oracles.distance_census(rows, rows) == {(144, 1): 20800, (192, 0): 65520}
+    assert oracles.distance_census(rows) == {(144, 1): 20800, (192, 0): 65520}
     _ok("05 distances {144,192} matching adjacency, derived and scanned")
 
 
@@ -94,11 +94,17 @@ def test_c08_dimension_chain(rows, part, certificates, full_report):
     assert [by_set[k]["linear_rank"] for k in ("V", "C+B1", "C")] == [66, 65, 64]
     chain = oracles.stage(full_report, "dimension-chain").detail
     assert [c["affine_dim"] for c in chain["certificates"]] == [65, 64, 63]
-    # The paper's route (arXiv 1308.0206), modular ranks, agrees for one
-    # prime.
-    assert oracles.modular_dimension_chain(rows, part, oracles.PRIMES[0]) == (64, 65, 66)
+    # The ranks of y's columns, each returned with its certificate checked
+    # (at least by a nonzero minor, at most by a span identity on all 416
+    # rows); test_representation_entries shows dense(rows)'s columns are the
+    # program's.  The sets are prefixes of C, B1, B2, B3, the order that
+    # keeps every product within int64.
+    y = oracles.dense(rows)
+    order = [v for m in (part.c, part.b1, part.b2, part.b3) for v in oracles.vertices(m)]
+    ranks = [oracles.exact_column_rank(y, order[:k]) for k in (416, 352, 320)]
+    assert ranks == [66, 65, 64]
     _ok("08 affine dimensions 65/64/63 certified exactly; linear ranks "
-        "66/65/64, matched by modular ranks")
+        "66/65/64, matched by checked rank certificates")
 
 
 def test_c09_clique_number(rows, vertex_maps):
