@@ -26,8 +26,9 @@ options:
   -h, --help              show this help message and exit
   --version               show the version and exit
   --out PATH              output file of an export or of check's report
-  --timings               include stage wall-clock times in output (breaks
-                          byte-for-byte reproducibility of the report)
+  --timings               include each stage's wall and CPU time and the peak
+                          RSS in output (breaks byte-for-byte reproducibility
+                          of the report)
   --inject-flip-edge I,J  test hook: flip one adjacency after the graph is built
 """
 

@@ -5,12 +5,14 @@ stage names the claims it certifies (README.md's "What it verifies") and
 contributes a structured detail block to the report.  `run` is the one path
 of every command: it refuses a bad output path, runs the stages, and writes
 the report or the export.
-All outputs are exact counts and witnesses; stage wall-clock times are
-collected but serialized only on request, so default artifacts are
-byte-for-byte reproducible.
+All outputs are exact counts and witnesses.  Each stage's wall-clock and
+CPU times are collected on every run, and the peak RSS after it only when
+timings are asked for; they are serialized only then, so default artifacts
+are byte-for-byte reproducible.
 """
 
 import os
+import sys
 import time
 
 from . import VerificationError, __version__, graph, hermitian
@@ -37,11 +39,21 @@ class RunConfig:
 
 
 class StageResult:
-    """One stage's outcome.  claims: README's, 1..9; status: ok | fail."""
+    """One stage's outcome.  claims: README's, 1..9; status: ok | fail;
+    elapsed_ms and cpu_ms: its wall and CPU time; peak_rss_mb: the process's
+    peak RSS after it, None unless the run was asked for timings."""
 
-    def __init__(self, name, claims, status, detail, elapsed_ms):
+    def __init__(self, name, claims, status, detail, elapsed_ms, cpu_ms, peak_rss_mb):
         self.name, self.claims, self.status = name, claims, status
         self.detail, self.elapsed_ms = detail, elapsed_ms
+        self.cpu_ms, self.peak_rss_mb = cpu_ms, peak_rss_mb
+
+    def cost(self) -> str:
+        """The wall and CPU time, and the peak RSS if it was read, as text."""
+        text = f"{self.elapsed_ms:.1f} ms wall, {self.cpu_ms:.1f} ms cpu"
+        if self.peak_rss_mb is None:
+            return text
+        return f"{text}, {self.peak_rss_mb:.1f} MB peak rss"
 
 
 class Artifacts:
@@ -92,6 +104,8 @@ class Report:
             doc["stage_timings_ms"] = {
                 s.name: round(s.elapsed_ms, 3) for s in self.stages
             }
+            doc["stage_cpu_ms"] = {s.name: round(s.cpu_ms, 3) for s in self.stages}
+            doc["stage_peak_rss_mb"] = {s.name: s.peak_rss_mb for s in self.stages}
         return doc
 
     def to_json(self, include_timings: bool = False) -> str:
@@ -102,7 +116,7 @@ class Report:
     def to_text(self, include_timings: bool = False) -> str:
         lines = [f"{TOOL} {__version__} (GF(16): {hermitian.POLYNOMIAL})"]
         for s in self.stages:
-            suffix = f"  [{s.elapsed_ms:.0f} ms]" if include_timings else ""
+            suffix = f"  [{s.cost()}]" if include_timings else ""
             lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
             if s.status != "ok":
                 claims = "/".join(map(str, s.claims))
@@ -278,14 +292,23 @@ def run_check(cfg: RunConfig) -> Report:
     """Run the stages in order and stop at the first one that fails; what
     the stages built is in `report.artifacts`."""
     report = Report()
+    if cfg.include_timings:
+        import resource  # only here: a run without --timings reads no RSS
     for name, claims, stage in _STAGES:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             detail, status = stage(report.artifacts, cfg), "ok"
         except VerificationError as exc:
             detail, status = {"error": str(exc), "witness": exc.witness}, "fail"
         elapsed = (time.perf_counter() - t0) * 1000
-        report.stages.append(StageResult(name, claims, status, detail, elapsed))
+        cpu = (time.process_time() - c0) * 1000
+        rss = None
+        if cfg.include_timings:
+            # ru_maxrss counts KiB on Linux and bytes on macOS.
+            unit = 2**20 if sys.platform == "darwin" else 2**10
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+        result = StageResult(name, claims, status, detail, elapsed, cpu, rss)
+        report.stages.append(result)
         if status != "ok":
             report.overall_status, report.exit_code = "fail", EXIT_FAIL
             break

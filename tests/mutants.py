@@ -1,35 +1,28 @@
 """Mutation gate: deleting any refusal in src/ must make the test suite fail.
 
-The test files follow the package: tests/test_<module>.py for each module
-of src/g24verify/ with refusals, plus test_acceptance.py (one test per
-criterion), the two *_properties.py files and test_readme.py.  One
-exception remains: the tests of `cli` are in test_pipeline.py.
+Layout rule: the tests of each module of src/g24verify/ with refusals are in
+tests/test_<module>.py.  Run order: `pytest -x -q` on that file and
+tests/test_pipeline.py, then, only if they pass, on `tests`, so a survivor
+has passed the whole suite, which the unmutated tree must pass first.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
-`hermitian.verify_axioms`; each one is found with `ast`.  For each, a copy of
-src/, tests/, pyproject.toml and README.md in a temporary directory gets
-that statement replaced by `pass`, and
-`python -m pytest -x -q` runs there on every test file, named one by one:
-the test file of the mutated module and tests/test_pipeline.py first, the
-rest after, so that -x stops at the first failure soon.  A mutant whose
-suite passes is a survivor: a refusal that no test reaches.  A module with
-a refusal whose test file is missing is refused before any mutant runs.
-The unmutated copy must pass first, or every mutant would look killed, and
-the files named must collect the same tests as `pytest tests`, so that a
-survivor has passed the whole suite.
-
-Prints each survivor, then the total wall time and the slowest mutant, and
-exits 1 if there is any survivor; exits 0 otherwise.  The mutants run in
-parallel, one per CPU.  Pytest does not collect this file.
+`hermitian.verify_axioms`, found with `ast`.  Its mutant is an edit in bytes
+that puts `pass` in its place; the edited file must parse, and undoing the
+edit must give the file back.  Each worker thread copies the tree once, and
+each mutant it writes there is undone in a `finally`.  Children write no
+`.pyc`, which only its source's size and whole-second mtime validate, and
+one that runs over 5 times the unmutated run plus 30 s counts as killed.
+Exits 1 on a survivor, or if a copy's src/ is left unlike the checkout's.
 
     python tests/mutants.py
 """
 
-from __future__ import annotations
-
 import ast
+import itertools
 import os
+import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,116 +33,122 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFUSALS = {"VerificationError", "fail"}
 
+Edit = tuple[Path, int, int, bytes]  # path, start, end, replacement
 
-def refusals() -> list[tuple[Path, ast.Raise]]:
-    """Every refusal in src/, as (path relative to the root, raise node)."""
+
+def refusals() -> list[Edit]:
+    """Every refusal in src/, as the edit that replaces it by `pass`."""
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_bytes())):
+        source = path.read_bytes()
+        # ast offsets are in bytes of the UTF-8 source.
+        starts = [0, *itertools.accumulate(map(len, source.splitlines(True)))]
+        for node in ast.walk(ast.parse(source)):
             if (
                 isinstance(node, ast.Raise)
                 and isinstance(node.exc, ast.Call)
                 and isinstance(node.exc.func, ast.Name)
                 and node.exc.func.id in REFUSALS
             ):
-                found.append((path.relative_to(ROOT), node))
-    found.sort(key=lambda item: (str(item[0]), item[1].lineno))
-    return found
+                start = starts[node.lineno - 1] + node.col_offset
+                end = starts[node.end_lineno - 1] + node.end_col_offset
+                found.append((path.relative_to(ROOT), start, end, b"pass"))
+    return sorted(found)
 
 
-def module_test_file(rel: Path) -> str:
-    """The test file of the module `rel`."""
-    return f"test_{rel.stem}.py"
+def apply(source: bytes, edit: Edit) -> bytes:
+    _, start, end, replacement = edit
+    return source[:start] + replacement + source[end:]
 
 
-def suite_files(rel: Path | None) -> list[str]:
-    """Every test file, that of the module `rel` first."""
-    names = sorted(p.name for p in (ROOT / "tests").glob("test_*.py"))
-    first = [module_test_file(rel), "test_pipeline.py"] if rel else []
-    return [f"tests/{n}" for n in dict.fromkeys(first + names)]
+def where(edit: Edit) -> str:
+    path, start, end, _ = edit
+    source = (ROOT / path).read_bytes()
+    line = source.count(b"\n", 0, start) + 1
+    return f"{path}:{line}: {source[start:end].decode().splitlines()[0]}"
 
 
-def pythonpath(src: Path) -> str:
-    """`src` ahead of the caller's PYTHONPATH."""
-    return os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-
-
-def collected(args: list[str]) -> set[str]:
-    """The test ids that pytest collects from `args` in the unmutated tree."""
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", *args],
-        cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=pythonpath(ROOT / "src")),
-        capture_output=True,
-        text=True,
+def passes(tree: Path, args: list[str], timeout: float | None) -> bool | None:
+    """Whether `pytest -x -q args` passes in `tree`; None on a timeout."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.getenv("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", *args],
+        cwd=tree,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,  # so that the tests' own children are killed too
     )
-    return {line for line in done.stdout.splitlines() if "::" in line}
-
-
-def suite_passes(mutant: tuple[Path, ast.Raise] | None) -> bool:
-    """Run the suite on a copy of the tree, with `mutant` replaced by `pass`."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in ("src", "tests"):
-            shutil.copytree(
-                ROOT / name,
-                Path(tmp, name),
-                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"),
-            )
-        for name in ("pyproject.toml", "README.md"):
-            shutil.copy(ROOT / name, tmp)
-        if mutant is not None:
-            rel, node = mutant
-            target = Path(tmp, rel)
-            # ast offsets are in bytes of the UTF-8 source.
-            lines = target.read_bytes().splitlines(keepends=True)
-            head = lines[node.lineno - 1][: node.col_offset]
-            tail = lines[node.end_lineno - 1][node.end_col_offset :]
-            lines[node.lineno - 1 : node.end_lineno] = [head + b"pass" + tail]
-            target.write_bytes(b"".join(lines))
-        rel = mutant[0] if mutant else None
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", *suite_files(rel)],
-            cwd=tmp,
-            env=dict(os.environ, PYTHONPATH=pythonpath(Path(tmp, "src"))),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        return done.returncode == 0
-
-
-def timed_suite_passes(mutant: tuple[Path, ast.Raise]) -> tuple[bool, float]:
-    """`suite_passes(mutant)` and its wall time in seconds."""
-    start = time.perf_counter()
-    return suite_passes(mutant), time.perf_counter() - start
+    try:
+        return child.wait(timeout) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        return None
 
 
 def main() -> int:
-    start = time.perf_counter()
+    began = time.perf_counter()
     mutants = refusals()
-    modules = sorted({rel for rel, _ in mutants})
-    missing = [m for m in modules if not (ROOT / "tests" / module_test_file(m)).exists()]
-    for rel in missing:
-        print(f"{rel} has refusals but no tests/{module_test_file(rel)}")
-    if missing:
-        return 1
-    if collected(suite_files(None)) != collected(["tests"]):
-        print("the test files named do not collect the whole suite")
-        return 1
-    if not suite_passes(None):
-        print("the unmutated suite fails; no mutant can be judged")
-        return 1
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-        results = list(pool.map(timed_suite_passes, mutants))
-    survivors = [m for m, (s, _) in zip(mutants, results) if s]
-    for rel, node in survivors:
-        print(f"survivor: {rel}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
-    seconds, (rel, node) = max(zip((t for _, t in results), mutants), key=lambda x: x[0])
-    print(
-        f"{time.perf_counter() - start:.1f} s wall; "
-        f"slowest mutant {rel}:{node.lineno}, {seconds:.1f} s"
-    )
-    print(f"{len(mutants)} refusals, {len(survivors)} survivors")
-    return 1 if survivors else 0
+    for path in sorted({edit[0] for edit in mutants}):
+        if not (ROOT / "tests" / f"test_{path.stem}.py").exists():
+            print(f"{path} has refusals but no tests/test_{path.stem}.py")
+            return 1
+    for path, start, end, new in mutants:
+        source = (ROOT / path).read_bytes()
+        mutated = apply(source, (path, start, end, new))
+        ast.parse(mutated, str(path))  # a SyntaxError names the file and line
+        if apply(mutated, (path, start, start + len(new), source[start:end])) != source:
+            print(f"undoing the edit of bytes {start}:{end} changes {path}")
+            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [Path(tmp, str(i)) for i in range(os.cpu_count() or 1)]
+        idle: queue.SimpleQueue[Path] = queue.SimpleQueue()
+        for tree in trees:
+            for name in ("src", "tests"):
+                ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+                shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+            for name in ("pyproject.toml", "README.md"):
+                shutil.copy(ROOT / name, tree)
+            idle.put(tree)
+        t0 = time.perf_counter()
+        if not passes(trees[0], ["tests"], None):
+            print("the unmutated suite fails; no mutant can be judged")
+            return 1
+        timeout = 5 * (time.perf_counter() - t0) + 30
+
+        def judge(edit: Edit) -> tuple[bool | None, float]:
+            """Whether the suite passes on the mutant (None: timed out), and when."""
+            t0, tree, path = time.perf_counter(), idle.get(), edit[0]
+            first = sorted({f"tests/test_{path.stem}.py", "tests/test_pipeline.py"})
+            source = (ROOT / path).read_bytes()
+            try:
+                (tree / path).write_bytes(apply(source, edit))
+                passed = passes(tree, first, timeout) and passes(tree, ["tests"], timeout)
+            finally:
+                (tree / path).write_bytes(source)
+                # As in a fresh copy, hypothesis replays no saved example.
+                shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+                idle.put(tree)
+            return passed, time.perf_counter() - t0
+
+        with ThreadPoolExecutor(len(trees)) as pool:
+            results = list(pool.map(judge, mutants))
+        changed = sorted({
+            p.relative_to(tree) for tree in trees for p in (tree / "src").rglob("*")
+            if p.is_file() and p.read_bytes() != (ROOT / p.relative_to(tree)).read_bytes()
+        })
+    for edit, (passed, _) in zip(mutants, results):
+        if passed is not False:
+            print(f"{'survivor' if passed else 'killed on a timeout'}: {where(edit)}")
+    for path in changed:
+        print(f"{path} differs from the checkout's in a worker's copy")
+    survivors = sum(passed is True for passed, _ in results)
+    seconds, slowest = max(zip((seconds for _, seconds in results), mutants))
+    wall = time.perf_counter() - began
+    print(f"{wall:.1f} s wall; slowest mutant {where(slowest)}, {seconds:.1f} s")
+    print(f"{len(mutants)} refusals, {survivors} survivors")
+    return 1 if survivors or changed else 0
 
 
 if __name__ == "__main__":

