@@ -106,7 +106,7 @@ def verify_axioms() -> dict[str, int]:
         for b in range(SIZE):
             if row[b] != table[b][a]:
                 raise fail("commutativity", (a, b))
-            if row[b] >= SIZE:
+            if not 0 <= row[b] < SIZE:
                 raise fail("closure", (a, b))
             n += 1
     checks["commutativity"] = n

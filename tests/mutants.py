@@ -3,16 +3,19 @@
 Layout rule: the tests of each module of src/g24verify/ with refusals are in
 tests/test_<module>.py.  Run order: `pytest -x -q` on that file and
 tests/test_pipeline.py, then, only if they pass, on `tests`, so a survivor
-has passed the whole suite, which the unmutated tree must pass first.
+has passed the whole suite, which the unmutated tree must pass too.
 
 A refusal is a `raise` of VerificationError, or of `fail(...)` in
 `hermitian.verify_axioms`, found with `ast`.  Its mutant is an edit in bytes
 that puts `pass` in its place; the edited file must parse, and undoing the
 edit must give the file back.  Each worker thread copies the tree once, and
 each mutant it writes there is undone in a `finally`.  Children write no
-`.pyc`, which only its source's size and whole-second mtime validate, and
-one that runs over 5 times the unmutated run plus 30 s counts as killed.
-Exits 1 on a survivor, or if a copy's src/ is left unlike the checkout's.
+`.pyc`, which only its source's size and whole-second mtime validate.  The
+unmutated run takes one copy while mutants are judged in the others.  Once
+it ends, a child that has run, or goes on to run, over 5 times its wall
+time plus 30 s is killed and counts as killed; if it failed, every child is
+killed and no verdict is given.  Exits 1 then, on a survivor, or if a
+copy's src/ is left unlike the checkout's.
 
     python tests/mutants.py
 """
@@ -68,8 +71,11 @@ def where(edit: Edit) -> str:
     return f"{path}:{line}: {source[start:end].decode().splitlines()[0]}"
 
 
-def passes(tree: Path, args: list[str], timeout: float | None) -> bool | None:
-    """Whether `pytest -x -q args` passes in `tree`; None on a timeout."""
+def passes(tree: Path, args: list[str], timeout: list[float]) -> bool | None:
+    """Whether `pytest -x -q args` passes in `tree`; None if it ran past
+    timeout[0] and was killed.  While `timeout` is empty, the child runs on
+    and is looked at once a second."""
+    began = time.perf_counter()
     path = os.pathsep.join(filter(None, [str(tree / "src"), os.getenv("PYTHONPATH")]))
     child = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", *args],
@@ -79,12 +85,15 @@ def passes(tree: Path, args: list[str], timeout: float | None) -> bool | None:
         stderr=subprocess.DEVNULL,
         start_new_session=True,  # so that the tests' own children are killed too
     )
-    try:
-        return child.wait(timeout) == 0
-    except subprocess.TimeoutExpired:
-        os.killpg(child.pid, signal.SIGKILL)
-        child.wait()
-        return None
+    while True:
+        left = timeout[0] + began - time.perf_counter() if timeout else 1.0
+        try:
+            return child.wait(max(left, 0)) == 0
+        except subprocess.TimeoutExpired:
+            if timeout and time.perf_counter() - began >= timeout[0]:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+                return None
 
 
 def main() -> int:
@@ -111,11 +120,20 @@ def main() -> int:
             for name in ("pyproject.toml", "README.md"):
                 shutil.copy(ROOT / name, tree)
             idle.put(tree)
-        t0 = time.perf_counter()
-        if not passes(trees[0], ["tests"], None):
-            print("the unmutated suite fails; no mutant can be judged")
-            return 1
-        timeout = 5 * (time.perf_counter() - t0) + 30
+        timeout: list[float] = []  # set when the unmutated run ends
+
+        def unmutated() -> bool:
+            """Whether `pytest tests` passes on the unmutated tree.  Its wall
+            time sets the timeout, or 0 if it fails, so that every child is
+            killed."""
+            t0, tree, passed = time.perf_counter(), idle.get(), False
+            try:
+                passed = passes(tree, ["tests"], timeout)
+            finally:
+                timeout.append(5 * (time.perf_counter() - t0) + 30 if passed else 0)
+                shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+                idle.put(tree)
+            return passed
 
         def judge(edit: Edit) -> tuple[bool | None, float]:
             """Whether the suite passes on the mutant (None: timed out), and when."""
@@ -133,7 +151,11 @@ def main() -> int:
             return passed, time.perf_counter() - t0
 
         with ThreadPoolExecutor(len(trees)) as pool:
+            baseline = pool.submit(unmutated)
             results = list(pool.map(judge, mutants))
+        if not baseline.result():
+            print("the unmutated suite fails; no mutant can be judged")
+            return 1
         changed = sorted({
             p.relative_to(tree) for tree in trees for p in (tree / "src").rglob("*")
             if p.is_file() and p.read_bytes() != (ROOT / p.relative_to(tree)).read_bytes()

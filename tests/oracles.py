@@ -17,13 +17,18 @@ lines spelled out point by point.
 
 y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
+
+Beside them are what more than one test file reads of a run: the report
+schema, a stage by name, and the stage that refused a run.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from importlib.resources import files
 
 from g24verify import VerificationError
 from g24verify.graph import (
@@ -51,6 +56,9 @@ from g24verify.hermitian import (
     normalize,
 )
 
+# The JSON schema of `check --out`'s report.
+SCHEMA = json.loads(files("g24verify").joinpath("report_schema.json").read_text())
+
 
 def vertices(mask: int) -> list[int]:
     """The vertices of a vertex mask, ascending."""
@@ -60,6 +68,15 @@ def vertices(mask: int) -> list[int]:
 def stage(report, name: str):
     """The stage of a run's report named `name` (a KeyError if none ran)."""
     return {s.name: s for s in report.stages}[name]
+
+
+def refused(report, name: str):
+    """The stage that refused the run: asserts exit code 1, overall "fail",
+    and that the last stage to run is `name`, failed."""
+    failed = report.stages[-1]
+    got = (report.exit_code, report.overall_status, failed.name, failed.status)
+    assert got == (1, "fail", name, "fail"), (got, failed.detail)
+    return failed
 
 
 def orbit(maps: list[list[int]], v: int) -> set[int]:

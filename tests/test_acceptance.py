@@ -219,9 +219,7 @@ def test_c12e_fault_injection():
     rng = random.Random(5)
     i, j = rng.sample(range(416), 2)
     report = run_check(RunConfig(inject_flip_edge=(i, j)))
-    assert (report.exit_code, report.overall_status) == (1, "fail")
     # Short-circuit: nothing after the failed stage ran.
-    srg_stage = report.stages[-1]
-    assert (srg_stage.name, srg_stage.status) == ("srg", "fail")
+    srg_stage = oracles.refused(report, "srg")
     assert srg_stage.detail["witness"] is not None
     _ok("12e flipped edge fails the srg stage with a witness")

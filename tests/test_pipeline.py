@@ -1,28 +1,16 @@
-"""Pipeline orchestration, exports, determinism, exit codes, CLI surface."""
+"""Pipeline orchestration, exports, determinism and exit codes."""
 
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import jsonschema
 import pytest
 
-import g24verify
 from g24verify import VerificationError, cli, graph, hermitian, pipeline
 from g24verify.pipeline import RunConfig, run_check
 
 import oracles
-
-try:
-    from importlib.resources import files as _files
-
-    SCHEMA = json.loads(
-        _files("g24verify").joinpath("report_schema.json").read_text()
-    )
-except Exception:  # pragma: no cover
-    SCHEMA = None
 
 STAGE_NAMES = [name for name, *_ in pipeline._STAGES]
 
@@ -126,9 +114,9 @@ def test_default_run_checks_clebsch(full_report):
     assert "config" not in full_report.to_dict()
     assert oracles.stage(full_report, "clebsch").status == "ok"
     assert "uniqueness" not in STAGE_NAMES
-    status = SCHEMA["properties"]["stages"]["items"]["properties"]["status"]
+    status = oracles.SCHEMA["properties"]["stages"]["items"]["properties"]["status"]
     assert status["enum"] == ["ok", "fail"]
-    overall = SCHEMA["properties"]["overall"]["properties"]
+    overall = oracles.SCHEMA["properties"]["overall"]["properties"]
     assert overall["exit_code"]["enum"] == [0, 1]
 
 
@@ -145,9 +133,7 @@ def test_clebsch_stage_refuses_components_unlike_the_model(monkeypatch):
     monkeypatch.setattr(graph, "split_B_C", c_as_b2)
     monkeypatch.setattr(graph, "verify_claim1", lambda rows, part: None)
     report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("clebsch", "fail")
+    failed = oracles.refused(report, "clebsch")
     assert failed.detail["error"].startswith("B2: ")
     witness = failed.detail["witness"]
     vertices = set(witness) if isinstance(witness, tuple) else {witness}
@@ -190,9 +176,8 @@ def test_a_duplicated_iso_set_fails_srg_at_the_lift(monkeypatch, isosets, point_
 
     monkeypatch.setattr(hermitian, "enumerate_bases", duplicated)
     report = run_check(RunConfig())
-    failed = report.stages[-1]
+    failed = oracles.refused(report, "srg")
     assert [s.status for s in report.stages[:4]] == ["ok"] * 4
-    assert (failed.name, failed.status) == ("srg", "fail")
     assert failed.detail["error"] == (
         "point map 0 sends the iso-set of vertex 1 to no iso-set"
     )
@@ -208,10 +193,7 @@ def test_corrupted_multiplication_table_fails_field_tables(monkeypatch):
     table = [list(row) for row in hermitian._MUL]
     table[2][3] ^= 1
     monkeypatch.setattr(hermitian, "_MUL", table)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("field-tables", "fail")
+    failed = oracles.refused(run_check(RunConfig()), "field-tables")
     assert "commutativity" in failed.detail["error"]
     assert failed.detail["witness"] == (2, 3)
 
@@ -223,12 +205,13 @@ def test_product_outside_the_field_fails_field_tables(monkeypatch):
     table = [list(row) for row in hermitian._MUL]
     table[2][3] = table[3][2] = 16
     monkeypatch.setattr(hermitian, "_MUL", table)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("field-tables", "fail")
+    failed = oracles.refused(run_check(RunConfig()), "field-tables")
     assert "closure" in failed.detail["error"]
     assert failed.detail["witness"] == (2, 3)
+
+
+def _negative_product(mul, inv, conj):
+    mul[2][3] = mul[3][2] = -1
 
 
 def _set_identity(mul, inv, conj):
@@ -258,6 +241,8 @@ def _swap_conjugates(mul, inv, conj):
 @pytest.mark.parametrize(
     "corrupt, axiom, witness",
     [
+        # Below the field as well as above it (-1 indexes row 15).
+        (_negative_product, "closure", (2, 3)),
         # Symmetric, so commutativity holds; associativity would fail later.
         (_set_identity, "multiplicative identity", 5),
         (_zero_square_of_3, "associativity", (2, 3, 3)),
@@ -269,6 +254,7 @@ def _swap_conjugates(mul, inv, conj):
         (_swap_conjugates, "conjugation a -> a**4", 2),
     ],
     ids=[
+        "closure-negative",
         "identity",
         "associativity",
         "associativity-b-c-distinct",
@@ -287,10 +273,8 @@ def test_corrupted_field_tables_fail_with_the_axiom_and_witness(
     corrupt(mul, inv, conj)
     for name, table in (("_MUL", mul), ("_INV", inv), ("_CONJ", conj)):
         monkeypatch.setattr(hermitian, name, table)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.claims, failed.status) == ("field-tables", (1,), "fail")
+    failed = oracles.refused(run_check(RunConfig()), "field-tables")
+    assert failed.claims == (1,)
     assert failed.detail["error"] == f"{axiom} failed at {witness}"
     assert failed.detail["witness"] == witness
 
@@ -323,10 +307,8 @@ def test_clique_number_other_than_5_fails_max_clique(monkeypatch):
         return count(rows, vertex_maps)
 
     monkeypatch.setattr(graph, "verify_clique_number", planted)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.claims, failed.status) == ("max-clique", (7,), "fail")
+    failed = oracles.refused(run_check(RunConfig()), "max-clique")
+    assert failed.claims == (7,)
     assert failed.detail["error"] == "6-clique through vertex 0 and 16"
     assert failed.detail["witness"] == [0, 16, 28, 29, 40, 384]
 
@@ -348,10 +330,7 @@ def test_vertex_moved_between_b_and_c_fails_partition(monkeypatch, move):
         return split(rows, b_mask ^ 1 << v)
 
     monkeypatch.setattr(graph, "split_B_C", moved)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("partition", "fail")
+    failed = oracles.refused(run_check(RunConfig()), "partition")
     assert "component" in failed.detail["error"]
     want = [97] if move == "C vertex added" else [31, 32, 32]
     assert failed.detail["witness"] == want
@@ -362,7 +341,7 @@ def test_failed_check_writes_its_report(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["check", "--inject-flip-edge", "0,1", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, oracles.SCHEMA)
     assert doc["overall"] == {"status": "fail", "exit_code": 1}
     assert "verdict" not in doc
     last = doc["stages"][-1]
@@ -396,10 +375,8 @@ def test_complement_graph_fails_srg_on_its_parameters(monkeypatch):
         return [full ^ row ^ 1 << i for i, row in enumerate(rows)], columns
 
     monkeypatch.setattr(graph, "build_graph", complemented)
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.claims, failed.status) == ("srg", (3, 4), "fail")
+    failed = oracles.refused(run_check(RunConfig()), "srg")
+    assert failed.claims == (3, 4)
     assert failed.detail["witness"] == (416, 315, 234, 252)
 
 
@@ -452,9 +429,7 @@ def test_srg_stage_refuses_corruptions_of_its_reduced_checks(
             hermitian, "point_permutations", lambda *a: permutations(*a)[:1]
         )
     report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("srg", "fail")
+    failed = oracles.refused(report, "srg")
     assert message in failed.detail["error"]
     witness = failed.detail["witness"]
     if corruption == "2-switch through 0":
@@ -515,11 +490,7 @@ def test_corrupted_y_pair_fails_with_witness(monkeypatch, i, j, sides, witness):
         return rows, columns
 
     monkeypatch.setattr(graph, "build_graph", toggled)
-    report = run_check(RunConfig())
-    assert report.exit_code == 1
-    assert report.overall_status == "fail"
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("srg", "fail")
+    failed = oracles.refused(run_check(RunConfig()), "srg")
     assert failed.detail["witness"] == witness
 
 
@@ -546,9 +517,7 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
 
     monkeypatch.setattr(graph, "build_graph", toggled)
     report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
-    assert (failed.name, failed.status) == ("srg", "fail")
+    failed = oracles.refused(report, "srg")
     assert failed.detail["witness"][0] in (u, v)
 
 
@@ -604,12 +573,12 @@ def test_point_column_corruptions_fail_with_a_witness(
         name, claims, anchor_invariance = stages[i]
         stages[i] = (name, claims, swap_alone)
         monkeypatch.setattr(pipeline, "_STAGES", tuple(stages))
-    report = run_check(RunConfig())
-    assert (report.exit_code, report.overall_status) == (1, "fail")
-    failed = report.stages[-1]
+    at_srg = corruption.startswith("iso-set")
+    failed = oracles.refused(
+        run_check(RunConfig()), "srg" if at_srg else "anchor-invariance"
+    )
     witness = failed.detail["witness"]
-    if corruption.startswith("iso-set"):
-        assert (failed.name, failed.status) == ("srg", "fail")
+    if at_srg:
         assert "to no iso-set" in failed.detail["error"]
         # (map, vertex): the first map refuses vertex 5.  Built from the
         # corrupted iso-set, the graph has no vertex with 5's old one, so
@@ -617,17 +586,15 @@ def test_point_column_corruptions_fail_with_a_witness(
         first = min(5, automorphisms[0].index(5))
         assert witness == (0, first if corruption.endswith("before the graph") else 5)
     else:
-        assert (failed.name, failed.status) == ("anchor-invariance", "fail")
         assert "orbits on the points" in failed.detail["error"]
         assert 1 < witness <= 65  # the second orbit's smallest point
 
 
 def test_report_json_schema(full_report):
-    assert SCHEMA is not None
     doc = full_report.to_dict()
-    jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, oracles.SCHEMA)
     doc_timed = full_report.to_dict(include_timings=True)
-    jsonschema.validate(doc_timed, SCHEMA)
+    jsonschema.validate(doc_timed, oracles.SCHEMA)
     assert "stage_timings_ms" in doc_timed and "stage_timings_ms" not in doc
 
 
@@ -637,7 +604,7 @@ def test_timed_report_gives_each_stage_its_cost(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["check", "--timings", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, oracles.SCHEMA)
     costs = [doc[k] for k in ("stage_timings_ms", "stage_cpu_ms", "stage_peak_rss_mb")]
     for cost in costs:
         assert list(cost) == STAGE_NAMES and len(cost) == 13
@@ -691,7 +658,7 @@ def test_exports(tmp_path, full_report):
     rep = tmp_path / "report.json"
     pipeline.write_report_json(full_report, str(rep))
     doc = json.loads(rep.read_text())
-    jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, oracles.SCHEMA)
 
 
 def _sha256(data: bytes) -> str:
@@ -729,22 +696,6 @@ def test_export_refused_on_verification_failure(tmp_path):
     assert not out.exists()
 
 
-def test_cli_check_passes(capsys):
-    rc = cli.main(["check"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "overall: PASS" in out
-    assert "71" in out
-
-
-def test_cli_report_written(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    rc = cli.main(["check", "--out", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    jsonschema.validate(doc, SCHEMA)
-
-
 @pytest.mark.parametrize("command", ["check", "export-vectors"])
 @pytest.mark.parametrize(
     "out",
@@ -763,156 +714,6 @@ def test_check_out_into_a_missing_directory_runs_no_stage(
     assert captured.out == ""
     assert repr(out) in captured.err
     assert os.listdir(tmp_path) == ["dir"] and os.listdir("dir") == []
-
-
-@pytest.mark.parametrize("flag", ["-h", "--help", "--version"])
-def test_help_and_version_exit_0(flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", flag])
-    assert exc.value.code == 0
-    version = f"g24verify {g24verify.__version__}\n"
-    assert capsys.readouterr().out == (version if flag == "--version" else cli.HELP)
-
-
-def test_option_values_follow_a_space_or_an_equals_sign():
-    spaced = cli.parse_args(
-        ["export-graph", "--out", "g.dimacs", "--timings", "--inject-flip-edge", "3,200"]
-    )
-    assert vars(spaced) == vars(RunConfig("export-graph", "g.dimacs", True, (3, 200)))
-    joined = cli.parse_args(
-        ["export-graph", "--out=g.dimacs", "--timings", "--inject-flip-edge=3,200"]
-    )
-    assert vars(joined) == vars(spaced)
-    assert vars(cli.parse_args(["--out=r.json"])) == vars(RunConfig(out="r.json"))
-    assert vars(cli.parse_args(["--out", "r.json"])) == vars(RunConfig(out="r.json"))
-    assert vars(cli.parse_args([])) == vars(RunConfig())
-
-
-def test_cli_fault_injection_exit_code(capsys):
-    rc = cli.main(["check", "--inject-flip-edge", "3,200"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert out.endswith(
-        "srg                  ... FAIL\n"
-        "    claim 3/4: vertex 3 has degree 101, vertex 0 has 100\n"
-        "    witness: (3, 101)\n"
-        "overall: FAIL\n"
-    )
-
-
-def _run(*args: str) -> subprocess.CompletedProcess:
-    """Run the interpreter with `args` in a fresh process on this package."""
-    src = os.path.dirname(os.path.dirname(g24verify.__file__))
-    environ = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=environ
-    )
-
-
-def test_console_script_smoke():
-    proc = _run("-m", "g24verify.cli", "--version")
-    assert proc.returncode == 0
-    assert "g24verify" in proc.stdout
-
-
-@pytest.fixture(scope="module")
-def cli_runs(tmp_path_factory):
-    # One interpreter imports the CLI, then certifies, rejects and exports.
-    # After each step it records the step's result, whether numpy is loaded,
-    # and which introspection modules are loaded.
-    out = tmp_path_factory.mktemp("cli_runs") / "vectors.csv"
-    proc = _run(
-        "-c",
-        "import importlib.util, json, sys\n"
-        "from g24verify import cli\n"
-        "seen = {}\n"
-        "def record(step, result):\n"
-        "    names = {'dataclasses', 'inspect', 'ast', 'fractions'}\n"
-        "    seen[step] = [result, 'numpy' in sys.modules,"
-        " sorted(names & set(sys.modules))]\n"
-        "record('import', importlib.util.find_spec('numpy') is not None)\n"
-        "record('check', cli.main(['check']))\n"
-        "record('reject', cli.main(['check', '--inject-flip-edge', '0,1']))\n"
-        f"record('export', cli.main(['export-vectors', '--out', {str(out)!r}]))\n"
-        "print(json.dumps(seen))\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1]), out
-
-
-def test_cli_import_does_not_load_numpy(cli_runs):
-    # numpy is installed, so its absence from sys.modules shows the CLI's
-    # import does not reach it.
-    seen, _ = cli_runs
-    assert seen["import"][:2] == [True, False]
-
-
-def test_cli_import_loads_no_introspection_modules(cli_runs):
-    # dataclasses alone pulls in inspect, ast, dis and tokenize; the records
-    # are plain classes, and the spectrum is in ints.
-    seen, _ = cli_runs
-    assert seen["import"][2] == []
-
-
-def test_rejected_run_does_not_load_numpy(cli_runs):
-    seen, _ = cli_runs
-    assert seen["reject"] == [1, False, []]
-
-
-def test_check_and_export_do_not_load_numpy(cli_runs):
-    # Nor do they load the introspection modules the import leaves out.
-    seen, out = cli_runs
-    assert seen["check"] == [0, False, []]
-    assert seen["export"] == [0, False, []]
-    assert out.stat().st_size > 0
-
-
-# What `import g24verify.cli` and a `check` without --out may load besides
-# the package itself, with no site hook: `os` and what it imports.
-CHECK_STDLIB = {
-    "os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_collections_abc"
-}
-
-
-def test_check_imports_only_what_it_runs(tmp_path):
-    # -S keeps site hooks from importing modules before the package does.
-    package = os.path.dirname(g24verify.__file__)
-    modules = sorted(
-        f"g24verify.{name[:-3]}" for name in os.listdir(package)
-        if name.endswith(".py") and name != "__init__.py"
-    )
-    out = tmp_path / "r.json"
-    proc = _run(
-        "-S",
-        "-c",
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "from g24verify import cli\n"
-        f"seen = [[m for m in {modules!r} if m not in sys.modules]]\n"
-        "def added():\n"
-        "    new = set(sys.modules) - before\n"
-        "    return sorted(m for m in new if not m.startswith('g24verify'))\n"
-        "seen.append(added())\n"
-        "def run(argv):\n"
-        "    rc = cli.main(argv)\n"
-        "    seen.append([rc, sorted({'argparse', 'json', 'tempfile'} & set(sys.modules))])\n"
-        "run(['check'])\n"
-        "seen.append(added())\n"
-        f"run(['check', '--out', {str(out)!r}])\n"
-        "import json\n"
-        "print(json.dumps(seen))\n",
-    )
-    assert proc.returncode == 0, proc.stderr
-    # The package's own modules, pinned so that a split or a merge is seen.
-    assert modules == [
-        "g24verify.cli", "g24verify.graph", "g24verify.hermitian", "g24verify.pipeline"
-    ]
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    missing, on_import, check, on_check, check_out = seen
-    assert (missing, check, check_out) == ([], [0, []], [0, ["json"]])
-    assert set(on_import) <= CHECK_STDLIB, on_import
-    assert on_check == on_import
-    assert out.stat().st_size > 0
 
 
 def test_export_file_mode_follows_the_umask(tmp_path, capsys):
