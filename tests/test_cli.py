@@ -133,7 +133,8 @@ CHECK_STDLIB = {
 }
 
 
-def test_check_imports_only_what_it_runs(tmp_path):
+@pytest.fixture(scope="module")
+def check_child(tmp_path_factory):
     # One interpreter imports the CLI, then certifies, rejects, exports and
     # writes a report.  -S keeps site hooks from importing modules before
     # the package does, and numpy's directory joins the path after the
@@ -144,7 +145,8 @@ def test_check_imports_only_what_it_runs(tmp_path):
         if name.endswith(".py") and name != "__init__.py"
     )
     numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
-    vectors, report = tmp_path / "vectors.csv", tmp_path / "r.json"
+    tmp = tmp_path_factory.mktemp("check_child")
+    vectors, report = tmp / "vectors.csv", tmp / "r.json"
     runs = [
         ["check"],
         ["check", "--inject-flip-edge", "0,1"],
@@ -172,16 +174,49 @@ def test_check_imports_only_what_it_runs(tmp_path):
         "print(json.dumps(seen))\n",
     )
     assert proc.returncode == 0, proc.stderr
+    missing, on_import, check, reject, export, check_out, numpy_found = json.loads(
+        proc.stdout.splitlines()[-1]
+    )
+    return {
+        "modules": modules, "missing": missing, "import": on_import,
+        "check": check, "reject": reject, "export": export,
+        "check --out": check_out, "numpy found": numpy_found,
+        "vectors": vectors, "report": report,
+    }
+
+
+def test_cli_import_does_not_load_numpy(check_child):
+    # numpy can be found in the child, so its absence from sys.modules shows
+    # the CLI's import does not reach it.
+    assert check_child["numpy found"]
+    assert "numpy" not in check_child["import"]
+
+
+def test_cli_import_loads_no_introspection_modules(check_child):
+    # dataclasses alone pulls in inspect, ast, dis and tokenize; the records
+    # are plain classes, and the spectrum is in ints.
+    names = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions"}
+    assert names.isdisjoint(check_child["import"])
+
+
+def test_rejected_run_does_not_load_numpy(check_child):
+    assert check_child["reject"] == [1, check_child["import"]]
+
+
+def test_check_and_export_do_not_load_numpy(check_child):
+    # Nor do they load the introspection modules the import leaves out.
+    assert check_child["check"] == [0, check_child["import"]]
+    assert check_child["export"] == [0, check_child["import"]]
+    assert check_child["vectors"].stat().st_size > 0
+
+
+def test_check_imports_only_what_it_runs(check_child):
     # The package's own modules, pinned so that a split or a merge is seen.
-    assert modules == [
+    assert check_child["modules"] == [
         "g24verify.cli", "g24verify.graph", "g24verify.hermitian", "g24verify.pipeline"
     ]
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    missing, on_import, *steps, check_out, numpy_found = seen
-    assert missing == [] and numpy_found
-    # Nothing beyond `os`: so no numpy, and none of the introspection modules
-    # that dataclasses alone pulls in (inspect, ast, dis, tokenize).
-    assert set(on_import) <= CHECK_STDLIB, on_import
-    assert steps == [[0, on_import], [1, on_import], [0, on_import]]
-    assert check_out == [0, ["json"]]
-    assert vectors.stat().st_size > 0 and report.stat().st_size > 0
+    assert check_child["missing"] == []
+    # Nothing beyond `os`: so no numpy, and none of the introspection modules.
+    assert set(check_child["import"]) <= CHECK_STDLIB, check_child["import"]
+    assert check_child["check --out"] == [0, ["json"]]
+    assert check_child["report"].stat().st_size > 0
