@@ -28,7 +28,7 @@ options:
   --out PATH              output file of an export or of check's report
   --timings               include each stage's wall and CPU time and the peak
                           RSS in output (breaks byte-for-byte reproducibility
-                          of the report)
+                          of the report), and an export's write time on stdout
   --inject-flip-edge I,J  test hook: flip one adjacency after the graph is built
 """
 
@@ -99,7 +99,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"g24verify: i/o error: {exc}\n")
         return EXIT_USAGE
     if cfg.command != "check" and report.exit_code == 0:
-        sys.stdout.write(f"wrote {cfg.out}\n")
+        cost = ""
+        if cfg.include_timings:
+            cost = "  [{:.1f} ms wall, {:.1f} ms cpu]".format(*report.write_ms)
+        sys.stdout.write(f"wrote {cfg.out}{cost}\n")
     return report.exit_code
 
 

@@ -7,8 +7,9 @@ their iso-sets share exactly 3 isotropic points.  Adjacency is bit-packed
 (one Python int per row) so neighbourhood intersections are single AND +
 popcount operations.  The same data read the other way are the point
 columns: for each isotropic point, the mask of the vertices whose iso-set
-contains it.  The graph is built from them by a bit-sliced counter, one
-vertex at a time, with no loop over vertex pairs.
+contains it.  The graph is built from them with no loop over vertex pairs:
+each side of a basis sums the point columns of its 5 points once, into a
+bit-sliced counter, and each vertex adds the sums of its three sides.
 
 Each vertex map is lifted from an isometry's map sigma of the isotropic
 points: v goes to the vertex whose iso-set is sigma(iso-set v), so it sends
@@ -18,11 +19,11 @@ The srg check verifies the lifted maps as automorphisms on every entry of
 the graph as built, and requires them to leave one vertex orbit; facts that
 automorphisms preserve are then checked at vertex 0 only.  A map reorders
 the rows as a list, and a bit-matrix transpose turns rows into columns, so
-no row is permuted bit by bit.  Words in the maps that fix a vertex set
-carry a fact checked at one of its vertices to all of them, with no check
-of their own: a product of automorphisms is one.  Words that fix C carry
-facts about min C over C; words that fix vertex 0 reduce N(0) to four
-orbits for the clique number.
+no row is permuted bit by bit, and columns and rows are compared as packed
+bytes.  Words in the maps that fix a vertex set carry a fact checked at one
+of its vertices to all of them, with no check of their own: a product of
+automorphisms is one.  Words that fix C carry facts about min C over C;
+words that fix vertex 0 reduce N(0) to four orbits for the clique number.
 
 Each of the split's three blocks is shown isomorphic to the 2-coclique
 extension of the halved 5-cube by words read off the block's own adjacency
@@ -30,14 +31,14 @@ and then checked on every pair of the block, with no search.
 
 The Euclidean representation is y = A + 4I, never stored apart from the
 graph: its column i is row i of A (A is symmetric, as the srg stage
-verified) with 4 at coordinate i, read through `column_digits`.  Its
-columns realise the graph as a two-distance point set (squared distances
-144 on edges, 192 on non-edges, `DISTANCE_CENSUS`); those distances follow
-from the verified srg parameters, so no pair is scanned.  The contrast
-vectors p and q are constant on the blocks of the anchored split, so their
-inner products with the columns of y follow from the block counts
-(`CLAIM1`) and the block sizes: the dimension-chain stage reports them as
-constants, and none is counted.
+verified) with 4 at coordinate i, as `pipeline.write_vectors_csv` writes
+it.  Its columns realise the graph as a two-distance point set (squared
+distances 144 on edges, 192 on non-edges, `DISTANCE_CENSUS`); those
+distances follow from the verified srg parameters, so no pair is scanned.
+The contrast vectors p and q are constant on the blocks of the anchored
+split, so their inner products with the columns of y follow from the block
+counts (`CLAIM1`) and the block sizes: the dimension-chain stage reports
+them as constants, and none is counted.
 
 The chain of affine dimensions 65 -> 64 -> 63 of V, C+B1 and C is exact,
 each step two-sided, with no elimination: the rank of y from its verified
@@ -81,47 +82,45 @@ def flip_edge(rows: list[int], i: int, j: int) -> None:
     rows[j] ^= 1 << i
 
 
-_TRANSPOSERS = {}  # n: bit_transposer(n)
+_SWAPS = {}  # (w, h): the three (shift, mask) of bit_transposer on that shape
 
 
-def bit_transposer(n: int):
-    """A function from the rows of an n x n bit matrix (bit j of rows[i] is
-    entry (i, j), each row < 2**n, missing rows 0) to its n columns, packed
-    the same way.  Built once per n (`_TRANSPOSERS`): `point_columns`,
-    `vertex_permutations` and `verify_srg` share the one for 416.
+def bit_transposer(rows: list[bytes], n: int) -> list[bytes]:
+    """The n columns of a bit matrix from its rows, both packed: each row
+    is ceil(n / 8) = w little-endian bytes, bit j of row i being entry
+    (i, j), and each column ceil(len(rows) / 8) = h bytes, bit i of column
+    j being entry (i, j).  Any shape, square or not.
 
-    The rows are packed into one int, entry (i, j) at bit p = w i + j, w the
-    smallest power of two >= max(n, 8), and transposed as a w x w matrix in
-    log2 w masked delta swaps.  Swap b exchanges bit b of i with bit b of j:
-    entry (i, j) with (i + s, j - s), s = 2**b, wherever bit b of i is 0 and
-    bit b of j is 1, a shift of d = (w - 1) s.  Its mask, those entries, is
-    built here, not at import, by doubling over the other bits of p.
+    The rows are read as one int, entry (i, j) at bit p = 8 w i + j, with
+    zero rows up to 8 h.  Three masked delta swaps transpose every 8 x 8
+    block in place: swap b exchanges bit b of i with bit b of j, entry
+    (i, j) with (i + s, j - s), s = 2**b, wherever bit b of i is 0 and bit b
+    of j is 1, a shift of (8 w - 1) s.  Byte c of row 8 g + t then holds
+    byte g of column 8 c + t, so column j is one strided slice of the bytes.
+    The masks are built on first use of a shape (`_SWAPS`), not at import.
     """
-    if n in _TRANSPOSERS:
-        return _TRANSPOSERS[n]
-    w = max(8, 1 << (n - 1).bit_length())
-    log_w = w.bit_length() - 1
-    stages = []
-    for b in range(log_w):
-        mask = 1 << (1 << b)  # entry (0, 2**b)
-        for k in range(2 * log_w):
-            if k not in (b, log_w + b):
-                mask |= mask << (1 << k)
-        stages.append(((w - 1) << b, mask))
-    size = w // 8
+    w, h = -(-n // 8), -(-len(rows) // 8)
+    if (w, h) not in _SWAPS:
+        swaps = []
+        for b, ones in enumerate((0xAA, 0xCC, 0xF0)):  # bit b of j set
+            group = b"".join(
+                bytes(w) if r >> b & 1 else bytes([ones]) * w for r in range(8)
+            )
+            swaps.append(((8 * w - 1) << b, int.from_bytes(group * h, "little")))
+        _SWAPS[w, h] = swaps
+    x = int.from_bytes(b"".join(rows), "little")
+    for d, mask in _SWAPS[w, h]:
+        t = (x ^ x >> d) & mask
+        x ^= t | t << d
+    data = x.to_bytes(8 * w * h, "little")
+    return [data[j // 8 + j % 8 * w :: 8 * w] for j in range(n)]
 
-    def transpose(rows: list[int]) -> list[int]:
-        x = int.from_bytes(b"".join(r.to_bytes(size, "little") for r in rows), "little")
-        for d, mask in stages:
-            t = (x ^ x >> d) & mask
-            x ^= t | t << d
-        data = x.to_bytes(w * size, "little")
-        return [
-            int.from_bytes(data[j * size : (j + 1) * size], "little") for j in range(n)
-        ]
 
-    _TRANSPOSERS[n] = transpose
-    return transpose
+def packed(rows: list[int], n: int) -> list[bytes]:
+    """Each row, < 2**n, as the ceil(n / 8) little-endian bytes that
+    `bit_transposer` reads."""
+    w = -(-n // 8)
+    return [row.to_bytes(w, "little") for row in rows]
 
 
 # README claim 3: the only parameters (v, k, lam, mu) the srg stage accepts.
@@ -172,41 +171,56 @@ def point_columns(isosets: list[int]) -> list[int]:
             raise VerificationError(
                 f"iso-set {i} has a member outside 1..{ISOTROPIC_COUNT}", witness=i
             )
-    return bit_transposer(max(len(isosets), width))(isosets)[:width]
+    columns = bit_transposer(packed(isosets, width), width)
+    return [int.from_bytes(column, "little") for column in columns]
 
 
-def build_graph(isosets: list[int]) -> tuple[list[int], list[int]]:
+def build_graph(sides: list[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
     """The rows of the graph, edge (i, j) iff the iso-sets of i and j share
     exactly 3 points, and the point columns they were built from.
 
-    Vertex i adds the point columns of its 15 members into a bit-sliced
-    counter of four planes c0..c3, so that bit j of the counter is
-    |iso-set_i & iso-set_j|, and row i is where the count is 3.  The check
-    that every iso-set has 15 members is what keeps each count below 16, so
-    four planes cannot overflow.
+    Vertex i is given by the three sides of its basis, 5 isotropic points
+    each, as `hermitian.enumerate_bases` checks, and its iso-set is their
+    union.  The point columns of each distinct side are added once into a
+    bit-sliced counter of three planes, so that bit j of a side's sum is
+    |side & iso-set_j|, at most 5.  Every iso-set must have 15 members, and
+    three sides of 5 have that many only when disjoint; so the three sums
+    of vertex i add up to |iso-set_i & iso-set_j|, and row i is where they
+    make 3.  At j = i they make 15, so no row has a loop.
     """
-    n = len(isosets)
+    n = len(sides)
     if n != VERTEX_COUNT:
         raise VerificationError(f"expected {VERTEX_COUNT} iso-sets, got {n}", witness=n)
+    isosets = [a | b | c for a, b, c in sides]
     for i, s in enumerate(isosets):
         if s.bit_count() != ISOSET_SIZE:
             raise VerificationError(
                 f"iso-set {i} has {s.bit_count()} members", witness=i
             )
     columns = point_columns(isosets)
-    rows = [0] * n
-    for i, s in enumerate(isosets):
-        c0 = c1 = c2 = c3 = 0
-        for a in members(s):
-            column = columns[a]
-            carry = c0 & column
-            c0 ^= column
-            column = c1 & carry
-            c1 ^= carry
-            carry = c2 & column
-            c2 ^= column
-            c3 ^= carry
-        rows[i] = c0 & c1 & ~(c2 | c3) & ~(1 << i)  # count 3 = 0b0011
+    sums = {}  # side: the planes s0, s1, s2 of its sum of point columns
+    for side in {side for vertex in sides for side in vertex}:
+        s0 = s1 = s2 = 0
+        for a in members(side):
+            carry = s0 & columns[a]
+            s0 ^= columns[a]
+            s2 ^= s1 & carry
+            s1 ^= carry
+        sums[side] = s0, s1, s2
+    rows = []
+    for a, b, c in sides:
+        x0, x1, x2 = sums[a]
+        y0, y1, y2 = sums[b]
+        z0, z1, z2 = sums[c]
+        odd = x0 ^ y0
+        twos = x0 & y0 | odd & z0  # the carry out of the ones
+        # 3 = 1 + 2: an odd sum, one 2 among x1, y1, z1 and that carry, and
+        # no sum of 4 or more.
+        rows.append(
+            (odd ^ z0)
+            & (x1 ^ y1 ^ z1 ^ twos)
+            & ~(x1 & y1 | z1 & twos | x2 | y2 | z2)
+        )
     return rows, columns
 
 
@@ -217,8 +231,9 @@ def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> tuple:
     In order, each step naming a witness when it fails:
     1. no loops and constant degree k give the diagonal, in O(n), so a
        flipped edge fails before any pair is read;
-    2. A is symmetric: one transpose of A equals its rows (the first
-       (i, j) with A_ij != A_ji is the witness otherwise);
+    2. A is symmetric: one transpose of A equals its rows, compared as
+       packed bytes (the first (i, j) with A_ij != A_ji is the witness
+       otherwise);
     3. on the n - 1 pairs (0, j), |N(0) & N(j)| is lambda on edges and mu
        on non-edges, both read off vertex 0;
     4. every map is an automorphism, checked on every entry by comparing
@@ -252,10 +267,12 @@ def verify_srg(rows: list[int], automorphisms: list[list[int]]) -> tuple:
                 witness=(i, row.bit_count()),
             )
 
-    columns = bit_transposer(n)(rows)
-    if columns != rows:
-        i = next(i for i in range(n) if columns[i] != rows[i])
-        j = next(j for j in range(n) if (columns[i] ^ rows[i]) >> j & 1)
+    rows_bytes = packed(rows, n)
+    columns = bit_transposer(rows_bytes, n)
+    if columns != rows_bytes:
+        i = next(i for i in range(n) if columns[i] != rows_bytes[i])
+        diff = int.from_bytes(columns[i], "little") ^ rows[i]
+        j = (diff & -diff).bit_length() - 1
         raise VerificationError(f"asymmetric pair ({i},{j})", witness=(i, j))
 
     lam = next(((r0 & rows[j]).bit_count() for j in range(1, n) if r0 >> j & 1), 0)
@@ -288,11 +305,12 @@ def _verify_automorphism(rows: list[int], perm: list[int]) -> None:
     A[perm[i], perm[j]] = A[i, j] for every i and j.  With the rows reordered
     as B[i] = A[perm[i]], that says column perm[j] of B is column j of A,
     which is row j for a symmetric A, so B is transposed (`bit_transposer`)
-    and every column compared with a row.  A failure names a witness: the
-    first vertex that the map misses or hits more than once; else an edge
-    (j, i) sent to a non-edge, from the first column perm[j] that lacks a
-    one of row j.  One does whenever a bijection fails: the moved columns
-    hold as many ones as the rows.
+    and every column compared with a row, as packed bytes; they are read as
+    ints only to name the witness.  A failure names one: the first vertex
+    that the map misses or hits more than once; else an edge (j, i) sent to
+    a non-edge, from the first column perm[j] that lacks a one of row j.
+    One does whenever a bijection fails: the moved columns hold as many
+    ones as the rows.
 
     A must be symmetric: on an asymmetric A the answer can be wrong either
     way.  `verify_srg`, the only caller, checks symmetry first."""
@@ -304,9 +322,11 @@ def _verify_automorphism(rows: list[int], perm: list[int]) -> None:
             f"{perm.count(v)} times",
             witness=v,
         )
-    moved = bit_transposer(n)([rows[p] for p in perm])
-    if [moved[p] for p in perm] == rows:
+    rows_bytes = packed(rows, n)
+    moved = bit_transposer([rows_bytes[p] for p in perm], n)
+    if [moved[p] for p in perm] == rows_bytes:
         return
+    moved = [int.from_bytes(column, "little") for column in moved]
     j = next(j for j, p in enumerate(perm) if rows[j] & ~moved[p])
     lost = rows[j] & ~moved[perm[j]]  # bit i: A[j, i] = 1, A[perm[i], perm[j]] = 0
     i = (lost & -lost).bit_length() - 1
@@ -408,22 +428,20 @@ def vertex_permutations(
     back.  With one orbit on the points, the counts verified at anchor 1
     hold at all 65 anchors.
     """
-    transpose = bit_transposer(VERTEX_COUNT)
-    vertex_of = {s: v for v, s in enumerate(isosets)}
+    n = len(isosets)
+    vertex_of = {s: v for v, s in enumerate(packed(isosets, len(columns)))}
     perms = []
     for m, sigma in enumerate(point_maps):
         moved = [0] * len(columns)  # moved[sigma(a)] holds column a
         for a, b in enumerate(sigma):
             moved[b + 1] |= columns[a + 1]
-        perm = []
-        for v, image in enumerate(transpose(moved)):
-            w = vertex_of.get(image)
-            if w is None:
-                raise VerificationError(
-                    f"point map {m} sends the iso-set of vertex {v} to no iso-set",
-                    witness=(m, v),
-                )
-            perm.append(w)
+        perm = list(map(vertex_of.get, bit_transposer(packed(moved, n), n)))
+        if None in perm:
+            v = perm.index(None)
+            raise VerificationError(
+                f"point map {m} sends the iso-set of vertex {v} to no iso-set",
+                witness=(m, v),
+            )
         perms.append(perm)
     return perms
 
@@ -554,13 +572,6 @@ C_SPECTRUM = {76: 1, 16: 48, 12: 15, -4: 256}
 
 # (A_C - 16)(A_C - 12)(A_C + 4) = C_IDENTITY J, as `verify_c_identity` checks.
 C_IDENTITY = 960
-
-
-def column_digits(rows: list[int], i: int) -> str:
-    """Column i of y = A + 4I, one character per coordinate: '4' at i, else
-    bit t of row i of A, which is A[t, i] since A is symmetric."""
-    bits = format(rows[i], f"0{len(rows)}b")[::-1]
-    return f"{bits[:i]}4{bits[i + 1:]}"
 
 
 def verify_c_identity(rows: list[int], part: Partition) -> None:

@@ -100,29 +100,25 @@ def verify_axioms() -> dict[str, int]:
             raise fail("multiplicative identity", a)
     checks["identity"] = SIZE
 
-    n = 0
     for a in range(SIZE):
         row = table[a]
-        for b in range(SIZE):
-            if row[b] != table[b][a]:
+        for b, ab in enumerate(row):
+            if ab != table[b][a]:
                 raise fail("commutativity", (a, b))
-            if not 0 <= row[b] < SIZE:
+            if not 0 <= ab < SIZE:
                 raise fail("closure", (a, b))
-            n += 1
-    checks["commutativity"] = n
+    checks["commutativity"] = SIZE**2
 
-    n = 0
     for a in range(SIZE):
         row = table[a]
-        for b in range(SIZE):
-            ab_row, b_row = table[row[b]], table[b]
+        for b, ab in enumerate(row):
+            ab_row, b_row = table[ab], table[b]
             for c in range(SIZE):
                 if ab_row[c] != row[b_row[c]]:
                     raise fail("associativity", (a, b, c))
-                if row[b ^ c] != row[b] ^ row[c]:
+                if row[b ^ c] != ab ^ row[c]:
                     raise fail("distributivity", (a, b, c))
-                n += 1
-    checks["associativity_distributivity"] = n
+    checks["associativity_distributivity"] = SIZE**3
 
     for a in range(1, SIZE):
         if table[a][_INV[a]] != 1:
@@ -191,8 +187,10 @@ def enumerate_points() -> list[Point]:
 Plane = tuple[list[Point], list[Point], list[Point]]
 
 # Orthogonal basis: its three nonisotropic points, as ascending indices into
-# the plane's nonisotropic points, and its iso-set.
-Basis = tuple[tuple[int, int, int], int]
+# the plane's nonisotropic points, and the sides of its triangle, in the
+# same order: the isotropic points of each point's polar line, as a mask.
+# Its iso-set is the union of the sides.
+Basis = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
 def build_plane() -> Plane:
@@ -224,28 +222,37 @@ def orthogonal_masks(points: list[Point], targets: list[Point]) -> list[int]:
     H(points[x], t) = 0, bit x standing for points[x].
 
     H(x, t) = x1*conj(t3) + x2*conj(t2) + x3*conj(t1) is a sum of three
-    products x_k * c.  The points with x_k * c carrying bit b are the union,
-    over the values v with bit b in v * c, of the points with x_k = v, so one
-    pass over the points gives the 3 x 16 masks by coordinate value, and
-    these give the four bit-planes of every x_k * c.  The zeros of H(-, t)
-    are then the points where the three planes of each bit XOR to 0.
+    products x_k * c.  One pass over the points gives the 3 x 16 masks of
+    the points by coordinate value, and these the 3 x 4 masks of the points
+    with bit e set in x_k.  Multiplication by c is GF(2)-linear, as the
+    field-tables stage's distributivity check certifies, so bit b of x_k * c
+    is the XOR, over the bits e of x_k, of bit b of 2**e * c: the four
+    bit-planes of every x_k * c are XORs of those masks.  The zeros of
+    H(-, t) are then the points where the three planes of each bit XOR to 0.
     """
     by_value = [[0] * SIZE for _ in range(3)]
-    for x, p in enumerate(points):
-        for k in range(3):
-            by_value[k][p[k]] |= 1 << x
-    # planes[k][c][b]: the points x with bit b set in x_k * c, a union of
-    # disjoint masks, so their sum
-    planes = [
-        [
-            [
-                sum(m for v, m in enumerate(masks) if _MUL[v][c] >> b & 1)
-                for b in range(4)
-            ]
-            for c in range(SIZE)
-        ]
+    first, second, third = by_value
+    for x, (v1, v2, v3) in enumerate(points):
+        bit = 1 << x
+        first[v1] |= bit
+        second[v2] |= bit
+        third[v3] |= bit
+    # bits[k][e]: the points x with bit e set in x_k
+    bits = [
+        [sum(m for v, m in enumerate(masks) if v >> e & 1) for e in range(4)]
         for masks in by_value
     ]
+    # planes[k][c][b]: the points x with bit b set in x_k * c
+    planes = []
+    for masks in bits:
+        by_c = []
+        for c in range(SIZE):
+            plane = [0] * 4
+            for e, mask in enumerate(masks):
+                for b in members(_MUL[1 << e][c]):
+                    plane[b] ^= mask
+            by_c.append(plane)
+        planes.append(by_c)
     full = (1 << len(points)) - 1
     result = []
     for t in targets:
@@ -277,9 +284,11 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
     image under sigma is no iso-set, witness (map, vertex), before any pair
     is read; a lift that passes sends both bases to one vertex, and
     `verify_srg` refuses a map that is no permutation.  Nor do the three
-    sides of a basis need a disjointness check: its iso-set is their
-    union, each side carries 5 isotropic points, and `graph.build_graph`
-    requires 15 members, which three sides of 5 reach only when disjoint.
+    sides of a basis need a disjointness check: each carries 5 isotropic
+    points, and `graph.build_graph` requires their union, the iso-set, to
+    have 15 members, which three sides of 5 reach only when disjoint.  That
+    is what lets it count |iso-set_i & iso-set_j| as a sum over the sides of
+    i, each side's count summed once for all its bases.
     """
     _, iso, noniso = plane
     # H(b, a) = conj(H(a, b)), so orth is symmetric, and a nonisotropic point
@@ -312,7 +321,7 @@ def enumerate_bases(plane: Plane) -> list[Basis]:
                 witness=t,
             )
 
-    return [(tri, polar[tri[0]] | polar[tri[1]] | polar[tri[2]]) for tri in triples]
+    return [(tri, (polar[tri[0]], polar[tri[1]], polar[tri[2]])) for tri in triples]
 
 
 def _apply(m: Matrix, p: Point) -> Point:

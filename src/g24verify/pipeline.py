@@ -6,9 +6,9 @@ contributes a structured detail block to the report.  `run` is the one path
 of every command: it refuses a bad output path, runs the stages, and writes
 the report or the export.
 All outputs are exact counts and witnesses.  Each stage's wall-clock and
-CPU times are collected on every run, and the peak RSS after it only when
-timings are asked for; they are serialized only then, so default artifacts
-are byte-for-byte reproducible.
+CPU times, and the write's, are collected on every run, and the peak RSS
+after each stage only when timings are asked for; they are printed or
+serialized only then, so default artifacts are byte-for-byte reproducible.
 """
 
 import os
@@ -63,7 +63,8 @@ class Artifacts:
     """
 
     plane = None  # hermitian.Plane
-    isosets = None
+    sides = None  # the three sides of each basis, from hermitian.enumerate_bases
+    isosets = None  # the union of each basis's sides
     columns = None  # graph.point_columns(isosets)
     rows = None  # the graph's adjacency rows, from graph.build_graph
     point_maps = None  # hermitian.point_permutations, lifted by the srg stage
@@ -76,6 +77,7 @@ class Artifacts:
 class Report:
     overall_status = "pass"
     exit_code = EXIT_PASS
+    write_ms = None  # (wall, cpu) of writing cfg.out, once `run` has written it
 
     def __init__(self):
         self.stages = []
@@ -143,12 +145,13 @@ def _stage_geometry(art, cfg):
 def _stage_bases(art, cfg):
     # 6 bases on each nonisotropic point, 416 in all: implied by the checks
     # in `hermitian.enumerate_bases`, whose docstring counts them.
-    art.isosets = [isoset for _, isoset in hermitian.enumerate_bases(art.plane)]
+    art.sides = [sides for _, sides in hermitian.enumerate_bases(art.plane)]
+    art.isosets = [a | b | c for a, b, c in art.sides]
     return {"bases": len(art.isosets)}
 
 
 def _stage_graph(art, cfg):
-    art.rows, art.columns = graph.build_graph(art.isosets)
+    art.rows, art.columns = graph.build_graph(art.sides)
     detail = {"vertices": len(art.rows), "edges": graph.edge_count(art.rows)}
     if cfg.inject_flip_edge is not None:
         i, j = cfg.inject_flip_edge
@@ -315,20 +318,19 @@ def run_check(cfg: RunConfig) -> Report:
     return report
 
 
-def _atomic_write(path: str, *parts) -> None:
-    """Write the strings of each iterable in `parts`, one at a time, to a
-    file that appears at `path` only once it is complete: it is written
-    beside `path` as `.<basename>.<pid>.tmp`, then moved over `path` with
-    `os.replace`; on any error it is removed instead.  The kernel applies
-    the umask to 0o666, the mode open(path, "w") gives.  O_EXCL refuses a
-    name that exists, so nothing there is overwritten."""
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write `data` to a file that appears at `path` only once it is
+    complete: it is written beside `path` as `.<basename>.<pid>.tmp`, then
+    moved over `path` with `os.replace`; on any error it is removed instead.
+    Mode "xb" creates it with O_EXCL, so a name that exists is refused and
+    nothing there is overwritten, and the kernel applies the umask to
+    0o666."""
     head, base = os.path.split(path)
     tmp = os.path.join(head, f".{base}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            for part in parts:
-                fh.writelines(part)
+        with fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -337,40 +339,58 @@ def _atomic_write(path: str, *parts) -> None:
 
 def write_dimacs(rows: list[int], path: str) -> None:
     header = f"p edge {len(rows)} {graph.edge_count(rows)}\n"
-    edges = (f"e {i + 1} {j + 1}\n" for i, j in graph.edges(rows))
-    _atomic_write(path, [header], edges)
+    edges = "".join(f"e {i + 1} {j + 1}\n" for i, j in graph.edges(rows))
+    _atomic_write(path, (header + edges).encode())
 
 
 def write_isosets_csv(isosets: list[int], path: str) -> None:
-    lines = (
+    lines = "".join(
         ",".join([str(v + 1)] + [str(m) for m in hermitian.members(mask)]) + "\n"
         for v, mask in enumerate(isosets)
     )
-    _atomic_write(path, lines)
+    _atomic_write(path, lines.encode())
 
 
 def write_vectors_csv(rows: list[int], path: str) -> None:
-    """The columns of y = A + 4I, one row per vertex."""
-    # .replace("", ",") puts a comma before and after every digit, and [:-1]
-    # drops the last: one str call per row is cheaper than joining 416 digits.
-    lines = (
-        f"{v + 1}{graph.column_digits(rows, v).replace('', ',')[:-1]}\n"
-        for v in range(len(rows))
-    )
-    _atomic_write(path, lines)
+    """The columns of y = A + 4I, one line per vertex: its number, then its
+    column, comma-separated.  Column v of y is row v of A, as A is
+    symmetric, with 4 at coordinate v.
+
+    The file is built as bytes.  The rows are packed, 8 coordinates a byte
+    (`graph.packed`, w = ceil(n / 8) bytes a row), and laid out in a body
+    of n lines of 16 w bytes, a digit and a comma for each coordinate: bit t
+    of every packed byte, translated to its digit, goes to every 16th byte
+    from 2 t in one strided assignment.  Two more put a newline after each
+    row's n-th digit and 4 on the diagonal.  Line v + 1 of the file is then
+    v + 1 and a comma, and the first 2 n bytes of body line v.
+    """
+    n = len(rows)
+    line = 16 * -(-n // 8)
+    data = b"".join(graph.packed(rows, n))  # bit t of row v: byte w v + t // 8
+    body = bytearray(b",") * (line * n)
+    for t in range(8):
+        digit = (b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t)  # of bit t, by byte
+        body[2 * t :: 16] = data.translate(digit)
+    body[2 * n - 1 :: line] = b"\n" * n
+    body[:: line + 2] = b"4" * n
+    view = memoryview(body)
+    parts = [None] * (2 * n)
+    parts[::2] = [b"%d," % (v + 1) for v in range(n)]
+    parts[1::2] = [view[k : k + 2 * n] for k in range(0, line * n, line)]
+    _atomic_write(path, b"".join(parts))
 
 
 def write_cover_csv(cover: list[graph.SpecialClique], path: str) -> None:
-    lines = (
+    lines = "".join(
         ",".join([str(idx)] + [str(v + 1) for v in vertices] + [str(t) for t in core])
         + "\n"
         for idx, (vertices, core) in enumerate(cover, start=1)
     )
-    _atomic_write(path, lines)
+    _atomic_write(path, lines.encode())
 
 
 def write_report_json(report: Report, path: str, include_timings: bool = False) -> None:
-    _atomic_write(path, [report.to_json(include_timings)])
+    _atomic_write(path, report.to_json(include_timings).encode())
 
 
 # What each command writes to --out, from the run's report; the CLI offers
@@ -407,5 +427,8 @@ def run(cfg: RunConfig, show=None) -> Report:
         show(report)
     passed = report.exit_code == EXIT_PASS
     if cfg.out is not None and (passed or cfg.command == "check"):
+        t0, c0 = time.perf_counter(), time.process_time()
         write(report, cfg)
+        wall = (time.perf_counter() - t0) * 1000
+        report.write_ms = wall, (time.process_time() - c0) * 1000
     return report

@@ -19,8 +19,13 @@ def bases(plane):
 
 
 @pytest.fixture(scope="session")
-def isosets(bases):
-    return [isoset for _, isoset in bases]
+def sides(bases):
+    return [sides for _, sides in bases]
+
+
+@pytest.fixture(scope="session")
+def isosets(sides):
+    return [a | b | c for a, b, c in sides]
 
 
 @pytest.fixture(scope="session")
@@ -29,10 +34,10 @@ def point_maps(plane):
 
 
 @pytest.fixture(scope="session")
-def built(isosets):
+def built(sides):
     """The graph's adjacency rows and point columns, from one build; a test
     that changes them works on a copy."""
-    return graph.build_graph(isosets)
+    return graph.build_graph(sides)
 
 
 @pytest.fixture(scope="session")

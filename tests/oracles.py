@@ -34,7 +34,6 @@ from g24verify import VerificationError
 from g24verify.graph import (
     Partition,
     SpecialClique,
-    column_digits,
     edge_count,
     edges,
     point_columns,
@@ -164,8 +163,8 @@ def enumerate_bases(plane: Plane) -> tuple[list[Basis], list[int]]:
         isoset = f_ab | f_ac | f_bc
         if isoset.bit_count() != ISOSET_SIZE:
             raise VerificationError(f"iso-set of {tri} has {isoset.bit_count()} members")
-        bases.append((tri, isoset))
-    if len(bases) != 416 or len({isoset for _, isoset in bases}) != 416:
+        bases.append((tri, (f_bc, f_ac, f_ab)))
+    if len(bases) != 416 or len({sum(sides) for _, sides in bases}) != 416:
         raise VerificationError(f"{len(bases)} bases, not 416 distinct")
     return bases, polar
 
@@ -354,8 +353,16 @@ def entry(columns: list[int], i: int, j: int) -> int:
     return 4 if i == j else columns[j] >> i & 1
 
 
+def column_digits(rows: list[int], i: int) -> str:
+    """Column i of y = A + 4I, one character per coordinate: '4' at i, else
+    bit t of row i of A, which is A[t, i] since A is symmetric.  Line i + 1
+    of the vectors export is i + 1 and these, comma-separated."""
+    bits = format(rows[i], f"0{len(rows)}b")[::-1]
+    return f"{bits[:i]}4{bits[i + 1:]}"
+
+
 def column(rows: list[int], i: int) -> list[int]:
-    """Column i of y = A + 4I as the program reads it."""
+    """Column i of y = A + 4I as the vectors export writes it."""
     return [int(d) for d in column_digits(rows, i)]
 
 

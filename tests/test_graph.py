@@ -56,27 +56,36 @@ def test_build_graph_matches_the_pairwise_oracle(rows, isosets):
     assert dist == oracles.INTERSECTION_SIZES
 
 
-def test_build_graph_validates_input(isosets):
+def test_build_graph_validates_input(sides):
     with pytest.raises(VerificationError, match="expected 416 iso-sets") as err:
-        graph.build_graph(isosets[:-1])
+        graph.build_graph(sides[:-1])
     assert err.value.witness == 415
-    broken = list(isosets)
-    broken[0] = 0b111
+    broken = list(sides)
+    broken[0] = (0b111, 0, 0)
     with pytest.raises(VerificationError):
         graph.build_graph(broken)
+    a, b, c = sides[0]
     # Fifteen members, but one of them is not an isotropic point.
     for outside in (0, 66):
-        broken[0] = isosets[0] ^ (isosets[0] & -isosets[0]) | 1 << outside
+        broken[0] = (a ^ (a & -a) | 1 << outside, b, c)
         with pytest.raises(VerificationError, match="outside 1..65") as err:
             graph.build_graph(broken)
         assert err.value.witness == 0
-    # Sixteen isotropic points: only the member count refuses it, which is
-    # what keeps the bit-sliced counter's four planes from overflowing.
-    extra = next(a for a in range(1, 66) if not isosets[0] >> a & 1)
-    broken[0] = isosets[0] | 1 << extra
+    # Sixteen isotropic points.
+    extra = next(x for x in range(1, 66) if not (a | b | c) >> x & 1)
+    broken[0] = (a | 1 << extra, b, c)
     with pytest.raises(VerificationError, match="iso-set 0 has 16 members") as err:
         graph.build_graph(broken)
     assert err.value.witness == 0
+    # Three sides of 5 that share a point: only the member count refuses
+    # them, and it is what makes the sums of a vertex's sides add up to its
+    # intersections.
+    for overlap, size in (((a, a, c), 10), ((a, b, c ^ (c & -c) | (a & -a)), 14)):
+        broken[0] = overlap
+        message = f"iso-set 0 has {size} members"
+        with pytest.raises(VerificationError, match=message) as err:
+            graph.build_graph(broken)
+        assert err.value.witness == 0
 
 
 def test_point_columns_transpose_the_isosets(isosets, columns):
@@ -457,10 +466,11 @@ def test_find_isomorphism_positive_and_negative():
     assert oracles.find_isomorphism(p, p) is not None
 
 
-# Euclid: y = A + 4I lives only in the graph.  The program reads its
-# columns through `graph.column_digits`, and the oracles take A's rows as
-# y's column ints.  numpy, a test dependency only, gives the Gram-matrix
-# oracle of the distance census and the cubic identity on C on every row.
+# Euclid: y = A + 4I lives only in the graph.  The vectors export writes
+# its columns (`oracles.column_digits` spells them out), and the oracles
+# take A's rows as y's column ints.  numpy, a test dependency only, gives
+# the Gram-matrix oracle of the distance census and the cubic identity on C
+# on every row.
 
 
 def naive_distance_sq(columns, i, j) -> int:
@@ -593,7 +603,7 @@ def test_dimension_chain_argument_states_the_checked_numbers(full_report, rows, 
     constant = re.search(r"\(A_C - 16\)\(A_C - 12\)\(A_C \+ 4\) = (\d+) J", c_text)
     assert int(constant.group(1)) * len(c) == (degree - 16) * (degree - 12) * (degree + 4)
     shift, rank = re.search(r"rank\(A_C \+ (\d+)I\) = (\d+)", c_text).groups()
-    assert graph.column_digits(rows, c[0])[c[0]] == shift
+    assert oracles.column_digits(rows, c[0])[c[0]] == shift
     assert int(rank) == c_cert["linear_rank"] == len(c) - graph.C_SPECTRUM[-int(shift)]
 
 

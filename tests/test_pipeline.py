@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import jsonschema
 import pytest
@@ -521,14 +522,14 @@ def test_anchor_invariance_catches_a_break_anchor_1_misses(
     assert failed.detail["witness"][0] in (u, v)
 
 
-def _swap_one_member(isosets: list[int], v: int) -> None:
+def _swap_one_member(sides: list[tuple[int, int, int]], v: int) -> None:
     """Replace the first member of iso-set v above point 1 by the first
-    non-member above 1, in place: the size stays 15, and the split at
-    anchor 1 does not move."""
-    s = isosets[v]
+    non-member above 1, in the side that holds it, in place: the sides stay
+    disjoint with 5 members each, and the split at anchor 1 does not move."""
+    s = sides[v][0] | sides[v][1] | sides[v][2]
     a = next(a for a in range(2, 66) if s >> a & 1)
     b = next(b for b in range(2, 66) if not s >> b & 1)
-    isosets[v] = s ^ (1 << a | 1 << b)
+    sides[v] = tuple(t ^ (1 << a | 1 << b) if t >> a & 1 else t for t in sides[v])
 
 
 @pytest.mark.parametrize(
@@ -544,22 +545,30 @@ def test_point_column_corruptions_fail_with_a_witness(
     monkeypatch, automorphisms, corruption
 ):
     if corruption.startswith("iso-set"):
-        # Vertex 5's iso-set, corrupted before the graph is built or only
-        # in the point columns after it, is one that no basis has.  Both
-        # fail at srg while the point maps are lifted, before any row is
-        # read.
-        build = graph.build_graph
+        # Vertex 5's iso-set, corrupted in its basis before the graph is
+        # built or only in the point columns after it, is one that no basis
+        # has.  Both fail at srg while the point maps are lifted, before any
+        # row is read.
+        if corruption.endswith("before the graph"):
+            enumerate_bases = hermitian.enumerate_bases
 
-        def corrupted(isosets):
-            if corruption.endswith("before the graph"):
-                _swap_one_member(isosets, 5)
-                return build(isosets)
-            rows, _ = build(isosets)
-            swapped = list(isosets)
-            _swap_one_member(swapped, 5)  # only the point columns see it
-            return rows, graph.point_columns(swapped)
+            def corrupted_bases(plane):
+                bases = enumerate_bases(plane)
+                sides = [s for _, s in bases]
+                _swap_one_member(sides, 5)
+                return [(tri, s) for (tri, _), s in zip(bases, sides)]
 
-        monkeypatch.setattr(graph, "build_graph", corrupted)
+            monkeypatch.setattr(hermitian, "enumerate_bases", corrupted_bases)
+        else:
+            build = graph.build_graph
+
+            def corrupted(sides):
+                rows, _ = build(sides)
+                swapped = list(sides)
+                _swap_one_member(swapped, 5)  # only the point columns see it
+                return rows, graph.point_columns([a | b | c for a, b, c in swapped])
+
+            monkeypatch.setattr(graph, "build_graph", corrupted)
     else:
         # The srg stage lifts and verifies every point map; the
         # anchor-invariance stage is then handed the swap's map alone,
@@ -612,6 +621,19 @@ def test_timed_report_gives_each_stage_its_cost(tmp_path, capsys):
     rss = list(costs[2].values())
     assert rss == sorted(rss) and rss[0] > 0
     assert capsys.readouterr().out.count(" ms cpu, ") == 13
+
+
+def test_export_prints_its_write_cost_only_with_timings(tmp_path, capsys):
+    # The write's wall and CPU ms go on the "wrote" line, on stdout only:
+    # the file's bytes are the same either way.
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli.main(["export-vectors", "--out", str(plain)]) == 0
+    assert capsys.readouterr().out.endswith(f"overall: PASS\nwrote {plain}\n")
+    assert cli.main(["export-vectors", "--out", str(timed), "--timings"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    cost = r"  \[\d+\.\d ms wall, \d+\.\d ms cpu\]"
+    assert re.fullmatch(f"wrote {re.escape(str(timed))}{cost}", last)
+    assert plain.read_bytes() == timed.read_bytes()
 
 
 def test_report_round_trips_through_json(full_report):
@@ -742,19 +764,31 @@ def test_export_refuses_a_temporary_name_that_exists(tmp_path, capsys):
 
 
 def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
-    # The disk fills at column 100 while the vectors are written; the stages
-    # before the write read the same columns and must not see it.
-    column_digits = graph.column_digits
-    write = pipeline.write_vectors_csv
+    # The disk fills halfway through the file's one write: half the bytes
+    # reach the temporary file, then the write raises ENOSPC.
+    partial = []  # the directory's files and sizes when the disk fills
 
-    def failing_column(rows, i):
-        if i == 100:
+    class FullDisk:
+        def __init__(self, path, mode):
+            self.file = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[: len(data) // 2])
+            self.file.flush()
+            partial.extend((p.name, p.stat().st_size) for p in tmp_path.iterdir())
             raise OSError(28, "No space left on device")
-        return column_digits(rows, i)
+
+    write = pipeline.write_vectors_csv
 
     def write_to_full_disk(rows, path):
         with monkeypatch.context() as m:
-            m.setattr(graph, "column_digits", failing_column)
+            m.setattr(pipeline, "open", FullDisk, raising=False)
             write(rows, path)
 
     monkeypatch.setattr(pipeline, "write_vectors_csv", write_to_full_disk)
@@ -762,6 +796,7 @@ def test_failed_export_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert cli.main(["export-vectors", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "No space left" in captured.err
+    assert partial == [(f".vectors.csv.{os.getpid()}.tmp", 347668 // 2)]
     # The stage lines are printed before the write, and no "wrote" line.
     assert captured.out.endswith("overall: PASS\n")
     assert os.listdir(tmp_path) == []
