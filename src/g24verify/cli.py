@@ -94,7 +94,7 @@ def parse_args(argv: list[str]) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        report = run(cfg, lambda r: sys.stdout.write(r.to_text(cfg.include_timings)))
+        report = run(cfg, lambda r: sys.stdout.write(r.to_text()))
     except OSError as exc:
         sys.stderr.write(f"g24verify: i/o error: {exc}\n")
         return EXIT_USAGE

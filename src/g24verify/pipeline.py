@@ -48,13 +48,6 @@ class StageResult:
         self.detail, self.elapsed_ms = detail, elapsed_ms
         self.cpu_ms, self.peak_rss_mb = cpu_ms, peak_rss_mb
 
-    def cost(self) -> str:
-        """The wall and CPU time, and the peak RSS if it was read, as text."""
-        text = f"{self.elapsed_ms:.1f} ms wall, {self.cpu_ms:.1f} ms cpu"
-        if self.peak_rss_mb is None:
-            return text
-        return f"{text}, {self.peak_rss_mb:.1f} MB peak rss"
-
 
 class Artifacts:
     """What the stages build, kept for the exporters and never serialized.
@@ -77,13 +70,14 @@ class Artifacts:
 class Report:
     overall_status = "pass"
     exit_code = EXIT_PASS
+    timed = False  # whether the run was asked for timings, which it then shows
     write_ms = None  # (wall, cpu) of writing cfg.out, once `run` has written it
 
     def __init__(self):
         self.stages = []
         self.artifacts = Artifacts()
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         doc: dict = {
             "tool": TOOL,
             "version": __version__,
@@ -102,7 +96,7 @@ class Report:
         for s in self.stages:
             if s.name == "verdict" and s.status == "ok":
                 doc["verdict"] = s.detail
-        if include_timings:
+        if self.timed:
             doc["stage_timings_ms"] = {
                 s.name: round(s.elapsed_ms, 3) for s in self.stages
             }
@@ -110,15 +104,18 @@ class Report:
             doc["stage_peak_rss_mb"] = {s.name: s.peak_rss_mb for s in self.stages}
         return doc
 
-    def to_json(self, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         import json  # only here: check without --out writes no JSON
 
-        return json.dumps(self.to_dict(include_timings), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def to_text(self, include_timings: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [f"{TOOL} {__version__} (GF(16): {hermitian.POLYNOMIAL})"]
         for s in self.stages:
-            suffix = f"  [{s.cost()}]" if include_timings else ""
+            suffix = ""
+            if self.timed:
+                cost = s.elapsed_ms, s.cpu_ms, s.peak_rss_mb
+                suffix = "  [%.1f ms wall, %.1f ms cpu, %.1f MB peak rss]" % cost
             lines.append(f"{s.name:<20} ... {s.status.upper()}{suffix}")
             if s.status != "ok":
                 claims = "/".join(map(str, s.claims))
@@ -295,7 +292,8 @@ def run_check(cfg: RunConfig) -> Report:
     """Run the stages in order and stop at the first one that fails; what
     the stages built is in `report.artifacts`."""
     report = Report()
-    if cfg.include_timings:
+    report.timed = cfg.include_timings
+    if report.timed:
         import resource  # only here: a run without --timings reads no RSS
     for name, claims, stage in _STAGES:
         t0, c0 = time.perf_counter(), time.process_time()
@@ -306,7 +304,7 @@ def run_check(cfg: RunConfig) -> Report:
         elapsed = (time.perf_counter() - t0) * 1000
         cpu = (time.process_time() - c0) * 1000
         rss = None
-        if cfg.include_timings:
+        if report.timed:
             # ru_maxrss counts KiB on Linux and bytes on macOS.
             unit = 2**20 if sys.platform == "darwin" else 2**10
             rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
@@ -389,14 +387,14 @@ def write_cover_csv(cover: list[graph.SpecialClique], path: str) -> None:
     _atomic_write(path, lines.encode())
 
 
-def write_report_json(report: Report, path: str, include_timings: bool = False) -> None:
-    _atomic_write(path, report.to_json(include_timings).encode())
+def write_report_json(report: Report, path: str) -> None:
+    _atomic_write(path, report.to_json().encode())
 
 
 # What each command writes to --out, from the run's report; the CLI offers
 # these commands.
 WRITERS = {
-    "check": lambda r, cfg: write_report_json(r, cfg.out, cfg.include_timings),
+    "check": lambda r, cfg: write_report_json(r, cfg.out),
     "export-graph": lambda r, cfg: write_dimacs(r.artifacts.rows, cfg.out),
     "export-isosets": lambda r, cfg: write_isosets_csv(r.artifacts.isosets, cfg.out),
     "export-vectors": lambda r, cfg: write_vectors_csv(r.artifacts.rows, cfg.out),

@@ -10,7 +10,9 @@ A refusal is a `raise` of VerificationError, or of `fail(...)` in
 that puts `pass` in its place; the edited file must parse, and undoing the
 edit must give the file back.  Each worker thread copies the tree once, and
 each mutant it writes there is undone in a `finally`.  Children write no
-`.pyc`, which only its source's size and whole-second mtime validate.  The
+`.pyc`, which only its source's size and whole-second mtime validate, and
+load no third-party pytest plugin; the tests read fixed inputs, their
+random ones from fixed seeds, so a verdict repeats from run to run.  The
 unmutated run takes one copy while mutants are judged in the others.  Once
 it ends, a child that has run, or goes on to run, over 5 times its wall
 time plus 30 s is killed and counts as killed; if it failed, every child is
@@ -80,7 +82,8 @@ def passes(tree: Path, args: list[str], timeout: list[float]) -> bool | None:
     child = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", *args],
         cwd=tree,
-        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1",
+                 PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         start_new_session=True,  # so that the tests' own children are killed too
@@ -115,7 +118,7 @@ def main() -> int:
         idle: queue.SimpleQueue[Path] = queue.SimpleQueue()
         for tree in trees:
             for name in ("src", "tests"):
-                ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+                ignore = shutil.ignore_patterns("__pycache__")
                 shutil.copytree(ROOT / name, tree / name, ignore=ignore)
             for name in ("pyproject.toml", "README.md"):
                 shutil.copy(ROOT / name, tree)
@@ -131,7 +134,6 @@ def main() -> int:
                 passed = passes(tree, ["tests"], timeout)
             finally:
                 timeout.append(5 * (time.perf_counter() - t0) + 30 if passed else 0)
-                shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
                 idle.put(tree)
             return passed
 
@@ -145,8 +147,6 @@ def main() -> int:
                 passed = passes(tree, first, timeout) and passes(tree, ["tests"], timeout)
             finally:
                 (tree / path).write_bytes(source)
-                # As in a fresh copy, hypothesis replays no saved example.
-                shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
                 idle.put(tree)
             return passed, time.perf_counter() - t0
 

@@ -19,7 +19,8 @@ y = A + 4I is passed to them as its list of column ints: bit t of
 columns[i] is y[t, i] off the diagonal, and the diagonal is 4.
 
 Beside them are what more than one test file reads of a run: the report
-schema, a stage by name, and the stage that refused a run.
+schema, a stage by name, and the stage that refused a run; and
+`seed_named`, which names the seed that a random test failed on.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib.resources import files
+
+import pytest
 
 from g24verify import VerificationError
 from g24verify.graph import (
@@ -76,6 +80,17 @@ def refused(report, name: str):
     got = (report.exit_code, report.overall_status, failed.name, failed.status)
     assert got == (1, "fail", name, "fail"), (got, failed.detail)
     return failed
+
+
+@contextmanager
+def seed_named(seed: int):
+    """Any failure inside the block, a pytest.raises that saw no exception
+    among them, raised again as an AssertionError that names the seed of
+    the random inputs it failed on."""
+    try:
+        yield
+    except (Exception, pytest.fail.Exception) as exc:
+        raise AssertionError(f"seed {seed}") from exc
 
 
 def orbit(maps: list[list[int]], v: int) -> set[int]:

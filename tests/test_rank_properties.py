@@ -1,54 +1,62 @@
 """Property tests of `oracles.exact_column_rank`, the two-sided rank
 certificate that test_c08_dimension_chain runs on y: it agrees with the
 exact rational oracle `oracles.rational_rank` on small integer matrices,
-and what it cannot certify it refuses, never returning a wrong rank."""
+and what it cannot certify it refuses, never returning a wrong rank.  The
+matrices are drawn from `random.Random(seed)` for each seed of a literal
+range, so every run reads the same ones."""
 
+import random
 from contextlib import suppress
 
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from g24verify import VerificationError, graph
 
-from g24verify import VerificationError, graph  # noqa: E402
+import oracles
 
-import oracles  # noqa: E402
-
-
-@st.composite
-def matrices_and_columns(draw):
-    """An m x n integer matrix z, half the time with entries large enough
-    that the certificate leaves int64, and otherwise also its Gram matrix
-    z z^T, symmetric positive semidefinite of rank at most n; each with a
-    list of distinct columns."""
-    m = draw(st.integers(1, 7))
-    n = draw(st.integers(1, 7))
-    small = draw(st.booleans())
-    entry = st.integers(-4, 4) if small else st.integers(-(2**40), 2**40)
-    z = np.array(
-        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)),
-        dtype=np.int64,
-    )
-    gram = z @ z.T if small else None
-    cols = draw(st.lists(st.integers(0, n - 1), unique=True))
-    gram_cols = draw(st.lists(st.integers(0, m - 1), unique=True))
-    return z, cols, gram, gram_cols
+BIG = 2**40
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices_and_columns())
-def test_exact_column_rank_matches_rational_rank(case):
-    z, cols, gram, gram_cols = case
-    if gram is not None:
-        want = oracles.rational_rank(gram[:, gram_cols].tolist())
-        assert oracles.exact_column_rank(gram, gram_cols) == want
-    # On any integer matrix the rank is right or refused, even with the
-    # pivots chosen mod 3, which often divides a minor the rank needs.
-    want = oracles.rational_rank(z[:, cols].tolist())
-    for prime in (3, 2**31 - 1):
-        with suppress(VerificationError):
-            assert oracles.exact_column_rank(z, cols, prime) == want
+def test_exact_column_rank_matches_rational_rank():
+    # An m x n integer matrix z with a list of distinct columns.  Even seeds
+    # draw entries from -4 to 4 and also test the Gram matrix z z^T,
+    # symmetric positive semidefinite of rank at most n.  Odd seeds draw
+    # entries large enough that the certificate leaves int64: +-2**40 below
+    # seed 16 and on every seed 1 mod 4, else any up to 2**40 in size.
+    # Seeds 0 to 15 take m and n at 1 and at 7, with no columns before seed
+    # 8 and every column from it; the others draw m and n from 1 to 7.
+    for seed in range(150):
+        with oracles.seed_named(seed):
+            rng = random.Random(seed)
+            if seed < 16:
+                m, n = [(1, 1), (1, 7), (7, 1), (7, 7)][seed // 2 % 4]
+                k, gram_k = (n, m) if seed >= 8 else (0, 0)
+            else:
+                m, n = rng.randint(1, 7), rng.randint(1, 7)
+                k, gram_k = rng.randint(0, n), rng.randint(0, m)
+            if seed % 2 == 0:
+                values = range(-4, 5)
+            elif seed < 16 or seed % 4 == 1:
+                values = (-BIG, BIG)
+            else:
+                values = range(-BIG, BIG + 1)
+            z = np.array(
+                [[rng.choice(values) for _ in range(n)] for _ in range(m)],
+                dtype=np.int64,
+            )
+            cols, gram_cols = rng.sample(range(n), k), rng.sample(range(m), gram_k)
+            if seed % 2 == 0:
+                gram = z @ z.T
+                want = oracles.rational_rank(gram[:, gram_cols].tolist())
+                assert oracles.exact_column_rank(gram, gram_cols) == want
+            # On any integer matrix the rank is right or refused, even with
+            # the pivots chosen mod 3, which often divides a minor the rank
+            # needs.
+            want = oracles.rational_rank(z[:, cols].tolist())
+            for prime in (3, 2**31 - 1):
+                with suppress(VerificationError):
+                    assert oracles.exact_column_rank(z, cols, prime) == want
 
 
 def test_corruptions_change_the_certified_rank_or_are_refused(rows, part):
